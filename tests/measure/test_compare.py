@@ -42,6 +42,18 @@ class TestWelchCompare:
         strict = welch_compare(a, b, alpha=1e-6)
         assert loose.significant or not strict.significant
 
+    def test_matches_scipy_welch(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            n_a, n_b = rng.integers(2, 13, size=2)
+            a = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3), n_a)
+            b = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3), n_b)
+            cmp = welch_compare(a, b)
+            ref = scipy_stats.ttest_ind(a, b, equal_var=False)
+            assert cmp.t_statistic == pytest.approx(ref.statistic, rel=1e-10)
+            assert cmp.p_value == pytest.approx(ref.pvalue, rel=1e-10)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             welch_compare([1.0], [1.0, 2.0])

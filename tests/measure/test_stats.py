@@ -1,9 +1,72 @@
 """Tests for confidence-interval statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.measure.stats import ConfidenceInterval, confidence_interval
+from repro.measure.stats import ConfidenceInterval, confidence_interval, t_ppf, t_sf
+
+#: Two-sided confidence levels the quantile is checked at; each gives
+#: the upper and the lower quantile (1 ± level) / 2.
+LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
+PROBS = sorted({(1.0 + s * level) / 2.0 for level in LEVELS for s in (1, -1)})
+ORACLE_DFS = (*range(1, 201), 500, 1000, 10_000)
+
+
+class TestStudentT:
+    def test_ppf_matches_scipy(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        bad = []
+        for df in ORACLE_DFS:
+            for p in PROBS:
+                got, want = t_ppf(p, df), float(scipy_stats.t.ppf(p, df))
+                if got != pytest.approx(want, rel=1e-10):
+                    bad.append((df, p, got, want))
+        assert not bad, bad[:5]
+
+    @pytest.mark.parametrize("p", PROBS)
+    def test_df1_is_cauchy(self, p):
+        t = math.tan(math.pi * (p - 0.5))
+        assert t_ppf(p, 1) == pytest.approx(t, rel=1e-12)
+        assert t_sf(t, 1) == pytest.approx(1.0 - p, rel=1e-12)
+
+    @pytest.mark.parametrize("p", PROBS)
+    def test_df2_closed_form(self, p):
+        t = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+        assert t_ppf(p, 2) == pytest.approx(t, rel=1e-12)
+        assert t_sf(t, 2) == pytest.approx(1.0 - p, rel=1e-12)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4.5, 7, 30, 200, 10_000])
+    def test_sf_and_ppf_round_trip(self, df):
+        for p in PROBS:
+            assert t_sf(t_ppf(p, df), df) == pytest.approx(1.0 - p, rel=1e-11)
+        for t in (1e-3, 0.5, 1.0, 2.5, 10.0):
+            # ppf(sf(t)) is the lower quantile, -t, with no 1 - x to round.
+            assert t_ppf(t_sf(t, df), df) == pytest.approx(-t, rel=1e-11)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 9.5, 60, 10_000])
+    def test_symmetric_about_zero(self, df):
+        assert t_sf(0.0, df) == 0.5
+        assert t_ppf(0.5, df) == 0.0
+        for t in (0.1, 1.0, 3.0, 40.0):
+            assert t_sf(-t, df) == pytest.approx(1.0 - t_sf(t, df), rel=1e-14)
+        for p in PROBS:
+            assert t_ppf(1.0 - p, df) == pytest.approx(-t_ppf(p, df), rel=1e-12)
+
+    def test_infinite_t(self):
+        assert t_sf(math.inf, 5) == 0.0
+        assert t_sf(-math.inf, 5) == 1.0
+
+    def test_validation(self):
+        for p in (0.0, 1.0, -0.1, 1.5):
+            with pytest.raises(ValueError):
+                t_ppf(p, 3)
+        for df in (0, -1.0):
+            with pytest.raises(ValueError):
+                t_ppf(0.9, df)
+            with pytest.raises(ValueError):
+                t_sf(1.0, df)
 
 
 class TestConfidenceInterval:

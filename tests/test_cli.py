@@ -492,29 +492,35 @@ class TestFleetSentinel:
             ) == 0
         capsys.readouterr()
 
-    def degrade(self, ledger):
-        """Append a clone of the last sweep running 10x slower, with the
-        slowdown concentrated in the result-IPC phase."""
+    def append_clone(self, ledger, sweep_id, slowdown):
+        """Append a clone of the last sweep, recorded 60 s later and running
+        ``slowdown`` times slower, with the extra time all in the result-IPC
+        phase."""
         import dataclasses
 
         from repro.obs.fleet import FleetLedger, read_fleet
 
         last = read_fleet(ledger).records[-1]
         phases = dict(last.phases)
-        phases["result IPC"] = phases.get("result IPC", 0.0) + 9 * last.wall_s
+        phases["result IPC"] = (
+            phases.get("result IPC", 0.0) + (slowdown - 1.0) * last.wall_s
+        )
         with FleetLedger(ledger) as out:
             out.append(dataclasses.replace(
                 last,
-                sweep_id="degraded",
+                sweep_id=sweep_id,
                 unix_time=last.unix_time + 60.0,
-                wall_s=last.wall_s * 10.0,
-                cells_per_s=last.cells_per_s / 10.0,
+                wall_s=last.wall_s * slowdown,
+                cells_per_s=last.cells_per_s / slowdown,
                 phases=tuple(sorted(phases.items())),
             ))
 
     def test_check_passes_on_healthy_ledger(self, tmp_path, capsys):
+        # One real sweep and a clone of it at equal throughput: the verdict
+        # must not depend on how fast this host ran two real sweeps.
         ledger = tmp_path / "fleet.jsonl"
-        self.populate(ledger, capsys)
+        self.populate(ledger, capsys, runs=1)
+        self.append_clone(ledger, "healthy", slowdown=1.0)
         assert main(["fleet", "--ledger", str(ledger), "--check"]) == 0
         out = capsys.readouterr().out
         assert "fleet sentinel: ok" in out
@@ -524,7 +530,7 @@ class TestFleetSentinel:
         # turn the sentinel red and name the regressed phase.
         ledger = tmp_path / "fleet.jsonl"
         self.populate(ledger, capsys)
-        self.degrade(ledger)
+        self.append_clone(ledger, "degraded", slowdown=10.0)
         code = main(["fleet", "--ledger", str(ledger), "--check"])
         out = capsys.readouterr().out
         assert code == 1
