@@ -18,36 +18,25 @@ The paper's mathematical argument that AVG_N cannot stabilize:
 Figures 3 and 4 (per-quantum series and moving averages).
 """
 
-from repro.analysis.energymodel import (
-    energy_delay_curve,
-    energy_for_work,
-    race_vs_crawl,
-)
-from repro.analysis.fourier import decaying_exponential, fourier_magnitude
-from repro.analysis.latency import latency_stats, sync_drift_series
-from repro.analysis.oscillation import OscillationStats, oscillation_stats
-from repro.analysis.smoothing import (
-    avg_n_convolve,
-    avg_n_recursive,
-    avg_n_weights,
-    rectangle_wave,
-)
-from repro.analysis.utilization import moving_average, utilization_series
+from repro._lazy import attach
 
-__all__ = [
-    "OscillationStats",
-    "avg_n_convolve",
-    "avg_n_recursive",
-    "avg_n_weights",
-    "decaying_exponential",
-    "energy_delay_curve",
-    "energy_for_work",
-    "fourier_magnitude",
-    "latency_stats",
-    "moving_average",
-    "oscillation_stats",
-    "race_vs_crawl",
-    "rectangle_wave",
-    "sync_drift_series",
-    "utilization_series",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "energymodel": (
+            "energy_delay_curve",
+            "energy_for_work",
+            "race_vs_crawl",
+        ),
+        "fourier": ("decaying_exponential", "fourier_magnitude"),
+        "latency": ("latency_stats", "sync_drift_series"),
+        "oscillation": ("OscillationStats", "oscillation_stats"),
+        "smoothing": (
+            "avg_n_convolve",
+            "avg_n_recursive",
+            "avg_n_weights",
+            "rectangle_wave",
+        ),
+        "utilization": ("moving_average", "utilization_series"),
+    },
+)

@@ -17,15 +17,13 @@ slower can beat racing-to-idle even without voltage scaling:
 frequency that maximizes *computations per battery lifetime*.
 """
 
-from repro.battery.lifetime import computations_per_lifetime, lifetime_hours
-from repro.battery.model import AAA_ALKALINE_PAIR, Battery, RateCapacityCurve
-from repro.battery.pulsed import PulsedDischargeModel
+from repro._lazy import attach
 
-__all__ = [
-    "AAA_ALKALINE_PAIR",
-    "Battery",
-    "PulsedDischargeModel",
-    "RateCapacityCurve",
-    "computations_per_lifetime",
-    "lifetime_hours",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "lifetime": ("computations_per_lifetime", "lifetime_hours"),
+        "model": ("AAA_ALKALINE_PAIR", "Battery", "RateCapacityCurve"),
+        "pulsed": ("PulsedDischargeModel",),
+    },
+)

@@ -81,12 +81,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from repro.core.catalog import resolve_policy
-from repro.hw.clocksteps import SA1100_CLOCK_TABLE
+from repro.hw.clocksteps import SA1100_CLOCK_TABLE, ClockTable
 from repro.hw.machines import MACHINE_PRESETS, MachineSpec
 from repro.kernel.backend import backend_names
+from repro.kernel.governor import Governor
 from repro.measure.parallel import (
     PolicySpec,
     ResultCache,
@@ -95,19 +95,23 @@ from repro.measure.parallel import (
     SweepEngine,
     WorkloadSpec,
 )
-from repro.obs.diagnose import DiagnosisWriter
 from repro.obs.fleet import DEFAULT_FLEET_PATH, FleetLedger, read_fleet
 from repro.obs.profile import PhaseProfile
 from repro.obs.runlog import RunLogWriter
-from repro.obs.telemetry import SweepTelemetry
-from repro.measure.runner import find_ideal_constant, repeat_workload, run_workload
 from repro.measure.stats import confidence_interval
-from repro.workloads.base import Workload
 from repro.workloads.chess import ChessConfig
 from repro.workloads.editor import EditorConfig
 from repro.workloads.fuzz import FuzzSpec
 from repro.workloads.mpeg import MpegConfig
 from repro.workloads.web import WebConfig
+
+if TYPE_CHECKING:
+    from repro.workloads.base import Workload
+
+# The simulator (repro.core.catalog, repro.measure.runner, the kernels)
+# and the optional observers (diagnosis, telemetry, tracing, reports,
+# plots) are imported inside the commands and branches that run them, so
+# a sweep served from the cache loads neither them nor numpy.
 
 _WORKLOAD_CONFIGS = {
     "mpeg": MpegConfig,
@@ -137,8 +141,19 @@ def workload_spec(name: str, duration_s: Optional[float] = None) -> WorkloadSpec
         ) from None
     return WorkloadSpec(
         name=name,
-        config=config_type(duration_s=duration_s) if duration_s else None,
+        config=(
+            config_type(duration_s=duration_s) if duration_s is not None else None
+        ),
     )
+
+
+def resolve_policy(
+    name: str, clock_table: Optional[ClockTable] = None
+) -> Callable[[], Governor]:
+    """:func:`repro.core.catalog.resolve_policy`, imported on first use."""
+    from repro.core import catalog
+
+    return catalog.resolve_policy(name, clock_table=clock_table)
 
 
 def resolve_workload(name: str, duration_s: Optional[float] = None) -> Workload:
@@ -194,13 +209,21 @@ def sweep_engine(args) -> Optional[SweepEngine]:
         return None
     cache = ResultCache(cache_dir) if cache_dir else None
     run_log = RunLogWriter(run_log_path) if run_log_path else None
-    diagnosis_log = DiagnosisWriter(diagnoses_path) if diagnoses_path else None
+    diagnosis_log = telemetry = None
+    if diagnoses_path:
+        from repro.obs.diagnose import DiagnosisWriter
+
+        diagnosis_log = DiagnosisWriter(diagnoses_path)
+    if sweep_trace:
+        from repro.obs.telemetry import SweepTelemetry
+
+        telemetry = SweepTelemetry()
     return SweepEngine(
         jobs=max(jobs, 1),
         cache=cache,
         run_log=run_log,
         diagnosis_log=diagnosis_log,
-        telemetry=SweepTelemetry() if sweep_trace else None,
+        telemetry=telemetry,
         progress=progress,
         profile=PhaseProfile(),
     )
@@ -316,6 +339,8 @@ def cmd_run(args) -> int:
                   f"{summary.worst_lateness_us / 1000:.1f} ms")
         report_sweep_stats(engine, args)
         return 1 if summary.missed else 0
+    from repro.measure.runner import run_workload
+
     factory = resolve_policy(args.policy, clock_table=mspec.clock_table())
     result = run_workload(
         workload, factory, machine_factory=mspec,
@@ -371,6 +396,8 @@ def cmd_table2(args) -> int:
             print(f"{name:30s} {ci.low:9.2f} - {ci.high:5.2f} {misses:7d}")
         report_sweep_stats(engine, args)
         return 0
+    from repro.measure.runner import repeat_workload
+
     table = mspec.clock_table()
     for name, policy in TABLE2_ROWS:
         agg = repeat_workload(
@@ -387,7 +414,8 @@ def cmd_fig9(args) -> int:
     engine = sweep_engine(args)
     mspec = machine_spec(args)
     table = mspec.clock_table()
-    spec = workload_spec("mpeg", args.duration or 30.0)
+    duration_s = 30.0 if args.duration is None else args.duration
+    spec = workload_spec("mpeg", duration_s)
     print(f"{'MHz':>6s} {'Utilization':>12s} {'Misses':>7s}")
     if engine is not None:
         from repro.measure.parallel import constant_step_cells
@@ -405,10 +433,11 @@ def cmd_fig9(args) -> int:
             )
         report_sweep_stats(engine, args)
         return 0
-    cfg = MpegConfig(duration_s=args.duration or 30.0)
+    from repro.measure.runner import run_workload
+
     for step in table:
         res = run_workload(
-            resolve_workload("mpeg", cfg.duration_s),
+            spec.build(),
             lambda s=step: resolve_policy(
                 f"const-{s.mhz:.1f}", clock_table=table
             )(),
@@ -426,6 +455,7 @@ def cmd_fig9(args) -> int:
 
 def cmd_compare(args) -> int:
     from repro.measure.compare import energies, welch_compare
+    from repro.measure.runner import repeat_workload
 
     mspec = machine_spec(args)
     table = mspec.clock_table()
@@ -461,8 +491,10 @@ def cmd_ideal(args) -> int:
     workload = spec.build()
     try:
         if engine is not None:
-            summary = find_ideal_constant(
-                spec, machine_factory=mspec, seed=args.seed, engine=engine,
+            from repro.measure import parallel
+
+            summary = parallel.find_ideal_constant(
+                spec, machine=mspec, seed=args.seed, engine=engine,
                 backend=cell_backend(args),
             )
             print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
@@ -471,6 +503,8 @@ def cmd_ideal(args) -> int:
             print(f"mean utilization: {summary.mean_utilization:.3f}")
             report_sweep_stats(engine, args)
             return 0
+        from repro.measure.runner import find_ideal_constant
+
         result = find_ideal_constant(
             workload, machine_factory=mspec, seed=args.seed,
             backend=cell_backend(args),
@@ -488,6 +522,7 @@ def cmd_ideal(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one workload under a tracer and export Chrome trace-event JSON."""
+    from repro.measure.runner import run_workload
     from repro.obs.metrics import KernelMetricsRecorder, MetricsRegistry
     from repro.obs.trace import TraceRecorder, write_chrome_trace
 
@@ -527,6 +562,7 @@ def cmd_trace(args) -> int:
 
 def cmd_diagnose(args) -> int:
     """Run one workload under one policy and explain the outcome."""
+    from repro.measure.runner import find_ideal_constant, run_workload
     from repro.obs.diagnose import SETTLE_CHURN_PER_QUANTUM
     from repro.obs.diagnose import diagnose as diagnose_run
 
@@ -662,6 +698,7 @@ def cmd_fuzz(args) -> int:
         counterexample_entry,
         shrink_fuzz_spec,
     )
+    from repro.measure.runner import run_workload
     from repro.traces.corpus import load_corpus, save_entry
     from repro.workloads.fuzz import fuzz_family
 
@@ -931,8 +968,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_opts.add_argument(
         "--phases", action="store_true",
         help="print the phase-level wall-time breakdown (pool spin-up, "
-             "kernel compute, observer reduction, result IPC, cache I/O, "
-             "...) after the sweep summary",
+             "worker start, kernel compute, observer reduction, result "
+             "IPC, cache I/O, ...) after the sweep summary",
     )
 
     machine_opts = argparse.ArgumentParser(add_help=False)

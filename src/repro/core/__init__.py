@@ -28,37 +28,22 @@ Extensions beyond the paper's evaluation:
 - :mod:`repro.core.martin` -- Martin's battery-rational clock floor.
 """
 
-from repro.core.cycleavg import CycleAverageGovernor
-from repro.core.deadline import (
-    DeadlineGovernor,
-    DeadlineSpec,
-    SynthesizedDeadlineGovernor,
-)
-from repro.core.hysteresis import Direction, ThresholdPair
-from repro.core.live import LivePredictorGovernor
-from repro.core.martin import FlooredGovernor, martin_floor_step
-from repro.core.policy import IntervalPolicy, VoltageRule
-from repro.core.predictors import AvgN, Past, Predictor, WindowAverage
-from repro.core.speed import Double, OneStep, Peg, SpeedSetter
+from repro._lazy import attach
 
-__all__ = [
-    "AvgN",
-    "CycleAverageGovernor",
-    "DeadlineGovernor",
-    "DeadlineSpec",
-    "Direction",
-    "Double",
-    "FlooredGovernor",
-    "IntervalPolicy",
-    "LivePredictorGovernor",
-    "OneStep",
-    "Past",
-    "Peg",
-    "Predictor",
-    "SpeedSetter",
-    "SynthesizedDeadlineGovernor",
-    "ThresholdPair",
-    "VoltageRule",
-    "WindowAverage",
-    "martin_floor_step",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "cycleavg": ("CycleAverageGovernor",),
+        "deadline": (
+            "DeadlineGovernor",
+            "DeadlineSpec",
+            "SynthesizedDeadlineGovernor",
+        ),
+        "hysteresis": ("Direction", "ThresholdPair"),
+        "live": ("LivePredictorGovernor",),
+        "martin": ("FlooredGovernor", "martin_floor_step"),
+        "policy": ("IntervalPolicy", "VoltageRule"),
+        "predictors": ("AvgN", "Past", "Predictor", "WindowAverage"),
+        "speed": ("Double", "OneStep", "Peg", "SpeedSetter"),
+    },
+)

@@ -25,57 +25,32 @@ measurements depend on:
   for the sweep/cache layer and the CLI ``--machine`` flag.
 """
 
-from repro.hw.clocksteps import (
-    SA1100_CLOCK_TABLE,
-    ClockStep,
-    ClockTable,
-)
-from repro.hw.cpu import CoreState, CpuModel, CLOCK_CHANGE_STALL_US
-from repro.hw.itsy import ItsyConfig, ItsyMachine
-from repro.hw.machine import Machine
-from repro.hw.machines import (
-    MACHINE_PRESETS,
-    MachinePreset,
-    MachineSpec,
-    register_machine,
-)
-from repro.hw.memory import MemoryTimings, SA1100_MEMORY_TIMINGS
-from repro.hw.power import PowerModel, PowerParameters
-from repro.hw.rails import (
-    CoreRail,
-    ScheduledRail,
-    VoltageError,
-    VOLTAGE_HIGH,
-    VOLTAGE_IO,
-    VOLTAGE_LOW,
-)
-from repro.hw.sa2 import Sa2Machine
-from repro.hw.work import Work
+from repro._lazy import attach
 
-__all__ = [
-    "MACHINE_PRESETS",
-    "SA1100_CLOCK_TABLE",
-    "SA1100_MEMORY_TIMINGS",
-    "CLOCK_CHANGE_STALL_US",
-    "ClockStep",
-    "ClockTable",
-    "CoreRail",
-    "CoreState",
-    "CpuModel",
-    "ItsyConfig",
-    "ItsyMachine",
-    "Machine",
-    "MachinePreset",
-    "MachineSpec",
-    "MemoryTimings",
-    "PowerModel",
-    "PowerParameters",
-    "Sa2Machine",
-    "ScheduledRail",
-    "VOLTAGE_HIGH",
-    "VOLTAGE_IO",
-    "VOLTAGE_LOW",
-    "VoltageError",
-    "Work",
-    "register_machine",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "clocksteps": ("SA1100_CLOCK_TABLE", "ClockStep", "ClockTable"),
+        "cpu": ("CLOCK_CHANGE_STALL_US", "CoreState", "CpuModel"),
+        "itsy": ("ItsyConfig", "ItsyMachine"),
+        "machine": ("Machine",),
+        "machines": (
+            "MACHINE_PRESETS",
+            "MachinePreset",
+            "MachineSpec",
+            "register_machine",
+        ),
+        "memory": ("SA1100_MEMORY_TIMINGS", "MemoryTimings"),
+        "power": ("PowerModel", "PowerParameters"),
+        "rails": (
+            "VOLTAGE_HIGH",
+            "VOLTAGE_IO",
+            "VOLTAGE_LOW",
+            "CoreRail",
+            "ScheduledRail",
+            "VoltageError",
+        ),
+        "sa2": ("Sa2Machine",),
+        "work": ("Work",),
+    },
+)

@@ -25,72 +25,45 @@ This package reproduces that environment in simulation:
 - :mod:`repro.kernel.governor` -- the clock-scaling module interface.
 """
 
-from repro.kernel.dvfs import DvfsEngine
-from repro.kernel.governor import (
-    ConstantGovernor,
-    Governor,
-    GovernorRequest,
-    TickInfo,
-)
-from repro.kernel.process import (
-    Compute,
-    Exit,
-    Process,
-    ProcessContext,
-    ProcessState,
-    Sleep,
-    SleepUntil,
-    SpinUntil,
-    Yield,
-)
-from repro.kernel.recorders import (
-    RECORDING_FULL,
-    RECORDING_MINIMAL,
-    EnergyMeterRecorder,
-    EnergyTotals,
-    PowerTimelineRecorder,
-    QuantumLogRecorder,
-    QuantumStats,
-    QuantumStatsRecorder,
-    RunRecorder,
-    SchedLogRecorder,
-    TransitionLogRecorder,
-    default_recorders,
-    minimal_recorders,
-    recorders_for,
-)
-from repro.kernel.scheduler import Kernel, KernelConfig, KernelRun
+from repro._lazy import attach
 
-__all__ = [
-    "RECORDING_FULL",
-    "RECORDING_MINIMAL",
-    "Compute",
-    "ConstantGovernor",
-    "DvfsEngine",
-    "EnergyMeterRecorder",
-    "EnergyTotals",
-    "Exit",
-    "Governor",
-    "GovernorRequest",
-    "Kernel",
-    "KernelConfig",
-    "KernelRun",
-    "PowerTimelineRecorder",
-    "Process",
-    "ProcessContext",
-    "ProcessState",
-    "QuantumLogRecorder",
-    "QuantumStats",
-    "QuantumStatsRecorder",
-    "RunRecorder",
-    "SchedLogRecorder",
-    "Sleep",
-    "SleepUntil",
-    "SpinUntil",
-    "TickInfo",
-    "TransitionLogRecorder",
-    "Yield",
-    "default_recorders",
-    "minimal_recorders",
-    "recorders_for",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "dvfs": ("DvfsEngine",),
+        "governor": (
+            "ConstantGovernor",
+            "Governor",
+            "GovernorRequest",
+            "TickInfo",
+        ),
+        "process": (
+            "Compute",
+            "Exit",
+            "Process",
+            "ProcessContext",
+            "ProcessState",
+            "Sleep",
+            "SleepUntil",
+            "SpinUntil",
+            "Yield",
+        ),
+        "recorders": (
+            "RECORDING_FULL",
+            "RECORDING_MINIMAL",
+            "EnergyMeterRecorder",
+            "EnergyTotals",
+            "PowerTimelineRecorder",
+            "QuantumLogRecorder",
+            "QuantumStats",
+            "QuantumStatsRecorder",
+            "RunRecorder",
+            "SchedLogRecorder",
+            "TransitionLogRecorder",
+            "default_recorders",
+            "minimal_recorders",
+            "recorders_for",
+        ),
+        "scheduler": ("Kernel", "KernelConfig", "KernelRun"),
+    },
+)

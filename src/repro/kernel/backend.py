@@ -32,7 +32,6 @@ import os
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.hw.machine import Machine
-from repro.kernel.fastpath import FastKernel
 from repro.kernel.governor import Governor
 from repro.kernel.recorders import (
     RECORDING_FULL,
@@ -114,6 +113,10 @@ class FastpathBackend(ExecutionBackend):
         recording: str = RECORDING_FULL,
         extra_recorders: Optional[Iterable[RunRecorder]] = None,
     ) -> Kernel:
+        # Imported on first use: choosing a backend (the CLI's --backend
+        # choices, a sweep's fleet record) must not load the hot loop.
+        from repro.kernel.fastpath import FastKernel
+
         return FastKernel(
             machine,
             governor=governor,

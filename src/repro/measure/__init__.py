@@ -16,47 +16,27 @@ the workload toggles when it starts.  Energy is the rectangle sum
   content-addressed result cache.
 """
 
-from repro.measure.compare import Comparison, welch_compare
-from repro.measure.daq import DaqConfig, DaqSystem, DaqCapture
-from repro.measure.energy import energy_from_samples, mean_power_from_samples
-from repro.measure.parallel import (
-    CellResult,
-    PolicySpec,
-    ResultCache,
-    SweepCell,
-    SweepEngine,
-    SweepSpec,
-    WorkloadSpec,
-    cache_key,
-    run_sweep,
-)
-from repro.measure.profile import PowerProfile, burst_profile, profile_timeline
-from repro.measure.runner import ExperimentResult, run_workload, repeat_workload
-from repro.measure.stats import ConfidenceInterval, confidence_interval
+from repro._lazy import attach
 
-__all__ = [
-    "CellResult",
-    "Comparison",
-    "ConfidenceInterval",
-    "DaqCapture",
-    "DaqConfig",
-    "DaqSystem",
-    "ExperimentResult",
-    "PolicySpec",
-    "PowerProfile",
-    "ResultCache",
-    "SweepCell",
-    "SweepEngine",
-    "SweepSpec",
-    "WorkloadSpec",
-    "burst_profile",
-    "cache_key",
-    "confidence_interval",
-    "energy_from_samples",
-    "mean_power_from_samples",
-    "profile_timeline",
-    "repeat_workload",
-    "run_sweep",
-    "run_workload",
-    "welch_compare",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "compare": ("Comparison", "welch_compare"),
+        "daq": ("DaqCapture", "DaqConfig", "DaqSystem"),
+        "energy": ("energy_from_samples", "mean_power_from_samples"),
+        "parallel": (
+            "CellResult",
+            "PolicySpec",
+            "ResultCache",
+            "SweepCell",
+            "SweepEngine",
+            "SweepSpec",
+            "WorkloadSpec",
+            "cache_key",
+            "run_sweep",
+        ),
+        "profile": ("PowerProfile", "burst_profile", "profile_timeline"),
+        "runner": ("ExperimentResult", "repeat_workload", "run_workload"),
+        "stats": ("ConfidenceInterval", "confidence_interval"),
+    },
+)

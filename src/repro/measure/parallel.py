@@ -40,17 +40,16 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import multiprocessing
 import os
 import queue as queue_module
 import sys
 import tempfile
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     IO,
@@ -63,7 +62,6 @@ from typing import (
     Union,
 )
 
-from repro.core.catalog import POLICY_FACTORIES, resolve_policy
 from repro.hw.clocksteps import ClockTable
 from repro.hw.machines import MachineSpec
 from repro.kernel.governor import Governor
@@ -73,12 +71,6 @@ from repro.kernel.recorders import (
     RunRecorder,
 )
 from repro.kernel.scheduler import KernelConfig
-from repro.obs.diagnose import DiagnosisWriter, PolicyDiagnosis, diagnose
-from repro.obs.metrics import (
-    KernelMetricsRecorder,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
 from repro.obs.calibrate import host_score
 from repro.obs.fleet import FleetRecord, git_sha, new_sweep_id
 from repro.obs.profile import (
@@ -89,19 +81,12 @@ from repro.obs.profile import (
     PHASE_REDUCE,
     PHASE_SPINUP,
     PHASE_SUBMIT,
+    PHASE_WORKER_START,
     PhaseProfile,
     arm_worker_stamps,
     drain_worker_stamps,
 )
 from repro.obs.runlog import RunLogRecord, RunLogWriter, now_unix
-from repro.obs.telemetry import (
-    HEARTBEAT_DONE,
-    HEARTBEAT_START,
-    LANE_ENGINE,
-    ProgressModel,
-    ProgressRenderer,
-    SweepTelemetry,
-)
 from repro.kernel.backend import resolve_backend
 from repro.measure.stats import ConfidenceInterval, confidence_interval
 from repro.workloads.base import Workload
@@ -111,6 +96,17 @@ from repro.workloads.fuzz import FuzzSpec, fuzz_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 from repro.workloads.replay import ReplayConfig, replay_config_workload
 from repro.workloads.web import WebConfig, web_workload
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.obs.diagnose import DiagnosisWriter, PolicyDiagnosis
+    from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+    from repro.obs.telemetry import (
+        ProgressModel,
+        ProgressRenderer,
+        SweepTelemetry,
+    )
 
 #: Bump when the simulator's observable numbers change (kernel model,
 #: power model, workload calibration, or the :class:`CellResult` schema):
@@ -238,6 +234,8 @@ class PolicySpec:
         Raises:
             ValueError: for unknown names.
         """
+        from repro.core.catalog import POLICY_FACTORIES, resolve_policy
+
         if not self.params:
             return resolve_policy(self.name, clock_table=clock_table)
         try:
@@ -549,16 +547,24 @@ class ResultCache:
         return self.root / f"{key}.json"
 
     def get(self, key: str) -> Optional[CellResult]:
-        """The cached result, or None on miss/corruption/schema change."""
+        """The cached result, or None on miss/corruption/schema change.
+
+        A damaged entry is a miss, whatever it parses as: not JSON, JSON
+        that is not an object, or a ``"result"`` that does not rebuild a
+        :class:`CellResult`.  The engine then simulates the cell again
+        and overwrites the entry.
+        """
         try:
             payload = json.loads(self.path_for(key).read_text())
         except (OSError, ValueError):
+            return None
+        if not isinstance(payload, dict):
             return None
         if payload.get("schema") != CACHE_SCHEMA_VERSION:
             return None
         try:
             return CellResult.from_json(payload["result"])
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             return None
 
     def put(self, key: str, result: CellResult) -> None:
@@ -589,6 +595,19 @@ def _execute_cell(cell: SweepCell) -> CellResult:
     return cell.run()
 
 
+def _worker_metrics(
+    with_metrics: bool,
+) -> Tuple[Optional[MetricsRegistry], Optional[List[RunRecorder]]]:
+    """A worker-local metrics registry and the kernel recorder feeding it,
+    or ``(None, None)`` when the engine collects no metrics."""
+    if not with_metrics:
+        return None, None
+    from repro.obs.metrics import KernelMetricsRecorder, MetricsRegistry
+
+    registry = MetricsRegistry()
+    return registry, [KernelMetricsRecorder(registry)]
+
+
 def _execute_cell_observed(
     cell: SweepCell, with_metrics: bool, profiled: bool = False
 ) -> Tuple[
@@ -612,10 +631,10 @@ def _execute_cell_observed(
     reduction — ``cell.run`` split into its two halves
     (:meth:`SweepCell.execute` + :meth:`CellResult.from_experiment`),
     which is the very same computation, just stamped between the
-    halves.
+    halves.  A pool worker's first profiled outcome also carries its
+    start-up stamp (:func:`_warm_worker`).
     """
-    registry = MetricsRegistry() if with_metrics else None
-    extra = [KernelMetricsRecorder(registry)] if registry is not None else None
+    registry, extra = _worker_metrics(with_metrics)
     if not profiled:
         start = perf_counter()
         result = cell.run(extra_recorders=extra)
@@ -629,6 +648,7 @@ def _execute_cell_observed(
     result = CellResult.from_experiment(experiment)
     end = perf_counter()
     phases = (
+        *_take_worker_start(),
         (PHASE_COMPUTE, start, t_computed),
         *drain_worker_stamps(),
         (PHASE_REDUCE, t_computed, end),
@@ -658,10 +678,12 @@ def _execute_cell_diagnosed(
     — the span shows what the worker was occupied with, the run-log
     shows what the simulation cost.  With ``profiled``, the trailing
     ``phases`` carries compute / diagnosis / reduction stamps (plus any
-    kernel-side stamps) for the phase profile; empty otherwise.
+    kernel-side stamps and the worker's start-up stamp) for the phase
+    profile; empty otherwise.
     """
-    registry = MetricsRegistry() if with_metrics else None
-    extra = [KernelMetricsRecorder(registry)] if registry is not None else None
+    from repro.obs.diagnose import diagnose
+
+    registry, extra = _worker_metrics(with_metrics)
     full_cell = dataclasses.replace(cell, recording=RECORDING_FULL)
     if profiled:
         arm_worker_stamps()
@@ -684,6 +706,7 @@ def _execute_cell_diagnosed(
     phases: Tuple[Tuple[str, float, float], ...] = ()
     if profiled:
         phases = (
+            *_take_worker_start(),
             (PHASE_COMPUTE, start, t_computed),
             *drain_worker_stamps(),
             (PHASE_DIAGNOSE, t_computed, t_diagnosed),
@@ -705,30 +728,54 @@ def _execute_cell_diagnosed(
 #: None in workers whose engine runs without live progress.
 _HEARTBEATS: Optional[object] = None
 
+#: This worker's start-up interval, stamped by :func:`_warm_worker` and
+#: sent home once, with the worker's first profiled outcome.
+_WORKER_START: Optional[Tuple[str, float, float]] = None
 
-def _warm_worker(heartbeats: Optional[object] = None) -> None:
-    """Pool initializer: preimport the simulator once per worker process.
 
-    With the ``fork`` start method workers inherit the parent's modules
-    and this is nearly free; under ``spawn`` it moves the import cost of
-    the kernel, workloads and measurement stack out of the first chunk's
-    latency.  Importing :mod:`repro.measure.runner` pulls in everything a
-    cell run touches (both kernel cores, all workload builders, the DAQ).
+def _warm_worker(
+    heartbeats: Optional[object] = None, diagnosing: bool = False
+) -> None:
+    """Pool initializer: import the simulator once per worker process.
+
+    The parent process does not import the simulator (a sweep served
+    from the cache never runs it), so every worker imports it here, in
+    parallel with its siblings, before its first chunk:
+    :mod:`repro.measure.runner` pulls in everything a cell run touches
+    (both kernel cores, all workload builders, the DAQ, numpy), and a
+    diagnosing engine's workers also import :mod:`repro.obs.diagnose`
+    (already inherited under ``fork``, where the engine loaded it).  The
+    import is stamped as :data:`~repro.obs.profile.PHASE_WORKER_START`.
 
     ``heartbeats`` is the engine's live-progress queue (or None): pool
     initargs travel through ``Process`` arguments, which is exactly the
     channel a ``multiprocessing.Queue`` is allowed to cross.
     """
-    global _HEARTBEATS
+    global _HEARTBEATS, _WORKER_START
     _HEARTBEATS = heartbeats
+    start = perf_counter()
     import repro.measure.runner  # noqa: F401
 
+    if diagnosing:
+        import repro.obs.diagnose  # noqa: F401
+    _WORKER_START = (PHASE_WORKER_START, start, perf_counter())
 
-def _heartbeat(tag: str, cell_id: Optional[int]) -> None:
+
+def _take_worker_start() -> Tuple[Tuple[str, float, float], ...]:
+    """The worker's start-up stamp the first time, then nothing."""
+    global _WORKER_START
+    stamp, _WORKER_START = _WORKER_START, None
+    return (stamp,) if stamp is not None else ()
+
+
+def _heartbeat(done: bool, cell_id: Optional[int]) -> None:
     """Emit one display heartbeat, best-effort (never fails the cell)."""
     hb = _HEARTBEATS
     if hb is None or cell_id is None:
         return
+    from repro.obs.telemetry import HEARTBEAT_DONE, HEARTBEAT_START
+
+    tag = HEARTBEAT_DONE if done else HEARTBEAT_START
     try:
         hb.put((tag, os.getpid(), cell_id, perf_counter()))
     except Exception:  # pragma: no cover - queue torn down mid-sweep
@@ -763,7 +810,7 @@ def _execute_chunk(
         cell_ids = [None] * len(cells)  # type: ignore[list-item]
     out: List[Tuple[str, object]] = []
     for cell, baseline_j, cell_id in zip(cells, baseline_js, cell_ids):
-        _heartbeat(HEARTBEAT_START, cell_id)
+        _heartbeat(False, cell_id)
         try:
             if mode == "diagnosed":
                 outcome: object = _execute_cell_diagnosed(
@@ -776,7 +823,7 @@ def _execute_chunk(
             out.append(("ok", outcome))
         except Exception as exc:
             out.append(("err", exc))
-        _heartbeat(HEARTBEAT_DONE, cell_id)
+        _heartbeat(True, cell_id)
     return out
 
 
@@ -901,6 +948,8 @@ class _HeartbeatPump:
                 self._apply(event)
 
     def _apply(self, event: Tuple[str, int, int, float]) -> None:
+        from repro.obs.telemetry import HEARTBEAT_DONE, HEARTBEAT_START
+
         tag, pid, cell_id, t = event
         with self._lock:
             if tag == HEARTBEAT_START:
@@ -1014,6 +1063,11 @@ class SweepEngine:
         self.chunk_size = chunk_size
         self.reuse_pool = reuse_pool
         self._diagnose = diagnose or diagnosis_log is not None
+        if self._diagnose:
+            # Loaded here, before the pool forks, so forked workers
+            # inherit the diagnosis stack (and numpy) instead of each
+            # importing it again.
+            import repro.obs.diagnose  # noqa: F401
         #: diagnoses of executed cells, keyed by run id (the cache key).
         self.diagnoses: Dict[str, PolicyDiagnosis] = {}
         self.stats = SweepStats()
@@ -1030,10 +1084,14 @@ class SweepEngine:
         # The heartbeat queue is created up front (not per batch): pool
         # initargs are fixed at pool spin-up, and the warm pool outlives
         # individual batches.
-        self._heartbeats = (
-            multiprocessing.Queue() if progress and jobs > 1 else None
-        )
+        self._heartbeats = None
+        if progress and jobs > 1:
+            import multiprocessing
+
+            self._heartbeats = multiprocessing.Queue()
         if progress:
+            from repro.obs.telemetry import ProgressModel, ProgressRenderer
+
             stream = progress_stream if progress_stream is not None else sys.stderr
             self.progress_model: Optional[ProgressModel] = ProgressModel()
             self.progress_renderer: Optional[ProgressRenderer] = ProgressRenderer(
@@ -1075,6 +1133,20 @@ class SweepEngine:
             self.close()
         except Exception:
             pass
+
+    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
+        """A worker pool whose workers import the simulator on start.
+
+        The pool machinery is imported here: a batch served wholly from
+        the cache, or run in-process, never starts one.
+        """
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_warm_worker,
+            initargs=(self._heartbeats, self._diagnose),
+        )
 
     def _chunked(
         self, todo: List[Tuple[str, SweepCell, int]], workers: int
@@ -1364,11 +1436,7 @@ class SweepEngine:
                         with self._t_span(
                             "pool spin-up", workers=self.jobs
                         ), self._p_interval(PHASE_SPINUP):
-                            self._pool = ProcessPoolExecutor(
-                                max_workers=self.jobs,
-                                initializer=_warm_worker,
-                                initargs=(self._heartbeats,),
-                            )
+                            self._pool = self._new_pool(self.jobs)
                     fresh = self._run_chunks(
                         self._pool, chunks, mode, with_metrics, baselines
                     )
@@ -1376,11 +1444,7 @@ class SweepEngine:
                     with self._t_span(
                         "pool spin-up", workers=workers
                     ), self._p_interval(PHASE_SPINUP):
-                        pool = ProcessPoolExecutor(
-                            max_workers=workers,
-                            initializer=_warm_worker,
-                            initargs=(self._heartbeats,),
-                        )
+                        pool = self._new_pool(workers)
                     with pool:
                         fresh = self._run_chunks(
                             pool, chunks, mode, with_metrics, baselines
@@ -1441,31 +1505,9 @@ class SweepEngine:
                         ),
                     )
                     if self.telemetry is not None and pid is not None:
-                        lane = (
-                            LANE_ENGINE
-                            if pid == os.getpid()
-                            else self.telemetry.lane_for(pid)
+                        self._trace_cell(
+                            cell, cell_id, mode, pid, t_start, t_end, phases
                         )
-                        self.telemetry.add_span(
-                            self._cell_labels.get(cell_id, cell.policy.label),
-                            self.telemetry.to_us(t_start),
-                            self.telemetry.to_us(t_end),
-                            lane=lane,
-                            seed=cell.seed,
-                            machine=cell.machine.label,
-                            mode=mode,
-                        )
-                        # Phase stamps nest inside the cell span on the
-                        # same lane; compute is the cell span itself.
-                        for phase, p0, p1 in phases:
-                            if phase == PHASE_COMPUTE:
-                                continue
-                            self.telemetry.add_span(
-                                phase,
-                                self.telemetry.to_us(p0),
-                                self.telemetry.to_us(p1),
-                                lane=lane,
-                            )
                     if diagnosis is not None:
                         self.diagnoses[key] = diagnosis
                         if self.diagnosis_log is not None:
@@ -1473,6 +1515,38 @@ class SweepEngine:
             self.stats.executed += len(todo)
 
         return [results[key] for key in keys]
+
+    def _trace_cell(
+        self,
+        cell: SweepCell,
+        cell_id: int,
+        mode: str,
+        pid: int,
+        t_start: float,
+        t_end: float,
+        phases: Tuple[Tuple[str, float, float], ...],
+    ) -> None:
+        """Span one executed cell on its worker's telemetry lane."""
+        from repro.obs.telemetry import LANE_ENGINE
+
+        telemetry = self.telemetry
+        lane = LANE_ENGINE if pid == os.getpid() else telemetry.lane_for(pid)
+        telemetry.add_span(
+            self._cell_labels.get(cell_id, cell.policy.label),
+            telemetry.to_us(t_start),
+            telemetry.to_us(t_end),
+            lane=lane,
+            seed=cell.seed,
+            machine=cell.machine.label,
+            mode=mode,
+        )
+        # Phase stamps go on the same lane, inside the cell span (or, for
+        # the worker's start-up, before it); compute is the span itself.
+        for phase, p0, p1 in phases:
+            if phase != PHASE_COMPUTE:
+                telemetry.add_span(
+                    phase, telemetry.to_us(p0), telemetry.to_us(p1), lane=lane
+                )
 
     def _progress_cell_started(self, cell_id: int) -> None:
         """Feed the in-process execution path into the progress model."""

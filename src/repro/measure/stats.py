@@ -4,20 +4,20 @@ The paper reports 95 % confidence intervals for energy over multiple runs
 of each workload and found them "to be less than 0.7 % of the mean energy".
 We use the standard two-sided Student-t interval on the sample mean.
 
-The Student-t survival function and quantile are implemented here with
-``math`` alone, so loading this module costs no more than numpy does:
-the survival function is a regularized incomplete beta evaluated by its
-continued fraction, and the quantile has closed forms for df = 1 and 2
-and is Newton-refined from the survival function otherwise.
+The module needs ``math`` alone, so a command that only prints intervals
+over cached results never loads numpy.  The Student-t survival function
+is a regularized incomplete beta evaluated by its continued fraction;
+the quantile has closed forms for df = 1 and 2 and is Newton-refined
+from the survival function otherwise.  The sample mean and standard
+error sum in numpy's pairwise order (:func:`_pairwise_sum`), so they
+equal ``np.mean`` and ``np.std(ddof=1) / np.sqrt(n)`` bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, expm1, isnan, lgamma, log, log1p, pi, sqrt, tan
-from typing import Sequence
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 # Convergence tolerance of the continued fraction, and the floor that
 # keeps Lentz's method from dividing by zero.
@@ -213,15 +213,63 @@ def confidence_interval(
     Raises:
         ValueError: with fewer than two observations or a bad level.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least two observations for an interval")
+    mean, sem = mean_and_sem(values)
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must be in (0, 1)")
-    mean = float(np.mean(arr))
-    sem = float(np.std(arr, ddof=1) / np.sqrt(arr.size))
+    n = len(values)
     if sem == 0.0:
-        return ConfidenceInterval(mean, mean, mean, level, int(arr.size))
-    t = t_ppf(0.5 + level / 2.0, arr.size - 1)
+        return ConfidenceInterval(mean, mean, mean, level, n)
+    t = t_ppf(0.5 + level / 2.0, n - 1)
     half = t * sem
-    return ConfidenceInterval(mean, mean - half, mean + half, level, int(arr.size))
+    return ConfidenceInterval(mean, mean - half, mean + half, level, n)
+
+
+def _pairwise_sum(xs: List[float], start: int, n: int) -> float:
+    """``xs[start:start + n]`` summed in the order numpy's ``add.reduce``
+    sums a contiguous float64 array: sequentially below 8 values, in 8
+    interleaved accumulators up to 128, and by recursive halving (split
+    at a multiple of 8) above.
+    """
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += xs[i]
+        return total
+    if n <= 128:
+        acc = xs[start : start + 8]
+        stop = start + n - n % 8
+        for i in range(start + 8, stop, 8):
+            for j in range(8):
+                acc[j] += xs[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+            (acc[4] + acc[5]) + (acc[6] + acc[7])
+        )
+        for i in range(stop, start + n):
+            total += xs[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs, start, half) + _pairwise_sum(
+        xs, start + half, n - half
+    )
+
+
+def mean_and_sem(values: Sequence[float]) -> Tuple[float, float]:
+    """Sample mean and standard error of the mean (ddof = 1).
+
+    Bitwise equal to ``np.mean(a)`` and ``np.std(a, ddof=1) /
+    np.sqrt(a.size)`` for ``a = np.asarray(values, dtype=float)``: both
+    sums take numpy's pairwise order, and every other step is one
+    correctly rounded operation, as in numpy.
+
+    Raises:
+        ValueError: with fewer than two observations.
+    """
+    xs = [float(v) for v in values]
+    n = len(xs)
+    if n < 2:
+        raise ValueError("need at least two observations for an interval")
+    mean = _pairwise_sum(xs, 0, n) / n
+    deviations = [x - mean for x in xs]
+    variance = _pairwise_sum([d * d for d in deviations], 0, n) / (n - 1)
+    return mean, sqrt(variance) / sqrt(n)

@@ -27,107 +27,66 @@ perf-regression sentinel (:func:`check_fleet`), and
 trend curves.
 """
 
-from repro.obs.calibrate import (
-    HostCalibration,
-    calibrate,
-    host_score,
-    load_calibration,
-    save_calibration,
-)
-from repro.obs.diagnose import (
-    DIAGNOSIS_VERSION,
-    DiagnosisWriter,
-    EnergyDecomposition,
-    MissAttribution,
-    PolicyDiagnosis,
-    PredictionLedger,
-    SettlingReport,
-    diagnose,
-    read_diagnoses,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramSnapshot,
-    KernelMetricsRecorder,
-    MetricsRegistry,
-    MetricsSnapshot,
-    merge_snapshots,
-)
-from repro.obs.fleet import (
-    FleetLedger,
-    FleetRecord,
-    SentinelReport,
-    check_fleet,
-    read_fleet,
-    throughput_trend,
-)
-from repro.obs.plot import fleet_charts, fleet_plot_svg
-from repro.obs.profile import (
-    PHASE_ORDER,
-    PhaseProfile,
-    format_phase_table,
-    record_kernel_phase,
-)
-from repro.obs.report import SweepReport, build_report, render_report
-from repro.obs.runlog import (
-    RUN_LOG_VERSION,
-    RunLogRecord,
-    RunLogWriter,
-    provenance_warnings,
-    read_run_log,
-)
-from repro.obs.trace import (
-    TraceRecorder,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "Counter",
-    "DIAGNOSIS_VERSION",
-    "DiagnosisWriter",
-    "EnergyDecomposition",
-    "FleetLedger",
-    "FleetRecord",
-    "Gauge",
-    "Histogram",
-    "HistogramSnapshot",
-    "HostCalibration",
-    "KernelMetricsRecorder",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "MissAttribution",
-    "PHASE_ORDER",
-    "PhaseProfile",
-    "PolicyDiagnosis",
-    "PredictionLedger",
-    "RUN_LOG_VERSION",
-    "RunLogRecord",
-    "RunLogWriter",
-    "SentinelReport",
-    "SettlingReport",
-    "SweepReport",
-    "TraceRecorder",
-    "build_report",
-    "calibrate",
-    "check_fleet",
-    "diagnose",
-    "fleet_charts",
-    "fleet_plot_svg",
-    "format_phase_table",
-    "host_score",
-    "load_calibration",
-    "merge_snapshots",
-    "provenance_warnings",
-    "read_diagnoses",
-    "read_fleet",
-    "read_run_log",
-    "record_kernel_phase",
-    "render_report",
-    "save_calibration",
-    "throughput_trend",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "calibrate": (
+            "HostCalibration",
+            "calibrate",
+            "host_score",
+            "load_calibration",
+            "save_calibration",
+        ),
+        "diagnose": (
+            "DIAGNOSIS_VERSION",
+            "DiagnosisWriter",
+            "EnergyDecomposition",
+            "MissAttribution",
+            "PolicyDiagnosis",
+            "PredictionLedger",
+            "SettlingReport",
+            "diagnose",
+            "read_diagnoses",
+        ),
+        "fleet": (
+            "FleetLedger",
+            "FleetRecord",
+            "SentinelReport",
+            "check_fleet",
+            "read_fleet",
+            "throughput_trend",
+        ),
+        "metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "HistogramSnapshot",
+            "KernelMetricsRecorder",
+            "MetricsRegistry",
+            "MetricsSnapshot",
+            "merge_snapshots",
+        ),
+        "plot": ("fleet_charts", "fleet_plot_svg"),
+        "profile": (
+            "PHASE_ORDER",
+            "PhaseProfile",
+            "format_phase_table",
+            "record_kernel_phase",
+        ),
+        "report": ("SweepReport", "build_report", "render_report"),
+        "runlog": (
+            "RUN_LOG_VERSION",
+            "RunLogRecord",
+            "RunLogWriter",
+            "provenance_warnings",
+            "read_run_log",
+        ),
+        "trace": (
+            "TraceRecorder",
+            "validate_chrome_trace",
+            "write_chrome_trace",
+        ),
+    },
+)

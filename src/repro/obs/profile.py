@@ -1,10 +1,10 @@
 """Phase-level sweep profiling: where does a sweep's wall time go?
 
 The fleet ledger records *that* a sweep took 12 s; this module records
-*where* — pool spin-up, chunk submission, kernel compute, bulk-tap
-observer reduction, result IPC, cache I/O, diagnosis — the attribution
-discipline the paper applies to joules, applied to the sweep pipeline
-itself.  A :class:`PhaseProfile` is a pure observer: it collects
+*where* — pool spin-up, worker start, chunk submission, kernel compute,
+bulk-tap observer reduction, result IPC, cache I/O, diagnosis — the
+attribution discipline the paper applies to joules, applied to the sweep
+pipeline itself.  A :class:`PhaseProfile` is a pure observer: it collects
 ``(phase, t_start, t_end)`` intervals on the shared ``perf_counter``
 timebase (the same system-wide clock the telemetry spans ride) from two
 sources:
@@ -15,7 +15,8 @@ sources:
 - **worker-side stamps** each instrumented cell returns with its result:
   the kernel-compute interval, the bulk-tap observer-reduction interval
   (stamped by the fast kernel around ``_replay_taps`` via the
-  process-global sink below), and the diagnosis interval.
+  process-global sink below), the diagnosis interval, and, once per pool
+  worker, the worker's start-up.
 
 Accounting is *exclusive*: an interval nested inside another (observer
 reduction runs inside the compute interval) is charged to the inner
@@ -41,7 +42,9 @@ PHASE_SUBMIT = "chunk submission"
 PHASE_IPC = "result IPC"
 PHASE_CACHE = "cache I/O"
 
-#: Worker-side phases.
+#: Worker-side phases.  A pool worker's start-up (the simulator import
+#: in the pool initializer) rides home with its first profiled outcome.
+PHASE_WORKER_START = "worker start"
 PHASE_COMPUTE = "kernel compute"
 PHASE_REDUCE = "observer reduction"
 PHASE_DIAGNOSE = "diagnosis"
@@ -49,6 +52,7 @@ PHASE_DIAGNOSE = "diagnosis"
 #: Canonical display order (slowest-changing pipeline stage first).
 PHASE_ORDER = (
     PHASE_SPINUP,
+    PHASE_WORKER_START,
     PHASE_SUBMIT,
     PHASE_COMPUTE,
     PHASE_REDUCE,

@@ -7,62 +7,26 @@ round-trip in :mod:`repro.traces.io` and a content-addressed, replayable
 trace corpus in :mod:`repro.traces.corpus`.
 """
 
-from repro.traces.schema import (
-    AppEvent,
-    FreqChange,
-    PowerTimeline,
-    QuantumRecord,
-    SchedDecision,
-    VoltChange,
+from repro._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "corpus": (
+            "CorpusEntry",
+            "entry_digest",
+            "entry_from_run",
+            "load_corpus",
+            "load_entry",
+            "save_entry",
+        ),
+        "schema": (
+            "AppEvent",
+            "FreqChange",
+            "PowerTimeline",
+            "QuantumRecord",
+            "SchedDecision",
+            "VoltChange",
+        ),
+    },
 )
-
-#: Corpus names re-exported lazily (PEP 562).  The cycle that forces
-#: this: :mod:`repro.kernel.scheduler` imports :mod:`repro.traces.schema`,
-#: whose import initializes this package — so when the import chain
-#: *starts* at the kernel (as ``import repro.kernel.scheduler`` does),
-#: this module runs while ``repro.kernel.scheduler`` is only partially
-#: initialized.  An eager ``from repro.traces.corpus import ...`` here
-#: would re-enter it: corpus needs the scheduler module at runtime, both
-#: directly (:class:`~repro.kernel.scheduler.KernelRun`) and through
-#: :mod:`repro.workloads.base` / :mod:`repro.workloads.replay` (which
-#: import :class:`~repro.kernel.scheduler.Kernel` to drive replays), and
-#: names like ``Kernel`` do not exist on the half-initialized module yet.
-#: Deferring the corpus import to first attribute access breaks the
-#: re-entry; the direct ``repro.traces.schema`` imports above are safe
-#: because schema depends on nothing in kernel or workloads.
-#: ``tests/traces/test_corpus.py`` pins the kernel-first import order.
-_CORPUS_EXPORTS = (
-    "CorpusEntry",
-    "entry_digest",
-    "entry_from_run",
-    "load_corpus",
-    "load_entry",
-    "save_entry",
-)
-
-
-def __getattr__(name: str):
-    if name in _CORPUS_EXPORTS:
-        from repro.traces import corpus
-
-        return getattr(corpus, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_CORPUS_EXPORTS))
-
-__all__ = [
-    "AppEvent",
-    "CorpusEntry",
-    "FreqChange",
-    "PowerTimeline",
-    "QuantumRecord",
-    "SchedDecision",
-    "VoltChange",
-    "entry_digest",
-    "entry_from_run",
-    "load_corpus",
-    "load_entry",
-    "save_entry",
-]

@@ -16,9 +16,10 @@ These mirror the instrumentation the paper added to the Itsy:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,8 @@ class PowerTimeline:
 
         Times outside the recorded range (or in gaps) sample as 0.0.
         """
+        import numpy as np
+
         if not self._segments:
             return np.zeros(len(times_us))
         starts = np.array([s for s, _, _ in self._segments])

@@ -11,57 +11,44 @@ stability analysis (§5.3), and :mod:`repro.workloads.fuzz` generates
 seeded scenario families beyond the hand-written four.
 """
 
-from repro.workloads.base import Workload, WorkProfile, combine_workloads
-from repro.workloads.chess import ChessConfig, chess_workload, setup_chess
-from repro.workloads.editor import EditorConfig, editor_workload, setup_editor
-from repro.workloads.events import InputEvent, InputTrace
-from repro.workloads.fuzz import FuzzSpec, fuzz_family, fuzz_workload
-from repro.workloads.java import JavaConfig, spawn_jvm_poller
-from repro.workloads.mpeg import MpegConfig, mpeg_workload, setup_mpeg
-from repro.workloads.replay import (
-    RecordedQuantum,
-    ReplayConfig,
-    ReplayMode,
-    record_from_run,
-    replay_config_workload,
-    replay_workload,
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, List
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.workloads.base import Workload
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "base": ("WorkProfile", "Workload", "combine_workloads"),
+        "chess": ("ChessConfig", "chess_workload", "setup_chess"),
+        "editor": ("EditorConfig", "editor_workload", "setup_editor"),
+        "events": ("InputEvent", "InputTrace"),
+        "fuzz": ("FuzzSpec", "fuzz_family", "fuzz_workload"),
+        "java": ("JavaConfig", "spawn_jvm_poller"),
+        "mpeg": ("MpegConfig", "mpeg_workload", "setup_mpeg"),
+        "replay": (
+            "RecordedQuantum",
+            "ReplayConfig",
+            "ReplayMode",
+            "record_from_run",
+            "replay_config_workload",
+            "replay_workload",
+        ),
+        "web": ("WebConfig", "setup_web", "web_workload"),
+    },
 )
-from repro.workloads.web import WebConfig, setup_web, web_workload
+__all__.append("all_workloads")
 
 
-def all_workloads() -> "list[Workload]":
+def all_workloads() -> List[Workload]:
     """The paper's four workloads with default configurations."""
+    from repro.workloads.chess import chess_workload
+    from repro.workloads.editor import editor_workload
+    from repro.workloads.mpeg import mpeg_workload
+    from repro.workloads.web import web_workload
+
     return [mpeg_workload(), web_workload(), chess_workload(), editor_workload()]
-
-
-__all__ = [
-    "ChessConfig",
-    "EditorConfig",
-    "FuzzSpec",
-    "InputEvent",
-    "InputTrace",
-    "JavaConfig",
-    "MpegConfig",
-    "RecordedQuantum",
-    "ReplayConfig",
-    "ReplayMode",
-    "WebConfig",
-    "Workload",
-    "WorkProfile",
-    "all_workloads",
-    "chess_workload",
-    "combine_workloads",
-    "editor_workload",
-    "fuzz_family",
-    "fuzz_workload",
-    "mpeg_workload",
-    "record_from_run",
-    "replay_config_workload",
-    "replay_workload",
-    "setup_chess",
-    "setup_editor",
-    "setup_mpeg",
-    "setup_web",
-    "spawn_jvm_poller",
-    "web_workload",
-]

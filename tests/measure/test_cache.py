@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.core.hysteresis import ThresholdPair
 from repro.hw.machines import MachineSpec
@@ -179,6 +181,29 @@ class TestResultCache:
         cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
         cache.path_for(key).write_text("{not json")
         assert cache.get(key) is None
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "null",
+            "[]",
+            '"x"',
+            json.dumps({"schema": CACHE_SCHEMA_VERSION, "result": [[1, 2, 3]]}),
+        ],
+        ids=["null", "list", "string", "result-not-pairs"],
+    )
+    def test_damaged_entry_is_a_miss_and_resimulates(self, tmp_path, payload):
+        the_cell = cell(use_daq=False)
+        key = cache_key(the_cell)
+        cache = ResultCache(tmp_path)
+        cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+        cache.path_for(key).write_text(payload)
+        assert cache.get(key) is None
+
+        engine = SweepEngine(cache=cache)
+        assert engine.run([the_cell]) == [the_cell.run()]
+        assert engine.stats.executed == 1
+        assert cache.get(key) == the_cell.run()
 
     def test_miss_on_schema_change(self, tmp_path):
         result = cell(use_daq=False).run()

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.measure.stats import ConfidenceInterval, confidence_interval, t_ppf, t_sf
+from repro.measure.stats import (
+    ConfidenceInterval,
+    confidence_interval,
+    mean_and_sem,
+    t_ppf,
+    t_sf,
+)
 
 #: Two-sided confidence levels the quantile is checked at; each gives
 #: the upper and the lower quantile (1 ± level) / 2.
@@ -120,3 +126,39 @@ class TestConfidenceInterval:
         narrow = confidence_interval(values, level=0.80)
         wide = confidence_interval(values, level=0.99)
         assert wide.half_width > narrow.half_width
+
+
+class TestMeanAndSem:
+    """The pure-Python mean and standard error equal numpy's bit for bit,
+    so intervals are unchanged from when numpy computed them."""
+
+    @staticmethod
+    def samples():
+        # Every size from 2 to 600 covers all three branches of numpy's
+        # pairwise summation: sequential below 8 values, 8 accumulators
+        # up to 128, a recursive split above.  Magnitudes span 1e-3..1e6,
+        # within a sample and across samples.
+        rng = np.random.default_rng(2026)
+        for n in range(2, 601):
+            scale = 10.0 ** rng.uniform(-3.0, 6.0)
+            yield scale * (1.0 + rng.uniform(0.0, 0.5) * rng.standard_normal(n))
+            yield 10.0 ** rng.uniform(-3.0, 6.0, n)
+
+    def test_bitwise_equal_to_numpy(self):
+        for a in self.samples():
+            mean, sem = mean_and_sem(a.tolist())
+            assert mean == np.mean(a)
+            assert sem == np.std(a, ddof=1) / np.sqrt(a.size)
+
+    def test_interval_bitwise_equal_to_numpy_formula(self):
+        for a in list(self.samples())[::50]:
+            ci = confidence_interval(a)
+            mean = float(np.mean(a))
+            half = t_ppf(0.975, a.size - 1) * float(
+                np.std(a, ddof=1) / np.sqrt(a.size)
+            )
+            assert (ci.mean, ci.low, ci.high) == (mean, mean - half, mean + half)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            mean_and_sem([1.0])

@@ -16,6 +16,7 @@ from repro.obs.profile import (
     PHASE_IPC,
     PHASE_ORDER,
     PHASE_REDUCE,
+    PHASE_WORKER_START,
     PhaseProfile,
     arm_worker_stamps,
     drain_worker_stamps,
@@ -180,6 +181,18 @@ class TestEngineIntegration:
         assert seconds[PHASE_IPC] > 0
         assert "pool spin-up" in seconds
         assert "chunk submission" in seconds
+
+    def test_pooled_sweep_stamps_worker_start_once(self):
+        # Workers import the simulator in the pool initializer; that
+        # start-up rides home with each worker's first profiled outcome,
+        # so a second batch on the warm pool adds none of it.
+        profile = PhaseProfile()
+        with SweepEngine(jobs=2, profile=profile, chunk_size=1) as engine:
+            engine.run(self.cells(duration_s=1.0))
+            started = profile.phase_seconds()[PHASE_WORKER_START]
+            engine.run(self.cells(duration_s=1.0, seeds=(2, 3)))
+            assert profile.phase_seconds()[PHASE_WORKER_START] == started
+        assert started > 0
 
     def test_cache_phase_recorded(self, tmp_path):
         profile = PhaseProfile()

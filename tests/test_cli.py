@@ -142,6 +142,24 @@ class TestCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "mpeg"],
+            ["compare", "mpeg", "best", "const-132.7"],
+            ["ideal", "mpeg"],
+            ["trace", "mpeg"],
+            ["diagnose", "best", "mpeg"],
+            ["fig9"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_zero_duration_rejected(self, capsys, argv):
+        # Zero must reach the same check as a negative duration, not fall
+        # back to the full-length default trace.
+        assert main([*argv, "--duration", "0"]) == 2
+        assert "duration must be positive" in capsys.readouterr().err
+
     def test_fig9(self, capsys):
         code = main(["fig9", "--duration", "4"])
         out = capsys.readouterr().out
