@@ -8,7 +8,8 @@ measures exactly that, on the Table 2 configuration (five policies x N
 seeds of the 60 s MPEG workload, measured through the DAQ):
 
 - **legacy**: the pre-optimization execution shape — a spawn-per-batch
-  pool, one cell per task, reference kernel with full recorders;
+  pool (a fresh engine per round, its pool shut down inside the timed
+  interval), one cell per task, reference kernel with full recorders;
 - **new**: the engine defaults — warm reused pool, auto-sized chunks —
   with every cell on the fast-path backend (the default).
 
@@ -72,19 +73,19 @@ def test_sweep_throughput(benchmark):
         results = {}
         # The new engine keeps its pool warm across batches -- that IS
         # the feature -- so it lives for all rounds; the legacy shape
-        # spawns a fresh pool per batch by definition.
+        # spawns a fresh pool per batch by definition, so each round
+        # builds a fresh engine and times its pool's shutdown too.
         new_engine = SweepEngine(jobs=JOBS)
 
         def measure_round():
             walls = {}
-            legacy_engine = SweepEngine(
-                jobs=JOBS, chunk_size=1, reuse_pool=False
-            )
+            legacy_engine = SweepEngine(jobs=JOBS, chunk_size=1)
             try:
                 start = time.perf_counter()
                 results["legacy"] = legacy_engine.run(
                     grid_cells(machine, backend="reference")
                 )
+                legacy_engine.close()
                 walls["legacy"] = time.perf_counter() - start
             finally:
                 legacy_engine.close()

@@ -32,15 +32,17 @@ Simulation commands accept ``--machine`` to pick the hardware (``itsy``,
 variants ``itsy-reconf``/``sa2-reconf`` -- see ``list-machines``),
 ``--backend`` to pick the execution backend (default ``fastpath``;
 ``--no-fastpath`` is shorthand for ``--backend reference`` -- see
-:mod:`repro.kernel.backend`), ``--jobs N`` to fan runs out over a
-process pool, ``--cache DIR`` to memoize results on disk (see
-:mod:`repro.measure.parallel`), and
-``--run-log PATH`` to append one structured JSONL record per sweep cell
-(see :mod:`repro.obs.runlog`), and ``--diagnoses PATH`` to diagnose every
-executed cell worker-side (see :mod:`repro.obs.diagnose`); every
-backend, parallel, cached and observed path is bitwise-equal to the
-serial, uncached reference.  Sweep commands print a throughput summary
-line (cells simulated/cached, wall time, cells/s) to stderr.
+:mod:`repro.kernel.backend`).  ``run``, ``table2``, ``fig9`` and
+``ideal`` are sweep commands: they run every simulation as a cell of the
+sweep engine (see :mod:`repro.measure.parallel`), in-process by default,
+and take ``--jobs N`` to fan cells out over a process pool, ``--cache
+DIR`` to memoize results on disk, ``--run-log PATH`` to append one
+structured JSONL record per cell (see :mod:`repro.obs.runlog`), and
+``--diagnoses PATH`` to diagnose every executed cell worker-side (see
+:mod:`repro.obs.diagnose`); every backend, parallel, cached and observed
+path is bitwise-equal to the serial, uncached one.  Each sweep command
+prints a throughput summary line (cells simulated/cached, wall time,
+cells/s) to stderr.
 ``trace`` exports a single run as Chrome trace-event JSON for Perfetto
 (see :mod:`repro.obs.trace`), ``diagnose`` explains one run (settling,
 prediction error, miss attribution, energy decomposition), and
@@ -61,15 +63,16 @@ worker utilization, straggler flags — silent when stderr is piped),
 ``--sweep-trace PATH`` to export the whole sweep pipeline as a Chrome
 trace with one lane per pool worker (see :mod:`repro.obs.telemetry`),
 ``--phases`` to print the phase-level wall-time breakdown (see
-:mod:`repro.obs.profile` — engine-served sweeps always attribute their
-wall time to pipeline phases; the flag only prints the table), and the
-fleet ledger: every engine-served sweep appends one record to
-``.repro/fleet.jsonl`` (``--fleet PATH`` overrides, ``--no-fleet`` opts
-out), queryable afterwards with ``repro fleet`` — list/filter past
-sweeps, throughput trend, markdown/HTML perf-trajectory reports,
-inline-SVG trend curves (``--plot``, see :mod:`repro.obs.plot`) and the
-perf-regression sentinel (``--check``: compares the latest sweep
-against the median of comparable predecessors, normalized by the host
+:mod:`repro.obs.profile` — sweeps always attribute their wall time to
+pipeline phases; the flag only prints the table), and the fleet ledger:
+every sweep command appends one record to ``.repro/fleet.jsonl``
+(``--fleet PATH`` overrides, ``--no-fleet`` opts out; a ledger that
+cannot be written only warns), queryable afterwards with ``repro
+fleet`` — list/filter past sweeps, throughput trend, markdown/HTML
+perf-trajectory reports, inline-SVG trend curves (``--plot``, see
+:mod:`repro.obs.plot`) and the perf-regression sentinel (``--check``:
+compares the latest sweep against the median of comparable
+predecessors — same command, grid and job count — normalized by the host
 score ``repro calibrate`` caches, and exits non-zero naming the
 regressed phase — see :mod:`repro.obs.fleet` and
 :mod:`repro.obs.calibrate`).
@@ -94,6 +97,9 @@ from repro.measure.parallel import (
     SweepCellError,
     SweepEngine,
     WorkloadSpec,
+    constant_step_cells,
+    find_ideal_constant,
+    repeat_workload,
 )
 from repro.obs.fleet import DEFAULT_FLEET_PATH, FleetLedger, read_fleet
 from repro.obs.profile import PhaseProfile
@@ -174,57 +180,36 @@ def machine_spec(args) -> MachineSpec:
     return MachineSpec.parse(getattr(args, "machine", "itsy"))
 
 
-def sweep_engine(args) -> Optional[SweepEngine]:
-    """Build the sweep engine the ``--jobs``/``--cache``/``--run-log``/
-    ``--diagnoses``/``--progress``/``--sweep-trace``/``--fleet``/
-    ``--phases`` flags ask for.
+def sweep_engine(args) -> SweepEngine:
+    """Build the sweep engine a simulation command runs its cells on.
 
-    Returns None when none of the flags is given: the command then takes
-    the legacy serial, uncached path (and records nothing in the fleet
-    ledger — only engine-served sweeps are ledger entries).  Every
-    engine built here carries a :class:`~repro.obs.profile.PhaseProfile`
-    — the ledger's phase attribution must not depend on remembering a
-    flag — while ``--phases`` only controls printing the table.
+    ``--jobs 1`` (the default) runs cells in-process; the ``--cache``/
+    ``--run-log``/``--diagnoses``/``--progress``/``--sweep-trace`` flags
+    attach the matching observers.  Every engine carries a
+    :class:`~repro.obs.profile.PhaseProfile` — the fleet ledger's phase
+    attribution must not depend on remembering a flag — while
+    ``--phases`` only controls printing the table.
+
+    Raises:
+        ValueError: when ``--jobs`` is below 1.
     """
-    jobs = getattr(args, "jobs", 1)
-    cache_dir = getattr(args, "cache", None)
-    run_log_path = getattr(args, "run_log", None)
-    diagnoses_path = getattr(args, "diagnoses", None)
-    progress = getattr(args, "progress", False)
-    sweep_trace = getattr(args, "sweep_trace", None)
-    fleet_path = getattr(args, "fleet", None)
-    phases = getattr(args, "phases", False)
-    if getattr(args, "no_cache", False):
-        cache_dir = None
-    if (
-        jobs <= 1
-        and cache_dir is None
-        and run_log_path is None
-        and diagnoses_path is None
-        and not progress
-        and sweep_trace is None
-        and fleet_path is None
-        and not phases
-    ):
-        return None
-    cache = ResultCache(cache_dir) if cache_dir else None
-    run_log = RunLogWriter(run_log_path) if run_log_path else None
+    cache_dir = None if args.no_cache else args.cache
     diagnosis_log = telemetry = None
-    if diagnoses_path:
+    if args.diagnoses:
         from repro.obs.diagnose import DiagnosisWriter
 
-        diagnosis_log = DiagnosisWriter(diagnoses_path)
-    if sweep_trace:
+        diagnosis_log = DiagnosisWriter(args.diagnoses)
+    if args.sweep_trace:
         from repro.obs.telemetry import SweepTelemetry
 
         telemetry = SweepTelemetry()
     return SweepEngine(
-        jobs=max(jobs, 1),
-        cache=cache,
-        run_log=run_log,
+        jobs=args.jobs,
+        cache=ResultCache(cache_dir) if cache_dir else None,
+        run_log=RunLogWriter(args.run_log) if args.run_log else None,
         diagnosis_log=diagnosis_log,
         telemetry=telemetry,
-        progress=progress,
+        progress=args.progress,
         profile=PhaseProfile(),
     )
 
@@ -237,24 +222,17 @@ def cell_backend(args) -> Optional[str]:
     return getattr(args, "backend", None)
 
 
-def report_sweep_stats(
-    engine: Optional[SweepEngine], args=None
-) -> None:
+def report_sweep_stats(engine: SweepEngine, args) -> None:
     """Print the engine's throughput summary to stderr and shut it down.
 
-    With ``args``, also settles the sweep-level observers: exports the
-    ``--sweep-trace`` Chrome trace when requested, and appends one fleet
-    record to the ledger (``--fleet`` path or the repo-local default)
-    unless ``--no-fleet`` opted out.
+    Also settles the sweep-level observers: prints the ``--phases``
+    table, exports the ``--sweep-trace`` Chrome trace when requested,
+    and appends one fleet record to the ledger (``--fleet`` path or the
+    repo-local default) unless ``--no-fleet`` opted out.  A ledger that
+    cannot be written costs a warning, never the command's exit code.
     """
-    if engine is None:
-        return
     print(engine.stats.summary(), file=sys.stderr)
-    if (
-        args is not None
-        and getattr(args, "phases", False)
-        and engine.profile is not None
-    ):
+    if args.phases:
         print("phase profile:", file=sys.stderr)
         print(engine.profile.table(engine.stats.wall_s), file=sys.stderr)
     engine.close()
@@ -262,25 +240,29 @@ def report_sweep_stats(
         engine.run_log.close()
     if engine.diagnosis_log is not None:
         engine.diagnosis_log.close()
-    if args is None:
-        return
-    sweep_trace = getattr(args, "sweep_trace", None)
-    if sweep_trace and engine.telemetry is not None:
+    if args.sweep_trace:
         from repro.obs.trace import write_chrome_trace
 
         payload = engine.telemetry.chrome_trace()
-        out = write_chrome_trace(payload, sweep_trace)
+        out = write_chrome_trace(payload, args.sweep_trace)
         print(
             f"sweep trace: {out} ({len(payload['traceEvents'])} events, "
             f"{payload['otherData']['workers']} worker lanes; open in "
             f"Perfetto)",
             file=sys.stderr,
         )
-    if not getattr(args, "no_fleet", False):
-        fleet_path = getattr(args, "fleet", None) or DEFAULT_FLEET_PATH
-        record = engine.fleet_record(command=getattr(args, "command", "") or "")
-        with FleetLedger(fleet_path) as ledger:
-            ledger.append(record)
+    if not args.no_fleet:
+        fleet_path = args.fleet or DEFAULT_FLEET_PATH
+        record = engine.fleet_record(command=args.command)
+        try:
+            with FleetLedger(fleet_path) as ledger:
+                ledger.append(record)
+        except OSError as exc:
+            print(
+                f"warning: sweep not recorded in fleet ledger {fleet_path}: "
+                f"{exc}",
+                file=sys.stderr,
+            )
 
 
 def cmd_list_policies(_args) -> int:
@@ -316,50 +298,28 @@ def cmd_run(args) -> int:
     print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
     print(f"policy          : {args.policy}")
     print(f"machine         : {args.machine}")
-    if engine is not None:
-        cell = SweepCell(
-            workload=spec,
-            policy=PolicySpec(name=args.policy),
-            seed=args.seed,
-            use_daq=not args.no_daq,
-            machine=mspec,
-            backend=cell_backend(args),
-        )
-        summary = engine.run([cell])[0]
-        print(f"energy          : {summary.energy_j:.2f} J "
-              f"(exact {summary.exact_energy_j:.2f} J)")
-        print(f"mean power      : {summary.mean_power_w:.3f} W")
-        print(f"mean utilization: {summary.mean_utilization:.3f}")
-        print(f"clock changes   : {summary.clock_changes} "
-              f"(stalled {summary.clock_stall_us / 1000:.1f} ms)")
-        print(f"voltage changes : {summary.voltage_changes}")
-        print(f"deadline misses : {summary.miss_count}")
-        if summary.missed:
-            print(f"  worst: {summary.worst_miss_kind} late by "
-                  f"{summary.worst_lateness_us / 1000:.1f} ms")
-        report_sweep_stats(engine, args)
-        return 1 if summary.missed else 0
-    from repro.measure.runner import run_workload
-
-    factory = resolve_policy(args.policy, clock_table=mspec.clock_table())
-    result = run_workload(
-        workload, factory, machine_factory=mspec,
-        seed=args.seed, use_daq=not args.no_daq,
+    cell = SweepCell(
+        workload=spec,
+        policy=PolicySpec(name=args.policy),
+        seed=args.seed,
+        use_daq=not args.no_daq,
+        machine=mspec,
         backend=cell_backend(args),
     )
-    run = result.run
-    print(f"energy          : {result.energy_j:.2f} J "
-          f"(exact {result.exact_energy_j:.2f} J)")
-    print(f"mean power      : {result.mean_power_w:.3f} W")
-    print(f"mean utilization: {run.mean_utilization():.3f}")
-    print(f"clock changes   : {run.clock_changes} "
-          f"(stalled {run.clock_stall_us / 1000:.1f} ms)")
-    print(f"voltage changes : {run.voltage_changes}")
-    print(f"deadline misses : {len(result.misses)}")
-    if result.misses:
-        worst = max(result.misses, key=lambda e: e.lateness_us)
-        print(f"  worst: {worst.kind} late by {worst.lateness_us / 1000:.1f} ms")
-    return 1 if result.misses else 0
+    summary = engine.run([cell])[0]
+    print(f"energy          : {summary.energy_j:.2f} J "
+          f"(exact {summary.exact_energy_j:.2f} J)")
+    print(f"mean power      : {summary.mean_power_w:.3f} W")
+    print(f"mean utilization: {summary.mean_utilization:.3f}")
+    print(f"clock changes   : {summary.clock_changes} "
+          f"(stalled {summary.clock_stall_us / 1000:.1f} ms)")
+    print(f"voltage changes : {summary.voltage_changes}")
+    print(f"deadline misses : {summary.miss_count}")
+    if summary.missed:
+        print(f"  worst: {summary.worst_miss_kind} late by "
+              f"{summary.worst_lateness_us / 1000:.1f} ms")
+    report_sweep_stats(engine, args)
+    return 1 if summary.missed else 0
 
 
 #: Table 2's rows as (label, policy name) -- resolvable, hence sweepable.
@@ -374,100 +334,61 @@ TABLE2_ROWS = [
 
 def cmd_table2(args) -> int:
     engine = sweep_engine(args)
+    if args.runs < 2:
+        raise ValueError("need at least two runs for a confidence interval")
     mspec = machine_spec(args)
     spec = workload_spec("mpeg")
     print(f"{'Algorithm':30s} {'Energy 95% CI (J)':>20s} {'Misses':>7s}")
-    if engine is not None:
-        # Submit the whole table as one batch so rows share the pool.
-        cells = [
-            SweepCell(
-                workload=spec, policy=PolicySpec(name=policy),
-                seed=1000 * i, machine=mspec,
-                backend=cell_backend(args),
-            )
-            for _, policy in TABLE2_ROWS
-            for i in range(args.runs)
-        ]
-        results = engine.run(cells)
-        for r, (name, _) in enumerate(TABLE2_ROWS):
-            row = results[r * args.runs : (r + 1) * args.runs]
-            ci = confidence_interval([c.energy_j for c in row])
-            misses = sum(c.miss_count for c in row)
-            print(f"{name:30s} {ci.low:9.2f} - {ci.high:5.2f} {misses:7d}")
-        report_sweep_stats(engine, args)
-        return 0
-    from repro.measure.runner import repeat_workload
-
-    table = mspec.clock_table()
-    for name, policy in TABLE2_ROWS:
-        agg = repeat_workload(
-            spec.build(), resolve_policy(policy, clock_table=table),
-            machine_factory=mspec, runs=args.runs,
+    # Submit the whole table as one batch so rows share the pool.
+    cells = [
+        SweepCell(
+            workload=spec, policy=PolicySpec(name=policy),
+            seed=1000 * i, machine=mspec,
             backend=cell_backend(args),
         )
-        ci = agg.energy_ci
-        print(f"{name:30s} {ci.low:9.2f} - {ci.high:5.2f} {agg.total_misses:7d}")
+        for _, policy in TABLE2_ROWS
+        for i in range(args.runs)
+    ]
+    results = engine.run(cells)
+    for r, (name, _) in enumerate(TABLE2_ROWS):
+        row = results[r * args.runs : (r + 1) * args.runs]
+        ci = confidence_interval([c.energy_j for c in row])
+        misses = sum(c.miss_count for c in row)
+        print(f"{name:30s} {ci.low:9.2f} - {ci.high:5.2f} {misses:7d}")
+    report_sweep_stats(engine, args)
     return 0
 
 
 def cmd_fig9(args) -> int:
     engine = sweep_engine(args)
     mspec = machine_spec(args)
-    table = mspec.clock_table()
     duration_s = 30.0 if args.duration is None else args.duration
     spec = workload_spec("mpeg", duration_s)
     print(f"{'MHz':>6s} {'Utilization':>12s} {'Misses':>7s}")
-    if engine is not None:
-        from repro.measure.parallel import constant_step_cells
-
-        results = engine.run(
-            constant_step_cells(
-                spec, machine=mspec, seed=args.seed,
-                backend=cell_backend(args),
-            )
+    results = engine.run(
+        constant_step_cells(
+            spec, machine=mspec, seed=args.seed, backend=cell_backend(args),
         )
-        for step, res in zip(table, results):
-            print(
-                f"{step.mhz:6.1f} {res.mean_utilization * 100:11.1f}% "
-                f"{res.miss_count:7d}"
-            )
-        report_sweep_stats(engine, args)
-        return 0
-    from repro.measure.runner import run_workload
-
-    for step in table:
-        res = run_workload(
-            spec.build(),
-            lambda s=step: resolve_policy(
-                f"const-{s.mhz:.1f}", clock_table=table
-            )(),
-            machine_factory=mspec,
-            seed=args.seed,
-            use_daq=False,
-            backend=cell_backend(args),
-        )
+    )
+    for step, res in zip(mspec.clock_table(), results):
         print(
-            f"{step.mhz:6.1f} {res.run.mean_utilization() * 100:11.1f}% "
-            f"{len(res.misses):7d}"
+            f"{step.mhz:6.1f} {res.mean_utilization * 100:11.1f}% "
+            f"{res.miss_count:7d}"
         )
+    report_sweep_stats(engine, args)
     return 0
 
 
 def cmd_compare(args) -> int:
     from repro.measure.compare import energies, welch_compare
-    from repro.measure.runner import repeat_workload
 
     mspec = machine_spec(args)
-    table = mspec.clock_table()
-    workload_a = resolve_workload(args.workload, args.duration)
+    spec = workload_spec(args.workload, args.duration)
     agg_a = repeat_workload(
-        workload_a, resolve_policy(args.policy_a, clock_table=table),
-        machine_factory=mspec, runs=args.runs,
+        spec, PolicySpec(name=args.policy_a), machine=mspec, runs=args.runs
     )
-    workload_b = resolve_workload(args.workload, args.duration)
     agg_b = repeat_workload(
-        workload_b, resolve_policy(args.policy_b, clock_table=table),
-        machine_factory=mspec, runs=args.runs,
+        spec, PolicySpec(name=args.policy_b), machine=mspec, runs=args.runs
     )
     result = welch_compare(energies(agg_a), energies(agg_b))
     print(f"{args.policy_a:24s} {agg_a.energy_ci}  misses={agg_a.total_misses}")
@@ -490,33 +411,18 @@ def cmd_ideal(args) -> int:
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
     try:
-        if engine is not None:
-            from repro.measure import parallel
-
-            summary = parallel.find_ideal_constant(
-                spec, machine=mspec, seed=args.seed, engine=engine,
-                backend=cell_backend(args),
-            )
-            print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
-            print(f"ideal constant  : {summary.final_mhz:.1f} MHz")
-            print(f"energy          : {summary.exact_energy_j:.2f} J")
-            print(f"mean utilization: {summary.mean_utilization:.3f}")
-            report_sweep_stats(engine, args)
-            return 0
-        from repro.measure.runner import find_ideal_constant
-
-        result = find_ideal_constant(
-            workload, machine_factory=mspec, seed=args.seed,
+        summary = find_ideal_constant(
+            spec, machine=mspec, seed=args.seed, engine=engine,
             backend=cell_backend(args),
         )
     except ValueError as exc:
         print(f"no feasible constant step: {exc}", file=sys.stderr)
         return 1
-    step_mhz = result.run.quanta[-1].mhz
     print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
-    print(f"ideal constant  : {step_mhz:.1f} MHz")
-    print(f"energy          : {result.exact_energy_j:.2f} J")
-    print(f"mean utilization: {result.run.mean_utilization():.3f}")
+    print(f"ideal constant  : {summary.final_mhz:.1f} MHz")
+    print(f"energy          : {summary.exact_energy_j:.2f} J")
+    print(f"mean utilization: {summary.mean_utilization:.3f}")
+    report_sweep_stats(engine, args)
     return 0
 
 
@@ -562,7 +468,7 @@ def cmd_trace(args) -> int:
 
 def cmd_diagnose(args) -> int:
     """Run one workload under one policy and explain the outcome."""
-    from repro.measure.runner import find_ideal_constant, run_workload
+    from repro.measure.runner import run_workload
     from repro.obs.diagnose import SETTLE_CHURN_PER_QUANTUM
     from repro.obs.diagnose import diagnose as diagnose_run
 
@@ -579,8 +485,7 @@ def cmd_diagnose(args) -> int:
     )
     try:
         baseline = find_ideal_constant(
-            workload, machine_factory=mspec, seed=args.seed,
-            backend=cell_backend(args),
+            spec, machine=mspec, seed=args.seed, backend=cell_backend(args),
         ).exact_energy_j
     except ValueError:
         baseline = None
@@ -771,9 +676,9 @@ def cmd_fleet(args) -> int:
     path = Path(args.ledger)
     if not path.exists():
         print(
-            f"error: no fleet ledger at {path} (engine-served sweeps "
+            f"error: no fleet ledger at {path} (sweep commands "
             f"record themselves there; run one first, e.g. "
-            f"`repro table2 --jobs 2`)",
+            f"`repro table2`)",
             file=sys.stderr,
         )
         return 1

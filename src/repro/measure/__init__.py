@@ -11,9 +11,11 @@ the workload toggles when it starts.  Energy is the rectangle sum
   estimators;
 - :mod:`repro.measure.stats` -- 95 % confidence intervals over repeated
   runs;
-- :mod:`repro.measure.runner` -- the repeated-run experiment harness;
-- :mod:`repro.measure.parallel` -- the process-pool sweep engine and its
-  content-addressed result cache.
+- :mod:`repro.measure.runner` -- one measured run (the harness every
+  sweep cell executes);
+- :mod:`repro.measure.parallel` -- the sweep engine (in-process or over a
+  process pool), its content-addressed result cache, and the repeated-run
+  and ideal-constant experiments built on it.
 """
 
 from repro._lazy import attach
@@ -33,10 +35,11 @@ __getattr__, __dir__, __all__ = attach(
             "SweepSpec",
             "WorkloadSpec",
             "cache_key",
+            "repeat_workload",
             "run_sweep",
         ),
         "profile": ("PowerProfile", "burst_profile", "profile_timeline"),
-        "runner": ("ExperimentResult", "repeat_workload", "run_workload"),
+        "runner": ("ExperimentResult", "run_workload"),
         "stats": ("ConfidenceInterval", "confidence_interval"),
     },
 )

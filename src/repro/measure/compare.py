@@ -99,5 +99,6 @@ def welch_compare(
 
 
 def energies(results) -> "list[float]":
-    """Extract the measured energies from a RepeatedResult."""
+    """Extract the measured energies from a
+    :class:`~repro.measure.parallel.RepeatedSummary`."""
     return [r.energy_j for r in results.results]

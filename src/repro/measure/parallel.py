@@ -1,19 +1,22 @@
 """Parallel sweep execution with a content-addressed result cache.
 
 The paper's evaluation is an exhaustive grid — predictor × speed setter ×
-thresholds × workload, repeated for confidence intervals — and the serial
-harness in :mod:`repro.measure.runner` replays every cell from scratch on
-each invocation.  This module makes large grids cheap:
+thresholds × workload, repeated for confidence intervals — and every
+simulation the CLI runs is one cell of such a grid.  This module is the one
+way to run cells, and it makes large grids cheap:
 
 - a :class:`SweepCell` names one simulation by *value* (policy name and
   parameters, workload name and config, seed, kernel config) instead of by
   closures, so cells pickle cleanly to worker processes and digest stably
   into cache keys;
-- :class:`SweepEngine` fans cells out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` and memoizes each
+- :class:`SweepEngine` runs cells in-process (``jobs=1``, the serial
+  path) or fans them out over a
+  :class:`~concurrent.futures.ProcessPoolExecutor`, and memoizes each
   :class:`CellResult` in an on-disk :class:`ResultCache` keyed by a SHA-256
   digest of the cell plus :data:`CACHE_SCHEMA_VERSION`, so unchanged cells
-  are free on re-run.
+  are free on re-run;
+- :func:`repeat_workload` and :func:`find_ideal_constant` batch the
+  paper's repeated runs and its ideal-constant oracle through an engine.
 
 Throughput plumbing keeps grid wall-time dominated by simulation rather
 than dispatch: cells ship to workers in contiguous *chunks* (one pool task
@@ -22,11 +25,12 @@ per chunk amortizes pickling and future bookkeeping), the pool is *warm*
 initializer, and the pool is reused across batches until :meth:`close`),
 and :class:`CellResult` pickles as a compact field tuple.  None of it is
 observable in the numbers: chunks preserve submission order, and every
-worker still runs the very same ``cell.run``.
+cell, in-process or pooled, runs through the one worker entry point,
+which returns a :class:`CellOutcome`.
 
-The engine is *provably* deterministic: a worker runs the very same
-:func:`repro.measure.runner.run_workload` the serial path runs, with the
-very same seeds, so parallel results are bitwise-equal to serial ones, and
+The engine is *provably* deterministic: a pool worker runs the very same
+:func:`repro.measure.runner.run_workload` the in-process path runs, with
+the very same seeds, so parallel results are bitwise-equal to serial ones, and
 cached results round-trip through JSON without losing a bit (Python's
 ``json`` serializes floats via ``repr``, which is exact for doubles).
 ``tests/measure/test_parallel.py`` and ``tests/measure/test_cache.py``
@@ -590,137 +594,103 @@ class ResultCache:
             return 0
 
 
-def _execute_cell(cell: SweepCell) -> CellResult:
-    """Worker entry point (module-level so it pickles)."""
-    return cell.run()
+@dataclass(frozen=True)
+class CellOutcome:
+    """Everything one executed cell sends home on the result channel.
 
-
-def _worker_metrics(
-    with_metrics: bool,
-) -> Tuple[Optional[MetricsRegistry], Optional[List[RunRecorder]]]:
-    """A worker-local metrics registry and the kernel recorder feeding it,
-    or ``(None, None)`` when the engine collects no metrics."""
-    if not with_metrics:
-        return None, None
-    from repro.obs.metrics import KernelMetricsRecorder, MetricsRegistry
-
-    registry = MetricsRegistry()
-    return registry, [KernelMetricsRecorder(registry)]
-
-
-def _execute_cell_observed(
-    cell: SweepCell, with_metrics: bool, profiled: bool = False
-) -> Tuple[
-    CellResult, float, Optional[MetricsSnapshot], int, float, float,
-    Tuple[Tuple[str, float, float], ...],
-]:
-    """Instrumented worker: times the cell and (optionally) collects the
-    kernel hot-loop metrics in a worker-local registry whose snapshot the
-    parent merges.  The simulation itself is the very same ``cell.run``
-    the plain worker calls, so results stay bitwise-identical.
-
-    The trailing ``(pid, t_start, t_end, phases)`` fields carry the
-    executing process and the cell's ``perf_counter`` interval home on
-    the result channel — the telemetry layer builds its per-cell
-    worker-lane spans from these (never from heartbeats, which are
-    display-only and may trail the future's completion).  With
-    ``profiled``, ``phases`` additionally carries the cell's phase
-    stamps for the :class:`~repro.obs.profile.PhaseProfile`: the
-    kernel-compute interval, any kernel-side observer-reduction stamps
-    (the fast path stamps its bulk-tap replay), and the summary
-    reduction — ``cell.run`` split into its two halves
-    (:meth:`SweepCell.execute` + :meth:`CellResult.from_experiment`),
-    which is the very same computation, just stamped between the
-    halves.  A pool worker's first profiled outcome also carries its
-    start-up stamp (:func:`_warm_worker`).
+    Attributes:
+        result: the cell's summary.
+        wall_s: simulation time only (diagnosis and reduction excluded);
+            what the run-log and the cell-time histogram record.
+        pid: the process that ran the cell.
+        t_start / t_end: the cell's ``perf_counter`` interval, simulation
+            through reduction; telemetry builds the cell's worker-lane
+            span from it (never from heartbeats, which are display-only
+            and may trail the future's completion).
+        phases: the cell's phase stamps for the
+            :class:`~repro.obs.profile.PhaseProfile` — the worker's
+            start-up stamp on its first cell, kernel compute, any
+            kernel-side observer-reduction stamps (the fast path stamps
+            its bulk-tap replay), diagnosis, and the summary reduction.
+        metrics: the worker-local kernel metrics snapshot, or None when
+            the engine collects no metrics.
+        diagnosis: the cell's
+            :class:`~repro.obs.diagnose.PolicyDiagnosis`, or None when
+            the engine does not diagnose.
     """
-    registry, extra = _worker_metrics(with_metrics)
-    if not profiled:
-        start = perf_counter()
-        result = cell.run(extra_recorders=extra)
-        end = perf_counter()
-        snap = registry.snapshot() if registry is not None else None
-        return result, end - start, snap, os.getpid(), start, end, ()
+
+    result: CellResult
+    wall_s: float
+    pid: int
+    t_start: float
+    t_end: float
+    phases: Tuple[Tuple[str, float, float], ...]
+    metrics: Optional[MetricsSnapshot] = None
+    diagnosis: Optional[PolicyDiagnosis] = None
+
+
+def _execute_cell(
+    cell: SweepCell,
+    with_metrics: bool,
+    diagnose: bool,
+    baseline_j: Optional[float],
+) -> CellOutcome:
+    """Worker entry point (module-level so it pickles): run one cell.
+
+    ``cell.run`` split into its two halves (:meth:`SweepCell.execute` +
+    :meth:`CellResult.from_experiment`) — the very same computation,
+    stamped between the halves — so results are bitwise-identical
+    however the cell is observed.  ``with_metrics`` collects the kernel
+    hot-loop metrics in a worker-local registry whose snapshot the
+    parent merges.  ``diagnose`` forces full recording (diagnosis needs
+    the quantum log and power timeline; recording modes are
+    bitwise-equivalent in everything a :class:`CellResult` carries) and
+    computes the cell's diagnosis against ``baseline_j`` worker-side.
+    """
+    registry = extra = None
+    if with_metrics:
+        from repro.obs.metrics import KernelMetricsRecorder, MetricsRegistry
+
+        registry = MetricsRegistry()
+        extra = [KernelMetricsRecorder(registry)]
+    if diagnose:
+        cell = dataclasses.replace(cell, recording=RECORDING_FULL)
     arm_worker_stamps()
     start = perf_counter()
     experiment = cell.execute(extra_recorders=extra)
-    t_computed = perf_counter()
-    result = CellResult.from_experiment(experiment)
-    end = perf_counter()
-    phases = (
+    t_computed = t_reduce = perf_counter()
+    phases = [
         *_take_worker_start(),
         (PHASE_COMPUTE, start, t_computed),
         *drain_worker_stamps(),
-        (PHASE_REDUCE, t_computed, end),
-    )
-    snap = registry.snapshot() if registry is not None else None
-    return result, end - start, snap, os.getpid(), start, end, phases
+    ]
+    diagnosis = None
+    if diagnose:
+        from repro.obs.diagnose import diagnose as diagnose_run
 
-
-def _execute_cell_diagnosed(
-    cell: SweepCell, with_metrics: bool, baseline_j: Optional[float],
-    profiled: bool = False,
-) -> Tuple[
-    CellResult, float, Optional[MetricsSnapshot], PolicyDiagnosis,
-    int, float, float, Tuple[Tuple[str, float, float], ...],
-]:
-    """Diagnosing worker: runs the cell with full recording, computes its
-    :class:`~repro.obs.diagnose.PolicyDiagnosis` worker-side, and ships
-    the picklable diagnosis home alongside the summary — the diagnosis
-    analogue of merging a worker's :class:`MetricsSnapshot`.
-
-    Full recording is forced (diagnosis needs the quantum log and power
-    timeline); that cannot change the summary, because recording modes
-    are bitwise-equivalent in everything a :class:`CellResult` carries.
-
-    ``wall_s`` keeps its historical meaning (simulation time only) while
-    the telemetry interval ``t_start..t_end`` covers simulate + diagnose
-    — the span shows what the worker was occupied with, the run-log
-    shows what the simulation cost.  With ``profiled``, the trailing
-    ``phases`` carries compute / diagnosis / reduction stamps (plus any
-    kernel-side stamps and the worker's start-up stamp) for the phase
-    profile; empty otherwise.
-    """
-    from repro.obs.diagnose import diagnose
-
-    registry, extra = _worker_metrics(with_metrics)
-    full_cell = dataclasses.replace(cell, recording=RECORDING_FULL)
-    if profiled:
-        arm_worker_stamps()
-    start = perf_counter()
-    result = full_cell.execute(extra_recorders=extra)
-    t_computed = perf_counter()
-    wall_s = t_computed - start
-    diagnosis = diagnose(
-        result,
-        policy=cell.policy.label,
-        workload=cell.workload.name,
-        machine=cell.machine,
-        machine_label=cell.machine.label,
-        seed=cell.seed,
-        baseline_j=baseline_j,
-    )
-    t_diagnosed = perf_counter()
-    summary = CellResult.from_experiment(result)
-    end = perf_counter()
-    phases: Tuple[Tuple[str, float, float], ...] = ()
-    if profiled:
-        phases = (
-            *_take_worker_start(),
-            (PHASE_COMPUTE, start, t_computed),
-            *drain_worker_stamps(),
-            (PHASE_DIAGNOSE, t_computed, t_diagnosed),
-            (PHASE_REDUCE, t_diagnosed, end),
+        diagnosis = diagnose_run(
+            experiment,
+            policy=cell.policy.label,
+            workload=cell.workload.name,
+            machine=cell.machine,
+            machine_label=cell.machine.label,
+            seed=cell.seed,
+            baseline_j=baseline_j,
         )
-    return (
-        summary,
-        wall_s,
-        registry.snapshot() if registry is not None else None,
-        diagnosis,
-        os.getpid(),
-        start,
-        end,
-        phases,
+        t_reduce = perf_counter()
+        phases.append((PHASE_DIAGNOSE, t_computed, t_reduce))
+    result = CellResult.from_experiment(experiment)
+    end = perf_counter()
+    phases.append((PHASE_REDUCE, t_reduce, end))
+    return CellOutcome(
+        result=result,
+        wall_s=t_computed - start,
+        pid=os.getpid(),
+        t_start=start,
+        t_end=end,
+        phases=tuple(phases),
+        metrics=registry.snapshot() if registry is not None else None,
+        diagnosis=diagnosis,
     )
 
 
@@ -729,7 +699,7 @@ def _execute_cell_diagnosed(
 _HEARTBEATS: Optional[object] = None
 
 #: This worker's start-up interval, stamped by :func:`_warm_worker` and
-#: sent home once, with the worker's first profiled outcome.
+#: sent home once, with the worker's first outcome.
 _WORKER_START: Optional[Tuple[str, float, float]] = None
 
 
@@ -784,45 +754,32 @@ def _heartbeat(done: bool, cell_id: Optional[int]) -> None:
 
 def _execute_chunk(
     cells: List[SweepCell],
-    mode: str,
     with_metrics: bool,
+    diagnose: bool,
     baseline_js: List[Optional[float]],
-    cell_ids: Optional[List[int]] = None,
-    profiled: bool = False,
-) -> List[Tuple[str, object]]:
+    cell_ids: List[int],
+) -> List[Union[CellOutcome, Exception]]:
     """Run a contiguous chunk of cells in one pool task.
 
     One submission per chunk (instead of per cell) amortizes argument
-    pickling, future bookkeeping and result IPC across the chunk.  Each
-    cell's outcome is tagged ``("ok", outcome)`` or ``("err", exception)``
-    so a failure is attributed to the *cell* that raised it, not to an
+    pickling, future bookkeeping and result IPC across the chunk.  A
+    cell that raises contributes its exception in place of its outcome,
+    so the failure is attributed to the *cell* that raised it, not to an
     opaque chunk — the parent re-raises it as a :class:`SweepCellError`
-    with the original exception as ``__cause__``.  ``mode`` selects the
-    same per-cell entry points the unchunked engine used: ``"plain"``,
-    ``"observed"`` or ``"diagnosed"``.
+    with the original exception as ``__cause__``.
 
     When the worker carries a heartbeat queue (live ``--progress``),
     each cell brackets its execution with start/done heartbeats keyed by
     ``cell_ids`` — pure display traffic on a side channel; results still
     travel only on the pool's result path.
     """
-    if cell_ids is None:
-        cell_ids = [None] * len(cells)  # type: ignore[list-item]
-    out: List[Tuple[str, object]] = []
+    out: List[Union[CellOutcome, Exception]] = []
     for cell, baseline_j, cell_id in zip(cells, baseline_js, cell_ids):
         _heartbeat(False, cell_id)
         try:
-            if mode == "diagnosed":
-                outcome: object = _execute_cell_diagnosed(
-                    cell, with_metrics, baseline_j, profiled
-                )
-            elif mode == "observed":
-                outcome = _execute_cell_observed(cell, with_metrics, profiled)
-            else:
-                outcome = _execute_cell(cell)
-            out.append(("ok", outcome))
+            out.append(_execute_cell(cell, with_metrics, diagnose, baseline_j))
         except Exception as exc:
-            out.append(("err", exc))
+            out.append(exc)
         _heartbeat(True, cell_id)
     return out
 
@@ -997,9 +954,8 @@ class SweepEngine:
     chunks per worker by default) so per-task pickling and future
     overhead amortize, and the pool itself is spawned once — warm
     workers preimport the simulator and are reused across batches until
-    :meth:`close` (the engine is a context manager; ``reuse_pool=False``
-    restores the spawn-per-batch behaviour).  Chunks preserve input
-    order, so results are the same, bitwise, at any chunk size.
+    :meth:`close` (the engine is a context manager).  Chunks preserve
+    input order, so results are the same, bitwise, at any chunk size.
 
     Observability is opt-in and free when off: with ``metrics`` the engine
     counts cells/cache traffic, times each cell, and merges the workers'
@@ -1012,8 +968,8 @@ class SweepEngine:
     :class:`~repro.obs.diagnose.PolicyDiagnosis` home next to its result,
     collected in :attr:`diagnoses` by run id (cache hits carry no kernel
     run and are not re-diagnosed).  None of this can change a result —
-    instrumented workers run the very same simulation, and the
-    determinism tests pin the equality bitwise.
+    every cell runs through the same worker entry point and the very
+    same simulation, and the determinism tests pin the equality bitwise.
 
     Sweep-level telemetry rides the same observer seam: pass a
     :class:`~repro.obs.telemetry.SweepTelemetry` to span-trace the
@@ -1029,8 +985,9 @@ class SweepEngine:
     Pass a :class:`~repro.obs.profile.PhaseProfile` as ``profile`` to
     attribute the sweep's wall time to pipeline phases: the engine
     stamps its own stages (spin-up, submission, cache I/O, result IPC)
-    and instrumented workers ship compute / reduction / diagnosis
-    stamps home on the result tuples; the per-phase totals land in the
+    and every :class:`CellOutcome` carries the worker's compute /
+    reduction / diagnosis stamps home (dropped when no profile is
+    attached); the per-phase totals land in the
     fleet record and, with telemetry on, as nested spans in the Chrome
     trace.  ``benchmarks/bench_profile_overhead.py`` holds profiling to
     the same bitwise-equality and overhead bars.
@@ -1045,7 +1002,6 @@ class SweepEngine:
         diagnose: bool = False,
         diagnosis_log: Optional[DiagnosisWriter] = None,
         chunk_size: Optional[int] = None,
-        reuse_pool: bool = True,
         telemetry: Optional[SweepTelemetry] = None,
         progress: bool = False,
         progress_stream: Optional[IO[str]] = None,
@@ -1061,7 +1017,6 @@ class SweepEngine:
         self.run_log = run_log
         self.diagnosis_log = diagnosis_log
         self.chunk_size = chunk_size
-        self.reuse_pool = reuse_pool
         self._diagnose = diagnose or diagnosis_log is not None
         if self._diagnose:
             # Loaded here, before the pool forks, so forked workers
@@ -1164,20 +1119,25 @@ class SweepEngine:
 
     def _run_chunks(
         self,
-        pool: ProcessPoolExecutor,
         chunks: List[List[Tuple[str, SweepCell, int]]],
-        mode: str,
         with_metrics: bool,
+        diagnose: bool,
         baselines: Dict[str, Optional[float]],
-    ) -> List[object]:
-        """Submit chunks and flatten their outcomes back into todo order.
+    ) -> List[CellOutcome]:
+        """Submit chunks to the warm pool (spawned on first use) and
+        flatten their outcomes back into todo order.
 
         Raises:
             SweepCellError: for an in-worker failure (naming the exact
                 cell, original exception as ``__cause__``) or a pool-level
                 failure (attributed to the chunk's first cell).
         """
-        profiled = self.profile is not None
+        if self._pool is None:
+            with self._t_span(
+                "pool spin-up", workers=self.jobs
+            ), self._p_interval(PHASE_SPINUP):
+                self._pool = self._new_pool(self.jobs)
+        pool = self._pool
         with self._t_span(
             "submit chunks",
             chunks=len(chunks),
@@ -1187,50 +1147,34 @@ class SweepEngine:
                 pool.submit(
                     _execute_chunk,
                     [cell for _, cell, _ in chunk],
-                    mode,
                     with_metrics,
-                    [
-                        baselines[_baseline_key(cell)]
-                        if mode == "diagnosed"
-                        else None
-                        for _, cell, _ in chunk
-                    ],
+                    diagnose,
+                    [baselines.get(key) for key, _, _ in chunk],
                     [cell_id for _, _, cell_id in chunk],
-                    profiled,
                 )
                 for chunk in chunks
             ]
-        fresh: List[object] = []
+        fresh: List[CellOutcome] = []
         for chunk, future in zip(chunks, futures):
-            wait_start = perf_counter() if profiled else 0.0
+            wait_start = perf_counter()
             try:
-                tagged = future.result()
+                outcomes = future.result()
             except Exception as exc:
                 # The pool itself failed (worker crash, result transport);
                 # a dead warm pool must not poison the next batch.
-                if pool is self._pool:
-                    self.close()
+                self.close()
                 raise SweepCellError(chunk[0][1], exc) from exc
-            for (_, cell, _), (tag, payload) in zip(chunk, tagged):
-                if tag == "err":
-                    assert isinstance(payload, BaseException)
-                    raise SweepCellError(cell, payload) from payload
-                fresh.append(payload)
-            if profiled:
+            for (_, cell, _), outcome in zip(chunk, outcomes):
+                if isinstance(outcome, BaseException):
+                    raise SweepCellError(cell, outcome) from outcome
+                fresh.append(outcome)
+            if self.profile is not None:
                 # Result IPC: the slice of the wait after the chunk's
                 # last cell finished computing is unpickling/transfer —
                 # the rest of the wait is covered by the workers' own
-                # compute stamps on the shared timebase.  Plain-mode
-                # outcomes carry no worker clock, so charge the whole
-                # (already completed) wait.
-                recv = perf_counter()
-                ends = [
-                    payload[-2]
-                    for tag, payload in tagged
-                    if tag == "ok" and mode != "plain"
-                ]
-                ipc_start = max([wait_start] + ends) if ends else wait_start
-                self.profile.add_interval(PHASE_IPC, ipc_start, recv)
+                # compute stamps on the shared timebase.
+                ipc_start = max([wait_start] + [o.t_end for o in outcomes])
+                self.profile.add_interval(PHASE_IPC, ipc_start, perf_counter())
         return fresh
 
     def run(self, cells: Iterable[SweepCell]) -> List[CellResult]:
@@ -1405,144 +1349,80 @@ class SweepEngine:
         baselines: Dict[str, Optional[float]] = {}
         if diagnosing and pending:
             with self._t_span("baseline dedup", cells=len(pending)):
-                baselines = self._compute_baselines(pending.values())
+                baselines = self._compute_baselines(pending)
 
         if pending:
             todo = [
                 (key, cell, self._new_cell_id(cell))
                 for key, cell in pending.items()
             ]
-            observed = (
-                self.metrics is not None
-                or self.run_log is not None
-                or self.telemetry is not None
-                or self.profile is not None
-            )
-            profiled = self.profile is not None
             with_metrics = self.metrics is not None
-            if diagnosing:
-                mode = "diagnosed"
-            elif observed:
-                mode = "observed"
-            else:
-                mode = "plain"
             if self.jobs > 1 and len(todo) > 1:
                 workers = min(self.jobs, len(todo))
                 if self.metrics is not None:
                     self.metrics.gauge("sweep.workers").set(workers)
-                chunks = self._chunked(todo, workers)
-                if self.reuse_pool:
-                    if self._pool is None:
-                        with self._t_span(
-                            "pool spin-up", workers=self.jobs
-                        ), self._p_interval(PHASE_SPINUP):
-                            self._pool = self._new_pool(self.jobs)
-                    fresh = self._run_chunks(
-                        self._pool, chunks, mode, with_metrics, baselines
-                    )
-                else:
-                    with self._t_span(
-                        "pool spin-up", workers=workers
-                    ), self._p_interval(PHASE_SPINUP):
-                        pool = self._new_pool(workers)
-                    with pool:
-                        fresh = self._run_chunks(
-                            pool, chunks, mode, with_metrics, baselines
-                        )
+                outcomes = self._run_chunks(
+                    self._chunked(todo, workers),
+                    with_metrics,
+                    diagnosing,
+                    baselines,
+                )
             else:
-                fresh = []
-                for _, cell, cell_id in todo:
+                outcomes = []
+                for key, cell, cell_id in todo:
                     self._progress_cell_started(cell_id)
-                    if diagnosing:
-                        outcome: object = _execute_cell_diagnosed(
-                            cell, with_metrics,
-                            baselines[_baseline_key(cell)], profiled,
-                        )
-                    elif observed:
-                        outcome = _execute_cell_observed(
-                            cell, with_metrics, profiled
-                        )
-                    else:
-                        outcome = _execute_cell(cell)
-                    fresh.append(outcome)
+                    outcomes.append(_execute_cell(
+                        cell, with_metrics, diagnosing, baselines.get(key)
+                    ))
                     self._progress_cell_finished(cell_id)
             with self._t_span("merge results", cells=len(todo)):
-                for (key, cell, cell_id), outcome in zip(todo, fresh):
-                    diagnosis: Optional[PolicyDiagnosis] = None
-                    pid: Optional[int] = None
-                    t_start = t_end = 0.0
-                    phases: Tuple[Tuple[str, float, float], ...] = ()
-                    if diagnosing:
-                        (
-                            result, wall_s, snap, diagnosis,
-                            pid, t_start, t_end, phases,
-                        ) = outcome
-                        if self.metrics is not None and snap is not None:
-                            self.metrics.merge(snap)
-                    elif observed:
-                        (
-                            result, wall_s, snap, pid, t_start, t_end, phases
-                        ) = outcome
-                        if self.metrics is not None and snap is not None:
-                            self.metrics.merge(snap)
-                    else:
-                        result, wall_s = outcome, 0.0
-                    if self.profile is not None and phases:
-                        self.profile.add_group(phases)
+                for (key, cell, cell_id), outcome in zip(todo, outcomes):
+                    result = outcome.result
+                    if self.metrics is not None and outcome.metrics is not None:
+                        self.metrics.merge(outcome.metrics)
+                    if self.profile is not None:
+                        self.profile.add_group(outcome.phases)
                     results[key] = result
                     if self.cache is not None:
                         with self._p_interval(PHASE_CACHE):
                             self.cache.put(key, result)
                     self._observe(
-                        cell,
-                        key,
-                        result,
-                        wall_s=wall_s,
-                        cached=False,
-                        worker_pid=pid,
-                        worker_ordinal=(
-                            self._ordinal_for(pid) if pid is not None else None
-                        ),
+                        cell, key, result, wall_s=outcome.wall_s,
+                        cached=False, worker_pid=outcome.pid,
                     )
-                    if self.telemetry is not None and pid is not None:
-                        self._trace_cell(
-                            cell, cell_id, mode, pid, t_start, t_end, phases
-                        )
-                    if diagnosis is not None:
-                        self.diagnoses[key] = diagnosis
+                    if self.telemetry is not None:
+                        self._trace_cell(cell, cell_id, outcome)
+                    if outcome.diagnosis is not None:
+                        self.diagnoses[key] = outcome.diagnosis
                         if self.diagnosis_log is not None:
-                            self.diagnosis_log.write(diagnosis)
+                            self.diagnosis_log.write(outcome.diagnosis)
             self.stats.executed += len(todo)
 
         return [results[key] for key in keys]
 
     def _trace_cell(
-        self,
-        cell: SweepCell,
-        cell_id: int,
-        mode: str,
-        pid: int,
-        t_start: float,
-        t_end: float,
-        phases: Tuple[Tuple[str, float, float], ...],
+        self, cell: SweepCell, cell_id: int, outcome: CellOutcome
     ) -> None:
         """Span one executed cell on its worker's telemetry lane."""
         from repro.obs.telemetry import LANE_ENGINE
 
         telemetry = self.telemetry
+        pid = outcome.pid
         lane = LANE_ENGINE if pid == os.getpid() else telemetry.lane_for(pid)
         telemetry.add_span(
             self._cell_labels.get(cell_id, cell.policy.label),
-            telemetry.to_us(t_start),
-            telemetry.to_us(t_end),
+            telemetry.to_us(outcome.t_start),
+            telemetry.to_us(outcome.t_end),
             lane=lane,
             seed=cell.seed,
             machine=cell.machine.label,
-            mode=mode,
         )
-        # Phase stamps go on the same lane, inside the cell span (or, for
-        # the worker's start-up, before it); compute is the span itself.
-        for phase, p0, p1 in phases:
+        # With a profile attached, phase stamps go on the same lane, inside
+        # the cell span (or, for the worker's start-up, before it);
+        # compute is the span itself.
+        if self.profile is None:
+            return
+        for phase, p0, p1 in outcome.phases:
             if phase != PHASE_COMPUTE:
                 telemetry.add_span(
                     phase, telemetry.to_us(p0), telemetry.to_us(p1), lane=lane
@@ -1571,29 +1451,31 @@ class SweepEngine:
             self.progress_renderer.update()
 
     def _compute_baselines(
-        self, cells: Iterable[SweepCell]
+        self, pending: Dict[str, SweepCell]
     ) -> Dict[str, Optional[float]]:
-        """Exact oracle energies per unique baseline coordinate.
+        """Exact oracle energies of ``pending`` cells, by cache key.
 
-        Infeasible workloads (no constant step meets their deadlines) map
-        to None; the decomposition then reports against a zero baseline.
+        One search runs per unique baseline coordinate.  Infeasible
+        workloads (no constant step meets their deadlines) map to None;
+        the decomposition then reports against a zero baseline.
         """
+        by_coordinate: Dict[str, Optional[float]] = {}
         out: Dict[str, Optional[float]] = {}
-        for cell in cells:
-            key = _baseline_key(cell)
-            if key in out:
-                continue
-            try:
-                out[key] = find_ideal_constant(
-                    cell.workload,
-                    machine=cell.machine,
-                    seed=cell.seed,
-                    kernel_config=cell.kernel_config,
-                    engine=self,
-                    backend=cell.backend,
-                ).exact_energy_j
-            except ValueError:
-                out[key] = None
+        for key, cell in pending.items():
+            coordinate = _baseline_key(cell)
+            if coordinate not in by_coordinate:
+                try:
+                    by_coordinate[coordinate] = find_ideal_constant(
+                        cell.workload,
+                        machine=cell.machine,
+                        seed=cell.seed,
+                        kernel_config=cell.kernel_config,
+                        engine=self,
+                        backend=cell.backend,
+                    ).exact_energy_j
+                except ValueError:
+                    by_coordinate[coordinate] = None
+            out[key] = by_coordinate[coordinate]
         return out
 
     def _observe(
@@ -1604,13 +1486,13 @@ class SweepEngine:
         wall_s: float,
         cached: bool,
         worker_pid: Optional[int] = None,
-        worker_ordinal: Optional[int] = None,
     ) -> None:
         """Account one served cell to the metrics registry and run-log.
 
-        ``worker_pid``/``worker_ordinal`` attribute executed cells to the
-        pool process that ran them (None for cache hits, which no worker
-        touched) so reports can attribute stragglers.
+        ``worker_pid`` attributes an executed cell to the process that ran
+        it (None for cache hits, which no worker touched); the run-log
+        records it with the worker's ordinal so reports can attribute
+        stragglers.
         """
         if self.metrics is not None:
             which = "sweep.cells_cached" if cached else "sweep.cells_executed"
@@ -1633,7 +1515,11 @@ class SweepEngine:
                     wall_s=wall_s,
                     unix_time=now_unix(),
                     worker_pid=worker_pid,
-                    worker_ordinal=worker_ordinal,
+                    worker_ordinal=(
+                        self._ordinal_for(worker_pid)
+                        if worker_pid is not None
+                        else None
+                    ),
                 )
             )
 
@@ -1689,12 +1575,8 @@ def run_sweep(
 
 @dataclass(frozen=True)
 class RepeatedSummary:
-    """Aggregate of several runs of one cell family (cf. ``RepeatedResult``).
-
-    Exposes the same derived properties as
-    :class:`repro.measure.runner.RepeatedResult`, so report code can
-    consume either.
-    """
+    """Aggregate of several runs of one cell family: the per-run summaries
+    and the 95 % confidence interval of their measured energies."""
 
     results: Tuple[CellResult, ...]
     energy_ci: ConfidenceInterval
@@ -1726,10 +1608,15 @@ def repeat_workload(
     engine: Optional[SweepEngine] = None,
     backend: Optional[str] = None,
 ) -> RepeatedSummary:
-    """Spec-based analogue of :func:`repro.measure.runner.repeat_workload`.
+    """Run the experiment ``runs`` times and report the 95 % energy CI.
 
-    Uses the identical seed schedule (``base_seed + 1000 * i``), so its
-    energies are bitwise-equal to the serial harness's.
+    Run ``i`` uses workload seed ``base_seed + 1000 * i`` (run-to-run
+    variation is the workloads' seeded jitter), and all runs are
+    submitted to ``engine`` as one batch (a fresh in-process engine when
+    None), so they parallelize and cache.
+
+    Raises:
+        ValueError: for fewer than two runs.
     """
     if runs < 2:
         raise ValueError("need at least two runs for a confidence interval")
@@ -1788,11 +1675,15 @@ def find_ideal_constant(
     engine: Optional[SweepEngine] = None,
     backend: Optional[str] = None,
 ) -> CellResult:
-    """Batched analogue of :func:`repro.measure.runner.find_ideal_constant`.
+    """The energy-minimal *feasible* constant clock step for a workload.
 
-    All constant-step runs are submitted as one batch (so they parallelize
-    and cache), then the cheapest feasible one wins — same tie-breaking
-    (first strictly-cheaper survivor in table order) as the serial search.
+    This is the oracle the paper measures against ("the best possible
+    scheduling goal for MPEG would be to switch to a 132.7MHz speed"):
+    run the workload at every constant step of ``machine``, discard runs
+    with deadline misses, return the cheapest survivor's summary (the
+    first strictly-cheaper one in table order).  All constant-step runs
+    are submitted to ``engine`` as one batch, so they parallelize and
+    cache.
 
     Raises:
         ValueError: if no constant step meets the workload's deadlines.

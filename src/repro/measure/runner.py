@@ -1,42 +1,33 @@
-"""The repeated-run experiment harness.
+"""One measured run: the experiment harness every sweep cell executes.
 
 Mirrors the paper's procedure: boot the machine, install the clock-scaling
 module, start the workload with the GPIO trigger, record power with the
-DAQ, time the run, and compute energy over the window; repeat several times
-and report the 95 % confidence interval.
+DAQ, time the run, and compute energy over the window.
 
-Governors and kernels carry state, so experiments take *factories*; each
-run builds a fresh machine, kernel and governor, and perturbs the workload
-seed (run-to-run variation "from interactions between application threads,
-other processes and system daemons" is modelled by the workloads' seeded
-jitter).
+Governors and kernels carry state, so :func:`run_workload` takes
+*factories* and builds a fresh machine, kernel and governor per run.
+Repeated runs with confidence intervals and the ideal-constant oracle
+batch cells through the sweep engine
+(:func:`repro.measure.parallel.repeat_workload`,
+:func:`repro.measure.parallel.find_ideal_constant`); run-to-run variation
+"from interactions between application threads, other processes and
+system daemons" is modelled by the workloads' seeded jitter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Union
+from typing import Callable, Iterable, List, Optional, Union
 
 from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.machine import Machine
-from repro.hw.machines import MachineSpec
 from repro.kernel.backend import ExecutionBackend, resolve_backend
 from repro.kernel.governor import Governor
 from repro.kernel.recorders import RECORDING_FULL, RunRecorder
 from repro.kernel.scheduler import KernelConfig, KernelRun
 from repro.measure.daq import DaqCapture, DaqSystem
-from repro.measure.stats import ConfidenceInterval, confidence_interval
 from repro.traces.schema import AppEvent
 from repro.workloads.base import Workload
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
-    from repro.measure.parallel import (
-        CellResult,
-        PolicySpec,
-        RepeatedSummary,
-        SweepEngine,
-        WorkloadSpec,
-    )
 
 GovernorFactory = Callable[[], Governor]
 #: Anything that yields a fresh machine per run: a zero-argument callable
@@ -52,22 +43,6 @@ BackendChoice = Union[str, ExecutionBackend, None]
 def default_machine() -> ItsyMachine:
     """A modified Itsy booted at 206.4 MHz / 1.5 V."""
     return ItsyMachine(ItsyConfig())
-
-
-def _machine_spec_for(machine_factory: MachineFactory) -> MachineSpec:
-    """The :class:`MachineSpec` equivalent of ``machine_factory``.
-
-    Sweep cells name their machine by value so it can travel to worker
-    processes and into cache keys; arbitrary factory callables cannot.
-
-    Raises:
-        ValueError: for factories that are not specs (or the default).
-    """
-    if isinstance(machine_factory, MachineSpec):
-        return machine_factory
-    if machine_factory is default_machine:
-        return MachineSpec()
-    raise ValueError("parallel execution needs a MachineSpec machine")
 
 
 @dataclass
@@ -179,148 +154,3 @@ def run_workload(
         capture=capture,
         tolerance_us=workload.tolerance_us,
     )
-
-
-def find_ideal_constant(
-    workload: Union[Workload, "WorkloadSpec"],
-    machine_factory: MachineFactory = default_machine,
-    seed: int = 0,
-    kernel_config: Optional[KernelConfig] = None,
-    engine: Optional["SweepEngine"] = None,
-    backend: BackendChoice = None,
-) -> Union[ExperimentResult, "CellResult"]:
-    """The energy-minimal *feasible* constant clock step for a workload.
-
-    This is the oracle the paper measures against ("the best possible
-    scheduling goal for MPEG would be to switch to a 132.7MHz speed"):
-    run the workload at every constant step, discard runs with deadline
-    misses, return the cheapest survivor.
-
-    With an ``engine`` the workload must be a
-    :class:`~repro.measure.parallel.WorkloadSpec`; all constant steps are
-    then submitted as one batch (parallelized and cached) and the cheapest
-    feasible :class:`~repro.measure.parallel.CellResult` summary is
-    returned instead of a full :class:`ExperimentResult`.
-
-    Raises:
-        ValueError: if no constant step meets the workload's deadlines, or
-            if an engine is given with a non-spec workload or a machine
-            factory that is not a spec (it would not digest into a cache
-            key).
-    """
-    from repro.kernel.governor import ConstantGovernor
-    from repro.measure import parallel
-
-    if isinstance(workload, parallel.WorkloadSpec):
-        return parallel.find_ideal_constant(
-            workload,
-            machine=_machine_spec_for(machine_factory),
-            seed=seed,
-            kernel_config=kernel_config,
-            engine=engine,
-            backend=backend,
-        )
-    if engine is not None:
-        raise ValueError("parallel execution needs a WorkloadSpec workload")
-
-    clock_table = machine_factory().clock_table
-    best: Optional[ExperimentResult] = None
-    for step in clock_table:
-        result = run_workload(
-            workload,
-            lambda s=step: ConstantGovernor(step_index=s.index),
-            machine_factory,
-            seed=seed,
-            kernel_config=kernel_config,
-            use_daq=False,
-            backend=backend,
-        )
-        if result.missed:
-            continue
-        if best is None or result.exact_energy_j < best.exact_energy_j:
-            best = result
-    if best is None:
-        raise ValueError(f"no constant step meets {workload.name}'s deadlines")
-    return best
-
-
-@dataclass
-class RepeatedResult:
-    """Aggregate of several runs of the same experiment."""
-
-    results: List[ExperimentResult]
-    energy_ci: ConfidenceInterval
-
-    @property
-    def any_missed(self) -> bool:
-        """True if any run missed any deadline."""
-        return any(r.missed for r in self.results)
-
-    @property
-    def total_misses(self) -> int:
-        """Total deadline misses across runs."""
-        return sum(len(r.misses) for r in self.results)
-
-    @property
-    def mean_energy_j(self) -> float:
-        """Mean measured energy."""
-        return self.energy_ci.mean
-
-
-def repeat_workload(
-    workload: Union[Workload, "WorkloadSpec"],
-    governor_factory: Union[GovernorFactory, "PolicySpec", str],
-    machine_factory: MachineFactory = default_machine,
-    runs: int = 5,
-    base_seed: int = 0,
-    kernel_config: Optional[KernelConfig] = None,
-    use_daq: bool = True,
-    engine: Optional["SweepEngine"] = None,
-    backend: BackendChoice = None,
-) -> Union[RepeatedResult, "RepeatedSummary"]:
-    """Run the experiment ``runs`` times and report the 95 % energy CI.
-
-    With an ``engine`` (or spec arguments) the runs fan out as sweep
-    cells: ``workload`` must be a
-    :class:`~repro.measure.parallel.WorkloadSpec` and ``governor_factory``
-    a :class:`~repro.measure.parallel.PolicySpec` or policy name, and a
-    :class:`~repro.measure.parallel.RepeatedSummary` (same derived
-    properties, summary results) is returned.  The seed schedule is
-    identical either way, so the energies are too.
-    """
-    from repro.measure import parallel
-
-    if isinstance(workload, parallel.WorkloadSpec) or engine is not None:
-        if not isinstance(workload, parallel.WorkloadSpec):
-            raise ValueError("parallel execution needs a WorkloadSpec workload")
-        if isinstance(governor_factory, str):
-            governor_factory = parallel.PolicySpec(name=governor_factory)
-        if not isinstance(governor_factory, parallel.PolicySpec):
-            raise ValueError("parallel execution needs a PolicySpec policy")
-        return parallel.repeat_workload(
-            workload,
-            governor_factory,
-            machine=_machine_spec_for(machine_factory),
-            runs=runs,
-            base_seed=base_seed,
-            kernel_config=kernel_config,
-            use_daq=use_daq,
-            engine=engine,
-            backend=backend,
-        )
-    if runs < 2:
-        raise ValueError("need at least two runs for a confidence interval")
-    results = [
-        run_workload(
-            workload,
-            governor_factory,
-            machine_factory,
-            seed=base_seed + 1000 * i,
-            kernel_config=kernel_config,
-            use_daq=use_daq,
-            backend=backend,
-        )
-        for i in range(runs)
-    ]
-    ci = confidence_interval([r.energy_j for r in results])
-    return RepeatedResult(results=results, energy_ci=ci)

@@ -658,7 +658,7 @@ def diagnose(
             spec's label when ``machine`` has one).
         seed: the run's workload seed (for labelling).
         baseline_j: exact energy of the ideal feasible constant step (see
-            :func:`repro.measure.runner.find_ideal_constant`), or None
+            :func:`repro.measure.parallel.find_ideal_constant`), or None
             when no constant step is feasible.
 
     Raises:

@@ -335,6 +335,14 @@ class SentinelReport:
         return f"fleet sentinel: {verdict} — {self.reason}"
 
 
+#: The record fields that must match for two sweeps' throughput to be
+#: comparable: the same command over the same grid on the same backend
+#: with the same worker count.
+_COMPARABLE_FIELDS = (
+    "command", "policies", "workloads", "machines", "backend", "jobs",
+)
+
+
 def check_fleet(
     records: Sequence[FleetRecord],
     window: int = 5,
@@ -344,13 +352,14 @@ def check_fleet(
     """Check the newest executed sweep against its robust baseline.
 
     The baseline is the median of the last ``window`` *comparable*
-    earlier records — same machine-axis set, same backend, at least one
-    executed cell — each normalized by its own host score (so a slower
-    CI runner is not misread as a code regression).  The check fails
-    when normalized throughput drops more than ``max_drop_pct`` percent
-    below baseline, or the cache-hit rate falls more than
-    ``max_hit_rate_drop`` (absolute fraction) below the baseline median
-    — a sweep that silently stopped reusing its cache.  On a throughput
+    earlier records — same command, policy, workload and machine axes,
+    backend and job count, at least one executed cell — each normalized
+    by its own host score (so a slower CI runner is not misread as a
+    code regression).  The check fails when normalized throughput drops
+    more than ``max_drop_pct`` percent below baseline, or the cache-hit
+    rate falls more than ``max_hit_rate_drop`` (absolute fraction) below
+    the baseline median — a sweep that silently stopped reusing its
+    cache.  On a throughput
     regression the per-phase attribution names the culprit: the phase
     whose nominal per-cell cost grew the most over baseline.
 
@@ -369,7 +378,10 @@ def check_fleet(
     latest = executed[-1]
     comparable = [
         r for r in executed[:-1]
-        if r.machines == latest.machines and r.backend == latest.backend
+        if all(
+            getattr(r, name) == getattr(latest, name)
+            for name in _COMPARABLE_FIELDS
+        )
     ]
     baseline = comparable[-window:] if window > 0 else comparable
     if not baseline:
@@ -377,8 +389,9 @@ def check_fleet(
             checked=False, ok=True,
             reason=(
                 f"no comparable baseline for {latest.sweep_id} "
-                f"(machines={'/'.join(latest.machines) or '-'}, "
-                f"backend={latest.backend or '-'})"
+                f"(command={latest.command or '-'}, "
+                f"machines={'/'.join(latest.machines) or '-'}, "
+                f"backend={latest.backend or '-'}, jobs={latest.jobs})"
             ),
             latest=latest,
         )

@@ -12,7 +12,8 @@ sources:
 - **engine-side intervals** the :class:`~repro.measure.parallel.SweepEngine`
   stamps around its own pipeline stages (spin-up, submission, cache
   get/put, result IPC), and
-- **worker-side stamps** each instrumented cell returns with its result:
+- **worker-side stamps** every executed cell returns with its result
+  (the engine keeps them only when a profile is attached):
   the kernel-compute interval, the bulk-tap observer-reduction interval
   (stamped by the fast kernel around ``_replay_taps`` via the
   process-global sink below), the diagnosis interval, and, once per pool
@@ -43,7 +44,7 @@ PHASE_IPC = "result IPC"
 PHASE_CACHE = "cache I/O"
 
 #: Worker-side phases.  A pool worker's start-up (the simulator import
-#: in the pool initializer) rides home with its first profiled outcome.
+#: in the pool initializer) rides home with its first cell outcome.
 PHASE_WORKER_START = "worker start"
 PHASE_COMPUTE = "kernel compute"
 PHASE_REDUCE = "observer reduction"
@@ -63,9 +64,9 @@ PHASE_ORDER = (
 
 Interval = Tuple[str, float, float]
 
-#: Worker-global stamp sink, armed per profiled cell.  None (the
-#: default) keeps :func:`record_kernel_phase` a no-op in unprofiled
-#: workers and in every non-sweep use of the kernel.
+#: Worker-global stamp sink, armed per executed sweep cell.  None (the
+#: default) keeps :func:`record_kernel_phase` a no-op in every
+#: non-sweep use of the kernel.
 _SINK: Optional[List[Interval]] = None
 
 
@@ -83,10 +84,10 @@ def drain_worker_stamps() -> Tuple[Interval, ...]:
 
 
 def record_kernel_phase(phase: str, t_start: float, t_end: float) -> None:
-    """Stamp one kernel-side interval, if a profiled cell armed the sink.
+    """Stamp one kernel-side interval, if a sweep cell armed the sink.
 
     Called by the execution backends (the fast kernel stamps its bulk-tap
-    replay as :data:`PHASE_REDUCE`); free when profiling is off.
+    replay as :data:`PHASE_REDUCE`); one ``None`` check outside sweeps.
     """
     sink = _SINK
     if sink is not None:

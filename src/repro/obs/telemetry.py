@@ -96,7 +96,7 @@ class SweepTelemetry:
     Timestamps are relative to :meth:`start` (the engine calls it when
     its first top-level batch begins) on the ``perf_counter`` timebase,
     which is system-wide on the platforms the pool runs on — worker
-    timestamps ship home in result tuples and land on the same axis.
+    timestamps ship home in each cell's outcome and land on the same axis.
 
     Lanes are assigned on first sight of a worker pid
     (:meth:`lane_for`); lane 0 is always the engine itself.  The

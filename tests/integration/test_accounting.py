@@ -5,9 +5,10 @@ import pytest
 from repro.core.catalog import constant_speed
 from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.kernel.scheduler import Kernel, KernelConfig
-from repro.measure.runner import find_ideal_constant, run_workload
+from repro.measure.parallel import WorkloadSpec, find_ideal_constant
+from repro.measure.runner import run_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload, setup_mpeg
-from repro.workloads.web import WebConfig, web_workload
+from repro.workloads.web import WebConfig
 
 
 class TestPerProcessAccounting:
@@ -49,25 +50,30 @@ class TestPerProcessAccounting:
 class TestIdealConstant:
     def test_mpeg_ideal_is_132(self):
         result = find_ideal_constant(
-            mpeg_workload(MpegConfig(duration_s=15.0)), seed=1
+            WorkloadSpec("mpeg", MpegConfig(duration_s=15.0)), seed=1
         )
-        assert result.run.quanta[-1].mhz == pytest.approx(132.7)
+        assert result.final_mhz == pytest.approx(132.7)
         assert not result.missed
 
     def test_web_ideal_is_above_the_bottom(self):
         # Web needs responsiveness: the bottom steps miss page-load
         # budgets, so the cheapest feasible step is an interior one.
-        result = find_ideal_constant(web_workload(WebConfig(duration_s=40.0)), seed=1)
-        assert 59.0 < result.run.quanta[-1].mhz < 206.4
+        result = find_ideal_constant(
+            WorkloadSpec("web", WebConfig(duration_s=40.0)), seed=1
+        )
+        assert 59.0 < result.final_mhz < 206.4
 
     def test_ideal_cheaper_than_full_speed(self):
-        wl = mpeg_workload(MpegConfig(duration_s=15.0))
-        ideal = find_ideal_constant(wl, seed=1)
-        full = run_workload(wl, lambda: constant_speed(206.4), seed=1, use_daq=False)
+        config = MpegConfig(duration_s=15.0)
+        ideal = find_ideal_constant(WorkloadSpec("mpeg", config), seed=1)
+        full = run_workload(
+            mpeg_workload(config), lambda: constant_speed(206.4), seed=1,
+            use_daq=False,
+        )
         assert ideal.exact_energy_j < full.exact_energy_j
 
     def test_impossible_workload_raises(self):
         # 30 fps at full per-frame work is infeasible at every step.
-        wl = mpeg_workload(MpegConfig(duration_s=10.0, fps=30.0))
+        wl = WorkloadSpec("mpeg", MpegConfig(duration_s=10.0, fps=30.0))
         with pytest.raises(ValueError):
             find_ideal_constant(wl, seed=1)

@@ -13,10 +13,7 @@ reported interval, and the significance structure must match:
 
 import pytest
 
-from repro.core.catalog import best_policy, constant_speed
-from repro.hw.rails import VOLTAGE_LOW
-from repro.measure.runner import repeat_workload
-from repro.workloads.mpeg import mpeg_workload
+from repro.measure.parallel import PolicySpec, WorkloadSpec, repeat_workload
 
 RUNS = 4
 
@@ -32,16 +29,16 @@ PAPER_ROWS = {
 
 @pytest.fixture(scope="module")
 def table2():
-    factories = {
-        "const_206": lambda: constant_speed(206.4),
-        "const_132": lambda: constant_speed(132.7),
-        "const_132_low": lambda: constant_speed(132.7, volts=VOLTAGE_LOW),
-        "best": lambda: best_policy(False),
-        "best_vscale": lambda: best_policy(True),
+    policies = {
+        "const_206": "const-206.4",
+        "const_132": "const-132.7",
+        "const_132_low": "const-132.7@1.23",
+        "best": "best",
+        "best_vscale": "best-voltage",
     }
     return {
-        name: repeat_workload(mpeg_workload(), factory, runs=RUNS)
-        for name, factory in factories.items()
+        name: repeat_workload(WorkloadSpec("mpeg"), PolicySpec(policy), runs=RUNS)
+        for name, policy in policies.items()
     }
 
 

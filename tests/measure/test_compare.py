@@ -63,14 +63,17 @@ class TestWelchCompare:
     def test_matches_paper_style_ci_reasoning(self):
         """Welch agrees with Table 2's interval-overlap reasoning on the
         actual experiment data."""
-        from repro.core.catalog import constant_speed
         from repro.measure.compare import energies
-        from repro.measure.runner import repeat_workload
-        from repro.workloads.mpeg import MpegConfig, mpeg_workload
+        from repro.measure.parallel import (
+            PolicySpec,
+            WorkloadSpec,
+            repeat_workload,
+        )
+        from repro.workloads.mpeg import MpegConfig
 
-        wl = mpeg_workload(MpegConfig(duration_s=10.0))
-        const = repeat_workload(wl, lambda: constant_speed(206.4), runs=3)
-        slow = repeat_workload(wl, lambda: constant_speed(132.7), runs=3)
+        wl = WorkloadSpec("mpeg", MpegConfig(duration_s=10.0))
+        const = repeat_workload(wl, PolicySpec("const-206.4"), runs=3)
+        slow = repeat_workload(wl, PolicySpec("const-132.7"), runs=3)
         cmp = welch_compare(energies(slow), energies(const))
         assert cmp.significant
         assert cmp.difference < 0  # 132.7 MHz uses less energy

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.catalog import resolve_policy
 from repro.hw.machines import MachineSpec
+from repro.kernel.governor import ConstantGovernor
 from repro.kernel.scheduler import KernelConfig
 from repro.measure import runner
 from repro.measure.parallel import (
@@ -29,6 +30,7 @@ from repro.measure.parallel import (
     repeat_workload,
     run_sweep,
 )
+from repro.measure.stats import confidence_interval
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 from repro.workloads.web import WebConfig
 
@@ -116,39 +118,42 @@ class TestCacheDeterminism:
 class TestSpecHelpers:
     def test_repeat_workload_matches_serial_harness(self):
         summary = repeat_workload(MPEG, PolicySpec("const-206.4"), runs=3)
-        ref = runner.repeat_workload(
-            mpeg_workload(MpegConfig(duration_s=0.4)),
-            resolve_policy("const-206.4"),
-            runs=3,
-        )
-        assert [r.energy_j for r in summary.results] == [
-            r.energy_j for r in ref.results
+        # The serial reference: run i at seed 1000 * i, then the CI.
+        ref = [
+            runner.run_workload(
+                mpeg_workload(MpegConfig(duration_s=0.4)),
+                resolve_policy("const-206.4"),
+                seed=1000 * i,
+            )
+            for i in range(3)
         ]
-        assert summary.energy_ci == ref.energy_ci
-        assert summary.total_misses == ref.total_misses
+        assert [r.energy_j for r in summary.results] == [
+            r.energy_j for r in ref
+        ]
+        assert summary.energy_ci == confidence_interval(
+            [r.energy_j for r in ref]
+        )
+        assert summary.total_misses == sum(len(r.misses) for r in ref)
 
     def test_find_ideal_constant_matches_serial_harness(self):
         mpeg_1s = WorkloadSpec("mpeg", MpegConfig(duration_s=1.0))
         summary = find_ideal_constant(mpeg_1s, seed=1, engine=SweepEngine(jobs=4))
-        ref = runner.find_ideal_constant(
-            mpeg_workload(MpegConfig(duration_s=1.0)), seed=1
+        # The serial reference: the cheapest miss-free constant step over
+        # the clock table (min keeps the first of equals, in table order).
+        runs = [
+            runner.run_workload(
+                mpeg_workload(MpegConfig(duration_s=1.0)),
+                lambda s=step: ConstantGovernor(step_index=s.index),
+                seed=1,
+                use_daq=False,
+            )
+            for step in runner.default_machine().clock_table
+        ]
+        ref = min(
+            (r for r in runs if not r.missed), key=lambda r: r.exact_energy_j
         )
         assert summary.final_mhz == ref.run.quanta[-1].mhz
         assert summary.exact_energy_j == ref.exact_energy_j
-
-    def test_runner_accepts_specs(self):
-        summary = runner.repeat_workload(MPEG, "const-206.4", runs=2)
-        ref = repeat_workload(MPEG, PolicySpec("const-206.4"), runs=2)
-        assert summary.results == ref.results
-
-    def test_runner_rejects_engine_without_specs(self):
-        with pytest.raises(ValueError):
-            runner.repeat_workload(
-                mpeg_workload(MpegConfig(duration_s=0.4)),
-                resolve_policy("best"),
-                runs=2,
-                engine=SweepEngine(),
-            )
 
     def test_kernel_config_flows_into_cells(self):
         tweaked = KernelConfig(sched_overhead_us=0.0)
@@ -199,17 +204,6 @@ class TestMachineAxis:
         cells = spec.cells()
         assert len(cells) == 2
         assert {c.machine.name for c in cells} == {"itsy", "sa2"}
-
-    def test_runner_rejects_opaque_machine_factory_with_engine(self):
-        from repro.hw.itsy import ItsyConfig, ItsyMachine
-
-        with pytest.raises(ValueError, match="MachineSpec"):
-            runner.repeat_workload(
-                MPEG,
-                PolicySpec("best"),
-                machine_factory=lambda: ItsyMachine(ItsyConfig()),
-                runs=2,
-            )
 
 
 class TestRecordingModes:

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.core.catalog import best_policy, constant_speed
-from repro.measure.runner import (
-    default_machine,
-    repeat_workload,
-    run_workload,
-)
+from repro.measure.parallel import PolicySpec, WorkloadSpec, repeat_workload
+from repro.measure.runner import default_machine, run_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 
 SHORT = mpeg_workload(MpegConfig(duration_s=4.0))
+SHORT_SPEC = WorkloadSpec("mpeg", MpegConfig(duration_s=4.0))
+FULL_SPEED = PolicySpec("const-206.4")
 
 
 class TestRunWorkload:
@@ -52,28 +51,22 @@ class TestRunWorkload:
 
 class TestRepeatWorkload:
     def test_ci_over_runs(self):
-        agg = repeat_workload(
-            SHORT, lambda: constant_speed(206.4), runs=3, use_daq=False
-        )
+        agg = repeat_workload(SHORT_SPEC, FULL_SPEED, runs=3, use_daq=False)
         assert agg.energy_ci.n == 3
         assert agg.energy_ci.low <= agg.mean_energy_j <= agg.energy_ci.high
         assert not agg.any_missed
         assert agg.total_misses == 0
 
     def test_runs_differ_by_seed(self):
-        agg = repeat_workload(
-            SHORT, lambda: constant_speed(206.4), runs=3, use_daq=False
-        )
+        agg = repeat_workload(SHORT_SPEC, FULL_SPEED, runs=3, use_daq=False)
         energies = [r.energy_j for r in agg.results]
         assert len(set(energies)) > 1  # seeded jitter makes runs distinct
 
     def test_repeatability_tight(self):
         """The paper's §4.1: the 95 % CI is under 0.7 % of the mean."""
-        agg = repeat_workload(
-            SHORT, lambda: constant_speed(206.4), runs=5, use_daq=False
-        )
+        agg = repeat_workload(SHORT_SPEC, FULL_SPEED, runs=5, use_daq=False)
         assert agg.energy_ci.relative_half_width < 0.007
 
     def test_minimum_two_runs(self):
         with pytest.raises(ValueError):
-            repeat_workload(SHORT, lambda: constant_speed(206.4), runs=1)
+            repeat_workload(SHORT_SPEC, FULL_SPEED, runs=1)

@@ -14,12 +14,9 @@ from repro.measure.parallel import (
     SweepCell,
     SweepEngine,
     WorkloadSpec,
-)
-from repro.measure.runner import (
-    default_machine,
     find_ideal_constant,
-    run_workload,
 )
+from repro.measure.runner import default_machine, run_workload
 from repro.obs.diagnose import (
     ATTRIBUTION_WINDOW_US,
     CAUSE_CAPACITY,
@@ -53,7 +50,7 @@ def diagnosis_for(policy: str, workload: str, duration_s: float, seed: int = 0):
     result = run(policy, workload, duration_s, seed)
     try:
         baseline = find_ideal_constant(
-            workload_spec(workload, duration_s).build(), seed=seed
+            workload_spec(workload, duration_s), seed=seed
         ).exact_energy_j
     except ValueError:
         baseline = None
@@ -202,7 +199,7 @@ class TestEnergyDecomposition:
         for policy in ("avg3-one", "past-peg-98-93", "best-voltage"):
             result = run(policy, "mpeg", 10.0)
             baseline = find_ideal_constant(
-                workload_spec("mpeg", 10.0).build(), seed=0
+                workload_spec("mpeg", 10.0), seed=0
             ).exact_energy_j
             decomposition = energy_decomposition(
                 result.run, default_machine(), baseline
@@ -216,7 +213,7 @@ class TestEnergyDecomposition:
 
     def test_sag_component_only_with_voltage_scaling(self):
         baseline = find_ideal_constant(
-            workload_spec("mpeg", 10.0).build(), seed=0
+            workload_spec("mpeg", 10.0), seed=0
         ).exact_energy_j
         flat = energy_decomposition(
             run("best", "mpeg", 10.0).run, default_machine(), baseline

@@ -317,11 +317,24 @@ class TestSentinel:
         report = check_fleet(baseline_scored + [records[-1]])
         assert report.ok, report.reason
 
-    def test_different_backend_not_compared(self):
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("backend", "reference"),
+            ("command", "ideal"),
+            ("policies", ("const-59.0", "const-206.4")),
+            ("workloads", ("mpeg", "web")),
+            ("jobs", 1),
+        ],
+        ids=["backend", "command", "policies", "workloads", "jobs"],
+    )
+    def test_different_sweep_not_compared(self, field, value):
+        # Throughput compares only between sweeps of the same command over
+        # the same grid on the same backend and worker count.
         records = self.history()
         records.append(record(
-            sweep_id="ref", unix_time=60.0, backend="reference",
-            cells_per_s=0.5,
+            sweep_id="other", unix_time=60.0, cells_per_s=0.5,
+            **{field: value},
         ))
         report = check_fleet(records)
         assert report.ok and not report.checked

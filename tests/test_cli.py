@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import (
@@ -15,6 +17,19 @@ from repro.core.cycleavg import CycleAverageGovernor
 from repro.core.deadline import SynthesizedDeadlineGovernor
 from repro.core.policy import IntervalPolicy
 from repro.kernel.governor import ConstantGovernor
+
+#: The checkout, home of the committed ``BENCH_*.json`` records.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def isolated_cwd(tmp_path_factory, monkeypatch):
+    """Run every test in its own empty directory with its own host
+    calibration file: sweep commands record themselves in
+    ``./.repro/fleet.jsonl``, which must not land in the checkout."""
+    cwd = tmp_path_factory.mktemp("cwd")
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("REPRO_HOST_CALIBRATION", str(cwd / "host.json"))
 
 
 class TestPolicyResolution:
@@ -160,6 +175,30 @@ class TestCommands:
         assert main([*argv, "--duration", "0"]) == 2
         assert "duration must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "mpeg", "--duration", "1", "--jobs", "0"],
+             "jobs must be at least 1"),
+            (["run", "mpeg", "--duration", "1", "--jobs", "-3",
+              "--cache", "cache"],
+             "jobs must be at least 1"),
+            (["table2", "--runs", "1", "--jobs", "2"],
+             "need at least two runs for a confidence interval"),
+        ],
+        ids=["jobs-0", "jobs-negative-cached", "table2-one-run"],
+    )
+    def test_bad_sweep_size_rejected_before_simulating(
+        self, capsys, argv, message
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        # Nothing printed, nothing simulated, nothing recorded.
+        assert captured.out == ""
+        assert "sweep:" not in captured.err
+        assert not Path(".repro").exists()
+
     def test_fig9(self, capsys):
         code = main(["fig9", "--duration", "4"])
         out = capsys.readouterr().out
@@ -243,7 +282,43 @@ class TestSweepOptions:
 
     def test_engine_default_is_serial_uncached(self):
         args = build_parser().parse_args(["run", "mpeg"])
-        assert sweep_engine(args) is None
+        engine = sweep_engine(args)
+        try:
+            assert engine.jobs == 1
+            assert engine.cache is None
+            assert engine.run_log is None
+        finally:
+            engine.close()
+
+    def test_bare_run_is_a_recorded_sweep(self, capsys):
+        # No sweep flag: the engine still runs the cell (in-process),
+        # prints the summary line and records the sweep in the ledger.
+        from repro.obs.fleet import read_fleet
+
+        assert main(["run", "mpeg", "--duration", "1"]) == 0
+        assert "sweep: 1 simulated, 0 cached" in capsys.readouterr().err
+        [rec] = read_fleet(Path(".repro") / "fleet.jsonl").records
+        assert rec.command == "run"
+        assert rec.jobs == 1
+
+    @pytest.mark.parametrize("policy,code", [("best", 0), ("const-59.0", 1)])
+    def test_unwritable_ledger_warns_and_keeps_exit_code(
+        self, capsys, policy, code
+    ):
+        # A file where the ledger's directory belongs: the append fails,
+        # but the command's results and exit code must stand.
+        Path(".repro").write_text("not a directory\n")
+        argv = ["run", "mpeg", "--policy", policy, "--duration", "1",
+                "--no-daq", "--jobs", "2"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert "deadline misses" in captured.out
+        warnings = [
+            line for line in captured.err.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert len(warnings) == 1
+        assert str(Path(".repro") / "fleet.jsonl") in warnings[0]
 
     def test_run_with_jobs_smoke(self, capsys):
         code = main(
@@ -476,7 +551,7 @@ class TestFleetCommand:
         self.populate(ledger, capsys)
         assert main(
             ["fleet", "--ledger", str(ledger), "--format", "md",
-             "--bench", "."]
+             "--bench", str(REPO_ROOT)]
         ) == 0
         out = capsys.readouterr().out
         assert "## Fleet history" in out
@@ -671,7 +746,7 @@ class TestReportBenchSpecs:
     def test_bench_directory(self, tmp_path, capsys):
         log = self.run_log(tmp_path, capsys)
         assert main(
-            ["report", str(log), "--bench", "."]
+            ["report", str(log), "--bench", str(REPO_ROOT)]
         ) == 0
         out = capsys.readouterr().out
         assert "## Perf history" in out
@@ -680,7 +755,8 @@ class TestReportBenchSpecs:
     def test_bench_glob(self, tmp_path, capsys):
         log = self.run_log(tmp_path, capsys)
         assert main(
-            ["report", str(log), "--bench", "BENCH_obs_*.json"]
+            ["report", str(log), "--bench",
+             str(REPO_ROOT / "BENCH_obs_*.json")]
         ) == 0
         out = capsys.readouterr().out
         assert "obs_overhead" in out
@@ -716,10 +792,6 @@ class TestReportBenchSpecs:
         warm = capsys.readouterr()
         assert warm.out == cold.out
         assert " 0 simulated," in warm.err
-
-    def test_serial_path_has_no_summary(self, capsys):
-        assert main(["run", "mpeg", "--policy", "best", "--duration", "1"]) == 0
-        assert "sweep:" not in capsys.readouterr().err
 
 
 #: Golden snapshot of ``python -m repro report`` over a hand-written
