@@ -1,20 +1,21 @@
 """Hot-loop cost of kernel instrumentation: full vs minimal vs fastpath.
 
-The kernel's event loop publishes every power segment, quantum, and
-transition to its recorders.  Full recording keeps the complete power
-timeline and quantum log (what the plots need); minimal recording keeps
-only the streaming meters (what an energy-only sweep cell needs); the
-fast-path core (:mod:`repro.kernel.fastpath`) flattens the whole loop —
-precomposed power sink, preallocated row buffers, cached step/rail
-state — and materializes either recording mode at run end.  This
+The kernel's event loop records every power segment and buffers every
+quantum and transition as a row.  Full recording keeps the complete
+power timeline and quantum log (what the plots need); minimal recording
+reduces them to energy totals and quantum statistics (what an
+energy-only sweep cell needs); the fast-path core
+(:mod:`repro.kernel.fastpath`) flattens the whole loop — inlined power
+sink, preallocated row buffers, cached step/rail state — and
+materializes either recording mode at run end.  This
 benchmark runs the paper's 60 s MPEG workload under the best policy in
 all modes and checks the promises the kernel split makes:
 
 - the numbers are bitwise identical (the sweep cache shares entries
   across recording modes and cores on that basis),
-- minimal recording never costs more than full (on the reference kernel
-  the saving sits within timer noise — the recorder split pays off on
-  the fast-path core, which skips buffering entirely), and
+- minimal recording never costs more than full (both modes buffer the
+  same rows and differ only in what the run keeps at the end, so the
+  saving sits within timer noise), and
 - the fast-path core beats the full-recorder reference by at least the
   committed speedup bar (2x).
 
@@ -164,11 +165,10 @@ def test_kernel_hotloop(benchmark):
                 == full.run.mean_utilization())
     if not QUICK:
         # On the reference kernel the full-vs-minimal gap sits within a
-        # few percent once the best-of-N floors converge (the recorder
-        # split's real saving shows on the fast-path core, where minimal
-        # recording skips buffering entirely), so this guards against
-        # minimal recording *regressing* past full rather than asserting
-        # a measurable win inside timer noise.
+        # few percent once the best-of-N floors converge (both modes
+        # buffer the same rows; only the run-end record differs), so
+        # this guards against minimal recording *regressing* past full
+        # rather than asserting a measurable win inside timer noise.
         assert best["minimal"] <= best["full"] * 1.03, (
             f"minimal recording must not cost more than full "
             f"({best['minimal']:.3f}s vs {best['full']:.3f}s)"

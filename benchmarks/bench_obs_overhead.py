@@ -1,9 +1,10 @@
 """Cost of the observability layer: tracing + metrics on vs off.
 
-The obs package rides the recorder observer protocol, which only wires a
-hook into the kernel hot loop when a recorder actually overrides it.  That
-design makes two promises this benchmark checks on the paper's 60 s MPEG
-workload under the best policy:
+The obs package rides the recorder observer protocol: a kernel hands
+each attached recorder the run's row buffers once, at run end, so the
+hot loop does not change when observers attach.  That design makes two
+promises this benchmark checks on the paper's 60 s MPEG workload under
+the best policy:
 
 - disabled observability is free: a run with ``extra_recorders`` unset
   must cost within 5 % of the plain pre-obs call form (the acceptance
@@ -11,8 +12,8 @@ workload under the best policy:
 - enabled observability is cheap enough to leave on: with a
   ``TraceRecorder`` and a ``KernelMetricsRecorder`` attached the results
   stay bitwise identical and the run costs within 10 % of the plain
-  call form (the recorders buffer events with bound C-level appends and
-  reduce once at the end).
+  call form (the recorders reduce the kernel's row buffers once at the
+  end).
 
 Timings are best-of-N over interleaved runs so one noisy sample cannot
 flip the comparison (rounds keep adding until the floors stop improving

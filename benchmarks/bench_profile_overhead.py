@@ -3,7 +3,7 @@
 The phase profiler is a pure observer of the sweep pipeline: the engine
 stamps its own stages around work it already does, while every worker
 outcome carries its compute/reduction stamps home whether or not a
-profile is attached (the kernel's bulk-tap replay stamp is one
+profile is attached (the kernel's observer-reduction stamp is one
 ``perf_counter`` pair behind an armed sink), and the engine drops them
 when none is.  Both legs of this benchmark therefore take the
 worker-side stamps; what it measures is the engine-side profiling alone

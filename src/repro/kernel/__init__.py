@@ -19,9 +19,9 @@ This package reproduces that environment in simulation:
   accounting, governor invocation;
 - :mod:`repro.kernel.dvfs` -- voltage/frequency sequencing (request
   clamping, raise-before/drop-after ordering, stall and sag accounting);
-- :mod:`repro.kernel.recorders` -- pluggable run instrumentation (power
-  timeline, quantum log, transition history, sched log, or streaming
-  energy/utilization aggregates for energy-only cells);
+- :mod:`repro.kernel.recorders` -- run instrumentation: the recording
+  modes (the full record, or energy/utilization aggregates for
+  energy-only cells) and the row streams extra observers receive;
 - :mod:`repro.kernel.governor` -- the clock-scaling module interface.
 """
 
@@ -51,18 +51,11 @@ __getattr__, __dir__, __all__ = attach(
         "recorders": (
             "RECORDING_FULL",
             "RECORDING_MINIMAL",
-            "EnergyMeterRecorder",
             "EnergyTotals",
-            "PowerTimelineRecorder",
-            "QuantumLogRecorder",
             "QuantumStats",
-            "QuantumStatsRecorder",
             "RunRecorder",
-            "SchedLogRecorder",
-            "TransitionLogRecorder",
-            "default_recorders",
-            "minimal_recorders",
-            "recorders_for",
+            "RunStreams",
+            "check_recording",
         ),
         "scheduler": ("Kernel", "KernelConfig", "KernelRun"),
     },

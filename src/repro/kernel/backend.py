@@ -2,7 +2,7 @@
 
 The simulation core exists in two implementations with a bitwise-equality
 contract between them: the reference :class:`~repro.kernel.scheduler.Kernel`
-(the oracle — pluggable recorders, straightforward dispatch) and the
+(the oracle — straightforward dispatch and record keeping) and the
 fast-path :class:`~repro.kernel.fastpath.FastKernel` (the same loop
 flattened, ~3× faster).  This module is the seam that selects between
 them — and between any future engine, such as a numpy-vectorized
@@ -11,9 +11,10 @@ it drives:
 
 - :class:`ExecutionBackend` is the protocol: a named factory that builds
   a ready-to-run kernel for a (machine, governor, config, recording,
-  extra_recorders) request.  Observers attach through the same
-  backend-agnostic recorder/tap layer on every backend, so observation
-  never forces a different execution path than the measured one.
+  extra_recorders) request.  Observers receive the same row buffers
+  through the same :meth:`~repro.kernel.recorders.RunRecorder.contribute`
+  hook on every backend, so observation never forces a different
+  execution path than the measured one.
 - :data:`BACKENDS` / :func:`register_backend` is the registry.  The
   ``"reference"`` and ``"fastpath"`` backends are built in; a ``"batch"``
   backend registers here when it lands.
@@ -33,11 +34,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from repro.hw.machine import Machine
 from repro.kernel.governor import Governor
-from repro.kernel.recorders import (
-    RECORDING_FULL,
-    RunRecorder,
-    recorders_for,
-)
+from repro.kernel.recorders import RECORDING_FULL, RunRecorder
 from repro.kernel.scheduler import Kernel, KernelConfig
 
 #: The backend used when a caller passes ``backend=None``.
@@ -52,7 +49,7 @@ class ExecutionBackend:
     """A named kernel factory the measurement layer drives.
 
     Subclasses implement :meth:`build_kernel` to return a ready-to-run
-    kernel honouring the recording mode and any extra recorder taps.
+    kernel honouring the recording mode and any extra recorders.
     The contract every backend must keep: results are **bitwise
     identical** to the reference backend's, with or without observers
     attached (``tests/kernel/test_fastpath.py`` enforces it across every
@@ -78,7 +75,7 @@ class ExecutionBackend:
 
 
 class ReferenceBackend(ExecutionBackend):
-    """The oracle: the reference kernel with live recorder dispatch."""
+    """The oracle: the reference kernel."""
 
     name = "reference"
 
@@ -90,18 +87,11 @@ class ReferenceBackend(ExecutionBackend):
         recording: str = RECORDING_FULL,
         extra_recorders: Optional[Iterable[RunRecorder]] = None,
     ) -> Kernel:
-        recorders = recorders_for(
-            recording, config if config is not None else KernelConfig()
-        )
-        if extra_recorders is not None:
-            recorders.extend(extra_recorders)
-        return Kernel(
-            machine, governor=governor, config=config, recorders=recorders
-        )
+        return Kernel(machine, governor, config, recording, extra_recorders)
 
 
 class FastpathBackend(ExecutionBackend):
-    """The flattened hot loop; observers attach via replay-at-end taps."""
+    """The flattened hot loop."""
 
     name = "fastpath"
 
@@ -117,13 +107,7 @@ class FastpathBackend(ExecutionBackend):
         # choices, a sweep's fleet record) must not load the hot loop.
         from repro.kernel.fastpath import FastKernel
 
-        return FastKernel(
-            machine,
-            governor=governor,
-            config=config,
-            recording=recording,
-            extra_recorders=extra_recorders,
-        )
+        return FastKernel(machine, governor, config, recording, extra_recorders)
 
 
 #: Name → backend registry.  The ``"batch"`` numpy backend plugs in here.

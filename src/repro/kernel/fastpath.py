@@ -2,17 +2,16 @@
 
 :class:`FastKernel` is a drop-in replacement for
 :class:`~repro.kernel.scheduler.Kernel` that produces **bitwise-identical**
-results while eliminating the per-quantum overheads of the pluggable
-recorder machinery:
+results while eliminating the reference loop's per-quantum overheads:
 
-- the recorder sink chain is precomposed into one flat local closure
-  (``emit``) that applies the timeline/energy-meter segment-merge
-  arithmetic directly, so a power segment costs a function call and a few
-  float compares instead of a fan-out over bound methods;
-- per-quantum state is buffered as plain tuples in preallocated lists;
-  :class:`~repro.traces.schema.QuantumRecord` /
-  :class:`~repro.kernel.recorders.QuantumStats` objects are materialized
-  once, at run end, from those buffers;
+- power segments land in one flat local closure (``emit``) that applies
+  the timeline's segment-merge arithmetic directly, so a power segment
+  costs a function call and a few float compares instead of a
+  :class:`~repro.traces.schema.PowerTimeline` method call;
+- per-quantum state is buffered as plain tuples in a preallocated list,
+  and the minimal-recording aggregates are accumulated inline;
+  :class:`~repro.traces.schema.QuantumRecord` objects are materialized
+  only when ``run.quanta`` is first read;
 - process slices run against cached generator/step state (``next(gen)``,
   local memory-timing cycle counts, precomputed active/nap watts) instead
   of attribute lookups through ``Process`` / ``CpuModel`` /
@@ -21,26 +20,21 @@ recorder machinery:
 - idle quanta take a slice-coalescing fast path: one nap segment per
   quantum with no process dispatch, and the pending-segment merge
   coalesces runs of idle (or single-process) quanta into a single
-  timeline segment, exactly as the reference recorders would;
-- extra observers (``extra_recorders``) attach through a replay-at-end
-  tap layer: the hot loop keeps buffering plain tuples, and each tap's
-  overridden hooks are fed the complete per-stream event sequences once
-  the loop finishes, before ``contribute``.  Because the stock observers
-  (:class:`~repro.obs.trace.TraceRecorder`,
-  :class:`~repro.obs.metrics.KernelMetricsRecorder`, every
-  :mod:`~repro.kernel.recorders` recorder) buffer per-stream and reduce
-  at ``contribute``, replay is indistinguishable from live dispatch and
-  observed results stay bitwise identical (see
-  :class:`~repro.kernel.recorders.RunRecorder` for the stream-ordering
-  contract).
+  timeline segment, exactly as the reference timeline would.
+
+Extra observers (``extra_recorders``) receive the same
+:class:`~repro.kernel.recorders.RunStreams` row buffers as on the
+reference kernel, through the shared run epilogue, so observed results
+are bitwise identical on either backend.
 
 Equivalence is maintained operation for operation: every float add,
 multiply, comparison and tolerance below is transcribed from the
-reference kernel (`scheduler.py`), the recorders (`recorders.py`), the
-timeline (`traces/schema.py`) and the work model (`hw/work.py`), in the
-same order and associativity.  The reference kernel remains the oracle;
-``tests/kernel/test_fastpath.py`` drives every catalog policy × workload
-× machine through both cores and asserts bitwise equality.
+reference kernel (`scheduler.py`), the quantum aggregates
+(`recorders.py`), the timeline (`traces/schema.py`) and the work model
+(`hw/work.py`), in the same order and associativity.  The reference
+kernel remains the oracle; ``tests/kernel/test_fastpath.py`` drives
+every catalog policy × workload × machine through both cores and
+asserts bitwise equality.
 
 Rare paths (rail-sag power splits, DVFS stalls) fall back to the
 reference implementations so the tricky sequencing logic is never
@@ -50,12 +44,10 @@ duplicated.
 from __future__ import annotations
 
 import gc
-from time import perf_counter
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
-from repro.hw.machine import Machine
 from repro.hw.power import CoreState
-from repro.kernel.governor import Governor, TickInfo
+from repro.kernel.governor import TickInfo
 from repro.kernel.process import (
     Compute,
     Exit,
@@ -67,73 +59,17 @@ from repro.kernel.process import (
 )
 from repro.kernel.recorders import (
     RECORDING_FULL,
-    RECORDING_MINIMAL,
     EnergyTotals,
     QuantumStats,
-    RunRecorder,
+    quantum_records,
 )
 from repro.kernel.scheduler import (
     _EPS,
     _MAX_ZERO_PROGRESS_ACTIONS,
     Kernel,
-    KernelConfig,
     KernelRun,
 )
-from repro.traces.schema import (
-    FreqChange,
-    PowerTimeline,
-    QuantumRecord,
-    SchedDecision,
-    VoltChange,
-)
-
-
-#: Cached ``(PHASE_REDUCE, record_kernel_phase)`` pair; see :func:`_phase_hook`.
-_PHASE_HOOK: Optional[tuple] = None
-
-
-def _phase_hook() -> tuple:
-    """The phase-profile stamp for the bulk-tap replay, imported lazily.
-
-    The kernel must not import the observability package at module load
-    (``repro.obs`` pulls measurement modules that import the kernel
-    back), so the first tap replay resolves
-    :func:`repro.obs.profile.record_kernel_phase` — a single ``None``
-    check when no profiled sweep cell armed the stamp sink — and caches
-    it for every later run.
-    """
-    global _PHASE_HOOK
-    if _PHASE_HOOK is None:
-        from repro.obs.profile import PHASE_REDUCE, record_kernel_phase
-        _PHASE_HOOK = (PHASE_REDUCE, record_kernel_phase)
-    return _PHASE_HOOK
-
-
-def _stats_from_rows(rows: List[tuple]) -> QuantumStats:
-    """Streaming quantum aggregates from the fast core's row buffer.
-
-    Mirrors :class:`~repro.kernel.recorders.QuantumStatsRecorder`: the
-    utilization sum adds per-quantum values in arrival order (the same
-    left-to-right float summation as the full-log mean), so the result is
-    bitwise equal to what the reference recorder would have produced.
-    """
-    usum = 0.0
-    by_step: dict = {}
-    mhz_by_step: dict = {}
-    for (_t, _b, u, si, m, _v) in rows:
-        usum += u
-        by_step[si] = by_step.get(si, 0) + 1
-        mhz_by_step[si] = m
-    last = rows[-1] if rows else None
-    return QuantumStats(
-        count=len(rows),
-        utilization_sum=usum,
-        quanta_by_step=by_step,
-        mhz_by_step=mhz_by_step,
-        final_step_index=last[3] if last else 0,
-        final_mhz=last[4] if last else 0.0,
-        final_volts=last[5] if last else 0.0,
-    )
+from repro.traces.schema import PowerTimeline, QuantumRecord
 
 
 class FastRun(KernelRun):
@@ -143,49 +79,20 @@ class FastRun(KernelRun):
     (sweep cells, benchmarks) never read ``run.quanta``, so the
     :class:`~repro.traces.schema.QuantumRecord` objects are built lazily
     on first access instead of unconditionally at run end.  Aggregate
-    consumers (``CellResult.from_experiment``, ``mean_utilization``) get
-    a :class:`~repro.kernel.recorders.QuantumStats` derived from the raw
-    rows even under full recording, so summarizing a run never forces
-    the record objects into existence at all.
+    consumers (``CellResult.from_experiment``, ``mean_utilization``) read
+    the :class:`~repro.kernel.recorders.QuantumStats` the core keeps in
+    both recording modes, so summarizing a run never forces the record
+    objects into existence at all.
     """
 
     _rows: Optional[List[tuple]] = None
     _quantum_us: float = 0.0
-    _stats_cache: Optional[QuantumStats] = None
-
-    @property
-    def quantum_stats(self) -> Optional[QuantumStats]:
-        stats = self._stats_cache
-        if stats is None and self._rows is not None:
-            stats = _stats_from_rows(self._rows)
-            self._stats_cache = stats
-        return stats
-
-    @quantum_stats.setter
-    def quantum_stats(self, value: Optional[QuantumStats]) -> None:
-        self._stats_cache = value
-
-    def mean_utilization(self) -> float:
-        if self._rows is not None:
-            return self.quantum_stats.mean_utilization()
-        return super().mean_utilization()
 
     @property
     def quanta(self) -> List[QuantumRecord]:
         rows = self._rows
         if rows is not None:
-            q = self._quantum_us
-            self._quanta = [
-                QuantumRecord(
-                    end_us=t,
-                    busy_us=b,
-                    quantum_us=q,
-                    step_index=si,
-                    mhz=m,
-                    volts=v,
-                )
-                for (t, b, _u, si, m, v) in rows
-            ]
+            self._quanta = quantum_records(rows, self._quantum_us)
             self._rows = None
         return self._quanta
 
@@ -196,79 +103,10 @@ class FastRun(KernelRun):
 
 
 class FastKernel(Kernel):
-    """The fast-path core.  Same contract as :class:`Kernel`, one run only.
+    """The fast-path core.  Same contract as :class:`Kernel`, one run only."""
 
-    Instead of a recorder list it takes a ``recording`` mode name
-    (``"full"`` / ``"minimal"``) and materializes the corresponding
-    :class:`~repro.kernel.scheduler.KernelRun` fields itself at run end.
-    Extra observers (``extra_recorders``) attach as *taps*: the hot loop
-    stays flat, and each tap's overridden hooks are replayed from the
-    buffered event streams once the run finishes (power segments,
-    quantum records, scheduler decisions, frequency/voltage changes),
-    followed by ``contribute`` — the same per-stream sequences the
-    reference kernel dispatches live, so observed results are bitwise
-    identical on either backend.
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        governor: Optional[Governor] = None,
-        config: Optional[KernelConfig] = None,
-        recording: str = RECORDING_FULL,
-        extra_recorders: Optional[Iterable[RunRecorder]] = None,
-    ):
-        if recording not in (RECORDING_FULL, RECORDING_MINIMAL):
-            raise ValueError(
-                f"unknown recording mode {recording!r}; "
-                f"expected {RECORDING_FULL!r} or {RECORDING_MINIMAL!r}"
-            )
-        super().__init__(machine, governor=governor, config=config, recorders=())
-        self.recording = recording
-        self._fp_freq: List[FreqChange] = []
-        self._fp_volt: List[VoltChange] = []
-        self._fp_emit = None
-        self._fp_pw: dict = {}  # (step index, volts, state) -> watts
-        # Observer taps: partition overridden hooks exactly like the
-        # reference kernel's sink lists (class-attribute detection,
-        # instance-fetched dispatch), fed by replay at run end.
-        self._taps: List[RunRecorder] = (
-            list(extra_recorders) if extra_recorders is not None else []
-        )
-        base = RunRecorder
-        self._tap_power = [
-            r.on_power for r in self._taps
-            if type(r).on_power is not base.on_power
-        ]
-        # Taps offering the bulk replay hooks take the whole row buffer
-        # at once; the rest get the per-record stream.  A tap never sees
-        # both forms of the same stream.
-        self._tap_quantum_bulk = [
-            r.replay_quantum_rows for r in self._taps
-            if type(r).replay_quantum_rows is not base.replay_quantum_rows
-        ]
-        self._tap_quantum = [
-            r.on_quantum for r in self._taps
-            if type(r).on_quantum is not base.on_quantum
-            and type(r).replay_quantum_rows is base.replay_quantum_rows
-        ]
-        self._tap_sched_bulk = [
-            r.replay_sched_rows for r in self._taps
-            if type(r).replay_sched_rows is not base.replay_sched_rows
-        ]
-        self._tap_sched = [
-            r.on_sched_decision for r in self._taps
-            if type(r).on_sched_decision is not base.on_sched_decision
-            and type(r).replay_sched_rows is base.replay_sched_rows
-        ]
-        self._tap_freq = [
-            r.on_freq_change for r in self._taps
-            if type(r).on_freq_change is not base.on_freq_change
-        ]
-        self._tap_volt = [
-            r.on_volt_change for r in self._taps
-            if type(r).on_volt_change is not base.on_volt_change
-        ]
+    #: The run's flat power sink; set (with its watt cache) when a run starts.
+    _fp_emit = None
 
     # -- cold-path power recording (rail sag, DVFS stalls) ----------------------------
 
@@ -318,12 +156,6 @@ class FastKernel(Kernel):
             watts = watts + extra_w
         emit(start_us, end_us, watts)
 
-    def emit_freq_change(self, change: FreqChange) -> None:
-        self._fp_freq.append(change)
-
-    def emit_volt_change(self, change: VoltChange) -> None:
-        self._fp_volt.append(change)
-
     # -- main loop --------------------------------------------------------------------
 
     def run(self, duration_us: float) -> KernelRun:
@@ -361,9 +193,9 @@ class FastKernel(Kernel):
         SLEEPING = ProcessState.SLEEPING
         EXITED = ProcessState.EXITED
 
-        # Flat power sink: PowerTimeline.record / EnergyMeterRecorder.on_power
-        # collapsed into one closure over a merged segment list.  Same
-        # zero-length skip and adjacent-equal-power merge tolerances.
+        # Flat power sink: PowerTimeline.record collapsed into one closure
+        # over a merged segment list.  Same zero-length skip and
+        # adjacent-equal-power merge tolerances.
         segs: List[tuple] = []
         segs_append = segs.append
         pend = [False, 0.0, 0.0, 0.0]  # pending, start, end, watts
@@ -387,25 +219,15 @@ class FastKernel(Kernel):
             pend[3] = watts
 
         self._fp_emit = emit
+        self._fp_pw = {}  # (step index, volts, state) -> watts
         record_power = self._record_power  # cold path (sag window active)
 
         # Preallocated quantum buffer: (end, busy, util, step_index, mhz, volts)
         rows: List[tuple] = [None] * n_quanta  # type: ignore[list-item]
         n_rows = n_quanta
         ri = 0
-        # Scheduler decisions are buffered whenever anything will read
-        # them: the configured sched log, or an attached tap overriding
-        # on_sched_decision (the reference kernel likewise dispatches to
-        # sched sinks regardless of the log setting).
-        sched_rows: Optional[List[tuple]] = (
-            []
-            if (
-                config.record_sched_log
-                or self._tap_sched
-                or self._tap_sched_bulk
-            )
-            else None
-        )
+        # Scheduler decisions: buffered only when configured or observed.
+        sched_rows = self._sched_rows
         sched_append = sched_rows.append if sched_rows is not None else None
 
         runq = self._runq
@@ -448,8 +270,8 @@ class FastKernel(Kernel):
         gov_live = governor is not None
         gov_inert_after_none = gov_live and governor.inert_after_none
 
-        # Streaming quantum aggregates (QuantumStatsRecorder arithmetic):
-        # the utilization sum adds in arrival order; per-step counts are
+        # Quantum aggregates (stats_from_rows arithmetic): the
+        # utilization sum adds in arrival order; per-step counts are
         # tracked run-length style since the step only changes at a
         # governor-driven dvfs.apply.
         usum = 0.0
@@ -833,10 +655,10 @@ class FastKernel(Kernel):
             run.timeline = timeline
             run._rows = rows
             run._quantum_us = q
-            run.freq_changes = self._fp_freq
-            run.volt_changes = self._fp_volt
+            run.freq_changes = self._freq_changes
+            run.volt_changes = self._volt_changes
         else:
-            # EnergyMeterRecorder.totals(): same per-segment w*dt summation
+            # PowerTimeline.energy_joules: same per-segment w*dt summation
             energy = 0.0
             for (a, b, w) in segs:
                 energy += w * (b - a) * 1e-6
@@ -845,80 +667,7 @@ class FastKernel(Kernel):
                 start_us=segs[0][0] if segs else 0.0,
                 end_us=segs[-1][1] if segs else 0.0,
             )
-        if config.record_sched_log and sched_rows is not None:
-            run.sched_log = [SchedDecision(*row) for row in sched_rows]
-        if self._taps:
-            phase, stamp = _phase_hook()
-            t0 = perf_counter()
-            self._replay_taps(run, rows, segs, sched_rows)
-            stamp(phase, t0, perf_counter())
-        return run
-
-    def _replay_taps(
-        self,
-        run: FastRun,
-        rows: List[tuple],
-        segs: List[tuple],
-        sched_rows: Optional[List[tuple]],
-    ) -> None:
-        """Feed attached observer taps the buffered event streams.
-
-        Each stream is replayed in event order to the taps that override
-        its hook — the identical per-stream sequences the reference
-        kernel dispatches live (power segments arrive pre-merged, which
-        the merge arithmetic makes indistinguishable from live dispatch
-        for any merging consumer) — then every tap contributes to the
-        finished run, exactly as the reference kernel's recorder loop
-        does after its stock set.  Taps implementing the bulk hooks
-        (:meth:`RunRecorder.replay_quantum_rows` /
-        :meth:`~RunRecorder.replay_sched_rows`) get the raw row buffers
-        instead, skipping record materialization entirely — the bulk
-        contract obliges them to reduce the rows bitwise-identically.
-        """
-        if self._tap_quantum_bulk:
-            q = self.config.quantum_us
-            for bulk in self._tap_quantum_bulk:
-                bulk(rows, q)
-        if self._tap_quantum:
-            q = self.config.quantum_us
-            records = [
-                QuantumRecord(
-                    end_us=t,
-                    busy_us=b,
-                    quantum_us=q,
-                    step_index=si,
-                    mhz=m,
-                    volts=v,
-                )
-                for (t, b, _u, si, m, v) in rows
-            ]
-            for sink in self._tap_quantum:
-                for rec in records:
-                    sink(rec)
-            if self.recording == RECORDING_FULL:
-                # Share the materialized log with the run so a later
-                # run.quanta read does not rebuild it from the rows.
-                run.quanta = records
-        if self._tap_power:
-            for sink in self._tap_power:
-                for (a, b, w) in segs:
-                    sink(a, b, w)
-        if sched_rows is not None:
-            for bulk in self._tap_sched_bulk:
-                bulk(sched_rows)
-            for sink in self._tap_sched:
-                for (t, pid, name, mhz) in sched_rows:
-                    sink(t, pid, name, mhz)
-        if self._tap_freq:
-            for sink in self._tap_freq:
-                for change in self._fp_freq:
-                    sink(change)
-        if self._tap_volt:
-            for sink in self._tap_volt:
-                for change in self._fp_volt:
-                    sink(change)
-        for tap in self._taps:
-            tap.contribute(run)
+        return self._finish_run(run, rows)
 
 
 def _wake_key(p) -> tuple:

@@ -1,138 +1,93 @@
-"""Pluggable run instrumentation for the kernel simulator.
+"""The kernel's observation streams and the recorder protocol over them.
 
-The kernel fans its observations out to a set of :class:`RunRecorder`
-observers instead of recording everything unconditionally.  Each recorder
-subscribes to the hooks it overrides (the kernel skips non-overridden
-hooks entirely, so unused instrumentation costs nothing in the hot loop)
-and deposits its product into the :class:`~repro.kernel.scheduler.KernelRun`
-at the end via :meth:`RunRecorder.contribute`.
+Both kernels buffer what they observe as plain row lists — per-quantum
+utilization accounting, the microsecond scheduler activity log (paper
+§4.3), and the frequency/voltage change records — and build the
+:class:`~repro.kernel.scheduler.KernelRun` for their recording mode at
+run end:
 
-Two stock recorder sets cover the common cases:
+- ``"full"`` keeps the complete record: the power timeline, the quantum
+  log, the transition history, and (when configured) the scheduler log;
+- ``"minimal"`` keeps just enough for an energy-only sweep cell: the
+  run's :class:`EnergyTotals` and :class:`QuantumStats`, **bitwise
+  equal** to what full recording reports.
 
-- :func:`default_recorders` — full instrumentation, equivalent to the
-  original always-on recording: the power timeline, the per-quantum log,
-  the frequency/voltage change history, and (when configured) the
-  scheduler activity log.
-- :func:`minimal_recorders` — just enough for an energy-only sweep cell:
-  a streaming energy meter and streaming quantum statistics.  The meter
-  replicates the timeline's segment-merge arithmetic operation for
-  operation, so the energy it reports is **bitwise equal** to
-  ``timeline.energy_joules()`` under full recording.
+Extra observers subclass :class:`RunRecorder`: each is handed one frozen
+:class:`RunStreams` through :meth:`RunRecorder.contribute` once the run
+is built, so runs without observers pay nothing for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.traces.schema import (
-    FreqChange,
-    PowerTimeline,
-    QuantumRecord,
-    SchedDecision,
-    VoltChange,
-)
+from repro.traces.schema import FreqChange, QuantumRecord, VoltChange
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.kernel.scheduler import KernelConfig, KernelRun
+    from repro.kernel.scheduler import KernelRun
 
 #: Recording-mode names understood by the measurement layer.
 RECORDING_FULL = "full"
 RECORDING_MINIMAL = "minimal"
 
 
-class RunRecorder:
-    """Base observer: every hook is a no-op.
+def check_recording(mode: str) -> str:
+    """Return ``mode`` if it names a recording mode.
 
-    Subclasses override only the hooks they need; the kernel detects
-    overridden hooks by comparing against these base attributes and does
-    not call (or even build arguments for) the rest.  Detection is by
-    *class* attribute, but dispatch fetches the hook from the *instance*,
-    so a recorder may rebind a hook to a bound method (e.g.
-    ``self.on_quantum = self.quanta.append``) in ``__init__`` to shave the
-    Python-level call frame off the hot loop.
+    Raises:
+        ValueError: for unknown mode names.
+    """
+    if mode not in (RECORDING_FULL, RECORDING_MINIMAL):
+        raise ValueError(
+            f"unknown recording mode {mode!r}; "
+            f"expected {RECORDING_FULL!r} or {RECORDING_MINIMAL!r}"
+        )
+    return mode
 
-    **Backend-agnostic stream contract.**  Recorders attach to any
-    execution backend (:mod:`repro.kernel.backend`).  The reference
-    kernel dispatches hooks live; the fast-path core replays each event
-    stream to the taps at run end.  Both deliver every stream (power
-    segments, quanta, scheduler decisions, frequency/voltage changes)
-    in event order *within* the stream, but recorders must not depend
-    on interleaving *across* streams, nor on receiving power segments
-    pre- or post-merge (the merge arithmetic is idempotent, so any
-    consumer applying the timeline's merge tolerances sees identical
-    results either way).  Buffer per stream and reduce in
-    :meth:`contribute` — as every recorder in this module and the obs
-    layer does — and results are bitwise identical on every backend.
+
+@dataclass(frozen=True)
+class RunStreams:
+    """One run's buffered observation streams, each in event order.
+
+    The lists are the kernel's own buffers, shared rather than copied:
+    treat them as read-only.  Power is not a stream; a recorder that
+    wants it reads the finished run's ``timeline`` (full recording).
+
+    Attributes:
+        quantum_us: the (constant) quantum length.
+        quanta: ``(end_us, busy_us, utilization, step_index, mhz, volts)``
+            rows, one per closed quantum.
+        sched: ``(time_us, pid, name, mhz)`` scheduling decisions (pid 0
+            is the idle process), recorded whenever a recorder is
+            attached, whatever ``KernelConfig.record_sched_log`` says.
+        freq_changes / volt_changes: the DVFS transition history.
     """
 
-    def on_power(self, start_us: float, end_us: float, watts: float) -> None:
-        """A power segment: the machine drew ``watts`` over the interval."""
-
-    def on_quantum(self, record: QuantumRecord) -> None:
-        """A scheduling quantum closed."""
-
-    def on_sched_decision(
-        self, time_us: float, pid: int, name: str, mhz: float
-    ) -> None:
-        """The scheduler picked a process (or went idle).
-
-        Passed as scalars — not a :class:`SchedDecision` — so the kernel
-        never constructs a record object per decision when no recorder
-        wants one materialized; log-keeping recorders buffer the tuples
-        and build :class:`SchedDecision` objects only at run end.
-        """
-
-    def on_freq_change(self, change: FreqChange) -> None:
-        """A clock-frequency change was applied."""
-
-    def on_volt_change(self, change: VoltChange) -> None:
-        """A core-voltage change was applied."""
-
-    def replay_quantum_rows(self, rows: List[tuple], quantum_us: float) -> None:
-        """Optional bulk form of :meth:`on_quantum` for replaying backends.
-
-        A backend that buffers quanta as plain rows (the fast-path core's
-        ``(end_us, busy_us, utilization, step_index, mhz, volts)`` tuples)
-        calls this *instead of* per-record :meth:`on_quantum` dispatch
-        when a recorder overrides it, handing over the whole stream at
-        once without materializing a
-        :class:`~repro.traces.schema.QuantumRecord` per quantum.  The
-        rows are shared, not copied: treat them as read-only.  An
-        override must reduce them with arithmetic bitwise-equal to its
-        :meth:`on_quantum` path — the equivalence suite holds recorders
-        to identical output on every backend either way.
-        """
-
-    def replay_sched_rows(self, rows: List[tuple]) -> None:
-        """Optional bulk form of :meth:`on_sched_decision`.
-
-        Same contract as :meth:`replay_quantum_rows`, for the scheduler
-        stream's ``(time_us, pid, name, mhz)`` tuples.
-        """
-
-    def contribute(self, run: "KernelRun") -> None:
-        """Deposit this recorder's product into the finished run."""
+    quantum_us: float
+    quanta: List[tuple]
+    sched: List[tuple]
+    freq_changes: List[FreqChange]
+    volt_changes: List[VoltChange]
 
 
-class PowerTimelineRecorder(RunRecorder):
-    """Records the full continuous power signal (the DAQ's input)."""
+class RunRecorder:
+    """Base observer of a kernel run.
 
-    def __init__(self) -> None:
-        self.timeline = PowerTimeline()
-        # Dispatch straight into the timeline's own record method.
-        self.on_power = self.timeline.record
+    Attach instances as ``extra_recorders`` on any execution backend
+    (:mod:`repro.kernel.backend`).  Both kernels call :meth:`contribute`
+    once per recorder, in attachment order, after the run is built; the
+    streams are identical on every backend, so a recorder's product is
+    bitwise identical on every backend too.
+    """
 
-    def on_power(self, start_us: float, end_us: float, watts: float) -> None:
-        self.timeline.record(start_us, end_us, watts)
-
-    def contribute(self, run: "KernelRun") -> None:
-        run.timeline = self.timeline
+    def contribute(self, run: "KernelRun", streams: RunStreams) -> None:
+        """Reduce ``streams`` and deposit the product into ``run``."""
 
 
 @dataclass(frozen=True)
 class EnergyTotals:
-    """Streaming-integrated energy of a run (minimal-recording mode)."""
+    """Energy of a run without its timeline (minimal-recording mode)."""
 
     energy_j: float
     start_us: float
@@ -146,77 +101,9 @@ class EnergyTotals:
         return self.energy_j / duration_s
 
 
-class EnergyMeterRecorder(RunRecorder):
-    """Integrates energy on the fly without storing the timeline.
-
-    Replicates :meth:`~repro.traces.schema.PowerTimeline.record` exactly —
-    the same zero-length skip, the same adjacent-equal-power merge with
-    the same tolerances, and the same per-segment ``w * dt`` summation
-    order — so the total is bitwise equal to the full timeline's
-    ``energy_joules()``.
-    """
-
-    def __init__(self) -> None:
-        self._pending = False
-        self._pend_start = 0.0
-        self._pend_end = 0.0
-        self._pend_w = 0.0
-        self._energy_j = 0.0
-        self._start_us = 0.0
-
-    def on_power(self, start_us: float, end_us: float, watts: float) -> None:
-        if end_us <= start_us + 1e-9:
-            return
-        if watts < 0:
-            raise ValueError("power cannot be negative")
-        if self._pending:
-            if (
-                abs(self._pend_end - start_us) < 1e-6
-                and abs(self._pend_w - watts) < 1e-12
-            ):
-                self._pend_end = end_us
-                return
-            self._energy_j += (
-                self._pend_w * (self._pend_end - self._pend_start) * 1e-6
-            )
-        else:
-            self._start_us = start_us
-            self._pending = True
-        self._pend_start = start_us
-        self._pend_end = end_us
-        self._pend_w = watts
-
-    def totals(self) -> EnergyTotals:
-        """The integrated energy including any still-pending segment."""
-        energy = self._energy_j
-        end = self._pend_end if self._pending else self._start_us
-        if self._pending:
-            energy += self._pend_w * (self._pend_end - self._pend_start) * 1e-6
-        return EnergyTotals(
-            energy_j=energy, start_us=self._start_us, end_us=end
-        )
-
-    def contribute(self, run: "KernelRun") -> None:
-        run.energy = self.totals()
-
-
-class QuantumLogRecorder(RunRecorder):
-    """Keeps every per-quantum utilization record (Figures 3/4/8)."""
-
-    def __init__(self) -> None:
-        self.quanta: List[QuantumRecord] = []
-        self.on_quantum = self.quanta.append
-
-    def on_quantum(self, record: QuantumRecord) -> None:
-        self.quanta.append(record)
-
-    def contribute(self, run: "KernelRun") -> None:
-        run.quanta = self.quanta
-
-
 @dataclass(frozen=True)
 class QuantumStats:
-    """Streaming per-quantum aggregates (minimal-recording mode)."""
+    """Per-quantum aggregates (minimal-recording mode)."""
 
     count: int
     utilization_sum: float
@@ -233,127 +120,42 @@ class QuantumStats:
         return self.utilization_sum / self.count
 
 
-class QuantumStatsRecorder(RunRecorder):
-    """Accumulates quantum aggregates without keeping the log.
-
-    The utilization sum adds ``record.utilization`` in arrival order —
-    the same left-to-right float summation as
-    :meth:`KernelRun.mean_utilization` over the full log — so the mean is
-    bitwise equal between recording modes.
-    """
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._utilization_sum = 0.0
-        self._by_step: Dict[int, int] = {}
-        self._mhz_by_step: Dict[int, float] = {}
-        self._last: Optional[QuantumRecord] = None
-
-    def on_quantum(self, record: QuantumRecord) -> None:
-        self._count += 1
-        self._utilization_sum += record.utilization
-        self._by_step[record.step_index] = (
-            self._by_step.get(record.step_index, 0) + 1
+def quantum_records(rows: List[tuple], quantum_us: float) -> List[QuantumRecord]:
+    """The quantum log that quantum rows (see :class:`RunStreams`) stand for."""
+    return [
+        QuantumRecord(
+            end_us=t,
+            busy_us=b,
+            quantum_us=quantum_us,
+            step_index=si,
+            mhz=m,
+            volts=v,
         )
-        self._mhz_by_step[record.step_index] = record.mhz
-        self._last = record
-
-    def stats(self) -> QuantumStats:
-        """The aggregates accumulated so far."""
-        last = self._last
-        return QuantumStats(
-            count=self._count,
-            utilization_sum=self._utilization_sum,
-            quanta_by_step=dict(self._by_step),
-            mhz_by_step=dict(self._mhz_by_step),
-            final_step_index=last.step_index if last else 0,
-            final_mhz=last.mhz if last else 0.0,
-            final_volts=last.volts if last else 0.0,
-        )
-
-    def contribute(self, run: "KernelRun") -> None:
-        run.quantum_stats = self.stats()
-
-
-class TransitionLogRecorder(RunRecorder):
-    """Keeps the clock-frequency and core-voltage change history."""
-
-    def __init__(self) -> None:
-        self.freq_changes: List[FreqChange] = []
-        self.volt_changes: List[VoltChange] = []
-        self.on_freq_change = self.freq_changes.append
-        self.on_volt_change = self.volt_changes.append
-
-    def on_freq_change(self, change: FreqChange) -> None:
-        self.freq_changes.append(change)
-
-    def on_volt_change(self, change: VoltChange) -> None:
-        self.volt_changes.append(change)
-
-    def contribute(self, run: "KernelRun") -> None:
-        run.freq_changes = self.freq_changes
-        run.volt_changes = self.volt_changes
-
-
-class SchedLogRecorder(RunRecorder):
-    """Keeps the microsecond scheduler activity log (paper §4.3).
-
-    Decisions arrive as scalar rows (twice per quantum in the hot loop);
-    they are buffered as tuples and materialized into
-    :class:`~repro.traces.schema.SchedDecision` objects once, at run end.
-    """
-
-    def __init__(self) -> None:
-        self._rows: List[tuple] = []
-
-    def on_sched_decision(
-        self, time_us: float, pid: int, name: str, mhz: float
-    ) -> None:
-        self._rows.append((time_us, pid, name, mhz))
-
-    @property
-    def decisions(self) -> List[SchedDecision]:
-        """The buffered log as :class:`SchedDecision` objects."""
-        return [SchedDecision(*row) for row in self._rows]
-
-    def contribute(self, run: "KernelRun") -> None:
-        run.sched_log = self.decisions
-
-
-def default_recorders(config: "KernelConfig") -> List[RunRecorder]:
-    """The full instrumentation set (the original always-on recording)."""
-    recorders: List[RunRecorder] = [
-        PowerTimelineRecorder(),
-        QuantumLogRecorder(),
-        TransitionLogRecorder(),
+        for (t, b, _u, si, m, v) in rows
     ]
-    if config.record_sched_log:
-        recorders.append(SchedLogRecorder())
-    return recorders
 
 
-def minimal_recorders(config: "KernelConfig") -> List[RunRecorder]:
-    """Just enough instrumentation for an energy-only sweep cell."""
-    recorders: List[RunRecorder] = [
-        EnergyMeterRecorder(),
-        QuantumStatsRecorder(),
-    ]
-    if config.record_sched_log:
-        recorders.append(SchedLogRecorder())
-    return recorders
+def stats_from_rows(rows: List[tuple]) -> QuantumStats:
+    """Aggregate quantum rows (see :class:`RunStreams`).
 
-
-def recorders_for(mode: str, config: "KernelConfig") -> List[RunRecorder]:
-    """Build a recorder set by mode name (``"full"`` / ``"minimal"``).
-
-    Raises:
-        ValueError: for unknown mode names.
+    The utilization sum adds per-quantum values left to right, the same
+    order as :meth:`~repro.kernel.scheduler.KernelRun.mean_utilization`
+    over the full log, so the mean is bitwise equal between modes.
     """
-    if mode == RECORDING_FULL:
-        return default_recorders(config)
-    if mode == RECORDING_MINIMAL:
-        return minimal_recorders(config)
-    raise ValueError(
-        f"unknown recording mode {mode!r}; "
-        f"expected {RECORDING_FULL!r} or {RECORDING_MINIMAL!r}"
+    usum = 0.0
+    by_step: Dict[int, int] = {}
+    mhz_by_step: Dict[int, float] = {}
+    for (_t, _b, u, si, m, _v) in rows:
+        usum += u
+        by_step[si] = by_step.get(si, 0) + 1
+        mhz_by_step[si] = m
+    last = rows[-1] if rows else None
+    return QuantumStats(
+        count=len(rows),
+        utilization_sum=usum,
+        quanta_by_step=by_step,
+        mhz_by_step=mhz_by_step,
+        final_step_index=last[3] if last else 0,
+        final_mhz=last[4] if last else 0.0,
+        final_volts=last[5] if last else 0.0,
     )

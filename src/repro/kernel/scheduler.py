@@ -23,15 +23,17 @@ process-slice inside each quantum, then tick bookkeeping runs.  All times
 are float microseconds; quanta are exact multiples of ``quantum_us``.
 
 The class is a lean scheduling core: voltage/frequency sequencing lives in
-:class:`~repro.kernel.dvfs.DvfsEngine` and all instrumentation in the
-pluggable :mod:`~repro.kernel.recorders` observers, so callers that only
-need energy totals can run with a minimal recorder set.
+:class:`~repro.kernel.dvfs.DvfsEngine`, and instrumentation is a set of
+row buffers (:mod:`~repro.kernel.recorders`) reduced once at run end into
+the full or the minimal (energy-only) record, then handed to any attached
+observers.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional
 
 from repro.hw.machine import Machine
@@ -50,10 +52,14 @@ from repro.kernel.process import (
     Yield,
 )
 from repro.kernel.recorders import (
+    RECORDING_FULL,
     EnergyTotals,
     QuantumStats,
     RunRecorder,
-    default_recorders,
+    RunStreams,
+    check_recording,
+    quantum_records,
+    stats_from_rows,
 )
 from repro.traces.schema import (
     AppEvent,
@@ -71,6 +77,26 @@ _EPS = 1e-6
 
 #: Safety bound on zero-duration process actions at a single instant.
 _MAX_ZERO_PROGRESS_ACTIONS = 10_000
+
+#: Cached ``(PHASE_REDUCE, record_kernel_phase)`` pair; see :func:`_phase_hook`.
+_PHASE_HOOK: Optional[tuple] = None
+
+
+def _phase_hook() -> tuple:
+    """The phase-profile stamp for observer reduction, imported lazily.
+
+    The kernel must not import the observability package at module load
+    (``repro.obs`` pulls measurement modules that import the kernel
+    back), so the first run with observers resolves
+    :func:`repro.obs.profile.record_kernel_phase` — a single ``None``
+    check when no profiled sweep cell armed the stamp sink — and caches
+    it for every later run.
+    """
+    global _PHASE_HOOK
+    if _PHASE_HOOK is None:
+        from repro.obs.profile import PHASE_REDUCE, record_kernel_phase
+        _PHASE_HOOK = (PHASE_REDUCE, record_kernel_phase)
+    return _PHASE_HOOK
 
 
 @dataclass(frozen=True)
@@ -102,12 +128,13 @@ class KernelConfig:
 class KernelRun:
     """Everything recorded during one simulated run.
 
-    Which fields are populated depends on the recorder set the kernel ran
-    with: under the default (full) recorders ``quanta``, ``timeline``,
-    ``freq_changes``/``volt_changes`` and (if configured) ``sched_log``
-    hold the complete record; under minimal recorders those stay empty and
-    the streaming aggregates ``energy`` / ``quantum_stats`` are set
-    instead.  Derived views fall back to the aggregates transparently.
+    Which fields are populated depends on the recording mode the kernel
+    ran with: under full recording ``quanta``, ``timeline`` and
+    ``freq_changes``/``volt_changes`` hold the complete record; under
+    minimal recording those stay empty and the aggregates ``energy`` /
+    ``quantum_stats`` are set instead.  ``sched_log`` is kept in either
+    mode when configured.  Derived views fall back to the aggregates
+    transparently.
     """
 
     duration_us: float
@@ -159,12 +186,20 @@ class KernelRun:
         return [q.mhz for q in self.quanta]
 
     def mean_utilization(self) -> float:
-        """Average utilization over the run."""
-        if self.quanta:
-            return sum(q.utilization for q in self.quanta) / len(self.quanta)
+        """Average utilization over the run.
+
+        Summed left to right, as the aggregates are: builtin ``sum()``
+        compensates float rounding from CPython 3.12 on, which would make
+        the two disagree in the last bits.
+        """
         if self.quantum_stats is not None:
             return self.quantum_stats.mean_utilization()
-        return 0.0
+        if not self.quanta:
+            return 0.0
+        total = 0.0
+        for q in self.quanta:
+            total += q.utilization
+        return total / len(self.quanta)
 
     def energy_joules(self) -> float:
         """Exact energy of the run (the DAQ estimator lives in measure/)."""
@@ -204,7 +239,12 @@ class KernelRun:
 
 
 class Kernel:
-    """One simulated boot of the machine's kernel.  Use once: spawn, run."""
+    """One simulated boot of the machine's kernel.  Use once: spawn, run.
+
+    ``recording`` picks the record the run keeps (``"full"`` or
+    ``"minimal"``, see :mod:`~repro.kernel.recorders`);
+    ``extra_recorders`` are observers handed the run's streams at the end.
+    """
 
     IDLE_PID = 0
 
@@ -213,15 +253,15 @@ class Kernel:
         machine: Machine,
         governor: Optional[Governor] = None,
         config: Optional[KernelConfig] = None,
-        recorders: Optional[Iterable[RunRecorder]] = None,
+        recording: str = RECORDING_FULL,
+        extra_recorders: Optional[Iterable[RunRecorder]] = None,
     ):
         self.machine = machine
         self.governor = governor
         self.config = config if config is not None else KernelConfig()
-        self._recorders: List[RunRecorder] = (
-            default_recorders(self.config)
-            if recorders is None
-            else list(recorders)
+        self.recording = check_recording(recording)
+        self._extra: List[RunRecorder] = (
+            list(extra_recorders) if extra_recorders is not None else []
         )
         self.dvfs = DvfsEngine(machine)
         self._procs: Dict[int, Process] = {}
@@ -239,34 +279,15 @@ class Kernel:
         self._quantum_step = machine.step
         self._quantum_volts = machine.volts
 
-        # Per-hook sink lists: only hooks a recorder actually overrides
-        # are dispatched, so unused instrumentation costs nothing.
-        base = RunRecorder
-        self._power_sinks = [
-            r.on_power
-            for r in self._recorders
-            if type(r).on_power is not base.on_power
-        ]
-        self._quantum_sinks = [
-            r.on_quantum
-            for r in self._recorders
-            if type(r).on_quantum is not base.on_quantum
-        ]
-        self._sched_sinks = [
-            r.on_sched_decision
-            for r in self._recorders
-            if type(r).on_sched_decision is not base.on_sched_decision
-        ]
-        self._freq_sinks = [
-            r.on_freq_change
-            for r in self._recorders
-            if type(r).on_freq_change is not base.on_freq_change
-        ]
-        self._volt_sinks = [
-            r.on_volt_change
-            for r in self._recorders
-            if type(r).on_volt_change is not base.on_volt_change
-        ]
+        # Observation buffers (see RunStreams for the row layouts).  The
+        # scheduler log is kept only when configured or observed.
+        self._timeline = PowerTimeline()
+        self._quantum_rows: List[tuple] = []
+        self._sched_rows: Optional[List[tuple]] = (
+            [] if self.config.record_sched_log or self._extra else None
+        )
+        self._freq_changes: List[FreqChange] = []
+        self._volt_changes: List[VoltChange] = []
 
     # -- setup ----------------------------------------------------------------------
 
@@ -305,14 +326,12 @@ class Kernel:
         self._now += duration_us
 
     def emit_freq_change(self, change: FreqChange) -> None:
-        """Fan a frequency-change record out to the recorders."""
-        for sink in self._freq_sinks:
-            sink(change)
+        """Log a frequency-change record."""
+        self._freq_changes.append(change)
 
     def emit_volt_change(self, change: VoltChange) -> None:
-        """Fan a voltage-change record out to the recorders."""
-        for sink in self._volt_sinks:
-            sink(change)
+        """Log a voltage-change record."""
+        self._volt_changes.append(change)
 
     # -- shared run lifecycle (both execution backends) -------------------------------
 
@@ -342,7 +361,8 @@ class Kernel:
         """Build the run record's backend-independent skeleton: the event
         stream, per-pid busy accounting, process names, and the DVFS
         engine's transition counters.  Backends fill in their recording
-        products (timeline, quanta, logs or streaming aggregates) after.
+        products (timeline, quanta, logs or aggregates), then pass the run
+        to :meth:`_finish_run`.
         """
         counters = self.machine.cpu.counters
         return run_cls(
@@ -355,6 +375,27 @@ class Kernel:
             voltage_changes=counters.voltage_changes,
             voltage_settle_us=counters.voltage_settle_us,
         )
+
+    def _finish_run(self, run: KernelRun, quantum_rows: List[tuple]) -> KernelRun:
+        """Attach the configured scheduler log, then hand every extra
+        recorder the run's streams (both backends end their runs here)."""
+        sched_rows = self._sched_rows
+        if self.config.record_sched_log:
+            run.sched_log = [SchedDecision(*row) for row in sched_rows]
+        if self._extra:
+            streams = RunStreams(
+                quantum_us=self.config.quantum_us,
+                quanta=quantum_rows,
+                sched=sched_rows,
+                freq_changes=self._freq_changes,
+                volt_changes=self._volt_changes,
+            )
+            phase, stamp = _phase_hook()
+            t0 = perf_counter()
+            for recorder in self._extra:
+                recorder.contribute(run, streams)
+            stamp(phase, t0, perf_counter())
+        return run
 
     # -- main loop --------------------------------------------------------------------
 
@@ -370,6 +411,7 @@ class Kernel:
         _n_quanta, end_us = self._begin_run(duration_us)
         q = self.config.quantum_us
 
+        sched = self._sched_rows
         next_tick = q
         stuck = 0
         last_now = -1.0
@@ -386,16 +428,16 @@ class Kernel:
             proc = self._pick_next()
             if proc is None:
                 # idle: pid 0 naps until the next clock interrupt.
-                if self._sched_sinks:
-                    self._emit_sched_decision(
-                        self._now, self.IDLE_PID, "idle", self.machine.step.mhz
+                if sched is not None:
+                    sched.append(
+                        (self._now, self.IDLE_PID, "idle", self.machine.step.mhz)
                     )
                 self._record_power(CoreState.NAP, self._now, next_tick)
                 self._now = next_tick
             else:
-                if self._sched_sinks:
-                    self._emit_sched_decision(
-                        self._now, proc.pid, proc.name, self.machine.step.mhz
+                if sched is not None:
+                    sched.append(
+                        (self._now, proc.pid, proc.name, self.machine.step.mhz)
                     )
                 self._run_process(proc, next_tick)
             if self._now >= next_tick - _EPS:
@@ -403,9 +445,21 @@ class Kernel:
                 next_tick += q
 
         run = self._materialize_run(KernelRun, end_us)
-        for recorder in self._recorders:
-            recorder.contribute(run)
-        return run
+        rows = self._quantum_rows
+        timeline = self._timeline
+        if self.recording == RECORDING_FULL:
+            run.timeline = timeline
+            run.quanta = quantum_records(rows, q)
+            run.freq_changes = self._freq_changes
+            run.volt_changes = self._volt_changes
+        else:
+            run.energy = EnergyTotals(
+                energy_j=timeline.energy_joules(),
+                start_us=timeline.start_us,
+                end_us=timeline.end_us,
+            )
+            run.quantum_stats = stats_from_rows(rows)
+        return self._finish_run(run, rows)
 
     # -- scheduling ---------------------------------------------------------------------
 
@@ -416,14 +470,6 @@ class Kernel:
             if proc.state is ProcessState.RUNNABLE:
                 return proc
         return None
-
-    def _emit_sched_decision(
-        self, time_us: float, pid: int, name: str, mhz: float
-    ) -> None:
-        # Scalars, not a SchedDecision: the hot loop emits two of these per
-        # quantum, and no recorder needs the object form until run end.
-        for sink in self._sched_sinks:
-            sink(time_us, pid, name, mhz)
 
     def _run_process(self, proc: Process, limit_us: float) -> None:
         """Run ``proc`` until it blocks/exits/yields or the quantum ends."""
@@ -553,8 +599,11 @@ class Kernel:
             mhz=self._quantum_step.mhz,
             volts=self._quantum_volts,
         )
-        for sink in self._quantum_sinks:
-            sink(record)
+        utilization = record.utilization
+        self._quantum_rows.append((
+            tick_us, record.busy_us, utilization,
+            record.step_index, record.mhz, record.volts,
+        ))
         self._busy_us = 0.0
         if final:
             return
@@ -580,7 +629,7 @@ class Kernel:
         if self.governor is not None:
             info = TickInfo(
                 now_us=tick_us,
-                utilization=record.utilization,
+                utilization=utilization,
                 busy_us=record.busy_us,
                 quantum_us=record.quantum_us,
                 step_index=record.step_index,
@@ -604,14 +653,14 @@ class Kernel:
         end_us: float,
         extra_w: float = 0.0,
     ) -> None:
-        """Fan machine power over [start, end] to the recorders, honouring
-        the DVFS engine's rail-sag window.  ``extra_w`` adds a flat power
-        term on top of the model (reconfiguration cost during stalls)."""
+        """Record machine power over [start, end] on the run's timeline,
+        honouring the DVFS engine's rail-sag window.  ``extra_w`` adds a
+        flat power term on top of the model (reconfiguration cost during
+        stalls)."""
         if end_us <= start_us + _EPS:
             return
-        if not self._power_sinks:
-            return
         machine = self.machine
+        record = self._timeline.record
         if start_us < self.dvfs.sag_until_us - _EPS:
             split = min(end_us, self.dvfs.sag_until_us)
             watts = machine.power.total_w(
@@ -619,13 +668,11 @@ class Kernel:
             )
             if extra_w:
                 watts = watts + extra_w
-            for sink in self._power_sinks:
-                sink(start_us, split, watts)
+            record(start_us, split, watts)
             if end_us <= split + _EPS:
                 return
             start_us = split
         watts = machine.power_w(state)
         if extra_w:
             watts = watts + extra_w
-        for sink in self._power_sinks:
-            sink(start_us, end_us, watts)
+        record(start_us, end_us, watts)

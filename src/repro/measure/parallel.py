@@ -610,8 +610,9 @@ class CellOutcome:
         phases: the cell's phase stamps for the
             :class:`~repro.obs.profile.PhaseProfile` — the worker's
             start-up stamp on its first cell, kernel compute, any
-            kernel-side observer-reduction stamps (the fast path stamps
-            its bulk-tap replay), diagnosis, and the summary reduction.
+            kernel-side observer-reduction stamps (the kernel stamps its
+            recorders' ``contribute`` calls), diagnosis, and the summary
+            reduction.
         metrics: the worker-local kernel metrics snapshot, or None when
             the engine collects no metrics.
         diagnosis: the cell's

@@ -23,7 +23,7 @@ from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.machine import Machine
 from repro.kernel.backend import ExecutionBackend, resolve_backend
 from repro.kernel.governor import Governor
-from repro.kernel.recorders import RECORDING_FULL, RunRecorder
+from repro.kernel.recorders import RECORDING_FULL, RunRecorder, check_recording
 from repro.kernel.scheduler import KernelConfig, KernelRun
 from repro.measure.daq import DaqCapture, DaqSystem
 from repro.traces.schema import AppEvent
@@ -102,10 +102,10 @@ def run_workload(
         recording: kernel instrumentation level, ``"full"`` or
             ``"minimal"`` (energy totals and quantum statistics only;
             bitwise-equal energies, but no timeline for the DAQ).
-        extra_recorders: additional observers (e.g. a
+        extra_recorders: observers (e.g. a
             :class:`~repro.obs.trace.TraceRecorder` or
-            :class:`~repro.obs.metrics.KernelMetricsRecorder`) appended
-            to the mode's recorder set on whichever backend runs.  Pure
+            :class:`~repro.obs.metrics.KernelMetricsRecorder`) handed the
+            run's streams at its end on whichever backend runs.  Pure
             observation: results are bitwise-identical with or without
             them, on either backend.
         backend: the execution backend — a registered name
@@ -115,6 +115,7 @@ def run_workload(
             ``REPRO_FORCE_BACKEND`` environment variable).  Results are
             bitwise identical across backends.
     """
+    check_recording(recording)
     if use_daq and recording != RECORDING_FULL:
         raise ValueError(
             "the DAQ samples the power timeline; minimal recording "

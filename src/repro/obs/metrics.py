@@ -17,18 +17,17 @@ is the smallest registry that covers the repository's needs:
 Snapshots are plain frozen dataclasses of dicts and floats: they pickle
 cleanly (for pool transport) and serialize to JSON (for run-logs).
 Nothing here touches simulation state — attaching or merging metrics can
-never change a result, and the kernel hot loop only pays for metrics when
-a :class:`KernelMetricsRecorder` is explicitly attached (the kernel wires
-up only overridden recorder hooks).
+never change a result, and a kernel run only pays for metrics when a
+:class:`KernelMetricsRecorder` is explicitly attached (it reduces the
+run's row buffers once, at run end).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.kernel.recorders import RunRecorder
-from repro.traces.schema import FreqChange, QuantumRecord, VoltChange
+from repro.kernel.recorders import RunRecorder, RunStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.scheduler import KernelRun
@@ -224,25 +223,22 @@ def merge_snapshots(*snaps: Optional[MetricsSnapshot]) -> MetricsSnapshot:
 
 
 class KernelMetricsRecorder(RunRecorder):
-    """Hot-loop counters as a pluggable kernel recorder.
+    """Kernel counters as a pluggable kernel recorder.
 
     Counts the quantities the paper's instrumented kernel kept per run:
     quanta simulated, busy and idle microseconds, clock and voltage
-    transitions with their stall/sag costs, and (at run end) raw deadline
-    misses.  Attached like any other recorder, so runs without it pay
-    nothing, and runs with it are bitwise-identical to runs without —
-    recorders only observe.
+    transitions with their stall/sag costs, and raw deadline misses.
+    Attached like any other recorder, so runs without it pay nothing,
+    and runs with it are bitwise-identical to runs without — recorders
+    only observe.
 
     Metric names are prefixed ``kernel.`` by default; pass ``prefix`` to
     distinguish several instrumented kernels sharing one registry.
 
-    The hot-loop hooks are bound C-level ``list.append``\\ s: observations
-    are buffered and reduced to instrument updates once, in
-    :meth:`contribute`.  The reduction walks the buffers in arrival order
-    with the same arithmetic per event, so the flushed totals are bitwise
-    equal to per-event instrument updates, at a fraction of the hot-loop
-    cost.  The instruments themselves are created eagerly at
-    construction, so a snapshot taken before (or without) a run still
+    :meth:`contribute` reduces the run's streams once, walking each in
+    arrival order, so the totals are bitwise equal to per-event
+    instrument updates.  The instruments themselves are created eagerly
+    at construction, so a snapshot taken before (or without) a run still
     shows every metric name at zero.
     """
 
@@ -259,115 +255,46 @@ class KernelMetricsRecorder(RunRecorder):
         self._settle_us = registry.counter(f"{p}voltage_settle_us")
         self._misses = registry.counter(f"{p}deadline_misses")
         self._final_mhz = registry.gauge(f"{p}final_mhz")
-        # Hot-loop buffers, reduced in contribute().
-        self._quantum_rows: list = []
-        self._bulk_quanta: Optional[Tuple[list, float]] = None
-        self._freq_rows: list = []
-        self._volt_rows: list = []
-        self.on_quantum = self._quantum_rows.append
-        self.on_freq_change = self._freq_rows.append
-        self.on_volt_change = self._volt_rows.append
 
-    def on_quantum(self, record: QuantumRecord) -> None:
-        self._quantum_rows.append(record)
-
-    def on_freq_change(self, change: FreqChange) -> None:
-        self._freq_rows.append(change)
-
-    def on_volt_change(self, change: VoltChange) -> None:
-        self._volt_rows.append(change)
-
-    def replay_quantum_rows(self, rows: list, quantum_us: float) -> None:
-        # Bulk form: keep the shared row buffer and reduce it directly in
-        # contribute() -- no QuantumRecord per quantum.
-        self._bulk_quanta = (rows, quantum_us)
-
-    def contribute(self, run: "KernelRun") -> None:
-        # Reduce whichever form the backend delivered: per-record
-        # captures, or a bulk row buffer with the constant quantum
-        # length.  Both walks visit (busy, quantum) pairs in arrival
-        # order with the same arithmetic, so the totals are bitwise
-        # equal either way.
-        # The two branches below duplicate the reduction body on purpose:
-        # a shared (busy, quantum) pair list or generator costs more than
-        # the reduction itself at 100k+ quanta.  Keep the arithmetic in
-        # both branches identical token-for-token — the equivalence suite
-        # compares their snapshots bitwise.
+    def contribute(self, run: "KernelRun", streams: RunStreams) -> None:
+        rows = streams.quanta
+        quantum = streams.quantum_us
         busy_sum = idle_sum = 0.0
         u_sum = 0.0
         u_min = float("inf")
         u_max = float("-inf")
-        if self._bulk_quanta is not None:
-            rows, quantum = self._bulk_quanta
-            n = len(rows)
-            quantum_positive = quantum > 0
-            for row in rows:
-                busy = row[1]
-                busy_sum += busy
-                idle = quantum - busy
-                idle_sum += idle if idle > 0.0 else 0.0
-                # Inlined QuantumRecord.utilization (same ops,
-                # bitwise-equal).
-                u = busy / quantum if quantum_positive else 0.0
-                if u < 0.0:
-                    u = 0.0
-                elif u > 1.0:
-                    u = 1.0
-                u_sum += u
-                if u < u_min:
-                    u_min = u
-                if u > u_max:
-                    u_max = u
-        else:
-            n = len(self._quantum_rows)
-            for record in self._quantum_rows:
-                busy = record.busy_us
-                quantum = record.quantum_us
-                busy_sum += busy
-                idle = quantum - busy
-                idle_sum += idle if idle > 0.0 else 0.0
-                # Inlined QuantumRecord.utilization (same ops,
-                # bitwise-equal).
-                u = busy / quantum if quantum > 0 else 0.0
-                if u < 0.0:
-                    u = 0.0
-                elif u > 1.0:
-                    u = 1.0
-                u_sum += u
-                if u < u_min:
-                    u_min = u
-                if u > u_max:
-                    u_max = u
-        self._quanta.inc(n)
+        for (_t, busy, u, _si, _m, _v) in rows:
+            busy_sum += busy
+            idle = quantum - busy
+            idle_sum += idle if idle > 0.0 else 0.0
+            u_sum += u
+            if u < u_min:
+                u_min = u
+            if u > u_max:
+                u_max = u
+        self._quanta.inc(len(rows))
         self._busy_us.inc(busy_sum)
         self._idle_us.inc(idle_sum)
         hist = self._utilization
-        hist.count += n
+        hist.count += len(rows)
         hist.sum += u_sum
         if u_min < hist.min:
             hist.min = u_min
         if u_max > hist.max:
             hist.max = u_max
         stall_sum = 0.0
-        for change in self._freq_rows:
+        for change in streams.freq_changes:
             stall_sum += change.stall_us
-        self._freq_changes.inc(len(self._freq_rows))
+        self._freq_changes.inc(len(streams.freq_changes))
         self._stall_us.inc(stall_sum)
         settle_sum = 0.0
-        for change in self._volt_rows:
+        for change in streams.volt_changes:
             settle_sum += change.settle_us
-        self._volt_changes.inc(len(self._volt_rows))
+        self._volt_changes.inc(len(streams.volt_changes))
         self._settle_us.inc(settle_sum)
         # Raw misses (zero tolerance): the recorder cannot know workload
         # perceptibility thresholds; tolerance-aware counts stay with the
         # measurement layer.
         self._misses.inc(sum(1 for e in run.events if e.lateness_us > 0.0))
-        # Prefer the run's quantum statistics for the final clock: a
-        # replaying backend keeps them alongside lazily-materialized
-        # quanta, and reading `run.quanta` first would force that
-        # materialization just for one float (same value either way).
-        stats = run.quantum_stats
-        if stats is not None and stats.count:
-            self._final_mhz.set(stats.final_mhz)
-        elif run.quanta:
-            self._final_mhz.set(run.quanta[-1].mhz)
+        if rows:
+            self._final_mhz.set(rows[-1][4])

@@ -2,7 +2,7 @@
 
 The fleet ledger records *that* a sweep took 12 s; this module records
 *where* — pool spin-up, worker start, chunk submission, kernel compute,
-bulk-tap observer reduction, result IPC, cache I/O, diagnosis — the
+observer reduction, result IPC, cache I/O, diagnosis — the
 attribution discipline the paper applies to joules, applied to the sweep
 pipeline itself.  A :class:`PhaseProfile` is a pure observer: it collects
 ``(phase, t_start, t_end)`` intervals on the shared ``perf_counter``
@@ -14,10 +14,10 @@ sources:
   get/put, result IPC), and
 - **worker-side stamps** every executed cell returns with its result
   (the engine keeps them only when a profile is attached):
-  the kernel-compute interval, the bulk-tap observer-reduction interval
-  (stamped by the fast kernel around ``_replay_taps`` via the
-  process-global sink below), the diagnosis interval, and, once per pool
-  worker, the worker's start-up.
+  the kernel-compute interval, the observer-reduction interval
+  (stamped by the kernel around its recorders' ``contribute`` calls via
+  the process-global sink below), the diagnosis interval, and, once per
+  pool worker, the worker's start-up.
 
 Accounting is *exclusive*: an interval nested inside another (observer
 reduction runs inside the compute interval) is charged to the inner
@@ -26,8 +26,8 @@ double counting.  :meth:`PhaseProfile.coverage` reports the fraction of
 sweep wall time the union of intervals explains — the acceptance bar is
 >= 95 % on a serial sweep.
 
-This module is deliberately stdlib-only: the kernel fast path calls
-:func:`record_kernel_phase` from its hot-loop epilogue, so importing it
+This module is deliberately stdlib-only: the kernel calls
+:func:`record_kernel_phase` from its run epilogue, so importing it
 must never pull the observability stack (and its kernel imports) back
 in a cycle.  When no sink is armed the call is one ``None`` check.
 """
@@ -86,8 +86,9 @@ def drain_worker_stamps() -> Tuple[Interval, ...]:
 def record_kernel_phase(phase: str, t_start: float, t_end: float) -> None:
     """Stamp one kernel-side interval, if a sweep cell armed the sink.
 
-    Called by the execution backends (the fast kernel stamps its bulk-tap
-    replay as :data:`PHASE_REDUCE`); one ``None`` check outside sweeps.
+    Called by the execution backends (a kernel stamps its recorders'
+    ``contribute`` calls as :data:`PHASE_REDUCE`); one ``None`` check
+    outside sweeps.
     """
     sink = _SINK
     if sink is not None:

@@ -4,11 +4,10 @@ The paper's key evidence is time-domain: the DAQ's 5 kHz power samples and
 the kernel's scheduler activity log, lined up on one time axis, are what
 make AVG_N's oscillation (Fig. 7) and PAST's fast settling visible.
 :class:`TraceRecorder` reproduces that instrument inside the simulator —
-it subscribes to every kernel observer hook (power segments, quanta,
-scheduler decisions, frequency/voltage changes) and keeps them as an
-ordered event buffer — and :meth:`TraceRecorder.chrome_trace` exports the
-buffer as Chrome trace-event JSON, so any run opens in Perfetto or
-``chrome://tracing`` with:
+it keeps the run's observation streams (quanta, scheduler decisions,
+frequency/voltage changes) and its power timeline — and
+:meth:`TraceRecorder.chrome_trace` exports them as Chrome trace-event
+JSON, so any run opens in Perfetto or ``chrome://tracing`` with:
 
 - counter tracks for clock frequency, core voltage, and power;
 - one slice track per process showing exactly when it ran;
@@ -17,7 +16,7 @@ buffer as Chrome trace-event JSON, so any run opens in Perfetto or
 
 Like every recorder, the tracer is a pure observer: attaching it cannot
 change a run's numbers (the determinism tests pin this bitwise), and runs
-without it pay nothing because the kernel only wires up overridden hooks.
+without it pay nothing.
 
 The exporter emits the subset of the Trace Event Format that Perfetto
 renders: metadata (``M``), complete (``X``), counter (``C``) and instant
@@ -32,7 +31,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-from repro.kernel.recorders import RunRecorder
+from repro.kernel.recorders import RunRecorder, RunStreams, quantum_records
 from repro.traces.schema import (
     AppEvent,
     FreqChange,
@@ -54,110 +53,55 @@ _PHASES = {"M", "X", "C", "i", "I"}
 
 
 class TraceRecorder(RunRecorder):
-    """Captures every kernel observation into an ordered event buffer.
+    """Captures a kernel run's observations for export.
 
-    The hooks are append-only: quanta and DVFS changes go straight into
-    lists via bound ``list.append``, and scheduler decisions are buffered
-    as plain tuples (the kernel hands them over as scalars).  No per-event
-    dicts — Chrome trace events are built only at export time, so an
-    enabled tracer costs the hot loop little more than the appends.  Power
-    is not captured live at all: the tracer mirrors the run's merged
-    :class:`~repro.traces.schema.PowerTimeline` at :meth:`contribute`
-    (full recording keeps that timeline anyway, so buffering a second,
-    unmerged copy per segment would only slow the hot loop down).
+    :meth:`contribute` keeps the kernel's row buffers as they are; Chrome
+    trace events, and the record objects below, are built only when read,
+    so an enabled tracer costs the run almost nothing.  Power is mirrored
+    from the run's merged :class:`~repro.traces.schema.PowerTimeline`.
 
     Attributes:
         power: ``(start_us, end_us, watts)`` power segments, mirrored from
             the run's merged timeline at run end (empty under minimal
             recording, which keeps no timeline).
-        quanta: per-quantum utilization records; a lazily-materializing
-            view (a replaying backend hands the stream over as raw rows,
-            which only become :class:`QuantumRecord` objects on first
-            read).
-        decisions: scheduler activity log entries (always captured here,
-            independent of ``KernelConfig.record_sched_log``); a
-            materializing view over the internal tuple buffer.
-        freq_changes / volt_changes: the DVFS transition history.
     """
 
     def __init__(self) -> None:
         self.power: List[Tuple[float, float, float]] = []
-        self._quanta_records: List[QuantumRecord] = []
-        self._quanta_rows: Optional[Tuple[List[tuple], float]] = None
-        self._decision_rows: List[tuple] = []
-        self.freq_changes: List[FreqChange] = []
-        self.volt_changes: List[VoltChange] = []
+        self._streams = RunStreams(0.0, [], [], [], [])
+        self._quanta: Optional[List[QuantumRecord]] = None
         self._run: Optional["KernelRun"] = None
-        # Rebind the single-argument hooks to C-level list appends and the
-        # scheduler hook to a closure over the buffer's append; the kernel
-        # dispatches instance attributes, so these win over the methods.
-        self.on_quantum = self._quanta_records.append
-        self.on_freq_change = self.freq_changes.append
-        self.on_volt_change = self.volt_changes.append
 
-        def on_sched(time_us, pid, name, mhz,
-                     _append=self._decision_rows.append):
-            _append((time_us, pid, name, mhz))
-
-        self.on_sched_decision = on_sched
-
-    # -- observer hooks ---------------------------------------------------------
-
-    def on_quantum(self, record: QuantumRecord) -> None:
-        self.quanta.append(record)
-
-    def on_sched_decision(
-        self, time_us: float, pid: int, name: str, mhz: float
-    ) -> None:
-        self._decision_rows.append((time_us, pid, name, mhz))
-
-    def on_freq_change(self, change: FreqChange) -> None:
-        self.freq_changes.append(change)
-
-    def on_volt_change(self, change: VoltChange) -> None:
-        self.volt_changes.append(change)
-
-    def replay_quantum_rows(self, rows: List[tuple], quantum_us: float) -> None:
-        # Bulk form: keep the shared row buffer and defer QuantumRecord
-        # construction to the first `quanta` read (exports need records;
-        # most runs never look).
-        self._quanta_rows = (rows, quantum_us)
-
-    def replay_sched_rows(self, rows: List[tuple]) -> None:
-        # The backend's rows are already this buffer's tuple layout.
-        self._decision_rows.extend(rows)
-
-    def contribute(self, run: "KernelRun") -> None:
+    def contribute(self, run: "KernelRun", streams: RunStreams) -> None:
         self._run = run
+        self._streams = streams
+        self._quanta = None
         self.power = list(run.timeline)
         run.trace = self
 
     @property
     def quanta(self) -> List[QuantumRecord]:
         """Per-quantum utilization records (materialized on first read)."""
-        pending = self._quanta_rows
-        if pending is not None:
-            rows, q = pending
-            # Same construction as the run's own materialization — the
-            # records compare (bitwise-)equal to live on_quantum capture.
-            self._quanta_records = [
-                QuantumRecord(
-                    end_us=t,
-                    busy_us=b,
-                    quantum_us=q,
-                    step_index=si,
-                    mhz=m,
-                    volts=v,
-                )
-                for (t, b, _u, si, m, v) in rows
-            ]
-            self._quanta_rows = None
-        return self._quanta_records
+        if self._quanta is None:
+            streams = self._streams
+            self._quanta = quantum_records(streams.quanta, streams.quantum_us)
+        return self._quanta
 
     @property
     def decisions(self) -> List[SchedDecision]:
-        """The scheduler activity log as :class:`SchedDecision` objects."""
-        return [SchedDecision(*row) for row in self._decision_rows]
+        """The scheduler activity log as :class:`SchedDecision` objects
+        (captured whatever ``KernelConfig.record_sched_log`` says)."""
+        return [SchedDecision(*row) for row in self._streams.sched]
+
+    @property
+    def freq_changes(self) -> List[FreqChange]:
+        """The clock-frequency change history."""
+        return self._streams.freq_changes
+
+    @property
+    def volt_changes(self) -> List[VoltChange]:
+        """The core-voltage change history."""
+        return self._streams.volt_changes
 
     # -- derived windows --------------------------------------------------------
 
@@ -302,7 +246,7 @@ class TraceRecorder(RunRecorder):
                 "generator": "repro.obs.trace",
                 "quanta": len(self.quanta),
                 "power_segments": len(self.power),
-                "sched_decisions": len(self._decision_rows),
+                "sched_decisions": len(self._streams.sched),
                 "freq_changes": len(self.freq_changes),
                 "volt_changes": len(self.volt_changes),
             },

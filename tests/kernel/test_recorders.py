@@ -1,4 +1,4 @@
-"""Tests for the pluggable run-recorder layer.
+"""Tests for the kernel's recording modes and the recorder protocol.
 
 The contract that matters is bitwise equivalence: minimal recording must
 report exactly the numbers full recording reports (energy, mean power,
@@ -12,13 +12,12 @@ from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.kernel.governor import Governor, GovernorRequest
 from repro.kernel.process import Sleep, SpinUntil
 from repro.kernel.recorders import (
-    EnergyMeterRecorder,
-    QuantumStatsRecorder,
+    RECORDING_FULL,
+    RECORDING_MINIMAL,
+    EnergyTotals,
     RunRecorder,
-    SchedLogRecorder,
-    default_recorders,
-    minimal_recorders,
-    recorders_for,
+    check_recording,
+    stats_from_rows,
 )
 from repro.kernel.scheduler import Kernel, KernelConfig
 
@@ -42,10 +41,14 @@ def busy_body(ctx):
     yield SpinUntil(6 * Q)
 
 
-def run_with(recorders=None, config=None):
+def run_with(recording=RECORDING_FULL, config=None, extra_recorders=None):
     config = config if config is not None else KernelConfig()
     kernel = Kernel(
-        ItsyMachine(ItsyConfig()), Zigzag(), config, recorders=recorders
+        ItsyMachine(ItsyConfig()),
+        Zigzag(),
+        config,
+        recording=recording,
+        extra_recorders=extra_recorders,
     )
     kernel.spawn("busy", busy_body)
     return kernel.run(8 * Q)
@@ -60,7 +63,7 @@ class TestRecorderSets:
         assert run.volt_changes == []  # 1.5 V is safe at every step
 
     def test_minimal_set_skips_logs(self):
-        run = run_with(minimal_recorders(KernelConfig()))
+        run = run_with(RECORDING_MINIMAL)
         assert run.quanta == []
         assert len(run.timeline) == 0
         assert run.freq_changes == []
@@ -68,25 +71,25 @@ class TestRecorderSets:
         assert run.quantum_stats is not None
 
     def test_sched_log_only_when_configured(self):
+        assert run_with().sched_log == []
+        assert run_with(RECORDING_MINIMAL).sched_log == []
         config = KernelConfig(record_sched_log=True)
-        assert any(
-            isinstance(r, SchedLogRecorder) for r in default_recorders(config)
-        )
-        assert any(
-            isinstance(r, SchedLogRecorder) for r in minimal_recorders(config)
-        )
-        run = run_with(minimal_recorders(config), config=config)
-        assert run.sched_log
+        for mode in (RECORDING_FULL, RECORDING_MINIMAL):
+            run = run_with(mode, config=config)
+            assert run.sched_log, mode
+            assert run.sched_log[0].time_us == 0.0
 
     def test_recorders_for_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown recording mode"):
-            recorders_for("verbose", KernelConfig())
+            check_recording("verbose")
+        with pytest.raises(ValueError, match="unknown recording mode"):
+            Kernel(ItsyMachine(ItsyConfig()), recording="verbose")
 
 
 class TestBitwiseEquivalence:
     def test_energy_and_means_bitwise_equal(self):
         full = run_with()
-        minimal = run_with(minimal_recorders(KernelConfig()))
+        minimal = run_with(RECORDING_MINIMAL)
         assert minimal.energy_joules() == full.energy_joules()
         assert minimal.mean_power_w() == full.mean_power_w()
         assert minimal.mean_utilization() == full.mean_utilization()
@@ -94,7 +97,7 @@ class TestBitwiseEquivalence:
 
     def test_quantum_stats_match_full_log(self):
         full = run_with()
-        stats = run_with(minimal_recorders(KernelConfig())).quantum_stats
+        stats = run_with(RECORDING_MINIMAL).quantum_stats
         assert stats.count == len(full.quanta)
         assert stats.final_step_index == full.quanta[-1].step_index
         assert stats.final_mhz == full.quanta[-1].mhz
@@ -108,7 +111,7 @@ class TestBitwiseEquivalence:
 
     def test_counters_identical_across_modes(self):
         full = run_with()
-        minimal = run_with(minimal_recorders(KernelConfig()))
+        minimal = run_with(RECORDING_MINIMAL)
         assert minimal.clock_changes == full.clock_changes
         assert minimal.clock_stall_us == full.clock_stall_us
         assert minimal.voltage_changes == full.voltage_changes
@@ -118,35 +121,30 @@ class TestBitwiseEquivalence:
 class TestStreamingMeters:
     def test_energy_meter_replicates_timeline_merge(self):
         full = run_with()
-        meter = EnergyMeterRecorder()
-        for start, end, watts in full.timeline:
-            meter.on_power(start, end, watts)
-        totals = meter.totals()
-        assert totals.energy_j == full.timeline.energy_joules()
-        assert totals.start_us == full.timeline.start_us
-        assert totals.end_us == full.timeline.end_us
-
-    def test_energy_meter_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            EnergyMeterRecorder().on_power(0.0, 1.0, -0.1)
+        energy = run_with(RECORDING_MINIMAL).energy
+        assert energy.energy_j == full.timeline.energy_joules()
+        assert energy.start_us == full.timeline.start_us
+        assert energy.end_us == full.timeline.end_us
 
     def test_empty_meters_are_benign(self):
-        totals = EnergyMeterRecorder().totals()
-        assert totals.energy_j == 0.0
+        totals = EnergyTotals(energy_j=0.0, start_us=0.0, end_us=0.0)
         assert totals.mean_power_w() == 0.0
-        assert QuantumStatsRecorder().stats().mean_utilization() == 0.0
+        stats = stats_from_rows([])
+        assert stats.count == 0
+        assert stats.mean_utilization() == 0.0
 
 
 class TestCustomRecorder:
-    def test_only_overridden_hooks_are_wired(self):
-        seen = []
+    @pytest.mark.parametrize("recording", [RECORDING_FULL, RECORDING_MINIMAL])
+    def test_only_overridden_hooks_are_wired(self, recording):
+        calls = []
 
         class QuantumCounter(RunRecorder):
-            def on_quantum(self, record):
-                seen.append(record.end_us)
+            def contribute(self, run, streams):
+                calls.append([row[0] for row in streams.quanta])
 
-        run = run_with([QuantumCounter()])
-        assert len(seen) == 8
-        # Nothing contributed: the run keeps its empty defaults.
-        assert run.quanta == []
-        assert run.energy is None
+        run = run_with(recording, extra_recorders=[QuantumCounter()])
+        assert calls == [[(i + 1) * Q for i in range(8)]]
+        # The recorder deposits nothing, so the run is the mode's own.
+        assert run.trace is None
+        assert (run.energy is None) == (recording == RECORDING_FULL)

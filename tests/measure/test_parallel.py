@@ -227,6 +227,10 @@ class TestRecordingModes:
         with pytest.raises(ValueError, match="use_daq=False"):
             cell(recording="minimal").run()  # use_daq defaults True
 
+    def test_unknown_recording_mode_named(self):
+        with pytest.raises(ValueError, match="unknown recording mode 'verbose'"):
+            cell(recording="verbose").run()  # use_daq defaults True
+
     def test_constant_step_cells_default_minimal(self):
         assert all(c.recording == "minimal" for c in constant_step_cells(MPEG))
 

@@ -35,6 +35,18 @@ class TestRunWorkload:
         machine = default_machine()
         assert machine.step.mhz == pytest.approx(206.4)
 
+    @pytest.mark.parametrize("use_daq", [True, False])
+    def test_unknown_recording_mode_named(self, use_daq):
+        # The mode check runs before the DAQ's full-recording check, so a
+        # typo is reported as such rather than as a DAQ constraint.
+        with pytest.raises(ValueError, match="unknown recording mode 'verbose'"):
+            run_workload(
+                SHORT,
+                lambda: constant_speed(206.4),
+                use_daq=use_daq,
+                recording="verbose",
+            )
+
     def test_fresh_governor_per_run(self):
         created = []
 

@@ -319,15 +319,22 @@ MPEG = WorkloadSpec("mpeg", MpegConfig(duration_s=2.0))
 
 
 class TestEngineIntegration:
-    def cells(self):
+    def cells(self, workload=MPEG):
         return [
-            SweepCell(workload=MPEG, policy=PolicySpec(name), use_daq=False)
+            SweepCell(workload=workload, policy=PolicySpec(name), use_daq=False)
             for name in ("avg3-one", "past-peg-98-93")
         ]
 
-    def test_diagnosed_results_bitwise_equal_plain(self):
-        plain = SweepEngine(jobs=1).run(self.cells())
-        diagnosed = SweepEngine(jobs=1, diagnose=True).run(self.cells())
+    # The default-length run too: with compensated float summation
+    # (builtin sum() from CPython 3.12) short runs can agree by chance.
+    @pytest.mark.parametrize(
+        "workload",
+        [MPEG, WorkloadSpec("mpeg", MpegConfig())],
+        ids=["mpeg-2s", "mpeg-60s"],
+    )
+    def test_diagnosed_results_bitwise_equal_plain(self, workload):
+        plain = SweepEngine(jobs=1).run(self.cells(workload))
+        diagnosed = SweepEngine(jobs=1, diagnose=True).run(self.cells(workload))
         assert diagnosed == plain
 
     def test_engine_collects_one_diagnosis_per_cell(self):

@@ -5,6 +5,7 @@ targets by filename; the module map names source files.  These tests keep
 the documentation honest as the code evolves.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -66,6 +67,27 @@ class TestExperimentsMd:
             "Figure 9",
         ):
             assert anchor in text, f"EXPERIMENTS.md lost its {anchor} section"
+
+    def test_figure7_trace_walkthrough_runs(self, tmp_path, monkeypatch):
+        """The Figure 7 tracing walkthrough executes and shows what its
+        prose says: 171 clock changes sweeping the whole clock table, and
+        a trace file Perfetto can open."""
+        from repro.obs.trace import validate_chrome_trace
+
+        text = (REPO / "EXPERIMENTS.md").read_text()
+        section = text.split("**Walkthrough: watching Figure 7's AVG_3")[1]
+        section = section.split("**Metrics and run-logs.**")[0]
+        block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        assert "171 clock changes" in section
+        assert "59.0–206.4 MHz" in section
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        exec(compile(block, "EXPERIMENTS.md", "exec"), namespace)
+        run, tracer = namespace["run"], namespace["tracer"]
+        assert run.clock_changes == len(tracer.freq_changes) == 171
+        targets = [change.to_mhz for change in tracer.freq_changes]
+        assert (min(targets), max(targets)) == (59.0, 206.4)
+        validate_chrome_trace(json.loads((tmp_path / "fig7_avg3.json").read_text()))
 
 
 class TestReadme:
