@@ -22,8 +22,11 @@ Throughput plumbing keeps grid wall-time dominated by simulation rather
 than dispatch: cells ship to workers in contiguous *chunks* (one pool task
 per chunk amortizes pickling and future bookkeeping), the pool is *warm*
 (spawned once per engine, workers preimport the simulator via an
-initializer, and the pool is reused across batches until :meth:`close`),
-and :class:`CellResult` pickles as a compact field tuple.  None of it is
+initializer — under ``fork`` the parent imports it once just before the
+pool starts, and the workers inherit it — and the pool is reused across
+batches until :meth:`close`), and :class:`CellResult` pickles as a
+compact field tuple.  A batch served wholly from the cache, or run
+in-process, starts no pool and imports no simulator.  None of it is
 observable in the numbers: chunks preserve submission order, and every
 cell, in-process or pooled, runs through the one worker entry point,
 which returns a :class:`CellOutcome`.
@@ -704,19 +707,41 @@ _HEARTBEATS: Optional[object] = None
 _WORKER_START: Optional[Tuple[str, float, float]] = None
 
 
+def _import_cell_path(diagnosing: bool) -> None:
+    """Import every module that executing a sweep cell loads.
+
+    :mod:`repro.measure.runner` brings both kernel cores, every workload
+    builder, the DAQ and numpy; the rest load lazily on a cell's first
+    run: the DAQ's noise generator (:mod:`numpy.random`), the policy
+    catalog and the fast-path kernel.  A diagnosed cell also needs
+    :mod:`repro.obs.diagnose` and :mod:`numpy.fft`.  With all of them
+    loaded, a cell's ``kernel compute`` stamp holds no import, which
+    ``tests/test_imports.py`` pins.
+    """
+    import numpy.random  # noqa: F401
+    import repro.core.catalog  # noqa: F401
+    import repro.kernel.fastpath  # noqa: F401
+    import repro.measure.runner  # noqa: F401
+
+    if diagnosing:
+        import numpy.fft  # noqa: F401
+        import repro.obs.diagnose  # noqa: F401
+
+
 def _warm_worker(
-    heartbeats: Optional[object] = None, diagnosing: bool = False
+    heartbeats: Optional[object], diagnosing: bool, started: float
 ) -> None:
     """Pool initializer: import the simulator once per worker process.
 
-    The parent process does not import the simulator (a sweep served
-    from the cache never runs it), so every worker imports it here, in
-    parallel with its siblings, before its first chunk:
-    :mod:`repro.measure.runner` pulls in everything a cell run touches
-    (both kernel cores, all workload builders, the DAQ, numpy), and a
-    diagnosing engine's workers also import :mod:`repro.obs.diagnose`
-    (already inherited under ``fork``, where the engine loaded it).  The
-    import is stamped as :data:`~repro.obs.profile.PHASE_WORKER_START`.
+    Every worker imports the cell path (:func:`_import_cell_path`)
+    before its first chunk.  Under ``fork`` the parent has imported it
+    just before the pool started, so the worker finds it inherited;
+    under ``forkserver`` and ``spawn`` each worker imports it itself, in
+    parallel with its siblings.  The worker's start-up is stamped as
+    :data:`~repro.obs.profile.PHASE_WORKER_START` from ``started``, the
+    parent's ``perf_counter()`` when it created the pool (one
+    system-wide clock on Linux), so interpreter start and unpickling
+    count too.
 
     ``heartbeats`` is the engine's live-progress queue (or None): pool
     initargs travel through ``Process`` arguments, which is exactly the
@@ -724,12 +749,8 @@ def _warm_worker(
     """
     global _HEARTBEATS, _WORKER_START
     _HEARTBEATS = heartbeats
-    start = perf_counter()
-    import repro.measure.runner  # noqa: F401
-
-    if diagnosing:
-        import repro.obs.diagnose  # noqa: F401
-    _WORKER_START = (PHASE_WORKER_START, start, perf_counter())
+    _import_cell_path(diagnosing)
+    _WORKER_START = (PHASE_WORKER_START, started, perf_counter())
 
 
 def _take_worker_start() -> Tuple[Tuple[str, float, float], ...]:
@@ -737,6 +758,22 @@ def _take_worker_start() -> Tuple[Tuple[str, float, float], ...]:
     global _WORKER_START
     stamp, _WORKER_START = _WORKER_START, None
     return (stamp,) if stamp is not None else ()
+
+
+def _started_in_batch(outcome: CellOutcome, batch_start: float) -> CellOutcome:
+    """``outcome`` with its worker's start-up stamp clipped to the batch.
+
+    A pool may start a worker on demand, in a later batch than the one
+    that created the pool (``forkserver`` and ``spawn`` pools do); its
+    stamp, which begins at pool creation, would then span the time
+    between the batches.
+    """
+    phase, t_start, t_end = outcome.phases[0]
+    if phase != PHASE_WORKER_START or not t_start < batch_start < t_end:
+        return outcome
+    return dataclasses.replace(
+        outcome, phases=((phase, batch_start, t_end), *outcome.phases[1:])
+    )
 
 
 def _heartbeat(done: bool, cell_id: Optional[int]) -> None:
@@ -955,8 +992,12 @@ class SweepEngine:
     chunks per worker by default) so per-task pickling and future
     overhead amortize, and the pool itself is spawned once — warm
     workers preimport the simulator and are reused across batches until
-    :meth:`close` (the engine is a context manager).  Chunks preserve
-    input order, so results are the same, bitwise, at any chunk size.
+    :meth:`close` (the engine is a context manager).  Under ``fork`` the
+    engine imports the simulator itself just before the pool starts, so
+    the workers inherit it instead of each importing it; the engine
+    never imports it otherwise, so a batch served from the cache loads
+    no numpy.  Chunks preserve input order, so results are the same,
+    bitwise, at any chunk size.
 
     Observability is opt-in and free when off: with ``metrics`` the engine
     counts cells/cache traffic, times each cell, and merges the workers'
@@ -1019,11 +1060,9 @@ class SweepEngine:
         self.diagnosis_log = diagnosis_log
         self.chunk_size = chunk_size
         self._diagnose = diagnose or diagnosis_log is not None
-        if self._diagnose:
-            # Loaded here, before the pool forks, so forked workers
-            # inherit the diagnosis stack (and numpy) instead of each
-            # importing it again.
-            import repro.obs.diagnose  # noqa: F401
+        #: the pool's process start method once the engine has started a
+        #: pool (``""`` while every batch ran in-process or from the cache).
+        self.start_method = ""
         #: diagnoses of executed cells, keyed by run id (the cache key).
         self.diagnoses: Dict[str, PolicyDiagnosis] = {}
         self.stats = SweepStats()
@@ -1093,15 +1132,29 @@ class SweepEngine:
     def _new_pool(self, workers: int) -> ProcessPoolExecutor:
         """A worker pool whose workers import the simulator on start.
 
-        The pool machinery is imported here: a batch served wholly from
-        the cache, or run in-process, never starts one.
+        The pool machinery is imported here (stamped as pool spin-up): a
+        batch served wholly from the cache, or run in-process, never
+        starts one.  Under ``fork`` the engine then imports the cell path
+        once, stamped as worker start, and the workers inherit it; the
+        parent is still single-threaded when it forks (numpy's OpenBLAS
+        stops its one thread in its fork handler).
         """
-        from concurrent.futures import ProcessPoolExecutor
+        with self._t_span(
+            PHASE_SPINUP, workers=workers
+        ), self._p_interval(PHASE_SPINUP):
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
+            self.start_method = multiprocessing.get_start_method()
+        if self.start_method == "fork":
+            with self._t_span(PHASE_WORKER_START), self._p_interval(
+                PHASE_WORKER_START
+            ):
+                _import_cell_path(self._diagnose)
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_warm_worker,
-            initargs=(self._heartbeats, self._diagnose),
+            initargs=(self._heartbeats, self._diagnose, perf_counter()),
         )
 
     def _chunked(
@@ -1133,11 +1186,9 @@ class SweepEngine:
                 cell, original exception as ``__cause__``) or a pool-level
                 failure (attributed to the chunk's first cell).
         """
+        batch_start = perf_counter()
         if self._pool is None:
-            with self._t_span(
-                "pool spin-up", workers=self.jobs
-            ), self._p_interval(PHASE_SPINUP):
-                self._pool = self._new_pool(self.jobs)
+            self._pool = self._new_pool(self.jobs)
         pool = self._pool
         with self._t_span(
             "submit chunks",
@@ -1168,7 +1219,7 @@ class SweepEngine:
             for (_, cell, _), outcome in zip(chunk, outcomes):
                 if isinstance(outcome, BaseException):
                     raise SweepCellError(cell, outcome) from outcome
-                fresh.append(outcome)
+                fresh.append(_started_in_batch(outcome, batch_start))
             if self.profile is not None:
                 # Result IPC: the slice of the wait after the chunk's
                 # last cell finished computing is unpickling/transfer —
@@ -1295,6 +1346,8 @@ class SweepEngine:
             cells_per_s=self.stats.cells_per_s,
             backend=",".join(sorted(self._axis_backends)),
             jobs=self.jobs,
+            start_method=self.start_method,
+            python="{}.{}.{}".format(*sys.version_info),
             git_sha=git_sha(),
             host_score=host_score(),
             phases=(

@@ -41,7 +41,9 @@ import repro
 #: Version 2 added host calibration (``host_score``) and the per-phase
 #: wall-time attribution (``phases``); v1 records read fine (both fields
 #: default to "unknown") and v1 readers ignore the new fields.
-FLEET_SCHEMA_VERSION = 2
+#: Version 3 added how the sweep ran: the pool's process ``start_method``
+#: and the ``python`` version; v1 and v2 records read them as ``""``.
+FLEET_SCHEMA_VERSION = 3
 
 #: Default repo-local ledger location (gitignored; the ledger is local
 #: operational history, not committed state).
@@ -70,6 +72,9 @@ class FleetRecord:
         cells_per_s: throughput over unique cells.
         backend: execution backend name used for the sweep.
         jobs: worker processes (1 = in-process serial).
+        start_method: the worker pool's process start method (``fork``,
+            ``forkserver``, ``spawn``); ``""`` when no cell ran on a pool.
+        python: the interpreter version, e.g. ``"3.11.7"``.
         repro_version: simulator package version.
         git_sha: repo HEAD at sweep time ("" outside a checkout).
         host_score: the host calibration score at sweep time
@@ -93,6 +98,8 @@ class FleetRecord:
     cells_per_s: float
     backend: str
     jobs: int
+    start_method: str = ""
+    python: str = ""
     repro_version: str = repro.__version__
     git_sha: str = ""
     host_score: float = 0.0

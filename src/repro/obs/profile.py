@@ -17,14 +17,16 @@ sources:
   the kernel-compute interval, the observer-reduction interval
   (stamped by the kernel around its recorders' ``contribute`` calls via
   the process-global sink below), the diagnosis interval, and, once per
-  pool worker, the worker's start-up.
+  pool worker, the worker's start-up (under ``fork`` the engine stamps
+  the simulator import its workers inherit as worker start too).
 
 Accounting is *exclusive*: an interval nested inside another (observer
 reduction runs inside the compute interval) is charged to the inner
 phase and subtracted from the outer, so per-phase seconds sum without
 double counting.  :meth:`PhaseProfile.coverage` reports the fraction of
 sweep wall time the union of intervals explains — the acceptance bar is
->= 95 % on a serial sweep.
+>= 95 % on a serial sweep and on a cold pooled one under every start
+method.
 
 This module is deliberately stdlib-only: the kernel calls
 :func:`record_kernel_phase` from its run epilogue, so importing it
@@ -43,8 +45,13 @@ PHASE_SUBMIT = "chunk submission"
 PHASE_IPC = "result IPC"
 PHASE_CACHE = "cache I/O"
 
-#: Worker-side phases.  A pool worker's start-up (the simulator import
-#: in the pool initializer) rides home with its first cell outcome.
+#: Worker-side phases.  A pool worker's start-up — from the engine's
+#: ``perf_counter()`` at pool creation to the end of the simulator import
+#: in the pool initializer, so interpreter start and unpickling count
+#: under ``forkserver`` and ``spawn`` — rides home with its first cell
+#: outcome.  Under ``fork`` the engine also stamps its own import of the
+#: simulator, just before the pool starts, as worker start: the workers
+#: inherit that import.
 PHASE_WORKER_START = "worker start"
 PHASE_COMPUTE = "kernel compute"
 PHASE_REDUCE = "observer reduction"

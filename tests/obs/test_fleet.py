@@ -1,6 +1,8 @@
 """Tests for the persistent fleet ledger."""
 
 import json
+import multiprocessing
+import sys
 
 import pytest
 
@@ -133,6 +135,33 @@ class TestLedger:
         assert loaded.host_score == 0.0
         assert loaded.phases == ()
         assert loaded.normalized_cells_per_s is None
+
+    def test_v3_round_trip_with_start_method_and_python(self, tmp_path):
+        path = tmp_path / "fleet.jsonl"
+        rec = record(start_method="forkserver", python="3.12.4")
+        with FleetLedger(path) as ledger:
+            ledger.append(rec)
+        assert read_fleet(path).records[0] == rec
+        raw = json.loads(path.read_text())
+        assert raw["v"] == 3
+        assert raw["start_method"] == "forkserver"
+        assert raw["python"] == "3.12.4"
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_records_read_start_method_and_python_empty(
+        self, tmp_path, version
+    ):
+        path = tmp_path / "fleet.jsonl"
+        raw = record(start_method="fork", python="3.11.7").to_json()
+        del raw["start_method"]
+        del raw["python"]
+        raw["v"] = version
+        path.write_text(json.dumps(raw) + "\n")
+        history = read_fleet(path)
+        assert history.warnings == ()
+        loaded = history.records[0]
+        assert (loaded.start_method, loaded.python) == ("", "")
+        assert loaded == record()
 
     def test_phases_as_pair_list_round_trips(self, tmp_path):
         # Hand-edited ledgers may store phases as pairs instead of an
@@ -373,3 +402,12 @@ class TestEngineFleetRecord:
         assert rec.wall_s > 0
         assert rec.cells_per_s > 0
         assert len(rec.git_sha) == 40
+        assert rec.start_method == ""
+        assert rec.python == "{}.{}.{}".format(*sys.version_info)
+
+    def test_pooled_record_stamps_start_method(self):
+        with SweepEngine(jobs=2) as engine:
+            engine.run(self.cells())
+        rec = engine.fleet_record(command="unit-test")
+        assert rec.start_method == multiprocessing.get_start_method()
+        assert rec.start_method in multiprocessing.get_all_start_methods()

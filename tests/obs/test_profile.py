@@ -3,11 +3,13 @@
 import pytest
 
 from repro.measure.parallel import (
+    CellOutcome,
     PolicySpec,
     ResultCache,
     SweepCell,
     SweepEngine,
     WorkloadSpec,
+    _started_in_batch,
 )
 from repro.obs.profile import (
     PHASE_CACHE,
@@ -139,6 +141,40 @@ class TestTable:
         )
 
 
+class TestWorkerStartClip:
+    """A worker's start-up stamp begins at pool creation, but a pool may
+    start a worker on demand in a later batch (forkserver, spawn)."""
+
+    def outcome(self, *phases):
+        return CellOutcome(
+            result=None, wall_s=0.0, pid=1, t_start=0.0, t_end=0.0,
+            phases=phases,
+        )
+
+    def test_stamp_reaching_back_before_its_batch_is_clipped(self):
+        late = self.outcome(
+            (PHASE_WORKER_START, 1.0, 5.0), (PHASE_COMPUTE, 5.0, 6.0)
+        )
+        assert _started_in_batch(late, 4.0).phases == (
+            (PHASE_WORKER_START, 4.0, 5.0), (PHASE_COMPUTE, 5.0, 6.0),
+        )
+
+    @pytest.mark.parametrize(
+        "phases, batch_start",
+        [
+            # the batch created the pool
+            (((PHASE_WORKER_START, 1.0, 2.0), (PHASE_COMPUTE, 2.0, 3.0)), 0.5),
+            # the worker started during an earlier batch
+            (((PHASE_WORKER_START, 1.0, 2.0), (PHASE_COMPUTE, 4.0, 5.0)), 3.0),
+            # not the worker's first cell
+            (((PHASE_COMPUTE, 1.0, 2.0),), 1.5),
+        ],
+    )
+    def test_other_stamps_kept(self, phases, batch_start):
+        outcome = self.outcome(*phases)
+        assert _started_in_batch(outcome, batch_start) is outcome
+
+
 class TestEngineIntegration:
     def cells(self, duration_s=20.0, seeds=(0, 1)):
         workload = WorkloadSpec("mpeg", MpegConfig(duration_s=duration_s))
@@ -181,6 +217,28 @@ class TestEngineIntegration:
         assert seconds[PHASE_IPC] > 0
         assert "pool spin-up" in seconds
         assert "chunk submission" in seconds
+
+    def test_cold_pooled_sweep_coverage_meets_bar(self):
+        # A worker's start-up is stamped from the engine's clock at pool
+        # creation, so interpreter start and unpickling count under
+        # forkserver and spawn as well as fork.  A ratio of wall times,
+        # not a speed bar; the cells are Table 2's (60 s MPEG, DAQ on),
+        # long enough that the few unstamped milliseconds of batch set-up
+        # and first-chunk dispatch stay well under the 5 %.
+        cells = [
+            SweepCell(workload=WorkloadSpec("mpeg"),
+                      policy=PolicySpec(name=policy), seed=seed)
+            for policy in ("const-206.4", "best")
+            for seed in (0, 1000)
+        ]
+        profile = PhaseProfile()
+        with SweepEngine(jobs=2, profile=profile) as engine:
+            engine.run(cells)
+        coverage = profile.coverage(engine.stats.wall_s)
+        assert coverage >= 0.95, (
+            f"phase profile covers {coverage:.1%} of the cold pooled "
+            f"sweep's wall time under {engine.start_method}"
+        )
 
     def test_pooled_sweep_stamps_worker_start_once(self):
         # Workers import the simulator in the pool initializer; that

@@ -3,14 +3,17 @@
 At run time the program needs numpy alone, and only where it simulates or
 analyses: scipy is only the tests' oracle for the Student-t code in
 ``repro.measure.stats``, and a sweep served from the result cache loads
-neither numpy nor the simulator.  Package namespaces re-export their
-public names lazily (:mod:`repro._lazy`).  Every check runs in a fresh
-interpreter, so the imports of this test process cannot hide a
-regression.
+neither numpy nor the simulator.  A pool worker imports a cell's whole
+path before its first cell; under ``fork`` the parent imports it
+instead, once, and the workers inherit it.  Package namespaces
+re-export their public names lazily (:mod:`repro._lazy`).  Every check
+runs in a fresh interpreter, so the imports of this test process cannot
+hide a regression.
 """
 
 import functools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -119,6 +122,90 @@ def test_cached_table2_runs_with_numpy_blocked(tmp_path):
     assert hit.returncode == 0, hit.stderr
     assert "0 simulated, 10 cached" in hit.stderr
     assert hit.stdout == filled.stdout
+
+
+#: Source that builds ``cells``: two 1 s MPEG cells.
+TWO_CELLS = (
+    "from repro.measure.parallel import (\n"
+    "    PolicySpec, ResultCache, SweepCell, SweepEngine, WorkloadSpec,\n"
+    ")\n"
+    "from repro.workloads.mpeg import MpegConfig\n"
+    "spec = WorkloadSpec('mpeg', MpegConfig(duration_s=1.0))\n"
+    "cells = [SweepCell(workload=spec, policy=PolicySpec(p), seed=0)\n"
+    "         for p in ('best', 'const-206.4')]\n"
+)
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_only_a_fork_pool_loads_the_simulator_in_the_parent(method):
+    # Under fork the engine imports the cell path once, just before the
+    # pool starts, and the workers inherit it; under forkserver and
+    # spawn the workers import it themselves and the parent stays lean.
+    proc = run_python(
+        "import json, multiprocessing, sys\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        + TWO_CELLS
+        + "with SweepEngine(jobs=2) as engine:\n"
+        "    engine.run(cells)\n"
+        "print(json.dumps([engine.stats.executed, engine.start_method,\n"
+        "                  'repro.measure.runner' in sys.modules]))",
+        method,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [2, method, method == "fork"]
+
+
+def test_cached_diagnosing_batch_runs_with_numpy_blocked(tmp_path):
+    # A diagnosing engine imports the diagnosis stack (and numpy) only
+    # when it starts a pool or runs a cell, never for cache hits.
+    code = (
+        "import json, sys\n"
+        + TWO_CELLS
+        + "engine = SweepEngine(jobs=2, diagnose=True,\n"
+        "                     cache=ResultCache(sys.argv[1]))\n"
+        "with engine:\n"
+        "    results = engine.run(cells)\n"
+        "print(json.dumps([engine.stats.cache_hits,\n"
+        "                  [r.to_json() for r in results]]))"
+    )
+    cache = str(tmp_path / "cache")
+    filled = run_python(code, cache)
+    assert filled.returncode == 0, filled.stderr
+    hit = run_python("import sys\nsys.modules['numpy'] = None\n" + code, cache)
+    assert hit.returncode == 0, hit.stderr
+    hits, results = json.loads(hit.stdout)
+    assert hits == 2
+    assert results == json.loads(filled.stdout)[1]
+
+
+def test_cell_path_import_leaves_nothing_for_the_cells():
+    # After the pool initializer's import, running a cell loads no module,
+    # so no import lands inside a cell's kernel compute stamp: a Table 2
+    # constant and PAST cell (60 s MPEG) and a diagnosed policy-grid cell.
+    proc = run_python(
+        "import json, sys\n"
+        "from repro.hw.machines import MachineSpec\n"
+        "from repro.measure.parallel import (\n"
+        "    PolicySpec, SweepCell, WorkloadSpec, _execute_cell,\n"
+        "    _import_cell_path,\n"
+        ")\n"
+        "from repro.workloads.web import WebConfig\n"
+        "_import_cell_path(diagnosing=True)\n"
+        "before = set(sys.modules)\n"
+        "for policy in ('const-206.4', 'best'):\n"
+        "    cell = SweepCell(workload=WorkloadSpec('mpeg'),\n"
+        "                     policy=PolicySpec(policy), seed=0)\n"
+        "    _execute_cell(cell, False, False, None)\n"
+        "grid = SweepCell(\n"
+        "    workload=WorkloadSpec('web', WebConfig(duration_s=20.0)),\n"
+        "    policy=PolicySpec('avg3-one'), seed=0,\n"
+        "    machine=MachineSpec.parse('sa2'),\n"
+        ")\n"
+        "assert _execute_cell(grid, False, True, 1.0).diagnosis is not None\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 @pytest.mark.parametrize("package", PACKAGES)
