@@ -1,4 +1,4 @@
-"""Cost of the observability layer: tracing + metrics on vs off.
+"""Cost of the observability layer: the trace recorder on vs off.
 
 The obs package rides the recorder observer protocol: a kernel hands
 each attached recorder the run's row buffers once, at run end, so the
@@ -10,10 +10,9 @@ the best policy:
   must cost within 5 % of the plain pre-obs call form (the acceptance
   bar for the whole layer), and
 - enabled observability is cheap enough to leave on: with a
-  ``TraceRecorder`` and a ``KernelMetricsRecorder`` attached the results
-  stay bitwise identical and the run costs within 10 % of the plain
-  call form (the recorders reduce the kernel's row buffers once at the
-  end).
+  ``TraceRecorder`` attached the results stay bitwise identical and the
+  run costs within 10 % of the plain call form (the recorder reduces
+  the kernel's row buffers once at the end).
 
 Timings are best-of-N over interleaved runs so one noisy sample cannot
 flip the comparison (rounds keep adding until the floors stop improving
@@ -37,7 +36,6 @@ from pathlib import Path
 
 from repro.core.catalog import resolve_policy
 from repro.measure.runner import run_workload
-from repro.obs.metrics import KernelMetricsRecorder, MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 
@@ -57,10 +55,7 @@ def timed_run(machine, mode: str):
     if mode == "disabled":
         kwargs["extra_recorders"] = None
     elif mode == "enabled":
-        kwargs["extra_recorders"] = [
-            TraceRecorder(),
-            KernelMetricsRecorder(MetricsRegistry()),
-        ]
+        kwargs["extra_recorders"] = [TraceRecorder()]
     start = time.perf_counter()
     result = run_workload(
         mpeg_workload(MpegConfig(duration_s=DURATION_S)),
@@ -114,7 +109,7 @@ def test_obs_overhead(benchmark):
     )
     report.add(f"disabled overhead: {disabled_pct:+.1f}% "
                f"(bar: {MAX_DISABLED_OVERHEAD_PCT:g}%)")
-    report.add(f"enabled (trace+metrics) overhead: {enabled_pct:+.1f}% "
+    report.add(f"enabled (trace) overhead: {enabled_pct:+.1f}% "
                f"(bar: {MAX_ENABLED_OVERHEAD_PCT:g}%)")
     report.emit()
 

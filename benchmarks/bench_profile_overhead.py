@@ -1,12 +1,12 @@
-"""Cost of phase-level sweep profiling: PhaseProfile on vs off.
+"""Cost of phase-level sweep profiling: a sweep timeline on vs off.
 
-The phase profiler is a pure observer of the sweep pipeline: the engine
+The sweep timeline is a pure observer of the sweep pipeline: the engine
 stamps its own stages around work it already does, while every worker
 outcome carries its compute/reduction stamps home whether or not a
-profile is attached (the kernel's observer-reduction stamp is one
+timeline is attached (the kernel's observer-reduction stamp is one
 ``perf_counter`` pair behind an armed sink), and the engine drops them
 when none is.  Both legs of this benchmark therefore take the
-worker-side stamps; what it measures is the engine-side profiling alone
+worker-side stamps; what it measures is the engine-side timeline alone
 (stamping engine stages, IPC slicing, grouping worker stamps).  That
 design makes three promises this benchmark checks on the paper's Table 2
 grid (five policies x N seeds of the MPEG workload, DAQ on, cache off):
@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro.cli import TABLE2_ROWS, workload_spec
 from repro.measure.parallel import PolicySpec, SweepCell, SweepEngine
-from repro.obs.profile import PhaseProfile
+from repro.obs.profile import SweepTimeline
 
 from _util import Report, bench_machine, once, stable_best
 
@@ -78,12 +78,12 @@ def test_profile_overhead(benchmark):
         # Both engines keep their pools warm across rounds — the pool is
         # part of the pipeline under test, not part of the profiler —
         # so each side pays its spin-up once and stable_best keeps warm
-        # rounds.  The profile accumulates intervals across rounds (a
-        # profile of N identical sweeps), which only strengthens the
+        # rounds.  The timeline accumulates spans across rounds (a
+        # timeline of N identical sweeps), which only strengthens the
         # coverage check: every round's wall time must stay accounted.
-        profile = PhaseProfile()
+        profile = SweepTimeline()
         plain_engine = SweepEngine(jobs=JOBS)
-        profiled_engine = SweepEngine(jobs=JOBS, profile=profile)
+        profiled_engine = SweepEngine(jobs=JOBS, timeline=profile)
 
         def measure_round():
             walls = {}

@@ -1,17 +1,18 @@
-"""Cost of sweep telemetry: spans + live progress on vs off.
+"""Cost of sweep telemetry: the sweep timeline + live progress on vs off.
 
-The telemetry layer is a pure observer of the sweep pipeline: spans and
-heartbeats are derived from timestamps the engine already takes (or from
-worker-side wall clocks returned with each result), and the progress
-renderer runs on a drain thread off the submission path.  That design
-makes two promises this benchmark checks on the paper's Table 2 grid
-(five policies x N seeds of the MPEG workload, DAQ on, cache off):
+The telemetry stack is a pure observer of the sweep pipeline: the
+timeline's spans come from stamps the engine takes once per stage (or
+from worker-side stamps returned with each result), and the progress
+display is fed by worker heartbeats on a pump thread off the submission
+path.  That design makes two promises this benchmark checks on the
+paper's Table 2 grid (five policies x N seeds of the MPEG workload, DAQ
+on, cache off):
 
 - the instrumented sweep returns **bitwise-identical** results — the
   same :class:`~repro.measure.parallel.CellResult` list as the plain
   engine; and
-- the full stack (span telemetry + progress model + renderer forced on
-  into an in-memory stream) costs within 5 % of the plain sweep.
+- the full stack (timeline + progress model + renderer forced on into
+  an in-memory stream) costs within 5 % of the plain sweep.
 
 Timings are best-of-N over interleaved rounds so one noisy sample cannot
 flip the comparison, and the overhead is computed against the paired
@@ -36,7 +37,8 @@ from pathlib import Path
 
 from repro.cli import TABLE2_ROWS, workload_spec
 from repro.measure.parallel import PolicySpec, SweepCell, SweepEngine
-from repro.obs.telemetry import ProgressRenderer, SweepTelemetry
+from repro.obs.profile import SweepTimeline
+from repro.obs.telemetry import ProgressDisplay, ProgressRenderer
 from repro.obs.trace import validate_chrome_trace
 
 from _util import Report, bench_machine, once, stable_best
@@ -77,23 +79,20 @@ def test_telemetry_overhead(benchmark):
         # Both engines keep their pools warm across rounds — the pool is
         # part of the pipeline under test, not part of the telemetry —
         # so each side pays its spin-up once and stable_best keeps warm
-        # rounds.  The telemetry object accumulates spans across rounds
-        # (a trace of N identical sweeps), which the lane/validity
-        # assertions below don't mind.
+        # rounds.  The timeline accumulates spans across rounds (a trace
+        # of N identical sweeps), which the lane/validity assertions
+        # below don't mind.
         plain_engine = SweepEngine(jobs=JOBS)
-        telemetry = SweepTelemetry()
-        sink = io.StringIO()
-        telemetry_engine = SweepEngine(
-            jobs=JOBS,
-            telemetry=telemetry,
-            progress=True,
-            progress_stream=sink,
-        )
+        timeline = SweepTimeline()
+        display = ProgressDisplay()
         # Force the renderer on even though the sink is not a TTY: the
         # benchmark charges telemetry for the full rendering path, not
         # the cheap piped-output degradation.
-        telemetry_engine.progress_renderer = ProgressRenderer(
-            telemetry_engine.progress_model, sink, enabled=True
+        display.renderer = ProgressRenderer(
+            display.model, io.StringIO(), enabled=True
+        )
+        telemetry_engine = SweepEngine(
+            jobs=JOBS, timeline=timeline, observers=[display]
         )
 
         def measure_round():
@@ -111,7 +110,7 @@ def test_telemetry_overhead(benchmark):
         finally:
             plain_engine.close()
             telemetry_engine.close()
-        traces["telemetry"] = telemetry.chrome_trace()
+        traces["telemetry"] = timeline.chrome_trace()
         return results, traces["telemetry"], best
 
     results, trace, best = once(benchmark, run)
@@ -135,7 +134,7 @@ def test_telemetry_overhead(benchmark):
         [
             ["off (plain engine)", f"{best['baseline']:.3f}",
              f"{n_cells / best['baseline']:.2f}"],
-            ["on (spans + progress, renderer forced)",
+            ["on (timeline + progress, renderer forced)",
              f"{best['telemetry']:.3f}",
              f"{n_cells / best['telemetry']:.2f}"],
         ],

@@ -60,11 +60,11 @@ committed ``BENCH_*.json`` benchmark records passed via ``--bench``
 Sweep commands also take the sweep-telemetry flags: ``--progress`` for a
 live TTY status line (cells done/total, cells/s, ETA, cache-hit rate,
 worker utilization, straggler flags — silent when stderr is piped),
-``--sweep-trace PATH`` to export the whole sweep pipeline as a Chrome
-trace with one lane per pool worker (see :mod:`repro.obs.telemetry`),
-``--phases`` to print the phase-level wall-time breakdown (see
-:mod:`repro.obs.profile` — sweeps always attribute their wall time to
-pipeline phases; the flag only prints the table), and the fleet ledger:
+``--sweep-trace PATH`` to export the sweep's timeline as a Chrome trace
+with one lane per pool worker, ``--phases`` to print the timeline's
+phase-level wall-time breakdown (see :mod:`repro.obs.profile` — sweeps
+always stamp their pipeline stages into a timeline; the flags only
+print or export it), and the fleet ledger:
 every sweep command appends one record to ``.repro/fleet.jsonl``
 (``--fleet PATH`` overrides, ``--no-fleet`` opts out; a ledger that
 cannot be written only warns), queryable afterwards with ``repro
@@ -102,7 +102,7 @@ from repro.measure.parallel import (
     repeat_workload,
 )
 from repro.obs.fleet import DEFAULT_FLEET_PATH, FleetLedger, read_fleet
-from repro.obs.profile import PhaseProfile
+from repro.obs.profile import SweepTimeline
 from repro.obs.runlog import RunLogWriter
 from repro.measure.stats import confidence_interval
 from repro.workloads.chess import ChessConfig
@@ -115,7 +115,7 @@ if TYPE_CHECKING:
     from repro.workloads.base import Workload
 
 # The simulator (repro.core.catalog, repro.measure.runner, the kernels)
-# and the optional observers (diagnosis, telemetry, tracing, reports,
+# and the optional observers (diagnosis, progress, tracing, reports,
 # plots) are imported inside the commands and branches that run them, so
 # a sweep served from the cache loads neither them nor numpy.
 
@@ -183,34 +183,35 @@ def machine_spec(args) -> MachineSpec:
 def sweep_engine(args) -> SweepEngine:
     """Build the sweep engine a simulation command runs its cells on.
 
-    ``--jobs 1`` (the default) runs cells in-process; the ``--cache``/
-    ``--run-log``/``--diagnoses``/``--progress``/``--sweep-trace`` flags
-    attach the matching observers.  Every engine carries a
-    :class:`~repro.obs.profile.PhaseProfile` — the fleet ledger's phase
+    ``--jobs 1`` (the default) runs cells in-process; ``--cache`` attaches
+    the result cache, ``--diagnoses`` diagnoses every executed cell, and
+    ``--run-log``/``--diagnoses``/``--progress`` attach the matching
+    observers.  Every engine carries a
+    :class:`~repro.obs.profile.SweepTimeline` — the fleet ledger's phase
     attribution must not depend on remembering a flag — while
-    ``--phases`` only controls printing the table.
+    ``--phases`` and ``--sweep-trace`` only print or export it.
 
     Raises:
         ValueError: when ``--jobs`` is below 1.
     """
     cache_dir = None if args.no_cache else args.cache
-    diagnosis_log = telemetry = None
+    observers = []
+    if args.run_log:
+        observers.append(RunLogWriter(args.run_log))
     if args.diagnoses:
         from repro.obs.diagnose import DiagnosisWriter
 
-        diagnosis_log = DiagnosisWriter(args.diagnoses)
-    if args.sweep_trace:
-        from repro.obs.telemetry import SweepTelemetry
+        observers.append(DiagnosisWriter(args.diagnoses))
+    if args.progress:
+        from repro.obs.telemetry import ProgressDisplay
 
-        telemetry = SweepTelemetry()
+        observers.append(ProgressDisplay())
     return SweepEngine(
         jobs=args.jobs,
         cache=ResultCache(cache_dir) if cache_dir else None,
-        run_log=RunLogWriter(args.run_log) if args.run_log else None,
-        diagnosis_log=diagnosis_log,
-        telemetry=telemetry,
-        progress=args.progress,
-        profile=PhaseProfile(),
+        diagnose=bool(args.diagnoses),
+        timeline=SweepTimeline(),
+        observers=observers,
     )
 
 
@@ -234,16 +235,15 @@ def report_sweep_stats(engine: SweepEngine, args) -> None:
     print(engine.stats.summary(), file=sys.stderr)
     if args.phases:
         print("phase profile:", file=sys.stderr)
-        print(engine.profile.table(engine.stats.wall_s), file=sys.stderr)
+        print(engine.timeline.table(engine.stats.wall_s), file=sys.stderr)
     engine.close()
-    if engine.run_log is not None:
-        engine.run_log.close()
-    if engine.diagnosis_log is not None:
-        engine.diagnosis_log.close()
+    for observer in engine.observers:
+        if hasattr(observer, "close"):  # the run-log and diagnosis writers
+            observer.close()
     if args.sweep_trace:
         from repro.obs.trace import write_chrome_trace
 
-        payload = engine.telemetry.chrome_trace()
+        payload = engine.timeline.chrome_trace()
         out = write_chrome_trace(payload, args.sweep_trace)
         print(
             f"sweep trace: {out} ({len(payload['traceEvents'])} events, "
@@ -429,36 +429,33 @@ def cmd_ideal(args) -> int:
 def cmd_trace(args) -> int:
     """Run one workload under a tracer and export Chrome trace-event JSON."""
     from repro.measure.runner import run_workload
-    from repro.obs.metrics import KernelMetricsRecorder, MetricsRegistry
     from repro.obs.trace import TraceRecorder, write_chrome_trace
 
     mspec = machine_spec(args)
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
     tracer = TraceRecorder()
-    registry = MetricsRegistry()
     result = run_workload(
         workload,
         resolve_policy(args.policy, clock_table=mspec.clock_table()),
         machine_factory=mspec,
         seed=args.seed,
         use_daq=False,
-        extra_recorders=[tracer, KernelMetricsRecorder(registry)],
+        extra_recorders=[tracer],
         backend=cell_backend(args),
     )
     payload = tracer.chrome_trace(
         run=result.run, tolerance_us=workload.tolerance_us
     )
     out = write_chrome_trace(payload, args.output)
-    snap = registry.snapshot()
+    run = result.run
     print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
     print(f"policy          : {args.policy}")
     print(f"machine         : {args.machine}")
     print(f"energy          : {result.exact_energy_j:.2f} J")
-    print(f"quanta          : {snap.counters.get('kernel.quanta', 0):.0f}")
-    print(f"clock changes   : "
-          f"{snap.counters.get('kernel.freq_changes', 0):.0f} "
-          f"(stalled {snap.counters.get('kernel.clock_stall_us', 0) / 1000:.1f} ms)")
+    print(f"quanta          : {len(run.quanta)}")
+    print(f"clock changes   : {run.clock_changes} "
+          f"(stalled {run.clock_stall_us / 1000:.1f} ms)")
     print(f"deadline misses : {len(result.misses)}")
     print(f"trace           : {out} "
           f"({len(payload['traceEvents'])} events; open in Perfetto or "

@@ -48,7 +48,6 @@ import hashlib
 import inspect
 import json
 import os
-import queue as queue_module
 import sys
 import tempfile
 import threading
@@ -59,11 +58,11 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    IO,
     Iterable,
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -72,11 +71,7 @@ from typing import (
 from repro.hw.clocksteps import ClockTable
 from repro.hw.machines import MachineSpec
 from repro.kernel.governor import Governor
-from repro.kernel.recorders import (
-    RECORDING_FULL,
-    RECORDING_MINIMAL,
-    RunRecorder,
-)
+from repro.kernel.recorders import RECORDING_FULL, RECORDING_MINIMAL
 from repro.kernel.scheduler import KernelConfig
 from repro.obs.calibrate import host_score
 from repro.obs.fleet import FleetRecord, git_sha, new_sweep_id
@@ -89,11 +84,12 @@ from repro.obs.profile import (
     PHASE_SPINUP,
     PHASE_SUBMIT,
     PHASE_WORKER_START,
-    PhaseProfile,
+    SweepObserver,
+    SweepTimeline,
     arm_worker_stamps,
     drain_worker_stamps,
 )
-from repro.obs.runlog import RunLogRecord, RunLogWriter, now_unix
+from repro.obs.runlog import now_unix
 from repro.kernel.backend import resolve_backend
 from repro.measure.stats import ConfidenceInterval, confidence_interval
 from repro.workloads.base import Workload
@@ -107,13 +103,7 @@ from repro.workloads.web import WebConfig, web_workload
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.obs.diagnose import DiagnosisWriter, PolicyDiagnosis
-    from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-    from repro.obs.telemetry import (
-        ProgressModel,
-        ProgressRenderer,
-        SweepTelemetry,
-    )
+    from repro.obs.diagnose import PolicyDiagnosis
 
 #: Bump when the simulator's observable numbers change (kernel model,
 #: power model, workload calibration, or the :class:`CellResult` schema):
@@ -306,18 +296,18 @@ class SweepCell:
             f"machine={self.machine.label} seed={self.seed}"
         )
 
-    def execute(
-        self, extra_recorders: Optional[Iterable[RunRecorder]] = None
-    ):
+    @property
+    def label(self) -> str:
+        """``policy/workload``: the cell's name on the progress line and
+        in the sweep trace."""
+        return f"{self.policy.label}/{self.workload.name}"
+
+    def execute(self):
         """Execute the cell serially and return the full
         :class:`~repro.measure.runner.ExperimentResult`.
 
         Diagnosis needs the complete :class:`KernelRun`; callers that only
         want the picklable summary use :meth:`run` instead.
-
-        Args:
-            extra_recorders: additional pure-observer recorders to attach
-                (results are bitwise-identical with or without them).
         """
         from repro.measure.runner import run_workload
 
@@ -330,20 +320,12 @@ class SweepCell:
             use_daq=self.use_daq,
             daq_seed=self.daq_seed,
             recording=self.recording,
-            extra_recorders=extra_recorders,
             backend=self.backend,
         )
 
-    def run(
-        self, extra_recorders: Optional[Iterable[RunRecorder]] = None
-    ) -> "CellResult":
-        """Execute the cell serially and summarize it for transport.
-
-        Args:
-            extra_recorders: additional pure-observer recorders to attach
-                (results are bitwise-identical with or without them).
-        """
-        return CellResult.from_experiment(self.execute(extra_recorders))
+    def run(self) -> "CellResult":
+        """Execute the cell serially and summarize it for transport."""
+        return CellResult.from_experiment(self.execute())
 
 
 @dataclass(frozen=True)
@@ -603,65 +585,48 @@ class CellOutcome:
 
     Attributes:
         result: the cell's summary.
-        wall_s: simulation time only (diagnosis and reduction excluded);
-            what the run-log and the cell-time histogram record.
         pid: the process that ran the cell.
-        t_start / t_end: the cell's ``perf_counter`` interval, simulation
-            through reduction; telemetry builds the cell's worker-lane
-            span from it (never from heartbeats, which are display-only
-            and may trail the future's completion).
-        phases: the cell's phase stamps for the
-            :class:`~repro.obs.profile.PhaseProfile` — the worker's
+        phases: the cell's ``(phase, t_start, t_end)`` stamps on the
+            shared ``perf_counter`` timebase, in order — the worker's
             start-up stamp on its first cell, kernel compute, any
             kernel-side observer-reduction stamps (the kernel stamps its
             recorders' ``contribute`` calls), diagnosis, and the summary
-            reduction.
-        metrics: the worker-local kernel metrics snapshot, or None when
-            the engine collects no metrics.
+            reduction last.
         diagnosis: the cell's
             :class:`~repro.obs.diagnose.PolicyDiagnosis`, or None when
             the engine does not diagnose.
     """
 
     result: CellResult
-    wall_s: float
     pid: int
-    t_start: float
-    t_end: float
     phases: Tuple[Tuple[str, float, float], ...]
-    metrics: Optional[MetricsSnapshot] = None
     diagnosis: Optional[PolicyDiagnosis] = None
+
+    @property
+    def wall_s(self) -> float:
+        """Simulation time alone (the kernel-compute stamp): what the
+        run-log records."""
+        return next(t1 - t0 for name, t0, t1 in self.phases if name == PHASE_COMPUTE)
 
 
 def _execute_cell(
-    cell: SweepCell,
-    with_metrics: bool,
-    diagnose: bool,
-    baseline_j: Optional[float],
+    cell: SweepCell, diagnose: bool, baseline_j: Optional[float]
 ) -> CellOutcome:
     """Worker entry point (module-level so it pickles): run one cell.
 
     ``cell.run`` split into its two halves (:meth:`SweepCell.execute` +
     :meth:`CellResult.from_experiment`) — the very same computation,
     stamped between the halves — so results are bitwise-identical
-    however the cell is observed.  ``with_metrics`` collects the kernel
-    hot-loop metrics in a worker-local registry whose snapshot the
-    parent merges.  ``diagnose`` forces full recording (diagnosis needs
-    the quantum log and power timeline; recording modes are
-    bitwise-equivalent in everything a :class:`CellResult` carries) and
-    computes the cell's diagnosis against ``baseline_j`` worker-side.
+    however the cell is observed.  ``diagnose`` forces full recording
+    (diagnosis needs the quantum log and power timeline; recording modes
+    are bitwise-equivalent in everything a :class:`CellResult` carries)
+    and computes the cell's diagnosis against ``baseline_j`` worker-side.
     """
-    registry = extra = None
-    if with_metrics:
-        from repro.obs.metrics import KernelMetricsRecorder, MetricsRegistry
-
-        registry = MetricsRegistry()
-        extra = [KernelMetricsRecorder(registry)]
     if diagnose:
         cell = dataclasses.replace(cell, recording=RECORDING_FULL)
     arm_worker_stamps()
     start = perf_counter()
-    experiment = cell.execute(extra_recorders=extra)
+    experiment = cell.execute()
     t_computed = t_reduce = perf_counter()
     phases = [
         *_take_worker_start(),
@@ -684,22 +649,14 @@ def _execute_cell(
         t_reduce = perf_counter()
         phases.append((PHASE_DIAGNOSE, t_computed, t_reduce))
     result = CellResult.from_experiment(experiment)
-    end = perf_counter()
-    phases.append((PHASE_REDUCE, t_reduce, end))
+    phases.append((PHASE_REDUCE, t_reduce, perf_counter()))
     return CellOutcome(
-        result=result,
-        wall_s=t_computed - start,
-        pid=os.getpid(),
-        t_start=start,
-        t_end=end,
-        phases=tuple(phases),
-        metrics=registry.snapshot() if registry is not None else None,
-        diagnosis=diagnosis,
+        result=result, pid=os.getpid(), phases=tuple(phases), diagnosis=diagnosis
     )
 
 
 #: Worker-global heartbeat channel, installed by :func:`_warm_worker`.
-#: None in workers whose engine runs without live progress.
+#: None in workers whose engine has no observer watching cells in flight.
 _HEARTBEATS: Optional[object] = None
 
 #: This worker's start-up interval, stamped by :func:`_warm_worker` and
@@ -743,9 +700,9 @@ def _warm_worker(
     system-wide clock on Linux), so interpreter start and unpickling
     count too.
 
-    ``heartbeats`` is the engine's live-progress queue (or None): pool
+    ``heartbeats`` is the engine's heartbeat channel (or None): pool
     initargs travel through ``Process`` arguments, which is exactly the
-    channel a ``multiprocessing.Queue`` is allowed to cross.
+    channel a ``multiprocessing.SimpleQueue`` is allowed to cross.
     """
     global _HEARTBEATS, _WORKER_START
     _HEARTBEATS = heartbeats
@@ -776,23 +733,20 @@ def _started_in_batch(outcome: CellOutcome, batch_start: float) -> CellOutcome:
     )
 
 
-def _heartbeat(done: bool, cell_id: Optional[int]) -> None:
-    """Emit one display heartbeat, best-effort (never fails the cell)."""
-    hb = _HEARTBEATS
-    if hb is None or cell_id is None:
-        return
-    from repro.obs.telemetry import HEARTBEAT_DONE, HEARTBEAT_START
+def _heartbeat(done: bool, cell_id: int, cell: SweepCell) -> None:
+    """Report a cell starting or finishing on the heartbeat channel.
 
-    tag = HEARTBEAT_DONE if done else HEARTBEAT_START
-    try:
-        hb.put((tag, os.getpid(), cell_id, perf_counter()))
-    except Exception:  # pragma: no cover - queue torn down mid-sweep
-        pass
+    ``SimpleQueue.put`` writes to the pipe before it returns, so a
+    chunk's heartbeats are all in the pipe before its result leaves the
+    worker.
+    """
+    channel = _HEARTBEATS
+    if channel is not None:
+        channel.put((done, os.getpid(), cell_id, perf_counter(), cell.label))
 
 
 def _execute_chunk(
     cells: List[SweepCell],
-    with_metrics: bool,
     diagnose: bool,
     baseline_js: List[Optional[float]],
     cell_ids: List[int],
@@ -804,21 +758,18 @@ def _execute_chunk(
     cell that raises contributes its exception in place of its outcome,
     so the failure is attributed to the *cell* that raised it, not to an
     opaque chunk — the parent re-raises it as a :class:`SweepCellError`
-    with the original exception as ``__cause__``.
-
-    When the worker carries a heartbeat queue (live ``--progress``),
-    each cell brackets its execution with start/done heartbeats keyed by
-    ``cell_ids`` — pure display traffic on a side channel; results still
-    travel only on the pool's result path.
+    with the original exception as ``__cause__``.  Each cell is
+    bracketed by start/done heartbeats keyed by ``cell_ids`` when the
+    worker carries a heartbeat channel.
     """
     out: List[Union[CellOutcome, Exception]] = []
     for cell, baseline_j, cell_id in zip(cells, baseline_js, cell_ids):
-        _heartbeat(False, cell_id)
+        _heartbeat(False, cell_id, cell)
         try:
-            out.append(_execute_cell(cell, with_metrics, diagnose, baseline_j))
+            out.append(_execute_cell(cell, diagnose, baseline_j))
         except Exception as exc:
             out.append(exc)
-        _heartbeat(True, cell_id)
+        _heartbeat(True, cell_id, cell)
     return out
 
 
@@ -892,93 +843,6 @@ class SweepStats:
         )
 
 
-class _HeartbeatPump:
-    """Drains worker heartbeats into the progress model while futures fly.
-
-    A daemon thread blocks on the heartbeat queue with a short timeout so
-    the display stays live between chunk completions; :meth:`stop` joins
-    the thread and then drains whatever the queue's feeder thread had
-    still in flight — heartbeats are asynchronous to the result channel,
-    so trailing events after the last future are normal, not a bug.
-    """
-
-    def __init__(
-        self,
-        heartbeats: object,
-        model: ProgressModel,
-        renderer: Optional[ProgressRenderer],
-        labels: Dict[int, str],
-        lock: threading.Lock,
-    ):
-        self._heartbeats = heartbeats
-        self._model = model
-        self._renderer = renderer
-        self._labels = labels
-        self._lock = lock
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="sweep-heartbeats", daemon=True
-        )
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            self._drain(timeout=0.05)
-
-    def _drain(self, timeout: Optional[float] = None) -> None:
-        try:
-            event = self._heartbeats.get(timeout=timeout)  # type: ignore[attr-defined]
-        except (queue_module.Empty, OSError, ValueError):
-            return
-        if event is not None:
-            self._apply(event)
-        while True:
-            try:
-                event = self._heartbeats.get_nowait()  # type: ignore[attr-defined]
-            except (queue_module.Empty, OSError, ValueError):
-                break
-            if event is not None:
-                self._apply(event)
-
-    def _apply(self, event: Tuple[str, int, int, float]) -> None:
-        from repro.obs.telemetry import HEARTBEAT_DONE, HEARTBEAT_START
-
-        tag, pid, cell_id, t = event
-        with self._lock:
-            if tag == HEARTBEAT_START:
-                self._model.cell_started(
-                    pid, cell_id, t, self._labels.get(cell_id, "")
-                )
-            elif tag == HEARTBEAT_DONE:
-                self._model.cell_finished(pid, cell_id, t)
-        if self._renderer is not None:
-            self._renderer.update()
-
-    def stop(self) -> None:
-        """Stop the pump and drain any heartbeats already queued.
-
-        A ``None`` sentinel wakes the drain thread out of its blocking
-        get immediately, so stopping costs microseconds rather than a
-        full poll-timeout — the pump must not tax sweeps that finish
-        between display refreshes.
-        """
-        self._stop.set()
-        try:
-            self._heartbeats.put_nowait(None)  # type: ignore[attr-defined]
-        except (OSError, ValueError):
-            pass
-        self._thread.join(timeout=2.0)
-        while True:
-            try:
-                event = self._heartbeats.get_nowait()  # type: ignore[attr-defined]
-            except (queue_module.Empty, OSError, ValueError):
-                break
-            if event is not None:
-                self._apply(event)
-
-
 class SweepEngine:
     """Runs batches of sweep cells, in parallel and through the cache.
 
@@ -999,55 +863,32 @@ class SweepEngine:
     no numpy.  Chunks preserve input order, so results are the same,
     bitwise, at any chunk size.
 
-    Observability is opt-in and free when off: with ``metrics`` the engine
-    counts cells/cache traffic, times each cell, and merges the workers'
-    kernel hot-loop counters back into the given registry; with
-    ``run_log`` it appends one structured JSONL audit record per unique
-    cell.  With ``diagnose=True`` (or a ``diagnosis_log``) every executed
-    cell additionally runs the
+    With ``diagnose=True`` every executed cell additionally runs the
     :mod:`~repro.obs.diagnose` engine worker-side — the oracle baselines
     are batched through this same engine first, then each worker ships a
     :class:`~repro.obs.diagnose.PolicyDiagnosis` home next to its result,
     collected in :attr:`diagnoses` by run id (cache hits carry no kernel
-    run and are not re-diagnosed).  None of this can change a result —
-    every cell runs through the same worker entry point and the very
-    same simulation, and the determinism tests pin the equality bitwise.
+    run and are not re-diagnosed).
 
-    Sweep-level telemetry rides the same observer seam: pass a
-    :class:`~repro.obs.telemetry.SweepTelemetry` to span-trace the
-    pipeline (pool spin-up, chunk submission, per-cell execution on one
-    lane per worker, cache hits, baseline dedup, result merge — export
-    via ``telemetry.chrome_trace()``), and ``progress=True`` for the
-    live heartbeat-driven TTY display (silently inert when
-    ``progress_stream`` is not a terminal).  Both are pure observers;
-    ``benchmarks/bench_telemetry_overhead.py`` enforces bitwise equality
-    and the overhead bar.  :meth:`fleet_record` summarizes everything
-    the engine served into one fleet-ledger entry.
-
-    Pass a :class:`~repro.obs.profile.PhaseProfile` as ``profile`` to
-    attribute the sweep's wall time to pipeline phases: the engine
-    stamps its own stages (spin-up, submission, cache I/O, result IPC)
-    and every :class:`CellOutcome` carries the worker's compute /
-    reduction / diagnosis stamps home (dropped when no profile is
-    attached); the per-phase totals land in the
-    fleet record and, with telemetry on, as nested spans in the Chrome
-    trace.  ``benchmarks/bench_profile_overhead.py`` holds profiling to
-    the same bitwise-equality and overhead bars.
+    Observation is opt-in and free when off: the engine stamps each
+    pipeline stage once into a
+    :class:`~repro.obs.profile.SweepTimeline` passed as ``timeline``,
+    and tells the :class:`~repro.obs.profile.SweepObserver`\\ s in
+    ``observers`` (run-log, diagnosis log, progress display) of every
+    batch, cache hit and executed cell.  Every cell runs through the
+    same worker entry point whatever observes it, and the determinism
+    tests pin the equality bitwise.  :meth:`fleet_record` summarizes
+    everything the engine served into one fleet-ledger entry.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        run_log: Optional[RunLogWriter] = None,
         diagnose: bool = False,
-        diagnosis_log: Optional[DiagnosisWriter] = None,
         chunk_size: Optional[int] = None,
-        telemetry: Optional[SweepTelemetry] = None,
-        progress: bool = False,
-        progress_stream: Optional[IO[str]] = None,
-        profile: Optional[PhaseProfile] = None,
+        timeline: Optional[SweepTimeline] = None,
+        observers: Sequence[SweepObserver] = (),
     ):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -1055,11 +896,10 @@ class SweepEngine:
             raise ValueError("chunk_size must be at least 1")
         self.jobs = jobs
         self.cache = cache
-        self.metrics = metrics
-        self.run_log = run_log
-        self.diagnosis_log = diagnosis_log
         self.chunk_size = chunk_size
-        self._diagnose = diagnose or diagnosis_log is not None
+        self.timeline = timeline
+        self.observers = tuple(observers)
+        self._diagnose = diagnose
         #: the pool's process start method once the engine has started a
         #: pool (``""`` while every batch ran in-process or from the cache).
         self.start_method = ""
@@ -1068,33 +908,20 @@ class SweepEngine:
         self.stats = SweepStats()
         self._run_depth = 0  # baseline batches re-enter run()
         self._pool: Optional[ProcessPoolExecutor] = None
-        self.telemetry = telemetry
-        self.profile = profile
-        self.progress = progress
-        self._progress_lock = threading.Lock()
-        self._cell_labels: Dict[int, str] = {}
-        self._next_cell_id = 0
-        self._worker_ordinals: Dict[int, int] = {}
-        self._pump: Optional[_HeartbeatPump] = None
-        # The heartbeat queue is created up front (not per batch): pool
+        #: pid -> zero-based ordinal, in order of first result: the
+        #: run-log's worker ordinals and the trace's worker lanes.
+        self._ordinals: Dict[int, int] = {}
+        self._live = [
+            o.on_heartbeat for o in self.observers if o.on_heartbeat is not None
+        ]
+        # The heartbeat channel is created up front (not per batch): pool
         # initargs are fixed at pool spin-up, and the warm pool outlives
         # individual batches.
         self._heartbeats = None
-        if progress and jobs > 1:
+        if self._live and jobs > 1:
             import multiprocessing
 
-            self._heartbeats = multiprocessing.Queue()
-        if progress:
-            from repro.obs.telemetry import ProgressModel, ProgressRenderer
-
-            stream = progress_stream if progress_stream is not None else sys.stderr
-            self.progress_model: Optional[ProgressModel] = ProgressModel()
-            self.progress_renderer: Optional[ProgressRenderer] = ProgressRenderer(
-                self.progress_model, stream
-            )
-        else:
-            self.progress_model = None
-            self.progress_renderer = None
+            self._heartbeats = multiprocessing.SimpleQueue()
         # Grid axes of top-level batches, accumulated for fleet_record().
         self._axis_policies: Set[str] = set()
         self._axis_workloads: Set[str] = set()
@@ -1129,6 +956,12 @@ class SweepEngine:
         except Exception:
             pass
 
+    def _stage(self, name: str, **args: object):
+        """Stamp one engine stage into the timeline (a no-op without one)."""
+        if self.timeline is None:
+            return contextlib.nullcontext()
+        return self.timeline.stage(name, **args)
+
     def _new_pool(self, workers: int) -> ProcessPoolExecutor:
         """A worker pool whose workers import the simulator on start.
 
@@ -1139,17 +972,13 @@ class SweepEngine:
         parent is still single-threaded when it forks (numpy's OpenBLAS
         stops its one thread in its fork handler).
         """
-        with self._t_span(
-            PHASE_SPINUP, workers=workers
-        ), self._p_interval(PHASE_SPINUP):
+        with self._stage(PHASE_SPINUP, workers=workers):
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             self.start_method = multiprocessing.get_start_method()
         if self.start_method == "fork":
-            with self._t_span(PHASE_WORKER_START), self._p_interval(
-                PHASE_WORKER_START
-            ):
+            with self._stage(PHASE_WORKER_START):
                 _import_cell_path(self._diagnose)
         return ProcessPoolExecutor(
             max_workers=workers,
@@ -1158,8 +987,8 @@ class SweepEngine:
         )
 
     def _chunked(
-        self, todo: List[Tuple[str, SweepCell, int]], workers: int
-    ) -> List[List[Tuple[str, SweepCell, int]]]:
+        self, todo: List[Tuple[int, str, SweepCell]], workers: int
+    ) -> List[List[Tuple[int, str, SweepCell]]]:
         """Split ``todo`` into contiguous chunks, preserving order.
 
         Auto-sizing targets four chunks per worker: large enough to
@@ -1173,13 +1002,18 @@ class SweepEngine:
 
     def _run_chunks(
         self,
-        chunks: List[List[Tuple[str, SweepCell, int]]],
-        with_metrics: bool,
+        chunks: List[List[Tuple[int, str, SweepCell]]],
         diagnose: bool,
         baselines: Dict[str, Optional[float]],
     ) -> List[CellOutcome]:
         """Submit chunks to the warm pool (spawned on first use) and
         flatten their outcomes back into todo order.
+
+        While the chunks run, a pump thread feeds their heartbeats to the
+        live observers.  It starts after submission, so a ``fork`` pool
+        forks a single-threaded parent, and stops at the ``None`` the
+        engine writes once every chunk has ended: every heartbeat of the
+        batch is in the pipe before that.
 
         Raises:
             SweepCellError: for an in-worker failure (naming the exact
@@ -1190,44 +1024,88 @@ class SweepEngine:
         if self._pool is None:
             self._pool = self._new_pool(self.jobs)
         pool = self._pool
-        with self._t_span(
-            "submit chunks",
+        with self._stage(
+            PHASE_SUBMIT,
             chunks=len(chunks),
             cells=sum(len(chunk) for chunk in chunks),
-        ), self._p_interval(PHASE_SUBMIT):
+        ):
             futures = [
                 pool.submit(
                     _execute_chunk,
-                    [cell for _, cell, _ in chunk],
-                    with_metrics,
+                    [cell for _, _, cell in chunk],
                     diagnose,
-                    [baselines.get(key) for key, _, _ in chunk],
-                    [cell_id for _, _, cell_id in chunk],
+                    [baselines.get(key) for _, key, _ in chunk],
+                    [cell_id for cell_id, _, _ in chunk],
                 )
                 for chunk in chunks
             ]
+        pump = None
+        if self._heartbeats is not None:
+            pump = threading.Thread(
+                target=self._pump, name="sweep-heartbeats", daemon=True
+            )
+            pump.start()
         fresh: List[CellOutcome] = []
-        for chunk, future in zip(chunks, futures):
-            wait_start = perf_counter()
-            try:
-                outcomes = future.result()
-            except Exception as exc:
-                # The pool itself failed (worker crash, result transport);
-                # a dead warm pool must not poison the next batch.
-                self.close()
-                raise SweepCellError(chunk[0][1], exc) from exc
-            for (_, cell, _), outcome in zip(chunk, outcomes):
-                if isinstance(outcome, BaseException):
-                    raise SweepCellError(cell, outcome) from outcome
-                fresh.append(_started_in_batch(outcome, batch_start))
-            if self.profile is not None:
-                # Result IPC: the slice of the wait after the chunk's
-                # last cell finished computing is unpickling/transfer —
-                # the rest of the wait is covered by the workers' own
-                # compute stamps on the shared timebase.
-                ipc_start = max([wait_start] + [o.t_end for o in outcomes])
-                self.profile.add_interval(PHASE_IPC, ipc_start, perf_counter())
+        try:
+            for chunk, future in zip(chunks, futures):
+                wait_start = perf_counter()
+                try:
+                    outcomes = future.result()
+                except Exception as exc:
+                    # The pool itself failed (worker crash, result
+                    # transport); a dead warm pool must not poison the
+                    # next batch.
+                    self.close()
+                    raise SweepCellError(chunk[0][2], exc) from exc
+                for (_, _, cell), outcome in zip(chunk, outcomes):
+                    if isinstance(outcome, BaseException):
+                        raise SweepCellError(cell, outcome) from outcome
+                    fresh.append(_started_in_batch(outcome, batch_start))
+                if self.timeline is not None:
+                    # Result IPC: the slice of the wait after the chunk's
+                    # last cell finished is unpickling/transfer — the
+                    # rest of the wait is covered by the workers' own
+                    # stamps on the shared timebase.
+                    ipc_start = max([wait_start] + [o.phases[-1][2] for o in outcomes])
+                    self.timeline.add_stage(PHASE_IPC, ipc_start, perf_counter())
+        finally:
+            if pump is not None:
+                # A failed batch still ends every chunk before the
+                # sentinel, so no heartbeat of it trails into the next.
+                from concurrent.futures import wait
+
+                for future in futures:
+                    future.cancel()
+                wait(futures)
+                self._heartbeats.put(None)
+                pump.join()
         return fresh
+
+    def _pump(self) -> None:
+        """Feed a pooled batch's heartbeats to the live observers until
+        the batch's ``None``."""
+        for event in iter(self._heartbeats.get, None):
+            self._beat(*event)
+
+    def _beat(self, *event: object) -> None:
+        for on_heartbeat in self._live:
+            on_heartbeat(*event)
+
+    def _run_in_process(
+        self,
+        todo: List[Tuple[int, str, SweepCell]],
+        diagnose: bool,
+        baselines: Dict[str, Optional[float]],
+    ) -> List[CellOutcome]:
+        """Execute ``todo`` in this process, heartbeating as a pool
+        worker would."""
+        pid = os.getpid()
+        outcomes = []
+        for cell_id, key, cell in todo:
+            self._beat(False, pid, cell_id, perf_counter(), cell.label)
+            outcomes.append(_execute_cell(cell, diagnose, baselines.get(key)))
+            self._beat(True, pid, cell_id, perf_counter(), cell.label)
+        return outcomes
 
     def run(self, cells: Iterable[SweepCell]) -> List[CellResult]:
         """Execute ``cells`` and return their results, input-ordered.
@@ -1237,8 +1115,6 @@ class SweepEngine:
                 naming the affected cell.
         """
         start = perf_counter()
-        if self._run_depth == 0:
-            self._begin_sweep()
         self._run_depth += 1
         try:
             return self._run_batch(cells)
@@ -1246,78 +1122,13 @@ class SweepEngine:
             self._run_depth -= 1
             if self._run_depth == 0:
                 self.stats.wall_s += perf_counter() - start
-                self._end_sweep()
-
-    def _begin_sweep(self) -> None:
-        """Arm the observers before a top-level batch."""
-        if self.telemetry is not None:
-            self.telemetry.start()
-        if (
-            self._heartbeats is not None
-            and self.progress_model is not None
-            and self._pump is None
-        ):
-            self._pump = _HeartbeatPump(
-                self._heartbeats,
-                self.progress_model,
-                self.progress_renderer,
-                self._cell_labels,
-                self._progress_lock,
-            )
-            self._pump.start()
-
-    def _end_sweep(self) -> None:
-        """Settle the observers after a top-level batch completes."""
-        pump, self._pump = self._pump, None
-        if pump is not None:
-            pump.stop()
-        if self.progress_renderer is not None:
-            self.progress_renderer.finish()
-
-    def _t_span(self, name: str, **args: object):
-        """A telemetry span context, or a no-op when telemetry is off."""
-        if self.telemetry is None:
-            return contextlib.nullcontext()
-        return self.telemetry.span(name, **args)
-
-    @contextlib.contextmanager
-    def _p_interval(self, phase: str):
-        """Stamp the enclosed engine-side work into the phase profile.
-
-        A no-op context when no profile is attached — the profiled path
-        costs two ``perf_counter`` reads per use.
-        """
-        if self.profile is None:
-            yield
-            return
-        t0 = perf_counter()
-        try:
-            yield
-        finally:
-            self.profile.add_interval(phase, t0, perf_counter())
-
-    def _new_cell_id(self, cell: SweepCell) -> int:
-        """A sweep-unique display id for one pending cell."""
-        cell_id = self._next_cell_id
-        self._next_cell_id += 1
-        self._cell_labels[cell_id] = (
-            f"{cell.policy.label}/{cell.workload.name}"
-        )
-        return cell_id
+                for observer in self.observers:
+                    observer.on_batch_end()
 
     def _ordinal_for(self, pid: int) -> int:
-        """Stable zero-based worker ordinal for ``pid``.
-
-        Shares the telemetry lane assignment when telemetry is on, so
-        run-log ordinals and trace lanes name the same worker.
-        """
-        if self.telemetry is not None and pid != os.getpid():
-            return self.telemetry.ordinal_for(pid)
-        ordinal = self._worker_ordinals.get(pid)
-        if ordinal is None:
-            ordinal = len(self._worker_ordinals)
-            self._worker_ordinals[pid] = ordinal
-        return ordinal
+        """The stable zero-based ordinal of process ``pid``, assigned in
+        order of first result, the engine's own process included."""
+        return self._ordinals.setdefault(pid, len(self._ordinals))
 
     def _record_axes(self, cells: List[SweepCell]) -> None:
         """Accumulate top-level grid axes for :meth:`fleet_record`."""
@@ -1351,8 +1162,8 @@ class SweepEngine:
             git_sha=git_sha(),
             host_score=host_score(),
             phases=(
-                tuple(sorted(self.profile.phase_seconds().items()))
-                if self.profile is not None
+                tuple(sorted(self.timeline.phase_seconds().items()))
+                if self.timeline is not None
                 else ()
             ),
         )
@@ -1363,37 +1174,33 @@ class SweepEngine:
         results: Dict[str, CellResult] = {}
         if self._run_depth == 1:
             self._record_axes(ordered)
-        if self.progress_model is not None:
-            with self._progress_lock:
-                self.progress_model.add_total(len(set(keys)))
+        for observer in self.observers:
+            observer.on_batch_start(len(set(keys)))
 
         pending: Dict[str, SweepCell] = {}
         for key, cell in zip(keys, ordered):
             if key in results or key in pending:
                 continue
+            hit = None
             if self.cache is not None:
-                with self._p_interval(PHASE_CACHE):
+                with self._stage(PHASE_CACHE):
                     hit = self.cache.get(key)
-            else:
-                hit = None
-            if hit is not None:
-                results[key] = hit
-                self.stats.cache_hits += 1
-                self._observe(cell, key, hit, wall_s=0.0, cached=True)
-                if self.telemetry is not None:
-                    self.telemetry.add_instant(
-                        "cache hit",
-                        policy=cell.policy.label,
-                        workload=cell.workload.name,
-                        seed=cell.seed,
-                    )
-                if self.progress_model is not None:
-                    with self._progress_lock:
-                        self.progress_model.cache_hit(-1, perf_counter())
-                    if self.progress_renderer is not None:
-                        self.progress_renderer.update()
-            else:
+            if hit is None:
                 pending[key] = cell
+                continue
+            results[key] = hit
+            self.stats.cache_hits += 1
+            if self.timeline is not None:
+                self.timeline.add_instant(
+                    "cache hit",
+                    policy=cell.policy.label,
+                    workload=cell.workload.name,
+                    seed=cell.seed,
+                )
+            for observer in self.observers:
+                observer.on_cache_hit(cell, key, hit)
+        if not pending:
+            return [results[key] for key in keys]
 
         # Diagnosis wants the oracle baseline per workload/machine/seed
         # combination.  Those constant-step searches run through this very
@@ -1401,108 +1208,43 @@ class SweepEngine:
         # nested batches so they are not themselves diagnosed.
         diagnosing = self._diagnose and self._run_depth == 1
         baselines: Dict[str, Optional[float]] = {}
-        if diagnosing and pending:
-            with self._t_span("baseline dedup", cells=len(pending)):
+        if diagnosing:
+            with self._stage("baseline dedup", cells=len(pending)):
                 baselines = self._compute_baselines(pending)
 
-        if pending:
-            todo = [
-                (key, cell, self._new_cell_id(cell))
-                for key, cell in pending.items()
-            ]
-            with_metrics = self.metrics is not None
-            if self.jobs > 1 and len(todo) > 1:
-                workers = min(self.jobs, len(todo))
-                if self.metrics is not None:
-                    self.metrics.gauge("sweep.workers").set(workers)
-                outcomes = self._run_chunks(
-                    self._chunked(todo, workers),
-                    with_metrics,
-                    diagnosing,
-                    baselines,
-                )
-            else:
-                outcomes = []
-                for key, cell, cell_id in todo:
-                    self._progress_cell_started(cell_id)
-                    outcomes.append(_execute_cell(
-                        cell, with_metrics, diagnosing, baselines.get(key)
-                    ))
-                    self._progress_cell_finished(cell_id)
-            with self._t_span("merge results", cells=len(todo)):
-                for (key, cell, cell_id), outcome in zip(todo, outcomes):
-                    result = outcome.result
-                    if self.metrics is not None and outcome.metrics is not None:
-                        self.metrics.merge(outcome.metrics)
-                    if self.profile is not None:
-                        self.profile.add_group(outcome.phases)
-                    results[key] = result
-                    if self.cache is not None:
-                        with self._p_interval(PHASE_CACHE):
-                            self.cache.put(key, result)
-                    self._observe(
-                        cell, key, result, wall_s=outcome.wall_s,
-                        cached=False, worker_pid=outcome.pid,
+        # Heartbeat ids: a cell's position in the batch, unique among the
+        # cells in flight (nested batches finish before their parent's
+        # cells start).
+        todo = [
+            (cell_id, key, cell)
+            for cell_id, (key, cell) in enumerate(pending.items())
+        ]
+        if self.jobs > 1 and len(todo) > 1:
+            outcomes = self._run_chunks(
+                self._chunked(todo, min(self.jobs, len(todo))),
+                diagnosing,
+                baselines,
+            )
+        else:
+            outcomes = self._run_in_process(todo, diagnosing, baselines)
+        with self._stage("merge results", cells=len(todo)):
+            for (_, key, cell), outcome in zip(todo, outcomes):
+                results[key] = outcome.result
+                if self.cache is not None:
+                    with self._stage(PHASE_CACHE):
+                        self.cache.put(key, outcome.result)
+                ordinal = self._ordinal_for(outcome.pid)
+                if self.timeline is not None:
+                    self.timeline.add_cell(
+                        cell.label, outcome.phases, outcome.pid, ordinal,
+                        seed=cell.seed, machine=cell.machine.label,
                     )
-                    if self.telemetry is not None:
-                        self._trace_cell(cell, cell_id, outcome)
-                    if outcome.diagnosis is not None:
-                        self.diagnoses[key] = outcome.diagnosis
-                        if self.diagnosis_log is not None:
-                            self.diagnosis_log.write(outcome.diagnosis)
-            self.stats.executed += len(todo)
-
+                if outcome.diagnosis is not None:
+                    self.diagnoses[key] = outcome.diagnosis
+                for observer in self.observers:
+                    observer.on_cell_done(cell, key, outcome, ordinal)
+        self.stats.executed += len(todo)
         return [results[key] for key in keys]
-
-    def _trace_cell(
-        self, cell: SweepCell, cell_id: int, outcome: CellOutcome
-    ) -> None:
-        """Span one executed cell on its worker's telemetry lane."""
-        from repro.obs.telemetry import LANE_ENGINE
-
-        telemetry = self.telemetry
-        pid = outcome.pid
-        lane = LANE_ENGINE if pid == os.getpid() else telemetry.lane_for(pid)
-        telemetry.add_span(
-            self._cell_labels.get(cell_id, cell.policy.label),
-            telemetry.to_us(outcome.t_start),
-            telemetry.to_us(outcome.t_end),
-            lane=lane,
-            seed=cell.seed,
-            machine=cell.machine.label,
-        )
-        # With a profile attached, phase stamps go on the same lane, inside
-        # the cell span (or, for the worker's start-up, before it);
-        # compute is the span itself.
-        if self.profile is None:
-            return
-        for phase, p0, p1 in outcome.phases:
-            if phase != PHASE_COMPUTE:
-                telemetry.add_span(
-                    phase, telemetry.to_us(p0), telemetry.to_us(p1), lane=lane
-                )
-
-    def _progress_cell_started(self, cell_id: int) -> None:
-        """Feed the in-process execution path into the progress model."""
-        if self.progress_model is None:
-            return
-        with self._progress_lock:
-            self.progress_model.cell_started(
-                os.getpid(), cell_id, perf_counter(),
-                self._cell_labels.get(cell_id, ""),
-            )
-        if self.progress_renderer is not None:
-            self.progress_renderer.update()
-
-    def _progress_cell_finished(self, cell_id: int) -> None:
-        if self.progress_model is None:
-            return
-        with self._progress_lock:
-            self.progress_model.cell_finished(
-                os.getpid(), cell_id, perf_counter()
-            )
-        if self.progress_renderer is not None:
-            self.progress_renderer.update()
 
     def _compute_baselines(
         self, pending: Dict[str, SweepCell]
@@ -1531,51 +1273,6 @@ class SweepEngine:
                     by_coordinate[coordinate] = None
             out[key] = by_coordinate[coordinate]
         return out
-
-    def _observe(
-        self,
-        cell: SweepCell,
-        key: str,
-        result: CellResult,
-        wall_s: float,
-        cached: bool,
-        worker_pid: Optional[int] = None,
-    ) -> None:
-        """Account one served cell to the metrics registry and run-log.
-
-        ``worker_pid`` attributes an executed cell to the process that ran
-        it (None for cache hits, which no worker touched); the run-log
-        records it with the worker's ordinal so reports can attribute
-        stragglers.
-        """
-        if self.metrics is not None:
-            which = "sweep.cells_cached" if cached else "sweep.cells_executed"
-            self.metrics.counter(which).inc()
-            if not cached:
-                self.metrics.histogram("sweep.cell_wall_s").observe(wall_s)
-        if self.run_log is not None:
-            self.run_log.write(
-                RunLogRecord(
-                    run_id=key,
-                    policy=cell.policy.label,
-                    workload=cell.workload.name,
-                    machine=cell.machine.label,
-                    seed=cell.seed,
-                    duration_us=result.duration_us,
-                    energy_j=result.energy_j,
-                    exact_energy_j=result.exact_energy_j,
-                    miss_count=result.miss_count,
-                    cache="hit" if cached else "executed",
-                    wall_s=wall_s,
-                    unix_time=now_unix(),
-                    worker_pid=worker_pid,
-                    worker_ordinal=(
-                        self._ordinal_for(worker_pid)
-                        if worker_pid is not None
-                        else None
-                    ),
-                )
-            )
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,7 @@ def run_workload(
             ``"minimal"`` (energy totals and quantum statistics only;
             bitwise-equal energies, but no timeline for the DAQ).
         extra_recorders: observers (e.g. a
-            :class:`~repro.obs.trace.TraceRecorder` or
-            :class:`~repro.obs.metrics.KernelMetricsRecorder`) handed the
+            :class:`~repro.obs.trace.TraceRecorder`) handed the
             run's streams at its end on whichever backend runs.  Pure
             observation: results are bitwise-identical with or without
             them, on either backend.

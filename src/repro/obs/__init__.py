@@ -1,15 +1,18 @@
-"""Observability: tracing, metrics, run-logs, diagnostics, and reports.
+"""Observability: tracing, sweep timelines, run-logs, diagnostics, reports.
 
-The reproduction's answer to the paper's measurement rig.  Five tiers,
+The reproduction's answer to the paper's measurement rig.  Its tiers are
 all built on existing hook points and all guaranteed not to perturb
-results (recorders are pure observers; the determinism tests pin runs
-with and without observability to bitwise equality):
+results (recorders and sweep observers are pure observers; the
+determinism tests pin runs with and without observability to bitwise
+equality):
 
 - :mod:`repro.obs.trace` — :class:`TraceRecorder` captures every kernel
   observation and exports Chrome trace-event JSON for Perfetto /
   ``chrome://tracing`` (the software analogue of the DAQ capture);
-- :mod:`repro.obs.metrics` — a counter/gauge/histogram registry with
-  picklable snapshots that merge across sweep worker processes;
+- :mod:`repro.obs.profile` — the :class:`SweepTimeline` a sweep engine
+  stamps each pipeline stage into once (reduced to per-phase seconds,
+  exported as a Chrome trace with one lane per pool worker), and the
+  :class:`SweepObserver` protocol of the engine's per-cell observers;
 - :mod:`repro.obs.runlog` — append-only JSONL audit records, one per
   sweep cell, provenance-stamped with schema and package versions;
 - :mod:`repro.obs.diagnose` — per-run :class:`PolicyDiagnosis`: settling
@@ -18,8 +21,8 @@ with and without observability to bitwise equality):
 - :mod:`repro.obs.report` — run-log + diagnosis aggregation rendered as
   markdown or self-contained HTML.
 
-Fleet analytics ride the same seams: :mod:`repro.obs.profile`
-attributes sweep wall time to pipeline phases, :mod:`repro.obs.calibrate`
+:mod:`repro.obs.telemetry` holds the live ``--progress`` display.  Fleet
+analytics ride the same seams: :mod:`repro.obs.calibrate`
 scores the host so throughput normalizes across machines,
 :mod:`repro.obs.fleet` keeps the ledger of past sweeps and runs the
 perf-regression sentinel (:func:`check_fleet`), and
@@ -58,24 +61,16 @@ __getattr__, __dir__, __all__ = attach(
             "read_fleet",
             "throughput_trend",
         ),
-        "metrics": (
-            "Counter",
-            "Gauge",
-            "Histogram",
-            "HistogramSnapshot",
-            "KernelMetricsRecorder",
-            "MetricsRegistry",
-            "MetricsSnapshot",
-            "merge_snapshots",
-        ),
         "plot": ("fleet_charts", "fleet_plot_svg"),
         "profile": (
             "PHASE_ORDER",
-            "PhaseProfile",
+            "SweepObserver",
+            "SweepTimeline",
             "format_phase_table",
             "record_kernel_phase",
         ),
         "report": ("SweepReport", "build_report", "render_report"),
+        "telemetry": ("ProgressDisplay",),
         "runlog": (
             "RUN_LOG_VERSION",
             "RunLogRecord",

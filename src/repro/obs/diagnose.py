@@ -46,6 +46,7 @@ from repro.core.catalog import predictor_decay_n
 from repro.hw.machine import Machine
 from repro.hw.power import CoreState
 from repro.kernel.scheduler import KernelRun
+from repro.obs.profile import SweepObserver
 
 if TYPE_CHECKING:  # import cycle: repro.measure.parallel imports this module
     from repro.measure.runner import ExperimentResult
@@ -702,11 +703,12 @@ def diagnose(
 # ---------------------------------------------------------------------------
 
 
-class DiagnosisWriter:
+class DiagnosisWriter(SweepObserver):
     """Appends diagnoses to a JSONL file, one object per line.
 
     Lazily opens on first write, so constructing a writer for a path that
-    is never used leaves no file behind.
+    is never used leaves no file behind.  As a sweep observer it appends
+    the diagnosis of every cell a diagnosing engine executes.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -723,6 +725,10 @@ class DiagnosisWriter:
         self._fh.write("\n")
         self._fh.flush()
         self.written += 1
+
+    def on_cell_done(self, cell, key, outcome, ordinal) -> None:
+        if outcome.diagnosis is not None:
+            self.write(outcome.diagnosis)
 
     def close(self) -> None:
         """Close the underlying file (no-op if nothing was written)."""

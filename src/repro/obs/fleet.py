@@ -80,8 +80,8 @@ class FleetRecord:
         host_score: the host calibration score at sweep time
             (:mod:`repro.obs.calibrate`; 0.0 = uncalibrated host).
         phases: per-phase wall-time attribution, ``(phase, seconds)``
-            pairs from the sweep's :class:`~repro.obs.profile.PhaseProfile`
-            (empty when the sweep was not profiled).
+            pairs from the sweep's :class:`~repro.obs.profile.SweepTimeline`
+            (empty when the sweep had no timeline).
     """
 
     sweep_id: str

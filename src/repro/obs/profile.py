@@ -1,32 +1,41 @@
-"""Phase-level sweep profiling: where does a sweep's wall time go?
+"""The sweep timeline and the sweep-observer protocol.
 
-The fleet ledger records *that* a sweep took 12 s; this module records
+The fleet ledger records *that* a sweep took 12 s; the timeline records
 *where* — pool spin-up, worker start, chunk submission, kernel compute,
-observer reduction, result IPC, cache I/O, diagnosis — the
-attribution discipline the paper applies to joules, applied to the sweep
-pipeline itself.  A :class:`PhaseProfile` is a pure observer: it collects
-``(phase, t_start, t_end)`` intervals on the shared ``perf_counter``
-timebase (the same system-wide clock the telemetry spans ride) from two
-sources:
+observer reduction, result IPC, cache I/O, diagnosis — the attribution
+discipline the paper applies to joules, applied to the sweep pipeline
+itself.  The :class:`~repro.measure.parallel.SweepEngine` stamps each
+stage once into a :class:`SweepTimeline`, as ``(name, t_start, t_end)``
+on the system-wide ``perf_counter`` timebase, from two sources:
 
-- **engine-side intervals** the :class:`~repro.measure.parallel.SweepEngine`
-  stamps around its own pipeline stages (spin-up, submission, cache
-  get/put, result IPC), and
-- **worker-side stamps** every executed cell returns with its result
-  (the engine keeps them only when a profile is attached):
-  the kernel-compute interval, the observer-reduction interval
-  (stamped by the kernel around its recorders' ``contribute`` calls via
-  the process-global sink below), the diagnosis interval, and, once per
+- **engine-side stages** the engine stamps around its own work
+  (spin-up, submission, cache get/put, result IPC, and the trace-only
+  ``baseline dedup`` and ``merge results``), and
+- **worker-side stamps** every executed cell returns with its result:
+  the kernel-compute interval, the observer-reduction interval (stamped
+  by the kernel around its recorders' ``contribute`` calls via the
+  process-global sink below), the diagnosis interval, and, once per
   pool worker, the worker's start-up (under ``fork`` the engine stamps
   the simulator import its workers inherit as worker start too).
 
-Accounting is *exclusive*: an interval nested inside another (observer
-reduction runs inside the compute interval) is charged to the inner
-phase and subtracted from the outer, so per-phase seconds sum without
-double counting.  :meth:`PhaseProfile.coverage` reports the fraction of
-sweep wall time the union of intervals explains — the acceptance bar is
->= 95 % on a serial sweep and on a cold pooled one under every start
-method.
+The timeline has two readings of the same spans:
+
+- the exclusive per-phase reduction (:meth:`SweepTimeline.phase_seconds`)
+  that ``--phases`` prints and every fleet record stores.  It counts the
+  stages :data:`PHASE_ORDER` names; an interval nested inside another
+  of its group (observer reduction inside the compute interval) is
+  charged to the inner phase and subtracted from the outer, so per-phase
+  seconds sum without double counting.  :meth:`SweepTimeline.coverage`
+  reports the fraction of sweep wall time the phase intervals explain —
+  the acceptance bar is >= 95 % on a serial sweep and on a cold pooled
+  one under every start method;
+- the Chrome trace (:meth:`SweepTimeline.chrome_trace`) that
+  ``--sweep-trace`` writes: an engine lane, one lane per pool worker
+  with each cell's span around its stamps, cache-hit instants, and the
+  trace-only spans.
+
+The engine's per-cell observers — the run-log, the diagnosis log and
+the live progress display — implement :class:`SweepObserver`.
 
 This module is deliberately stdlib-only: the kernel calls
 :func:`record_kernel_phase` from its run epilogue, so importing it
@@ -36,8 +45,23 @@ in a cycle.  When no sink is armed the call is one ``None`` check.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+import contextlib
+import os
+from time import perf_counter
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.measure.parallel import CellOutcome, CellResult, SweepCell
 
 #: Engine-side phases.
 PHASE_SPINUP = "pool spin-up"
@@ -57,7 +81,8 @@ PHASE_COMPUTE = "kernel compute"
 PHASE_REDUCE = "observer reduction"
 PHASE_DIAGNOSE = "diagnosis"
 
-#: Canonical display order (slowest-changing pipeline stage first).
+#: The phases, in canonical display order (slowest-changing pipeline
+#: stage first).  Any other span is trace-only.
 PHASE_ORDER = (
     PHASE_SPINUP,
     PHASE_WORKER_START,
@@ -68,6 +93,12 @@ PHASE_ORDER = (
     PHASE_IPC,
     PHASE_CACHE,
 )
+
+#: The synthetic trace-event process id the sweep's lanes group under.
+TRACE_PID_SWEEP = 1
+
+#: Lane of the engine (parent-process) track.
+LANE_ENGINE = 0
 
 Interval = Tuple[str, float, float]
 
@@ -102,41 +133,92 @@ def record_kernel_phase(phase: str, t_start: float, t_end: float) -> None:
         sink.append((phase, t_start, t_end))
 
 
-class PhaseProfile:
-    """Attributes sweep wall time to named pipeline phases.
+class Span(NamedTuple):
+    """One stamped interval on a timeline lane (a Chrome ``X`` event)."""
 
-    Intervals arrive in *groups*: one group per executed cell (that
-    cell's worker-side stamps) and one group per engine-side interval.
-    Nesting is resolved within a group only — two cells running on
-    different pool workers overlap in wall time without either nesting
-    in the other, so cross-group subtraction would be wrong.
+    name: str
+    t_start: float
+    t_end: float
+    lane: int = LANE_ENGINE
+    args: Tuple[Tuple[str, object], ...] = ()
 
-    Thread-safe: the engine's merge loop and any renderer thread may
-    touch the profile concurrently.
+
+class SweepTimeline:
+    """Every stage of a sweep, stamped once, in nesting groups.
+
+    Spans arrive in *groups*: one per engine-side stage and one per
+    executed cell (that cell's worker-side stamps, under a trace-only
+    span named after the cell).  Nesting is resolved within a group
+    only — two cells running on different pool workers overlap in wall
+    time without either nesting in the other, so cross-group
+    subtraction would be wrong.
+
+    Only the engine's own thread records into a timeline.
     """
 
     def __init__(self) -> None:
-        self._groups: List[Tuple[Interval, ...]] = []
-        self._lock = threading.Lock()
+        self._groups: List[Tuple[Span, ...]] = []
+        self._instants: List[Tuple[str, float, Tuple[Tuple[str, object], ...]]] = []
+        self._lanes: Dict[int, str] = {LANE_ENGINE: "engine"}
+        self._pid = os.getpid()
 
     # -- recording --------------------------------------------------------------
 
-    def add_interval(self, phase: str, t_start: float, t_end: float) -> None:
-        """Record one engine-side interval (its own group)."""
-        if t_end > t_start:
-            with self._lock:
-                self._groups.append(((phase, t_start, t_end),))
+    @contextlib.contextmanager
+    def stage(self, name: str, **args: object) -> Iterator[None]:
+        """Stamp the enclosed engine-side work as one span."""
+        t_start = perf_counter()
+        try:
+            yield
+        finally:
+            self.add_stage(name, t_start, perf_counter(), **args)
 
-    def add_group(self, stamps: Sequence[Interval]) -> None:
-        """Record one cell's worker-side stamps as a nesting group."""
-        cleaned = tuple(
-            (phase, t0, t1) for phase, t0, t1 in stamps if t1 > t0
+    def add_stage(
+        self, name: str, t_start: float, t_end: float, **args: object
+    ) -> None:
+        """Record one engine-side span (its own group)."""
+        self._groups.append(
+            (Span(name, t_start, t_end, LANE_ENGINE, tuple(sorted(args.items()))),)
         )
-        if cleaned:
-            with self._lock:
-                self._groups.append(cleaned)
 
-    # -- accounting -------------------------------------------------------------
+    def add_cell(
+        self,
+        label: str,
+        stamps: Sequence[Interval],
+        pid: int,
+        ordinal: int,
+        **args: object,
+    ) -> None:
+        """Record one executed cell's worker-side stamps as a group.
+
+        A cell the engine ran in-process goes on the engine lane; a pool
+        worker's goes on lane ``ordinal + 1``, named after the worker's
+        run-log ordinal and pid.  The trace-only span ``label`` runs from
+        the cell's kernel compute to its last stamp (a worker's start-up
+        precedes it).
+        """
+        if pid == self._pid:
+            lane = LANE_ENGINE
+        else:
+            lane = ordinal + 1
+            self._lanes[lane] = f"worker {ordinal} (pid {pid})"
+        spans = [Span(name, t0, t1, lane) for name, t0, t1 in stamps]
+        cell = [s for s in spans if s.name != PHASE_WORKER_START]
+        spans.append(Span(
+            label, cell[0].t_start, cell[-1].t_end, lane,
+            tuple(sorted(args.items())),
+        ))
+        self._groups.append(tuple(spans))
+
+    def add_instant(self, name: str, **args: object) -> None:
+        """Record a point event on the engine lane, now."""
+        self._instants.append((name, perf_counter(), tuple(sorted(args.items()))))
+
+    # -- the phase reduction ----------------------------------------------------
+
+    def _phase_groups(self) -> Iterator[List[Span]]:
+        for group in self._groups:
+            yield [s for s in group if s.name in PHASE_ORDER and s.t_end > s.t_start]
 
     def phase_seconds(self) -> Dict[str, float]:
         """Exclusive seconds per phase (worker-seconds, not wall).
@@ -147,14 +229,12 @@ class PhaseProfile:
         twice.
         """
         totals: Dict[str, float] = {}
-        with self._lock:
-            groups = list(self._groups)
-        for group in groups:
-            for i, (phase, t0, t1) in enumerate(group):
+        for group in self._phase_groups():
+            for i, (phase, t0, t1, _, _) in enumerate(group):
                 length = t1 - t0
                 nested = sum(
                     b1 - b0
-                    for j, (_, b0, b1) in enumerate(group)
+                    for j, (_, b0, b1, _, _) in enumerate(group)
                     if j != i and b0 >= t0 and b1 <= t1 and (b1 - b0) < length
                 )
                 totals[phase] = totals.get(phase, 0.0) + max(
@@ -163,18 +243,15 @@ class PhaseProfile:
         return totals
 
     def accounted_s(self) -> float:
-        """Wall seconds the union of all intervals covers.
+        """Wall seconds the union of all phase intervals covers.
 
         The union (not the sum): two workers computing simultaneously
         cover the same wall second once.  This is what
         :meth:`coverage` compares against the sweep's wall time.
         """
-        with self._lock:
-            spans = sorted(
-                (t0, t1)
-                for group in self._groups
-                for _, t0, t1 in group
-            )
+        spans = sorted(
+            (s.t_start, s.t_end) for group in self._phase_groups() for s in group
+        )
         total = 0.0
         cur_start: Optional[float] = None
         cur_end = 0.0
@@ -190,7 +267,7 @@ class PhaseProfile:
         return total
 
     def coverage(self, wall_s: float) -> float:
-        """Fraction of ``wall_s`` the recorded intervals explain.
+        """Fraction of ``wall_s`` the recorded phase intervals explain.
 
         On a serial (``jobs=1``) sweep every pipeline stage runs in the
         engine process, so coverage should be near 1.0; on a pooled
@@ -201,29 +278,72 @@ class PhaseProfile:
             return 0.0
         return self.accounted_s() / wall_s
 
-    # -- rendering --------------------------------------------------------------
-
-    def rows(self, wall_s: Optional[float] = None) -> List[Tuple[str, float, float]]:
-        """``(phase, seconds, share)`` rows in canonical phase order.
-
-        ``share`` is of the summed per-phase seconds (busy share), or of
-        ``wall_s`` when given.  Phases with no recorded time are
-        omitted; phases outside :data:`PHASE_ORDER` sort last.
-        """
-        totals = self.phase_seconds()
-        denom = wall_s if wall_s and wall_s > 0 else sum(totals.values())
-        order = {phase: i for i, phase in enumerate(PHASE_ORDER)}
-        ordered = sorted(
-            totals.items(), key=lambda kv: (order.get(kv[0], len(order)), kv[0])
-        )
-        return [
-            (phase, seconds, seconds / denom if denom > 0 else 0.0)
-            for phase, seconds in ordered
-        ]
-
     def table(self, wall_s: Optional[float] = None) -> str:
         """The per-phase breakdown as an aligned text table."""
-        return format_phase_table(dict(self.phase_seconds()), wall_s=wall_s)
+        return format_phase_table(self.phase_seconds(), wall_s=wall_s)
+
+    # -- the Chrome trace -------------------------------------------------------
+
+    def chrome_trace(self) -> dict:
+        """Every span and instant as a Chrome trace-event JSON payload.
+
+        One synthetic process with the engine lane and one thread per
+        pool worker; timestamps count from the earliest event.
+        Structurally valid under
+        :func:`repro.obs.trace.validate_chrome_trace`.
+        """
+        spans = [span for group in self._groups for span in group]
+        t0 = min(
+            [s.t_start for s in spans] + [t for _, t, _ in self._instants],
+            default=0.0,
+        )
+        events: List[dict] = [_meta(None, "process_name", "sweep engine")]
+        events += [
+            _meta(lane, "thread_name", name)
+            for lane, name in sorted(self._lanes.items())
+        ]
+        events += [
+            {
+                "name": s.name,
+                "ph": "X",
+                "ts": (s.t_start - t0) * 1e6,
+                "dur": max(0.0, (s.t_end - s.t_start) * 1e6),
+                "pid": TRACE_PID_SWEEP,
+                "tid": s.lane,
+                "args": dict(s.args),
+            }
+            for s in spans
+        ]
+        events += [
+            {
+                "name": name,
+                "ph": "i", "s": "t",
+                "ts": (t - t0) * 1e6,
+                "pid": TRACE_PID_SWEEP,
+                "tid": LANE_ENGINE,
+                "args": dict(args),
+            }
+            for name, t, args in self._instants
+        ]
+        events.sort(key=lambda e: (0 if e["ph"] == "M" else 1, e.get("ts", 0.0)))
+        return {
+            "traceEvents": events,
+            "displayTimeUnit": "ms",
+            "otherData": {
+                "generator": "repro.obs.profile",
+                "spans": len(spans),
+                "instants": len(self._instants),
+                "workers": len(self._lanes) - 1,
+            },
+        }
+
+
+def _meta(tid: Optional[int], name: str, value: str) -> dict:
+    event = {"name": name, "ph": "M", "pid": TRACE_PID_SWEEP,
+             "args": {"name": value}}
+    if tid is not None:
+        event["tid"] = tid
+    return event
 
 
 def format_phase_table(
@@ -231,9 +351,10 @@ def format_phase_table(
 ) -> str:
     """Render a ``{phase: seconds}`` mapping as an aligned text table.
 
-    Shared by the live engine profile and the fleet ledger's stored
+    Shared by the live engine timeline and the fleet ledger's stored
     phase dicts, so ``repro fleet`` and a post-sweep ``--phases`` print
-    the identical layout.
+    the identical layout.  Phases outside :data:`PHASE_ORDER` (from
+    older ledgers) sort last.
     """
     order = {phase: i for i, phase in enumerate(PHASE_ORDER)}
     items = sorted(
@@ -251,3 +372,39 @@ def format_phase_table(
     lines.append(f"{'total accounted':<{width}}  {total:8.3f}  "
                  f"{(total / denom if denom > 0 else 0.0):6.1%}")
     return "\n".join(lines)
+
+
+class SweepObserver:
+    """What a :class:`~repro.measure.parallel.SweepEngine` tells the
+    observers it was given.
+
+    Every hook is a no-op here, so an observer overrides only what it
+    watches.  Observers watch, never steer: the engine computes the same
+    results with or without them.  A *batch* is one ``SweepEngine.run``
+    call; a diagnosing engine's oracle-baseline batches nest inside its
+    top-level batch.  The engine calls its observers from one thread at
+    a time.
+    """
+
+    #: Set by an observer that shows cells in flight: the engine then
+    #: opens its heartbeat channel and calls
+    #: ``on_heartbeat(done, pid, cell_id, t, label)`` as each cell starts
+    #: (``done`` False) and finishes, in-process or in a pool worker.
+    #: Within a pooled batch, every heartbeat arrives before the batch's
+    #: outcomes reach the other hooks.
+    on_heartbeat: Optional[Callable[[bool, int, int, float, str], None]] = None
+
+    def on_batch_start(self, cells: int) -> None:
+        """A batch of ``cells`` unique cells begins (nested ones too)."""
+
+    def on_cache_hit(self, cell: SweepCell, key: str, result: CellResult) -> None:
+        """``cell`` (cache key ``key``) was answered from the cache."""
+
+    def on_cell_done(
+        self, cell: SweepCell, key: str, outcome: CellOutcome, ordinal: int
+    ) -> None:
+        """``cell`` was executed; ``ordinal`` is the zero-based ordinal
+        of the process that ran it, the engine's own process included."""
+
+    def on_batch_end(self) -> None:
+        """The top-level batch is served (or failed)."""

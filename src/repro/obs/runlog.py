@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import repro
+from repro.obs.profile import SweepObserver
 
 #: Bump when the record layout changes incompatibly.
 #: Version 2 added provenance: every record carries the ``repro`` package
@@ -59,10 +60,14 @@ class RunLogRecord:
         worker_pid: OS pid of the pool process that executed the cell
             (the parent's own pid for in-process execution; None for
             cache hits, which no worker touched).
-        worker_ordinal: stable zero-based index of that worker within
-            the sweep — matches the telemetry trace lane numbering, so
-            a straggler flagged in the run-log points at a Perfetto
-            track.  None for cache hits.
+        worker_ordinal: stable zero-based index of that process within
+            the engine, in order of first result, the engine's own
+            process included — so distinct pids never share one.  A
+            pool worker with ordinal ``k`` is ``worker k`` on lane
+            ``k + 1`` of the engine's sweep trace, so a straggler
+            flagged in the run-log points at a Perfetto track; cells
+            run in-process sit on the trace's engine lane.  None for
+            cache hits.
     """
 
     run_id: str
@@ -86,12 +91,13 @@ class RunLogRecord:
         return {"v": RUN_LOG_VERSION, **asdict(self)}
 
 
-class RunLogWriter:
+class RunLogWriter(SweepObserver):
     """Appends :class:`RunLogRecord` lines to a JSONL file.
 
     Opens lazily on the first write (so merely configuring a log path
     never creates an empty file) and flushes every record.  Usable as a
-    context manager; :meth:`close` is idempotent.
+    context manager; :meth:`close` is idempotent.  As a sweep observer
+    it logs one record per unique cell a sweep engine serves.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -107,6 +113,37 @@ class RunLogWriter:
         self._handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
         self._handle.flush()
         self.written += 1
+
+    def on_cache_hit(self, cell, key, result) -> None:
+        self._log(cell, key, result, "hit")
+
+    def on_cell_done(self, cell, key, outcome, ordinal) -> None:
+        self._log(
+            cell, key, outcome.result, "executed",
+            outcome.wall_s, outcome.pid, ordinal,
+        )
+
+    def _log(
+        self, cell, key, result, cache, wall_s=0.0, pid=None, ordinal=None
+    ) -> None:
+        self.write(
+            RunLogRecord(
+                run_id=key,
+                policy=cell.policy.label,
+                workload=cell.workload.name,
+                machine=cell.machine.label,
+                seed=cell.seed,
+                duration_us=result.duration_us,
+                energy_j=result.energy_j,
+                exact_energy_j=result.exact_energy_j,
+                miss_count=result.miss_count,
+                cache=cache,
+                wall_s=wall_s,
+                unix_time=now_unix(),
+                worker_pid=pid,
+                worker_ordinal=ordinal,
+            )
+        )
 
     def close(self) -> None:
         """Close the underlying file (no-op if never written to)."""

@@ -1,57 +1,46 @@
-"""Sweep-level telemetry: spans, live progress, and the heartbeat protocol.
+"""The live sweep progress display.
 
-PR 3/4 made individual *runs* observable; this module does the same for
-the sweep pipeline itself.  Three cooperating pieces:
-
-- :class:`SweepTelemetry` — a span recorder for the engine's lifecycle
-  (pool spin-up, chunk submission, per-cell execution, cache hits,
-  baseline dedup, result merge).  Spans live on *lanes*: lane 0 is the
-  engine (the parent process), and every pool worker gets its own lane
-  keyed by OS pid, so :meth:`SweepTelemetry.chrome_trace` exports a
-  payload — validated by the very same
-  :func:`repro.obs.trace.validate_chrome_trace` the per-run exporter
-  uses — that opens in Perfetto with one track per worker.
+Three pieces, from pure state to terminal:
 
 - :class:`ProgressModel` — the deterministic state machine behind the
-  live progress display.  It consumes the heartbeat event stream
-  (cell-started / cell-finished / cache-hit) plus an injectable clock
-  and derives everything the renderer shows: cells done/total, cells/s,
-  ETA, cache-hit rate, per-worker utilization, and straggler flags for
+  display.  It consumes heartbeat-shaped events (cell-started /
+  cell-finished / cache-hit) plus explicit timestamps and derives
+  everything the renderer shows: cells done/total, cells/s, ETA,
+  cache-hit rate, per-worker utilization, and straggler flags for
   in-flight cells that exceed :data:`STRAGGLER_FACTOR` x the running
-  median cell wall time.  No wall-clock reads of its own, so tests
-  drive it with synthetic streams and a fake clock — no sleeps.
+  median cell wall time.  No wall-clock reads of its own, so tests drive
+  it with synthetic streams and a fake clock — no sleeps.
 
 - :class:`ProgressRenderer` — a throttled single-line TTY renderer over
   a :class:`ProgressModel`.  It only draws when its stream is a TTY (or
   when explicitly forced), so piping a ``--progress`` sweep degrades to
   the engine's usual one-line stderr summary.
 
-The heartbeat protocol itself is owned by the sweep engine
-(:mod:`repro.measure.parallel`): workers ``put`` small tuples —
-``(HEARTBEAT_START, pid, cell_id, t)`` and
-``(HEARTBEAT_DONE, pid, cell_id, t)`` — on a ``multiprocessing`` queue
-the pool inherits at spin-up, and the parent drains them into the model
-from a background thread while futures are in flight.  Heartbeats only
-drive the *display*; results, run-logs and telemetry spans all travel
-on the pool's result channel, so a lost trailing heartbeat can never
-lose data.
+- :class:`ProgressDisplay` — the two as a
+  :class:`~repro.obs.profile.SweepObserver` of the sweep engine.  Batch
+  starts grow the total, cache hits count as done, and the engine's
+  heartbeat channel reports each executed cell starting and finishing.
+  A pool worker writes its heartbeats synchronously to a
+  ``multiprocessing.SimpleQueue`` before it returns its chunk, and the
+  engine ends each pooled batch with a ``None`` after the last result,
+  so the pump thread that feeds the display reads every heartbeat of
+  the batch before it stops.  Heartbeats only drive the display;
+  results, run-logs and the sweep timeline travel on the pool's result
+  channel.
 
-Everything here is a pure observer: telemetry and progress watch the
-sweep, they never steer it, and sweep results are bitwise-identical
-with them on or off (``benchmarks/bench_telemetry_overhead.py`` holds
-the overhead to the same bar the recorder benchmarks use).
+Everything here is a pure observer: sweep results are bitwise-identical
+with the display on or off (``benchmarks/bench_telemetry_overhead.py``
+holds the overhead to the same bar the recorder benchmarks use).
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
-from threading import Lock
 from typing import Callable, Dict, IO, List, Optional, Tuple
 
-#: Heartbeat event tags (first tuple element) workers emit per cell.
-HEARTBEAT_START = "start"
-HEARTBEAT_DONE = "done"
+from repro.obs.profile import SweepObserver
 
 #: An in-flight cell is flagged a straggler once its elapsed wall time
 #: exceeds this many times the running median of completed cell walls.
@@ -61,231 +50,6 @@ STRAGGLER_FACTOR = 4.0
 #: enough to flag stragglers (early cells are all "slow" relative to an
 #: empty distribution).
 STRAGGLER_MIN_SAMPLES = 3
-
-#: The synthetic trace-event process id the sweep's tracks group under.
-TRACE_PID_SWEEP = 1
-
-#: Lane number of the engine (parent-process) track.
-LANE_ENGINE = 0
-
-
-@dataclass(frozen=True)
-class Span:
-    """One closed interval on a telemetry lane (a Chrome ``X`` event)."""
-
-    name: str
-    start_us: float
-    dur_us: float
-    lane: int
-    args: Tuple[Tuple[str, object], ...] = ()
-
-
-@dataclass(frozen=True)
-class Instant:
-    """One point event on a telemetry lane (a Chrome ``i`` event)."""
-
-    name: str
-    ts_us: float
-    lane: int
-    args: Tuple[Tuple[str, object], ...] = ()
-
-
-class SweepTelemetry:
-    """Collects sweep-pipeline spans and exports them as a Chrome trace.
-
-    Timestamps are relative to :meth:`start` (the engine calls it when
-    its first top-level batch begins) on the ``perf_counter`` timebase,
-    which is system-wide on the platforms the pool runs on — worker
-    timestamps ship home in each cell's outcome and land on the same axis.
-
-    Lanes are assigned on first sight of a worker pid
-    (:meth:`lane_for`); lane 0 is always the engine itself.  The
-    exporter emits one named thread per lane, so a grid sweep opens in
-    Perfetto with the engine's orchestration up top and one execution
-    track per pool worker below it.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
-        self._clock = clock
-        self._t0: Optional[float] = None
-        self.spans: List[Span] = []
-        self.instants: List[Instant] = []
-        self._lanes: Dict[int, int] = {}
-        self._lock = Lock()
-
-    # -- timebase ---------------------------------------------------------------
-
-    @property
-    def started(self) -> bool:
-        """Whether the sweep timebase has been anchored yet."""
-        return self._t0 is not None
-
-    def start(self) -> None:
-        """Anchor the timebase at "now" (idempotent)."""
-        if self._t0 is None:
-            self._t0 = self._clock()
-
-    def now_us(self) -> float:
-        """Microseconds since :meth:`start` (anchors it if needed)."""
-        self.start()
-        assert self._t0 is not None
-        return (self._clock() - self._t0) * 1e6
-
-    def to_us(self, t_abs: float) -> float:
-        """Map an absolute ``perf_counter`` reading onto the sweep axis.
-
-        Clamped at zero: a worker clock marginally behind the anchor
-        (or an event from before :meth:`start`) must not produce the
-        negative timestamps the trace format forbids.
-        """
-        self.start()
-        assert self._t0 is not None
-        return max(0.0, (t_abs - self._t0) * 1e6)
-
-    # -- lanes ------------------------------------------------------------------
-
-    def lane_for(self, pid: int) -> int:
-        """The (stable) lane of worker ``pid``, assigned on first use.
-
-        Thread-safe: the heartbeat pump and the engine's merge loop may
-        both discover a worker first.
-        """
-        with self._lock:
-            lane = self._lanes.get(pid)
-            if lane is None:
-                lane = len(self._lanes) + 1
-                self._lanes[pid] = lane
-            return lane
-
-    def ordinal_for(self, pid: int) -> int:
-        """The zero-based worker ordinal of ``pid`` (lane - 1)."""
-        return self.lane_for(pid) - 1
-
-    @property
-    def worker_lanes(self) -> Dict[int, int]:
-        """A snapshot of the pid -> lane assignment."""
-        with self._lock:
-            return dict(self._lanes)
-
-    # -- recording --------------------------------------------------------------
-
-    def add_span(
-        self,
-        name: str,
-        start_us: float,
-        end_us: float,
-        lane: int = LANE_ENGINE,
-        **args: object,
-    ) -> None:
-        """Record a closed span; zero-length spans are kept (dur 0)."""
-        self.spans.append(
-            Span(
-                name=name,
-                start_us=start_us,
-                dur_us=max(0.0, end_us - start_us),
-                lane=lane,
-                args=tuple(sorted(args.items())),
-            )
-        )
-
-    def add_instant(
-        self, name: str, ts_us: Optional[float] = None,
-        lane: int = LANE_ENGINE, **args: object,
-    ) -> None:
-        """Record a point event (defaults to "now")."""
-        self.instants.append(
-            Instant(
-                name=name,
-                ts_us=self.now_us() if ts_us is None else ts_us,
-                lane=lane,
-                args=tuple(sorted(args.items())),
-            )
-        )
-
-    class _SpanHandle:
-        """Context manager produced by :meth:`SweepTelemetry.span`."""
-
-        __slots__ = ("_telemetry", "_name", "_lane", "_args", "_start_us")
-
-        def __init__(self, telemetry, name, lane, args):
-            self._telemetry = telemetry
-            self._name = name
-            self._lane = lane
-            self._args = args
-
-        def __enter__(self):
-            self._start_us = self._telemetry.now_us()
-            return self
-
-        def __exit__(self, *exc_info):
-            self._telemetry.add_span(
-                self._name, self._start_us, self._telemetry.now_us(),
-                lane=self._lane, **self._args,
-            )
-
-    def span(self, name: str, lane: int = LANE_ENGINE, **args: object):
-        """Time a ``with`` block as a span on ``lane``."""
-        return self._SpanHandle(self, name, lane, args)
-
-    # -- export -----------------------------------------------------------------
-
-    def chrome_trace(self) -> dict:
-        """The collected spans as a Chrome trace-event JSON payload.
-
-        Emits the same event subset the per-run exporter does (``M`` /
-        ``X`` / ``i``), under one synthetic process with the engine lane
-        and one thread per worker — structurally valid under
-        :func:`repro.obs.trace.validate_chrome_trace`.
-        """
-        events: List[dict] = [
-            _meta(None, "process_name", "sweep engine"),
-            _meta(LANE_ENGINE, "thread_name", "engine"),
-        ]
-        for pid, lane in sorted(self.worker_lanes.items(), key=lambda kv: kv[1]):
-            events.append(
-                _meta(lane, "thread_name", f"worker {lane - 1} (pid {pid})")
-            )
-        for span in self.spans:
-            events.append({
-                "name": span.name,
-                "ph": "X",
-                "ts": span.start_us,
-                "dur": span.dur_us,
-                "pid": TRACE_PID_SWEEP,
-                "tid": span.lane,
-                "args": dict(span.args),
-            })
-        for inst in self.instants:
-            events.append({
-                "name": inst.name,
-                "ph": "i", "s": "t",
-                "ts": inst.ts_us,
-                "pid": TRACE_PID_SWEEP,
-                "tid": inst.lane,
-                "args": dict(inst.args),
-            })
-        events.sort(key=lambda e: (0 if e["ph"] == "M" else 1, e.get("ts", 0.0)))
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "generator": "repro.obs.telemetry",
-                "spans": len(self.spans),
-                "instants": len(self.instants),
-                "workers": len(self._lanes),
-            },
-        }
-
-
-def _meta(tid: Optional[int], name: str, value: str) -> dict:
-    event = {"name": name, "ph": "M", "pid": TRACE_PID_SWEEP,
-             "args": {"name": value}}
-    if tid is not None:
-        event["tid"] = tid
-    return event
-
-
-# -- progress -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -333,9 +97,8 @@ class ProgressModel:
 
     Consumes heartbeat-shaped events with explicit timestamps (the
     engine feeds it wall-clock readings; tests feed it a fake clock's)
-    and derives the display quantities on demand.  All methods are
-    called under the engine's progress lock, so the model itself keeps
-    no locking.
+    and derives the display quantities on demand.  The engine calls its
+    observers from one thread at a time, so the model keeps no locking.
 
     Args:
         total: unique cells the sweep will serve (grows via
@@ -587,3 +350,30 @@ class ProgressRenderer:
         self.stream.write("\r" + " " * self._last_width + "\r")
         self.stream.flush()
         self._last_width = 0
+
+
+class ProgressDisplay(SweepObserver):
+    """The live ``--progress`` line on stderr, as a sweep observer."""
+
+    def __init__(self) -> None:
+        self.model = ProgressModel()
+        self.renderer = ProgressRenderer(self.model, sys.stderr)
+
+    def on_batch_start(self, cells: int) -> None:
+        self.model.add_total(cells)
+
+    def on_heartbeat(
+        self, done: bool, pid: int, cell_id: int, t: float, label: str
+    ) -> None:
+        if done:
+            self.model.cell_finished(pid, cell_id, t)
+        else:
+            self.model.cell_started(pid, cell_id, t, label)
+        self.renderer.update()
+
+    def on_cache_hit(self, cell, key, result) -> None:
+        self.model.cache_hit(-1, time.perf_counter())
+        self.renderer.update()
+
+    def on_batch_end(self) -> None:
+        self.renderer.finish()

@@ -8,8 +8,8 @@ misses, the quantum log, the power timeline, clock/voltage transition
 logs and counters, per-pid busy accounting, and application events.
 Exception behaviour must match too (e.g. the stock Itsy rejecting the
 1.23 V request of ``best-voltage``) — same type, same message.  The
-observed grid re-runs the whole grid with trace, metrics and diagnosis
-observers attached to both backends and demands identical observer
+observed grid re-runs the whole grid with the trace recorder and
+diagnosis attached to both backends and demands identical observer
 output, not just identical runs.
 """
 
@@ -28,7 +28,6 @@ from repro.measure.parallel import (
 )
 from repro.measure.runner import run_workload
 from repro.obs.diagnose import diagnose
-from repro.obs.metrics import KernelMetricsRecorder, MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.workloads.chess import ChessConfig, chess_workload
 from repro.workloads.editor import EditorConfig, editor_workload
@@ -147,12 +146,11 @@ class TestCatalogGrid:
 
 
 def observed_run(workload, policy, spec, backend, duration_s):
-    """One observed run: trace + metrics + diagnosis on ``backend``."""
+    """One observed run: trace + diagnosis on ``backend``."""
     tracer = TraceRecorder()
-    registry = MetricsRegistry()
     result = run_one(
         workload, policy, spec, backend=backend, duration_s=duration_s,
-        extra_recorders=[tracer, KernelMetricsRecorder(registry)],
+        extra_recorders=[tracer],
     )
     diagnosis = diagnose(
         result,
@@ -162,11 +160,11 @@ def observed_run(workload, policy, spec, backend, duration_s):
         machine_label=spec.label,
         baseline_j=None,
     )
-    return result, tracer, registry.snapshot(), diagnosis
+    return result, tracer, diagnosis
 
 
 class TestObservedGrid:
-    """The same grid, observed: trace + metrics + diagnosis recorders
+    """The same grid, observed: trace recorder + diagnosis
     attached on both backends must leave runs bitwise-identical and
     produce identical observer output (no fallback path remains)."""
 
@@ -193,8 +191,8 @@ class TestObservedGrid:
             assert type(fast_exc) is type(ref_exc)
             assert str(fast_exc) == str(ref_exc)
             return
-        ref, ref_trace, ref_snap, ref_diag = outcomes["reference"]
-        fast, fast_trace, fast_snap, fast_diag = outcomes["fastpath"]
+        ref, ref_trace, ref_diag = outcomes["reference"]
+        fast, fast_trace, fast_diag = outcomes["fastpath"]
         assert_bitwise_equal(ref, fast)
         # Trace buffers: every stream, element for element.
         assert fast_trace.quanta == ref_trace.quanta
@@ -202,8 +200,6 @@ class TestObservedGrid:
         assert fast_trace.volt_changes == ref_trace.volt_changes
         assert fast_trace.power == ref_trace.power
         assert fast_trace.decisions == ref_trace.decisions
-        # Metrics: identical counters, gauges and histograms.
-        assert fast_snap == ref_snap
         # Diagnosis: the full report, field for field.
         assert fast_diag.to_json() == ref_diag.to_json()
 

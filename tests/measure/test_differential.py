@@ -26,7 +26,8 @@ from repro.measure.parallel import (
     WorkloadSpec,
 )
 from repro.measure.runner import run_workload
-from repro.obs.metrics import KernelMetricsRecorder, MetricsRegistry
+from repro.obs.profile import SweepTimeline
+from repro.obs.trace import TraceRecorder
 from repro.traces.corpus import load_entry, save_entry
 from repro.workloads.fuzz import FuzzSpec, fuzz_family
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
@@ -181,15 +182,15 @@ class TestObservedBackends:
     """Satellite: observers attach to either backend, no fallback left."""
 
     def _observed_run(self, backend):
-        registry = MetricsRegistry()
+        tracer = TraceRecorder()
         result = run_workload(
             mpeg_workload(MpegConfig(duration_s=0.3)),
             resolve_policy("best"),
             use_daq=False,
             backend=backend,
-            extra_recorders=[KernelMetricsRecorder(registry)],
+            extra_recorders=[tracer],
         )
-        return result, registry.snapshot()
+        return result, tracer
 
     def test_no_fallback_note_on_either_backend(self):
         buf = io.StringIO()
@@ -208,12 +209,13 @@ class TestObservedBackends:
         )
         assert compare_results(plain, observed) == []
 
-    def test_observed_metrics_identical_across_backends(self):
-        fast_result, fast_snap = self._observed_run("fastpath")
-        ref_result, ref_snap = self._observed_run("reference")
+    def test_observed_trace_identical_across_backends(self):
+        fast_result, fast_trace = self._observed_run("fastpath")
+        ref_result, ref_trace = self._observed_run("reference")
         assert compare_results(ref_result, fast_result) == []
-        assert fast_snap.counters == ref_snap.counters
-        assert fast_snap.histograms == ref_snap.histograms
+        assert fast_trace.quanta == ref_trace.quanta
+        assert fast_trace.freq_changes == ref_trace.freq_changes
+        assert fast_trace.power == ref_trace.power
 
     def test_observed_sweep_stays_on_requested_backend(self):
         cell = SweepCell(
@@ -225,7 +227,7 @@ class TestObservedBackends:
         )
         buf = io.StringIO()
         with redirect_stderr(buf):
-            with SweepEngine(jobs=1, metrics=MetricsRegistry()) as engine:
+            with SweepEngine(jobs=1, timeline=SweepTimeline()) as engine:
                 engine.run([cell])
         assert buf.getvalue() == ""
         assert not hasattr(engine.stats, "fastpath_fallbacks")

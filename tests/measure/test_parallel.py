@@ -280,49 +280,21 @@ class TestSweepObservability:
         assert engine.stats.wall_s > 0
         assert engine.stats.summary().startswith("sweep: 1 simulated, 0 cached")
 
-    def test_metrics_count_executed_and_cached_cells(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        cache = ResultCache(tmp_path)
-        SweepEngine(jobs=1, cache=cache, metrics=registry).run(
-            [cell(), cell(seed=1)]
-        )
-        SweepEngine(jobs=1, cache=cache, metrics=registry).run([cell()])
-        snap = registry.snapshot()
-        assert snap.counters["sweep.cells_executed"] == 2
-        assert snap.counters["sweep.cells_cached"] == 1
-        assert snap.histograms["sweep.cell_wall_s"].count == 2
-        assert snap.counters["kernel.quanta"] > 0
-
-    def test_pool_metrics_merge_and_results_stay_bitwise(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        cells = [cell(seed=s) for s in range(3)]
-        observed = SweepEngine(jobs=2, metrics=registry).run(cells)
-        plain = SweepEngine(jobs=2).run(cells)
-        assert observed == plain
-        snap = registry.snapshot()
-        assert snap.counters["sweep.cells_executed"] == 3
-        assert snap.gauges["sweep.workers"] == 2
-        # Kernel counters arrive via worker snapshots merged in the parent.
-        assert snap.counters["kernel.quanta"] > 0
-
 
 class TestSweepTelemetry:
-    """The telemetry/progress stack must observe without perturbing."""
+    """The timeline and the progress display must observe without
+    perturbing."""
 
     def engine_with_telemetry(self, jobs: int):
         import io
 
-        from repro.obs.telemetry import SweepTelemetry
+        from repro.obs.profile import SweepTimeline
+        from repro.obs.telemetry import ProgressDisplay
 
         return SweepEngine(
             jobs=jobs,
-            telemetry=SweepTelemetry(),
-            progress=True,
-            progress_stream=io.StringIO(),
+            timeline=SweepTimeline(),
+            observers=[ProgressDisplay()],
         )
 
     def test_instrumented_grid_bitwise_equal(self):
@@ -336,31 +308,38 @@ class TestSweepTelemetry:
 
         with self.engine_with_telemetry(jobs=2) as engine:
             engine.run([cell(seed=s) for s in range(4)])
-            payload = engine.telemetry.chrome_trace()
+            payload = engine.timeline.chrome_trace()
         validate_chrome_trace(payload)
-        names = {e["name"] for e in payload["traceEvents"]}
-        assert "pool spin-up" in names
-        assert "merge results" in names
-        # One per-cell span per executed cell, on a worker lane, and one
-        # lane per worker pid that ran a cell.  Whether both workers get
-        # a cell depends on how fast they start (start method, host
-        # load), which the engine does not promise.
+        events = payload["traceEvents"]
+        names = {e["name"] for e in events}
+        assert {"pool spin-up", "merge results", "result IPC"} <= names
+        # One per-cell span per executed cell, on a worker lane, around
+        # its kernel-compute stamp; and one lane per worker pid that ran
+        # a cell.  Whether both workers get a cell depends on how fast
+        # they start (start method, host load), which the engine does
+        # not promise.
         cell_spans = [
-            e for e in payload["traceEvents"]
-            if e["ph"] == "X" and e["name"] == "best/mpeg"
+            e for e in events if e["ph"] == "X" and e["name"] == "best/mpeg"
         ]
-        assert len(cell_spans) == 4
-        lanes = engine.telemetry.worker_lanes
-        assert 1 <= len(lanes) <= engine.jobs
-        assert os.getpid() not in lanes
-        assert payload["otherData"]["workers"] == len(lanes)
-        assert {e["tid"] for e in cell_spans} == set(lanes.values())
-        assert all(e["tid"] > 0 for e in cell_spans)
+        computes = [
+            e for e in events if e["ph"] == "X" and e["name"] == "kernel compute"
+        ]
+        assert len(cell_spans) == len(computes) == 4
+        lanes = {
+            e["tid"]: e["args"]["name"] for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        workers = {tid for tid in lanes if tid > 0}
+        assert 1 <= len(workers) <= engine.jobs
+        assert payload["otherData"]["workers"] == len(workers)
+        assert {e["tid"] for e in cell_spans} == workers
+        assert {e["tid"] for e in computes} == workers
+        assert all(f"pid {os.getpid()})" not in lanes[tid] for tid in workers)
 
     def test_serial_engine_uses_engine_lane(self):
         with self.engine_with_telemetry(jobs=1) as engine:
             engine.run([cell()])
-            payload = engine.telemetry.chrome_trace()
+            payload = engine.timeline.chrome_trace()
         [span] = [
             e for e in payload["traceEvents"]
             if e["ph"] == "X" and e["name"] == "best/mpeg"
@@ -369,37 +348,48 @@ class TestSweepTelemetry:
         assert payload["otherData"]["workers"] == 0
 
     def test_cache_hits_become_instants(self, tmp_path):
-        from repro.obs.telemetry import SweepTelemetry
+        from repro.obs.profile import SweepTimeline
 
         cache = ResultCache(tmp_path)
         SweepEngine(jobs=1, cache=cache).run([cell()])
-        telemetry = SweepTelemetry()
-        SweepEngine(jobs=1, cache=cache, telemetry=telemetry).run([cell()])
+        timeline = SweepTimeline()
+        SweepEngine(jobs=1, cache=cache, timeline=timeline).run([cell()])
         instants = [
-            e for e in telemetry.chrome_trace()["traceEvents"]
+            e for e in timeline.chrome_trace()["traceEvents"]
             if e["ph"] == "i"
         ]
         assert len(instants) == 1
         assert instants[0]["name"] == "cache hit"
 
     def test_progress_counts_pool_cells(self):
-        with self.engine_with_telemetry(jobs=2) as engine:
-            engine.run([cell(seed=s) for s in range(4)])
-            snap = engine.progress_model.snapshot(0.0)
-        assert snap.total == 4
-        assert snap.executed == 4
-        assert snap.cached == 0
+        # Every batch is counted exactly when it ends, in-process and
+        # pooled, four workers sharing the heartbeat channel included: a
+        # pool worker's heartbeats reach the pipe before its chunk's
+        # result, and the pump reads up to the sentinel the engine
+        # writes after the batch's last result.
+        for jobs in (1, 2, 4):
+            with self.engine_with_telemetry(jobs=jobs) as engine:
+                [display] = engine.observers
+                for batch in range(1, 6):
+                    engine.run([cell(seed=100 * batch + s) for s in range(4)])
+                    snap = display.model.snapshot(0.0)
+                    assert (snap.total, snap.done, snap.executed) == (
+                        4 * batch, 4 * batch, 4 * batch,
+                    ), f"jobs={jobs} batch {batch} ({engine.start_method})"
+                    assert snap.cached == 0
+                    assert snap.in_flight == 0
 
     def test_progress_counts_cached_cells(self, tmp_path):
         import io
 
+        from repro.obs.telemetry import ProgressDisplay
+
         cache = ResultCache(tmp_path)
         SweepEngine(jobs=1, cache=cache).run([cell(), cell(seed=1)])
-        engine = SweepEngine(
-            jobs=1, cache=cache, progress=True, progress_stream=io.StringIO()
-        )
+        display = ProgressDisplay()
+        engine = SweepEngine(jobs=1, cache=cache, observers=[display])
         engine.run([cell(), cell(seed=1)])
-        snap = engine.progress_model.snapshot(0.0)
+        snap = display.model.snapshot(0.0)
         assert snap.cached == 2
         assert snap.cache_hit_rate == 1.0
 

@@ -362,7 +362,7 @@ class TestEngineIntegration:
 
     def test_diagnosis_log_written_per_executed_cell(self, tmp_path):
         log = DiagnosisWriter(tmp_path / "diag.jsonl")
-        engine = SweepEngine(jobs=1, diagnosis_log=log)
+        engine = SweepEngine(jobs=1, diagnose=True, observers=[log])
         assert engine.diagnosing
         engine.run(self.cells())
         log.close()

@@ -1,4 +1,4 @@
-"""Tests for the phase-level sweep profiler."""
+"""Tests for the sweep timeline's phase reduction."""
 
 import pytest
 
@@ -19,7 +19,7 @@ from repro.obs.profile import (
     PHASE_ORDER,
     PHASE_REDUCE,
     PHASE_WORKER_START,
-    PhaseProfile,
+    SweepTimeline,
     arm_worker_stamps,
     drain_worker_stamps,
     format_phase_table,
@@ -47,72 +47,90 @@ class TestStampSink:
         assert drain_worker_stamps() == ()
 
 
+def add_group(timeline, stamps):
+    """Record ``stamps`` as one pool cell's nesting group."""
+    timeline.add_cell("cell", stamps, pid=1, ordinal=0)
+
+
 class TestAccounting:
     def test_simple_intervals_sum(self):
-        profile = PhaseProfile()
-        profile.add_interval(PHASE_CACHE, 0.0, 1.0)
-        profile.add_interval(PHASE_CACHE, 2.0, 2.5)
-        profile.add_interval(PHASE_IPC, 1.0, 1.25)
-        seconds = profile.phase_seconds()
+        timeline = SweepTimeline()
+        timeline.add_stage(PHASE_CACHE, 0.0, 1.0)
+        timeline.add_stage(PHASE_CACHE, 2.0, 2.5)
+        timeline.add_stage(PHASE_IPC, 1.0, 1.25)
+        seconds = timeline.phase_seconds()
         assert seconds[PHASE_CACHE] == pytest.approx(1.5)
         assert seconds[PHASE_IPC] == pytest.approx(0.25)
 
     def test_zero_length_intervals_dropped(self):
-        profile = PhaseProfile()
-        profile.add_interval(PHASE_CACHE, 1.0, 1.0)
-        profile.add_interval(PHASE_CACHE, 2.0, 1.0)
-        assert profile.phase_seconds() == {}
+        timeline = SweepTimeline()
+        timeline.add_stage(PHASE_CACHE, 1.0, 1.0)
+        timeline.add_stage(PHASE_CACHE, 2.0, 1.0)
+        assert timeline.phase_seconds() == {}
 
     def test_nested_interval_charged_exclusively(self):
         # Reduction runs inside the compute interval: the inner phase
         # keeps its time, the outer is charged only the remainder.
-        profile = PhaseProfile()
-        profile.add_group([
+        timeline = SweepTimeline()
+        add_group(timeline, [
             (PHASE_COMPUTE, 0.0, 10.0),
             (PHASE_REDUCE, 7.0, 9.0),
         ])
-        seconds = profile.phase_seconds()
+        seconds = timeline.phase_seconds()
         assert seconds[PHASE_COMPUTE] == pytest.approx(8.0)
         assert seconds[PHASE_REDUCE] == pytest.approx(2.0)
 
     def test_identical_intervals_do_not_cancel(self):
         # Two equal-length intervals contain each other; strictly-shorter
         # subtraction must not zero both out.
-        profile = PhaseProfile()
-        profile.add_group([
+        timeline = SweepTimeline()
+        add_group(timeline, [
             (PHASE_COMPUTE, 0.0, 5.0),
             (PHASE_REDUCE, 0.0, 5.0),
         ])
-        seconds = profile.phase_seconds()
+        seconds = timeline.phase_seconds()
         assert seconds[PHASE_COMPUTE] == pytest.approx(5.0)
         assert seconds[PHASE_REDUCE] == pytest.approx(5.0)
 
     def test_no_cross_group_subtraction(self):
         # Two cells on different workers overlap in wall time without
         # either nesting in the other.
-        profile = PhaseProfile()
-        profile.add_group([(PHASE_COMPUTE, 0.0, 10.0)])
-        profile.add_group([(PHASE_COMPUTE, 2.0, 8.0)])
-        assert profile.phase_seconds()[PHASE_COMPUTE] == pytest.approx(16.0)
+        timeline = SweepTimeline()
+        add_group(timeline, [(PHASE_COMPUTE, 0.0, 10.0)])
+        add_group(timeline, [(PHASE_COMPUTE, 2.0, 8.0)])
+        assert timeline.phase_seconds()[PHASE_COMPUTE] == pytest.approx(16.0)
 
     def test_accounted_is_union_not_sum(self):
-        profile = PhaseProfile()
-        profile.add_group([(PHASE_COMPUTE, 0.0, 10.0)])
-        profile.add_group([(PHASE_COMPUTE, 5.0, 15.0)])
-        profile.add_interval(PHASE_IPC, 20.0, 21.0)
-        assert profile.accounted_s() == pytest.approx(16.0)
-        assert profile.coverage(20.0) == pytest.approx(0.8)
+        timeline = SweepTimeline()
+        add_group(timeline, [(PHASE_COMPUTE, 0.0, 10.0)])
+        add_group(timeline, [(PHASE_COMPUTE, 5.0, 15.0)])
+        timeline.add_stage(PHASE_IPC, 20.0, 21.0)
+        assert timeline.accounted_s() == pytest.approx(16.0)
+        assert timeline.coverage(20.0) == pytest.approx(0.8)
 
     def test_coverage_of_zero_wall(self):
-        assert PhaseProfile().coverage(0.0) == 0.0
+        assert SweepTimeline().coverage(0.0) == 0.0
 
     def test_rows_follow_canonical_order(self):
-        profile = PhaseProfile()
-        profile.add_interval(PHASE_IPC, 0.0, 1.0)
-        profile.add_interval(PHASE_COMPUTE, 0.0, 2.0)
-        rows = profile.rows()
-        assert [phase for phase, _, _ in rows] == [PHASE_COMPUTE, PHASE_IPC]
-        assert rows[0][2] == pytest.approx(2.0 / 3.0)
+        timeline = SweepTimeline()
+        timeline.add_stage(PHASE_IPC, 0.0, 1.0)
+        timeline.add_stage(PHASE_COMPUTE, 0.0, 2.0)
+        lines = timeline.table().splitlines()
+        assert lines[1].startswith(PHASE_COMPUTE)
+        assert lines[2].startswith(PHASE_IPC)
+        assert "66.7%" in lines[1]
+
+    def test_trace_only_spans_stay_out_of_the_phases(self):
+        # The cell span and the merge/dedup spans enclose phase stamps;
+        # only the stamps themselves are phases.
+        timeline = SweepTimeline()
+        add_group(timeline, [(PHASE_COMPUTE, 0.0, 1.0), (PHASE_REDUCE, 1.0, 1.5)])
+        timeline.add_stage("merge results", 2.0, 3.0)
+        timeline.add_stage(PHASE_CACHE, 2.5, 2.75)
+        assert set(timeline.phase_seconds()) == {
+            PHASE_COMPUTE, PHASE_REDUCE, PHASE_CACHE,
+        }
+        assert timeline.accounted_s() == pytest.approx(1.75)
 
 
 class TestTable:
@@ -134,10 +152,10 @@ class TestTable:
         assert lines[2].startswith("custom phase")
 
     def test_profile_table_matches_format(self):
-        profile = PhaseProfile()
-        profile.add_interval(PHASE_COMPUTE, 0.0, 1.0)
-        assert profile.table(2.0) == format_phase_table(
-            profile.phase_seconds(), wall_s=2.0
+        timeline = SweepTimeline()
+        timeline.add_stage(PHASE_COMPUTE, 0.0, 1.0)
+        assert timeline.table(2.0) == format_phase_table(
+            timeline.phase_seconds(), wall_s=2.0
         )
 
 
@@ -146,10 +164,7 @@ class TestWorkerStartClip:
     start a worker on demand in a later batch (forkserver, spawn)."""
 
     def outcome(self, *phases):
-        return CellOutcome(
-            result=None, wall_s=0.0, pid=1, t_start=0.0, t_end=0.0,
-            phases=phases,
-        )
+        return CellOutcome(result=None, pid=1, phases=phases)
 
     def test_stamp_reaching_back_before_its_batch_is_clipped(self):
         late = self.outcome(
@@ -189,30 +204,30 @@ class TestEngineIntegration:
         # The acceptance criterion: on a serial sweep every pipeline
         # stage runs in the engine process, so the recorded intervals
         # must explain >= 95% of the measured wall time.
-        profile = PhaseProfile()
-        engine = SweepEngine(jobs=1, profile=profile)
+        timeline = SweepTimeline()
+        engine = SweepEngine(jobs=1, timeline=timeline)
         engine.run(self.cells())
-        coverage = profile.coverage(engine.stats.wall_s)
+        coverage = timeline.coverage(engine.stats.wall_s)
         assert coverage >= 0.95, (
             f"phase profile covers {coverage:.1%} of sweep wall time"
         )
-        seconds = profile.phase_seconds()
+        seconds = timeline.phase_seconds()
         assert seconds[PHASE_COMPUTE] > 0
         assert PHASE_REDUCE in seconds
 
     def test_profiled_results_bitwise_equal(self):
         cells = self.cells(duration_s=5.0)
         plain = SweepEngine(jobs=1).run(cells)
-        profiled = SweepEngine(jobs=1, profile=PhaseProfile()).run(cells)
+        profiled = SweepEngine(jobs=1, timeline=SweepTimeline()).run(cells)
         assert [r.to_json() for r in profiled] == [
             r.to_json() for r in plain
         ]
 
     def test_pooled_sweep_records_pipeline_phases(self):
-        profile = PhaseProfile()
-        with SweepEngine(jobs=2, profile=profile, chunk_size=1) as engine:
+        timeline = SweepTimeline()
+        with SweepEngine(jobs=2, timeline=timeline, chunk_size=1) as engine:
             engine.run(self.cells(duration_s=5.0))
-        seconds = profile.phase_seconds()
+        seconds = timeline.phase_seconds()
         assert seconds[PHASE_COMPUTE] > 0
         assert seconds[PHASE_IPC] > 0
         assert "pool spin-up" in seconds
@@ -231,10 +246,10 @@ class TestEngineIntegration:
             for policy in ("const-206.4", "best")
             for seed in (0, 1000)
         ]
-        profile = PhaseProfile()
-        with SweepEngine(jobs=2, profile=profile) as engine:
+        timeline = SweepTimeline()
+        with SweepEngine(jobs=2, timeline=timeline) as engine:
             engine.run(cells)
-        coverage = profile.coverage(engine.stats.wall_s)
+        coverage = timeline.coverage(engine.stats.wall_s)
         assert coverage >= 0.95, (
             f"phase profile covers {coverage:.1%} of the cold pooled "
             f"sweep's wall time under {engine.start_method}"
@@ -244,48 +259,48 @@ class TestEngineIntegration:
         # Workers import the simulator in the pool initializer; that
         # start-up rides home with each worker's first profiled outcome,
         # so a second batch on the warm pool adds none of it.
-        profile = PhaseProfile()
-        with SweepEngine(jobs=2, profile=profile, chunk_size=1) as engine:
+        timeline = SweepTimeline()
+        with SweepEngine(jobs=2, timeline=timeline, chunk_size=1) as engine:
             engine.run(self.cells(duration_s=1.0))
-            started = profile.phase_seconds()[PHASE_WORKER_START]
+            started = timeline.phase_seconds()[PHASE_WORKER_START]
             engine.run(self.cells(duration_s=1.0, seeds=(2, 3)))
-            assert profile.phase_seconds()[PHASE_WORKER_START] == started
+            assert timeline.phase_seconds()[PHASE_WORKER_START] == started
         assert started > 0
 
     def test_cache_phase_recorded(self, tmp_path):
-        profile = PhaseProfile()
+        timeline = SweepTimeline()
         engine = SweepEngine(
-            jobs=1, profile=profile, cache=ResultCache(tmp_path / "cache")
+            jobs=1, timeline=timeline, cache=ResultCache(tmp_path / "cache")
         )
         cells = self.cells(duration_s=2.0, seeds=(0,))
         engine.run(cells)
         engine.run(cells)  # second pass hits the cache
-        assert profile.phase_seconds()[PHASE_CACHE] > 0
+        assert timeline.phase_seconds()[PHASE_CACHE] > 0
         assert engine.stats.cache_hits == len(cells)
 
     def test_diagnosed_sweep_stamps_diagnosis(self):
-        profile = PhaseProfile()
-        engine = SweepEngine(jobs=1, diagnose=True, profile=profile)
+        timeline = SweepTimeline()
+        engine = SweepEngine(jobs=1, diagnose=True, timeline=timeline)
         engine.run(self.cells(duration_s=2.0, seeds=(0,)))
-        assert profile.phase_seconds()[PHASE_DIAGNOSE] > 0
+        assert timeline.phase_seconds()[PHASE_DIAGNOSE] > 0
 
     def test_fleet_record_carries_phases(self):
-        profile = PhaseProfile()
-        engine = SweepEngine(jobs=1, profile=profile)
+        timeline = SweepTimeline()
+        engine = SweepEngine(jobs=1, timeline=timeline)
         engine.run(self.cells(duration_s=2.0, seeds=(0,)))
         record = engine.fleet_record(command="unit-test")
         assert record.phases
         assert dict(record.phases)[PHASE_COMPUTE] == pytest.approx(
-            profile.phase_seconds()[PHASE_COMPUTE]
+            timeline.phase_seconds()[PHASE_COMPUTE]
         )
         # Stored pairs are sorted for a deterministic ledger line.
         assert list(record.phases) == sorted(record.phases)
 
     def test_phase_order_covers_engine_phases(self):
         # Every phase the engine can emit renders in canonical order.
-        profile = PhaseProfile()
-        engine = SweepEngine(jobs=2, diagnose=True, profile=profile)
+        timeline = SweepTimeline()
+        engine = SweepEngine(jobs=2, diagnose=True, timeline=timeline)
         with engine:
             engine.run(self.cells(duration_s=2.0))
-        for phase in profile.phase_seconds():
+        for phase in timeline.phase_seconds():
             assert phase in PHASE_ORDER

@@ -130,7 +130,7 @@ class TestEngineIntegration:
 
     def test_one_record_per_unique_cell(self, tmp_path):
         log = RunLogWriter(tmp_path / "log.jsonl")
-        engine = SweepEngine(jobs=1, run_log=log)
+        engine = SweepEngine(jobs=1, observers=[log])
         results = engine.run(self.cells())
         log.close()
         records = read_run_log(tmp_path / "log.jsonl")
@@ -144,7 +144,7 @@ class TestEngineIntegration:
         cache = ResultCache(tmp_path / "cache")
         SweepEngine(jobs=1, cache=cache).run(self.cells())
         log = RunLogWriter(tmp_path / "log.jsonl")
-        SweepEngine(jobs=1, cache=cache, run_log=log).run(self.cells())
+        SweepEngine(jobs=1, cache=cache, observers=[log]).run(self.cells())
         log.close()
         records = read_run_log(tmp_path / "log.jsonl")
         assert len(records) == 2
@@ -155,14 +155,14 @@ class TestEngineIntegration:
         from repro.measure.parallel import cache_key
 
         log = RunLogWriter(tmp_path / "log.jsonl")
-        SweepEngine(jobs=1, run_log=log).run(self.cells()[:1])
+        SweepEngine(jobs=1, observers=[log]).run(self.cells()[:1])
         log.close()
         [rec] = read_run_log(tmp_path / "log.jsonl")
         assert rec["run_id"] == cache_key(self.cells()[0])
 
     def test_logging_does_not_change_results(self, tmp_path):
         log = RunLogWriter(tmp_path / "log.jsonl")
-        logged = SweepEngine(jobs=1, run_log=log).run(self.cells())
+        logged = SweepEngine(jobs=1, observers=[log]).run(self.cells())
         log.close()
         plain = SweepEngine(jobs=1).run(self.cells())
         assert logged == plain
@@ -171,7 +171,7 @@ class TestEngineIntegration:
         # jobs=1 executes in the parent, which is still "a worker" for
         # attribution purposes: its own pid, ordinal 0.
         log = RunLogWriter(tmp_path / "log.jsonl")
-        SweepEngine(jobs=1, run_log=log).run(self.cells())
+        SweepEngine(jobs=1, observers=[log]).run(self.cells())
         log.close()
         records = read_run_log(tmp_path / "log.jsonl")
         assert all(r["worker_pid"] == os.getpid() for r in records)
@@ -180,7 +180,7 @@ class TestEngineIntegration:
 
     def test_worker_attribution_pool(self, tmp_path):
         log = RunLogWriter(tmp_path / "log.jsonl")
-        with SweepEngine(jobs=2, run_log=log) as engine:
+        with SweepEngine(jobs=2, observers=[log]) as engine:
             engine.run(self.cells())
         log.close()
         records = read_run_log(tmp_path / "log.jsonl")
@@ -192,11 +192,41 @@ class TestEngineIntegration:
         assert len(ordinals) == len(pids)
         assert ordinals <= {0, 1}
 
+    def test_ordinals_do_not_depend_on_the_timeline(self, tmp_path):
+        # One pid -> ordinal map serves the run-log and the trace lanes:
+        # a pooled batch (one chunk, so one worker runs both cells) and
+        # then a one-cell in-process batch log the same ordinals with or
+        # without a timeline, and the engine's own process gets its own.
+        from repro.obs.profile import SweepTimeline
+
+        logged = []
+        for timeline in (None, SweepTimeline()):
+            path = tmp_path / f"log{len(logged)}.jsonl"
+            log = RunLogWriter(path)
+            with SweepEngine(
+                jobs=2, chunk_size=2, timeline=timeline, observers=[log]
+            ) as engine:
+                engine.run(self.cells())
+                engine.run([
+                    SweepCell(workload=MPEG, policy=PolicySpec("best"),
+                              seed=2, use_daq=False)
+                ])
+            log.close()
+            records = read_run_log(path)
+            pids = [r["worker_pid"] for r in records]
+            ordinals = [r["worker_ordinal"] for r in records]
+            assert pids[-1] == os.getpid() != pids[0] == pids[1]
+            assert len(set(zip(pids, ordinals))) == len(set(pids)) == len(
+                set(ordinals)
+            )
+            logged.append(ordinals)
+        assert logged[0] == logged[1] == [0, 0, 1]
+
     def test_cache_hits_have_no_worker(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         SweepEngine(jobs=1, cache=cache).run(self.cells())
         log = RunLogWriter(tmp_path / "log.jsonl")
-        SweepEngine(jobs=1, cache=cache, run_log=log).run(self.cells())
+        SweepEngine(jobs=1, cache=cache, observers=[log]).run(self.cells())
         log.close()
         records = read_run_log(tmp_path / "log.jsonl")
         assert all(r["worker_pid"] is None for r in records)

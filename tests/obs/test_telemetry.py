@@ -1,22 +1,31 @@
-"""Tests for sweep telemetry: spans, progress math, and the renderer.
+"""Tests for sweep telemetry: the sweep trace, progress math, and the
+renderer.
 
 Everything here drives the progress model with a fake clock and
-hand-built heartbeat streams — no sleeps, no real pools — so the ETA
-and straggler arithmetic is checked exactly, not statistically.
+hand-built heartbeat streams, and the timeline with explicit stamps —
+no sleeps, no real pools — so the ETA and straggler arithmetic is
+checked exactly, not statistically.
 """
 
 import io
 
-from repro.obs.telemetry import (
-    HEARTBEAT_DONE,
-    HEARTBEAT_START,
+from repro.obs.profile import (
     LANE_ENGINE,
+    PHASE_COMPUTE,
+    PHASE_SPINUP,
+    PHASE_WORKER_START,
+    SweepTimeline,
+)
+from repro.obs.telemetry import (
+    ProgressDisplay,
     ProgressModel,
     ProgressRenderer,
-    SweepTelemetry,
     format_progress_line,
 )
 from repro.obs.trace import validate_chrome_trace
+
+#: Heartbeat ``done`` flags.
+START, DONE = False, True
 
 
 class FakeClock:
@@ -34,12 +43,12 @@ class FakeClock:
 
 
 def replay(model, events):
-    """Feed ``(tag, pid, cell_id, t)`` heartbeats like the pump does."""
-    for tag, pid, cell_id, t in events:
-        if tag == HEARTBEAT_START:
-            model.cell_started(pid, cell_id, t)
-        elif tag == HEARTBEAT_DONE:
+    """Feed ``(done, pid, cell_id, t)`` heartbeats to ``model``."""
+    for done, pid, cell_id, t in events:
+        if done:
             model.cell_finished(pid, cell_id, t)
+        else:
+            model.cell_started(pid, cell_id, t)
 
 
 class TestProgressModel:
@@ -47,8 +56,8 @@ class TestProgressModel:
         model = ProgressModel(total=10)
         model.start(0.0)
         replay(model, [
-            (HEARTBEAT_START, 1, 0, 0.0), (HEARTBEAT_DONE, 1, 0, 2.0),
-            (HEARTBEAT_START, 1, 1, 2.0), (HEARTBEAT_DONE, 1, 1, 4.0),
+            (START, 1, 0, 0.0), (DONE, 1, 0, 2.0),
+            (START, 1, 1, 2.0), (DONE, 1, 1, 4.0),
         ])
         snap = model.snapshot(4.0)
         assert snap.done == 2
@@ -66,7 +75,7 @@ class TestProgressModel:
         model = ProgressModel(total=1)
         model.start(0.0)
         replay(model, [
-            (HEARTBEAT_START, 1, 0, 0.0), (HEARTBEAT_DONE, 1, 0, 1.0),
+            (START, 1, 0, 0.0), (DONE, 1, 0, 1.0),
         ])
         assert model.snapshot(1.0).eta_s == 0.0
 
@@ -98,7 +107,7 @@ class TestProgressModel:
         model = ProgressModel(total=4)
         model.start(0.0)
         replay(model, [
-            (HEARTBEAT_START, 1, 0, 0.0), (HEARTBEAT_DONE, 1, 0, 1.0),
+            (START, 1, 0, 0.0), (DONE, 1, 0, 1.0),
         ])
         model.cache_hit(1, 1.0)
         assert model.snapshot(1.0).cache_hit_rate == 0.5
@@ -108,8 +117,8 @@ class TestProgressModel:
         model.start(0.0)
         # Two workers; one busy the whole window, one idle half of it.
         replay(model, [
-            (HEARTBEAT_START, 1, 0, 0.0), (HEARTBEAT_DONE, 1, 0, 4.0),
-            (HEARTBEAT_START, 2, 1, 0.0), (HEARTBEAT_DONE, 2, 1, 2.0),
+            (START, 1, 0, 0.0), (DONE, 1, 0, 4.0),
+            (START, 2, 1, 0.0), (DONE, 2, 1, 2.0),
         ])
         assert model.worker_utilization(4.0) == (4.0 + 2.0) / (2 * 4.0)
 
@@ -125,9 +134,9 @@ class TestProgressModel:
         # Two completions at 1 s each — below the 3-sample floor, so even
         # a 100x-median in-flight cell is not yet flagged.
         replay(model, [
-            (HEARTBEAT_START, 1, 0, 0.0), (HEARTBEAT_DONE, 1, 0, 1.0),
-            (HEARTBEAT_START, 1, 1, 1.0), (HEARTBEAT_DONE, 1, 1, 2.0),
-            (HEARTBEAT_START, 2, 2, 0.0),
+            (START, 1, 0, 0.0), (DONE, 1, 0, 1.0),
+            (START, 1, 1, 1.0), (DONE, 1, 1, 2.0),
+            (START, 2, 2, 0.0),
         ])
         assert model.stragglers(100.0) == ()
 
@@ -135,9 +144,9 @@ class TestProgressModel:
         model = ProgressModel(total=10)
         model.start(0.0)
         replay(model, [
-            (HEARTBEAT_START, 1, 0, 0.0), (HEARTBEAT_DONE, 1, 0, 1.0),
-            (HEARTBEAT_START, 1, 1, 1.0), (HEARTBEAT_DONE, 1, 1, 2.0),
-            (HEARTBEAT_START, 1, 2, 2.0), (HEARTBEAT_DONE, 1, 2, 3.0),
+            (START, 1, 0, 0.0), (DONE, 1, 0, 1.0),
+            (START, 1, 1, 1.0), (DONE, 1, 1, 2.0),
+            (START, 1, 2, 2.0), (DONE, 1, 2, 3.0),
         ])
         model.cell_started(2, 3, 3.0, label="best/mpeg")
         # Median completed wall is 1 s; the in-flight cell crosses the
@@ -158,10 +167,10 @@ class TestProgressModel:
         model = ProgressModel(total=10)
         model.start(0.0)
         replay(model, [
-            (HEARTBEAT_START, 1, 0, 0.0), (HEARTBEAT_DONE, 1, 0, 1.0),
-            (HEARTBEAT_START, 1, 1, 1.0), (HEARTBEAT_DONE, 1, 1, 2.0),
-            (HEARTBEAT_START, 1, 2, 2.0), (HEARTBEAT_DONE, 1, 2, 3.0),
-            (HEARTBEAT_START, 2, 3, 3.0),
+            (START, 1, 0, 0.0), (DONE, 1, 0, 1.0),
+            (START, 1, 1, 1.0), (DONE, 1, 1, 2.0),
+            (START, 1, 2, 2.0), (DONE, 1, 2, 3.0),
+            (START, 2, 3, 3.0),
         ])
         assert model.stragglers(4.0) == ()
 
@@ -169,9 +178,9 @@ class TestProgressModel:
         model = ProgressModel(total=10)
         model.start(0.0)
         replay(model, [
-            (HEARTBEAT_START, 1, i, float(i)) for i in range(3)
+            (START, 1, i, float(i)) for i in range(3)
         ] + [
-            (HEARTBEAT_DONE, 1, i, float(i) + 1.0) for i in range(3)
+            (DONE, 1, i, float(i) + 1.0) for i in range(3)
         ])
         model.cell_started(2, 8, 0.0)
         model.cell_started(3, 9, 2.0)
@@ -182,8 +191,8 @@ class TestProgressModel:
         model = ProgressModel(total=10)
         model.start(0.0)
         replay(model, [
-            (HEARTBEAT_START, 1, 0, 0.0), (HEARTBEAT_DONE, 1, 0, 2.0),
-            (HEARTBEAT_START, 1, 1, 2.0), (HEARTBEAT_DONE, 1, 1, 4.0),
+            (START, 1, 0, 0.0), (DONE, 1, 0, 2.0),
+            (START, 1, 1, 2.0), (DONE, 1, 1, 4.0),
         ])
         line = format_progress_line(model.snapshot(4.0))
         assert "2/10" in line
@@ -240,51 +249,77 @@ class TestProgressRenderer:
         assert len(sink.getvalue()) > len(first)
 
 
+class TestProgressDisplay:
+    def test_heartbeats_and_hits_drive_the_model(self):
+        display = ProgressDisplay()
+        display.on_batch_start(3)
+        display.on_heartbeat(START, 7, 0, 1.0, "best/mpeg")
+        assert display.model.snapshot(1.5).in_flight == 1
+        display.on_heartbeat(DONE, 7, 0, 2.0, "best/mpeg")
+        display.on_cache_hit(None, "key", None)
+        snap = display.model.snapshot(2.0)
+        assert (snap.total, snap.done, snap.executed, snap.cached) == (3, 2, 1, 1)
+        assert snap.in_flight == 0
+        display.on_batch_end()
+
+
 class TestSweepTelemetry:
+    """The sweep timeline's Chrome export."""
+
     def test_trace_validates_with_worker_lanes(self):
-        clock = FakeClock()
-        tel = SweepTelemetry(clock=clock)
-        tel.start()
-        with tel.span("pool spin-up", workers=2):
-            clock.advance(0.01)
-        lane_a = tel.lane_for(111)
-        lane_b = tel.lane_for(222)
-        assert tel.lane_for(111) == lane_a  # stable per pid
-        assert lane_a != lane_b
-        tel.add_span("best", 0, 5000, lane=lane_a, seed=0)
-        tel.add_span("best", 0, 5000, lane=lane_b, seed=1)
-        tel.add_instant("cache hit", policy="best")
-        payload = tel.chrome_trace()
+        tl = SweepTimeline()
+        tl.add_stage(PHASE_SPINUP, 10.0, 10.01, workers=2)
+        tl.add_cell("best", [(PHASE_COMPUTE, 10.0, 10.005)], 111, 0, seed=0)
+        tl.add_cell("best", [(PHASE_COMPUTE, 10.0, 10.005)], 222, 1, seed=1)
+        tl.add_instant("cache hit", policy="best")
+        payload = tl.chrome_trace()
         validate_chrome_trace(payload)
         names = {e["name"] for e in payload["traceEvents"]}
-        assert {"pool spin-up", "best", "cache hit"} <= names
-        thread_names = [
-            e["args"]["name"] for e in payload["traceEvents"]
+        assert {"pool spin-up", "best", "kernel compute", "cache hit"} <= names
+        thread_names = {
+            e["tid"]: e["args"]["name"] for e in payload["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"
-        ]
-        assert "engine" in thread_names
-        assert any("pid 111" in n for n in thread_names)
+        }
+        assert thread_names[LANE_ENGINE] == "engine"
+        assert thread_names[1] == "worker 0 (pid 111)"
+        assert thread_names[2] == "worker 1 (pid 222)"
         assert payload["otherData"]["workers"] == 2
 
     def test_ordinals_match_lane_order(self):
-        tel = SweepTelemetry()
-        tel.start()
-        tel.lane_for(500)
-        tel.lane_for(600)
-        assert tel.ordinal_for(500) == 0
-        assert tel.ordinal_for(600) == 1
-        assert tel.lane_for(500) != LANE_ENGINE
+        # A pool worker's lane is its run-log ordinal plus one; the
+        # engine's own cells sit on the engine lane whatever its ordinal.
+        import os
+
+        tl = SweepTimeline()
+        tl.add_cell("a", [(PHASE_COMPUTE, 0.0, 1.0)], 500, 1)
+        tl.add_cell("b", [(PHASE_COMPUTE, 0.0, 1.0)], os.getpid(), 0)
+        lanes = {
+            e["name"]: e["tid"] for e in tl.chrome_trace()["traceEvents"]
+            if e["ph"] == "X" and e["name"] in ("a", "b")
+        }
+        assert lanes == {"a": 2, "b": LANE_ENGINE}
 
     def test_span_durations_never_negative(self):
-        tel = SweepTelemetry()
-        tel.start()
-        tel.add_span("clamped", 100, 50)
+        tl = SweepTimeline()
+        tl.add_stage("clamped", 100.0, 50.0)
         [event] = [
-            e for e in tel.chrome_trace()["traceEvents"] if e["ph"] == "X"
+            e for e in tl.chrome_trace()["traceEvents"] if e["ph"] == "X"
         ]
         assert event["dur"] == 0
 
     def test_empty_telemetry_still_validates(self):
-        tel = SweepTelemetry()
-        tel.start()
-        validate_chrome_trace(tel.chrome_trace())
+        validate_chrome_trace(SweepTimeline().chrome_trace())
+
+    def test_cell_span_encloses_its_stamps_after_worker_start(self):
+        tl = SweepTimeline()
+        tl.add_cell(
+            "best/mpeg",
+            [(PHASE_WORKER_START, 1.0, 2.0), (PHASE_COMPUTE, 2.0, 3.0),
+             ("observer reduction", 3.0, 3.5)],
+            111, 0,
+        )
+        [cell] = [
+            e for e in tl.chrome_trace()["traceEvents"]
+            if e["name"] == "best/mpeg"
+        ]
+        assert cell["ts"] == 1e6 and cell["dur"] == 1.5e6

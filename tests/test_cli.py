@@ -121,6 +121,20 @@ sa2-reconf  : SA-2 with costly reconfiguration: 1 ms clock-change stall at +0.12
 """
 
 
+#: Golden snapshot of ``python -m repro trace mpeg --policy best
+#: --duration 2 -o <out>`` — its counts come from the traced run itself.
+TRACE_SNAPSHOT = """\
+workload        : MPEG (2 s)
+policy          : best
+machine         : itsy
+energy          : 2.85 J
+quanta          : 200
+clock changes   : 29 (stalled 5.8 ms)
+deadline misses : 0
+trace           : <out> (824 events; open in Perfetto or chrome://tracing)
+"""
+
+
 class TestCommands:
     def test_list_policies(self, capsys):
         assert main(["list-policies"]) == 0
@@ -134,6 +148,15 @@ class TestCommands:
     def test_list_machines_snapshot(self, capsys):
         assert main(["list-machines"]) == 0
         assert capsys.readouterr().out == LIST_MACHINES_SNAPSHOT
+
+    def test_trace_snapshot(self, capsys, tmp_path):
+        out = tmp_path / "t.json"
+        assert main(
+            ["trace", "mpeg", "--policy", "best", "--duration", "2",
+             "-o", str(out)]
+        ) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.replace(str(out), "<out>") == TRACE_SNAPSHOT
 
     def test_run_success_exit_zero(self, capsys):
         code = main(
@@ -286,7 +309,7 @@ class TestSweepOptions:
         try:
             assert engine.jobs == 1
             assert engine.cache is None
-            assert engine.run_log is None
+            assert engine.observers == ()
         finally:
             engine.close()
 
@@ -456,6 +479,31 @@ class TestTelemetryOptions:
         err = capsys.readouterr().err
         assert "sweep trace:" in err
         assert "worker lanes" in err
+
+    def test_every_phase_names_a_sweep_trace_span(self, capsys, tmp_path):
+        # One timeline: --phases and --sweep-trace read the same stamps,
+        # so every phase a pooled sweep's table lists is a span name in
+        # that sweep's trace.
+        import json
+        import re
+
+        trace = tmp_path / "sweep.json"
+        assert main(
+            ["table2", "--runs", "2", "--jobs", "2", "--no-fleet",
+             "--phases", "--sweep-trace", str(trace)]
+        ) == 0
+        err = capsys.readouterr().err
+        table = err.split("phase profile:\n")[1].split("total accounted")[0]
+        phases = {
+            re.split(r"\s{2,}", line.strip())[0]
+            for line in table.splitlines()[1:]
+        }
+        spans = {
+            e["name"] for e in json.loads(trace.read_text())["traceEvents"]
+            if e["ph"] == "X"
+        }
+        assert {"kernel compute", "chunk submission", "result IPC"} <= phases
+        assert phases <= spans, phases - spans
 
     def test_progress_piped_output_unchanged(self, capsys, tmp_path):
         argv = ["run", "mpeg", "--policy", "best", "--duration", "1",
