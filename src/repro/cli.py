@@ -30,11 +30,11 @@ Policies are named:
 Simulation commands accept ``--machine`` to pick the hardware (``itsy``,
 ``itsy@1.23``, ``itsy-stock``, ``sa2``, or the reconfiguration-cost
 variants ``itsy-reconf``/``sa2-reconf`` -- see ``list-machines``),
-``--backend`` to pick the execution backend (default ``fastpath``;
-``--no-fastpath`` is shorthand for ``--backend reference`` -- see
-:mod:`repro.kernel.backend`).  ``run``, ``table2``, ``fig9`` and
-``ideal`` are sweep commands: they run every simulation as a cell of the
-sweep engine (see :mod:`repro.measure.parallel`), in-process by default,
+``--backend`` to pick the execution backend (``fastpath``, the default,
+or ``reference`` -- see :mod:`repro.kernel.backend`).  ``run``,
+``table2``, ``fig9`` and ``ideal`` are sweep commands: they run every
+simulation as a cell of the sweep engine (see
+:mod:`repro.measure.parallel`), in-process by default,
 and take ``--jobs N`` to fan cells out over a process pool, ``--cache
 DIR`` to memoize results on disk, ``--run-log PATH`` to append one
 structured JSONL record per cell (see :mod:`repro.obs.runlog`), and
@@ -44,8 +44,9 @@ path is bitwise-equal to the serial, uncached one.  Each sweep command
 prints a throughput summary line (cells simulated/cached, wall time,
 cells/s) to stderr.
 ``trace`` exports a single run as Chrome trace-event JSON for Perfetto
-(see :mod:`repro.obs.trace`), ``diagnose`` explains one run (settling,
-prediction error, miss attribution, energy decomposition), and
+(see :mod:`repro.obs.trace`), ``diagnose`` runs one cell on a diagnosing
+sweep engine and explains it (settling, prediction error, miss
+attribution, energy decomposition), and
 ``report`` aggregates a run-log (+ diagnoses) into markdown or HTML.
 ``fuzz`` drives seeded generated workloads (the ``fuzz`` workload, see
 :mod:`repro.workloads.fuzz`) through the reference backend and the
@@ -84,19 +85,20 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import List, Optional
 
-from repro.hw.clocksteps import SA1100_CLOCK_TABLE, ClockTable
+from repro.hw.clocksteps import SA1100_CLOCK_TABLE
 from repro.hw.machines import MACHINE_PRESETS, MachineSpec
-from repro.kernel.backend import backend_names
-from repro.kernel.governor import Governor
+from repro.kernel.backend import BACKENDS
 from repro.measure.parallel import (
+    WORKLOAD_BUILDERS,
     PolicySpec,
     ResultCache,
     SweepCell,
     SweepCellError,
     SweepEngine,
     WorkloadSpec,
+    cache_key,
     constant_step_cells,
     find_ideal_constant,
     repeat_workload,
@@ -105,32 +107,17 @@ from repro.obs.fleet import DEFAULT_FLEET_PATH, FleetLedger, read_fleet
 from repro.obs.profile import SweepTimeline
 from repro.obs.runlog import RunLogWriter
 from repro.measure.stats import confidence_interval
-from repro.workloads.chess import ChessConfig
-from repro.workloads.editor import EditorConfig
-from repro.workloads.fuzz import FuzzSpec
-from repro.workloads.mpeg import MpegConfig
-from repro.workloads.web import WebConfig
-
-if TYPE_CHECKING:
-    from repro.workloads.base import Workload
 
 # The simulator (repro.core.catalog, repro.measure.runner, the kernels)
 # and the optional observers (diagnosis, progress, tracing, reports,
 # plots) are imported inside the commands and branches that run them, so
 # a sweep served from the cache loads neither them nor numpy.
 
-_WORKLOAD_CONFIGS = {
-    "mpeg": MpegConfig,
-    "web": WebConfig,
-    "chess": ChessConfig,
-    "editor": EditorConfig,
-    "fuzz": FuzzSpec,
-}
-
-#: What the workload positional accepts.  The ``replay`` sweep axis is
-#: deliberately absent: it is named by a trace, not by a duration, so it
-#: is built from corpus entries (``repro fuzz --corpus``), not by name.
-CLI_WORKLOADS = ["mpeg", "web", "chess", "editor", "fuzz"]
+#: What the workload positional accepts: the sweep workloads, in
+#: registry order.  The ``replay`` axis is deliberately absent: it is
+#: named by a trace, not by a duration, so it is built from corpus
+#: entries (``repro fuzz --corpus``), not by name.
+CLI_WORKLOADS = [name for name in WORKLOAD_BUILDERS if name != "replay"]
 
 
 def workload_spec(name: str, duration_s: Optional[float] = None) -> WorkloadSpec:
@@ -139,36 +126,15 @@ def workload_spec(name: str, duration_s: Optional[float] = None) -> WorkloadSpec
     Raises:
         ValueError: for unknown names.
     """
-    try:
-        config_type = _WORKLOAD_CONFIGS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {name!r} ({'/'.join(CLI_WORKLOADS)})"
-        ) from None
+    if name not in CLI_WORKLOADS:
+        raise ValueError(f"unknown workload {name!r} ({'/'.join(CLI_WORKLOADS)})")
+    _, config_type = WORKLOAD_BUILDERS[name]
     return WorkloadSpec(
         name=name,
         config=(
             config_type(duration_s=duration_s) if duration_s is not None else None
         ),
     )
-
-
-def resolve_policy(
-    name: str, clock_table: Optional[ClockTable] = None
-) -> Callable[[], Governor]:
-    """:func:`repro.core.catalog.resolve_policy`, imported on first use."""
-    from repro.core import catalog
-
-    return catalog.resolve_policy(name, clock_table=clock_table)
-
-
-def resolve_workload(name: str, duration_s: Optional[float] = None) -> Workload:
-    """Map a workload name (mpeg/web/chess/editor/fuzz) to a descriptor.
-
-    Raises:
-        ValueError: for unknown names.
-    """
-    return workload_spec(name, duration_s).build()
 
 
 def machine_spec(args) -> MachineSpec:
@@ -216,7 +182,7 @@ def sweep_engine(args) -> SweepEngine:
 
 
 def cell_backend(args) -> Optional[str]:
-    """The execution backend ``--backend``/``--no-fastpath`` named.
+    """The execution backend ``--backend`` named.
 
     None means the default (``fastpath``, or ``REPRO_FORCE_BACKEND``).
     """
@@ -428,6 +394,7 @@ def cmd_ideal(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one workload under a tracer and export Chrome trace-event JSON."""
+    from repro.core.catalog import resolve_policy
     from repro.measure.runner import run_workload
     from repro.obs.trace import TraceRecorder, write_chrome_trace
 
@@ -464,36 +431,22 @@ def cmd_trace(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    """Run one workload under one policy and explain the outcome."""
-    from repro.measure.runner import run_workload
+    """Diagnose one DAQ-free cell on the engine and explain the outcome."""
     from repro.obs.diagnose import SETTLE_CHURN_PER_QUANTUM
-    from repro.obs.diagnose import diagnose as diagnose_run
 
     mspec = machine_spec(args)
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
-    result = run_workload(
-        workload,
-        resolve_policy(args.policy, clock_table=mspec.clock_table()),
-        machine_factory=mspec,
-        seed=args.seed,
-        use_daq=False,
-        backend=cell_backend(args),
+    policy = PolicySpec(name=args.policy)
+    # Reject a bad name before the oracle baseline search simulates.
+    policy.build_factory(mspec.clock_table())
+    cell = SweepCell(
+        workload=spec, policy=policy, seed=args.seed, use_daq=False,
+        machine=mspec, backend=cell_backend(args),
     )
-    try:
-        baseline = find_ideal_constant(
-            spec, machine=mspec, seed=args.seed, backend=cell_backend(args),
-        ).exact_energy_j
-    except ValueError:
-        baseline = None
-    diagnosis = diagnose_run(
-        result,
-        policy=args.policy,
-        workload=args.workload,
-        machine=mspec,
-        seed=args.seed,
-        baseline_j=baseline,
-    )
+    with SweepEngine(diagnose=True) as engine:
+        engine.run([cell])
+    diagnosis = engine.diagnoses[cache_key(cell)]
     s = diagnosis.settling
     e = diagnosis.energy
     print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
@@ -594,18 +547,21 @@ def cmd_fuzz(args) -> int:
     and (with ``--save-failures``) persisted as replayable corpus
     entries.
     """
+    from repro.core.catalog import resolve_policy
     from repro.measure.differential import (
         check_fuzz_spec,
-        compare_results,
+        check_scenario,
         counterexample_entry,
         shrink_fuzz_spec,
     )
-    from repro.measure.runner import run_workload
     from repro.traces.corpus import load_corpus, save_entry
     from repro.workloads.fuzz import fuzz_family
 
     machines = [MachineSpec.parse(m) for m in (args.machine or ["itsy", "itsy-reconf"])]
     policies = args.policy or ["best"]
+    for policy in policies:
+        # An unknown name must exit 2, not pass as both backends raising.
+        resolve_policy(policy)
     specs = fuzz_family(args.count, master_seed=args.seed, duration_s=args.duration)
     checked = 0
     failures = []
@@ -633,26 +589,16 @@ def cmd_fuzz(args) -> int:
 
     replayed = 0
     if args.corpus:
-        for path, entry in load_corpus(args.corpus):
+        for _, entry in load_corpus(args.corpus):
             for mspec in machines:
                 for policy in policies:
-                    factory = resolve_policy(policy, clock_table=mspec.clock_table())
-                    results = []
-                    for backend in ("reference", args.backend):
-                        results.append(run_workload(
-                            entry.workload(), factory, machine_factory=mspec,
-                            seed=args.seed, use_daq=False, backend=backend,
-                        ))
+                    outcome = check_scenario(
+                        entry, policy, mspec, seed=args.seed, backend=args.backend
+                    )
                     replayed += 1
-                    mismatches = compare_results(*results)
-                    if mismatches:
-                        failures.append(entry)
-                        print(
-                            f"FAIL corpus {path.name} policy={policy} "
-                            f"machine={mspec.label}: backends diverge on "
-                            f"{', '.join(mismatches)}",
-                            file=sys.stderr,
-                        )
+                    if not outcome.ok:
+                        failures.append(outcome)
+                        print(f"FAIL {outcome.describe()}", file=sys.stderr)
     label = ", ".join(m.label for m in machines)
     print(f"fuzz: {checked} generated runs ({len(specs)} specs x "
           f"{len(policies)} policies x {len(machines)} machines: {label})"
@@ -814,15 +760,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     backend_opts = argparse.ArgumentParser(add_help=False)
     backend_opts.add_argument(
-        "--backend", choices=backend_names(), default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="execution backend (default: fastpath; every backend "
              "produces bitwise-equal results)",
-    )
-    backend_opts.add_argument(
-        "--no-fastpath", dest="backend", action="store_const",
-        const="reference",
-        help="simulate on the reference kernel "
-             "(shorthand for --backend reference)",
     )
 
     sweep_opts = argparse.ArgumentParser(add_help=False)
@@ -1076,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="differentially test execution backends on fuzzed workloads",
     )
     fuzz_parser.add_argument(
-        "--backend", choices=backend_names(), default="fastpath",
+        "--backend", choices=BACKENDS, default="fastpath",
         help="backend checked against the reference (default: fastpath)",
     )
     fuzz_parser.add_argument(
@@ -1110,11 +1050,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.set_defaults(func=cmd_fuzz)
 
-    # battery is analytic (no simulation), but accepts the sweep flags so
-    # scripts can pass a uniform option set to every subcommand.
-    sub.add_parser(
-        "battery", help="idle battery lifetimes", parents=[sweep_opts]
-    ).set_defaults(func=cmd_battery)
+    sub.add_parser("battery", help="idle battery lifetimes").set_defaults(
+        func=cmd_battery
+    )
     return parser
 
 

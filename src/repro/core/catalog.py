@@ -4,11 +4,10 @@ Factories return fresh governor instances (policies carry predictor state,
 so they must not be shared between runs).
 
 Every policy of the evaluation is reachable by *name* through
-:func:`resolve_policy` (the grammar the CLI exposes) or through
-:data:`POLICY_FACTORIES` plus keyword parameters.  Names and parameters —
-unlike governor instances or lambdas — pickle cleanly and digest stably,
-which is what lets :mod:`repro.measure.parallel` ship sweep cells to
-worker processes and cache their results content-addressed.
+:func:`resolve_policy` (the grammar the CLI exposes).  Names — unlike
+governor instances or lambdas — pickle cleanly and digest stably, which
+is what lets :mod:`repro.measure.parallel` ship sweep cells to worker
+processes and cache their results content-addressed.
 """
 
 from __future__ import annotations
@@ -112,16 +111,6 @@ def cycle_average(window: int = 4) -> CycleAverageGovernor:
     """The naive busy-cycle averaging policy of Figure 5."""
     return CycleAverageGovernor(window=window)
 
-
-#: Catalog factories by stable name, for parameterized (keyword) policy
-#: specs.  Keys are part of the sweep cache-key schema: renaming one
-#: invalidates cached results for policies built through it.
-POLICY_FACTORIES: Dict[str, Callable[..., Governor]] = {
-    "constant": constant_speed,
-    "pering-avg": pering_avg,
-    "best": best_policy,
-    "cycle-average": cycle_average,
-}
 
 _INTERVAL_PATTERN = re.compile(
     r"^(?:past|avg(\d+))-(one|double|peg)(?:-(\d+)-(\d+))?$"

@@ -80,19 +80,3 @@ class ItsyMachine(Machine):
         if volts == VOLTAGE_LOW and not self.config.low_voltage_available:
             raise ValueError("this Itsy unit does not support 1.23 V operation")
         return self.cpu.set_voltage(volts)
-
-
-def stock_itsy(initial_mhz: float = 206.4) -> ItsyMachine:
-    """An unmodified Itsy: 1.5 V only."""
-    return ItsyMachine(
-        ItsyConfig(initial_mhz=initial_mhz, low_voltage_available=False)
-    )
-
-
-def modified_itsy(
-    initial_mhz: float = 206.4, initial_volts: float = VOLTAGE_HIGH
-) -> ItsyMachine:
-    """A WRL-modified Itsy: core rail switchable between 1.5 V and 1.23 V."""
-    return ItsyMachine(
-        ItsyConfig(initial_mhz=initial_mhz, initial_volts=initial_volts)
-    )

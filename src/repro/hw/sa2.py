@@ -44,12 +44,6 @@ SA2_VOLTS_MIN = SA2_VOLTS_MAX / 1.7678  # ~1.018 V: sqrt(12.5/4) ratio
 #: Dynamic-power coefficient solving 500 mW = c * 1.8^2 * 600 (W/MHz/V^2).
 SA2_CORE_W_PER_MHZ_V2 = 0.500 / (SA2_VOLTS_MAX**2 * 600.0)
 
-#: An idealized flat memory system (the intro example is compute-bound).
-SA2_MEMORY_TIMINGS = MemoryTimings(
-    cycles_per_mem_ref=tuple([10] * 11),
-    cycles_per_cache_ref=tuple([40] * 11),
-)
-
 
 def sa2_volts_for_step(step: ClockStep) -> float:
     """The SA-2 voltage schedule: linear in frequency between endpoints."""
@@ -89,15 +83,6 @@ def sa2_energy_for_instructions(
     return seconds, watts * seconds
 
 
-def sa2_cpu() -> CpuModel:
-    """A CPU model over the SA-2 clock table (for kernel experiments)."""
-    return CpuModel(
-        clock_table=SA2_CLOCK_TABLE,
-        timings=SA2_MEMORY_TIMINGS,
-        step=SA2_CLOCK_TABLE.max_step,
-    )
-
-
 def sa2_voltage_schedule(clock_table: ClockTable) -> Tuple[float, ...]:
     """The per-step voltage schedule: linear in frequency between the
     endpoints, 1.018 V at the slowest step up to 1.8 V at the fastest."""
@@ -112,7 +97,8 @@ def sa2_voltage_schedule(clock_table: ClockTable) -> Tuple[float, ...]:
 
 
 def sa2_memory_timings(num_steps: int) -> MemoryTimings:
-    """The idealized flat memory table, sized for ``num_steps`` steps."""
+    """An idealized flat memory table (the intro example is
+    compute-bound), sized for ``num_steps`` steps."""
     return MemoryTimings(
         cycles_per_mem_ref=tuple([10] * num_steps),
         cycles_per_cache_ref=tuple([40] * num_steps),

@@ -32,11 +32,9 @@ __getattr__, __dir__, __all__ = attach(
             "ResultCache",
             "SweepCell",
             "SweepEngine",
-            "SweepSpec",
             "WorkloadSpec",
             "cache_key",
             "repeat_workload",
-            "run_sweep",
         ),
         "profile": ("PowerProfile", "burst_profile", "profile_timeline"),
         "runner": ("ExperimentResult", "run_workload"),

@@ -1,10 +1,10 @@
 """Differential testing: fuzzed workloads drive two execution backends.
 
-This is the fuzzer's consumer side.  :func:`check_fuzz_spec` runs one
-fuzzed scenario (:class:`~repro.workloads.fuzz.FuzzSpec`) through the
-``"reference"`` execution backend and a backend under test (the
-``"fastpath"`` core by default — any name in
-:data:`repro.kernel.backend.BACKENDS` works) and demands:
+This is the fuzzer's consumer side.  :func:`check_scenario` runs one
+scenario — a fuzzed :class:`~repro.workloads.fuzz.FuzzSpec` or a stored
+:class:`~repro.traces.corpus.CorpusEntry` — through the ``"reference"``
+execution backend and a backend under test (the ``"fastpath"`` core by
+default) and demands:
 
 - **bitwise identity** of everything a run records — the same contract as
   ``tests/kernel/test_fastpath.py``, field for field;
@@ -23,7 +23,7 @@ corpus (:mod:`repro.traces.corpus`) as a permanent regression fixture —
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.core.catalog import resolve_policy
 from repro.hw.machines import MachineSpec
@@ -38,6 +38,10 @@ from repro.workloads.fuzz import FuzzSpec, fuzz_workload
 #: measurement integrates, so anything beyond float accumulation noise
 #: means the accounting lost energy.
 RESIDUAL_TOLERANCE_J = 1e-9
+
+#: What a differential check runs: a generated scenario, or a stored
+#: corpus trace replayed.
+Scenario = Union[FuzzSpec, CorpusEntry]
 
 
 def compare_results(ref: ExperimentResult, fast: ExperimentResult) -> List[str]:
@@ -75,10 +79,10 @@ def compare_results(ref: ExperimentResult, fast: ExperimentResult) -> List[str]:
 
 @dataclass(frozen=True)
 class DifferentialOutcome:
-    """The verdict on one fuzzed scenario.
+    """The verdict on one scenario.
 
     Attributes:
-        spec: the scenario checked.
+        spec: the scenario checked: a fuzz spec or a corpus entry.
         policy: catalog policy name it ran under.
         machine: machine spec label it ran on.
         seed: run seed.
@@ -95,7 +99,7 @@ class DifferentialOutcome:
     ``ok`` is True only when every check passed.
     """
 
-    spec: FuzzSpec
+    spec: Scenario
     policy: str
     machine: str
     seed: int
@@ -114,8 +118,13 @@ class DifferentialOutcome:
 
     def describe(self) -> str:
         """One line naming the scenario and what (if anything) failed."""
+        scenario = (
+            f"corpus {self.spec.name}"
+            if isinstance(self.spec, CorpusEntry)
+            else f"fuzz seed={self.spec.seed}"
+        )
         where = (
-            f"fuzz seed={self.spec.seed} policy={self.policy} "
+            f"{scenario} policy={self.policy} "
             f"machine={self.machine} run-seed={self.seed}"
         )
         if self.exception_mismatch:
@@ -130,10 +139,14 @@ class DifferentialOutcome:
 
 
 def _run(
-    spec: FuzzSpec, policy: str, machine: MachineSpec, seed: int, backend: str
+    scenario: Scenario, policy: str, machine: MachineSpec, seed: int, backend: str
 ) -> ExperimentResult:
     return run_workload(
-        fuzz_workload(spec),
+        (
+            scenario.workload()
+            if isinstance(scenario, CorpusEntry)
+            else fuzz_workload(scenario)
+        ),
         resolve_policy(policy, clock_table=machine.clock_table()),
         machine_factory=machine,
         seed=seed,
@@ -143,36 +156,39 @@ def _run(
     )
 
 
-def check_fuzz_spec(
-    spec: FuzzSpec,
+def check_scenario(
+    scenario: Scenario,
     policy: str = "best",
     machine: Optional[MachineSpec] = None,
     seed: int = 0,
     check_decomposition: bool = True,
     backend: str = "fastpath",
 ) -> DifferentialOutcome:
-    """Run one fuzzed scenario on reference and ``backend``; judge it.
+    """Run one scenario on reference and ``backend``; judge it.
 
     Backends are named explicitly (never ``None``) so the comparison
     stays reference-vs-``backend`` even under ``REPRO_FORCE_BACKEND``.
+    ``repro fuzz`` checks its generated specs and, with ``--corpus``,
+    every stored entry here; the committed corpus's regression tests
+    replay through it too.
     """
     machine = machine if machine is not None else MachineSpec("itsy")
     ref = fast = ref_exc = fast_exc = None
     try:
-        ref = _run(spec, policy, machine, seed, backend="reference")
+        ref = _run(scenario, policy, machine, seed, backend="reference")
     except Exception as exc:  # noqa: BLE001 - parity checked below
         ref_exc = exc
     try:
-        fast = _run(spec, policy, machine, seed, backend=backend)
+        fast = _run(scenario, policy, machine, seed, backend=backend)
     except Exception as exc:  # noqa: BLE001 - parity checked below
         fast_exc = exc
 
     label = machine.label
     if ref_exc is not None or fast_exc is not None:
         if type(ref_exc) is type(fast_exc) and str(ref_exc) == str(fast_exc):
-            return DifferentialOutcome(spec, policy, label, seed, reference=None)
+            return DifferentialOutcome(scenario, policy, label, seed, reference=None)
         return DifferentialOutcome(
-            spec,
+            scenario,
             policy,
             label,
             seed,
@@ -192,13 +208,29 @@ def check_fuzz_spec(
         decomp = energy_decomposition(ref.run, machine.build(), baseline_j=None)
         residual = abs(decomp.measured_j - decomp.components_sum_j())
     return DifferentialOutcome(
-        spec,
+        scenario,
         policy,
         label,
         seed,
         mismatches=mismatches,
         residual_j=residual,
         reference=ref,
+    )
+
+
+def check_fuzz_spec(
+    spec: FuzzSpec,
+    policy: str = "best",
+    machine: Optional[MachineSpec] = None,
+    seed: int = 0,
+    check_decomposition: bool = True,
+    backend: str = "fastpath",
+) -> DifferentialOutcome:
+    """:func:`check_scenario` on one fuzzed scenario: the check
+    :func:`shrink_fuzz_spec` repeats while it simplifies ``spec``."""
+    return check_scenario(
+        spec, policy, machine, seed,
+        check_decomposition=check_decomposition, backend=backend,
     )
 
 
@@ -255,7 +287,7 @@ def shrink_fuzz_spec(
 
 
 def counterexample_entry(outcome: DifferentialOutcome) -> Optional[CorpusEntry]:
-    """A corpus entry reproducing a failing scenario's reference trace.
+    """A corpus entry reproducing a failing fuzz spec's reference trace.
 
     Carries the full scenario coordinates as provenance so the failure
     can be re-fuzzed exactly, not just replayed.  None when the reference

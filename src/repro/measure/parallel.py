@@ -5,9 +5,9 @@ thresholds × workload, repeated for confidence intervals — and every
 simulation the CLI runs is one cell of such a grid.  This module is the one
 way to run cells, and it makes large grids cheap:
 
-- a :class:`SweepCell` names one simulation by *value* (policy name and
-  parameters, workload name and config, seed, kernel config) instead of by
-  closures, so cells pickle cleanly to worker processes and digest stably
+- a :class:`SweepCell` names one simulation by *value* (policy name,
+  workload name and config, machine spec, seed, kernel config) instead of
+  by closures, so cells pickle cleanly to worker processes and digest stably
   into cache keys;
 - :class:`SweepEngine` runs cells in-process (``jobs=1``, the serial
   path) or fans them out over a
@@ -45,7 +45,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import inspect
 import json
 import os
 import sys
@@ -125,24 +124,6 @@ WORKLOAD_BUILDERS: Dict[str, Tuple[Callable[..., Workload], type]] = {
 }
 
 
-def register_workload(
-    name: str, builder: Callable[..., Workload], config_type: type
-) -> None:
-    """Register an additional named workload for sweep specs.
-
-    Args:
-        name: spec name (must be new).
-        builder: ``builder(config)`` returning a :class:`Workload`.
-        config_type: the (dataclass) config the builder accepts.
-
-    Raises:
-        ValueError: if the name is already taken.
-    """
-    if name in WORKLOAD_BUILDERS:
-        raise ValueError(f"workload {name!r} is already registered")
-    WORKLOAD_BUILDERS[name] = (builder, config_type)
-
-
 @dataclass(frozen=True)
 class WorkloadSpec:
     """A workload named by value: picklable and stably digestible.
@@ -189,32 +170,18 @@ class WorkloadSpec:
 class PolicySpec:
     """A policy named by value: picklable and stably digestible.
 
-    Either a bare grammar name (``best``, ``avg3-peg``, ``const-132.7``,
-    ``const-132.7@1.23`` — see :func:`repro.core.catalog.resolve_policy`)
-    or a :data:`~repro.core.catalog.POLICY_FACTORIES` key plus keyword
-    parameters, e.g. ``PolicySpec.of("pering-avg", n=3, up="peg")``.
-
     Attributes:
-        name: policy grammar name, or a catalog factory key when
-            ``params`` is non-empty.
-        params: sorted ``(key, value)`` pairs passed to the factory.
+        name: a policy grammar name (``best``, ``avg3-peg``,
+            ``avg3-one-70-50``, ``const-132.7@1.23`` — see
+            :func:`repro.core.catalog.resolve_policy`).
     """
 
     name: str
-    params: Tuple[Tuple[str, object], ...] = ()
-
-    @classmethod
-    def of(cls, name: str, **params: object) -> "PolicySpec":
-        """Build a parameterized spec; parameters are sorted for stability."""
-        return cls(name=name, params=tuple(sorted(params.items())))
 
     @property
     def label(self) -> str:
-        """A short human-readable name, e.g. ``pering-avg(n=3, up='peg')``."""
-        if not self.params:
-            return self.name
-        args = ", ".join(f"{k}={v!r}" for k, v in self.params)
-        return f"{self.name}({args})"
+        """The policy's name, as logs and fleet records show it."""
+        return self.name
 
     def build_factory(
         self, clock_table: Optional[ClockTable] = None
@@ -224,32 +191,14 @@ class PolicySpec:
         Args:
             clock_table: the machine's clock table, so speed setters and
                 constant speeds resolve against the machine the cell
-                actually runs on (None = the SA-1100 default).  Explicit
-                ``clock_table`` entries in :attr:`params` win; factories
-                that take no such parameter are left alone.
+                actually runs on (None = the SA-1100 default).
 
         Raises:
             ValueError: for unknown names.
         """
-        from repro.core.catalog import POLICY_FACTORIES, resolve_policy
+        from repro.core.catalog import resolve_policy
 
-        if not self.params:
-            return resolve_policy(self.name, clock_table=clock_table)
-        try:
-            factory = POLICY_FACTORIES[self.name]
-        except KeyError:
-            raise ValueError(
-                f"unknown policy factory {self.name!r} "
-                f"(known: {', '.join(sorted(POLICY_FACTORIES))})"
-            ) from None
-        kwargs = dict(self.params)
-        if (
-            clock_table is not None
-            and "clock_table" not in kwargs
-            and "clock_table" in inspect.signature(factory).parameters
-        ):
-            kwargs["clock_table"] = clock_table
-        return lambda: factory(**kwargs)
+        return resolve_policy(self.name, clock_table=clock_table)
 
 
 @dataclass(frozen=True)
@@ -493,7 +442,7 @@ def _canonical(obj: object) -> object:
 def cache_key(cell: SweepCell) -> str:
     """The content address of a cell's result.
 
-    A SHA-256 digest over the canonical JSON of (policy name/params,
+    A SHA-256 digest over the canonical JSON of (policy name,
     workload name/effective config, machine spec, seed, DAQ settings,
     kernel config, schema version).  Stable across processes and hosts —
     it depends only on the cell's values, never on object identity or
@@ -504,7 +453,10 @@ def cache_key(cell: SweepCell) -> str:
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
-        "policy": {"name": cell.policy.name, "params": _canonical(cell.policy.params)},
+        # "params" is always empty since policies are named by grammar
+        # alone; it stays so that every existing digest (cache entries,
+        # run-log run ids) is unchanged.
+        "policy": {"name": cell.policy.name, "params": []},
         "workload": {
             "name": cell.workload.name,
             "config": _canonical(cell.workload.effective_config()),
@@ -1137,7 +1089,7 @@ class SweepEngine:
             self._axis_workloads.add(cell.workload.name)
             self._axis_machines.add(cell.machine.label)
             self._axis_seeds.add(cell.seed)
-            self._axis_backends.add(resolve_backend(cell.backend).name)
+            self._axis_backends.add(resolve_backend(cell.backend))
 
     def fleet_record(self, command: str = "") -> FleetRecord:
         """Summarize everything this engine served as one ledger entry."""
@@ -1273,55 +1225,6 @@ class SweepEngine:
                     by_coordinate[coordinate] = None
             out[key] = by_coordinate[coordinate]
         return out
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A full experiment grid: machines × policies × workloads × seeds.
-
-    Attributes:
-        policies: the policy axis.
-        workloads: the workload axis.
-        seeds: the repetition axis.
-        machines: the machine axis (default: the modified Itsy only).
-        kernel_config: shared kernel tunables (None = defaults).
-        use_daq: measure through the DAQ model.
-        backend: execution-backend name for every cell (None = the
-            default; bitwise-equal results on any backend).
-    """
-
-    policies: Tuple[PolicySpec, ...]
-    workloads: Tuple[WorkloadSpec, ...]
-    seeds: Tuple[int, ...] = (0,)
-    machines: Tuple[MachineSpec, ...] = (MachineSpec(),)
-    kernel_config: Optional[KernelConfig] = None
-    use_daq: bool = True
-    backend: Optional[str] = None
-
-    def cells(self) -> List[SweepCell]:
-        """The grid flattened in deterministic machine-major order."""
-        return [
-            SweepCell(
-                workload=workload,
-                policy=policy,
-                seed=seed,
-                kernel_config=self.kernel_config,
-                use_daq=self.use_daq,
-                machine=machine,
-                backend=self.backend,
-            )
-            for machine in self.machines
-            for policy in self.policies
-            for workload in self.workloads
-            for seed in self.seeds
-        ]
-
-
-def run_sweep(
-    spec: SweepSpec, engine: Optional[SweepEngine] = None
-) -> List[CellResult]:
-    """Execute a sweep grid; results follow :meth:`SweepSpec.cells` order."""
-    return (engine or SweepEngine()).run(spec.cells())
 
 
 @dataclass(frozen=True)

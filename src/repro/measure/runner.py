@@ -17,14 +17,14 @@ system daemons" is modelled by the workloads' seeded jitter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Iterable, List, Optional
 
-from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.machine import Machine
-from repro.kernel.backend import ExecutionBackend, resolve_backend
+from repro.hw.machines import MachineSpec
+from repro.kernel.backend import resolve_backend
 from repro.kernel.governor import Governor
 from repro.kernel.recorders import RECORDING_FULL, RunRecorder, check_recording
-from repro.kernel.scheduler import KernelConfig, KernelRun
+from repro.kernel.scheduler import Kernel, KernelConfig, KernelRun
 from repro.measure.daq import DaqCapture, DaqSystem
 from repro.traces.schema import AppEvent
 from repro.workloads.base import Workload
@@ -33,16 +33,6 @@ GovernorFactory = Callable[[], Governor]
 #: Anything that yields a fresh machine per run: a zero-argument callable
 #: or a (callable) :class:`~repro.hw.machines.MachineSpec`.
 MachineFactory = Callable[[], Machine]
-
-#: A caller's execution-backend choice: a registered name
-#: (``"reference"`` / ``"fastpath"``), a backend instance, or None for
-#: the default (see :func:`repro.kernel.backend.resolve_backend`).
-BackendChoice = Union[str, ExecutionBackend, None]
-
-
-def default_machine() -> ItsyMachine:
-    """A modified Itsy booted at 206.4 MHz / 1.5 V."""
-    return ItsyMachine(ItsyConfig())
 
 
 @dataclass
@@ -77,14 +67,14 @@ class ExperimentResult:
 def run_workload(
     workload: Workload,
     governor_factory: GovernorFactory,
-    machine_factory: MachineFactory = default_machine,
+    machine_factory: MachineFactory = MachineSpec(),
     seed: int = 0,
     kernel_config: Optional[KernelConfig] = None,
     use_daq: bool = True,
     daq_seed: Optional[int] = None,
     recording: str = RECORDING_FULL,
     extra_recorders: Optional[Iterable[RunRecorder]] = None,
-    backend: BackendChoice = None,
+    backend: Optional[str] = None,
 ) -> ExperimentResult:
     """Run one workload under one governor and measure it.
 
@@ -92,7 +82,8 @@ def run_workload(
         workload: the workload descriptor (spawns its own processes).
         governor_factory: builds a fresh governor for this run.
         machine_factory: builds a fresh machine for this run (a callable
-            or a :class:`~repro.hw.machines.MachineSpec`).
+            or a :class:`~repro.hw.machines.MachineSpec`; default: the
+            modified Itsy booted at 206.4 MHz / 1.5 V).
         seed: workload jitter seed.
         kernel_config: kernel tunables (None means a fresh default; a
             shared default-argument instance could alias between calls).
@@ -107,10 +98,10 @@ def run_workload(
             run's streams at its end on whichever backend runs.  Pure
             observation: results are bitwise-identical with or without
             them, on either backend.
-        backend: the execution backend — a registered name
-            (``"reference"`` / ``"fastpath"``), an
-            :class:`~repro.kernel.backend.ExecutionBackend` instance, or
-            None for the default (``"fastpath"``, overridable via the
+        backend: the execution backend, ``"reference"`` (the
+            :class:`~repro.kernel.scheduler.Kernel`) or ``"fastpath"``
+            (the :class:`~repro.kernel.fastpath.FastKernel`), or None for
+            the default (``"fastpath"``, overridable via the
             ``REPRO_FORCE_BACKEND`` environment variable).  Results are
             bitwise identical across backends.
     """
@@ -122,13 +113,15 @@ def run_workload(
         )
     if kernel_config is None:
         kernel_config = KernelConfig()
+    if resolve_backend(backend) == "fastpath":
+        # Imported on first use: naming a backend (the CLI's --backend
+        # choices, a sweep's fleet record) must not load the hot loop.
+        from repro.kernel.fastpath import FastKernel as kernel_type
+    else:
+        kernel_type = Kernel
     machine = machine_factory()
-    kernel = resolve_backend(backend).build_kernel(
-        machine,
-        governor=governor_factory(),
-        config=kernel_config,
-        recording=recording,
-        extra_recorders=extra_recorders,
+    kernel = kernel_type(
+        machine, governor_factory(), kernel_config, recording, extra_recorders
     )
     workload.setup(kernel, seed)
     run = kernel.run(workload.duration_us)

@@ -44,6 +44,7 @@ from repro.analysis.fourier import alpha_for_avg_n, fourier_magnitude
 from repro.analysis.oscillation import oscillation_stats
 from repro.core.catalog import predictor_decay_n
 from repro.hw.machine import Machine
+from repro.hw.machines import MachineSpec
 from repro.hw.power import CoreState
 from repro.kernel.scheduler import KernelRun
 from repro.obs.profile import SweepObserver
@@ -654,7 +655,7 @@ def diagnose(
         policy: the policy's catalog name (drives the predictor tie-in).
         workload: the workload's catalog name (for labelling).
         machine: the machine (or a zero-argument factory / spec for one)
-            the run executed on; None uses the default machine.
+            the run executed on; None uses the default ``MachineSpec()``.
         machine_label: label for the diagnosis record (defaults to the
             spec's label when ``machine`` has one).
         seed: the run's workload seed (for labelling).
@@ -666,10 +667,8 @@ def diagnose(
         ValueError: if the result was recorded without the full recorder
             set (diagnosis needs the quantum log and power timeline).
     """
-    from repro.measure.runner import default_machine
-
     if machine is None:
-        machine = default_machine()
+        machine = MachineSpec()
     if not machine_label:
         machine_label = getattr(machine, "label", "") or "itsy"
     if not isinstance(machine, Machine):

@@ -12,13 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.catalog import resolve_policy
-from repro.measure.differential import (
-    RESIDUAL_TOLERANCE_J,
-    compare_results,
-)
-from repro.measure.runner import default_machine, run_workload
-from repro.obs.diagnose import energy_decomposition
+from repro.hw.machines import MachineSpec
+from repro.measure.differential import RESIDUAL_TOLERANCE_J, check_scenario
 from repro.traces.corpus import load_corpus, load_entry
 
 CORPUS_DIR = Path(__file__).parent
@@ -40,19 +35,14 @@ def test_load_corpus_collects_every_file():
 
 @pytest.mark.parametrize("path", ENTRY_PATHS, ids=entry_ids())
 def test_entry_replays_bitwise_identically(path):
-    entry = load_entry(path)
-    gov = resolve_policy("best")
-    ref = run_workload(entry.workload(), gov, use_daq=False,
-                       backend="reference")
-    fast = run_workload(entry.workload(), gov, use_daq=False,
-                        backend="fastpath")
-    assert compare_results(ref, fast) == [], entry.name
+    outcome = check_scenario(
+        load_entry(path), "best", MachineSpec(), check_decomposition=False
+    )
+    assert outcome.ok, outcome.describe()
 
 
 @pytest.mark.parametrize("path", ENTRY_PATHS, ids=entry_ids())
 def test_entry_energy_decomposition_closes(path):
-    entry = load_entry(path)
-    res = run_workload(entry.workload(), resolve_policy("best"), use_daq=False)
-    decomp = energy_decomposition(res.run, default_machine(), baseline_j=None)
-    residual = abs(decomp.measured_j - decomp.components_sum_j())
-    assert residual <= RESIDUAL_TOLERANCE_J, entry.name
+    outcome = check_scenario(load_entry(path), "best", MachineSpec())
+    assert outcome.residual_j is not None, outcome.describe()
+    assert outcome.residual_j <= RESIDUAL_TOLERANCE_J, outcome.describe()

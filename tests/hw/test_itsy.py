@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.itsy import ItsyConfig, ItsyMachine, modified_itsy, stock_itsy
+from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.power import CoreState
 from repro.hw.rails import VOLTAGE_HIGH, VOLTAGE_LOW
 
@@ -18,7 +18,9 @@ class TestPresets:
         assert machine.step.mhz == pytest.approx(132.7)
 
     def test_boot_at_low_voltage(self):
-        machine = modified_itsy(initial_mhz=132.7, initial_volts=VOLTAGE_LOW)
+        machine = ItsyMachine(
+            ItsyConfig(initial_mhz=132.7, initial_volts=VOLTAGE_LOW)
+        )
         assert machine.volts == VOLTAGE_LOW
 
     def test_unknown_boot_frequency_rejected(self):
@@ -26,7 +28,9 @@ class TestPresets:
             ItsyMachine(ItsyConfig(initial_mhz=100.0))
 
     def test_stock_unit_has_no_low_rail(self):
-        machine = stock_itsy(initial_mhz=59.0)
+        machine = ItsyMachine(
+            ItsyConfig(initial_mhz=59.0, low_voltage_available=False)
+        )
         with pytest.raises(ValueError):
             machine.set_voltage(VOLTAGE_LOW)
 
@@ -49,13 +53,13 @@ class TestBehaviour:
         assert machine.step.mhz == 59.0
 
     def test_voltage_change_passthrough(self):
-        machine = modified_itsy(initial_mhz=132.7)
+        machine = ItsyMachine(ItsyConfig(initial_mhz=132.7))
         settle = machine.set_voltage(VOLTAGE_LOW)
         assert settle == pytest.approx(250.0)
         assert machine.volts == VOLTAGE_LOW
 
     def test_power_drops_after_voltage_scale(self):
-        machine = modified_itsy(initial_mhz=132.7)
+        machine = ItsyMachine(ItsyConfig(initial_mhz=132.7))
         before = machine.power_w(CoreState.ACTIVE)
         machine.set_voltage(VOLTAGE_LOW)
         after = machine.power_w(CoreState.ACTIVE)

@@ -8,7 +8,6 @@ from repro.hw.sa2 import (
     SA2_CLOCK_TABLE,
     SA2_FREQUENCIES_MHZ,
     Sa2Machine,
-    sa2_cpu,
     sa2_energy_for_instructions,
     sa2_power_w,
     sa2_volts_for_step,
@@ -114,7 +113,7 @@ class TestSa2Machine:
 
 class TestCpuModel:
     def test_cpu_uses_sa2_table(self):
-        cpu = sa2_cpu()
+        cpu = Sa2Machine().cpu
         assert cpu.step.mhz == 600.0
         cpu.set_step_index(0)
         assert cpu.step.mhz == 150.0
@@ -122,7 +121,7 @@ class TestCpuModel:
     def test_work_timing_on_sa2(self):
         from repro.hw.work import Work
 
-        cpu = sa2_cpu()
+        cpu = Sa2Machine().cpu
         work = Work(cpu_cycles=600e6)
         assert cpu.duration_us(work) == pytest.approx(1e6)
         cpu.set_step_index(0)

@@ -3,8 +3,8 @@
 The cache key must be a pure function of the cell's *values* — any change
 to the policy (predictor decay N, speed setter, thresholds), the workload
 config, the seed, or the kernel config must move the key, while
-irrelevancies (spelling a default config explicitly, process restarts,
-parameter ordering) must not.
+irrelevancies (spelling a default config explicitly, process restarts)
+must not.
 """
 
 import json
@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.hysteresis import ThresholdPair
 from repro.hw.machines import MachineSpec
 from repro.kernel.scheduler import KernelConfig
 from repro.measure.parallel import (
@@ -27,7 +26,9 @@ from repro.measure.parallel import (
     SweepEngine,
     WorkloadSpec,
     cache_key,
+    constant_step_cells,
 )
+from repro.workloads.fuzz import FuzzSpec
 from repro.workloads.mpeg import MpegConfig
 from repro.workloads.web import WebConfig
 
@@ -63,12 +64,8 @@ class TestKeySensitivity:
         )
 
     def test_thresholds(self):
-        pering = PolicySpec.of(
-            "pering-avg", n=3, thresholds=ThresholdPair(low=0.50, high=0.70)
-        )
-        tighter = PolicySpec.of(
-            "pering-avg", n=3, thresholds=ThresholdPair(low=0.93, high=0.98)
-        )
+        pering = PolicySpec("avg3-one-70-50")
+        tighter = PolicySpec("avg3-one-98-93")
         assert cache_key(cell(policy=pering)) != cache_key(cell(policy=tighter))
 
     def test_constant_voltage(self):
@@ -132,10 +129,58 @@ class TestKeyStability:
             cell(recording="full")
         )
 
-    def test_params_order_independent(self):
-        a = PolicySpec.of("pering-avg", n=3, up="peg")
-        b = PolicySpec.of("pering-avg", up="peg", n=3)
-        assert cache_key(cell(policy=a)) == cache_key(cell(policy=b))
+    @pytest.mark.parametrize(
+        "the_cell,key",
+        [
+            (
+                SweepCell(
+                    workload=WorkloadSpec("mpeg"),
+                    policy=PolicySpec("best"),
+                    seed=1000,
+                    machine=MachineSpec.parse("itsy"),
+                ),
+                "c6d374308e975262186e779377715296b5b3c3b01be5e673b9e07a87d59e5891",
+            ),
+            (
+                SweepCell(
+                    workload=WorkloadSpec("mpeg"),
+                    policy=PolicySpec("const-132.7@1.23"),
+                    seed=2000,
+                    machine=MachineSpec.parse("itsy"),
+                ),
+                "ce4cce9f7774b55b117cc3beb70ee123fb29d85844d4f27820b4437e4481e06a",
+            ),
+            (
+                SweepCell(
+                    workload=WorkloadSpec("web", WebConfig(duration_s=20.0)),
+                    policy=PolicySpec("avg3-one"),
+                    seed=3,
+                    machine=MachineSpec.parse("sa2"),
+                ),
+                "0933ce4c2080085718d3ef12ecee5364f149647df14a1a42c68bc7894af5e4fb",
+            ),
+            (
+                SweepCell(
+                    workload=WorkloadSpec("fuzz", FuzzSpec(seed=7, duration_s=1.0)),
+                    policy=PolicySpec("best"),
+                    machine=MachineSpec.parse("itsy-reconf"),
+                ),
+                "35a30637b0821e088ecde58d8e753dafb43c1464d8c1fdd3673ef0eb5b3cfa7d",
+            ),
+            (
+                constant_step_cells(
+                    WorkloadSpec("mpeg", MpegConfig(duration_s=5.0))
+                )[5],
+                "09ce46127a20219bba84fdf3e556b03d6c9f8de71d2c177c5426af0e1bd5ded3",
+            ),
+        ],
+        ids=["table2-best", "table2-const-1.23v", "sa2-avg3-web",
+             "itsy-reconf-fuzz", "constant-step-baseline"],
+    )
+    def test_pinned_digest(self, the_cell, key):
+        """Keys are pinned across commits: a digest that moves orphans
+        every cached result and run-log ``run_id`` written before it."""
+        assert cache_key(the_cell) == key
 
     def test_stable_across_process_restarts(self):
         """The key depends on values only — never on hash randomization."""

@@ -23,12 +23,10 @@ from repro.measure.parallel import (
     SweepCell,
     SweepCellError,
     SweepEngine,
-    SweepSpec,
     WorkloadSpec,
     constant_step_cells,
     find_ideal_constant,
     repeat_workload,
-    run_sweep,
 )
 from repro.measure.stats import confidence_interval
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
@@ -39,12 +37,13 @@ WEB = WorkloadSpec("web", WebConfig(duration_s=0.4))
 SA2 = MachineSpec(name="sa2")
 
 #: The acceptance grid: 3 policies x 2 workloads x 3 seeds = 18 cells.
-GRID = SweepSpec(
-    policies=(PolicySpec("best"), PolicySpec("avg3-peg"), PolicySpec("const-132.7")),
-    workloads=(MPEG, WEB),
-    seeds=(0, 1, 2),
-    use_daq=False,
-)
+GRID = [
+    SweepCell(workload=workload, policy=PolicySpec(policy), seed=seed,
+              use_daq=False)
+    for policy in ("best", "avg3-peg", "const-132.7")
+    for workload in (MPEG, WEB)
+    for seed in (0, 1, 2)
+]
 
 
 def cell(seed: int = 0, **overrides) -> SweepCell:
@@ -75,8 +74,8 @@ class TestSerialDeterminism:
 
 class TestSerialVsParallel:
     def test_grid_bitwise_equal(self):
-        serial = run_sweep(GRID, SweepEngine(jobs=1))
-        parallel = run_sweep(GRID, SweepEngine(jobs=4))
+        serial = SweepEngine(jobs=1).run(GRID)
+        parallel = SweepEngine(jobs=4).run(GRID)
         assert len(serial) == 18
         # Dataclass equality compares every float field exactly.
         assert serial == parallel
@@ -90,14 +89,14 @@ class TestSerialVsParallel:
 
 class TestCacheDeterminism:
     def test_cold_vs_warm_bitwise_equal(self, tmp_path):
-        serial = run_sweep(GRID)
+        serial = SweepEngine().run(GRID)
         cold = SweepEngine(jobs=4, cache=ResultCache(tmp_path))
-        assert run_sweep(GRID, cold) == serial
+        assert cold.run(GRID) == serial
         assert cold.stats.executed == 18
         assert cold.stats.cache_hits == 0
 
         warm = SweepEngine(jobs=4, cache=ResultCache(tmp_path))
-        assert run_sweep(GRID, warm) == serial
+        assert warm.run(GRID) == serial
         assert warm.stats.executed == 0, "warm re-run must execute nothing"
         assert warm.stats.cache_hits == 18
 
@@ -147,7 +146,7 @@ class TestSpecHelpers:
                 seed=1,
                 use_daq=False,
             )
-            for step in runner.default_machine().clock_table
+            for step in MachineSpec().clock_table()
         ]
         ref = min(
             (r for r in runs if not r.missed), key=lambda r: r.exact_energy_j
@@ -196,14 +195,12 @@ class TestMachineAxis:
         assert again == first
 
     def test_machine_axis_multiplies_grid(self):
-        spec = SweepSpec(
-            policies=(PolicySpec("best"),),
-            workloads=(MPEG,),
-            machines=(MachineSpec(), SA2),
+        engine = SweepEngine()
+        results = engine.run(
+            [cell(machine=machine, use_daq=False) for machine in (MachineSpec(), SA2)]
         )
-        cells = spec.cells()
-        assert len(cells) == 2
-        assert {c.machine.name for c in cells} == {"itsy", "sa2"}
+        assert len(results) == 2 and results[0] != results[1]
+        assert engine.fleet_record().machines == ("itsy", "sa2")
 
 
 class TestRecordingModes:
@@ -298,9 +295,9 @@ class TestSweepTelemetry:
         )
 
     def test_instrumented_grid_bitwise_equal(self):
-        plain = run_sweep(GRID, SweepEngine(jobs=2))
+        plain = SweepEngine(jobs=2).run(GRID)
         with self.engine_with_telemetry(jobs=2) as engine:
-            instrumented = run_sweep(GRID, engine)
+            instrumented = engine.run(GRID)
         assert instrumented == plain
 
     def test_trace_has_one_lane_per_worker(self):
@@ -412,6 +409,6 @@ class TestCellResultRoundTrip:
         assert CellResult.from_json(result.to_json()) == result
 
     def test_parameterized_policy_spec_builds(self):
-        spec = PolicySpec.of("pering-avg", n=3, up="peg", down="peg")
-        governor = spec.build_factory()()
+        governor = PolicySpec("avg3-peg-70-50").build_factory()()
         assert governor.predictor.n == 3
+        assert governor.thresholds.high == 0.70

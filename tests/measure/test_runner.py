@@ -1,10 +1,12 @@
 """Tests for the experiment runner (short synthetic workload for speed)."""
 
+import inspect
+
 import pytest
 
 from repro.core.catalog import best_policy, constant_speed
 from repro.measure.parallel import PolicySpec, WorkloadSpec, repeat_workload
-from repro.measure.runner import default_machine, run_workload
+from repro.measure.runner import run_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 
 SHORT = mpeg_workload(MpegConfig(duration_s=4.0))
@@ -32,8 +34,8 @@ class TestRunWorkload:
         assert bad.missed
 
     def test_default_machine_boots_fast(self):
-        machine = default_machine()
-        assert machine.step.mhz == pytest.approx(206.4)
+        default = inspect.signature(run_workload).parameters["machine_factory"]
+        assert default.default().step.mhz == pytest.approx(206.4)
 
     @pytest.mark.parametrize("use_daq", [True, False])
     def test_unknown_recording_mode_named(self, use_daq):

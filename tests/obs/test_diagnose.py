@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import workload_spec
 from repro.core.catalog import predictor_decay_n, resolve_policy
+from repro.hw.machines import MachineSpec
 from repro.measure.parallel import (
     PolicySpec,
     ResultCache,
@@ -16,7 +17,7 @@ from repro.measure.parallel import (
     WorkloadSpec,
     find_ideal_constant,
 )
-from repro.measure.runner import default_machine, run_workload
+from repro.measure.runner import run_workload
 from repro.obs.diagnose import (
     ATTRIBUTION_WINDOW_US,
     CAUSE_CAPACITY,
@@ -202,7 +203,7 @@ class TestEnergyDecomposition:
                 workload_spec("mpeg", 10.0), seed=0
             ).exact_energy_j
             decomposition = energy_decomposition(
-                result.run, default_machine(), baseline
+                result.run, MachineSpec().build(), baseline
             )
             assert (
                 abs(decomposition.components_sum_j() - decomposition.measured_j)
@@ -216,10 +217,10 @@ class TestEnergyDecomposition:
             workload_spec("mpeg", 10.0), seed=0
         ).exact_energy_j
         flat = energy_decomposition(
-            run("best", "mpeg", 10.0).run, default_machine(), baseline
+            run("best", "mpeg", 10.0).run, MachineSpec().build(), baseline
         )
         scaled = energy_decomposition(
-            run("best-voltage", "mpeg", 10.0).run, default_machine(), baseline
+            run("best-voltage", "mpeg", 10.0).run, MachineSpec().build(), baseline
         )
         assert flat.sag_j == 0.0
         assert scaled.sag_j > 0.0
@@ -228,7 +229,7 @@ class TestEnergyDecomposition:
         result = run("avg3-one", "mpeg", 10.0)
         assert result.run.clock_changes > 0
         decomposition = energy_decomposition(
-            result.run, default_machine(), None
+            result.run, MachineSpec().build(), None
         )
         assert decomposition.stall_j > 0.0
         assert not decomposition.baseline_feasible
@@ -242,7 +243,7 @@ class TestEnergyDecomposition:
             recording="minimal",
         )
         with pytest.raises(ValueError, match="full-recording"):
-            energy_decomposition(result.run, default_machine(), None)
+            energy_decomposition(result.run, MachineSpec().build(), None)
 
 
 class TestDiagnose:

@@ -397,7 +397,7 @@ class TestEngineFleetRecord:
         # The record stamps whatever backend the engine resolved, so the
         # assertion must survive the CI leg that forces the reference
         # kernel via REPRO_FORCE_BACKEND.
-        assert rec.backend == resolve_backend().name
+        assert rec.backend == resolve_backend()
         assert rec.jobs == 1
         assert rec.wall_s > 0
         assert rec.cells_per_s > 0

@@ -12,6 +12,7 @@ from repro.measure.parallel import (
     _started_in_batch,
 )
 from repro.obs.profile import (
+    LANE_ENGINE,
     PHASE_CACHE,
     PHASE_COMPUTE,
     PHASE_DIAGNOSE,
@@ -255,17 +256,35 @@ class TestEngineIntegration:
             f"sweep's wall time under {engine.start_method}"
         )
 
+    @staticmethod
+    def worker_start_spans(timeline):
+        """``worker start`` spans per trace lane, every lane listed."""
+        events = timeline.chrome_trace()["traceEvents"]
+        spans = {e["tid"]: 0 for e in events if e["ph"] == "M" and "tid" in e}
+        for event in events:
+            if event["ph"] == "X" and event["name"] == PHASE_WORKER_START:
+                spans[event["tid"]] += 1
+        return spans
+
     def test_pooled_sweep_stamps_worker_start_once(self):
-        # Workers import the simulator in the pool initializer; that
-        # start-up rides home with each worker's first profiled outcome,
-        # so a second batch on the warm pool adds none of it.
+        # One start-up per worker per engine, which a warm pool never
+        # repeats.  A worker's start-up rides home with its first cell,
+        # and which batch that is depends on the pool: under spawn and
+        # forkserver one worker may run the whole first batch.  So the
+        # lanes are read over both batches.
         timeline = SweepTimeline()
         with SweepEngine(jobs=2, timeline=timeline, chunk_size=1) as engine:
             engine.run(self.cells(duration_s=1.0))
-            started = timeline.phase_seconds()[PHASE_WORKER_START]
+            after_first = self.worker_start_spans(timeline)
             engine.run(self.cells(duration_s=1.0, seeds=(2, 3)))
-            assert timeline.phase_seconds()[PHASE_WORKER_START] == started
-        assert started > 0
+            after_both = self.worker_start_spans(timeline)
+        workers = {lane: n for lane, n in after_both.items() if lane != LANE_ENGINE}
+        assert workers and set(workers.values()) == {1}
+        # The engine lane holds the fork parent's import, if any.
+        assert after_both[LANE_ENGINE] <= 1
+        for lane, spans in after_first.items():
+            assert after_both[lane] == spans, f"lane {lane} started twice"
+        assert timeline.phase_seconds()[PHASE_WORKER_START] > 0
 
     def test_cache_phase_recorded(self, tmp_path):
         timeline = SweepTimeline()

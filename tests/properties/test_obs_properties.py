@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro.cli import workload_spec
 from repro.core.catalog import resolve_policy
-from repro.measure.runner import default_machine, run_workload
+from repro.hw.machines import MachineSpec
+from repro.measure.runner import run_workload
 from repro.obs.diagnose import (
     ENERGY_SUM_TOLERANCE_J,
     energy_decomposition,
@@ -84,7 +85,7 @@ class TestEnergyDecompositionProperties:
             use_daq=False,
         )
         decomposition = energy_decomposition(
-            result.run, default_machine(), baseline_j
+            result.run, MachineSpec().build(), baseline_j
         )
         assert (
             abs(decomposition.components_sum_j() - decomposition.measured_j)

@@ -7,12 +7,11 @@ import pytest
 from repro.cli import (
     build_parser,
     main,
-    resolve_policy,
-    resolve_workload,
     sweep_engine,
     workload_spec,
 )
 from repro.measure.parallel import WorkloadSpec
+from repro.core.catalog import resolve_policy
 from repro.core.cycleavg import CycleAverageGovernor
 from repro.core.deadline import SynthesizedDeadlineGovernor
 from repro.core.policy import IntervalPolicy
@@ -76,15 +75,15 @@ class TestWorkloadResolution:
                           ("editor", "TalkingEditor")]
     )
     def test_names(self, name, expected):
-        assert resolve_workload(name, None).name == expected
+        assert workload_spec(name).build().name == expected
 
     def test_duration_override(self):
-        wl = resolve_workload("mpeg", 12.0)
+        wl = workload_spec("mpeg", 12.0).build()
         assert wl.duration_s == 12.0
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
-            resolve_workload("doom", None)
+            workload_spec("doom")
 
     def test_spec_round_trip(self):
         spec = workload_spec("web", 9.0)
@@ -390,9 +389,12 @@ class TestSweepOptions:
         assert main(["ideal", "mpeg", "--duration", "10", "--jobs", "4"]) == 0
         assert capsys.readouterr().out == serial_out
 
-    def test_battery_accepts_flags(self, capsys):
-        assert main(["battery", "--jobs", "2"]) == 0
-        assert "206.4" in capsys.readouterr().out
+    def test_battery_rejects_sweep_flags(self, capsys):
+        # battery is analytic: it runs no sweep, so it takes no sweep flags.
+        with pytest.raises(SystemExit) as exc:
+            main(["battery", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestObservabilityOptions:
@@ -880,7 +882,108 @@ def write_report_log(path):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
+#: Golden snapshot of ``python -m repro diagnose avg3-one mpeg --duration 5
+#: -o <out>``: the decomposition, settling verdict and prediction ledger.
+DIAGNOSE_SNAPSHOT = """\
+workload        : MPEG (5 s)
+policy          : avg3-one
+machine         : itsy
+quanta          : 500
+mean utilization: 0.777
+energy          : 7.20 J measured
+  = 6.69 J ideal-constant oracle
+  + +0.49 J overshoot (speed above the oracle)
+  + 0.016 J clock-change stall windows
+  + 0.0000 J voltage-sag windows
+settling        : never settles (0.137 speed changes/quantum in the tail; threshold 0.02)
+  dominant oscillation period: 6.6 quanta (11% of tail power)
+  predictor attenuation at that period: 0.288 (1.0 = passes straight through)
+prediction error: mean +0.0029, |mean| 0.3298, rms 0.4105 (499 decisions, N=3)
+deadline misses : 0
+diagnosis JSON  : <out>
+"""
+
+#: Golden snapshot of ``python -m repro diagnose const-59.0 mpeg --duration
+#: 5``: a run that misses, with its first ten attributed misses.
+DIAGNOSE_MISSES_SNAPSHOT = """\
+workload        : MPEG (5 s)
+policy          : const-59.0
+machine         : itsy
+quanta          : 500
+mean utilization: 1.000
+energy          : 5.74 J measured
+  = 6.69 J ideal-constant oracle
+  + -0.95 J overshoot (speed above the oracle)
+  + 0.000 J clock-change stall windows
+  + 0.0000 J voltage-sag windows
+settling        : settles (0.000 speed changes/quantum in the tail; threshold 0.02)
+deadline misses : 35
+  frame at 0.150 s, late 83.1 ms -> cause: policy (window mean 80.1 MHz, 0 up / 1 down)
+  frame at 0.279 s, late 145.9 ms -> cause: policy (window mean 69.5 MHz, 0 up / 1 down)
+  frame at 0.416 s, late 216.2 ms -> cause: policy (window mean 66.0 MHz, 0 up / 1 down)
+  frame at 0.548 s, late 281.3 ms -> cause: policy (window mean 64.5 MHz, 0 up / 1 down)
+  frame at 0.684 s, late 351.1 ms -> cause: policy (window mean 63.3 MHz, 0 up / 1 down)
+  frame at 0.809 s, late 409.0 ms -> cause: policy (window mean 62.6 MHz, 0 up / 1 down)
+  frame at 0.943 s, late 476.4 ms -> cause: policy (window mean 62.1 MHz, 0 up / 1 down)
+  frame at 1.073 s, late 539.4 ms -> cause: policy (window mean 59.0 MHz, 0 up / 0 down)
+  frame at 1.271 s, late 670.9 ms -> cause: policy (window mean 59.0 MHz, 0 up / 0 down)
+  frame at 1.406 s, late 738.9 ms -> cause: policy (window mean 59.0 MHz, 0 up / 0 down)
+  ... and 25 more
+"""
+
+
 class TestDiagnoseCommand:
+    def test_snapshot(self, capsys, tmp_path):
+        out = tmp_path / "d.json"
+        assert main(
+            ["diagnose", "avg3-one", "mpeg", "--duration", "5", "-o", str(out)]
+        ) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.replace(str(out), "<out>") == DIAGNOSE_SNAPSHOT
+
+    def test_misses_snapshot(self, capsys):
+        assert main(["diagnose", "const-59.0", "mpeg", "--duration", "5"]) == 1
+        assert capsys.readouterr().out == DIAGNOSE_MISSES_SNAPSHOT
+
+    def test_json_equals_the_spelled_out_diagnosis(self, capsys, tmp_path):
+        """``-o`` writes the diagnosis of a DAQ-free run against the
+        ideal-constant oracle, computed here in the same process."""
+        import json
+
+        from repro.core.catalog import resolve_policy
+        from repro.hw.machines import MachineSpec
+        from repro.measure.parallel import find_ideal_constant
+        from repro.measure.runner import run_workload
+        from repro.obs.diagnose import diagnose
+
+        out = tmp_path / "d.json"
+        assert main(
+            ["diagnose", "avg3-one", "mpeg", "--duration", "5", "-o", str(out)]
+        ) == 0
+        spec = workload_spec("mpeg", 5.0)
+        machine = MachineSpec()
+        expected = diagnose(
+            run_workload(
+                spec.build(), resolve_policy("avg3-one"),
+                machine_factory=machine, use_daq=False,
+            ),
+            policy="avg3-one",
+            workload="mpeg",
+            machine=machine,
+            baseline_j=find_ideal_constant(spec, machine=machine).exact_energy_j,
+        )
+        assert out.read_text() == json.dumps(expected.to_json(), sort_keys=True) + "\n"
+
+    def test_unknown_policy_simulates_nothing(self, capsys, monkeypatch):
+        import repro.measure.runner as runner
+
+        def run_workload(*args, **kwargs):
+            pytest.fail("diagnose simulated before validating its policy")
+
+        monkeypatch.setattr(runner, "run_workload", run_workload)
+        assert main(["diagnose", "nope", "mpeg"]) == 2
+        assert "unknown policy 'nope'" in capsys.readouterr().err
+
     def test_oscillation_verdict_on_avg3_mpeg(self, capsys):
         code = main(["diagnose", "avg3-one", "mpeg", "--duration", "10"])
         out = capsys.readouterr().out
@@ -1022,6 +1125,23 @@ class TestFuzzCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "1 corpus replays" in out
+
+    def test_corpus_replay_checks_decomposition(self, capsys, monkeypatch):
+        # Only the committed corpus runs, and no residual can pass: every
+        # replay must then fail on its energy decomposition, by name.
+        import repro.measure.differential as differential
+        import repro.workloads.fuzz as fuzz
+        from repro.traces.corpus import load_corpus
+
+        corpus = REPO_ROOT / "tests" / "corpus"
+        monkeypatch.setattr(fuzz, "fuzz_family", lambda *args, **kwargs: [])
+        monkeypatch.setattr(differential, "RESIDUAL_TOLERANCE_J", -1.0)
+        assert main(["fuzz", "--corpus", str(corpus)]) == 1
+        captured = capsys.readouterr()
+        assert "energy decomposition closed" not in captured.out
+        names = [entry.name for _, entry in load_corpus(corpus)]
+        assert any(f"corpus {name} " in captured.err for name in names)
+        assert "energy decomposition residual" in captured.err
 
     def test_deterministic_output(self, capsys):
         argv = ["fuzz", "--count", "2", "--duration", "0.4", "--seed", "5",

@@ -1,15 +1,76 @@
 """Documentation consistency: the docs must match the repository.
 
 DESIGN.md's experiment index and EXPERIMENTS.md reference benchmark
-targets by filename; the module map names source files.  These tests keep
-the documentation honest as the code evolves.
+targets by filename; the module map names source files; docs/api.md and
+the README name the library's API.  These tests keep the documentation
+honest as the code evolves.
 """
 
+import ast
+import importlib
 import json
 import re
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
+
+
+def resolve_dotted(name: str) -> object:
+    """The object a dotted ``repro.…`` name names: each prefix as a
+    module where one exists, else as an attribute of the previous one."""
+    parts = name.split(".")
+    obj = importlib.import_module(parts[0])
+    for i in range(1, len(parts)):
+        try:
+            obj = importlib.import_module(".".join(parts[: i + 1]))
+        except ModuleNotFoundError:
+            obj = getattr(obj, parts[i])
+    return obj
+
+
+def api_md_names() -> list:
+    text = (REPO / "docs" / "api.md").read_text()
+    return sorted(set(re.findall(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+", text)))
+
+
+def readme_imports() -> list:
+    """``(module, name)`` for every name imported from ``repro`` in the
+    README's Python code blocks."""
+    text = (REPO / "README.md").read_text()
+    out = []
+    for block in re.findall(r"```python\n(.*?)```", text, re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("repro"):
+                out += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                out += [
+                    (alias.name, None)
+                    for alias in node.names
+                    if alias.name.startswith("repro")
+                ]
+    return out
+
+
+class TestApiMd:
+    def test_names_found(self):
+        assert len(api_md_names()) > 50
+
+    @pytest.mark.parametrize("name", api_md_names())
+    def test_every_dotted_name_resolves(self, name):
+        resolve_dotted(name)
+
+
+class TestReadmeImports:
+    def test_imports_found(self):
+        assert readme_imports()
+
+    @pytest.mark.parametrize(
+        "module,name", readme_imports(), ids=lambda value: str(value)
+    )
+    def test_every_import_resolves(self, module, name):
+        resolve_dotted(module if name is None else f"{module}.{name}")
 
 
 def referenced_benchmarks(text: str) -> set:
