@@ -1,18 +1,18 @@
-"""Cost of the observability layer: the trace recorder on vs off.
+"""Cost of the observability layer: the scheduler log on vs off.
 
-The obs package rides the recorder observer protocol: a kernel hands
-each attached recorder the run's row buffers once, at run end, so the
-hot loop does not change when observers attach.  That design makes two
-promises this benchmark checks on the paper's 60 s MPEG workload under
-the best policy:
+``repro trace`` exports a run that kept its scheduler activity log
+(``KernelConfig(record_sched_log=True)``): the kernel appends one row
+per scheduling decision, and the log's record objects are built only
+when the exporter reads them.  That design makes two promises this
+benchmark checks on the paper's 60 s MPEG workload under the best
+policy:
 
-- disabled observability is free: a run with ``extra_recorders`` unset
-  must cost within 5 % of the plain pre-obs call form (the acceptance
-  bar for the whole layer), and
-- enabled observability is cheap enough to leave on: with a
-  ``TraceRecorder`` attached the results stay bitwise identical and the
-  run costs within 10 % of the plain call form (the recorder reduces
-  the kernel's row buffers once at the end).
+- disabled observability is free: a run with an explicit default
+  ``KernelConfig()`` must cost within 5 % of the plain call form (the
+  acceptance bar for the whole layer), and
+- enabled observability is cheap enough to leave on: with the scheduler
+  log kept, the results stay bitwise identical and the run costs within
+  10 % of the plain call form.
 
 Timings are best-of-N over interleaved runs so one noisy sample cannot
 flip the comparison (rounds keep adding until the floors stop improving
@@ -35,8 +35,8 @@ import time
 from pathlib import Path
 
 from repro.core.catalog import resolve_policy
+from repro.kernel.scheduler import KernelConfig
 from repro.measure.runner import run_workload
-from repro.obs.trace import TraceRecorder
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 
 from _util import Report, bench_machine, once, stable_best
@@ -53,9 +53,9 @@ def timed_run(machine, mode: str):
     policy = resolve_policy("best", clock_table=machine.clock_table())
     kwargs = {}
     if mode == "disabled":
-        kwargs["extra_recorders"] = None
+        kwargs["kernel_config"] = KernelConfig()
     elif mode == "enabled":
-        kwargs["extra_recorders"] = [TraceRecorder()]
+        kwargs["kernel_config"] = KernelConfig(record_sched_log=True)
     start = time.perf_counter()
     result = run_workload(
         mpeg_workload(MpegConfig(duration_s=DURATION_S)),
@@ -109,7 +109,7 @@ def test_obs_overhead(benchmark):
     )
     report.add(f"disabled overhead: {disabled_pct:+.1f}% "
                f"(bar: {MAX_DISABLED_OVERHEAD_PCT:g}%)")
-    report.add(f"enabled (trace) overhead: {enabled_pct:+.1f}% "
+    report.add(f"enabled (scheduler log) overhead: {enabled_pct:+.1f}% "
                f"(bar: {MAX_ENABLED_OVERHEAD_PCT:g}%)")
     report.emit()
 
@@ -159,6 +159,7 @@ def test_obs_overhead(benchmark):
                 == results["baseline"].run.mean_utilization())
         assert (results[mode].run.clock_changes
                 == results["baseline"].run.clock_changes)
+    assert results["enabled"].run.sched_log, "the enabled leg keeps its log"
     # Quick runs shrink the walls to ~35 ms, where the 5 % bar is ~2 ms —
     # timer-noise territory; widen both bars there.  A real regression
     # (say, an unconditionally wired hot-loop hook) costs far more.

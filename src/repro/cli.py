@@ -393,27 +393,25 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    """Run one workload under a tracer and export Chrome trace-event JSON."""
+    """Run one workload and export it as Chrome trace-event JSON."""
     from repro.core.catalog import resolve_policy
+    from repro.kernel.scheduler import KernelConfig
     from repro.measure.runner import run_workload
-    from repro.obs.trace import TraceRecorder, write_chrome_trace
+    from repro.obs.trace import chrome_trace, write_chrome_trace
 
     mspec = machine_spec(args)
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
-    tracer = TraceRecorder()
     result = run_workload(
         workload,
         resolve_policy(args.policy, clock_table=mspec.clock_table()),
         machine_factory=mspec,
         seed=args.seed,
+        kernel_config=KernelConfig(record_sched_log=True),
         use_daq=False,
-        extra_recorders=[tracer],
         backend=cell_backend(args),
     )
-    payload = tracer.chrome_trace(
-        run=result.run, tolerance_us=workload.tolerance_us
-    )
+    payload = chrome_trace(result.run, tolerance_us=workload.tolerance_us)
     out = write_chrome_trace(payload, args.output)
     run = result.run
     print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
@@ -520,7 +518,7 @@ def cmd_report(args) -> int:
         return 2
     # Tolerant readers skip damaged lines instead of failing; say so
     # (with file:line provenance) rather than silently under-reporting.
-    for warning in getattr(records, "warnings", ()):
+    for warning in (*records.warnings, *getattr(diagnoses, "warnings", ())):
         print(f"warning: {warning}", file=sys.stderr)
     report = build_report(records, diagnoses, bench_records=bench_records)
     text = render_report(report, args.format)
@@ -810,8 +808,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_opts.add_argument(
         "--phases", action="store_true",
         help="print the phase-level wall-time breakdown (pool spin-up, "
-             "worker start, kernel compute, observer reduction, result "
-             "IPC, cache I/O, ...) after the sweep summary",
+             "worker start, kernel compute, observer reduction (the "
+             "cell's result reduction), result IPC, cache I/O, ...) "
+             "after the sweep summary",
     )
 
     machine_opts = argparse.ArgumentParser(add_help=False)

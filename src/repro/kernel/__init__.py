@@ -21,7 +21,7 @@ This package reproduces that environment in simulation:
   clamping, raise-before/drop-after ordering, stall and sag accounting);
 - :mod:`repro.kernel.recorders` -- run instrumentation: the recording
   modes (the full record, or energy/utilization aggregates for
-  energy-only cells) and the row streams extra observers receive;
+  energy-only cells) that shape the :class:`KernelRun` a run returns;
 - :mod:`repro.kernel.governor` -- the clock-scaling module interface.
 """
 
@@ -53,8 +53,6 @@ __getattr__, __dir__, __all__ = attach(
             "RECORDING_MINIMAL",
             "EnergyTotals",
             "QuantumStats",
-            "RunRecorder",
-            "RunStreams",
             "check_recording",
         ),
         "scheduler": ("Kernel", "KernelConfig", "KernelRun"),

@@ -6,10 +6,9 @@ contract between them: the reference :class:`~repro.kernel.scheduler.Kernel`
 fast-path :class:`~repro.kernel.fastpath.FastKernel` (the same loop
 flattened, ~3× faster).  A backend is named by a string, and
 :func:`repro.measure.runner.run_workload` builds the kernel it names.
-Observers receive the same row buffers through the same
-:meth:`~repro.kernel.recorders.RunRecorder.contribute` hook on either
-backend, so observation never forces a different execution path than
-the measured one.
+Both build the same :class:`~repro.kernel.scheduler.KernelRun`, so every
+reader of a run (the trace exporter, diagnosis, the sweep summary) sees
+identical records on either backend.
 
 :func:`resolve_backend` validates a caller's choice (a name, or None for
 the default).  The default is ``"fastpath"``; the

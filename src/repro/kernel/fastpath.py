@@ -9,7 +9,7 @@ results while eliminating the reference loop's per-quantum overheads:
   costs a function call and a few float compares instead of a
   :class:`~repro.traces.schema.PowerTimeline` method call;
 - per-quantum state is buffered as plain tuples in a preallocated list,
-  and the minimal-recording aggregates are accumulated inline;
+  and the quantum aggregates are accumulated inline;
   :class:`~repro.traces.schema.QuantumRecord` objects are materialized
   only when ``run.quanta`` is first read;
 - process slices run against cached generator/step state (``next(gen)``,
@@ -21,11 +21,6 @@ results while eliminating the reference loop's per-quantum overheads:
   quantum with no process dispatch, and the pending-segment merge
   coalesces runs of idle (or single-process) quanta into a single
   timeline segment, exactly as the reference timeline would.
-
-Extra observers (``extra_recorders``) receive the same
-:class:`~repro.kernel.recorders.RunStreams` row buffers as on the
-reference kernel, through the shared run epilogue, so observed results
-are bitwise identical on either backend.
 
 Equivalence is maintained operation for operation: every float add,
 multiply, comparison and tolerance below is transcribed from the
@@ -80,9 +75,9 @@ class FastRun(KernelRun):
     :class:`~repro.traces.schema.QuantumRecord` objects are built lazily
     on first access instead of unconditionally at run end.  Aggregate
     consumers (``CellResult.from_experiment``, ``mean_utilization``) read
-    the :class:`~repro.kernel.recorders.QuantumStats` the core keeps in
-    both recording modes, so summarizing a run never forces the record
-    objects into existence at all.
+    the :class:`~repro.kernel.recorders.QuantumStats` every run carries,
+    so summarizing a run never forces the record objects into existence
+    at all.
     """
 
     _rows: Optional[List[tuple]] = None
@@ -226,7 +221,7 @@ class FastKernel(Kernel):
         rows: List[tuple] = [None] * n_quanta  # type: ignore[list-item]
         n_rows = n_quanta
         ri = 0
-        # Scheduler decisions: buffered only when configured or observed.
+        # Scheduler decisions: buffered only when configured.
         sched_rows = self._sched_rows
         sched_append = sched_rows.append if sched_rows is not None else None
 
@@ -655,8 +650,6 @@ class FastKernel(Kernel):
             run.timeline = timeline
             run._rows = rows
             run._quantum_us = q
-            run.freq_changes = self._freq_changes
-            run.volt_changes = self._volt_changes
         else:
             # PowerTimeline.energy_joules: same per-segment w*dt summation
             energy = 0.0
@@ -667,7 +660,7 @@ class FastKernel(Kernel):
                 start_us=segs[0][0] if segs else 0.0,
                 end_us=segs[-1][1] if segs else 0.0,
             )
-        return self._finish_run(run, rows)
+        return run
 
 
 def _wake_key(p) -> tuple:

@@ -1,31 +1,27 @@
-"""The kernel's observation streams and the recorder protocol over them.
+"""The kernel's recording modes and the aggregates they keep.
 
 Both kernels buffer what they observe as plain row lists — per-quantum
-utilization accounting, the microsecond scheduler activity log (paper
-§4.3), and the frequency/voltage change records — and build the
-:class:`~repro.kernel.scheduler.KernelRun` for their recording mode at
-run end:
+utilization accounting as ``(end_us, busy_us, utilization, step_index,
+mhz, volts)`` rows, the microsecond scheduler activity log (paper §4.3)
+as ``(time_us, pid, name, mhz)`` rows, and the frequency/voltage change
+records — and build the :class:`~repro.kernel.scheduler.KernelRun` for
+their recording mode at run end:
 
 - ``"full"`` keeps the complete record: the power timeline, the quantum
   log, the transition history, and (when configured) the scheduler log;
 - ``"minimal"`` keeps just enough for an energy-only sweep cell: the
-  run's :class:`EnergyTotals` and :class:`QuantumStats`, **bitwise
-  equal** to what full recording reports.
+  run's :class:`EnergyTotals`.
 
-Extra observers subclass :class:`RunRecorder`: each is handed one frozen
-:class:`RunStreams` through :meth:`RunRecorder.contribute` once the run
-is built, so runs without observers pay nothing for them.
+Both modes attach the run's :class:`QuantumStats`, so every summary of
+a run reads the same aggregates whichever mode recorded it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import Dict, List
 
-from repro.traces.schema import FreqChange, QuantumRecord, VoltChange
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.kernel.scheduler import KernelRun
+from repro.traces.schema import QuantumRecord
 
 #: Recording-mode names understood by the measurement layer.
 RECORDING_FULL = "full"
@@ -47,45 +43,6 @@ def check_recording(mode: str) -> str:
 
 
 @dataclass(frozen=True)
-class RunStreams:
-    """One run's buffered observation streams, each in event order.
-
-    The lists are the kernel's own buffers, shared rather than copied:
-    treat them as read-only.  Power is not a stream; a recorder that
-    wants it reads the finished run's ``timeline`` (full recording).
-
-    Attributes:
-        quantum_us: the (constant) quantum length.
-        quanta: ``(end_us, busy_us, utilization, step_index, mhz, volts)``
-            rows, one per closed quantum.
-        sched: ``(time_us, pid, name, mhz)`` scheduling decisions (pid 0
-            is the idle process), recorded whenever a recorder is
-            attached, whatever ``KernelConfig.record_sched_log`` says.
-        freq_changes / volt_changes: the DVFS transition history.
-    """
-
-    quantum_us: float
-    quanta: List[tuple]
-    sched: List[tuple]
-    freq_changes: List[FreqChange]
-    volt_changes: List[VoltChange]
-
-
-class RunRecorder:
-    """Base observer of a kernel run.
-
-    Attach instances as ``extra_recorders`` on any execution backend
-    (:mod:`repro.kernel.backend`).  Both kernels call :meth:`contribute`
-    once per recorder, in attachment order, after the run is built; the
-    streams are identical on every backend, so a recorder's product is
-    bitwise identical on every backend too.
-    """
-
-    def contribute(self, run: "KernelRun", streams: RunStreams) -> None:
-        """Reduce ``streams`` and deposit the product into ``run``."""
-
-
-@dataclass(frozen=True)
 class EnergyTotals:
     """Energy of a run without its timeline (minimal-recording mode)."""
 
@@ -103,7 +60,7 @@ class EnergyTotals:
 
 @dataclass(frozen=True)
 class QuantumStats:
-    """Per-quantum aggregates (minimal-recording mode)."""
+    """Per-quantum aggregates (kept in both recording modes)."""
 
     count: int
     utilization_sum: float
@@ -114,14 +71,14 @@ class QuantumStats:
     final_volts: float = 0.0
 
     def mean_utilization(self) -> float:
-        """Average utilization, bitwise equal to the full-log mean."""
+        """Average per-quantum utilization."""
         if not self.count:
             return 0.0
         return self.utilization_sum / self.count
 
 
 def quantum_records(rows: List[tuple], quantum_us: float) -> List[QuantumRecord]:
-    """The quantum log that quantum rows (see :class:`RunStreams`) stand for."""
+    """The quantum log that quantum rows stand for."""
     return [
         QuantumRecord(
             end_us=t,
@@ -136,11 +93,11 @@ def quantum_records(rows: List[tuple], quantum_us: float) -> List[QuantumRecord]
 
 
 def stats_from_rows(rows: List[tuple]) -> QuantumStats:
-    """Aggregate quantum rows (see :class:`RunStreams`).
+    """Aggregate quantum rows.
 
-    The utilization sum adds per-quantum values left to right, the same
-    order as :meth:`~repro.kernel.scheduler.KernelRun.mean_utilization`
-    over the full log, so the mean is bitwise equal between modes.
+    The utilization sum adds per-quantum values left to right, as the
+    fast path accumulates them inline, so both kernels' means are
+    bitwise equal.
     """
     usum = 0.0
     by_step: Dict[int, int] = {}

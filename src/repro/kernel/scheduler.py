@@ -25,16 +25,15 @@ are float microseconds; quanta are exact multiples of ``quantum_us``.
 The class is a lean scheduling core: voltage/frequency sequencing lives in
 :class:`~repro.kernel.dvfs.DvfsEngine`, and instrumentation is a set of
 row buffers (:mod:`~repro.kernel.recorders`) reduced once at run end into
-the full or the minimal (energy-only) record, then handed to any attached
-observers.
+the full or the minimal (energy-only) :class:`KernelRun`, the one record
+a run hands its caller.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.hw.machine import Machine
 from repro.hw.power import CoreState
@@ -55,8 +54,6 @@ from repro.kernel.recorders import (
     RECORDING_FULL,
     EnergyTotals,
     QuantumStats,
-    RunRecorder,
-    RunStreams,
     check_recording,
     quantum_records,
     stats_from_rows,
@@ -70,33 +67,10 @@ from repro.traces.schema import (
     VoltChange,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.trace import TraceRecorder
-
 _EPS = 1e-6
 
 #: Safety bound on zero-duration process actions at a single instant.
 _MAX_ZERO_PROGRESS_ACTIONS = 10_000
-
-#: Cached ``(PHASE_REDUCE, record_kernel_phase)`` pair; see :func:`_phase_hook`.
-_PHASE_HOOK: Optional[tuple] = None
-
-
-def _phase_hook() -> tuple:
-    """The phase-profile stamp for observer reduction, imported lazily.
-
-    The kernel must not import the observability package at module load
-    (``repro.obs`` pulls measurement modules that import the kernel
-    back), so the first run with observers resolves
-    :func:`repro.obs.profile.record_kernel_phase` — a single ``None``
-    check when no profiled sweep cell armed the stamp sink — and caches
-    it for every later run.
-    """
-    global _PHASE_HOOK
-    if _PHASE_HOOK is None:
-        from repro.obs.profile import PHASE_REDUCE, record_kernel_phase
-        _PHASE_HOOK = (PHASE_REDUCE, record_kernel_phase)
-    return _PHASE_HOOK
 
 
 @dataclass(frozen=True)
@@ -131,10 +105,10 @@ class KernelRun:
     Which fields are populated depends on the recording mode the kernel
     ran with: under full recording ``quanta``, ``timeline`` and
     ``freq_changes``/``volt_changes`` hold the complete record; under
-    minimal recording those stay empty and the aggregates ``energy`` /
-    ``quantum_stats`` are set instead.  ``sched_log`` is kept in either
-    mode when configured.  Derived views fall back to the aggregates
-    transparently.
+    minimal recording those stay empty and ``energy`` is set instead.
+    Both kernels set ``quantum_stats`` in either mode, and keep
+    ``sched_rows`` in either mode when ``KernelConfig.record_sched_log``
+    is set.
     """
 
     duration_us: float
@@ -142,7 +116,9 @@ class KernelRun:
     timeline: PowerTimeline = field(default_factory=PowerTimeline)
     freq_changes: List[FreqChange] = field(default_factory=list)
     volt_changes: List[VoltChange] = field(default_factory=list)
-    sched_log: List[SchedDecision] = field(default_factory=list)
+    #: the scheduler activity log as ``(time_us, pid, name, mhz)`` rows
+    #: (pid 0 is the idle process); see :attr:`sched_log`.
+    sched_rows: List[tuple] = field(default_factory=list)
     events: List[AppEvent] = field(default_factory=list)
     #: non-idle execution time per pid (pid 0 never appears; spinning and
     #: computing both count, matching the kernel's busy accounting).
@@ -154,11 +130,14 @@ class KernelRun:
     voltage_settle_us: float = 0.0
     quantum_stats: Optional[QuantumStats] = None
     energy: Optional[EnergyTotals] = None
-    #: the live event capture, when a :class:`repro.obs.trace.TraceRecorder`
-    #: was attached (None otherwise; set by the recorder's ``contribute``).
-    trace: Optional["TraceRecorder"] = None
 
     # -- derived views -------------------------------------------------------------
+
+    @property
+    def sched_log(self) -> List[SchedDecision]:
+        """The scheduler activity log (paper §4.3), built from
+        :attr:`sched_rows` on each read."""
+        return [SchedDecision(*row) for row in self.sched_rows]
 
     def busy_share_by_name(self) -> Dict[str, float]:
         """Fraction of total busy time consumed per process name.
@@ -186,20 +165,8 @@ class KernelRun:
         return [q.mhz for q in self.quanta]
 
     def mean_utilization(self) -> float:
-        """Average utilization over the run.
-
-        Summed left to right, as the aggregates are: builtin ``sum()``
-        compensates float rounding from CPython 3.12 on, which would make
-        the two disagree in the last bits.
-        """
-        if self.quantum_stats is not None:
-            return self.quantum_stats.mean_utilization()
-        if not self.quanta:
-            return 0.0
-        total = 0.0
-        for q in self.quanta:
-            total += q.utilization
-        return total / len(self.quanta)
+        """Average utilization over the run."""
+        return self.quantum_stats.mean_utilization()
 
     def energy_joules(self) -> float:
         """Exact energy of the run (the DAQ estimator lives in measure/)."""
@@ -212,6 +179,31 @@ class KernelRun:
         if len(self.timeline) == 0 and self.energy is not None:
             return self.energy.mean_power_w()
         return self.timeline.mean_power_w()
+
+    def stall_windows(self) -> List[Tuple[float, float]]:
+        """``(start_us, end_us)`` spans the CPU stalled for clock switches.
+
+        The DVFS engine stamps a :class:`FreqChange` *after* the stall it
+        charged, so each window ends at the change time.
+        """
+        return [
+            (c.time_us - c.stall_us, c.time_us)
+            for c in self.freq_changes
+            if c.stall_us > 0
+        ]
+
+    def sag_windows(self) -> List[Tuple[float, float, float, float]]:
+        """``(start_us, end_us, from_volts, to_volts)`` spans the rail
+        sagged after voltage drops.
+
+        Execution continues during a sag, but power is still drawn at the
+        old (higher) voltage — exactly the window the paper's DAQ sees.
+        """
+        return [
+            (c.time_us, c.time_us + c.settle_us, c.from_volts, c.to_volts)
+            for c in self.volt_changes
+            if c.to_volts < c.from_volts and c.settle_us > 0
+        ]
 
     def events_of_kind(self, kind: str) -> List[AppEvent]:
         """All application events with the given kind."""
@@ -242,8 +234,7 @@ class Kernel:
     """One simulated boot of the machine's kernel.  Use once: spawn, run.
 
     ``recording`` picks the record the run keeps (``"full"`` or
-    ``"minimal"``, see :mod:`~repro.kernel.recorders`);
-    ``extra_recorders`` are observers handed the run's streams at the end.
+    ``"minimal"``, see :mod:`~repro.kernel.recorders`).
     """
 
     IDLE_PID = 0
@@ -254,15 +245,11 @@ class Kernel:
         governor: Optional[Governor] = None,
         config: Optional[KernelConfig] = None,
         recording: str = RECORDING_FULL,
-        extra_recorders: Optional[Iterable[RunRecorder]] = None,
     ):
         self.machine = machine
         self.governor = governor
         self.config = config if config is not None else KernelConfig()
         self.recording = check_recording(recording)
-        self._extra: List[RunRecorder] = (
-            list(extra_recorders) if extra_recorders is not None else []
-        )
         self.dvfs = DvfsEngine(machine)
         self._procs: Dict[int, Process] = {}
         self._runq: Deque[Process] = deque()
@@ -279,12 +266,12 @@ class Kernel:
         self._quantum_step = machine.step
         self._quantum_volts = machine.volts
 
-        # Observation buffers (see RunStreams for the row layouts).  The
-        # scheduler log is kept only when configured or observed.
+        # Observation buffers (see repro.kernel.recorders for the row
+        # layouts).  The scheduler log is kept only when configured.
         self._timeline = PowerTimeline()
         self._quantum_rows: List[tuple] = []
         self._sched_rows: Optional[List[tuple]] = (
-            [] if self.config.record_sched_log or self._extra else None
+            [] if self.config.record_sched_log else None
         )
         self._freq_changes: List[FreqChange] = []
         self._volt_changes: List[VoltChange] = []
@@ -358,14 +345,15 @@ class Kernel:
         return n_quanta, n_quanta * q
 
     def _materialize_run(self, run_cls: type, end_us: float) -> KernelRun:
-        """Build the run record's backend-independent skeleton: the event
-        stream, per-pid busy accounting, process names, and the DVFS
-        engine's transition counters.  Backends fill in their recording
-        products (timeline, quanta, logs or aggregates), then pass the run
-        to :meth:`_finish_run`.
+        """Build the run record's backend-independent part: the event
+        stream, per-pid busy accounting, process names, the DVFS engine's
+        transition counters, the configured scheduler log and, under full
+        recording, the transition history.  Backends add their recording
+        products: the quantum statistics, and the timeline and quantum
+        log or the energy totals.
         """
         counters = self.machine.cpu.counters
-        return run_cls(
+        run = run_cls(
             duration_us=end_us,
             events=[e for p in self._procs.values() for e in p.context.events],
             busy_us_by_pid=dict(self._busy_by_pid),
@@ -374,27 +362,11 @@ class Kernel:
             clock_stall_us=counters.clock_stall_us,
             voltage_changes=counters.voltage_changes,
             voltage_settle_us=counters.voltage_settle_us,
+            sched_rows=self._sched_rows or [],
         )
-
-    def _finish_run(self, run: KernelRun, quantum_rows: List[tuple]) -> KernelRun:
-        """Attach the configured scheduler log, then hand every extra
-        recorder the run's streams (both backends end their runs here)."""
-        sched_rows = self._sched_rows
-        if self.config.record_sched_log:
-            run.sched_log = [SchedDecision(*row) for row in sched_rows]
-        if self._extra:
-            streams = RunStreams(
-                quantum_us=self.config.quantum_us,
-                quanta=quantum_rows,
-                sched=sched_rows,
-                freq_changes=self._freq_changes,
-                volt_changes=self._volt_changes,
-            )
-            phase, stamp = _phase_hook()
-            t0 = perf_counter()
-            for recorder in self._extra:
-                recorder.contribute(run, streams)
-            stamp(phase, t0, perf_counter())
+        if self.recording == RECORDING_FULL:
+            run.freq_changes = self._freq_changes
+            run.volt_changes = self._volt_changes
         return run
 
     # -- main loop --------------------------------------------------------------------
@@ -447,19 +419,17 @@ class Kernel:
         run = self._materialize_run(KernelRun, end_us)
         rows = self._quantum_rows
         timeline = self._timeline
+        run.quantum_stats = stats_from_rows(rows)
         if self.recording == RECORDING_FULL:
             run.timeline = timeline
             run.quanta = quantum_records(rows, q)
-            run.freq_changes = self._freq_changes
-            run.volt_changes = self._volt_changes
         else:
             run.energy = EnergyTotals(
                 energy_j=timeline.energy_joules(),
                 start_us=timeline.start_us,
                 end_us=timeline.end_us,
             )
-            run.quantum_stats = stats_from_rows(rows)
-        return self._finish_run(run, rows)
+        return run
 
     # -- scheduling ---------------------------------------------------------------------
 

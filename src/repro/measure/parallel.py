@@ -85,8 +85,6 @@ from repro.obs.profile import (
     PHASE_WORKER_START,
     SweepObserver,
     SweepTimeline,
-    arm_worker_stamps,
-    drain_worker_stamps,
 )
 from repro.obs.runlog import now_unix
 from repro.kernel.backend import resolve_backend
@@ -332,37 +330,19 @@ class CellResult:
     def from_experiment(cls, result) -> "CellResult":
         """Summarize an :class:`~repro.measure.runner.ExperimentResult`.
 
-        Under minimal recording the run carries no quantum log; the
-        residency and final-step fields then come from the streaming
-        :class:`~repro.kernel.recorders.QuantumStats`, whose counts and
-        divisions are identical to the full log's, so the summary is
-        bitwise-equal either way.
+        The residency and final-step fields come from the run's
+        :class:`~repro.kernel.recorders.QuantumStats`, which both kernels
+        keep in either recording mode, so the summary is bitwise-equal
+        whichever recorded the run and never materializes the quantum
+        log.
         """
         run = result.run
-        counts: Dict[float, int] = {}
         stats = run.quantum_stats
-        if stats is not None and stats.count:
-            # Streaming aggregates are preferred when present: on the
-            # fast-path core they spare materializing the quantum log
-            # (thousands of QuantumRecord objects) just to count step
-            # residency.  The per-step counts sum to the same integers
-            # as a walk over the log, so the fractions are bitwise equal.
-            for index, quanta in stats.quanta_by_step.items():
-                mhz = stats.mhz_by_step[index]
-                counts[mhz] = counts.get(mhz, 0) + quanta
-            n = stats.count
-            final_step_index = stats.final_step_index
-            final_mhz = stats.final_mhz
-        else:
-            for q in run.quanta:
-                counts[q.mhz] = counts.get(q.mhz, 0) + 1
-            n = len(run.quanta)
-            if run.quanta:
-                final_step_index = run.quanta[-1].step_index
-                final_mhz = run.quanta[-1].mhz
-            else:
-                final_step_index = 0
-                final_mhz = 0.0
+        counts: Dict[float, int] = {}
+        for index, quanta in stats.quanta_by_step.items():
+            mhz = stats.mhz_by_step[index]
+            counts[mhz] = counts.get(mhz, 0) + quanta
+        n = stats.count
         residency = tuple(
             (mhz, counts[mhz] / n) for mhz in sorted(counts)
         ) if n else ()
@@ -371,7 +351,7 @@ class CellResult:
             energy_j=result.energy_j,
             exact_energy_j=result.exact_energy_j,
             mean_power_w=result.mean_power_w,
-            mean_utilization=run.mean_utilization(),
+            mean_utilization=stats.mean_utilization(),
             duration_us=run.duration_us,
             miss_count=len(result.misses),
             worst_miss_kind=worst.kind if worst else None,
@@ -379,8 +359,8 @@ class CellResult:
             clock_changes=run.clock_changes,
             clock_stall_us=run.clock_stall_us,
             voltage_changes=run.voltage_changes,
-            final_step_index=final_step_index,
-            final_mhz=final_mhz,
+            final_step_index=stats.final_step_index,
+            final_mhz=stats.final_mhz,
             residency=residency,
         )
 
@@ -540,10 +520,8 @@ class CellOutcome:
         pid: the process that ran the cell.
         phases: the cell's ``(phase, t_start, t_end)`` stamps on the
             shared ``perf_counter`` timebase, in order — the worker's
-            start-up stamp on its first cell, kernel compute, any
-            kernel-side observer-reduction stamps (the kernel stamps its
-            recorders' ``contribute`` calls), diagnosis, and the summary
-            reduction last.
+            start-up stamp on its first cell, kernel compute, diagnosis,
+            and the summary reduction last.
         diagnosis: the cell's
             :class:`~repro.obs.diagnose.PolicyDiagnosis`, or None when
             the engine does not diagnose.
@@ -576,15 +554,10 @@ def _execute_cell(
     """
     if diagnose:
         cell = dataclasses.replace(cell, recording=RECORDING_FULL)
-    arm_worker_stamps()
     start = perf_counter()
     experiment = cell.execute()
     t_computed = t_reduce = perf_counter()
-    phases = [
-        *_take_worker_start(),
-        (PHASE_COMPUTE, start, t_computed),
-        *drain_worker_stamps(),
-    ]
+    phases = [*_take_worker_start(), (PHASE_COMPUTE, start, t_computed)]
     diagnosis = None
     if diagnose:
         from repro.obs.diagnose import diagnose as diagnose_run

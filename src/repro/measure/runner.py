@@ -17,13 +17,13 @@ system daemons" is modelled by the workloads' seeded jitter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.hw.machine import Machine
 from repro.hw.machines import MachineSpec
 from repro.kernel.backend import resolve_backend
 from repro.kernel.governor import Governor
-from repro.kernel.recorders import RECORDING_FULL, RunRecorder, check_recording
+from repro.kernel.recorders import RECORDING_FULL, check_recording
 from repro.kernel.scheduler import Kernel, KernelConfig, KernelRun
 from repro.measure.daq import DaqCapture, DaqSystem
 from repro.traces.schema import AppEvent
@@ -73,7 +73,6 @@ def run_workload(
     use_daq: bool = True,
     daq_seed: Optional[int] = None,
     recording: str = RECORDING_FULL,
-    extra_recorders: Optional[Iterable[RunRecorder]] = None,
     backend: Optional[str] = None,
 ) -> ExperimentResult:
     """Run one workload under one governor and measure it.
@@ -93,11 +92,6 @@ def run_workload(
         recording: kernel instrumentation level, ``"full"`` or
             ``"minimal"`` (energy totals and quantum statistics only;
             bitwise-equal energies, but no timeline for the DAQ).
-        extra_recorders: observers (e.g. a
-            :class:`~repro.obs.trace.TraceRecorder`) handed the
-            run's streams at its end on whichever backend runs.  Pure
-            observation: results are bitwise-identical with or without
-            them, on either backend.
         backend: the execution backend, ``"reference"`` (the
             :class:`~repro.kernel.scheduler.Kernel`) or ``"fastpath"``
             (the :class:`~repro.kernel.fastpath.FastKernel`), or None for
@@ -120,9 +114,7 @@ def run_workload(
     else:
         kernel_type = Kernel
     machine = machine_factory()
-    kernel = kernel_type(
-        machine, governor_factory(), kernel_config, recording, extra_recorders
-    )
+    kernel = kernel_type(machine, governor_factory(), kernel_config, recording)
     workload.setup(kernel, seed)
     run = kernel.run(workload.duration_us)
 

@@ -1,13 +1,12 @@
 """Observability: tracing, sweep timelines, run-logs, diagnostics, reports.
 
-The reproduction's answer to the paper's measurement rig.  Its tiers are
-all built on existing hook points and all guaranteed not to perturb
-results (recorders and sweep observers are pure observers; the
-determinism tests pin runs with and without observability to bitwise
-equality):
+The reproduction's answer to the paper's measurement rig.  Its tiers
+read finished kernel runs or watch the sweep engine, and none perturbs
+results (sweep observers are pure observers; the determinism tests pin
+runs with and without observability to bitwise equality):
 
-- :mod:`repro.obs.trace` — :class:`TraceRecorder` captures every kernel
-  observation and exports Chrome trace-event JSON for Perfetto /
+- :mod:`repro.obs.trace` — :func:`chrome_trace` exports a kernel run
+  that kept its scheduler log as Chrome trace-event JSON for Perfetto /
   ``chrome://tracing`` (the software analogue of the DAQ capture);
 - :mod:`repro.obs.profile` — the :class:`SweepTimeline` a sweep engine
   stamps each pipeline stage into once (reduced to per-phase seconds,
@@ -67,7 +66,6 @@ __getattr__, __dir__, __all__ = attach(
             "SweepObserver",
             "SweepTimeline",
             "format_phase_table",
-            "record_kernel_phase",
         ),
         "report": ("SweepReport", "build_report", "render_report"),
         "telemetry": ("ProgressDisplay",),
@@ -79,7 +77,7 @@ __getattr__, __dir__, __all__ = attach(
             "read_run_log",
         ),
         "trace": (
-            "TraceRecorder",
+            "chrome_trace",
             "validate_chrome_trace",
             "write_chrome_trace",
         ),

@@ -48,6 +48,7 @@ from repro.hw.machines import MachineSpec
 from repro.hw.power import CoreState
 from repro.kernel.scheduler import KernelRun
 from repro.obs.profile import SweepObserver
+from repro.obs.runlog import RunLogRecords
 
 if TYPE_CHECKING:  # import cycle: repro.measure.parallel imports this module
     from repro.measure.runner import ExperimentResult
@@ -436,15 +437,6 @@ class EnergyDecomposition:
         return self.baseline_j + self.overshoot_j + self.stall_j + self.sag_j
 
 
-def _stall_windows(run: KernelRun) -> List[Tuple[float, float]]:
-    # The DVFS engine stamps a FreqChange *after* the stall it charged.
-    return [
-        (c.time_us - c.stall_us, c.time_us)
-        for c in run.freq_changes
-        if c.stall_us > 0
-    ]
-
-
 def _window_energy_j(
     segments: Sequence[Tuple[float, float, float]],
     windows: Sequence[Tuple[float, float]],
@@ -477,11 +469,7 @@ def _sag_excess_j(run: KernelRun, machine: Machine) -> float:
     same arguments.  Unmatched segments contribute nothing (their energy
     stays in the overshoot residual).
     """
-    sags = [
-        (c.time_us, c.time_us + c.settle_us, c.from_volts, c.to_volts)
-        for c in run.volt_changes
-        if c.to_volts < c.from_volts and c.settle_us > 0
-    ]
+    sags = run.sag_windows()
     if not sags:
         return 0.0
     segments = list(run.timeline)
@@ -540,7 +528,7 @@ def energy_decomposition(
         raise ValueError("energy decomposition needs a full-recording run")
     measured = run.energy_joules()
     segments = list(run.timeline)
-    stall = _window_energy_j(segments, _stall_windows(run))
+    stall = _window_energy_j(segments, run.stall_windows())
     sag = _sag_excess_j(run, machine)
     feasible = baseline_j is not None
     base = baseline_j if feasible else 0.0
@@ -742,14 +730,17 @@ class DiagnosisWriter(SweepObserver):
         self.close()
 
 
-def read_diagnoses(path: Union[str, Path]) -> List[PolicyDiagnosis]:
+def read_diagnoses(path: Union[str, Path]) -> RunLogRecords:
     """Load every diagnosis from a JSONL file written by
     :class:`DiagnosisWriter`.
 
-    Raises:
-        ValueError: naming the offending line on malformed input.
+    Tolerant like :func:`~repro.obs.runlog.read_run_log`: a line that
+    does not parse or does not rebuild a :class:`PolicyDiagnosis` (an
+    unknown schema version included) is skipped, and each skip is
+    reported with its ``file:line`` in the returned list's ``warnings``.
     """
     out: List[PolicyDiagnosis] = []
+    warnings: List[str] = []
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -757,9 +748,12 @@ def read_diagnoses(path: Union[str, Path]) -> List[PolicyDiagnosis]:
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}:{lineno}: bad diagnosis line") from err
-            if not isinstance(payload, dict):
-                raise ValueError(f"{path}:{lineno}: not an object")
-            out.append(PolicyDiagnosis.from_json(payload))
-    return out
+                if not isinstance(payload, dict):
+                    raise ValueError("line is not a JSON object")
+                out.append(PolicyDiagnosis.from_json(payload))
+            except (KeyError, TypeError, ValueError) as exc:
+                warnings.append(
+                    f"{path}:{lineno}: skipped unreadable diagnosis line: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+    return RunLogRecords(out, warnings)

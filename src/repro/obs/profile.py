@@ -12,23 +12,22 @@ on the system-wide ``perf_counter`` timebase, from two sources:
   (spin-up, submission, cache get/put, result IPC, and the trace-only
   ``baseline dedup`` and ``merge results``), and
 - **worker-side stamps** every executed cell returns with its result:
-  the kernel-compute interval, the observer-reduction interval (stamped
-  by the kernel around its recorders' ``contribute`` calls via the
-  process-global sink below), the diagnosis interval, and, once per
-  pool worker, the worker's start-up (under ``fork`` the engine stamps
-  the simulator import its workers inherit as worker start too).
+  the kernel-compute interval, the diagnosis interval, the
+  observer-reduction interval (the cell's result reduction,
+  :meth:`~repro.measure.parallel.CellResult.from_experiment`), and,
+  once per pool worker, the worker's start-up (under ``fork`` the engine
+  stamps the simulator import its workers inherit as worker start too).
 
 The timeline has two readings of the same spans:
 
 - the exclusive per-phase reduction (:meth:`SweepTimeline.phase_seconds`)
   that ``--phases`` prints and every fleet record stores.  It counts the
   stages :data:`PHASE_ORDER` names; an interval nested inside another
-  of its group (observer reduction inside the compute interval) is
-  charged to the inner phase and subtracted from the outer, so per-phase
-  seconds sum without double counting.  :meth:`SweepTimeline.coverage`
-  reports the fraction of sweep wall time the phase intervals explain —
-  the acceptance bar is >= 95 % on a serial sweep and on a cold pooled
-  one under every start method;
+  of its group is charged to the inner phase and subtracted from the
+  outer, so per-phase seconds sum without double counting.
+  :meth:`SweepTimeline.coverage` reports the fraction of sweep wall
+  time the phase intervals explain — the acceptance bar is >= 95 % on
+  a serial sweep and on a cold pooled one under every start method;
 - the Chrome trace (:meth:`SweepTimeline.chrome_trace`) that
   ``--sweep-trace`` writes: an engine lane, one lane per pool worker
   with each cell's span around its stamps, cache-hit instants, and the
@@ -36,11 +35,6 @@ The timeline has two readings of the same spans:
 
 The engine's per-cell observers — the run-log, the diagnosis log and
 the live progress display — implement :class:`SweepObserver`.
-
-This module is deliberately stdlib-only: the kernel calls
-:func:`record_kernel_phase` from its run epilogue, so importing it
-must never pull the observability stack (and its kernel imports) back
-in a cycle.  When no sink is armed the call is one ``None`` check.
 """
 
 from __future__ import annotations
@@ -78,6 +72,8 @@ PHASE_CACHE = "cache I/O"
 #: inherit that import.
 PHASE_WORKER_START = "worker start"
 PHASE_COMPUTE = "kernel compute"
+#: The cell's result reduction (``CellResult.from_experiment``); the name
+#: stays so fleet records keep comparing by phase.
 PHASE_REDUCE = "observer reduction"
 PHASE_DIAGNOSE = "diagnosis"
 
@@ -101,36 +97,6 @@ TRACE_PID_SWEEP = 1
 LANE_ENGINE = 0
 
 Interval = Tuple[str, float, float]
-
-#: Worker-global stamp sink, armed per executed sweep cell.  None (the
-#: default) keeps :func:`record_kernel_phase` a no-op in every
-#: non-sweep use of the kernel.
-_SINK: Optional[List[Interval]] = None
-
-
-def arm_worker_stamps() -> None:
-    """Start collecting kernel-side phase stamps in this process."""
-    global _SINK
-    _SINK = []
-
-
-def drain_worker_stamps() -> Tuple[Interval, ...]:
-    """Return and disarm the collected stamps (empty if never armed)."""
-    global _SINK
-    sink, _SINK = _SINK, None
-    return tuple(sink) if sink else ()
-
-
-def record_kernel_phase(phase: str, t_start: float, t_end: float) -> None:
-    """Stamp one kernel-side interval, if a sweep cell armed the sink.
-
-    Called by the execution backends (a kernel stamps its recorders'
-    ``contribute`` calls as :data:`PHASE_REDUCE`); one ``None`` check
-    outside sweeps.
-    """
-    sink = _SINK
-    if sink is not None:
-        sink.append((phase, t_start, t_end))
 
 
 class Span(NamedTuple):
@@ -224,9 +190,8 @@ class SweepTimeline:
         """Exclusive seconds per phase (worker-seconds, not wall).
 
         Within a group, an interval strictly contained in a longer one
-        is charged to itself and subtracted from the container; so
-        observer reduction inside the compute interval never counts
-        twice.
+        is charged to itself and subtracted from the container, so no
+        second counts twice.
         """
         totals: Dict[str, float] = {}
         for group in self._phase_groups():

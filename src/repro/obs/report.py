@@ -114,9 +114,10 @@ def build_report(
     commits at the repo root) are carried through verbatim and rendered
     as a "Perf history" section; ``fleet_records`` (parsed fleet-ledger
     sweeps) render as a "Fleet history" section with a throughput trend.
-    Reader-level warnings attached to ``records`` (the tolerant
-    :func:`~repro.obs.runlog.read_run_log` reports skipped lines there)
-    surface next to the provenance warnings.
+    Reader-level warnings attached to ``records`` or ``diagnoses`` (the
+    tolerant :func:`~repro.obs.runlog.read_run_log` and
+    :func:`~repro.obs.diagnose.read_diagnoses` report skipped lines
+    there) surface next to the provenance warnings.
     """
     rows: Dict[Tuple[str, str, str], ReportRow] = {}
 
@@ -151,7 +152,9 @@ def build_report(
     ordered = tuple(
         rows[key] for key in sorted(rows, key=lambda k: (k[1], k[2], k[0]))
     )
-    reader_warnings = tuple(getattr(records, "warnings", ()))
+    reader_warnings = tuple(getattr(records, "warnings", ())) + tuple(
+        getattr(diagnoses, "warnings", ())
+    )
     return SweepReport(
         rows=ordered,
         warnings=reader_warnings + tuple(provenance_warnings(list(records))),

@@ -43,8 +43,7 @@ class RunLogRecord:
     Attributes:
         run_id: the cell's cache key (content address) — stable across
             hosts, so identical cells in different logs share an id.
-        policy: policy grammar name (with factory params appended when
-            the spec carries any).
+        policy: policy grammar name (``PolicySpec.label``).
         workload: workload name.
         machine: machine spec string (``itsy``, ``itsy@1.23``, ``sa2``).
         seed: workload jitter seed.
@@ -163,16 +162,17 @@ def now_unix() -> float:
     return time.time()
 
 
-class RunLogRecords(List[dict]):
-    """The parsed run-log: a plain list of record dicts, plus the
-    reader-level warnings for lines that could not be parsed.
+class RunLogRecords(list):
+    """A parsed JSONL log — the run-log's record dicts, or the diagnosis
+    log's diagnoses — plus the reader-level warnings for lines that could
+    not be read.
 
     Being a ``list`` subclass keeps every existing caller working
     unchanged; report code picks up :attr:`warnings` to surface skipped
     lines next to the provenance warnings.
     """
 
-    def __init__(self, records: Iterable[dict] = (), warnings: Iterable[str] = ()):
+    def __init__(self, records: Iterable = (), warnings: Iterable[str] = ()):
         super().__init__(records)
         self.warnings: Tuple[str, ...] = tuple(warnings)
 

@@ -3,22 +3,19 @@
 The paper's key evidence is time-domain: the DAQ's 5 kHz power samples and
 the kernel's scheduler activity log, lined up on one time axis, are what
 make AVG_N's oscillation (Fig. 7) and PAST's fast settling visible.
-:class:`TraceRecorder` reproduces that instrument inside the simulator —
-it keeps the run's observation streams (quanta, scheduler decisions,
-frequency/voltage changes) and its power timeline — and
-:meth:`TraceRecorder.chrome_trace` exports them as Chrome trace-event
-JSON, so any run opens in Perfetto or ``chrome://tracing`` with:
+:func:`chrome_trace` reproduces that instrument from a finished
+:class:`~repro.kernel.scheduler.KernelRun` — one recorded in full that
+kept its scheduler log (``KernelConfig(record_sched_log=True)``) — and
+exports it as Chrome trace-event JSON, so any run opens in Perfetto or
+``chrome://tracing`` with:
 
 - counter tracks for clock frequency, core voltage, and power;
 - one slice track per process showing exactly when it ran;
 - a DVFS track with the ~200 us clock-change stalls and rail-sag windows;
 - instant markers for every deadline miss.
 
-Like every recorder, the tracer is a pure observer: attaching it cannot
-change a run's numbers (the determinism tests pin this bitwise), and runs
-without it pay nothing.
-
-The exporter emits the subset of the Trace Event Format that Perfetto
+The exporter only reads the run, so tracing cannot change a run's
+numbers.  It emits the subset of the Trace Event Format that Perfetto
 renders: metadata (``M``), complete (``X``), counter (``C``) and instant
 (``i``) events.  :func:`validate_chrome_trace` structurally checks a
 payload against that subset; the CI trace smoke job and the schema tests
@@ -31,14 +28,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-from repro.kernel.recorders import RunRecorder, RunStreams, quantum_records
-from repro.traces.schema import (
-    AppEvent,
-    FreqChange,
-    QuantumRecord,
-    SchedDecision,
-    VoltChange,
-)
+from repro.traces.schema import AppEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.scheduler import KernelRun
@@ -52,214 +42,129 @@ TRACE_PID_PROCESSES = 2
 _PHASES = {"M", "X", "C", "i", "I"}
 
 
-class TraceRecorder(RunRecorder):
-    """Captures a kernel run's observations for export.
+def chrome_trace(run: "KernelRun", tolerance_us: float = 0.0) -> dict:
+    """A kernel run as a Chrome trace-event JSON payload.
 
-    :meth:`contribute` keeps the kernel's row buffers as they are; Chrome
-    trace events, and the record objects below, are built only when read,
-    so an enabled tracer costs the run almost nothing.  Power is mirrored
-    from the run's merged :class:`~repro.traces.schema.PowerTimeline`.
+    Args:
+        run: a finished full-recording run that kept its scheduler log.
+        tolerance_us: per-workload perceptibility tolerance; events
+            later than their deadline by more than this become
+            ``deadline miss`` instants.
 
-    Attributes:
-        power: ``(start_us, end_us, watts)`` power segments, mirrored from
-            the run's merged timeline at run end (empty under minimal
-            recording, which keeps no timeline).
+    Returns:
+        A dict with ``traceEvents`` (ts/dur in microseconds, the
+        format's native unit) ready for ``json.dump`` and Perfetto.
+
+    Raises:
+        ValueError: if the run has no quantum log (minimal recording) or
+            no scheduler log (``KernelConfig.record_sched_log`` unset).
     """
+    if not run.quanta:
+        raise ValueError("trace export needs a full-recording run")
+    decisions = run.sched_log
+    if not decisions:
+        raise ValueError(
+            "trace export needs the scheduler log: run with "
+            "KernelConfig(record_sched_log=True)"
+        )
+    events: List[dict] = [
+        _meta(TRACE_PID_MACHINE, None, "process_name", "machine"),
+        _meta(TRACE_PID_MACHINE, 1, "thread_name", "frequency (MHz)"),
+        _meta(TRACE_PID_MACHINE, 2, "thread_name", "voltage (V)"),
+        _meta(TRACE_PID_MACHINE, 3, "thread_name", "power (W)"),
+        _meta(TRACE_PID_MACHINE, 4, "thread_name", "dvfs"),
+        _meta(TRACE_PID_PROCESSES, None, "process_name", "processes"),
+    ]
 
-    def __init__(self) -> None:
-        self.power: List[Tuple[float, float, float]] = []
-        self._streams = RunStreams(0.0, [], [], [], [])
-        self._quanta: Optional[List[QuantumRecord]] = None
-        self._run: Optional["KernelRun"] = None
+    # Counter tracks.  One sample per quantum gives Perfetto a stepped
+    # line at the same 10 ms granularity the governor observes; the
+    # power track follows the merged segment boundaries (the exact
+    # signal the DAQ samples).
+    for q in run.quanta:
+        events.append(_counter("frequency (MHz)", q.start_us, {"mhz": q.mhz}))
+        events.append(_counter("voltage (V)", q.start_us, {"volts": q.volts}))
+    for start_us, _end_us, watts in run.timeline:
+        events.append(_counter("power (W)", start_us, {"watts": watts}))
 
-    def contribute(self, run: "KernelRun", streams: RunStreams) -> None:
-        self._run = run
-        self._streams = streams
-        self._quanta = None
-        self.power = list(run.timeline)
-        run.trace = self
+    # Per-process execution slices from the scheduler activity log:
+    # each decision runs until the next one (or the end of the run).
+    end_us = run.duration_us
+    seen_tids = {}
+    for i, d in enumerate(decisions):
+        nxt = decisions[i + 1].time_us if i + 1 < len(decisions) else end_us
+        dur = max(0.0, nxt - d.time_us)
+        if d.pid not in seen_tids:
+            seen_tids[d.pid] = True
+            label = run.process_names.get(d.pid, d.name)
+            events.append(
+                _meta(TRACE_PID_PROCESSES, d.pid, "thread_name",
+                      f"{label} (pid {d.pid})")
+            )
+        events.append({
+            "name": d.name,
+            "ph": "X",
+            "ts": d.time_us,
+            "dur": dur,
+            "pid": TRACE_PID_PROCESSES,
+            "tid": d.pid,
+            "args": {"mhz": d.mhz},
+        })
 
-    @property
-    def quanta(self) -> List[QuantumRecord]:
-        """Per-quantum utilization records (materialized on first read)."""
-        if self._quanta is None:
-            streams = self._streams
-            self._quanta = quantum_records(streams.quanta, streams.quantum_us)
-        return self._quanta
+    # The DVFS track: transition instants plus their cost windows.
+    for c in run.freq_changes:
+        events.append({
+            "name": f"clock {c.from_mhz:.1f}->{c.to_mhz:.1f} MHz",
+            "ph": "i", "s": "g",
+            "ts": c.time_us,
+            "pid": TRACE_PID_MACHINE, "tid": 4,
+            "args": {"from_mhz": c.from_mhz, "to_mhz": c.to_mhz,
+                     "stall_us": c.stall_us},
+        })
+    for c in run.volt_changes:
+        events.append({
+            "name": f"rail {c.from_volts:.2f}->{c.to_volts:.2f} V",
+            "ph": "i", "s": "g",
+            "ts": c.time_us,
+            "pid": TRACE_PID_MACHINE, "tid": 4,
+            "args": {"from_volts": c.from_volts, "to_volts": c.to_volts,
+                     "settle_us": c.settle_us},
+        })
+    for start_us, stop_us in run.stall_windows():
+        events.append({
+            "name": "clock-change stall",
+            "ph": "X",
+            "ts": start_us,
+            "dur": stop_us - start_us,
+            "pid": TRACE_PID_MACHINE, "tid": 4,
+            "args": {},
+        })
+    for start_us, stop_us, _from_volts, _to_volts in run.sag_windows():
+        events.append({
+            "name": "rail sag",
+            "ph": "X",
+            "ts": start_us,
+            "dur": stop_us - start_us,
+            "pid": TRACE_PID_MACHINE, "tid": 4,
+            "args": {},
+        })
 
-    @property
-    def decisions(self) -> List[SchedDecision]:
-        """The scheduler activity log as :class:`SchedDecision` objects
-        (captured whatever ``KernelConfig.record_sched_log`` says)."""
-        return [SchedDecision(*row) for row in self._streams.sched]
+    # Deadline misses as global instants, one per offending event.
+    for miss in run.deadline_misses(tolerance_us=tolerance_us):
+        events.append(_miss_event(miss))
 
-    @property
-    def freq_changes(self) -> List[FreqChange]:
-        """The clock-frequency change history."""
-        return self._streams.freq_changes
-
-    @property
-    def volt_changes(self) -> List[VoltChange]:
-        """The core-voltage change history."""
-        return self._streams.volt_changes
-
-    # -- derived windows --------------------------------------------------------
-
-    def stall_windows(self) -> List[Tuple[float, float]]:
-        """``(start_us, end_us)`` spans the CPU stalled for clock switches.
-
-        The DVFS engine stamps a :class:`FreqChange` *after* the stall it
-        charged, so each window ends at the change time.
-        """
-        return [
-            (c.time_us - c.stall_us, c.time_us)
-            for c in self.freq_changes
-            if c.stall_us > 0
-        ]
-
-    def sag_windows(self) -> List[Tuple[float, float]]:
-        """``(start_us, end_us)`` spans the rail sagged after voltage drops.
-
-        Execution continues during a sag, but power is still drawn at the
-        old (higher) voltage — exactly the window the paper's DAQ sees.
-        """
-        return [
-            (c.time_us, c.time_us + c.settle_us)
-            for c in self.volt_changes
-            if c.to_volts < c.from_volts and c.settle_us > 0
-        ]
-
-    # -- export -----------------------------------------------------------------
-
-    def chrome_trace(
-        self,
-        run: Optional["KernelRun"] = None,
-        tolerance_us: float = 0.0,
-    ) -> dict:
-        """The captured run as a Chrome trace-event JSON payload.
-
-        Args:
-            run: the finished kernel run, for process names and deadline
-                events.  Defaults to the run this recorder contributed to.
-            tolerance_us: per-workload perceptibility tolerance; events
-                later than their deadline by more than this become
-                ``deadline miss`` instants.
-
-        Returns:
-            A dict with ``traceEvents`` (ts/dur in microseconds, the
-            format's native unit) ready for ``json.dump`` and Perfetto.
-        """
-        run = run if run is not None else self._run
-        events: List[dict] = [
-            _meta(TRACE_PID_MACHINE, None, "process_name", "machine"),
-            _meta(TRACE_PID_MACHINE, 1, "thread_name", "frequency (MHz)"),
-            _meta(TRACE_PID_MACHINE, 2, "thread_name", "voltage (V)"),
-            _meta(TRACE_PID_MACHINE, 3, "thread_name", "power (W)"),
-            _meta(TRACE_PID_MACHINE, 4, "thread_name", "dvfs"),
-            _meta(TRACE_PID_PROCESSES, None, "process_name", "processes"),
-        ]
-
-        # Counter tracks.  One sample per quantum gives Perfetto a stepped
-        # line at the same 10 ms granularity the governor observes; the
-        # power track follows the merged segment boundaries (the exact
-        # signal the DAQ samples).
-        for q in self.quanta:
-            events.append(_counter("frequency (MHz)", q.start_us, {"mhz": q.mhz}))
-            events.append(_counter("voltage (V)", q.start_us, {"volts": q.volts}))
-        for start_us, _end_us, watts in self.power:
-            events.append(_counter("power (W)", start_us, {"watts": watts}))
-
-        # Per-process execution slices from the scheduler activity log:
-        # each decision runs until the next one (or the end of the run).
-        end_us = self._end_us(run)
-        names = dict(run.process_names) if run is not None else {}
-        seen_tids = {}
-        decisions = self.decisions
-        for i, d in enumerate(decisions):
-            nxt = decisions[i + 1].time_us if i + 1 < len(decisions) else end_us
-            dur = max(0.0, nxt - d.time_us)
-            if d.pid not in seen_tids:
-                seen_tids[d.pid] = True
-                label = names.get(d.pid, d.name)
-                events.append(
-                    _meta(TRACE_PID_PROCESSES, d.pid, "thread_name",
-                          f"{label} (pid {d.pid})")
-                )
-            events.append({
-                "name": d.name,
-                "ph": "X",
-                "ts": d.time_us,
-                "dur": dur,
-                "pid": TRACE_PID_PROCESSES,
-                "tid": d.pid,
-                "args": {"mhz": d.mhz},
-            })
-
-        # The DVFS track: transition instants plus their cost windows.
-        for c in self.freq_changes:
-            events.append({
-                "name": f"clock {c.from_mhz:.1f}->{c.to_mhz:.1f} MHz",
-                "ph": "i", "s": "g",
-                "ts": c.time_us,
-                "pid": TRACE_PID_MACHINE, "tid": 4,
-                "args": {"from_mhz": c.from_mhz, "to_mhz": c.to_mhz,
-                         "stall_us": c.stall_us},
-            })
-        for c in self.volt_changes:
-            events.append({
-                "name": f"rail {c.from_volts:.2f}->{c.to_volts:.2f} V",
-                "ph": "i", "s": "g",
-                "ts": c.time_us,
-                "pid": TRACE_PID_MACHINE, "tid": 4,
-                "args": {"from_volts": c.from_volts, "to_volts": c.to_volts,
-                         "settle_us": c.settle_us},
-            })
-        for start_us, stop_us in self.stall_windows():
-            events.append({
-                "name": "clock-change stall",
-                "ph": "X",
-                "ts": start_us,
-                "dur": stop_us - start_us,
-                "pid": TRACE_PID_MACHINE, "tid": 4,
-                "args": {},
-            })
-        for start_us, stop_us in self.sag_windows():
-            events.append({
-                "name": "rail sag",
-                "ph": "X",
-                "ts": start_us,
-                "dur": stop_us - start_us,
-                "pid": TRACE_PID_MACHINE, "tid": 4,
-                "args": {},
-            })
-
-        # Deadline misses as global instants, one per offending event.
-        if run is not None:
-            for miss in run.deadline_misses(tolerance_us=tolerance_us):
-                events.append(_miss_event(miss))
-
-        events.sort(key=_sort_key)
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "generator": "repro.obs.trace",
-                "quanta": len(self.quanta),
-                "power_segments": len(self.power),
-                "sched_decisions": len(self._streams.sched),
-                "freq_changes": len(self.freq_changes),
-                "volt_changes": len(self.volt_changes),
-            },
-        }
-
-    def _end_us(self, run: Optional["KernelRun"]) -> float:
-        if run is not None:
-            return run.duration_us
-        if self.power:
-            return self.power[-1][1]
-        if self.quanta:
-            return self.quanta[-1].end_us
-        return 0.0
+    events.sort(key=_sort_key)
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "generator": "repro.obs.trace",
+            "quanta": len(run.quanta),
+            "power_segments": len(run.timeline),
+            "sched_decisions": len(decisions),
+            "freq_changes": len(run.freq_changes),
+            "volt_changes": len(run.volt_changes),
+        },
+    }
 
 
 def _meta(pid: int, tid: Optional[int], name: str, value: str) -> dict:

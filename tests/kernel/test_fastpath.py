@@ -8,9 +8,9 @@ misses, the quantum log, the power timeline, clock/voltage transition
 logs and counters, per-pid busy accounting, and application events.
 Exception behaviour must match too (e.g. the stock Itsy rejecting the
 1.23 V request of ``best-voltage``) — same type, same message.  The
-observed grid re-runs the whole grid with the trace recorder and
-diagnosis attached to both backends and demands identical observer
-output, not just identical runs.
+observed grid re-runs the whole grid keeping the scheduler log, and
+demands identical Chrome trace exports and diagnoses from both backends,
+not just identical runs.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.core.catalog import resolve_policy
 from repro.hw.machines import MachineSpec
 from repro.kernel.fastpath import FastKernel
 from repro.kernel.recorders import RECORDING_MINIMAL
+from repro.kernel.scheduler import KernelConfig
 from repro.measure.parallel import (
     PolicySpec,
     ResultCache,
@@ -28,7 +29,7 @@ from repro.measure.parallel import (
 )
 from repro.measure.runner import run_workload
 from repro.obs.diagnose import diagnose
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import chrome_trace
 from repro.workloads.chess import ChessConfig, chess_workload
 from repro.workloads.editor import EditorConfig, editor_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
@@ -81,7 +82,7 @@ def run_one(
     use_daq=False,
     seed=0,
     duration_s=DURATION_S,
-    extra_recorders=None,
+    kernel_config=None,
 ):
     workload = WORKLOAD_BUILDERS[workload_name](duration_s)
     factory = resolve_policy(policy, clock_table=spec.clock_table())
@@ -92,7 +93,7 @@ def run_one(
         seed=seed,
         use_daq=use_daq,
         recording=recording,
-        extra_recorders=extra_recorders,
+        kernel_config=kernel_config,
         backend=backend,
     )
 
@@ -146,11 +147,10 @@ class TestCatalogGrid:
 
 
 def observed_run(workload, policy, spec, backend, duration_s):
-    """One observed run: trace + diagnosis on ``backend``."""
-    tracer = TraceRecorder()
+    """One observed run on ``backend``: its trace export and diagnosis."""
     result = run_one(
         workload, policy, spec, backend=backend, duration_s=duration_s,
-        extra_recorders=[tracer],
+        kernel_config=KernelConfig(record_sched_log=True),
     )
     diagnosis = diagnose(
         result,
@@ -160,13 +160,13 @@ def observed_run(workload, policy, spec, backend, duration_s):
         machine_label=spec.label,
         baseline_j=None,
     )
-    return result, tracer, diagnosis
+    return result, chrome_trace(result.run), diagnosis
 
 
 class TestObservedGrid:
-    """The same grid, observed: trace recorder + diagnosis
-    attached on both backends must leave runs bitwise-identical and
-    produce identical observer output (no fallback path remains)."""
+    """The same grid, observed: runs that keep their scheduler log must
+    stay bitwise-identical across backends and export identical traces
+    and diagnoses."""
 
     OBSERVED_DURATION_S = 1.0
 
@@ -194,12 +194,9 @@ class TestObservedGrid:
         ref, ref_trace, ref_diag = outcomes["reference"]
         fast, fast_trace, fast_diag = outcomes["fastpath"]
         assert_bitwise_equal(ref, fast)
-        # Trace buffers: every stream, element for element.
-        assert fast_trace.quanta == ref_trace.quanta
-        assert fast_trace.freq_changes == ref_trace.freq_changes
-        assert fast_trace.volt_changes == ref_trace.volt_changes
-        assert fast_trace.power == ref_trace.power
-        assert fast_trace.decisions == ref_trace.decisions
+        assert fast.run.sched_rows == ref.run.sched_rows
+        # The trace export: every event, field for field.
+        assert fast_trace == ref_trace
         # Diagnosis: the full report, field for field.
         assert fast_diag.to_json() == ref_diag.to_json()
 
@@ -228,6 +225,10 @@ class TestRecordingModes:
         )
         assert minimal.exact_energy_j == full.exact_energy_j
         assert minimal.run.quantum_stats.count == len(full.run.quanta)
+        usum = 0.0  # left to right, as the kernel sums; not sum()
+        for q in full.run.quanta:
+            usum += q.utilization
+        assert minimal.run.quantum_stats.utilization_sum == usum
 
     def test_unknown_recording_mode_rejected(self):
         spec = MachineSpec.parse("itsy")

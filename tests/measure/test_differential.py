@@ -1,5 +1,5 @@
 """Tests for the differential fuzz harness (and the backend-agnostic
-observer taps it leans on)."""
+run records it leans on)."""
 
 import io
 from contextlib import redirect_stderr
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.catalog import resolve_policy
 from repro.hw.machines import MachineSpec
+from repro.kernel.scheduler import KernelConfig
 from repro.measure.differential import (
     RESIDUAL_TOLERANCE_J,
     DifferentialOutcome,
@@ -27,7 +28,7 @@ from repro.measure.parallel import (
 )
 from repro.measure.runner import run_workload
 from repro.obs.profile import SweepTimeline
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import chrome_trace
 from repro.traces.corpus import load_entry, save_entry
 from repro.workloads.fuzz import FuzzSpec, fuzz_family
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
@@ -179,18 +180,17 @@ class TestShrinking:
 
 
 class TestObservedBackends:
-    """Satellite: observers attach to either backend, no fallback left."""
+    """Runs that keep their scheduler log stay on the requested backend."""
 
     def _observed_run(self, backend):
-        tracer = TraceRecorder()
         result = run_workload(
             mpeg_workload(MpegConfig(duration_s=0.3)),
             resolve_policy("best"),
+            kernel_config=KernelConfig(record_sched_log=True),
             use_daq=False,
             backend=backend,
-            extra_recorders=[tracer],
         )
-        return result, tracer
+        return result, chrome_trace(result.run)
 
     def test_no_fallback_note_on_either_backend(self):
         buf = io.StringIO()
@@ -213,9 +213,7 @@ class TestObservedBackends:
         fast_result, fast_trace = self._observed_run("fastpath")
         ref_result, ref_trace = self._observed_run("reference")
         assert compare_results(ref_result, fast_result) == []
-        assert fast_trace.quanta == ref_trace.quanta
-        assert fast_trace.freq_changes == ref_trace.freq_changes
-        assert fast_trace.power == ref_trace.power
+        assert fast_trace == ref_trace
 
     def test_observed_sweep_stays_on_requested_backend(self):
         cell = SweepCell(

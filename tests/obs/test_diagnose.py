@@ -1,5 +1,6 @@
 """Tests for the per-run policy diagnostics engine."""
 
+import json
 import math
 import subprocess
 import sys
@@ -307,13 +308,23 @@ class TestDiagnosisLog:
         assert not path.exists()
 
     def test_reader_rejects_garbage(self, tmp_path):
+        """Damaged lines are skipped with a file:line warning, never raised:
+        a torn write costs one diagnosis, not the whole log."""
+        diagnosis = diagnosis_for("const-132.7", "mpeg", 2.0)
+        newer = {**diagnosis.to_json(), "v": DIAGNOSIS_VERSION + 1}
         path = tmp_path / "diag.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(ValueError, match="bad diagnosis line"):
-            read_diagnoses(path)
-        path.write_text("[1]\n")
-        with pytest.raises(ValueError, match="not an object"):
-            read_diagnoses(path)
+        path.write_text(
+            "not json\n[1]\n{}\n"
+            + json.dumps(newer) + "\n"
+            + json.dumps(diagnosis.to_json()) + "\n"
+            + json.dumps(diagnosis.to_json())[:40]
+        )
+        loaded = read_diagnoses(path)
+        assert loaded == [diagnosis]
+        assert [w.split(": ")[0] for w in loaded.warnings] == [
+            f"{path}:{n}" for n in (1, 2, 3, 4, 6)
+        ]
+        assert "schema version" in loaded.warnings[3]
 
 
 MPEG = WorkloadSpec("mpeg", MpegConfig(duration_s=2.0))

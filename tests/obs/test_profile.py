@@ -21,31 +21,9 @@ from repro.obs.profile import (
     PHASE_REDUCE,
     PHASE_WORKER_START,
     SweepTimeline,
-    arm_worker_stamps,
-    drain_worker_stamps,
     format_phase_table,
-    record_kernel_phase,
 )
 from repro.workloads.mpeg import MpegConfig
-
-
-class TestStampSink:
-    def test_disarmed_by_default(self):
-        record_kernel_phase(PHASE_REDUCE, 1.0, 2.0)  # no-op, must not raise
-        assert drain_worker_stamps() == ()
-
-    def test_arm_collect_drain(self):
-        arm_worker_stamps()
-        record_kernel_phase(PHASE_REDUCE, 1.0, 2.0)
-        record_kernel_phase(PHASE_DIAGNOSE, 2.0, 2.5)
-        stamps = drain_worker_stamps()
-        assert stamps == (
-            (PHASE_REDUCE, 1.0, 2.0),
-            (PHASE_DIAGNOSE, 2.0, 2.5),
-        )
-        # Draining disarms: later stamps vanish again.
-        record_kernel_phase(PHASE_REDUCE, 3.0, 4.0)
-        assert drain_worker_stamps() == ()
 
 
 def add_group(timeline, stamps):

@@ -1,60 +1,49 @@
-"""Tests for kernel event tracing and the Chrome trace-event exporter."""
+"""Tests for the Chrome trace-event exporter of kernel runs."""
 
 import json
 
 import pytest
 
 from repro.core.catalog import resolve_policy
+from repro.kernel.recorders import RECORDING_MINIMAL
+from repro.kernel.scheduler import KernelConfig
 from repro.measure.runner import run_workload
 from repro.obs.trace import (
     TRACE_PID_MACHINE,
     TRACE_PID_PROCESSES,
-    TraceRecorder,
+    chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
 )
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 
 
-def traced_run(policy="best", duration_s=2.0, seed=0):
-    tracer = TraceRecorder()
+def traced_run(policy="best", duration_s=2.0, seed=0, **kwargs):
+    """A run that keeps its scheduler log, as ``repro trace`` runs it."""
     workload = mpeg_workload(MpegConfig(duration_s=duration_s))
     result = run_workload(
         workload,
         resolve_policy(policy),
         seed=seed,
+        kernel_config=KernelConfig(record_sched_log=True),
         use_daq=False,
-        extra_recorders=[tracer],
+        **kwargs,
     )
-    return tracer, result, workload
+    return result, workload
 
 
-class TestTraceRecorder:
-    def test_captures_every_stream(self):
-        tracer, result, _ = traced_run()
-        assert len(tracer.quanta) == len(result.run.quanta)
-        assert tracer.quanta == result.run.quanta
-        assert tracer.freq_changes == result.run.freq_changes
-        assert len(tracer.power) >= len(result.run.timeline)
-        # Sched decisions are captured even though record_sched_log is off.
-        assert tracer.decisions
-        assert result.run.sched_log == []
-
-    def test_contribute_attaches_to_run(self):
-        tracer, result, _ = traced_run()
-        assert result.run.trace is tracer
-
+class TestTracedRun:
     def test_stall_windows_match_transition_accounting(self):
-        tracer, result, _ = traced_run()
-        windows = tracer.stall_windows()
+        result, _ = traced_run()
+        windows = result.run.stall_windows()
         assert len(windows) == result.run.clock_changes
         total = sum(end - start for start, end in windows)
         assert total == pytest.approx(result.run.clock_stall_us)
         assert all(end > start for start, end in windows)
 
     def test_tracing_is_bitwise_pure(self):
-        """Attaching the tracer must not move a single bit."""
-        _, traced, _ = traced_run(seed=3)
+        """Keeping the scheduler log must not move a single bit."""
+        traced, _ = traced_run(seed=3)
         plain = run_workload(
             mpeg_workload(MpegConfig(duration_s=2.0)),
             resolve_policy("best"),
@@ -66,14 +55,35 @@ class TestTraceRecorder:
         assert traced.run.mean_utilization() == plain.run.mean_utilization()
         assert traced.run.clock_changes == plain.run.clock_changes
         assert traced.run.quanta == plain.run.quanta
+        assert plain.run.sched_log == []
+
+    def test_export_counts_every_stream(self):
+        result, _ = traced_run()
+        run = result.run
+        counts = chrome_trace(run)["otherData"]
+        assert counts["quanta"] == len(run.quanta)
+        assert counts["power_segments"] == len(run.timeline)
+        assert counts["sched_decisions"] == len(run.sched_rows) > 0
+        assert counts["freq_changes"] == len(run.freq_changes)
+        assert counts["volt_changes"] == len(run.volt_changes)
+
+    def test_export_names_the_missing_record(self):
+        plain = run_workload(
+            mpeg_workload(MpegConfig(duration_s=1.0)),
+            resolve_policy("best"),
+            use_daq=False,
+        )
+        with pytest.raises(ValueError, match="record_sched_log=True"):
+            chrome_trace(plain.run)
+        minimal, _ = traced_run(duration_s=1.0, recording=RECORDING_MINIMAL)
+        with pytest.raises(ValueError, match="full-recording run"):
+            chrome_trace(minimal.run)
 
 
 class TestChromeTraceExport:
     def test_valid_and_complete(self):
-        tracer, result, workload = traced_run()
-        payload = tracer.chrome_trace(
-            run=result.run, tolerance_us=workload.tolerance_us
-        )
+        result, workload = traced_run()
+        payload = chrome_trace(result.run, tolerance_us=workload.tolerance_us)
         validate_chrome_trace(payload)  # must not raise
         events = payload["traceEvents"]
         counters = {e["name"] for e in events if e["ph"] == "C"}
@@ -93,8 +103,8 @@ class TestChromeTraceExport:
         assert len(stalls) == result.run.clock_changes
 
     def test_round_trips_through_json(self, tmp_path):
-        tracer, result, workload = traced_run()
-        payload = tracer.chrome_trace(run=result.run)
+        result, _ = traced_run()
+        payload = chrome_trace(result.run)
         out = write_chrome_trace(payload, tmp_path / "trace.json")
         parsed = json.loads(out.read_text())
         validate_chrome_trace(parsed)
@@ -102,11 +112,9 @@ class TestChromeTraceExport:
 
     def test_deadline_misses_become_instants(self):
         # const-59.0 cannot keep up with MPEG: misses are guaranteed.
-        tracer, result, workload = traced_run(policy="const-59.0")
+        result, workload = traced_run(policy="const-59.0")
         assert result.misses
-        payload = tracer.chrome_trace(
-            run=result.run, tolerance_us=workload.tolerance_us
-        )
+        payload = chrome_trace(result.run, tolerance_us=workload.tolerance_us)
         misses = [
             e for e in payload["traceEvents"]
             if e["name"].startswith("deadline miss")
@@ -115,8 +123,8 @@ class TestChromeTraceExport:
         assert all(e["ph"] == "i" for e in misses)
 
     def test_timestamps_sorted_after_metadata(self):
-        tracer, result, _ = traced_run(duration_s=1.0)
-        events = tracer.chrome_trace(run=result.run)["traceEvents"]
+        result, _ = traced_run(duration_s=1.0)
+        events = chrome_trace(result.run)["traceEvents"]
         phases = [e["ph"] for e in events]
         first_data = phases.index(next(p for p in phases if p != "M"))
         assert all(p == "M" for p in phases[:first_data])
@@ -124,8 +132,8 @@ class TestChromeTraceExport:
         assert timestamps == sorted(timestamps)
 
     def test_counter_track_follows_frequency(self):
-        tracer, result, _ = traced_run(policy="best")
-        events = tracer.chrome_trace(run=result.run)["traceEvents"]
+        result, _ = traced_run(policy="best")
+        events = chrome_trace(result.run)["traceEvents"]
         freq = [
             e["args"]["mhz"] for e in events
             if e["ph"] == "C" and e["name"] == "frequency (MHz)"

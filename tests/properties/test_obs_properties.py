@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from repro.cli import workload_spec
 from repro.core.catalog import resolve_policy
 from repro.hw.machines import MachineSpec
+from repro.kernel.scheduler import KernelConfig
 from repro.measure.runner import run_workload
 from repro.obs.diagnose import (
     ENERGY_SUM_TOLERANCE_J,
     energy_decomposition,
     prediction_errors,
 )
-from repro.obs.trace import TraceRecorder, _sort_key
+from repro.obs.trace import _sort_key, chrome_trace
 
 POLICIES = ["best", "best-voltage", "avg3-one", "past-double", "cycleavg"]
 WORKLOADS = ["mpeg", "web", "editor"]
@@ -34,15 +35,13 @@ utilization_lists = st.lists(
 
 
 def traced_run(policy: str, workload: str, seed: int):
-    tracer = TraceRecorder()
-    result = run_workload(
+    return run_workload(
         workload_spec(workload, 2.0).build(),
         resolve_policy(policy),
         seed=seed,
+        kernel_config=KernelConfig(record_sched_log=True),
         use_daq=False,
-        extra_recorders=[tracer],
     )
-    return result, tracer
 
 
 class TestChromeTraceOrdering:
@@ -53,8 +52,8 @@ class TestChromeTraceOrdering:
     )
     @settings(max_examples=12, deadline=None)
     def test_events_time_ordered_and_non_negative(self, policy, workload, seed):
-        result, tracer = traced_run(policy, workload, seed)
-        events = tracer.chrome_trace(run=result.run)["traceEvents"]
+        result = traced_run(policy, workload, seed)
+        events = chrome_trace(result.run)["traceEvents"]
         keys = [_sort_key(e) for e in events]
         assert keys == sorted(keys)
         for event in events:

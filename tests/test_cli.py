@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,19 @@ deadline misses : 0
 trace           : <out> (824 events; open in Perfetto or chrome://tracing)
 """
 
+#: SHA-256 of the ``trace ... -o <out>`` file, with the command's exit
+#: code: clock-change stalls (best), rail sags (avg3-one on sa2-reconf)
+#: and deadline-miss instants (const-59.0).  Identical on both backends.
+TRACE_DIGESTS = [
+    (["mpeg", "--policy", "best", "--duration", "2"], 0,
+     "397ba65dba876c9ff2edccd4d815ef769657a23b930f350f23f5b17770cf8913"),
+    (["mpeg", "--policy", "avg3-one", "--machine", "sa2-reconf",
+      "--duration", "5"], 0,
+     "164b5d2dbe4e9d592d39ced6abd76ec097d28d50eea94273c97ac7be5f41f3b3"),
+    (["mpeg", "--policy", "const-59.0", "--duration", "2"], 1,
+     "bea3430e9c5657b4f36a0bd88c962ae758d5ec3feebaacf4f8a3ed52b3635ef6"),
+]
+
 
 class TestCommands:
     def test_list_policies(self, capsys):
@@ -156,6 +170,19 @@ class TestCommands:
         ) == 0
         stdout = capsys.readouterr().out
         assert stdout.replace(str(out), "<out>") == TRACE_SNAPSHOT
+
+    @pytest.mark.parametrize("backend", ["fastpath", "reference"])
+    @pytest.mark.parametrize(
+        "args,code,digest", TRACE_DIGESTS, ids=["best", "sa2-sag", "misses"]
+    )
+    def test_trace_file_digest(self, capsys, tmp_path, backend, args, code,
+                               digest):
+        out = tmp_path / "t.json"
+        assert main(
+            ["trace", *args, "--backend", backend, "-o", str(out)]
+        ) == code
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_run_success_exit_zero(self, capsys):
         code = main(
@@ -830,6 +857,25 @@ class TestReportBenchSpecs:
         assert "warning:" in captured.err
         assert "skipped unreadable run-log line" in captured.err
         assert "# Sweep report" in captured.out
+
+    def test_damaged_diagnosis_line_warns_on_stderr(self, tmp_path, capsys):
+        log = tmp_path / "runs.jsonl"
+        diag = tmp_path / "diag.jsonl"
+        assert main(
+            ["run", "mpeg", "--policy", "avg3-one", "--duration", "1",
+             "--no-daq", "--run-log", str(log), "--diagnoses", str(diag),
+             "--no-fleet"]
+        ) == 0
+        capsys.readouterr()
+        text = diag.read_text()
+        diag.write_text(text[: len(text) // 2])  # tear the last line
+        assert main(["report", str(log), "--diagnoses", str(diag)]) == 0
+        captured = capsys.readouterr()
+        assert f"warning: {diag}:1: skipped unreadable diagnosis line" in (
+            captured.err
+        )
+        assert "# Sweep report" in captured.out
+        assert "skipped unreadable diagnosis line" in captured.out
 
     def test_summary_counts_cache_hits(self, capsys, tmp_path):
         argv = [

@@ -144,9 +144,9 @@ class TestExperimentsMd:
         monkeypatch.chdir(tmp_path)
         namespace = {}
         exec(compile(block, "EXPERIMENTS.md", "exec"), namespace)
-        run, tracer = namespace["run"], namespace["tracer"]
-        assert run.clock_changes == len(tracer.freq_changes) == 171
-        targets = [change.to_mhz for change in tracer.freq_changes]
+        run = namespace["run"]
+        assert run.clock_changes == len(run.freq_changes) == 171
+        targets = [change.to_mhz for change in run.freq_changes]
         assert (min(targets), max(targets)) == (59.0, 206.4)
         validate_chrome_trace(json.loads((tmp_path / "fig7_avg3.json").read_text()))
 
