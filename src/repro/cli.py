@@ -40,9 +40,11 @@ DIR`` to memoize results on disk, ``--run-log PATH`` to append one
 structured JSONL record per cell (see :mod:`repro.obs.runlog`), and
 ``--diagnoses PATH`` to diagnose every executed cell worker-side (see
 :mod:`repro.obs.diagnose`); every backend, parallel, cached and observed
-path is bitwise-equal to the serial, uncached one.  Each sweep command
-prints a throughput summary line (cells simulated/cached, wall time,
-cells/s) to stderr.
+path is bitwise-equal to the serial, uncached one.  :func:`main` builds
+a sweep command's one engine and closes it, with every log, however the
+command ends; a command that returns then prints a throughput summary
+line (cells simulated/cached, wall time, cells/s) to stderr, and a
+failed cell ends it with exit 2 at every ``--jobs``.
 ``trace`` exports a single run as Chrome trace-event JSON for Perfetto
 (see :mod:`repro.obs.trace`), ``diagnose`` runs one cell on a diagnosing
 sweep engine and explains it (settling, prediction error, miss
@@ -190,22 +192,17 @@ def cell_backend(args) -> Optional[str]:
 
 
 def report_sweep_stats(engine: SweepEngine, args) -> None:
-    """Print the engine's throughput summary to stderr and shut it down.
-
-    Also settles the sweep-level observers: prints the ``--phases``
-    table, exports the ``--sweep-trace`` Chrome trace when requested,
-    and appends one fleet record to the ledger (``--fleet`` path or the
-    repo-local default) unless ``--no-fleet`` opted out.  A ledger that
-    cannot be written costs a warning, never the command's exit code.
+    """Settle a sweep command that returned: print the engine's
+    throughput summary to stderr, the ``--phases`` table, export the
+    ``--sweep-trace`` Chrome trace when requested, and append one fleet
+    record to the ledger (``--fleet`` path or the repo-local default)
+    unless ``--no-fleet`` opted out.  A ledger that cannot be written
+    costs a warning, never the command's exit code.
     """
     print(engine.stats.summary(), file=sys.stderr)
     if args.phases:
         print("phase profile:", file=sys.stderr)
         print(engine.timeline.table(engine.stats.wall_s), file=sys.stderr)
-    engine.close()
-    for observer in engine.observers:
-        if hasattr(observer, "close"):  # the run-log and diagnosis writers
-            observer.close()
     if args.sweep_trace:
         from repro.obs.trace import write_chrome_trace
 
@@ -256,8 +253,7 @@ def cmd_list_machines(_args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    engine = sweep_engine(args)
+def cmd_run(args, engine: SweepEngine) -> int:
     mspec = machine_spec(args)
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
@@ -284,7 +280,6 @@ def cmd_run(args) -> int:
     if summary.missed:
         print(f"  worst: {summary.worst_miss_kind} late by "
               f"{summary.worst_lateness_us / 1000:.1f} ms")
-    report_sweep_stats(engine, args)
     return 1 if summary.missed else 0
 
 
@@ -298,8 +293,7 @@ TABLE2_ROWS = [
 ]
 
 
-def cmd_table2(args) -> int:
-    engine = sweep_engine(args)
+def cmd_table2(args, engine: SweepEngine) -> int:
     if args.runs < 2:
         raise ValueError("need at least two runs for a confidence interval")
     mspec = machine_spec(args)
@@ -321,12 +315,10 @@ def cmd_table2(args) -> int:
         ci = confidence_interval([c.energy_j for c in row])
         misses = sum(c.miss_count for c in row)
         print(f"{name:30s} {ci.low:9.2f} - {ci.high:5.2f} {misses:7d}")
-    report_sweep_stats(engine, args)
     return 0
 
 
-def cmd_fig9(args) -> int:
-    engine = sweep_engine(args)
+def cmd_fig9(args, engine: SweepEngine) -> int:
     mspec = machine_spec(args)
     duration_s = 30.0 if args.duration is None else args.duration
     spec = workload_spec("mpeg", duration_s)
@@ -341,7 +333,6 @@ def cmd_fig9(args) -> int:
             f"{step.mhz:6.1f} {res.mean_utilization * 100:11.1f}% "
             f"{res.miss_count:7d}"
         )
-    report_sweep_stats(engine, args)
     return 0
 
 
@@ -371,8 +362,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_ideal(args) -> int:
-    engine = sweep_engine(args)
+def cmd_ideal(args, engine: SweepEngine) -> int:
     mspec = machine_spec(args)
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
@@ -388,7 +378,6 @@ def cmd_ideal(args) -> int:
     print(f"ideal constant  : {summary.final_mhz:.1f} MHz")
     print(f"energy          : {summary.exact_energy_j:.2f} J")
     print(f"mean utilization: {summary.mean_utilization:.3f}")
-    report_sweep_stats(engine, args)
     return 0
 
 
@@ -623,10 +612,9 @@ def cmd_fleet(args) -> int:
             file=sys.stderr,
         )
         return 1
-    history = read_fleet(path)
-    for warning in history.warnings:
+    records = read_fleet(path)
+    for warning in records.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    records = list(history.records)
     if args.workload:
         records = [r for r in records if args.workload in r.workloads]
     if args.machine:
@@ -1060,7 +1048,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if not hasattr(args, "jobs"):  # not one of the sweep commands
+            return args.func(args)
+        # A sweep command runs on this one engine.  Leaving the block
+        # shuts its pool and closes every log however the command ends;
+        # only a command that returns is settled and recorded.
+        with sweep_engine(args) as engine:
+            code = args.func(args, engine)
+        report_sweep_stats(engine, args)
+        return code
     except (ValueError, SweepCellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

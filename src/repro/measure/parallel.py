@@ -28,8 +28,9 @@ batches until :meth:`close`), and :class:`CellResult` pickles as a
 compact field tuple.  A batch served wholly from the cache, or run
 in-process, starts no pool and imports no simulator.  None of it is
 observable in the numbers: chunks preserve submission order, and every
-cell, in-process or pooled, runs through the one worker entry point,
-which returns a :class:`CellOutcome`.
+cell, in-process or pooled, runs through the one per-cell loop, which
+returns a :class:`CellOutcome` per cell and ends at the first cell that
+fails; the engine raises that failure as a :class:`SweepCellError`.
 
 The engine is *provably* deterministic: a pool worker runs the very same
 :func:`repro.measure.runner.run_workload` the in-process path runs, with
@@ -658,16 +659,19 @@ def _started_in_batch(outcome: CellOutcome, batch_start: float) -> CellOutcome:
     )
 
 
-def _heartbeat(done: bool, cell_id: int, cell: SweepCell) -> None:
-    """Report a cell starting or finishing on the heartbeat channel.
+#: A heartbeat: ``(done, pid, cell_id, perf_counter(), cell label)``.
+Heartbeat = Tuple[bool, int, int, float, str]
+
+
+def _heartbeat(event: Heartbeat) -> None:
+    """Put a pool worker's heartbeat on the engine's channel, if any.
 
     ``SimpleQueue.put`` writes to the pipe before it returns, so a
     chunk's heartbeats are all in the pipe before its result leaves the
     worker.
     """
-    channel = _HEARTBEATS
-    if channel is not None:
-        channel.put((done, os.getpid(), cell_id, perf_counter(), cell.label))
+    if _HEARTBEATS is not None:
+        _HEARTBEATS.put(event)
 
 
 def _execute_chunk(
@@ -675,26 +679,33 @@ def _execute_chunk(
     diagnose: bool,
     baseline_js: List[Optional[float]],
     cell_ids: List[int],
+    beat: Callable[[Heartbeat], None] = _heartbeat,
 ) -> List[Union[CellOutcome, Exception]]:
-    """Run a contiguous chunk of cells in one pool task.
+    """Run a contiguous chunk of cells: the one per-cell loop.
 
-    One submission per chunk (instead of per cell) amortizes argument
-    pickling, future bookkeeping and result IPC across the chunk.  A
-    cell that raises contributes its exception in place of its outcome,
-    so the failure is attributed to the *cell* that raised it, not to an
-    opaque chunk — the parent re-raises it as a :class:`SweepCellError`
-    with the original exception as ``__cause__``.  Each cell is
-    bracketed by start/done heartbeats keyed by ``cell_ids`` when the
-    worker carries a heartbeat channel.
+    A pool task runs one chunk — one submission per chunk (instead of
+    per cell) amortizes argument pickling, future bookkeeping and result
+    IPC across the chunk — and an in-process batch runs as one chunk.
+    The loop stops at the chunk's first failing cell, which contributes
+    its exception in place of its outcome, so the failure is attributed
+    to the *cell* that raised it, not to an opaque chunk; the engine
+    re-raises it as a :class:`SweepCellError` with the original
+    exception as ``__cause__``.  Each cell is bracketed by start/done
+    heartbeats keyed by ``cell_ids``, sent through ``beat``: the
+    worker's heartbeat channel by default, the engine's live observers
+    in-process.
     """
+    pid = os.getpid()
     out: List[Union[CellOutcome, Exception]] = []
     for cell, baseline_j, cell_id in zip(cells, baseline_js, cell_ids):
-        _heartbeat(False, cell_id, cell)
+        beat((False, pid, cell_id, perf_counter(), cell.label))
         try:
             out.append(_execute_cell(cell, diagnose, baseline_j))
         except Exception as exc:
             out.append(exc)
-        _heartbeat(True, cell_id, cell)
+            break
+        finally:
+            beat((True, pid, cell_id, perf_counter(), cell.label))
     return out
 
 
@@ -719,13 +730,14 @@ def _baseline_key(cell: SweepCell) -> str:
 
 
 class SweepCellError(RuntimeError):
-    """A sweep worker failed; names the cell instead of an opaque pool error.
+    """A sweep cell failed; names the cell instead of an opaque error.
 
-    A crashed worker process surfaces as
-    :class:`~concurrent.futures.process.BrokenProcessPool` with no hint of
-    *which* simulation sank it; this wrapper carries the failing cell's
-    coordinates (policy / workload / machine / seed) and keeps the original
-    exception as ``__cause__``.
+    The engine raises it at every ``jobs``, so a caller tells a failed
+    cell from any ``ValueError`` of its own.  A crashed worker process
+    surfaces as :class:`~concurrent.futures.process.BrokenProcessPool`
+    with no hint of *which* simulation sank it; this wrapper carries the
+    failing cell's coordinates (policy / workload / machine / seed) and
+    keeps the original exception as ``__cause__``.
     """
 
     def __init__(self, cell: SweepCell, cause: BaseException):
@@ -734,6 +746,17 @@ class SweepCellError(RuntimeError):
             f"sweep cell failed ({cell.describe()}): "
             f"{type(cause).__name__}: {cause}"
         )
+
+
+def _checked(
+    chunk: List[Tuple[int, str, SweepCell]],
+    outcomes: List[Union[CellOutcome, Exception]],
+) -> List[CellOutcome]:
+    """A chunk's outcomes, or :class:`SweepCellError` for its failed cell."""
+    for (_, _, cell), outcome in zip(chunk, outcomes):
+        if isinstance(outcome, Exception):
+            raise SweepCellError(cell, outcome) from outcome
+    return outcomes
 
 
 @dataclass
@@ -774,7 +797,10 @@ class SweepEngine:
     Results come back in the order the cells were given, regardless of
     which worker finished first, and duplicate cells within a batch are
     simulated once.  ``jobs=1`` executes in-process (and is what the
-    determinism tests compare the pool against).
+    determinism tests compare the pool against), through the same
+    per-cell loop a pool worker runs, so a failing cell raises the same
+    :class:`SweepCellError` at every ``jobs``: the first failure in cell
+    order.
 
     The pool path is engineered for throughput: cells are submitted in
     contiguous chunks (``chunk_size`` per pool task; auto-sized to a few
@@ -802,8 +828,10 @@ class SweepEngine:
     ``observers`` (run-log, diagnosis log, progress display) of every
     batch, cache hit and executed cell.  Every cell runs through the
     same worker entry point whatever observes it, and the determinism
-    tests pin the equality bitwise.  :meth:`fleet_record` summarizes
-    everything the engine served into one fleet-ledger entry.
+    tests pin the equality bitwise.  :meth:`close` closes the observers
+    after the pool, so the engine's ``with`` block releases every log.
+    :meth:`fleet_record` summarizes everything the engine served into
+    one fleet-ledger entry.
     """
 
     def __init__(
@@ -860,11 +888,18 @@ class SweepEngine:
         return self._diagnose
 
     def close(self) -> None:
-        """Shut down the warm worker pool (idempotent).
+        """Shut down the warm worker pool, then close every observer
+        (idempotent).
 
-        The engine stays usable — the next pooled batch spawns a fresh
-        pool.  Exiting the engine's ``with`` block calls this.
+        Exiting the engine's ``with`` block calls this, however the block
+        ends.  The engine stays usable — the next pooled batch spawns a
+        fresh pool, and a JSONL log reopens on its next line.
         """
+        self._shutdown_pool()
+        for observer in self.observers:
+            observer.close()
+
+    def _shutdown_pool(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown()
@@ -925,43 +960,47 @@ class SweepEngine:
             size = max(1, -(-len(todo) // (workers * 4)))
         return [todo[i : i + size] for i in range(0, len(todo), size)]
 
-    def _run_chunks(
+    def _run_cells(
         self,
-        chunks: List[List[Tuple[int, str, SweepCell]]],
+        todo: List[Tuple[int, str, SweepCell]],
         diagnose: bool,
         baselines: Dict[str, Optional[float]],
     ) -> List[CellOutcome]:
-        """Submit chunks to the warm pool (spawned on first use) and
-        flatten their outcomes back into todo order.
+        """Run ``todo`` through :func:`_execute_chunk` and return the
+        outcomes in todo order.
 
-        While the chunks run, a pump thread feeds their heartbeats to the
+        A ``jobs=1`` engine, or a one-cell batch, runs ``todo`` in this
+        process as one chunk, beating straight to the live observers.
+        Otherwise the chunks go to the warm pool (spawned on first use)
+        and, while they run, a pump thread feeds their heartbeats to the
         live observers.  It starts after submission, so a ``fork`` pool
         forks a single-threaded parent, and stops at the ``None`` the
         engine writes once every chunk has ended: every heartbeat of the
         batch is in the pipe before that.
 
         Raises:
-            SweepCellError: for an in-worker failure (naming the exact
-                cell, original exception as ``__cause__``) or a pool-level
-                failure (attributed to the chunk's first cell).
+            SweepCellError: for the first failing cell in todo order
+                (original exception as ``__cause__``), or for a
+                pool-level failure (attributed to the chunk's first cell).
         """
+
+        def args(chunk: List[Tuple[int, str, SweepCell]]) -> tuple:
+            return (
+                [cell for _, _, cell in chunk],
+                diagnose,
+                [baselines.get(key) for _, key, _ in chunk],
+                [cell_id for cell_id, _, _ in chunk],
+            )
+
+        if self.jobs == 1 or len(todo) == 1:
+            return _checked(todo, _execute_chunk(*args(todo), self._beat))
         batch_start = perf_counter()
         if self._pool is None:
             self._pool = self._new_pool(self.jobs)
-        pool = self._pool
-        with self._stage(
-            PHASE_SUBMIT,
-            chunks=len(chunks),
-            cells=sum(len(chunk) for chunk in chunks),
-        ):
+        chunks = self._chunked(todo, min(self.jobs, len(todo)))
+        with self._stage(PHASE_SUBMIT, chunks=len(chunks), cells=len(todo)):
             futures = [
-                pool.submit(
-                    _execute_chunk,
-                    [cell for _, _, cell in chunk],
-                    diagnose,
-                    [baselines.get(key) for _, key, _ in chunk],
-                    [cell_id for cell_id, _, _ in chunk],
-                )
+                self._pool.submit(_execute_chunk, *args(chunk))
                 for chunk in chunks
             ]
         pump = None
@@ -980,12 +1019,12 @@ class SweepEngine:
                     # The pool itself failed (worker crash, result
                     # transport); a dead warm pool must not poison the
                     # next batch.
-                    self.close()
+                    self._shutdown_pool()
                     raise SweepCellError(chunk[0][2], exc) from exc
-                for (_, _, cell), outcome in zip(chunk, outcomes):
-                    if isinstance(outcome, BaseException):
-                        raise SweepCellError(cell, outcome) from outcome
-                    fresh.append(_started_in_batch(outcome, batch_start))
+                fresh += [
+                    _started_in_batch(outcome, batch_start)
+                    for outcome in _checked(chunk, outcomes)
+                ]
                 if self.timeline is not None:
                     # Result IPC: the slice of the wait after the chunk's
                     # last cell finished is unpickling/transfer — the
@@ -1010,27 +1049,11 @@ class SweepEngine:
         """Feed a pooled batch's heartbeats to the live observers until
         the batch's ``None``."""
         for event in iter(self._heartbeats.get, None):
-            self._beat(*event)
+            self._beat(event)
 
-    def _beat(self, *event: object) -> None:
+    def _beat(self, event: Heartbeat) -> None:
         for on_heartbeat in self._live:
             on_heartbeat(*event)
-
-    def _run_in_process(
-        self,
-        todo: List[Tuple[int, str, SweepCell]],
-        diagnose: bool,
-        baselines: Dict[str, Optional[float]],
-    ) -> List[CellOutcome]:
-        """Execute ``todo`` in this process, heartbeating as a pool
-        worker would."""
-        pid = os.getpid()
-        outcomes = []
-        for cell_id, key, cell in todo:
-            self._beat(False, pid, cell_id, perf_counter(), cell.label)
-            outcomes.append(_execute_cell(cell, diagnose, baselines.get(key)))
-            self._beat(True, pid, cell_id, perf_counter(), cell.label)
-        return outcomes
 
     def run(self, cells: Iterable[SweepCell]) -> List[CellResult]:
         """Execute ``cells`` and return their results, input-ordered.
@@ -1144,14 +1167,7 @@ class SweepEngine:
             (cell_id, key, cell)
             for cell_id, (key, cell) in enumerate(pending.items())
         ]
-        if self.jobs > 1 and len(todo) > 1:
-            outcomes = self._run_chunks(
-                self._chunked(todo, min(self.jobs, len(todo))),
-                diagnosing,
-                baselines,
-            )
-        else:
-            outcomes = self._run_in_process(todo, diagnosing, baselines)
+        outcomes = self._run_cells(todo, diagnosing, baselines)
         with self._stage("merge results", cells=len(todo)):
             for (_, key, cell), outcome in zip(todo, outcomes):
                 results[key] = outcome.result
@@ -1178,7 +1194,9 @@ class SweepEngine:
 
         One search runs per unique baseline coordinate.  Infeasible
         workloads (no constant step meets their deadlines) map to None;
-        the decomposition then reports against a zero baseline.
+        the decomposition then reports against a zero baseline.  A
+        constant-step cell that fails raises :class:`SweepCellError`,
+        which fails the batch.
         """
         by_coordinate: Dict[str, Optional[float]] = {}
         out: Dict[str, Optional[float]] = {}

@@ -12,8 +12,11 @@ runs with and without observability to bitwise equality):
   stamps each pipeline stage into once (reduced to per-phase seconds,
   exported as a Chrome trace with one lane per pool worker), and the
   :class:`SweepObserver` protocol of the engine's per-cell observers;
-- :mod:`repro.obs.runlog` — append-only JSONL audit records, one per
-  sweep cell, provenance-stamped with schema and package versions;
+- :mod:`repro.obs.runlog` — the one append-only JSONL writer
+  (:class:`JsonlLog`) and tolerant reader (:func:`read_jsonl`) of every
+  sweep log — the run-log, the diagnosis log and the fleet ledger — and
+  the run-log's audit records, one per sweep cell, provenance-stamped
+  with schema and package versions;
 - :mod:`repro.obs.diagnose` — per-run :class:`PolicyDiagnosis`: settling
   detection, prediction-error ledger, deadline-miss attribution, and the
   excess-energy decomposition against the ideal-constant oracle;
@@ -71,9 +74,11 @@ __getattr__, __dir__, __all__ = attach(
         "telemetry": ("ProgressDisplay",),
         "runlog": (
             "RUN_LOG_VERSION",
+            "JsonlLog",
             "RunLogRecord",
             "RunLogWriter",
             "provenance_warnings",
+            "read_jsonl",
             "read_run_log",
         ),
         "trace": (

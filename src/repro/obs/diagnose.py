@@ -30,13 +30,10 @@ pool transport) and round-trips through JSON (for diagnosis logs).
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import (
-    IO, TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union,
-)
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +45,7 @@ from repro.hw.machines import MachineSpec
 from repro.hw.power import CoreState
 from repro.kernel.scheduler import KernelRun
 from repro.obs.profile import SweepObserver
-from repro.obs.runlog import RunLogRecords
+from repro.obs.runlog import JsonlLog, JsonlRecords, read_jsonl
 
 if TYPE_CHECKING:  # import cycle: repro.measure.parallel imports this module
     from repro.measure.runner import ExperimentResult
@@ -686,74 +683,22 @@ def diagnose(
 
 
 # ---------------------------------------------------------------------------
-# JSONL persistence (mirrors obs.runlog)
+# JSONL persistence (through obs.runlog's one writer and reader)
 # ---------------------------------------------------------------------------
 
 
-class DiagnosisWriter(SweepObserver):
-    """Appends diagnoses to a JSONL file, one object per line.
-
-    Lazily opens on first write, so constructing a writer for a path that
-    is never used leaves no file behind.  As a sweep observer it appends
-    the diagnosis of every cell a diagnosing engine executes.
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._fh: Optional[IO[str]] = None
-        self.written = 0
-
-    def write(self, diagnosis: PolicyDiagnosis) -> None:
-        """Append one diagnosis record."""
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a")
-        json.dump(diagnosis.to_json(), self._fh)
-        self._fh.write("\n")
-        self._fh.flush()
-        self.written += 1
+class DiagnosisWriter(JsonlLog, SweepObserver):
+    """The diagnosis log: as a sweep observer, it appends the diagnosis
+    of every cell a diagnosing engine executes."""
 
     def on_cell_done(self, cell, key, outcome, ordinal) -> None:
         if outcome.diagnosis is not None:
-            self.write(outcome.diagnosis)
-
-    def close(self) -> None:
-        """Close the underlying file (no-op if nothing was written)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "DiagnosisWriter":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+            self.append(outcome.diagnosis)
 
 
-def read_diagnoses(path: Union[str, Path]) -> RunLogRecords:
-    """Load every diagnosis from a JSONL file written by
-    :class:`DiagnosisWriter`.
-
-    Tolerant like :func:`~repro.obs.runlog.read_run_log`: a line that
-    does not parse or does not rebuild a :class:`PolicyDiagnosis` (an
-    unknown schema version included) is skipped, and each skip is
-    reported with its ``file:line`` in the returned list's ``warnings``.
-    """
-    out: List[PolicyDiagnosis] = []
-    warnings: List[str] = []
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                if not isinstance(payload, dict):
-                    raise ValueError("line is not a JSON object")
-                out.append(PolicyDiagnosis.from_json(payload))
-            except (KeyError, TypeError, ValueError) as exc:
-                warnings.append(
-                    f"{path}:{lineno}: skipped unreadable diagnosis line: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-    return RunLogRecords(out, warnings)
+def read_diagnoses(path: Union[str, Path]) -> JsonlRecords:
+    """Every diagnosis a :class:`DiagnosisWriter` wrote (see
+    :func:`~repro.obs.runlog.read_jsonl`): a line that does not rebuild a
+    :class:`PolicyDiagnosis`, an unknown schema version included, is
+    skipped with a ``file:line`` warning."""
+    return read_jsonl(path, PolicyDiagnosis.from_json, "diagnosis")

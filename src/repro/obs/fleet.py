@@ -20,22 +20,23 @@ baseline, naming the per-phase culprit from the stored
 :mod:`~repro.obs.profile` attribution.
 
 Like the run-log, the ledger is append-only JSONL, flushed per line,
-and safe to concatenate.  Its reader tolerates a truncated or corrupt
-trailing line (the crashed-mid-write case) by skipping it with a
-provenance warning instead of raising — history should survive a crash.
+and safe to concatenate: it goes through the run-log's one writer and
+one tolerant reader, which skips a truncated or corrupt trailing line
+(the crashed-mid-write case) with a provenance warning instead of
+raising — history should survive a crash.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import repro
+from repro.obs.runlog import JsonlLog, JsonlRecords, read_jsonl
 
 #: Bump when the fleet record layout changes incompatibly.
 #: Version 2 added host calibration (``host_score``) and the per-phase
@@ -137,75 +138,23 @@ class FleetRecord:
         return {phase: seconds for phase, seconds in self.phases}
 
 
-class FleetLedger:
-    """Appends :class:`FleetRecord` lines to the ledger file.
-
-    Mirrors :class:`repro.obs.runlog.RunLogWriter`: lazy open on first
-    write (configuring a ledger path never creates an empty file),
-    flush per record, idempotent :meth:`close`, context-manager ready.
-    """
+class FleetLedger(JsonlLog):
+    """Appends :class:`FleetRecord` lines to the ledger file, through the
+    one JSONL writer (:class:`~repro.obs.runlog.JsonlLog`)."""
 
     def __init__(self, path: Union[str, Path] = DEFAULT_FLEET_PATH):
-        self.path = Path(path)
-        self._handle: Optional[IO[str]] = None
-        self.written = 0
-
-    def append(self, record: FleetRecord) -> None:
-        """Append one sweep record and flush it to disk."""
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
-        self._handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
-        self._handle.flush()
-        self.written += 1
-
-    def close(self) -> None:
-        """Close the underlying file (no-op if never written to)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "FleetLedger":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        super().__init__(path)
 
 
-@dataclass(frozen=True)
-class FleetHistory:
-    """A parsed ledger: records plus reader-level provenance warnings."""
+def read_fleet(path: Union[str, Path]) -> JsonlRecords:
+    """The ledger's records, oldest line first (see
+    :func:`~repro.obs.runlog.read_jsonl`).
 
-    records: Tuple[FleetRecord, ...]
-    warnings: Tuple[str, ...] = ()
-
-
-def read_fleet(path: Union[str, Path]) -> FleetHistory:
-    """Parse the fleet ledger, tolerating damaged lines.
-
-    Unlike a run-log (where a bad line voids the cell audit), the fleet
-    ledger is operational history — a truncated trailing line from a
-    crashed sweep must not make every *earlier* sweep unreadable.  Bad
-    lines are skipped and reported in ``warnings``.
+    The ledger is operational history: a truncated trailing line from a
+    crashed sweep must not make every *earlier* sweep unreadable, so bad
+    lines are skipped and reported in the list's ``warnings``.
     """
-    records: List[FleetRecord] = []
-    warnings: List[str] = []
-    path = Path(path)
-    with path.open() as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                if not isinstance(raw, dict):
-                    raise ValueError("not a JSON object")
-                records.append(_from_json(raw))
-            except (ValueError, TypeError, KeyError) as exc:
-                warnings.append(
-                    f"{path}:{lineno}: skipped unreadable fleet record "
-                    f"(truncated write?): {exc}"
-                )
-    return FleetHistory(records=tuple(records), warnings=tuple(warnings))
+    return read_jsonl(path, _from_json, "fleet")
 
 
 def _from_json(raw: dict) -> FleetRecord:

@@ -20,14 +20,15 @@ on the system-wide ``perf_counter`` timebase, from two sources:
 
 The timeline has two readings of the same spans:
 
-- the exclusive per-phase reduction (:meth:`SweepTimeline.phase_seconds`)
-  that ``--phases`` prints and every fleet record stores.  It counts the
-  stages :data:`PHASE_ORDER` names; an interval nested inside another
-  of its group is charged to the inner phase and subtracted from the
-  outer, so per-phase seconds sum without double counting.
-  :meth:`SweepTimeline.coverage` reports the fraction of sweep wall
-  time the phase intervals explain — the acceptance bar is >= 95 % on
-  a serial sweep and on a cold pooled one under every start method;
+- the per-phase reduction (:meth:`SweepTimeline.phase_seconds`) that
+  ``--phases`` prints and every fleet record stores: the summed lengths
+  of the spans of each stage :data:`PHASE_ORDER` names.  No phase span
+  nests inside another on its lane — the engine stamps its stages one
+  after another and a cell's stamps follow each other — so the sums
+  count no second twice.  :meth:`SweepTimeline.coverage` reports the
+  fraction of sweep wall time the phase intervals explain — the
+  acceptance bar is >= 95 % on a serial sweep and on a cold pooled one
+  under every start method;
 - the Chrome trace (:meth:`SweepTimeline.chrome_trace`) that
   ``--sweep-trace`` writes: an engine lane, one lane per pool worker
   with each cell's span around its stamps, cache-hit instants, and the
@@ -110,20 +111,16 @@ class Span(NamedTuple):
 
 
 class SweepTimeline:
-    """Every stage of a sweep, stamped once, in nesting groups.
+    """Every stage of a sweep, stamped once, as one flat span list.
 
-    Spans arrive in *groups*: one per engine-side stage and one per
-    executed cell (that cell's worker-side stamps, under a trace-only
-    span named after the cell).  Nesting is resolved within a group
-    only — two cells running on different pool workers overlap in wall
-    time without either nesting in the other, so cross-group
-    subtraction would be wrong.
-
-    Only the engine's own thread records into a timeline.
+    The engine adds one span per engine-side stage and, per executed
+    cell, that cell's worker-side stamps under a trace-only span named
+    after the cell.  Only the engine's own thread records into a
+    timeline.
     """
 
     def __init__(self) -> None:
-        self._groups: List[Tuple[Span, ...]] = []
+        self._spans: List[Span] = []
         self._instants: List[Tuple[str, float, Tuple[Tuple[str, object], ...]]] = []
         self._lanes: Dict[int, str] = {LANE_ENGINE: "engine"}
         self._pid = os.getpid()
@@ -142,9 +139,9 @@ class SweepTimeline:
     def add_stage(
         self, name: str, t_start: float, t_end: float, **args: object
     ) -> None:
-        """Record one engine-side span (its own group)."""
-        self._groups.append(
-            (Span(name, t_start, t_end, LANE_ENGINE, tuple(sorted(args.items()))),)
+        """Record one engine-side span."""
+        self._spans.append(
+            Span(name, t_start, t_end, LANE_ENGINE, tuple(sorted(args.items())))
         )
 
     def add_cell(
@@ -155,7 +152,7 @@ class SweepTimeline:
         ordinal: int,
         **args: object,
     ) -> None:
-        """Record one executed cell's worker-side stamps as a group.
+        """Record one executed cell's worker-side stamps.
 
         A cell the engine ran in-process goes on the engine lane; a pool
         worker's goes on lane ``ordinal + 1``, named after the worker's
@@ -174,7 +171,7 @@ class SweepTimeline:
             label, cell[0].t_start, cell[-1].t_end, lane,
             tuple(sorted(args.items())),
         ))
-        self._groups.append(tuple(spans))
+        self._spans += spans
 
     def add_instant(self, name: str, **args: object) -> None:
         """Record a point event on the engine lane, now."""
@@ -182,29 +179,16 @@ class SweepTimeline:
 
     # -- the phase reduction ----------------------------------------------------
 
-    def _phase_groups(self) -> Iterator[List[Span]]:
-        for group in self._groups:
-            yield [s for s in group if s.name in PHASE_ORDER and s.t_end > s.t_start]
+    def _phase_spans(self) -> List[Span]:
+        return [
+            s for s in self._spans if s.name in PHASE_ORDER and s.t_end > s.t_start
+        ]
 
     def phase_seconds(self) -> Dict[str, float]:
-        """Exclusive seconds per phase (worker-seconds, not wall).
-
-        Within a group, an interval strictly contained in a longer one
-        is charged to itself and subtracted from the container, so no
-        second counts twice.
-        """
+        """Summed span seconds per phase (worker-seconds, not wall)."""
         totals: Dict[str, float] = {}
-        for group in self._phase_groups():
-            for i, (phase, t0, t1, _, _) in enumerate(group):
-                length = t1 - t0
-                nested = sum(
-                    b1 - b0
-                    for j, (_, b0, b1, _, _) in enumerate(group)
-                    if j != i and b0 >= t0 and b1 <= t1 and (b1 - b0) < length
-                )
-                totals[phase] = totals.get(phase, 0.0) + max(
-                    0.0, length - nested
-                )
+        for phase, t0, t1, _, _ in self._phase_spans():
+            totals[phase] = totals.get(phase, 0.0) + (t1 - t0)
         return totals
 
     def accounted_s(self) -> float:
@@ -214,9 +198,7 @@ class SweepTimeline:
         cover the same wall second once.  This is what
         :meth:`coverage` compares against the sweep's wall time.
         """
-        spans = sorted(
-            (s.t_start, s.t_end) for group in self._phase_groups() for s in group
-        )
+        spans = sorted((s.t_start, s.t_end) for s in self._phase_spans())
         total = 0.0
         cur_start: Optional[float] = None
         cur_end = 0.0
@@ -257,7 +239,7 @@ class SweepTimeline:
         Structurally valid under
         :func:`repro.obs.trace.validate_chrome_trace`.
         """
-        spans = [span for group in self._groups for span in group]
+        spans = self._spans
         t0 = min(
             [s.t_start for s in spans] + [t for _, t, _ in self._instants],
             default=0.0,
@@ -373,3 +355,7 @@ class SweepObserver:
 
     def on_batch_end(self) -> None:
         """The top-level batch is served (or failed)."""
+
+    def close(self) -> None:
+        """Release what the observer holds; the engine's ``close`` calls
+        it once the sweep is over."""

@@ -349,15 +349,6 @@ def _bench_cells(record: dict) -> List[str]:
             f"<= {record.get('max_telemetry_overhead_pct', '?')}%",
             setup,
         ]
-    if name == "profile_overhead" and "profile_overhead_pct" in record:
-        return [
-            name,
-            f"phase profiling +{record['profile_overhead_pct']:g}% "
-            f"({record.get('phases_seen', '?')} phases, "
-            f"{record.get('coverage_pct', '?')}% wall accounted)",
-            f"<= {record.get('max_profile_overhead_pct', '?')}%",
-            setup,
-        ]
     if name == "sweep_throughput" and "new_cells_per_s" in record:
         return [
             name,

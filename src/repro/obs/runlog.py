@@ -12,6 +12,9 @@ Records are flushed line-by-line, so a log is readable (and every
 completed cell is preserved) even if the sweep crashes mid-grid.  The
 format is append-only JSONL: one self-describing object per line, no
 header, safe to concatenate across sweeps sharing a log file.
+:class:`JsonlLog` and :func:`read_jsonl` are the one writer and the one
+tolerant reader of every sweep log: this run-log, the diagnosis log
+(:mod:`repro.obs.diagnose`) and the fleet ledger (:mod:`repro.obs.fleet`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Callable, List, Optional, Tuple, Union
 
 import repro
 from repro.obs.profile import SweepObserver
@@ -90,13 +93,15 @@ class RunLogRecord:
         return {"v": RUN_LOG_VERSION, **asdict(self)}
 
 
-class RunLogWriter(SweepObserver):
-    """Appends :class:`RunLogRecord` lines to a JSONL file.
+class JsonlLog:
+    """An append-only JSONL file: one key-sorted ``record.to_json()``
+    object per line.
 
-    Opens lazily on the first write (so merely configuring a log path
-    never creates an empty file) and flushes every record.  Usable as a
-    context manager; :meth:`close` is idempotent.  As a sweep observer
-    it logs one record per unique cell a sweep engine serves.
+    The run-log, the diagnosis log and the fleet ledger are all this
+    writer.  It opens the file lazily on the first :meth:`append` (so
+    merely configuring a path never creates an empty file) and flushes
+    every line, so each completed record survives a crash.  Usable as a
+    context manager; :meth:`close` is idempotent.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -104,7 +109,7 @@ class RunLogWriter(SweepObserver):
         self._handle: Optional[IO[str]] = None
         self.written = 0
 
-    def write(self, record: RunLogRecord) -> None:
+    def append(self, record) -> None:
         """Append one record and flush it to disk."""
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -112,6 +117,23 @@ class RunLogWriter(SweepObserver):
         self._handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
         self._handle.flush()
         self.written += 1
+
+    def close(self) -> None:
+        """Close the underlying file (no-op if never written to)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self) -> "JsonlLog":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class RunLogWriter(JsonlLog, SweepObserver):
+    """The run-log: as a sweep observer, it appends one
+    :class:`RunLogRecord` per unique cell a sweep engine serves."""
 
     def on_cache_hit(self, cell, key, result) -> None:
         self._log(cell, key, result, "hit")
@@ -125,7 +147,7 @@ class RunLogWriter(SweepObserver):
     def _log(
         self, cell, key, result, cache, wall_s=0.0, pid=None, ordinal=None
     ) -> None:
-        self.write(
+        self.append(
             RunLogRecord(
                 run_id=key,
                 policy=cell.policy.label,
@@ -144,66 +166,55 @@ class RunLogWriter(SweepObserver):
             )
         )
 
-    def close(self) -> None:
-        """Close the underlying file (no-op if never written to)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "RunLogWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 def now_unix() -> float:
     """Wall-clock timestamp for run-log records (patchable in tests)."""
     return time.time()
 
 
-class RunLogRecords(list):
-    """A parsed JSONL log — the run-log's record dicts, or the diagnosis
-    log's diagnoses — plus the reader-level warnings for lines that could
-    not be read.
+class JsonlRecords(list):
+    """The records :func:`read_jsonl` parsed, with one ``warnings``
+    entry per line it skipped."""
 
-    Being a ``list`` subclass keeps every existing caller working
-    unchanged; report code picks up :attr:`warnings` to surface skipped
-    lines next to the provenance warnings.
+    warnings: Tuple[str, ...] = ()
+
+
+def read_jsonl(
+    path: Union[str, Path], parse: Callable[[dict], object], kind: str
+) -> JsonlRecords:
+    """Parse a JSONL log back into its records, tolerating damage.
+
+    Blank lines are skipped.  A line that is not a JSON object, or that
+    ``parse`` rejects (``KeyError``, ``TypeError`` or ``ValueError``) —
+    the torn trailing line of a sweep that crashed mid-write, stray
+    corruption, an unknown schema version — is *skipped* rather than
+    raised: losing one record must not void every other line.  Each
+    skip is reported with its ``file:line`` in the returned list's
+    ``warnings``, so reports surface the damage instead of hiding it.
     """
-
-    def __init__(self, records: Iterable = (), warnings: Iterable[str] = ()):
-        super().__init__(records)
-        self.warnings: Tuple[str, ...] = tuple(warnings)
-
-
-def read_run_log(path: Union[str, Path]) -> RunLogRecords:
-    """Parse a JSONL run-log back into a list of record dicts.
-
-    Blank lines are skipped.  Malformed lines — the torn trailing line
-    of a sweep that crashed mid-write, or stray corruption — are
-    *skipped* rather than raised: losing one record must not void the
-    audit value of every other line.  Each skip is reported in the
-    returned list's ``warnings`` so reports surface the damage instead
-    of hiding it.
-    """
-    records: List[dict] = []
+    records = JsonlRecords()
     warnings: List[str] = []
-    for lineno, line in enumerate(_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("line is not a JSON object")
-        except ValueError as exc:
-            warnings.append(
-                f"{path}:{lineno}: skipped unreadable run-log line "
-                f"(truncated write?): {exc}"
-            )
-            continue
-        records.append(record)
-    return RunLogRecords(records, warnings)
+    with Path(path).open() as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)
+                if not isinstance(raw, dict):
+                    raise ValueError("line is not a JSON object")
+                records.append(parse(raw))
+            except (KeyError, TypeError, ValueError) as exc:
+                warnings.append(
+                    f"{path}:{lineno}: skipped unreadable {kind} line "
+                    f"(truncated write?): {type(exc).__name__}: {exc}"
+                )
+    records.warnings = tuple(warnings)
+    return records
+
+
+def read_run_log(path: Union[str, Path]) -> JsonlRecords:
+    """The run-log's record dicts (see :func:`read_jsonl`)."""
+    return read_jsonl(path, dict, "run-log")
 
 
 def provenance_warnings(records: List[dict]) -> List[str]:
@@ -229,8 +240,3 @@ def provenance_warnings(records: List[dict]) -> List[str]:
             + ", ".join(package_versions)
         )
     return warnings
-
-
-def _lines(path: Union[str, Path]) -> Iterator[str]:
-    with Path(path).open() as handle:
-        yield from handle

@@ -262,11 +262,40 @@ class TestSweepCellError:
         assert "seed=1" in str(err)
         assert isinstance(err.__cause__, ValueError)
 
-    def test_serial_path_keeps_the_raw_error(self):
-        # In-process failures already have a useful traceback; only the
-        # pool path needs the naming wrapper.
-        with pytest.raises(ValueError):
-            SweepEngine(jobs=1).run([cell(policy=PolicySpec("ondemand"))])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_batch_names_the_cell_and_closes_the_logs(
+        self, tmp_path, jobs
+    ):
+        # The same SweepCellError at every jobs, and leaving the engine's
+        # with block closes its logs with every line served before the
+        # failure intact.  const-132.7 is not an sa2 clock step.
+        from repro.obs.diagnose import DiagnosisWriter, read_diagnoses
+        from repro.obs.runlog import RunLogWriter, read_run_log
+
+        run_log = RunLogWriter(tmp_path / "runs.jsonl")
+        diagnoses = DiagnosisWriter(tmp_path / "diag.jsonl")
+        good = [cell(machine=SA2, use_daq=False, seed=s) for s in (0, 1)]
+        bad = cell(policy=PolicySpec("const-132.7"), machine=SA2,
+                   use_daq=False, seed=2)
+        with pytest.raises(SweepCellError) as excinfo:
+            with SweepEngine(
+                jobs=jobs, diagnose=True, observers=[run_log, diagnoses]
+            ) as engine:
+                engine.run(good)
+                served = read_run_log(run_log.path)
+                first = read_diagnoses(diagnoses.path)
+                engine.run([*good[:1], bad])
+        err = excinfo.value
+        assert err.cell == bad
+        assert isinstance(err.__cause__, ValueError)
+        assert "policy=const-132.7" in str(err)
+        assert run_log._handle is None and diagnoses._handle is None
+        logged = read_run_log(run_log.path)
+        assert logged.warnings == ()
+        assert logged[: len(served)] == served
+        assert "const-132.7" not in {r["policy"] for r in logged}
+        assert read_diagnoses(diagnoses.path) == first
+        assert [d.policy for d in first] == ["best", "best"]
 
 
 class TestSweepObservability:

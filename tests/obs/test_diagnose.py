@@ -297,8 +297,8 @@ class TestDiagnosisLog:
         diagnosis = diagnosis_for("const-132.7", "mpeg", 2.0)
         path = tmp_path / "diag.jsonl"
         with DiagnosisWriter(path) as log:
-            log.write(diagnosis)
-            log.write(diagnosis)
+            log.append(diagnosis)
+            log.append(diagnosis)
         assert log.written == 2
         assert read_diagnoses(path) == [diagnosis, diagnosis]
 

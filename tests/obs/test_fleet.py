@@ -51,8 +51,8 @@ class TestLedger:
             ledger.append(record(sweep_id="x", cells_cached=2))
         history = read_fleet(path)
         assert history.warnings == ()
-        assert len(history.records) == 2
-        first = history.records[0]
+        assert len(history) == 2
+        first = history[0]
         assert first == record()
         assert first.policies == ("best", "past-peg")
 
@@ -77,7 +77,7 @@ class TestLedger:
         with path.open("a") as handle:
             handle.write('{"v": 1, "sweep_id": "torn')
         history = read_fleet(path)
-        assert len(history.records) == 1
+        assert len(history) == 1
         assert len(history.warnings) == 1
         assert "fleet.jsonl:2" in history.warnings[0]
         assert "truncated write?" in history.warnings[0]
@@ -86,7 +86,7 @@ class TestLedger:
         path = tmp_path / "fleet.jsonl"
         path.write_text("[1, 2]\n")
         history = read_fleet(path)
-        assert history.records == ()
+        assert history == []
         assert len(history.warnings) == 1
 
     def test_unknown_fields_ignored(self, tmp_path):
@@ -96,7 +96,7 @@ class TestLedger:
         raw["future_field"] = {"nested": True}
         path.write_text(json.dumps(raw) + "\n")
         history = read_fleet(path)
-        assert history.records[0].sweep_id == record().sweep_id
+        assert history[0].sweep_id == record().sweep_id
 
     def test_cache_hit_rate(self):
         assert record(cells_cached=3).cache_hit_rate == 0.5
@@ -110,7 +110,7 @@ class TestLedger:
         )
         with FleetLedger(path) as ledger:
             ledger.append(rec)
-        loaded = read_fleet(path).records[0]
+        loaded = read_fleet(path)[0]
         assert loaded == rec
         assert loaded.phase_seconds == {
             "kernel compute": 0.4, "result IPC": 0.05,
@@ -131,7 +131,7 @@ class TestLedger:
         path.write_text(json.dumps(raw) + "\n")
         history = read_fleet(path)
         assert history.warnings == ()
-        loaded = history.records[0]
+        loaded = history[0]
         assert loaded.host_score == 0.0
         assert loaded.phases == ()
         assert loaded.normalized_cells_per_s is None
@@ -141,7 +141,7 @@ class TestLedger:
         rec = record(start_method="forkserver", python="3.12.4")
         with FleetLedger(path) as ledger:
             ledger.append(rec)
-        assert read_fleet(path).records[0] == rec
+        assert read_fleet(path)[0] == rec
         raw = json.loads(path.read_text())
         assert raw["v"] == 3
         assert raw["start_method"] == "forkserver"
@@ -159,7 +159,7 @@ class TestLedger:
         path.write_text(json.dumps(raw) + "\n")
         history = read_fleet(path)
         assert history.warnings == ()
-        loaded = history.records[0]
+        loaded = history[0]
         assert (loaded.start_method, loaded.python) == ("", "")
         assert loaded == record()
 
@@ -170,7 +170,7 @@ class TestLedger:
         raw = record().to_json()
         raw["phases"] = [["kernel compute", 0.25]]
         path.write_text(json.dumps(raw) + "\n")
-        loaded = read_fleet(path).records[0]
+        loaded = read_fleet(path)[0]
         assert loaded.phases == (("kernel compute", 0.25),)
 
     def test_normalized_throughput(self):

@@ -27,7 +27,7 @@ from repro.workloads.mpeg import MpegConfig
 
 
 def add_group(timeline, stamps):
-    """Record ``stamps`` as one pool cell's nesting group."""
+    """Record ``stamps`` as one pool cell's worker-side stamps."""
     timeline.add_cell("cell", stamps, pid=1, ordinal=0)
 
 
@@ -47,21 +47,9 @@ class TestAccounting:
         timeline.add_stage(PHASE_CACHE, 2.0, 1.0)
         assert timeline.phase_seconds() == {}
 
-    def test_nested_interval_charged_exclusively(self):
-        # Reduction runs inside the compute interval: the inner phase
-        # keeps its time, the outer is charged only the remainder.
-        timeline = SweepTimeline()
-        add_group(timeline, [
-            (PHASE_COMPUTE, 0.0, 10.0),
-            (PHASE_REDUCE, 7.0, 9.0),
-        ])
-        seconds = timeline.phase_seconds()
-        assert seconds[PHASE_COMPUTE] == pytest.approx(8.0)
-        assert seconds[PHASE_REDUCE] == pytest.approx(2.0)
-
     def test_identical_intervals_do_not_cancel(self):
-        # Two equal-length intervals contain each other; strictly-shorter
-        # subtraction must not zero both out.
+        # Each phase is charged its own span's length, even where two
+        # spans cover the same seconds.
         timeline = SweepTimeline()
         add_group(timeline, [
             (PHASE_COMPUTE, 0.0, 5.0),
@@ -72,8 +60,8 @@ class TestAccounting:
         assert seconds[PHASE_REDUCE] == pytest.approx(5.0)
 
     def test_no_cross_group_subtraction(self):
-        # Two cells on different workers overlap in wall time without
-        # either nesting in the other.
+        # Two cells on different workers overlap in wall time: each is
+        # charged its full length (worker-seconds, not wall).
         timeline = SweepTimeline()
         add_group(timeline, [(PHASE_COMPUTE, 0.0, 10.0)])
         add_group(timeline, [(PHASE_COMPUTE, 2.0, 8.0)])
@@ -292,6 +280,34 @@ class TestEngineIntegration:
         )
         # Stored pairs are sorted for a deterministic ledger line.
         assert list(record.phases) == sorted(record.phases)
+
+    def test_no_phase_span_nests_in_another_on_its_lane(self, tmp_path):
+        # What lets phase_seconds sum plain span lengths: on a real
+        # diagnosed, cached, pooled sweep (a cold batch, then one that
+        # half hits the cache) every phase span of a lane starts after
+        # the one before it ends, or at least is not inside it.
+        timeline = SweepTimeline()
+        with SweepEngine(
+            jobs=2, diagnose=True, timeline=timeline,
+            cache=ResultCache(tmp_path / "cache"),
+        ) as engine:
+            engine.run(self.cells(duration_s=2.0))
+            engine.run(self.cells(duration_s=2.0, seeds=(1, 2)))
+        lanes = {}
+        for event in timeline.chrome_trace()["traceEvents"]:
+            if event["ph"] == "X" and event["name"] in PHASE_ORDER \
+                    and event["dur"] > 0:
+                lanes.setdefault(event["tid"], []).append(
+                    (event["ts"], event["ts"] + event["dur"], event["name"])
+                )
+        assert len(lanes) >= 2  # the engine lane and a worker lane
+        for lane, spans in lanes.items():
+            for i, (a0, a1, outer) in enumerate(spans):
+                for j, (b0, b1, inner) in enumerate(spans):
+                    assert i == j or not (a0 <= b0 and b1 <= a1), (
+                        f"lane {lane}: {inner} [{b0}, {b1}] nests in "
+                        f"{outer} [{a0}, {a1}] under {engine.start_method}"
+                    )
 
     def test_phase_order_covers_engine_phases(self):
         # Every phase the engine can emit renders in canonical order.

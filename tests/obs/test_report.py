@@ -204,28 +204,6 @@ class TestPerfHistory:
         assert "<h2>Perf history</h2>" in text
         assert "fastpath 2.9x over full recorders" in text
 
-    def test_profile_overhead_renders(self):
-        text = render_report(
-            build_report(
-                [record()],
-                bench_records=[dict(
-                    benchmark="profile_overhead",
-                    machine="itsy",
-                    workload="mpeg",
-                    duration_s=60.0,
-                    profile_overhead_pct=0.0,
-                    max_profile_overhead_pct=5.0,
-                    phases_seen=5,
-                    coverage_pct=99.7,
-                )],
-            ),
-            FORMAT_MARKDOWN,
-        )
-        assert "phase profiling +0%" in text
-        assert "5 phases" in text
-        assert "99.7% wall accounted" in text
-        assert "<= 5.0%" in text
-
     def test_unknown_benchmark_falls_back_to_numeric_dump(self):
         text = render_report(
             build_report(

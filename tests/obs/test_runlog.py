@@ -44,8 +44,8 @@ class TestWriter:
     def test_appends_jsonl(self, tmp_path):
         path = tmp_path / "log.jsonl"
         with RunLogWriter(path) as log:
-            log.write(record())
-            log.write(record(seed=1, cache="hit", wall_s=0.0))
+            log.append(record())
+            log.append(record(seed=1, cache="hit", wall_s=0.0))
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])
@@ -62,13 +62,13 @@ class TestWriter:
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "dir" / "log.jsonl"
         with RunLogWriter(path) as log:
-            log.write(record())
+            log.append(record())
         assert path.exists()
 
     def test_written_counter(self, tmp_path):
         log = RunLogWriter(tmp_path / "log.jsonl")
         assert log.written == 0
-        log.write(record())
+        log.append(record())
         assert log.written == 1
         log.close()
 
@@ -77,7 +77,7 @@ class TestReader:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "log.jsonl"
         with RunLogWriter(path) as log:
-            log.write(record())
+            log.append(record())
         records = read_run_log(path)
         assert len(records) == 1
         assert records[0]["run_id"] == "abc123"
@@ -116,7 +116,7 @@ class TestReader:
     def test_clean_log_has_no_warnings(self, tmp_path):
         path = tmp_path / "log.jsonl"
         with RunLogWriter(path) as log:
-            log.write(record())
+            log.append(record())
         assert read_run_log(path).warnings == ()
 
 

@@ -346,7 +346,7 @@ class TestSweepOptions:
 
         assert main(["run", "mpeg", "--duration", "1"]) == 0
         assert "sweep: 1 simulated, 0 cached" in capsys.readouterr().err
-        [rec] = read_fleet(Path(".repro") / "fleet.jsonl").records
+        [rec] = read_fleet(Path(".repro") / "fleet.jsonl")
         assert rec.command == "run"
         assert rec.jobs == 1
 
@@ -415,6 +415,26 @@ class TestSweepOptions:
         serial_out = capsys.readouterr().out
         assert main(["ideal", "mpeg", "--duration", "10", "--jobs", "4"]) == 0
         assert capsys.readouterr().out == serial_out
+
+    def test_failed_cell_ends_alike_at_every_jobs(self, capsys):
+        # 1.23 V is not a stock Itsy voltage, so the search's first
+        # constant step fails as a cell — not as "no feasible step" — and
+        # the sweep ends with the same error in-process and pooled,
+        # unrecorded.
+        argv = ["ideal", "mpeg", "--duration", "1",
+                "--machine", "itsy-stock@1.23"]
+        errors = []
+        for jobs in ("1", "2"):
+            assert main([*argv, "--jobs", jobs]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(
+            "error: sweep cell failed (policy=const-59.0 workload=mpeg "
+            "machine=itsy-stock@1.23 seed=0): ValueError: "
+        )
+        assert not Path(".repro").exists()
 
     def test_battery_rejects_sweep_flags(self, capsys):
         # battery is analytic: it runs no sweep, so it takes no sweep flags.
@@ -560,8 +580,8 @@ class TestTelemetryOptions:
         capsys.readouterr()
         history = read_fleet(ledger)
         assert history.warnings == ()
-        assert len(history.records) == 2
-        rec = history.records[0]
+        assert len(history) == 2
+        rec = history[0]
         assert rec.command == "run"
         assert rec.workloads == ("mpeg",)
         assert rec.cells_total == 1
@@ -670,7 +690,7 @@ class TestFleetSentinel:
 
         from repro.obs.fleet import FleetLedger, read_fleet
 
-        last = read_fleet(ledger).records[-1]
+        last = read_fleet(ledger)[-1]
         phases = dict(last.phases)
         phases["result IPC"] = (
             phases.get("result IPC", 0.0) + (slowdown - 1.0) * last.wall_s
@@ -745,7 +765,7 @@ class TestFleetSentinel:
 
         ledger = tmp_path / "fleet.jsonl"
         self.populate(ledger, capsys, runs=1)
-        [rec] = read_fleet(ledger).records
+        [rec] = read_fleet(ledger)
         assert "kernel compute" in rec.phase_seconds
 
     def test_damaged_ledger_line_warns_on_stderr(self, tmp_path, capsys):
@@ -803,7 +823,7 @@ class TestCalibrateCommand:
              "--jobs", "2", "--fleet", str(ledger)]
         ) == 0
         capsys.readouterr()
-        [rec] = read_fleet(ledger).records
+        [rec] = read_fleet(ledger)
         assert rec.host_score > 0
         assert rec.normalized_cells_per_s is not None
 
