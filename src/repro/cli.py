@@ -115,21 +115,14 @@ from repro.measure.stats import confidence_interval
 # plots) are imported inside the commands and branches that run them, so
 # a sweep served from the cache loads neither them nor numpy.
 
-#: What the workload positional accepts: the sweep workloads, in
-#: registry order.  The ``replay`` axis is deliberately absent: it is
-#: named by a trace, not by a duration, so it is built from corpus
-#: entries (``repro fuzz --corpus``), not by name.
-CLI_WORKLOADS = [name for name in WORKLOAD_BUILDERS if name != "replay"]
-
-
 def workload_spec(name: str, duration_s: Optional[float] = None) -> WorkloadSpec:
     """Map a workload name (mpeg/web/chess/editor/fuzz) to a sweep spec.
 
     Raises:
         ValueError: for unknown names.
     """
-    if name not in CLI_WORKLOADS:
-        raise ValueError(f"unknown workload {name!r} ({'/'.join(CLI_WORKLOADS)})")
+    if name not in WORKLOAD_BUILDERS:
+        raise ValueError(f"unknown workload {name!r} ({'/'.join(WORKLOAD_BUILDERS)})")
     _, config_type = WORKLOAD_BUILDERS[name]
     return WorkloadSpec(
         name=name,
@@ -820,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one workload under one policy",
         parents=[sweep_opts, backend_opts, machine_opts],
     )
-    run_parser.add_argument("workload", choices=CLI_WORKLOADS)
+    run_parser.add_argument("workload", choices=WORKLOAD_BUILDERS)
     run_parser.add_argument("--policy", default="best")
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--duration", type=float, default=None,
@@ -844,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="compare two policies on one workload (Welch t-test)",
         parents=[machine_opts],
     )
-    cmp_parser.add_argument("workload", choices=CLI_WORKLOADS)
+    cmp_parser.add_argument("workload", choices=WORKLOAD_BUILDERS)
     cmp_parser.add_argument("policy_a")
     cmp_parser.add_argument("policy_b")
     cmp_parser.add_argument("--runs", type=int, default=3)
@@ -855,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ideal", help="find the cheapest feasible constant clock step",
         parents=[sweep_opts, backend_opts, machine_opts],
     )
-    ideal_parser.add_argument("workload", choices=CLI_WORKLOADS)
+    ideal_parser.add_argument("workload", choices=WORKLOAD_BUILDERS)
     ideal_parser.add_argument("--seed", type=int, default=0)
     ideal_parser.add_argument("--duration", type=float, default=None)
     ideal_parser.set_defaults(func=cmd_ideal)
@@ -865,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export one traced run as Chrome trace-event JSON (Perfetto)",
         parents=[backend_opts, machine_opts],
     )
-    trace_parser.add_argument("workload", choices=CLI_WORKLOADS)
+    trace_parser.add_argument("workload", choices=WORKLOAD_BUILDERS)
     trace_parser.add_argument("--policy", default="best")
     trace_parser.add_argument("--seed", type=int, default=0)
     trace_parser.add_argument("--duration", type=float, default=None,
@@ -881,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[backend_opts, machine_opts],
     )
     diag_parser.add_argument("policy")
-    diag_parser.add_argument("workload", choices=CLI_WORKLOADS)
+    diag_parser.add_argument("workload", choices=WORKLOAD_BUILDERS)
     diag_parser.add_argument("--seed", type=int, default=0)
     diag_parser.add_argument("--duration", type=float, default=None,
                              help="override trace length (seconds)")

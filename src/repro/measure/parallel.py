@@ -95,7 +95,6 @@ from repro.workloads.chess import ChessConfig, chess_workload
 from repro.workloads.editor import EditorConfig, editor_workload
 from repro.workloads.fuzz import FuzzSpec, fuzz_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
-from repro.workloads.replay import ReplayConfig, replay_config_workload
 from repro.workloads.web import WebConfig, web_workload
 
 if TYPE_CHECKING:
@@ -119,7 +118,6 @@ WORKLOAD_BUILDERS: Dict[str, Tuple[Callable[..., Workload], type]] = {
     "chess": (chess_workload, ChessConfig),
     "editor": (editor_workload, EditorConfig),
     "fuzz": (fuzz_workload, FuzzSpec),
-    "replay": (replay_config_workload, ReplayConfig),
 }
 
 
@@ -129,7 +127,7 @@ class WorkloadSpec:
 
     Attributes:
         name: key into :data:`WORKLOAD_BUILDERS`
-            (mpeg/web/chess/editor/fuzz/replay).
+            (mpeg/web/chess/editor/fuzz).
         config: workload config dataclass, or None for the default.  A
             ``None`` config digests identically to an explicitly passed
             default-constructed config.

@@ -20,11 +20,13 @@ runs with and without observability to bitwise equality):
 - :mod:`repro.obs.diagnose` — per-run :class:`PolicyDiagnosis`: settling
   detection, prediction-error ledger, deadline-miss attribution, and the
   excess-energy decomposition against the ideal-constant oracle;
-- :mod:`repro.obs.report` — run-log + diagnosis aggregation rendered as
-  markdown or self-contained HTML.
+- :mod:`repro.obs.report` — run-log + diagnosis aggregation, built once
+  as a list of blocks and rendered as markdown or self-contained HTML.
 
-:mod:`repro.obs.telemetry` holds the live ``--progress`` display.  Fleet
-analytics ride the same seams: :mod:`repro.obs.calibrate`
+:mod:`repro.obs.telemetry` holds the live ``--progress`` line: one
+sweep observer, :class:`ProgressDisplay`, that draws it from the
+engine's heartbeats when its stream is a terminal.  Fleet analytics
+ride the same seams: :mod:`repro.obs.calibrate`
 scores the host so throughput normalizes across machines,
 :mod:`repro.obs.fleet` keeps the ledger of past sweeps and runs the
 perf-regression sentinel (:func:`check_fleet`), and

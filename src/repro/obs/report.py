@@ -4,10 +4,13 @@ A finished sweep leaves two artifacts behind: the JSONL run-log (one
 audit record per cell) and, when diagnosis was enabled, a JSONL diagnosis
 log (one :class:`~repro.obs.diagnose.PolicyDiagnosis` per executed cell).
 This module folds them into a single self-contained report — Table-2
-style rows per policy x workload x machine, with settling verdicts and
-energy decompositions joined in where available — rendered as markdown
-or as standalone HTML (inline CSS, no external assets, opens from a CI
-artifact without a web server).  Committed ``BENCH_*.json`` perf records
+style rows per policy x workload x machine x duration, with settling
+verdicts and energy decompositions joined in where available.  A report
+is built once as an ordered list of blocks (headings, paragraphs,
+warnings, tables, bullet lists, preformatted text and SVG figures), and
+both renderers read that one list: markdown, or standalone HTML (inline
+CSS, no external assets, opens from a CI artifact without a web
+server).  Committed ``BENCH_*.json`` perf records
 can ride along as a "Perf history" section, so one document carries both
 the science and the cost of producing it.  Fleet-ledger sweeps render as
 a "Fleet history" section — per-sweep table with host-normalized
@@ -38,11 +41,13 @@ FORMAT_HTML = "html"
 
 @dataclass
 class ReportRow:
-    """Aggregate of every run-log record sharing one sweep cell label."""
+    """Aggregate of every run-log record sharing one sweep cell label and
+    simulated length."""
 
     policy: str
     workload: str
     machine: str
+    duration_us: float
     runs: int = 0
     cache_hits: int = 0
     energy_sum_j: float = 0.0
@@ -106,8 +111,9 @@ def build_report(
 ) -> SweepReport:
     """Aggregate run-log records (and optional diagnoses) into a report.
 
-    Records group by ``(policy, workload, machine)``; diagnoses join onto
-    their matching group by the same labels.  Diagnoses without a
+    Records group by ``(policy, workload, machine, duration_us)``, so
+    runs of different lengths never share a mean; diagnoses join onto
+    their matching group by the same key.  Diagnoses without a
     matching record still appear (as diagnosis-only rows), so a report
     built from a diagnosis log alone is not empty.  ``bench_records``
     (parsed ``BENCH_*.json`` perf records, as the benchmark suite
@@ -119,21 +125,15 @@ def build_report(
     :func:`~repro.obs.diagnose.read_diagnoses` report skipped lines
     there) surface next to the provenance warnings.
     """
-    rows: Dict[Tuple[str, str, str], ReportRow] = {}
-
-    def row_for(key: Tuple[str, str, str]) -> ReportRow:
-        if key not in rows:
-            rows[key] = ReportRow(*key)
-        return rows[key]
-
+    rows: Dict[Tuple[str, str, str, float], ReportRow] = {}
     for record in records:
-        row = row_for(
-            (
-                str(record.get("policy", "?")),
-                str(record.get("workload", "?")),
-                str(record.get("machine", "?")),
-            )
+        key = (
+            str(record.get("policy", "?")),
+            str(record.get("workload", "?")),
+            str(record.get("machine", "?")),
+            float(record.get("duration_us", 0.0)),
         )
+        row = rows.setdefault(key, ReportRow(*key))
         row.runs += 1
         if record.get("cache") == "hit":
             row.cache_hits += 1
@@ -144,13 +144,13 @@ def build_report(
         row.miss_count += int(record.get("miss_count", 0))
         row.wall_s += float(record.get("wall_s", 0.0))
 
-    for diagnosis in diagnoses:
-        row_for(
-            (diagnosis.policy, diagnosis.workload, diagnosis.machine)
-        ).diagnoses.append(diagnosis)
+    for d in diagnoses:
+        key = (d.policy, d.workload, d.machine, d.duration_us)
+        rows.setdefault(key, ReportRow(*key)).diagnoses.append(d)
 
     ordered = tuple(
-        rows[key] for key in sorted(rows, key=lambda k: (k[1], k[2], k[0]))
+        rows[key]
+        for key in sorted(rows, key=lambda k: (k[1], k[3], k[2], k[0]))
     )
     reader_warnings = tuple(getattr(records, "warnings", ())) + tuple(
         getattr(diagnoses, "warnings", ())
@@ -225,64 +225,127 @@ def render_report(report: SweepReport, fmt: str = FORMAT_MARKDOWN) -> str:
         ValueError: for unknown format names.
     """
     if fmt == FORMAT_MARKDOWN:
-        return _render_markdown(report)
+        return _render_markdown(_report_blocks(report))
     if fmt == FORMAT_HTML:
-        return _render_html(report)
+        return _render_html(_report_blocks(report))
     raise ValueError(
         f"unknown report format {fmt!r}; "
         f"expected {FORMAT_MARKDOWN!r} or {FORMAT_HTML!r}"
     )
 
 
+# Both renderers read one ordered list of blocks.  A block is a tuple
+# whose first item names its kind: ("heading", level, text),
+# ("paragraph", text), ("warning", texts), ("table", header, rows),
+# ("bullets", items), ("pre", text), or ("svg", figures), where figures
+# is a callable returning inline SVG documents (HTML only).  A bullet
+# item is a tuple of spans ``(style, text)``: style "" is plain text,
+# "b" bold, and any other a CSS class.  A table cell is a string or a
+# span.
+Block = Tuple
+Span = Tuple[str, str]
+
+
+def _report_blocks(report: SweepReport) -> List[Block]:
+    """The report's content, in order, for either renderer."""
+    blocks: List[Block] = [("heading", 1, "Sweep report")]
+    if report.rows or not report.fleet:
+        blocks.append((
+            "paragraph",
+            f"{report.total_runs} runs ({report.total_cache_hits} cached), "
+            f"{report.total_wall_s:.1f} s simulated wall time.",
+        ))
+    if report.warnings:
+        blocks.append(("warning", report.warnings))
+    if report.rows:
+        blocks.append(("table", _HEADER, [_row_cells(row) for row in report.rows]))
+    diagnoses = [d for row in report.rows for d in row.diagnoses]
+    if diagnoses:
+        blocks.append(("heading", 2, "Diagnoses"))
+        blocks.append(("bullets", [_diagnosis_spans(d) for d in diagnoses]))
+    if report.bench:
+        blocks.append(("heading", 2, "Perf history"))
+        blocks.append(
+            ("table", _BENCH_HEADER, [_bench_cells(r) for r in report.bench])
+        )
+    if report.fleet:
+        from repro.obs.plot import fleet_charts
+
+        fleet = sorted(report.fleet, key=lambda r: r.unix_time)
+        blocks.append(("heading", 2, "Fleet history"))
+        blocks.append(("paragraph", throughput_trend(report.fleet)))
+        # Inline-SVG trend curves: throughput, cache-hit rate, phase mix
+        # over commits — self-contained, no scripts or external assets.
+        blocks.append(("svg", lambda: fleet_charts(fleet)))
+        blocks.append(("table", _FLEET_HEADER, [_fleet_cells(r) for r in fleet]))
+        phase_totals = _fleet_phase_seconds(report.fleet)
+        if phase_totals:
+            from repro.obs.profile import format_phase_table
+
+            blocks.append(("heading", 3, "Where the time went"))
+            blocks.append(("pre", format_phase_table(phase_totals)))
+    return blocks
+
+
 def _fmt(value: Optional[float], digits: int = 2) -> str:
     return "-" if value is None else f"{value:.{digits}f}"
 
 
-def _row_cells(row: ReportRow) -> List[str]:
+def _row_cells(row: ReportRow) -> List[Union[str, Span]]:
     spread = (
         f"{row.energy_min_j:.2f}..{row.energy_max_j:.2f}" if row.runs else "-"
     )
+    verdict = row.settled_verdict
     return [
         row.policy,
         row.workload,
         row.machine,
+        f"{row.duration_us / 1e6:g}",
         str(row.runs),
         str(row.cache_hits),
         _fmt(row.mean_energy_j if row.runs else None),
         spread,
         str(row.miss_count),
-        row.settled_verdict or "-",
+        (verdict, verdict) if verdict else "-",
         _fmt(row.mean_excess_j),
     ]
 
 
+def _diagnosis_spans(d: PolicyDiagnosis) -> Tuple[Span, ...]:
+    """One diagnosis line: the verdict and where the energy went."""
+    s = d.settling
+    e = d.energy
+    verdict = "settles" if s.settled else "oscillates"
+    period = (
+        f", dominant period {s.dominant_period_quanta:.1f} quanta"
+        if s.dominant_period_quanta is not None
+        else ""
+    )
+    base = (
+        f"{e.baseline_j:.2f} J oracle + {e.overshoot_j:.2f} J overshoot"
+        if e.baseline_feasible
+        else f"{e.overshoot_j:.2f} J (no feasible constant step)"
+    )
+    return (
+        ("b", f"{d.policy} / {d.workload}"),
+        ("", f" (seed {d.seed}): "),
+        (verdict, verdict),
+        ("", f" ({s.churn_per_quantum:.3f} changes/quantum{period}); "
+             f"{d.misses} misses; {e.measured_j:.2f} J = {base} + "
+             f"{e.stall_j:.2f} J stall + {e.sag_j:.4f} J sag"),
+    )
+
+
 _HEADER = [
-    "policy",
-    "workload",
-    "machine",
-    "runs",
-    "cached",
-    "mean J",
-    "spread J",
-    "misses",
-    "settling",
-    "excess J",
+    "policy", "workload", "machine", "duration s", "runs", "cached",
+    "mean J", "spread J", "misses", "settling", "excess J",
 ]
 
 _BENCH_HEADER = ["benchmark", "headline", "bar", "setup"]
 
 _FLEET_HEADER = [
-    "sweep",
-    "when",
-    "command",
-    "grid",
-    "cells",
-    "cached",
-    "cells/s",
-    "norm/s",
-    "wall s",
-    "backend",
-    "jobs",
+    "sweep", "when", "command", "grid", "cells", "cached", "cells/s",
+    "norm/s", "wall s", "backend", "jobs",
 ]
 
 
@@ -319,50 +382,45 @@ def _bench_cells(record: dict) -> List[str]:
     so the section never fails to render.
     """
     name = str(record.get("benchmark", "?"))
+    get = record.get
     setup = "-"
-    if record.get("machine"):
+    if get("machine"):
         setup = (
-            f"{record['machine']}, {record.get('duration_s', '?')} s "
-            f"{record.get('workload', '?')}"
+            f"{record['machine']}, {get('duration_s', '?')} s "
+            f"{get('workload', '?')}"
         )
     if name == "kernel_hotloop" and "fastpath_speedup" in record:
-        return [
-            name,
-            f"fastpath {record['fastpath_speedup']:g}x over full recorders",
-            f">= {record.get('min_fastpath_speedup', '?')}x",
-            setup,
-        ]
-    if name == "obs_overhead" and "enabled_overhead_pct" in record:
-        return [
-            name,
+        headline = f"fastpath {record['fastpath_speedup']:g}x over full recorders"
+        bar = f">= {get('min_fastpath_speedup', '?')}x"
+    elif name == "obs_overhead" and "enabled_overhead_pct" in record:
+        headline = (
             f"enabled +{record['enabled_overhead_pct']:g}%, "
-            f"disabled +{record.get('disabled_overhead_pct', 0):g}%",
-            f"<= {record.get('max_enabled_overhead_pct', '?')}% / "
-            f"{record.get('max_disabled_overhead_pct', '?')}%",
-            setup,
-        ]
-    if name == "telemetry_overhead" and "telemetry_overhead_pct" in record:
-        return [
-            name,
+            f"disabled +{get('disabled_overhead_pct', 0):g}%"
+        )
+        bar = (
+            f"<= {get('max_enabled_overhead_pct', '?')}% / "
+            f"{get('max_disabled_overhead_pct', '?')}%"
+        )
+    elif name == "telemetry_overhead" and "telemetry_overhead_pct" in record:
+        headline = (
             f"telemetry +{record['telemetry_overhead_pct']:g}% "
-            f"({record.get('worker_lanes', '?')} worker lanes)",
-            f"<= {record.get('max_telemetry_overhead_pct', '?')}%",
-            setup,
-        ]
-    if name == "sweep_throughput" and "new_cells_per_s" in record:
-        return [
-            name,
+            f"({get('worker_lanes', '?')} worker lanes)"
+        )
+        bar = f"<= {get('max_telemetry_overhead_pct', '?')}%"
+    elif name == "sweep_throughput" and "new_cells_per_s" in record:
+        headline = (
             f"{record['new_cells_per_s']:g} cells/s "
-            f"({record.get('speedup', '?')}x over legacy)",
-            f">= {record.get('min_speedup', '?')}x",
-            setup,
-        ]
-    numbers = ", ".join(
-        f"{k}={v:g}"
-        for k, v in sorted(record.items())
-        if isinstance(v, (int, float)) and not isinstance(v, bool)
-    )
-    return [name, numbers or "-", "-", setup]
+            f"({get('speedup', '?')}x over legacy)"
+        )
+        bar = f">= {get('min_speedup', '?')}x"
+    else:
+        headline = ", ".join(
+            f"{k}={v:g}"
+            for k, v in sorted(record.items())
+            if isinstance(v, (int, float)) and not isinstance(v, bool)
+        ) or "-"
+        bar = "-"
+    return [name, headline, bar, setup]
 
 
 def _fleet_phase_seconds(
@@ -380,82 +438,40 @@ def _fleet_phase_seconds(
     return totals
 
 
-def _render_markdown(report: SweepReport) -> str:
-    lines = ["# Sweep report", ""]
-    lines.append(
-        f"{report.total_runs} runs ({report.total_cache_hits} cached), "
-        f"{report.total_wall_s:.1f} s simulated wall time."
-    )
-    lines.append("")
-    for warning in report.warnings:
-        lines.append(f"> **warning:** {warning}")
-    if report.warnings:
-        lines.append("")
-    if report.rows:
-        lines.append("| " + " | ".join(_HEADER) + " |")
-        lines.append("|" + "|".join(["---"] * len(_HEADER)) + "|")
-        for row in report.rows:
-            lines.append("| " + " | ".join(_row_cells(row)) + " |")
-        lines.append("")
+def _span(cell: Union[str, Span]) -> Span:
+    return cell if isinstance(cell, tuple) else ("", cell)
 
-    diagnosed = [row for row in report.rows if row.diagnoses]
-    if diagnosed:
-        lines.append("## Diagnoses")
-        lines.append("")
-        for row in diagnosed:
-            for d in row.diagnoses:
-                s = d.settling
-                e = d.energy
-                verdict = "settles" if s.settled else "oscillates"
-                period = (
-                    f", dominant period {s.dominant_period_quanta:.1f} quanta"
-                    if s.dominant_period_quanta is not None
-                    else ""
-                )
-                base = (
-                    f"{e.baseline_j:.2f} J oracle + {e.overshoot_j:.2f} J "
-                    f"overshoot"
-                    if e.baseline_feasible
-                    else f"{e.overshoot_j:.2f} J (no feasible constant step)"
-                )
-                lines.append(
-                    f"- **{d.policy} / {d.workload}** (seed {d.seed}): "
-                    f"{verdict} ({s.churn_per_quantum:.3f} changes/quantum"
-                    f"{period}); {d.misses} misses; "
-                    f"{e.measured_j:.2f} J = {base} + "
-                    f"{e.stall_j:.2f} J stall + {e.sag_j:.4f} J sag"
-                )
-        lines.append("")
 
-    if report.bench:
-        lines.append("## Perf history")
+def _render_markdown(blocks: List[Block]) -> str:
+    """Markdown: each block, then a blank line (SVG figures are HTML
+    only)."""
+    lines: List[str] = []
+    for kind, *body in blocks:
+        if kind == "heading":
+            level, text = body
+            lines.append("#" * level + " " + text)
+        elif kind == "paragraph":
+            lines.append(body[0])
+        elif kind == "warning":
+            lines.extend(f"> **warning:** {text}" for text in body[0])
+        elif kind == "table":
+            header, rows = body
+            lines.append("| " + " | ".join(header) + " |")
+            lines.append("|" + "|".join(["---"] * len(header)) + "|")
+            for row in rows:
+                cells = (_span(cell)[1] for cell in row)
+                lines.append("| " + " | ".join(cells) + " |")
+        elif kind == "bullets":
+            for item in body[0]:
+                lines.append("- " + "".join(
+                    f"**{text}**" if style == "b" else text
+                    for style, text in item
+                ))
+        elif kind == "pre":
+            lines.extend(["```", body[0], "```"])
+        else:
+            continue
         lines.append("")
-        lines.append("| " + " | ".join(_BENCH_HEADER) + " |")
-        lines.append("|" + "|".join(["---"] * len(_BENCH_HEADER)) + "|")
-        for record in report.bench:
-            lines.append("| " + " | ".join(_bench_cells(record)) + " |")
-        lines.append("")
-
-    if report.fleet:
-        lines.append("## Fleet history")
-        lines.append("")
-        lines.append(throughput_trend(report.fleet))
-        lines.append("")
-        lines.append("| " + " | ".join(_FLEET_HEADER) + " |")
-        lines.append("|" + "|".join(["---"] * len(_FLEET_HEADER)) + "|")
-        for record in sorted(report.fleet, key=lambda r: r.unix_time):
-            lines.append("| " + " | ".join(_fleet_cells(record)) + " |")
-        lines.append("")
-        phase_totals = _fleet_phase_seconds(report.fleet)
-        if phase_totals:
-            from repro.obs.profile import format_phase_table
-
-            lines.append("### Where the time went")
-            lines.append("")
-            lines.append("```")
-            lines.append(format_phase_table(phase_totals))
-            lines.append("```")
-            lines.append("")
     return "\n".join(lines)
 
 
@@ -474,92 +490,55 @@ tr:nth-child(even) td { background: #f7f7fc; }
 """.strip()
 
 
-def _render_html(report: SweepReport) -> str:
+def _html_span(span: Span) -> str:
+    style, text = span
+    if style == "":
+        return escape(text)
+    if style == "b":
+        return f"<b>{escape(text)}</b>"
+    return f'<span class="{style}">{escape(text)}</span>'
+
+
+def _render_html(blocks: List[Block]) -> str:
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',
         "<title>Sweep report</title>",
         f"<style>{_HTML_STYLE}</style>",
         "</head><body>",
-        "<h1>Sweep report</h1>",
-        f"<p>{report.total_runs} runs ({report.total_cache_hits} cached), "
-        f"{report.total_wall_s:.1f} s simulated wall time.</p>",
     ]
-    for warning in report.warnings:
-        parts.append(f'<div class="warning">{escape(warning)}</div>')
-    if report.rows:
-        parts.append("<table><tr>")
-        parts.extend(f"<th>{escape(h)}</th>" for h in _HEADER)
-        parts.append("</tr>")
-        for row in report.rows:
-            cells = _row_cells(row)
-            parts.append("<tr>")
-            for header, cell in zip(_HEADER, cells):
-                if header == "settling" and cell != "-":
-                    parts.append(f'<td class="{cell}">{escape(cell)}</td>')
-                else:
-                    parts.append(f"<td>{escape(cell)}</td>")
-            parts.append("</tr>")
-        parts.append("</table>")
-
-    diagnosed = [row for row in report.rows if row.diagnoses]
-    if diagnosed:
-        parts.append("<h2>Diagnoses</h2><ul>")
-        for row in diagnosed:
-            for d in row.diagnoses:
-                s = d.settling
-                e = d.energy
-                cls = "settles" if s.settled else "oscillates"
-                verdict = "settles" if s.settled else "oscillates"
-                parts.append(
-                    f"<li><b>{escape(d.policy)} / {escape(d.workload)}</b> "
-                    f"(seed {d.seed}): "
-                    f'<span class="{cls}">{verdict}</span> '
-                    f"({s.churn_per_quantum:.3f} changes/quantum); "
-                    f"{d.misses} misses; {e.measured_j:.2f} J measured, "
-                    f"{e.stall_j:.2f} J stall, {e.sag_j:.4f} J sag</li>"
-                )
-        parts.append("</ul>")
-
-    if report.bench:
-        parts.append("<h2>Perf history</h2>")
-        parts.append("<table><tr>")
-        parts.extend(f"<th>{escape(h)}</th>" for h in _BENCH_HEADER)
-        parts.append("</tr>")
-        for record in report.bench:
-            parts.append("<tr>")
+    for kind, *body in blocks:
+        if kind == "heading":
+            level, text = body
+            parts.append(f"<h{level}>{escape(text)}</h{level}>")
+        elif kind == "paragraph":
+            parts.append(f"<p>{escape(body[0])}</p>")
+        elif kind == "warning":
             parts.extend(
-                f"<td>{escape(cell)}</td>" for cell in _bench_cells(record)
+                f'<div class="warning">{escape(text)}</div>' for text in body[0]
             )
+        elif kind == "table":
+            header, rows = body
+            parts.append("<table><tr>")
+            parts.extend(f"<th>{escape(h)}</th>" for h in header)
             parts.append("</tr>")
-        parts.append("</table>")
-
-    if report.fleet:
-        parts.append("<h2>Fleet history</h2>")
-        parts.append(f"<p>{escape(throughput_trend(report.fleet))}</p>")
-        # Inline-SVG trend curves: throughput, cache-hit rate, phase mix
-        # over commits — self-contained, no scripts or external assets.
-        from repro.obs.plot import fleet_charts
-
-        for svg in fleet_charts(sorted(report.fleet, key=lambda r: r.unix_time)):
-            parts.append(svg)
-        parts.append("<table><tr>")
-        parts.extend(f"<th>{escape(h)}</th>" for h in _FLEET_HEADER)
-        parts.append("</tr>")
-        for record in sorted(report.fleet, key=lambda r: r.unix_time):
-            parts.append("<tr>")
+            for row in rows:
+                parts.append("<tr>")
+                for style, text in map(_span, row):
+                    attr = f' class="{style}"' if style else ""
+                    parts.append(f"<td{attr}>{escape(text)}</td>")
+                parts.append("</tr>")
+            parts.append("</table>")
+        elif kind == "bullets":
+            parts.append("<ul>")
             parts.extend(
-                f"<td>{escape(cell)}</td>" for cell in _fleet_cells(record)
+                "<li>" + "".join(_html_span(span) for span in item) + "</li>"
+                for item in body[0]
             )
-            parts.append("</tr>")
-        parts.append("</table>")
-        phase_totals = _fleet_phase_seconds(report.fleet)
-        if phase_totals:
-            from repro.obs.profile import format_phase_table
-
-            parts.append("<h3>Where the time went</h3>")
-            parts.append(
-                "<pre>" + escape(format_phase_table(phase_totals)) + "</pre>"
-            )
+            parts.append("</ul>")
+        elif kind == "pre":
+            parts.append(f"<pre>{escape(body[0])}</pre>")
+        else:
+            parts.extend(body[0]())
     parts.append("</body></html>")
     return "\n".join(parts)

@@ -11,9 +11,8 @@ differential fuzz harness (:mod:`repro.measure.differential`) saves every
 shrunk counterexample here, and ``tests/corpus/`` replays whatever the
 directory holds through both kernel cores on every run.
 
-Entries round-trip losslessly (floats serialize via ``repr``) and convert
-to :class:`~repro.workloads.replay.ReplayConfig`, so a loaded trace is a
-first-class, cache-keyed sweep workload.
+Entries round-trip losslessly (floats serialize via ``repr``), and
+:meth:`CorpusEntry.workload` replays one on either kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.kernel.scheduler import KernelRun
 from repro.workloads.base import Workload
 from repro.workloads.replay import (
     RecordedQuantum,
-    ReplayConfig,
     ReplayMode,
     record_from_run,
     replay_workload,
@@ -97,15 +95,6 @@ class CorpusEntry:
         return replay_workload(
             self.trace(),
             ReplayMode(self.mode),
-            name=self.name,
-            tolerance_us=self.tolerance_us,
-        )
-
-    def replay_config(self) -> ReplayConfig:
-        """The sweep-axis (cache-keyed) form of this entry."""
-        return ReplayConfig(
-            quanta=self.quanta,
-            mode=self.mode,
             name=self.name,
             tolerance_us=self.tolerance_us,
         )

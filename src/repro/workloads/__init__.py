@@ -32,10 +32,8 @@ __getattr__, __dir__, __all__ = attach(
         "mpeg": ("MpegConfig", "mpeg_workload", "setup_mpeg"),
         "replay": (
             "RecordedQuantum",
-            "ReplayConfig",
             "ReplayMode",
             "record_from_run",
-            "replay_config_workload",
             "replay_workload",
         ),
         "web": ("WebConfig", "setup_web", "web_workload"),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Sequence
 
 from repro.hw.work import Work
 from repro.kernel.process import Action, Compute, ProcessContext, SleepUntil, SpinUntil
@@ -159,77 +159,3 @@ def replay_workload(
         setup=setup,
     )
 
-
-@dataclass(frozen=True)
-class ReplayConfig:
-    """A replay workload named entirely by value: the sweep-axis form.
-
-    Where :func:`replay_workload` takes live :class:`RecordedQuantum`
-    objects, this config carries the trace as plain number tuples, so it
-    pickles to worker processes and digests stably into sweep cache keys
-    — corpus entries (:mod:`repro.traces.corpus`) convert to it to run as
-    :class:`~repro.measure.parallel.SweepCell` workloads under the
-    registered name ``"replay"``.
-
-    Attributes:
-        quanta: the trace as ``(busy_us, mhz, quantum_us)`` triples.
-        mode: replay mode value, ``"time"`` or ``"work"``.
-        name: trace label (part of the workload name, not of replay
-            semantics).
-        tolerance_us: per-deadline perceptibility tolerance.
-        duration_s: accepted for uniformity with other workload configs
-            (CLI ``--duration``); replay length comes from the trace, so
-            any value given here must be None.
-    """
-
-    quanta: Tuple[Tuple[float, float, float], ...] = ()
-    mode: str = "work"
-    name: str = "replay"
-    tolerance_us: float = 10_000.0
-    duration_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "quanta", tuple(tuple(q) for q in self.quanta)
-        )
-        ReplayMode(self.mode)  # unknown modes raise here
-        if self.duration_s is not None:
-            raise ValueError(
-                "replay duration comes from the trace; --duration does not apply"
-            )
-
-    def trace(self) -> List[RecordedQuantum]:
-        """The live trace this config names."""
-        return [
-            RecordedQuantum(busy_us=b, mhz=m, quantum_us=q)
-            for b, m, q in self.quanta
-        ]
-
-    @classmethod
-    def from_trace(
-        cls,
-        trace: Sequence[RecordedQuantum],
-        mode: ReplayMode = ReplayMode.WORK,
-        name: str = "replay",
-        tolerance_us: float = 10_000.0,
-    ) -> "ReplayConfig":
-        """Value-form of a live trace."""
-        return cls(
-            quanta=tuple(
-                (rec.busy_us, rec.mhz, rec.quantum_us) for rec in trace
-            ),
-            mode=mode.value,
-            name=name,
-            tolerance_us=tolerance_us,
-        )
-
-
-def replay_config_workload(config: Optional[ReplayConfig] = None) -> Workload:
-    """Builder for the registered ``"replay"`` sweep workload."""
-    cfg = config if config is not None else ReplayConfig()
-    return replay_workload(
-        cfg.trace(),
-        ReplayMode(cfg.mode),
-        name=cfg.name,
-        tolerance_us=cfg.tolerance_us,
-    )

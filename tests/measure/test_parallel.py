@@ -312,8 +312,6 @@ class TestSweepTelemetry:
     perturbing."""
 
     def engine_with_telemetry(self, jobs: int):
-        import io
-
         from repro.obs.profile import SweepTimeline
         from repro.obs.telemetry import ProgressDisplay
 
@@ -398,16 +396,14 @@ class TestSweepTelemetry:
                 [display] = engine.observers
                 for batch in range(1, 6):
                     engine.run([cell(seed=100 * batch + s) for s in range(4)])
-                    snap = display.model.snapshot(0.0)
-                    assert (snap.total, snap.done, snap.executed) == (
+                    executed = display.done - display.cached
+                    assert (display.total, display.done, executed) == (
                         4 * batch, 4 * batch, 4 * batch,
                     ), f"jobs={jobs} batch {batch} ({engine.start_method})"
-                    assert snap.cached == 0
-                    assert snap.in_flight == 0
+                    assert display.cached == 0
+                    assert display.in_flight == 0
 
     def test_progress_counts_cached_cells(self, tmp_path):
-        import io
-
         from repro.obs.telemetry import ProgressDisplay
 
         cache = ResultCache(tmp_path)
@@ -415,9 +411,8 @@ class TestSweepTelemetry:
         display = ProgressDisplay()
         engine = SweepEngine(jobs=1, cache=cache, observers=[display])
         engine.run([cell(), cell(seed=1)])
-        snap = display.model.snapshot(0.0)
-        assert snap.cached == 2
-        assert snap.cache_hit_rate == 1.0
+        assert display.cached == 2
+        assert display.cached == display.done
 
     def test_fleet_record_counts(self, tmp_path):
         cache = ResultCache(tmp_path)

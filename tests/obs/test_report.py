@@ -1,5 +1,8 @@
 """Tests for the sweep report aggregator and renderers."""
 
+import re
+from html import unescape
+
 import pytest
 
 from repro.cli import workload_spec
@@ -38,13 +41,17 @@ def record(**overrides) -> dict:
     return base
 
 
-def real_diagnosis(policy="avg3-one", workload="mpeg", duration_s=5.0):
+def real_diagnosis(
+    policy="avg3-one", workload="mpeg", duration_s=5.0, baseline_j=None
+):
     result = run_workload(
         workload_spec(workload, duration_s).build(),
         resolve_policy(policy),
         use_daq=False,
     )
-    return diagnose(result, policy=policy, workload=workload)
+    return diagnose(
+        result, policy=policy, workload=workload, baseline_j=baseline_j
+    )
 
 
 class TestBuildReport:
@@ -81,11 +88,38 @@ class TestBuildReport:
     def test_diagnoses_join_on_labels(self):
         diagnosis = real_diagnosis()
         report = build_report(
-            [record(policy="avg3-one")], diagnoses=[diagnosis]
+            [record(policy="avg3-one", duration_us=diagnosis.duration_us)],
+            diagnoses=[diagnosis],
         )
         [row] = report.rows
         assert row.diagnoses == [diagnosis]
         assert row.settled_verdict == "oscillates"
+
+    def test_runs_of_different_lengths_get_their_own_rows(self):
+        # A 2 s run and a 60 s run of one cell label are different
+        # experiments: their energies must not share a mean.
+        report = build_report([
+            record(duration_us=2e6, energy_j=2.85),
+            record(duration_us=60e6, energy_j=85.0),
+            record(duration_us=60e6, energy_j=86.0, seed=1),
+        ])
+        assert [
+            (row.duration_us, row.runs, row.mean_energy_j)
+            for row in report.rows
+        ] == [(2e6, 1, 2.85), (60e6, 2, 85.5)]
+        text = render_report(report, FORMAT_MARKDOWN)
+        assert "| best | mpeg | itsy | 2 | 1 |" in text
+        assert "| best | mpeg | itsy | 60 | 2 |" in text
+
+    def test_diagnoses_join_only_runs_of_their_length(self):
+        diagnosis = real_diagnosis()
+        report = build_report(
+            [record(policy="avg3-one", duration_us=60e6)],
+            diagnoses=[diagnosis],
+        )
+        assert [(row.runs, len(row.diagnoses)) for row in report.rows] == [
+            (0, 1), (1, 0),
+        ]
 
     def test_diagnosis_only_rows_appear(self):
         report = build_report([], diagnoses=[real_diagnosis()])
@@ -138,6 +172,22 @@ class TestRenderers:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unknown report format"):
             render_report(build_report([record()]), "pdf")
+
+    def test_html_diagnoses_say_what_markdown_says(self):
+        # One block list feeds both renderers, so the HTML carries the
+        # oracle/overshoot split the markdown prints.
+        report = build_report(
+            [record(policy="avg3-one", duration_us=5e6)],
+            [real_diagnosis(baseline_j=6.0)],
+        )
+        md = render_report(report, FORMAT_MARKDOWN)
+        html = render_report(report, FORMAT_HTML)
+        assert "J oracle" in html
+        [bullet] = [line for line in md.splitlines() if line.startswith("- ")]
+        [item] = re.findall(r"<li>(.*)</li>", html)
+        assert unescape(re.sub(r"<[^>]+>", "", item)) == (
+            bullet[2:].replace("**", "")
+        )
 
     def test_warnings_rendered_in_both_formats(self):
         report = build_report([record(), record(v=1)])
@@ -411,6 +461,11 @@ class TestFleetHistory:
             build_report([], fleet_records=[fleet_record()]), FORMAT_MARKDOWN
         )
         assert "Where the time went" not in text
+
+    def test_fleet_only_report_has_no_runs_line(self):
+        report = build_report([], fleet_records=[fleet_record()])
+        for fmt in (FORMAT_MARKDOWN, FORMAT_HTML):
+            assert "simulated wall time" not in render_report(report, fmt)
 
     def test_fleet_only_report_skips_runs_table(self):
         text = render_report(

@@ -1,7 +1,7 @@
-"""Tests for sweep telemetry: the sweep trace, progress math, and the
-renderer.
+"""Tests for sweep telemetry: the sweep trace, the progress line and
+its drawing.
 
-Everything here drives the progress model with a fake clock and
+Everything here drives the progress display with a fake clock and
 hand-built heartbeat streams, and the timeline with explicit stamps —
 no sleeps, no real pools — so the ETA and straggler arithmetic is
 checked exactly, not statistically.
@@ -16,12 +16,7 @@ from repro.obs.profile import (
     PHASE_WORKER_START,
     SweepTimeline,
 )
-from repro.obs.telemetry import (
-    ProgressDisplay,
-    ProgressModel,
-    ProgressRenderer,
-    format_progress_line,
-)
+from repro.obs.telemetry import ProgressDisplay
 from repro.obs.trace import validate_chrome_trace
 
 #: Heartbeat ``done`` flags.
@@ -42,225 +37,235 @@ class FakeClock:
         return self.t
 
 
-def replay(model, events):
-    """Feed ``(done, pid, cell_id, t)`` heartbeats to ``model``."""
+class TtyStream(io.StringIO):
+    """An in-memory stream that says it is a terminal."""
+
+    def isatty(self) -> bool:
+        return True
+
+
+def display(total=None, clock=None, stream=None):
+    shown = ProgressDisplay(
+        stream=io.StringIO() if stream is None else stream,
+        clock=FakeClock(0.0) if clock is None else clock,
+    )
+    if total is not None:
+        shown.on_batch_start(total)
+    return shown
+
+
+def replay(shown, events, label=""):
+    """Feed ``(done, pid, cell_id, t)`` heartbeats to ``shown``."""
     for done, pid, cell_id, t in events:
-        if done:
-            model.cell_finished(pid, cell_id, t)
-        else:
-            model.cell_started(pid, cell_id, t)
+        shown.on_heartbeat(done, pid, cell_id, t, label)
 
 
 class TestProgressModel:
+    """The line a display derives from the heartbeats it saw."""
+
     def test_eta_from_rate(self):
-        model = ProgressModel(total=10)
-        model.start(0.0)
-        replay(model, [
+        shown = display(total=10)
+        replay(shown, [
             (START, 1, 0, 0.0), (DONE, 1, 0, 2.0),
             (START, 1, 1, 2.0), (DONE, 1, 1, 4.0),
         ])
-        snap = model.snapshot(4.0)
-        assert snap.done == 2
-        assert snap.cells_per_s == 0.5
+        assert shown.done == 2
+        line = shown.line(4.0)
+        assert "0.5 cells/s" in line
         # 8 remaining at 0.5 cells/s.
-        assert snap.eta_s == 16.0
+        assert "eta 16s" in line
 
     def test_eta_none_before_first_completion(self):
-        model = ProgressModel(total=5)
-        model.start(0.0)
-        model.cell_started(1, 0, 0.0)
-        assert model.snapshot(1.0).eta_s is None
+        shown = display(total=5)
+        replay(shown, [(START, 1, 0, 0.0)])
+        assert "eta ?" in shown.line(1.0)
 
     def test_eta_zero_when_done(self):
-        model = ProgressModel(total=1)
-        model.start(0.0)
-        replay(model, [
-            (START, 1, 0, 0.0), (DONE, 1, 0, 1.0),
-        ])
-        assert model.snapshot(1.0).eta_s == 0.0
+        shown = display(total=1)
+        replay(shown, [(START, 1, 0, 0.0), (DONE, 1, 0, 1.0)])
+        assert "eta 0s" in shown.line(1.0)
 
     def test_zero_cell_sweep(self):
-        model = ProgressModel(total=0)
-        model.start(0.0)
-        snap = model.snapshot(0.0)
-        assert snap.done == snap.total == 0
-        assert snap.fraction == 1.0
-        assert snap.eta_s == 0.0
-        assert snap.stragglers == ()
-        # The summary line must still format without dividing by zero.
-        assert "0/0" in format_progress_line(snap)
+        # The line must still form without dividing by zero.
+        shown = display(total=0)
+        assert shown.done == shown.total == 0
+        assert shown.line(0.0) == (
+            "sweep 0/0 (100%) | 0.0 cells/s | eta 0s | cache 0% | workers 0%"
+        )
 
     def test_all_cached_sweep(self):
-        model = ProgressModel(total=4)
-        model.start(0.0)
-        for cell_id in range(4):
-            model.cache_hit(cell_id, 0.0)
-        snap = model.snapshot(0.0)
-        assert snap.done == 4
-        assert snap.cached == 4
-        assert snap.executed == 0
-        assert snap.cache_hit_rate == 1.0
-        assert snap.fraction == 1.0
-        assert snap.eta_s == 0.0
+        shown = display(total=4)
+        for _ in range(4):
+            shown.on_cache_hit(None, "key", None)
+        assert (shown.done, shown.cached) == (4, 4)
+        assert shown.done - shown.cached == 0
+        line = shown.line(0.0)
+        assert line.startswith("sweep 4/4 (100%)")
+        assert "eta 0s" in line
+        assert "cache 100%" in line
 
     def test_cache_hit_rate_mixed(self):
-        model = ProgressModel(total=4)
-        model.start(0.0)
-        replay(model, [
-            (START, 1, 0, 0.0), (DONE, 1, 0, 1.0),
-        ])
-        model.cache_hit(1, 1.0)
-        assert model.snapshot(1.0).cache_hit_rate == 0.5
+        clock = FakeClock(0.0)
+        shown = display(total=4, clock=clock)
+        replay(shown, [(START, 1, 0, 0.0), (DONE, 1, 0, 1.0)])
+        clock.advance(1.0)
+        shown.on_cache_hit(None, "key", None)
+        assert "cache 50%" in shown.line(1.0)
 
     def test_worker_utilization(self):
-        model = ProgressModel(total=4)
-        model.start(0.0)
+        shown = display(total=4)
         # Two workers; one busy the whole window, one idle half of it.
-        replay(model, [
+        replay(shown, [
             (START, 1, 0, 0.0), (DONE, 1, 0, 4.0),
             (START, 2, 1, 0.0), (DONE, 2, 1, 2.0),
         ])
-        assert model.worker_utilization(4.0) == (4.0 + 2.0) / (2 * 4.0)
+        # (4.0 + 2.0) / (2 * 4.0)
+        assert "workers 75%" in shown.line(4.0)
 
     def test_utilization_counts_in_flight_work(self):
-        model = ProgressModel(total=2)
-        model.start(0.0)
-        model.cell_started(1, 0, 0.0)
-        assert model.worker_utilization(2.0) == 1.0
+        shown = display(total=2)
+        replay(shown, [(START, 1, 0, 0.0)])
+        assert shown.in_flight == 1
+        assert "workers 100%" in shown.line(2.0)
+
+    def test_finish_without_start_counts_its_worker(self):
+        shown = display(total=2)
+        replay(shown, [
+            (START, 1, 0, 0.0), (DONE, 1, 0, 4.0),
+            (DONE, 2, 1, 4.0),
+        ])
+        assert shown.done == 2
+        # Worker 2 counts, though no start of its cell arrived: 4 s busy
+        # over two workers' 4 s.
+        assert "workers 50%" in shown.line(4.0)
 
     def test_straggler_needs_min_samples(self):
-        model = ProgressModel(total=10)
-        model.start(0.0)
+        shown = display(total=10)
         # Two completions at 1 s each — below the 3-sample floor, so even
         # a 100x-median in-flight cell is not yet flagged.
-        replay(model, [
+        replay(shown, [
             (START, 1, 0, 0.0), (DONE, 1, 0, 1.0),
             (START, 1, 1, 1.0), (DONE, 1, 1, 2.0),
             (START, 2, 2, 0.0),
         ])
-        assert model.stragglers(100.0) == ()
+        assert "straggler" not in shown.line(100.0)
 
     def test_straggler_flagged_past_factor(self):
-        model = ProgressModel(total=10)
-        model.start(0.0)
-        replay(model, [
+        shown = display(total=10)
+        replay(shown, [
             (START, 1, 0, 0.0), (DONE, 1, 0, 1.0),
             (START, 1, 1, 1.0), (DONE, 1, 1, 2.0),
             (START, 1, 2, 2.0), (DONE, 1, 2, 3.0),
         ])
-        model.cell_started(2, 3, 3.0, label="best/mpeg")
+        shown.on_heartbeat(START, 2, 3, 3.0, "best/mpeg")
         # Median completed wall is 1 s; the in-flight cell crosses the
         # 4x bar only after 4 s elapsed.
-        assert model.stragglers(6.9) == ()
-        [straggler] = model.stragglers(7.1)
-        assert straggler.cell_id == 3
-        assert straggler.worker_pid == 2
-        assert straggler.label == "best/mpeg"
-        assert straggler.elapsed_s == 7.1 - 3.0
-        assert straggler.median_s == 1.0
+        assert "straggler" not in shown.line(6.9)
+        assert shown.line(7.1).endswith(" | straggler best/mpeg 4.1s")
 
     def test_identical_wall_times_flag_nothing(self):
         # A perfectly uniform sweep: every completed cell took exactly
         # 1 s and the in-flight cell has run exactly that long.  The
         # median equals the elapsed time, so nothing crosses the factor
         # bar — uniform progress must never read as a straggler.
-        model = ProgressModel(total=10)
-        model.start(0.0)
-        replay(model, [
+        shown = display(total=10)
+        replay(shown, [
             (START, 1, 0, 0.0), (DONE, 1, 0, 1.0),
             (START, 1, 1, 1.0), (DONE, 1, 1, 2.0),
             (START, 1, 2, 2.0), (DONE, 1, 2, 3.0),
             (START, 2, 3, 3.0),
         ])
-        assert model.stragglers(4.0) == ()
+        assert "straggler" not in shown.line(4.0)
 
     def test_stragglers_sorted_worst_first(self):
-        model = ProgressModel(total=10)
-        model.start(0.0)
-        replay(model, [
+        shown = display(total=10)
+        replay(shown, [
             (START, 1, i, float(i)) for i in range(3)
         ] + [
             (DONE, 1, i, float(i) + 1.0) for i in range(3)
         ])
-        model.cell_started(2, 8, 0.0)
-        model.cell_started(3, 9, 2.0)
-        flagged = model.stragglers(10.0)
-        assert [s.cell_id for s in flagged] == [8, 9]
+        replay(shown, [(START, 3, 9, 2.0), (START, 2, 8, 0.0)])
+        # Only the worst straggler is shown; unlabelled cells by id.
+        assert shown.line(10.0).endswith(" | straggler cell 8 10.0s")
+
+    def test_straggler_ties_go_to_the_first_started(self):
+        shown = display(total=10)
+        replay(shown, [
+            (START, 1, i, float(i)) for i in range(3)
+        ] + [
+            (DONE, 1, i, float(i) + 1.0) for i in range(3)
+        ])
+        shown.on_heartbeat(START, 3, 9, 2.0, "started first")
+        shown.on_heartbeat(START, 2, 8, 2.0, "started second")
+        assert shown.line(10.0).endswith(" | straggler started first 8.0s")
 
     def test_snapshot_line_formats(self):
-        model = ProgressModel(total=10)
-        model.start(0.0)
-        replay(model, [
+        shown = display(total=10)
+        replay(shown, [
             (START, 1, 0, 0.0), (DONE, 1, 0, 2.0),
             (START, 1, 1, 2.0), (DONE, 1, 1, 4.0),
         ])
-        line = format_progress_line(model.snapshot(4.0))
-        assert "2/10" in line
-        assert "20%" in line
-        assert "0.5 cells/s" in line
-        assert "eta 16s" in line
+        assert shown.line(4.0) == (
+            "sweep 2/10 (20%) | 0.5 cells/s | eta 16s | cache 0% | "
+            "workers 100%"
+        )
 
     def test_total_can_grow_across_batches(self):
-        model = ProgressModel()
-        model.add_total(3)
-        model.add_total(2)
-        assert model.snapshot(0.0).total == 5
+        shown = display()
+        shown.on_batch_start(3)
+        shown.on_batch_start(2)
+        assert shown.total == 5
 
 
 class TestProgressRenderer:
-    def model(self):
-        model = ProgressModel(total=2)
-        model.start(0.0)
-        return model
+    """How a display draws its line."""
+
+    def events(self, shown):
+        shown.on_batch_start(2)
+        replay(shown, [(START, 1, 0, 0.0), (DONE, 1, 0, 1.0)])
+        shown.on_batch_end()
 
     def test_disabled_on_non_tty(self):
         sink = io.StringIO()  # StringIO.isatty() is False
-        renderer = ProgressRenderer(self.model(), sink)
-        renderer.update(force=True)
-        renderer.finish()
+        self.events(display(stream=sink))
         assert sink.getvalue() == ""
 
     def test_forced_renderer_draws_and_clears(self):
-        clock = FakeClock()
-        model = self.model()
-        sink = io.StringIO()
-        renderer = ProgressRenderer(model, sink, clock=clock, enabled=True)
-        renderer.update(force=True)
+        sink = TtyStream()
+        shown = display(stream=sink)
+        shown.on_batch_start(2)
+        replay(shown, [(START, 1, 0, 0.0)])
         out = sink.getvalue()
         assert out.startswith("\r")
         assert "0/2" in out
-        renderer.finish()
-        # finish() leaves the line cleared for whatever prints next.
+        shown.on_batch_end()
+        # The batch end leaves the line cleared for whatever prints next.
         assert sink.getvalue().endswith("\r")
 
     def test_updates_throttle(self):
         clock = FakeClock()
-        model = self.model()
-        sink = io.StringIO()
-        renderer = ProgressRenderer(
-            model, sink, min_interval_s=0.1, clock=clock, enabled=True
-        )
-        renderer.update(force=True)
+        sink = TtyStream()
+        shown = display(total=2, clock=clock, stream=sink)
+        replay(shown, [(START, 1, 0, 0.0)])
         first = sink.getvalue()
-        renderer.update()  # same instant: throttled away
+        replay(shown, [(START, 1, 1, 0.0)])  # same instant: throttled away
         assert sink.getvalue() == first
         clock.advance(0.2)
-        renderer.update()
+        replay(shown, [(DONE, 1, 0, 0.2)])
         assert len(sink.getvalue()) > len(first)
 
 
 class TestProgressDisplay:
     def test_heartbeats_and_hits_drive_the_model(self):
-        display = ProgressDisplay()
-        display.on_batch_start(3)
-        display.on_heartbeat(START, 7, 0, 1.0, "best/mpeg")
-        assert display.model.snapshot(1.5).in_flight == 1
-        display.on_heartbeat(DONE, 7, 0, 2.0, "best/mpeg")
-        display.on_cache_hit(None, "key", None)
-        snap = display.model.snapshot(2.0)
-        assert (snap.total, snap.done, snap.executed, snap.cached) == (3, 2, 1, 1)
-        assert snap.in_flight == 0
-        display.on_batch_end()
+        shown = ProgressDisplay()
+        shown.on_batch_start(3)
+        shown.on_heartbeat(START, 7, 0, 1.0, "best/mpeg")
+        assert shown.in_flight == 1
+        shown.on_heartbeat(DONE, 7, 0, 2.0, "best/mpeg")
+        shown.on_cache_hit(None, "key", None)
+        assert (shown.total, shown.done, shown.cached) == (3, 2, 1)
+        assert shown.in_flight == 0
+        shown.on_batch_end()
 
 
 class TestSweepTelemetry:

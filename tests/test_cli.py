@@ -17,6 +17,7 @@ from repro.core.cycleavg import CycleAverageGovernor
 from repro.core.deadline import SynthesizedDeadlineGovernor
 from repro.core.policy import IntervalPolicy
 from repro.kernel.governor import ConstantGovernor
+from tests.golden.ledger import TRACE_COMMANDS, load_ledger
 
 #: The checkout, home of the committed ``BENCH_*.json`` records.
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -134,17 +135,15 @@ deadline misses : 0
 trace           : <out> (824 events; open in Perfetto or chrome://tracing)
 """
 
-#: SHA-256 of the ``trace ... -o <out>`` file, with the command's exit
-#: code: clock-change stalls (best), rail sags (avg3-one on sa2-reconf)
-#: and deadline-miss instants (const-59.0).  Identical on both backends.
+#: The ``trace ... -o <out>`` files the results ledger pins, with the
+#: command's exit code and the file's SHA-256: clock-change stalls
+#: (best), rail sags (avg3-one on sa2-reconf) and deadline-miss instants
+#: (const-59.0).  Identical on both backends.
+TRACE_FILES = load_ledger()["files"]["trace"]
 TRACE_DIGESTS = [
-    (["mpeg", "--policy", "best", "--duration", "2"], 0,
-     "397ba65dba876c9ff2edccd4d815ef769657a23b930f350f23f5b17770cf8913"),
-    (["mpeg", "--policy", "avg3-one", "--machine", "sa2-reconf",
-      "--duration", "5"], 0,
-     "164b5d2dbe4e9d592d39ced6abd76ec097d28d50eea94273c97ac7be5f41f3b3"),
-    (["mpeg", "--policy", "const-59.0", "--duration", "2"], 1,
-     "bea3430e9c5657b4f36a0bd88c962ae758d5ec3feebaacf4f8a3ed52b3635ef6"),
+    (command.split()[1:], TRACE_FILES[command]["exit"],
+     TRACE_FILES[command]["sha256"])
+    for command in TRACE_COMMANDS
 ]
 
 
@@ -918,10 +917,10 @@ REPORT_SNAPSHOT = """\
 
 3 runs (1 cached), 1.5 s simulated wall time.
 
-| policy | workload | machine | runs | cached | mean J | spread J | misses | settling | excess J |
-|---|---|---|---|---|---|---|---|---|---|
-| avg3-one | mpeg | itsy | 1 | 0 | 12.00 | 12.00..12.00 | 3 | - | - |
-| best | mpeg | itsy | 2 | 1 | 11.00 | 10.00..12.00 | 0 | - | - |
+| policy | workload | machine | duration s | runs | cached | mean J | spread J | misses | settling | excess J |
+|---|---|---|---|---|---|---|---|---|---|---|
+| avg3-one | mpeg | itsy | 1 | 1 | 0 | 12.00 | 12.00..12.00 | 3 | - | - |
+| best | mpeg | itsy | 1 | 2 | 1 | 11.00 | 10.00..12.00 | 0 | - | - |
 """
 
 

@@ -5,13 +5,6 @@ import json
 import pytest
 
 from repro.core.catalog import resolve_policy
-from repro.hw.machines import MachineSpec
-from repro.measure.parallel import (
-    PolicySpec,
-    SweepCell,
-    WorkloadSpec,
-    cache_key,
-)
 from repro.measure.runner import run_workload
 from repro.traces.corpus import (
     CorpusEntry,
@@ -170,25 +163,6 @@ class TestReplayIntegration:
         assert fast.exact_energy_j == ref.exact_energy_j
         assert fast.run.quanta == ref.run.quanta
         assert again.exact_energy_j == ref.exact_energy_j
-
-    def test_entry_is_cache_key_stable_via_replay_config(self, fuzz_entry):
-        def key(entry):
-            return cache_key(SweepCell(
-                workload=WorkloadSpec("replay", entry.replay_config()),
-                policy=PolicySpec("best"),
-                machine=MachineSpec("itsy"),
-                use_daq=False,
-            ))
-
-        # provenance is metadata: annotating an entry keeps its sweep key
-        clone = CorpusEntry(
-            name=fuzz_entry.name,
-            mode=fuzz_entry.mode,
-            tolerance_us=fuzz_entry.tolerance_us,
-            quanta=fuzz_entry.quanta,
-            provenance=(("extra", "annotation"),),
-        )
-        assert key(clone) == key(fuzz_entry)
 
     def test_round_trip_preserves_digest_through_run(self, tmp_path, fuzz_entry):
         # save -> load -> replay -> re-capture: the replayed trace on the
