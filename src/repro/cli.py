@@ -110,10 +110,11 @@ from repro.obs.profile import SweepTimeline
 from repro.obs.runlog import RunLogWriter
 from repro.measure.stats import confidence_interval
 
-# The simulator (repro.core.catalog, repro.measure.runner, the kernels)
-# and the optional observers (diagnosis, progress, tracing, reports,
-# plots) are imported inside the commands and branches that run them, so
-# a sweep served from the cache loads neither them nor numpy.
+# The simulator (repro.core.catalog, repro.measure.runner, the kernels,
+# the power timeline and the machine models) and the optional observers
+# (diagnosis, progress, tracing, reports, plots) are imported inside the
+# commands, branches and pool workers that run them, so a sweep served
+# from the cache loads neither them nor numpy.
 
 def workload_spec(name: str, duration_s: Optional[float] = None) -> WorkloadSpec:
     """Map a workload name (mpeg/web/chess/editor/fuzz) to a sweep spec.
@@ -377,7 +378,7 @@ def cmd_ideal(args, engine: SweepEngine) -> int:
 def cmd_trace(args) -> int:
     """Run one workload and export it as Chrome trace-event JSON."""
     from repro.core.catalog import resolve_policy
-    from repro.kernel.scheduler import KernelConfig
+    from repro.kernel.config import KernelConfig
     from repro.measure.runner import run_workload
     from repro.obs.trace import chrome_trace, write_chrome_trace
 

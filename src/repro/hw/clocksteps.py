@@ -152,3 +152,9 @@ class ClockTable:
 
 #: The clock table of the SA-1100 as used in the Itsy (Table 3).
 SA1100_CLOCK_TABLE = ClockTable(SA1100_FREQUENCIES_MHZ)
+
+#: Eleven clock steps of the hypothetical SA-2 (:mod:`repro.hw.sa2`),
+#: 150 to 600 MHz in 45 MHz increments.
+SA2_FREQUENCIES_MHZ: Tuple[float, ...] = tuple(150.0 + 45.0 * i for i in range(11))
+
+SA2_CLOCK_TABLE = ClockTable(SA2_FREQUENCIES_MHZ)

@@ -31,15 +31,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.hw.clocksteps import SA1100_CLOCK_TABLE, ClockTable
-from repro.hw.itsy import ItsyConfig, ItsyMachine
-from repro.hw.machine import Machine
+from repro.hw.clocksteps import SA1100_CLOCK_TABLE, SA2_CLOCK_TABLE, ClockTable
 from repro.hw.memory import SA1100_MEMORY_TIMINGS, fixed_latency_timings
-from repro.hw.power import PowerModel, PowerParameters
 from repro.hw.rails import VOLTAGE_HIGH
-from repro.hw.sa2 import SA2_CLOCK_TABLE, Sa2Machine
+
+# The machine models load only when a spec builds a machine, so sweep
+# cells and cache keys name machines without loading the simulator.
+if TYPE_CHECKING:
+    from repro.hw.machine import Machine
+    from repro.hw.power import PowerParameters
 
 #: Effective wall-clock DRAM latencies matching Table 3 at the fastest
 #: SA-1100 step; used to synthesize timing tables for overridden Itsy
@@ -160,6 +162,8 @@ class MachineSpec:
         """
         machine = _preset(self.name).builder(self)
         if self.power:
+            from repro.hw.power import PowerModel
+
             machine.power = PowerModel(
                 self.power_parameters(machine.power.params)
             )
@@ -200,6 +204,8 @@ def _fastest_safe_mhz(table: ClockTable, max_mhz: float) -> float:
 
 
 def _build_itsy(spec: MachineSpec, low_voltage_available: bool = True) -> Machine:
+    from repro.hw.itsy import ItsyConfig, ItsyMachine
+
     table = spec.clock_table()
     if spec.frequencies_mhz is None:
         timings = SA1100_MEMORY_TIMINGS
@@ -237,6 +243,8 @@ def _build_itsy_stock(spec: MachineSpec) -> Machine:
 
 
 def _build_sa2(spec: MachineSpec) -> Machine:
+    from repro.hw.sa2 import Sa2Machine
+
     if spec.initial_volts is not None:
         raise ValueError(
             "sa2 follows a per-step voltage schedule; it takes no boot voltage"

@@ -25,17 +25,17 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.hw.clocksteps import ClockStep, ClockTable
+from repro.hw.clocksteps import (
+    SA2_CLOCK_TABLE,
+    SA2_FREQUENCIES_MHZ,
+    ClockStep,
+    ClockTable,
+)
 from repro.hw.cpu import CpuModel
 from repro.hw.machine import Machine
 from repro.hw.memory import MemoryTimings
 from repro.hw.power import CoreState, PowerModel, PowerParameters
 from repro.hw.rails import ScheduledRail
-
-#: Eleven SA-2 clock steps, 150 to 600 MHz in 45 MHz increments.
-SA2_FREQUENCIES_MHZ: Tuple[float, ...] = tuple(150.0 + 45.0 * i for i in range(11))
-
-SA2_CLOCK_TABLE = ClockTable(SA2_FREQUENCIES_MHZ)
 
 #: Voltage endpoints of the scaling schedule.
 SA2_VOLTS_MAX = 1.8

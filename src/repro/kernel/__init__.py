@@ -13,6 +13,8 @@ This package reproduces that environment in simulation:
 
 - :mod:`repro.kernel.process` -- processes as generator coroutines yielding
   actions (compute, sleep, spin, yield, exit);
+- :mod:`repro.kernel.config` -- the kernel tunables (stdlib only, so
+  sweep cells and cache keys name them without loading the simulator);
 - :mod:`repro.kernel.scheduler` -- the scheduling core: 100 Hz tick, 10 ms
   quanta with the scheduler forced every tick (the paper sets the process
   counter to 1), round-robin run queue, nap-mode idle, utilization
@@ -30,6 +32,7 @@ from repro._lazy import attach
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
+        "config": ("KernelConfig",),
         "dvfs": ("DvfsEngine",),
         "governor": (
             "ConstantGovernor",
@@ -55,6 +58,6 @@ __getattr__, __dir__, __all__ = attach(
             "QuantumStats",
             "check_recording",
         ),
-        "scheduler": ("Kernel", "KernelConfig", "KernelRun"),
+        "scheduler": ("Kernel", "KernelRun"),
     },
 )

@@ -19,9 +19,10 @@ a run reads the same aggregates whichever mode recorded it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.traces.schema import QuantumRecord
+if TYPE_CHECKING:
+    from repro.traces.schema import QuantumRecord
 
 #: Recording-mode names understood by the measurement layer.
 RECORDING_FULL = "full"
@@ -79,6 +80,8 @@ class QuantumStats:
 
 def quantum_records(rows: List[tuple], quantum_us: float) -> List[QuantumRecord]:
     """The quantum log that quantum rows stand for."""
+    from repro.traces.schema import QuantumRecord
+
     return [
         QuantumRecord(
             end_us=t,

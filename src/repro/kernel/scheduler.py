@@ -37,6 +37,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.hw.machine import Machine
 from repro.hw.power import CoreState
+from repro.kernel.config import KernelConfig
 from repro.kernel.dvfs import DvfsEngine
 from repro.kernel.governor import Governor, TickInfo
 from repro.kernel.process import (
@@ -71,31 +72,6 @@ _EPS = 1e-6
 
 #: Safety bound on zero-duration process actions at a single instant.
 _MAX_ZERO_PROGRESS_ACTIONS = 10_000
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Kernel tunables.
-
-    Attributes:
-        quantum_us: scheduling quantum / clock-interrupt period (10 ms).
-        sched_overhead_us: cost of forcing the scheduler every tick
-            (measured ~6 us in the paper); charged as busy time.
-        record_sched_log: keep the per-decision scheduler activity log
-            (sizeable for long runs; off by default).
-    """
-
-    quantum_us: float = 10_000.0
-    sched_overhead_us: float = 6.0
-    record_sched_log: bool = False
-
-    def __post_init__(self) -> None:
-        if self.quantum_us <= 0:
-            raise ValueError("quantum must be positive")
-        if self.sched_overhead_us < 0:
-            raise ValueError("scheduler overhead must be non-negative")
-        if self.sched_overhead_us >= self.quantum_us:
-            raise ValueError("scheduler overhead must be below the quantum")
 
 
 @dataclass

@@ -26,11 +26,13 @@ initializer — under ``fork`` the parent imports it once just before the
 pool starts, and the workers inherit it — and the pool is reused across
 batches until :meth:`close`), and :class:`CellResult` pickles as a
 compact field tuple.  A batch served wholly from the cache, or run
-in-process, starts no pool and imports no simulator.  None of it is
-observable in the numbers: chunks preserve submission order, and every
-cell, in-process or pooled, runs through the one per-cell loop, which
-returns a :class:`CellOutcome` per cell and ends at the first cell that
-fails; the engine raises that failure as a :class:`SweepCellError`.
+in-process, starts no pool; one served wholly from the cache also loads
+no simulator (no kernel, power timeline or machine model), which loads
+only where a cell runs.  None of it is observable in the numbers: chunks
+preserve submission order, and every cell, in-process or pooled, runs
+through the one per-cell loop, which returns a :class:`CellOutcome` per
+cell and ends at the first cell that fails; the engine raises that
+failure as a :class:`SweepCellError`.
 
 The engine is *provably* deterministic: a pool worker runs the very same
 :func:`repro.measure.runner.run_workload` the in-process path runs, with
@@ -49,7 +51,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,9 +71,8 @@ from typing import (
 
 from repro.hw.clocksteps import ClockTable
 from repro.hw.machines import MachineSpec
-from repro.kernel.governor import Governor
+from repro.kernel.config import KernelConfig
 from repro.kernel.recorders import RECORDING_FULL, RECORDING_MINIMAL
-from repro.kernel.scheduler import KernelConfig
 from repro.obs.calibrate import host_score
 from repro.obs.fleet import FleetRecord, git_sha, new_sweep_id
 from repro.obs.profile import (
@@ -90,7 +90,6 @@ from repro.obs.profile import (
 from repro.obs.runlog import now_unix
 from repro.kernel.backend import resolve_backend
 from repro.measure.stats import ConfidenceInterval, confidence_interval
-from repro.workloads.base import Workload
 from repro.workloads.chess import ChessConfig, chess_workload
 from repro.workloads.editor import EditorConfig, editor_workload
 from repro.workloads.fuzz import FuzzSpec, fuzz_workload
@@ -100,7 +99,9 @@ from repro.workloads.web import WebConfig, web_workload
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
+    from repro.kernel.governor import Governor
     from repro.obs.diagnose import PolicyDiagnosis
+    from repro.workloads.base import Workload
 
 #: Bump when the simulator's observable numbers change (kernel model,
 #: power model, workload calibration, or the :class:`CellResult` schema):
@@ -489,6 +490,8 @@ class ResultCache:
 
     def put(self, key: str, result: CellResult) -> None:
         """Store ``result`` under ``key`` atomically."""
+        import tempfile
+
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {"schema": CACHE_SCHEMA_VERSION, "key": key, "result": result.to_json()}
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
@@ -594,13 +597,16 @@ def _import_cell_path(diagnosing: bool) -> None:
     :mod:`repro.measure.runner` brings both kernel cores, every workload
     builder, the DAQ and numpy; the rest load lazily on a cell's first
     run: the DAQ's noise generator (:mod:`numpy.random`), the policy
-    catalog and the fast-path kernel.  A diagnosed cell also needs
+    catalog, the machine models a :class:`~repro.hw.machines.MachineSpec`
+    builds, and the fast-path kernel.  A diagnosed cell also needs
     :mod:`repro.obs.diagnose` and :mod:`numpy.fft`.  With all of them
     loaded, a cell's ``kernel compute`` stamp holds no import, which
     ``tests/test_imports.py`` pins.
     """
     import numpy.random  # noqa: F401
     import repro.core.catalog  # noqa: F401
+    import repro.hw.itsy  # noqa: F401
+    import repro.hw.sa2  # noqa: F401
     import repro.kernel.fastpath  # noqa: F401
     import repro.measure.runner  # noqa: F401
 
@@ -807,10 +813,10 @@ class SweepEngine:
     workers preimport the simulator and are reused across batches until
     :meth:`close` (the engine is a context manager).  Under ``fork`` the
     engine imports the simulator itself just before the pool starts, so
-    the workers inherit it instead of each importing it; the engine
-    never imports it otherwise, so a batch served from the cache loads
-    no numpy.  Chunks preserve input order, so results are the same,
-    bitwise, at any chunk size.
+    the workers inherit it instead of each importing it; otherwise the
+    simulator loads only where a cell runs, so a batch served from the
+    cache loads neither it nor numpy.  Chunks preserve input order, so
+    results are the same, bitwise, at any chunk size.
 
     With ``diagnose=True`` every executed cell additionally runs the
     :mod:`~repro.obs.diagnose` engine worker-side — the oracle baselines

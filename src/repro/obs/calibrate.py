@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
-import socket
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -115,6 +113,9 @@ def calibrate(budget_s: float = 2.0) -> HostCalibration:
     starts; at least two timed passes always run, budget permitting the
     loop continues until ``budget_s`` is spent.
     """
+    import platform
+    import socket
+
     _probe_pass()  # warm-up, untimed
     best = float("inf")
     passes = 0

@@ -77,7 +77,8 @@ class FleetRecord:
             ``forkserver``, ``spawn``); ``""`` when no cell ran on a pool.
         python: the interpreter version, e.g. ``"3.11.7"``.
         repro_version: simulator package version.
-        git_sha: repo HEAD at sweep time ("" outside a checkout).
+        git_sha: HEAD of the checkout the running ``repro`` package
+            sits in, at sweep time ("" outside a checkout).
         host_score: the host calibration score at sweep time
             (:mod:`repro.obs.calibrate`; 0.0 = uncalibrated host).
         phases: per-phase wall-time attribution, ``(phase, seconds)``
@@ -184,7 +185,11 @@ def new_sweep_id(unix_time: Optional[float] = None) -> str:
 
 
 def git_sha(cwd: Union[str, Path, None] = None) -> str:
-    """The repo's HEAD sha, or ``""`` when git/repo is unavailable."""
+    """HEAD of the git repo at ``cwd``, or ``""`` when git/repo is
+    unavailable.  By default the repo is the one holding the running
+    ``repro`` package, whatever the working directory."""
+    if cwd is None:
+        cwd = Path(repro.__file__).parent
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -94,6 +94,9 @@ class SweepReport:
     warnings: Tuple[str, ...]
     total_runs: int
     total_cache_hits: int
+    #: simulated seconds over every run, cached ones included.
+    total_simulated_s: float
+    #: host seconds spent executing cells (the run-log's ``wall_s``).
     total_wall_s: float
     #: committed ``BENCH_*.json`` benchmark records, rendered as a
     #: "Perf history" section when present.
@@ -160,6 +163,7 @@ def build_report(
         warnings=reader_warnings + tuple(provenance_warnings(list(records))),
         total_runs=sum(r.runs for r in ordered),
         total_cache_hits=sum(r.cache_hits for r in ordered),
+        total_simulated_s=sum(r.duration_us * r.runs for r in ordered) / 1e6,
         total_wall_s=sum(r.wall_s for r in ordered),
         bench=tuple(bench_records),
         fleet=tuple(fleet_records),
@@ -252,8 +256,9 @@ def _report_blocks(report: SweepReport) -> List[Block]:
     if report.rows or not report.fleet:
         blocks.append((
             "paragraph",
-            f"{report.total_runs} runs ({report.total_cache_hits} cached), "
-            f"{report.total_wall_s:.1f} s simulated wall time.",
+            f"{report.total_runs} runs ({report.total_cache_hits} cached): "
+            f"{report.total_simulated_s:.1f} s simulated, "
+            f"{report.total_wall_s:.1f} s of cell compute.",
         ))
     if report.warnings:
         blocks.append(("warning", report.warnings))

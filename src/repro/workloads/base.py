@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.hw.clocksteps import ClockStep, SA1100_CLOCK_TABLE
 from repro.hw.memory import SA1100_MEMORY_TIMINGS, MemoryTimings
 from repro.hw.work import Work
-from repro.kernel.scheduler import Kernel
+
+if TYPE_CHECKING:
+    from repro.kernel.scheduler import Kernel
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
-from repro.kernel.process import Action, Compute, ProcessContext, SleepUntil
-from repro.kernel.scheduler import Kernel
 from repro.workloads.base import (
     CHESS_PROFILE,
     FULL_SPEED,
@@ -31,6 +29,10 @@ from repro.workloads.base import (
 )
 from repro.workloads.events import InputTrace, chess_trace
 from repro.workloads.java import JavaConfig, jit_warmup_work, spawn_jvm_poller
+
+if TYPE_CHECKING:
+    from repro.kernel.process import Action, ProcessContext
+    from repro.kernel.scheduler import Kernel
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class ChessConfig:
 
 def chess_gui_body(cfg: ChessConfig, trace: InputTrace, seed: int):
     """The Java GUI: animate user moves and display engine replies."""
+    from repro.kernel.process import Compute, SleepUntil
+
 
     def body(ctx: ProcessContext) -> Generator[Action, None, None]:
         rng = random.Random(seed ^ 0xC4E5)
@@ -99,6 +103,8 @@ def crafty_body(cfg: ChessConfig, trace: InputTrace, seed: int):
     budget attached to the ``engine_move`` event expires -- at a slower
     clock the same wall time simply covers fewer positions.
     """
+    from repro.kernel.process import Compute, SleepUntil
+
 
     def body(ctx: ProcessContext) -> Generator[Action, None, None]:
         rng = random.Random(seed ^ 0xCF47)

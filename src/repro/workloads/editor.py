@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator, List, Tuple
+from typing import TYPE_CHECKING, Generator, List, Tuple
 
-from repro.kernel.process import Action, Compute, ProcessContext, SleepUntil
-from repro.kernel.scheduler import Kernel
 from repro.workloads.base import (
     AUDIO_CHUNK_PROFILE,
     FULL_SPEED,
@@ -38,6 +36,10 @@ from repro.workloads.base import (
 )
 from repro.workloads.events import InputTrace, editor_trace
 from repro.workloads.java import JavaConfig, jit_warmup_work, spawn_jvm_poller
+
+if TYPE_CHECKING:
+    from repro.kernel.process import Action, ProcessContext
+    from repro.kernel.scheduler import Kernel
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,8 @@ class EditorConfig:
 
 def editor_ui_body(cfg: EditorConfig, trace: InputTrace, seed: int):
     """The mpedit Java UI: dialogue navigation and file opening."""
+    from repro.kernel.process import Compute, SleepUntil
+
 
     def body(ctx: ProcessContext) -> Generator[Action, None, None]:
         rng = random.Random(seed ^ 0xED17)
@@ -128,6 +132,8 @@ def dectalk_body(cfg: EditorConfig, trace: InputTrace, seed: int):
     out (its ``speech_chunk`` deadline).  Playback of a chunk begins when
     both the synthesizer finishes it and the previous chunk has drained.
     """
+    from repro.kernel.process import Compute, SleepUntil
+
 
     def body(ctx: ProcessContext) -> Generator[Action, None, None]:
         rng = random.Random(seed ^ 0xDEC7)
@@ -158,6 +164,8 @@ def oss_audio_body(cfg: EditorConfig, trace: InputTrace, seed: int):
     The driver's schedule is approximated from the nominal (full-speed)
     synthesis timeline; it is background load, not a deadline source.
     """
+    from repro.kernel.process import Compute, SleepUntil
+
 
     def body(ctx: ProcessContext) -> Generator[Action, None, None]:
         rng = random.Random(seed ^ 0x0551)

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Generator, List, Optional, Sequence, Tuple
 
 from repro.hw.work import Work
-from repro.kernel.process import Action, Compute, ProcessContext, SleepUntil, SpinUntil
-from repro.kernel.scheduler import Kernel
 from repro.workloads.base import (
     CHESS_PROFILE,
     FULL_SPEED,
@@ -37,6 +35,10 @@ from repro.workloads.base import (
     Workload,
     WorkProfile,
 )
+
+if TYPE_CHECKING:
+    from repro.kernel.process import Action, ProcessContext
+    from repro.kernel.scheduler import Kernel
 
 #: Work compositions a fuzzed phase can draw from: media-decode,
 #: pointer-chasing, core-bound DSP, and hash-probing mixes — the span of
@@ -180,6 +182,8 @@ def _fuzz_body(plan: Sequence[PlanOp]):
     (the sleeps become no-ops) and misses deadlines — the feedback a
     live system has.
     """
+    from repro.kernel.process import Compute, SleepUntil, SpinUntil
+
 
     def body(ctx: ProcessContext) -> Generator[Action, None, None]:
         start = ctx.now_us

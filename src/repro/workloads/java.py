@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
-from repro.kernel.process import Action, Compute, ProcessContext, Sleep
-from repro.kernel.scheduler import Kernel
 from repro.workloads.base import FULL_SPEED, JAVA_PROFILE, jitter_factor
+
+if TYPE_CHECKING:
+    from repro.kernel.process import Action, ProcessContext
+    from repro.kernel.scheduler import Kernel
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,8 @@ class JavaConfig:
 
 def jvm_poller_body(cfg: JavaConfig, seed: int):
     """The 30 ms GRX input-polling loop, running for the workload's life."""
+    from repro.kernel.process import Compute, Sleep
+
 
     def body(ctx: ProcessContext) -> Generator[Action, None, None]:
         rng = random.Random(seed ^ 0x3A7A)

@@ -26,22 +26,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
-from repro.kernel.process import (
-    Action,
-    Compute,
-    ProcessContext,
-    SleepUntil,
-    SpinUntil,
-)
-from repro.kernel.scheduler import Kernel
 from repro.workloads.base import (
     AUDIO_CHUNK_PROFILE,
     MPEG_FRAME_PROFILE,
     Workload,
     jitter_factor,
 )
+
+if TYPE_CHECKING:
+    from repro.kernel.process import Action, ProcessContext
+    from repro.kernel.scheduler import Kernel
 
 
 @dataclass(frozen=True)
@@ -124,6 +120,8 @@ class MpegConfig:
 
 def mpeg_player_body(cfg: MpegConfig, seed: int):
     """The video player process: decode, then sleep or spin to the deadline."""
+    from repro.kernel.process import Compute, SleepUntil, SpinUntil
+
 
     def body(ctx: ProcessContext) -> Generator[Action, None, None]:
         rng = random.Random(seed)
@@ -161,6 +159,8 @@ def audio_player_body(cfg: MpegConfig, seed: int):
     playing; chunk ``n`` therefore carries the deadline ``start + (n+1) *
     chunk_period``.
     """
+    from repro.kernel.process import Compute, SleepUntil
+
 
     def body(ctx: ProcessContext) -> Generator[Action, None, None]:
         rng = random.Random(seed ^ 0xA0D10)

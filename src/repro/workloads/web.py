@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
-from repro.kernel.process import Action, Compute, ProcessContext, SleepUntil
-from repro.kernel.scheduler import Kernel
 from repro.workloads.base import FULL_SPEED, JAVA_PROFILE, Workload, jitter_factor
 from repro.workloads.events import InputTrace, web_trace
 from repro.workloads.java import JavaConfig, jit_warmup_work, spawn_jvm_poller
+
+if TYPE_CHECKING:
+    from repro.kernel.process import Action, ProcessContext
+    from repro.kernel.scheduler import Kernel
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ _EVENT_COST_FIELD = {
 
 def browser_body(cfg: WebConfig, trace: InputTrace, seed: int):
     """The IceWeb browser process: sleep until each input, then render."""
+    from repro.kernel.process import Compute, SleepUntil
+
 
     def body(ctx: ProcessContext) -> Generator[Action, None, None]:
         rng = random.Random(seed ^ 0x1CE3)

@@ -2,7 +2,9 @@
 
 import json
 import multiprocessing
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -404,6 +406,16 @@ class TestEngineFleetRecord:
         assert len(rec.git_sha) == 40
         assert rec.start_method == ""
         assert rec.python == "{}.{}.{}".format(*sys.version_info)
+
+    def test_record_stamps_the_package_checkout_from_any_cwd(
+        self, tmp_path, monkeypatch
+    ):
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        monkeypatch.chdir(tmp_path)
+        assert SweepEngine().fleet_record().git_sha == head
 
     def test_pooled_record_stamps_start_method(self):
         with SweepEngine(jobs=2) as engine:

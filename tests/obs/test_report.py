@@ -137,6 +137,17 @@ class TestBuildReport:
 
 
 class TestRenderers:
+    def test_runs_line_separates_simulated_and_compute_seconds(self):
+        report = build_report([
+            record(duration_us=60e6, wall_s=0.06),
+            record(seed=1, duration_us=60e6, wall_s=0.04),
+        ])
+        for fmt in (FORMAT_MARKDOWN, FORMAT_HTML):
+            assert (
+                "2 runs (0 cached): 120.0 s simulated, 0.1 s of cell compute."
+                in render_report(report, fmt)
+            )
+
     def test_markdown_contains_table_and_diagnoses(self):
         text = render_report(
             build_report([record(policy="avg3-one")], [real_diagnosis()]),
@@ -465,7 +476,7 @@ class TestFleetHistory:
     def test_fleet_only_report_has_no_runs_line(self):
         report = build_report([], fleet_records=[fleet_record()])
         for fmt in (FORMAT_MARKDOWN, FORMAT_HTML):
-            assert "simulated wall time" not in render_report(report, fmt)
+            assert "of cell compute" not in render_report(report, fmt)
 
     def test_fleet_only_report_skips_runs_table(self):
         text = render_report(

@@ -915,7 +915,7 @@ class TestReportBenchSpecs:
 REPORT_SNAPSHOT = """\
 # Sweep report
 
-3 runs (1 cached), 1.5 s simulated wall time.
+3 runs (1 cached): 3.0 s simulated, 1.5 s of cell compute.
 
 | policy | workload | machine | duration s | runs | cached | mean J | spread J | misses | settling | excess J |
 |---|---|---|---|---|---|---|---|---|---|---|

@@ -3,12 +3,15 @@
 At run time the program needs numpy alone, and only where it simulates or
 analyses: scipy is only the tests' oracle for the Student-t code in
 ``repro.measure.stats``, and a sweep served from the result cache loads
-neither numpy nor the simulator.  A pool worker imports a cell's whole
-path before its first cell; under ``fork`` the parent imports it
-instead, once, and the workers inherit it.  Package namespaces
-re-export their public names lazily (:mod:`repro._lazy`).  Every check
-runs in a fresh interpreter, so the imports of this test process cannot
-hide a regression.
+neither numpy nor the simulator: no kernel, no power timeline, no
+machine model.  Cells, cache keys and machine specs are named by value
+without them.  The simulator loads where a cell runs: in-process, in a
+pool worker, which imports a cell's whole path before its first cell,
+or under ``fork`` in the parent, which imports it once before the pool
+starts so the workers inherit it.  Package namespaces re-export their
+public names lazily (:mod:`repro._lazy`).  Every check runs in a fresh
+interpreter, so the imports of this test process cannot hide a
+regression.
 """
 
 import functools
@@ -39,11 +42,24 @@ PACKAGES = [
 ]
 
 #: What a fresh ``import repro.cli`` or ``import repro.measure.parallel``
-#: must not load (nor anything below it): numpy, the simulator, the heavy
-#: observers and the analysis stacks, which are imported only where a
-#: command or a pool worker runs them.
+#: must not load (nor anything below it): numpy, the simulator (kernel,
+#: power timeline, policies, machine models), the heavy observers and
+#: the analysis stacks, which are imported only where a command or a
+#: pool worker runs them.
 OFF_THE_CACHE_HIT_PATH = (
     "numpy",
+    "repro.kernel.scheduler",
+    "repro.kernel.process",
+    "repro.kernel.dvfs",
+    "repro.kernel.governor",
+    "repro.kernel.fastpath",
+    "repro.traces",
+    "repro.core",
+    "repro.hw.cpu",
+    "repro.hw.power",
+    "repro.hw.machine",
+    "repro.hw.itsy",
+    "repro.hw.sa2",
     "repro.measure.runner",
     "repro.obs.diagnose",
     "repro.obs.report",
@@ -117,8 +133,12 @@ def test_cached_table2_runs_with_numpy_blocked(tmp_path):
     filled = run_python(cli, *argv, cwd=tmp_path)
     assert filled.returncode == 0, filled.stderr
     assert "10 simulated, 0 cached" in filled.stderr
-    hit = run_python("import sys\nsys.modules['numpy'] = None\n" + cli, *argv,
-                     cwd=tmp_path)
+    # None entries make any import of numpy or the simulator raise.
+    blocked = "".join(
+        f"sys.modules[{name!r}] = None\n"
+        for name in ("numpy", "repro.kernel.scheduler", "repro.traces.schema")
+    )
+    hit = run_python("import sys\n" + blocked + cli, *argv, cwd=tmp_path)
     assert hit.returncode == 0, hit.stderr
     assert "0 simulated, 10 cached" in hit.stderr
     assert hit.stdout == filled.stdout
