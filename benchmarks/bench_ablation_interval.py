@@ -9,7 +9,7 @@ period -- under the best policy.
 """
 
 from repro.core.catalog import best_policy
-from repro.kernel.scheduler import KernelConfig
+from repro.kernel.config import KernelConfig
 from repro.measure.runner import run_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 

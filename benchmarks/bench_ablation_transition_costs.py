@@ -11,7 +11,7 @@ scheduler-forcing overhead (6 us/tick) removed as well (DESIGN.md #1).
 from repro.core.catalog import best_policy
 from repro.hw.cpu import CLOCK_CHANGE_STALL_US
 from repro.hw.itsy import ItsyConfig, ItsyMachine
-from repro.kernel.scheduler import KernelConfig
+from repro.kernel.config import KernelConfig
 from repro.measure.runner import run_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 

@@ -14,8 +14,9 @@ from repro.core.cycleavg import CycleAverageGovernor
 from repro.hw.clocksteps import SA1100_CLOCK_TABLE
 from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.rails import VOLTAGE_HIGH
+from repro.kernel.config import KernelConfig
 from repro.kernel.governor import TickInfo
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.scheduler import Kernel
 from repro.workloads.synthetic import step_body
 
 from _util import Report, once

@@ -19,7 +19,8 @@ from repro.analysis.smoothing import (
 from repro.core.catalog import pering_avg
 from repro.core.hysteresis import BEST_POLICY_THRESHOLDS, ThresholdPair
 from repro.hw.itsy import ItsyConfig, ItsyMachine
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.config import KernelConfig
+from repro.kernel.scheduler import Kernel
 from repro.workloads.synthetic import rectangle_wave_body
 
 from _util import RESULTS_DIR, Report, once

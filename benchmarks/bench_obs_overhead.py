@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 
 from repro.core.catalog import resolve_policy
-from repro.kernel.scheduler import KernelConfig
+from repro.kernel.config import KernelConfig
 from repro.measure.runner import run_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 

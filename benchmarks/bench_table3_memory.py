@@ -11,8 +11,9 @@ whole measurement path, not just the table lookup).
 from repro.hw.clocksteps import SA1100_CLOCK_TABLE
 from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.work import Work
+from repro.kernel.config import KernelConfig
 from repro.kernel.process import Compute, Exit
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.scheduler import Kernel
 
 from _util import Report, once
 

@@ -15,8 +15,8 @@ Usage:
 
 from repro.core.catalog import best_policy, constant_speed, pering_avg
 from repro.measure.runner import run_workload
-from repro.workloads import ReplayMode, record_from_run, replay_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
+from repro.workloads.replay import ReplayMode, record_from_run, replay_workload
 
 
 def main():

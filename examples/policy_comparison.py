@@ -16,15 +16,10 @@ import argparse
 
 from repro.core.catalog import best_policy, constant_speed, pering_avg
 from repro.measure.runner import run_workload
-from repro.workloads import (
-    chess_workload,
-    editor_workload,
-    mpeg_workload,
-    web_workload,
-)
-from repro.workloads.chess import ChessConfig
-from repro.workloads.mpeg import MpegConfig
-from repro.workloads.web import WebConfig
+from repro.workloads.chess import ChessConfig, chess_workload
+from repro.workloads.editor import editor_workload
+from repro.workloads.mpeg import MpegConfig, mpeg_workload
+from repro.workloads.web import WebConfig, web_workload
 
 POLICIES = [
     ("const 206.4", lambda: constant_speed(206.4)),

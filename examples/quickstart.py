@@ -11,7 +11,7 @@ Usage:
 
 from repro.core.catalog import best_policy, constant_speed
 from repro.measure.runner import run_workload
-from repro.workloads import mpeg_workload
+from repro.workloads.mpeg import mpeg_workload
 
 
 def describe(name, result):

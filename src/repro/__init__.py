@@ -25,7 +25,7 @@ Quick start::
 
     from repro.core.catalog import best_policy
     from repro.measure.runner import run_workload
-    from repro.workloads import mpeg_workload
+    from repro.workloads.mpeg import mpeg_workload
 
     result = run_workload(mpeg_workload(), best_policy)
     print(result.energy_j, result.missed)

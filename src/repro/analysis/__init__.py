@@ -17,26 +17,3 @@ The paper's mathematical argument that AVG_N cannot stabilize:
 :mod:`repro.analysis.utilization` holds the utilization-series helpers for
 Figures 3 and 4 (per-quantum series and moving averages).
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "energymodel": (
-            "energy_delay_curve",
-            "energy_for_work",
-            "race_vs_crawl",
-        ),
-        "fourier": ("decaying_exponential", "fourier_magnitude"),
-        "latency": ("latency_stats", "sync_drift_series"),
-        "oscillation": ("OscillationStats", "oscillation_stats"),
-        "smoothing": (
-            "avg_n_convolve",
-            "avg_n_recursive",
-            "avg_n_weights",
-            "rectangle_wave",
-        ),
-        "utilization": ("moving_average", "utilization_series"),
-    },
-)

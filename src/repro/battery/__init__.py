@@ -16,14 +16,3 @@ slower can beat racing-to-idle even without voltage scaling:
 :mod:`repro.battery.lifetime` adds Martin's metric: choose the clock
 frequency that maximizes *computations per battery lifetime*.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "lifetime": ("computations_per_lifetime", "lifetime_hours"),
-        "model": ("AAA_ALKALINE_PAIR", "Battery", "RateCapacityCurve"),
-        "pulsed": ("PulsedDischargeModel",),
-    },
-)

@@ -85,6 +85,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -530,7 +531,6 @@ def cmd_fuzz(args) -> int:
     """
     from repro.core.catalog import resolve_policy
     from repro.measure.differential import (
-        check_fuzz_spec,
         check_scenario,
         counterexample_entry,
         shrink_fuzz_spec,
@@ -549,7 +549,7 @@ def cmd_fuzz(args) -> int:
     for spec in specs:
         for mspec in machines:
             for policy in policies:
-                outcome = check_fuzz_spec(
+                outcome = check_scenario(
                     spec, policy, mspec, seed=args.seed, backend=args.backend
                 )
                 checked += 1
@@ -690,8 +690,6 @@ def cmd_fleet(args) -> int:
 
 def cmd_calibrate(args) -> int:
     """Benchmark this host and cache its fleet-normalization score."""
-    import os as os_module
-
     from repro.obs.calibrate import (
         DEFAULT_HOST_PATH,
         calibrate,
@@ -701,7 +699,7 @@ def cmd_calibrate(args) -> int:
 
     path = Path(
         args.output
-        or os_module.environ.get("REPRO_HOST_CALIBRATION")
+        or os.environ.get("REPRO_HOST_CALIBRATION")
         or DEFAULT_HOST_PATH
     )
     existing = load_calibration(path)
@@ -1043,17 +1041,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if not hasattr(args, "jobs"):  # not one of the sweep commands
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
         # A sweep command runs on this one engine.  Leaving the block
         # shuts its pool and closes every log however the command ends;
-        # only a command that returns is settled and recorded.
+        # only a command that returns and whose output was delivered is
+        # settled and recorded.
         with sweep_engine(args) as engine:
             code = args.func(args, engine)
+            sys.stdout.flush()
         report_sweep_stats(engine, args)
         return code
     except (ValueError, SweepCellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone (``repro ... | head``).  Point
+        # stdout at devnull, so the interpreter's last flush cannot raise
+        # again, and exit as a tool that SIGPIPE ends: 128 + SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

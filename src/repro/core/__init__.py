@@ -27,23 +27,3 @@ Extensions beyond the paper's evaluation:
   deadline specs and synthesized (period-detected) deadlines;
 - :mod:`repro.core.martin` -- Martin's battery-rational clock floor.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "cycleavg": ("CycleAverageGovernor",),
-        "deadline": (
-            "DeadlineGovernor",
-            "DeadlineSpec",
-            "SynthesizedDeadlineGovernor",
-        ),
-        "hysteresis": ("Direction", "ThresholdPair"),
-        "live": ("LivePredictorGovernor",),
-        "martin": ("FlooredGovernor", "martin_floor_step"),
-        "policy": ("IntervalPolicy", "VoltageRule"),
-        "predictors": ("AvgN", "Past", "Predictor", "WindowAverage"),
-        "speed": ("Double", "OneStep", "Peg", "SpeedSetter"),
-    },
-)

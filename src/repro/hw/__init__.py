@@ -24,33 +24,3 @@ measurements depend on:
 - :mod:`repro.hw.machines` -- named machine presets (:class:`MachineSpec`)
   for the sweep/cache layer and the CLI ``--machine`` flag.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "clocksteps": ("SA1100_CLOCK_TABLE", "ClockStep", "ClockTable"),
-        "cpu": ("CLOCK_CHANGE_STALL_US", "CoreState", "CpuModel"),
-        "itsy": ("ItsyConfig", "ItsyMachine"),
-        "machine": ("Machine",),
-        "machines": (
-            "MACHINE_PRESETS",
-            "MachinePreset",
-            "MachineSpec",
-            "register_machine",
-        ),
-        "memory": ("SA1100_MEMORY_TIMINGS", "MemoryTimings"),
-        "power": ("PowerModel", "PowerParameters"),
-        "rails": (
-            "VOLTAGE_HIGH",
-            "VOLTAGE_IO",
-            "VOLTAGE_LOW",
-            "CoreRail",
-            "ScheduledRail",
-            "VoltageError",
-        ),
-        "sa2": ("Sa2Machine",),
-        "work": ("Work",),
-    },
-)

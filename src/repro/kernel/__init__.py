@@ -26,38 +26,3 @@ This package reproduces that environment in simulation:
   energy-only cells) that shape the :class:`KernelRun` a run returns;
 - :mod:`repro.kernel.governor` -- the clock-scaling module interface.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "config": ("KernelConfig",),
-        "dvfs": ("DvfsEngine",),
-        "governor": (
-            "ConstantGovernor",
-            "Governor",
-            "GovernorRequest",
-            "TickInfo",
-        ),
-        "process": (
-            "Compute",
-            "Exit",
-            "Process",
-            "ProcessContext",
-            "ProcessState",
-            "Sleep",
-            "SleepUntil",
-            "SpinUntil",
-            "Yield",
-        ),
-        "recorders": (
-            "RECORDING_FULL",
-            "RECORDING_MINIMAL",
-            "EnergyTotals",
-            "QuantumStats",
-            "check_recording",
-        ),
-        "scheduler": ("Kernel", "KernelRun"),
-    },
-)

@@ -17,27 +17,3 @@ the workload toggles when it starts.  Energy is the rectangle sum
   process pool), its content-addressed result cache, and the repeated-run
   and ideal-constant experiments built on it.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "compare": ("Comparison", "welch_compare"),
-        "daq": ("DaqCapture", "DaqConfig", "DaqSystem"),
-        "energy": ("energy_from_samples", "mean_power_from_samples"),
-        "parallel": (
-            "CellResult",
-            "PolicySpec",
-            "ResultCache",
-            "SweepCell",
-            "SweepEngine",
-            "WorkloadSpec",
-            "cache_key",
-            "repeat_workload",
-        ),
-        "profile": ("PowerProfile", "burst_profile", "profile_timeline"),
-        "runner": ("ExperimentResult", "run_workload"),
-        "stats": ("ConfidenceInterval", "confidence_interval"),
-    },
-)

@@ -218,22 +218,6 @@ def check_scenario(
     )
 
 
-def check_fuzz_spec(
-    spec: FuzzSpec,
-    policy: str = "best",
-    machine: Optional[MachineSpec] = None,
-    seed: int = 0,
-    check_decomposition: bool = True,
-    backend: str = "fastpath",
-) -> DifferentialOutcome:
-    """:func:`check_scenario` on one fuzzed scenario: the check
-    :func:`shrink_fuzz_spec` repeats while it simplifies ``spec``."""
-    return check_scenario(
-        spec, policy, machine, seed,
-        check_decomposition=check_decomposition, backend=backend,
-    )
-
-
 def _shrink_candidates(spec: FuzzSpec) -> List[FuzzSpec]:
     """Simpler variants of ``spec``, most aggressive first."""
     candidates = []
@@ -266,7 +250,7 @@ def shrink_fuzz_spec(
     must already fail; a passing spec is returned unchanged with its
     (ok) outcome.
     """
-    outcome = check_fuzz_spec(
+    outcome = check_scenario(
         spec, policy, machine, seed,
         check_decomposition=check_decomposition, backend=backend,
     )
@@ -274,7 +258,7 @@ def shrink_fuzz_spec(
         return spec, outcome
     for _ in range(max_steps):
         for candidate in _shrink_candidates(spec):
-            cand_outcome = check_fuzz_spec(
+            cand_outcome = check_scenario(
                 candidate, policy, machine, seed,
                 check_decomposition=check_decomposition, backend=backend,
             )

@@ -865,6 +865,7 @@ class SweepEngine:
         self.stats = SweepStats()
         self._run_depth = 0  # baseline batches re-enter run()
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._cell_path_loaded = False  # see _load_cell_path
         #: pid -> zero-based ordinal, in order of first result: the
         #: run-log's worker ordinals and the trace's worker lanes.
         self._ordinals: Dict[int, int] = {}
@@ -926,15 +927,28 @@ class SweepEngine:
             return contextlib.nullcontext()
         return self.timeline.stage(name, **args)
 
+    def _load_cell_path(self) -> None:
+        """Import the cell path in this process, stamped as worker
+        start, at most once per engine.
+
+        The engine calls it before its first in-process cell, so no
+        cell's kernel compute stamp holds the import, and before a
+        ``fork`` pool starts, so the workers inherit the import.
+        """
+        if not self._cell_path_loaded:
+            self._cell_path_loaded = True
+            with self._stage(PHASE_WORKER_START):
+                _import_cell_path(self._diagnose)
+
     def _new_pool(self, workers: int) -> ProcessPoolExecutor:
         """A worker pool whose workers import the simulator on start.
 
         The pool machinery is imported here (stamped as pool spin-up): a
         batch served wholly from the cache, or run in-process, never
         starts one.  Under ``fork`` the engine then imports the cell path
-        once, stamped as worker start, and the workers inherit it; the
-        parent is still single-threaded when it forks (numpy's OpenBLAS
-        stops its one thread in its fork handler).
+        (:meth:`_load_cell_path`) and the workers inherit it; the parent
+        is still single-threaded when it forks (numpy's OpenBLAS stops
+        its one thread in its fork handler).
         """
         with self._stage(PHASE_SPINUP, workers=workers):
             import multiprocessing
@@ -942,8 +956,7 @@ class SweepEngine:
 
             self.start_method = multiprocessing.get_start_method()
         if self.start_method == "fork":
-            with self._stage(PHASE_WORKER_START):
-                _import_cell_path(self._diagnose)
+            self._load_cell_path()
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_warm_worker,
@@ -974,7 +987,8 @@ class SweepEngine:
         outcomes in todo order.
 
         A ``jobs=1`` engine, or a one-cell batch, runs ``todo`` in this
-        process as one chunk, beating straight to the live observers.
+        process as one chunk, after the cell path import
+        (:meth:`_load_cell_path`), beating straight to the live observers.
         Otherwise the chunks go to the warm pool (spawned on first use)
         and, while they run, a pump thread feeds their heartbeats to the
         live observers.  It starts after submission, so a ``fork`` pool
@@ -997,6 +1011,7 @@ class SweepEngine:
             )
 
         if self.jobs == 1 or len(todo) == 1:
+            self._load_cell_path()
             return _checked(todo, _execute_chunk(*args(todo), self._beat))
         batch_start = perf_counter()
         if self._pool is None:

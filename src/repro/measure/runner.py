@@ -22,9 +22,10 @@ from typing import Callable, List, Optional
 from repro.hw.machine import Machine
 from repro.hw.machines import MachineSpec
 from repro.kernel.backend import resolve_backend
+from repro.kernel.config import KernelConfig
 from repro.kernel.governor import Governor
 from repro.kernel.recorders import RECORDING_FULL, check_recording
-from repro.kernel.scheduler import Kernel, KernelConfig, KernelRun
+from repro.kernel.scheduler import Kernel, KernelRun
 from repro.measure.daq import DaqCapture, DaqSystem
 from repro.traces.schema import AppEvent
 from repro.workloads.base import Workload

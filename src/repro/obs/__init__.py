@@ -33,60 +33,3 @@ perf-regression sentinel (:func:`check_fleet`), and
 :mod:`repro.obs.plot` renders the ledger as dependency-free inline-SVG
 trend curves.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "calibrate": (
-            "HostCalibration",
-            "calibrate",
-            "host_score",
-            "load_calibration",
-            "save_calibration",
-        ),
-        "diagnose": (
-            "DIAGNOSIS_VERSION",
-            "DiagnosisWriter",
-            "EnergyDecomposition",
-            "MissAttribution",
-            "PolicyDiagnosis",
-            "PredictionLedger",
-            "SettlingReport",
-            "diagnose",
-            "read_diagnoses",
-        ),
-        "fleet": (
-            "FleetLedger",
-            "FleetRecord",
-            "SentinelReport",
-            "check_fleet",
-            "read_fleet",
-            "throughput_trend",
-        ),
-        "plot": ("fleet_charts", "fleet_plot_svg"),
-        "profile": (
-            "PHASE_ORDER",
-            "SweepObserver",
-            "SweepTimeline",
-            "format_phase_table",
-        ),
-        "report": ("SweepReport", "build_report", "render_report"),
-        "telemetry": ("ProgressDisplay",),
-        "runlog": (
-            "RUN_LOG_VERSION",
-            "JsonlLog",
-            "RunLogRecord",
-            "RunLogWriter",
-            "provenance_warnings",
-            "read_jsonl",
-            "read_run_log",
-        ),
-        "trace": (
-            "chrome_trace",
-            "validate_chrome_trace",
-            "write_chrome_trace",
-        ),
-    },
-)

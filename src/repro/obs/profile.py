@@ -15,8 +15,9 @@ on the system-wide ``perf_counter`` timebase, from two sources:
   the kernel-compute interval, the diagnosis interval, the
   observer-reduction interval (the cell's result reduction,
   :meth:`~repro.measure.parallel.CellResult.from_experiment`), and,
-  once per pool worker, the worker's start-up (under ``fork`` the engine
-  stamps the simulator import its workers inherit as worker start too).
+  once per pool worker, the worker's start-up (the engine stamps its own
+  simulator import as worker start too, once: before its first
+  in-process cell, or before a ``fork`` pool whose workers inherit it).
 
 The timeline has two readings of the same spans:
 
@@ -68,9 +69,9 @@ PHASE_CACHE = "cache I/O"
 #: ``perf_counter()`` at pool creation to the end of the simulator import
 #: in the pool initializer, so interpreter start and unpickling count
 #: under ``forkserver`` and ``spawn`` — rides home with its first cell
-#: outcome.  Under ``fork`` the engine also stamps its own import of the
-#: simulator, just before the pool starts, as worker start: the workers
-#: inherit that import.
+#: outcome.  The engine stamps its own import of the simulator as worker
+#: start too, at most once: before its first in-process cell, or just
+#: before a ``fork`` pool starts, whose workers inherit that import.
 PHASE_WORKER_START = "worker start"
 PHASE_COMPUTE = "kernel compute"
 #: The cell's result reduction (``CellResult.from_experiment``); the name

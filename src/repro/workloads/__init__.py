@@ -15,31 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from repro._lazy import attach
-
 if TYPE_CHECKING:
     from repro.workloads.base import Workload
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "base": ("WorkProfile", "Workload", "combine_workloads"),
-        "chess": ("ChessConfig", "chess_workload", "setup_chess"),
-        "editor": ("EditorConfig", "editor_workload", "setup_editor"),
-        "events": ("InputEvent", "InputTrace"),
-        "fuzz": ("FuzzSpec", "fuzz_family", "fuzz_workload"),
-        "java": ("JavaConfig", "spawn_jvm_poller"),
-        "mpeg": ("MpegConfig", "mpeg_workload", "setup_mpeg"),
-        "replay": (
-            "RecordedQuantum",
-            "ReplayMode",
-            "record_from_run",
-            "replay_workload",
-        ),
-        "web": ("WebConfig", "setup_web", "web_workload"),
-    },
-)
-__all__.append("all_workloads")
 
 
 def all_workloads() -> List[Workload]:

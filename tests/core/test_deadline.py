@@ -129,7 +129,8 @@ class TestSynthesizedDeadlineGovernor:
         governor detects the period and parks near the demand-covering
         step instead of pegging."""
         from repro.hw.itsy import ItsyConfig, ItsyMachine
-        from repro.kernel.scheduler import Kernel, KernelConfig
+        from repro.kernel.config import KernelConfig
+        from repro.kernel.scheduler import Kernel
         from repro.workloads.synthetic import cycle_demand_body
 
         machine = ItsyMachine(ItsyConfig())

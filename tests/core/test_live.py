@@ -6,8 +6,9 @@ from repro.core.govil import AgedAveragesPredictor, FlatPredictor, PeakPredictor
 from repro.core.live import LivePredictorGovernor
 from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.rails import VOLTAGE_HIGH
+from repro.kernel.config import KernelConfig
 from repro.kernel.governor import TickInfo
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.scheduler import Kernel
 from repro.workloads.synthetic import rectangle_wave_body
 
 

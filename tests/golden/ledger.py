@@ -165,7 +165,7 @@ def grid_group() -> Dict[str, dict]:
 
 def fuzz_group() -> Dict[str, dict]:
     from repro.hw.machines import MachineSpec
-    from repro.measure.differential import check_fuzz_spec
+    from repro.measure.differential import check_scenario
     from repro.measure.parallel import CellResult
     from repro.workloads.fuzz import fuzz_family
 
@@ -173,8 +173,8 @@ def fuzz_group() -> Dict[str, dict]:
     for spec in fuzz_family(FUZZ_COUNT, master_seed=FUZZ_SEED,
                             duration_s=FUZZ_DURATION_S):
         for machine in FUZZ_MACHINES:
-            outcome = check_fuzz_spec(spec, "best", MachineSpec.parse(machine),
-                                      seed=FUZZ_SEED)
+            outcome = check_scenario(spec, "best", MachineSpec.parse(machine),
+                                     seed=FUZZ_SEED)
             label = f"fuzz seed={spec.seed} {machine}"
             if not outcome.ok:
                 entries[label] = {"error": outcome.describe()}

@@ -2,11 +2,10 @@
 
 import pytest
 
+from repro.hw.clocksteps import SA2_CLOCK_TABLE, SA2_FREQUENCIES_MHZ
 from repro.hw.power import CoreState
 from repro.hw.rails import VoltageError
 from repro.hw.sa2 import (
-    SA2_CLOCK_TABLE,
-    SA2_FREQUENCIES_MHZ,
     Sa2Machine,
     sa2_energy_for_instructions,
     sa2_power_w,

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.catalog import constant_speed
 from repro.hw.itsy import ItsyConfig, ItsyMachine
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.config import KernelConfig
+from repro.kernel.scheduler import Kernel
 from repro.measure.parallel import WorkloadSpec, find_ideal_constant
 from repro.measure.runner import run_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload, setup_mpeg

@@ -4,16 +4,10 @@ import pytest
 
 from repro.core.catalog import best_policy, constant_speed
 from repro.measure.runner import run_workload
-from repro.workloads import (
-    chess_workload,
-    editor_workload,
-    mpeg_workload,
-    web_workload,
-)
-from repro.workloads.chess import ChessConfig
-from repro.workloads.editor import EditorConfig
-from repro.workloads.mpeg import MpegConfig
-from repro.workloads.web import WebConfig
+from repro.workloads.chess import ChessConfig, chess_workload
+from repro.workloads.editor import EditorConfig, editor_workload
+from repro.workloads.mpeg import MpegConfig, mpeg_workload
+from repro.workloads.web import WebConfig, web_workload
 
 # Shortened traces keep the integration suite quick while preserving the
 # structure; the benchmarks run the full-length versions.

@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.catalog import best_policy, constant_speed
 from repro.hw.itsy import ItsyConfig, ItsyMachine
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.config import KernelConfig
+from repro.kernel.scheduler import Kernel
 from repro.measure.runner import run_workload
 from repro.workloads.chess import ChessConfig, chess_workload
 from repro.workloads.editor import EditorConfig, editor_workload

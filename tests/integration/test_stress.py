@@ -5,8 +5,9 @@ import pytest
 from repro.core.catalog import best_policy, constant_speed
 from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.work import Work
+from repro.kernel.config import KernelConfig
 from repro.kernel.process import Compute, Exit, SpinUntil
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.scheduler import Kernel
 from repro.measure.runner import run_workload
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel.scheduler import KernelConfig
+from repro.kernel.config import KernelConfig
 
 
 class TestKernelConfigValidation:

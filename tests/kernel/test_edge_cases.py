@@ -5,9 +5,10 @@ import pytest
 
 from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.work import Work
+from repro.kernel.config import KernelConfig
 from repro.kernel.fastpath import FastKernel
 from repro.kernel.process import Compute, Exit, Sleep, SleepUntil, SpinUntil, Yield
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.scheduler import Kernel
 
 Q = 10_000.0
 CFG = KernelConfig(sched_overhead_us=0.0)

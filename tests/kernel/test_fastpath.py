@@ -17,9 +17,9 @@ import pytest
 
 from repro.core.catalog import resolve_policy
 from repro.hw.machines import MachineSpec
+from repro.kernel.config import KernelConfig
 from repro.kernel.fastpath import FastKernel
 from repro.kernel.recorders import RECORDING_MINIMAL
-from repro.kernel.scheduler import KernelConfig
 from repro.measure.parallel import (
     PolicySpec,
     ResultCache,
@@ -257,7 +257,7 @@ class TestLongRuns:
         assert_bitwise_equal(ref, fast)
 
     def test_sched_log_matches(self):
-        from repro.kernel.scheduler import KernelConfig
+        from repro.kernel.config import KernelConfig
 
         spec = MachineSpec.parse("itsy")
         cfg = KernelConfig(record_sched_log=True)

@@ -4,8 +4,9 @@ import pytest
 
 from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.rails import VOLTAGE_HIGH, VOLTAGE_LOW
+from repro.kernel.config import KernelConfig
 from repro.kernel.governor import ConstantGovernor, Governor, GovernorRequest, TickInfo
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.scheduler import Kernel
 
 Q = 10_000.0
 CFG = KernelConfig(sched_overhead_us=0.0)

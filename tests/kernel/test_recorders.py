@@ -9,6 +9,7 @@ results without the recording mode.
 import pytest
 
 from repro.hw.itsy import ItsyConfig, ItsyMachine
+from repro.kernel.config import KernelConfig
 from repro.kernel.governor import Governor, GovernorRequest
 from repro.kernel.process import Sleep, SpinUntil
 from repro.kernel.recorders import (
@@ -18,7 +19,7 @@ from repro.kernel.recorders import (
     check_recording,
     stats_from_rows,
 )
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.scheduler import Kernel
 
 Q = 10_000.0
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.work import Work
+from repro.kernel.config import KernelConfig
 from repro.kernel.governor import ConstantGovernor, Governor
 from repro.kernel.process import (
     Compute,
@@ -13,7 +14,7 @@ from repro.kernel.process import (
     SpinUntil,
     Yield,
 )
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.scheduler import Kernel
 
 Q = 10_000.0
 NO_OVERHEAD = KernelConfig(sched_overhead_us=0.0)

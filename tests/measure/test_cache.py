@@ -17,7 +17,7 @@ import pytest
 
 import repro
 from repro.hw.machines import MachineSpec
-from repro.kernel.scheduler import KernelConfig
+from repro.kernel.config import KernelConfig
 from repro.measure.parallel import (
     CACHE_SCHEMA_VERSION,
     PolicySpec,

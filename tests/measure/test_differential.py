@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from repro.core.catalog import resolve_policy
 from repro.hw.machines import MachineSpec
-from repro.kernel.scheduler import KernelConfig
+from repro.kernel.config import KernelConfig
 from repro.measure.differential import (
     RESIDUAL_TOLERANCE_J,
     DifferentialOutcome,
-    check_fuzz_spec,
+    check_scenario,
     compare_results,
     counterexample_entry,
     shrink_fuzz_spec,
@@ -61,7 +61,7 @@ class TestCompareResults:
 class TestCheckFuzzSpec:
     @pytest.mark.parametrize("machine", MACHINES)
     def test_cores_agree_on_every_machine(self, machine):
-        outcome = check_fuzz_spec(
+        outcome = check_scenario(
             FuzzSpec(seed=21, duration_s=0.5),
             policy="past-peg",
             machine=MachineSpec.parse(machine),
@@ -71,7 +71,7 @@ class TestCheckFuzzSpec:
 
     @pytest.mark.parametrize("machine", MACHINES)
     def test_energy_decomposition_closes(self, machine):
-        outcome = check_fuzz_spec(
+        outcome = check_scenario(
             FuzzSpec(seed=22, duration_s=0.5, processes=2),
             policy="best",
             machine=MachineSpec.parse(machine),
@@ -82,7 +82,7 @@ class TestCheckFuzzSpec:
     def test_exception_parity_counts_as_ok(self):
         # best-voltage requests 1.23 V, which the stock Itsy rejects in
         # both cores with the same message: parity, so no failure.
-        outcome = check_fuzz_spec(
+        outcome = check_scenario(
             FuzzSpec(seed=1, duration_s=0.4),
             policy="best-voltage",
             machine=MachineSpec("itsy-stock"),
@@ -92,7 +92,7 @@ class TestCheckFuzzSpec:
 
     def test_family_batch_is_clean(self):
         for spec in fuzz_family(4, master_seed=17, duration_s=0.5):
-            outcome = check_fuzz_spec(spec, "best", MachineSpec("itsy-reconf"))
+            outcome = check_scenario(spec, "best", MachineSpec("itsy-reconf"))
             assert outcome.ok, outcome.describe()
 
     @settings(
@@ -119,7 +119,7 @@ class TestCheckFuzzSpec:
             deadline_tightness=tightness,
             processes=processes,
         )
-        outcome = check_fuzz_spec(spec, "past-double", MachineSpec("itsy-reconf"))
+        outcome = check_scenario(spec, "past-double", MachineSpec("itsy-reconf"))
         assert outcome.ok, outcome.describe()
 
 
@@ -135,7 +135,7 @@ class TestShrinking:
         # shrinker must simplify every other knob and keep that one.
         import repro.measure.differential as differential
 
-        real_check = differential.check_fuzz_spec
+        real_check = differential.check_scenario
 
         def fake_check(spec, policy="best", machine=None, seed=0,
                        check_decomposition=True, backend="fastpath"):
@@ -145,7 +145,7 @@ class TestShrinking:
                 return replace(outcome, mismatches=("energy_j",))
             return outcome
 
-        monkeypatch.setattr(differential, "check_fuzz_spec", fake_check)
+        monkeypatch.setattr(differential, "check_scenario", fake_check)
         start = FuzzSpec(seed=3, duration_s=0.8, phases=4, processes=2,
                          burstiness=0.5, ramp=0.5, idle_storm=0.25)
         shrunk, outcome = differential.shrink_fuzz_spec(
@@ -159,7 +159,7 @@ class TestShrinking:
         assert shrunk.idle_storm == 0.0
 
     def test_counterexample_round_trips_through_corpus(self, tmp_path):
-        outcome = check_fuzz_spec(
+        outcome = check_scenario(
             FuzzSpec(seed=4, duration_s=0.4), "best", MachineSpec("itsy")
         )
         entry = counterexample_entry(outcome)

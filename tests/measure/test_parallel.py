@@ -13,8 +13,8 @@ import pytest
 
 from repro.core.catalog import resolve_policy
 from repro.hw.machines import MachineSpec
+from repro.kernel.config import KernelConfig
 from repro.kernel.governor import ConstantGovernor
-from repro.kernel.scheduler import KernelConfig
 from repro.measure import runner
 from repro.measure.parallel import (
     CellResult,

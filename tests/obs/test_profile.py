@@ -252,6 +252,23 @@ class TestEngineIntegration:
             assert after_both[lane] == spans, f"lane {lane} started twice"
         assert timeline.phase_seconds()[PHASE_WORKER_START] > 0
 
+    def test_in_process_sweep_stamps_its_import_before_the_first_cell(self):
+        # The simulator import is the engine's worker start, once, and
+        # lands in no cell's kernel compute stamp.
+        timeline = SweepTimeline()
+        engine = SweepEngine(jobs=1, timeline=timeline)
+        engine.run(self.cells(duration_s=1.0, seeds=(0,)))
+        engine.run(self.cells(duration_s=1.0, seeds=(1,)))
+        spans = [
+            e for e in timeline.chrome_trace()["traceEvents"] if e["ph"] == "X"
+        ]
+        starts = [e for e in spans if e["name"] == PHASE_WORKER_START]
+        assert [e["tid"] for e in starts] == [LANE_ENGINE]
+        first_compute = min(
+            e["ts"] for e in spans if e["name"] == PHASE_COMPUTE
+        )
+        assert starts[0]["ts"] + starts[0]["dur"] <= first_compute
+
     def test_cache_phase_recorded(self, tmp_path):
         timeline = SweepTimeline()
         engine = SweepEngine(

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.core.catalog import resolve_policy
+from repro.kernel.config import KernelConfig
 from repro.kernel.recorders import RECORDING_MINIMAL
-from repro.kernel.scheduler import KernelConfig
 from repro.measure.runner import run_workload
 from repro.obs.trace import (
     TRACE_PID_MACHINE,

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from repro.hw.machines import MachineSpec
 from repro.hw.rails import CoreRail, VOLTAGE_HIGH, VOLTAGE_LOW
+from repro.kernel.config import KernelConfig
 from repro.kernel.governor import Governor, GovernorRequest
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.scheduler import Kernel
 from repro.workloads.mpeg import MpegConfig, setup_mpeg
 
 Q = 10_000.0

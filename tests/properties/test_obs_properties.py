@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.cli import workload_spec
 from repro.core.catalog import resolve_policy
 from repro.hw.machines import MachineSpec
-from repro.kernel.scheduler import KernelConfig
+from repro.kernel.config import KernelConfig
 from repro.measure.runner import run_workload
 from repro.obs.diagnose import (
     ENERGY_SUM_TOLERANCE_J,

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.work import Work
+from repro.kernel.config import KernelConfig
 from repro.kernel.process import Compute, Exit, Sleep, SpinUntil
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.scheduler import Kernel
 
 Q = 10_000.0
 

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import (
     build_parser,
     main,
@@ -21,6 +25,8 @@ from tests.golden.ledger import TRACE_COMMANDS, load_ledger
 
 #: The checkout, home of the committed ``BENCH_*.json`` records.
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: The directory the package under test imports from.
+SRC = Path(repro.__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -204,6 +210,34 @@ class TestCommands:
         code = main(["run", "mpeg", "--policy", "nope"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", [True, False],
+                             ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["list-policies"], ["run", "mpeg", "--duration", "1", "--no-fleet"]],
+        ids=["list-policies", "run"],
+    )
+    def test_closed_stdout_pipe_exits_141(self, argv, unbuffered):
+        # stdout's reader has gone, as in ``repro ... | head``: the
+        # command ends as SIGPIPE ends a C tool, without a traceback,
+        # whether the failing write is a print or the final flush.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, text=True, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141, proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
 
     @pytest.mark.parametrize(
         "argv",
@@ -1176,12 +1210,12 @@ class TestFuzzCommand:
     def test_corpus_replay(self, capsys, tmp_path):
         from repro.hw.machines import MachineSpec
         from repro.measure.differential import (
-            check_fuzz_spec, counterexample_entry,
+            check_scenario, counterexample_entry,
         )
         from repro.traces.corpus import save_entry
         from repro.workloads.fuzz import FuzzSpec
 
-        outcome = check_fuzz_spec(
+        outcome = check_scenario(
             FuzzSpec(seed=9, duration_s=0.4), "best", MachineSpec("itsy")
         )
         save_entry(tmp_path, counterexample_entry(outcome))

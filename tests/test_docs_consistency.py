@@ -156,8 +156,7 @@ class TestReadme:
         """The README's quick-start code must actually execute."""
         from repro.core.catalog import best_policy, constant_speed
         from repro.measure.runner import run_workload
-        from repro.workloads import mpeg_workload
-        from repro.workloads.mpeg import MpegConfig
+        from repro.workloads.mpeg import MpegConfig, mpeg_workload
 
         # shortened for test speed; same API calls as the README
         wl = mpeg_workload(MpegConfig(duration_s=4.0))

@@ -8,12 +8,15 @@ machine model.  Cells, cache keys and machine specs are named by value
 without them.  The simulator loads where a cell runs: in-process, in a
 pool worker, which imports a cell's whole path before its first cell,
 or under ``fork`` in the parent, which imports it once before the pool
-starts so the workers inherit it.  Package namespaces re-export their
-public names lazily (:mod:`repro._lazy`).  Every check runs in a fresh
-interpreter, so the imports of this test process cannot hide a
-regression.
+starts so the workers inherit it.  Every check of what a command loads
+runs in a fresh interpreter, so the imports of this test process cannot
+hide a regression.
+
+Each public name has one import path, the module that defines it:
+package namespaces hold only their docstrings and re-export nothing.
 """
 
+import ast
 import functools
 import json
 import multiprocessing
@@ -27,8 +30,9 @@ import pytest
 import repro
 
 SRC = Path(repro.__file__).resolve().parents[1]
+REPO = SRC.parent
 
-#: Packages whose ``__init__`` re-exports submodule names.
+#: The subpackages of ``repro``.
 PACKAGES = [
     "repro.analysis",
     "repro.battery",
@@ -228,24 +232,76 @@ def test_cell_path_import_leaves_nothing_for_the_cells():
     assert json.loads(proc.stdout) == []
 
 
+def module_file(name):
+    """The source file of module ``name`` under ``src/``, or ``None``."""
+    base = SRC.joinpath(*name.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def defined_names(path):
+    """The names a module binds at its top level by ``def``, ``class`` or
+    assignment; names it imports do not count."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                leaf.id
+                for target in targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            )
+    return frozenset(names)
+
+
 @pytest.mark.parametrize("package", PACKAGES)
-def test_package_reexports_resolve_lazily(package):
+def test_package_imports_no_submodule_and_binds_no_submodule_name(package):
     proc = run_python(
         "import importlib, json, sys\n"
         f"pkg = importlib.import_module({package!r})\n"
         f"loaded = [m for m in sys.modules if m.startswith({package + '.'!r})]\n"
-        "from repro._lazy import EXPORTS\n"
-        "origins = EXPORTS[pkg.__name__]\n"
-        "wrong = [\n"
-        "    name for name in pkg.__all__\n"
-        "    if name not in dir(pkg)\n"
-        "    or getattr(pkg, name) is not (\n"
-        "        getattr(importlib.import_module(origins[name]), name)\n"
-        "        if name in origins else vars(pkg)[name]\n"
-        "    )\n"
-        "]\n"
-        "print(json.dumps({'loaded': loaded, 'wrong': wrong}))"
+        "print(json.dumps({'loaded': loaded, 'names': sorted(vars(pkg))}))"
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result == {"loaded": [], "wrong": []}
+    assert result["loaded"] == []
+    defined = set().union(*(
+        defined_names(path)
+        for path in module_file(package).parent.glob("*.py")
+        if path.name != "__init__.py"
+    ))
+    assert [name for name in result["names"] if name in defined] == []
+
+
+def test_every_name_is_imported_from_its_defining_module():
+    # One import path per public name: ``from repro.x import name`` must
+    # name a submodule of ``repro.x`` or a name that ``repro.x`` itself
+    # defines, never one it only imports.  perfbench is only read.
+    wrong = []
+    for top in ("src", "tests", "benchmarks", "examples", "perfbench"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not (
+                    isinstance(node, ast.ImportFrom)
+                    and node.level == 0
+                    and node.module.split(".")[0] == "repro"
+                ):
+                    continue
+                source = module_file(node.module)
+                for alias in node.names:
+                    if source is None or not (
+                        module_file(f"{node.module}.{alias.name}")
+                        or alias.name in defined_names(source)
+                    ):
+                        where = path.relative_to(REPO)
+                        wrong.append(
+                            f"{where}:{node.lineno}: "
+                            f"from {node.module} import {alias.name}"
+                        )
+    assert wrong == []

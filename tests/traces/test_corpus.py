@@ -180,44 +180,22 @@ class TestReplayIntegration:
 
 
 class TestLazyReExports:
-    """The PEP 562 layer in ``repro.traces.__init__`` (cycle guard)."""
+    """The import-cycle guard: ``repro.traces`` and ``repro.kernel``
+    import each other's modules."""
 
     def test_kernel_first_import_order(self):
-        # The order that forces the lazy re-export: importing the kernel
-        # first initializes repro.traces (via traces.schema) while
+        # Importing the kernel first imports repro.traces.schema while
         # repro.kernel.scheduler is still partially initialized; the
-        # corpus names must still resolve afterwards.  Run in a fresh
+        # corpus names must still import afterwards.  Run in a fresh
         # interpreter so this process's import state cannot mask it.
         import subprocess
         import sys
 
         code = (
             "import repro.kernel.scheduler\n"
-            "import repro.traces\n"
-            "assert repro.traces.CorpusEntry is not None\n"
-            "assert repro.traces.entry_digest is not None\n"
+            "from repro.traces.corpus import CorpusEntry, entry_digest\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-
-    def test_lazy_names_match_corpus_module(self):
-        import repro.traces
-        from repro.traces import corpus
-
-        assert repro.traces.CorpusEntry is corpus.CorpusEntry
-        assert repro.traces.save_entry is corpus.save_entry
-
-    def test_dir_lists_lazy_exports(self):
-        import repro.traces
-
-        listed = dir(repro.traces)
-        assert "CorpusEntry" in listed
-        assert "load_corpus" in listed
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.traces
-
-        with pytest.raises(AttributeError, match="no attribute 'nope'"):
-            repro.traces.nope

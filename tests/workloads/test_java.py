@@ -3,7 +3,8 @@
 import pytest
 
 from repro.hw.itsy import ItsyConfig, ItsyMachine
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.config import KernelConfig
+from repro.kernel.scheduler import Kernel
 from repro.workloads.java import JavaConfig, jit_warmup_work, spawn_jvm_poller
 
 Q = 10_000.0

@@ -4,7 +4,8 @@ import pytest
 
 from repro.hw.itsy import ItsyConfig, ItsyMachine
 from repro.hw.work import Work
-from repro.kernel.scheduler import Kernel, KernelConfig
+from repro.kernel.config import KernelConfig
+from repro.kernel.scheduler import Kernel
 from repro.workloads.synthetic import (
     cycle_demand_body,
     rectangle_wave_body,
