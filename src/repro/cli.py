@@ -56,9 +56,6 @@ backend under test (``--backend``) differentially, checking bitwise
 identity and a closed energy decomposition, shrinking failures and
 saving them as replayable corpus entries (see
 :mod:`repro.traces.corpus`).
-``report`` additionally renders a "Perf history" section from any
-committed ``BENCH_*.json`` benchmark records passed via ``--bench``
-(files, directories or globs, ordered by recorded timestamp).
 
 Sweep commands also take the sweep-telemetry flags: ``--progress`` for a
 live TTY status line (cells done/total, cells/s, ETA, cache-hit rate,
@@ -70,14 +67,15 @@ always stamp their pipeline stages into a timeline; the flags only
 print or export it), and the fleet ledger:
 every sweep command appends one record to ``.repro/fleet.jsonl``
 (``--fleet PATH`` overrides, ``--no-fleet`` opts out; a ledger that
-cannot be written only warns), queryable afterwards with ``repro
-fleet`` — list/filter past sweeps, throughput trend, markdown/HTML
-perf-trajectory reports, inline-SVG trend curves (``--plot``, see
-:mod:`repro.obs.plot`) and the perf-regression sentinel (``--check``:
-compares the latest sweep against the median of comparable
-predecessors — same command, grid and job count — normalized by the host
-score ``repro calibrate`` caches, and exits non-zero naming the
-regressed phase — see :mod:`repro.obs.fleet` and
+cannot be written only warns).  ``repro fleet`` filters the ledger and
+prints it through the same report renderers ``report`` uses: the
+per-sweep table, throughput trend and phase totals in markdown, plus
+inline-SVG trend curves in HTML (``--format html``, see
+:mod:`repro.obs.plot`).  ``fleet --check`` is the perf-regression
+sentinel instead: it compares the latest sweep against the median of
+comparable predecessors — same command, grid and job count — normalized
+by the host score ``repro calibrate`` caches, and exits non-zero naming
+the regressed phase (see :mod:`repro.obs.fleet` and
 :mod:`repro.obs.calibrate`).
 """
 
@@ -106,7 +104,14 @@ from repro.measure.parallel import (
     find_ideal_constant,
     repeat_workload,
 )
-from repro.obs.fleet import DEFAULT_FLEET_PATH, FleetLedger, read_fleet
+from repro.obs.fleet import (
+    DEFAULT_FLEET_PATH,
+    SENTINEL_MAX_DROP_PCT,
+    SENTINEL_WINDOW,
+    FleetLedger,
+    check_fleet,
+    read_fleet,
+)
 from repro.obs.profile import SweepTimeline
 from repro.obs.runlog import RunLogWriter
 from repro.measure.stats import confidence_interval
@@ -487,16 +492,32 @@ def cmd_diagnose(args) -> int:
     return 1 if diagnosis.misses else 0
 
 
+def write_report(report, args, contents: str) -> int:
+    """Print ``report`` in the ``--format`` renderer, or write it to
+    ``-o`` and name the file and its ``contents`` on stderr."""
+    from repro.obs.report import render_report
+
+    text = render_report(report, args.format)
+    if args.output:
+        Path(args.output).write_text(text + "\n")
+        print(
+            f"wrote {args.output} ({contents}, format {args.format})",
+            file=sys.stderr,
+        )
+    else:
+        print(text)
+    return 0
+
+
 def cmd_report(args) -> int:
     """Aggregate a run-log (plus optional diagnoses) into one document."""
     from repro.obs.diagnose import read_diagnoses
-    from repro.obs.report import build_report, load_bench_records, render_report
+    from repro.obs.report import build_report
     from repro.obs.runlog import read_run_log
 
     try:
         records = read_run_log(args.run_log)
         diagnoses = read_diagnoses(args.diagnoses) if args.diagnoses else []
-        bench_records = load_bench_records(args.bench) if args.bench else []
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -504,18 +525,10 @@ def cmd_report(args) -> int:
     # (with file:line provenance) rather than silently under-reporting.
     for warning in (*records.warnings, *getattr(diagnoses, "warnings", ())):
         print(f"warning: {warning}", file=sys.stderr)
-    report = build_report(records, diagnoses, bench_records=bench_records)
-    text = render_report(report, args.format)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(
-            f"wrote {args.output} ({len(report.rows)} rows, "
-            f"{len(diagnoses)} diagnoses, format {args.format})",
-            file=sys.stderr,
-        )
-    else:
-        print(text)
-    return 0
+    report = build_report(records, diagnoses)
+    return write_report(
+        report, args, f"{len(report.rows)} rows, {len(diagnoses)} diagnoses"
+    )
 
 
 def cmd_fuzz(args) -> int:
@@ -593,9 +606,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    """List, filter, render, plot and sentinel-check the fleet ledger."""
-    from repro.obs.fleet import check_fleet, throughput_trend
-    from repro.obs.report import build_report, load_bench_records, render_report
+    """Render the fleet ledger as a report, or sentinel-check it."""
+    from repro.obs.report import build_report
 
     path = Path(args.ledger)
     if not path.exists():
@@ -621,87 +633,25 @@ def cmd_fleet(args) -> int:
     if not records:
         print("fleet: no recorded sweeps match the filters", file=sys.stderr)
         return 1
-
-    try:
-        bench_records = load_bench_records(args.bench) if args.bench else []
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if getattr(args, "plot", None):
-        from repro.obs.plot import fleet_plot_svg
-
-        out = Path(args.plot)
-        out.write_text(fleet_plot_svg(records) + "\n")
-        print(
-            f"fleet plot: {out} ({len(records)} sweeps; throughput, "
-            f"cache-hit rate and phase mix over commits)",
-            file=sys.stderr,
-        )
-
-    if getattr(args, "check", False):
-        report = check_fleet(
-            records,
-            window=args.window,
-            max_drop_pct=args.max_drop,
-            max_hit_rate_drop=args.max_hit_drop,
-        )
-        print(report.summary())
-        return 0 if report.ok else 1
-
-    if args.format:
-        report = build_report(
-            [], bench_records=bench_records, fleet_records=records
-        )
-        text = render_report(report, args.format)
-        if args.output:
-            Path(args.output).write_text(text + "\n")
-            print(
-                f"wrote {args.output} ({len(records)} sweeps, "
-                f"format {args.format})",
-                file=sys.stderr,
-            )
-        else:
-            print(text)
-        return 0
-
-    import time as time_module
-
-    print(
-        f"{'sweep id':22s} {'when':17s} {'command':8s} {'cells':>6s} "
-        f"{'cached':>6s} {'cells/s':>8s} {'norm/s':>8s} {'wall s':>7s} "
-        f"{'backend':10s} {'jobs':>4s}"
+    if args.check:
+        verdict = check_fleet(records)
+        print(verdict.summary())
+        return 0 if verdict.ok else 1
+    return write_report(
+        build_report([], fleet_records=records), args, f"{len(records)} sweeps"
     )
-    for r in records:
-        when = time_module.strftime(
-            "%Y-%m-%d %H:%M", time_module.localtime(r.unix_time)
-        )
-        norm = r.normalized_cells_per_s
-        norm_text = f"{norm:8.1f}" if norm is not None else f"{'-':>8s}"
-        print(
-            f"{r.sweep_id:22s} {when:17s} {(r.command or '-'):8s} "
-            f"{r.cells_total:6d} {r.cells_cached:6d} {r.cells_per_s:8.1f} "
-            f"{norm_text} "
-            f"{r.wall_s:7.1f} {(r.backend or '-'):10s} {r.jobs:4d}"
-        )
-    print(throughput_trend(records))
-    return 0
 
 
 def cmd_calibrate(args) -> int:
     """Benchmark this host and cache its fleet-normalization score."""
     from repro.obs.calibrate import (
-        DEFAULT_HOST_PATH,
         calibrate,
+        calibration_path,
         load_calibration,
         save_calibration,
     )
 
-    path = Path(
-        args.output
-        or os.environ.get("REPRO_HOST_CALIBRATION")
-        or DEFAULT_HOST_PATH
-    )
+    path = Path(args.output) if args.output else calibration_path()
     existing = load_calibration(path)
     if existing is not None and not args.force:
         print(f"host already calibrated (score {existing.score:.2f}, "
@@ -889,12 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="JSONL run-log written by --run-log")
     report_parser.add_argument("--diagnoses", default=None, metavar="PATH",
                                help="join a JSONL diagnosis log into the report")
-    report_parser.add_argument("--bench", nargs="+", default=None,
-                               metavar="PATH",
-                               help="render BENCH_*.json perf records as a "
-                                    "Perf history section; accepts files, "
-                                    "directories or globs, ordered by "
-                                    "recorded timestamp (e.g. --bench .)")
     report_parser.add_argument("--format", choices=["md", "html"], default="md")
     report_parser.add_argument("-o", "--output", default=None, metavar="PATH",
                                help="write the report here instead of stdout")
@@ -902,8 +846,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_parser = sub.add_parser(
         "fleet",
-        help="list past sweeps from the fleet ledger and their "
-             "throughput trend",
+        help="render past sweeps from the fleet ledger as a report "
+             "(per-sweep table, throughput trend, phase totals), or "
+             "check them for a perf regression",
     )
     fleet_parser.add_argument(
         "--ledger", default=str(DEFAULT_FLEET_PATH), metavar="PATH",
@@ -926,14 +871,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="only sweeps executed on this backend",
     )
     fleet_parser.add_argument(
-        "--bench", nargs="+", default=None, metavar="PATH",
-        help="fold BENCH_*.json perf records into the rendered report "
-             "(files, directories or globs)",
-    )
-    fleet_parser.add_argument(
-        "--format", choices=["md", "html"], default=None,
-        help="render a markdown/HTML fleet report instead of the "
-             "plain-text listing",
+        "--format", choices=["md", "html"], default="md",
+        help="report format; html adds inline-SVG trend curves "
+             "(default: md)",
     )
     fleet_parser.add_argument(
         "-o", "--output", default=None, metavar="PATH",
@@ -941,32 +881,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_parser.add_argument(
         "--check", action="store_true",
-        help="perf-regression sentinel: compare the latest executed "
-             "sweep against the median of comparable predecessors "
-             "(host-normalized); exit 1 naming the regressed phase on a "
-             "throughput drop or cache-hit collapse",
-    )
-    fleet_parser.add_argument(
-        "--window", type=int, default=5, metavar="N",
-        help="baseline window: median of the last N comparable sweeps "
-             "(default: 5)",
-    )
-    fleet_parser.add_argument(
-        "--max-drop", type=float, default=25.0, metavar="PCT",
-        dest="max_drop",
-        help="--check fails when normalized throughput drops more than "
-             "PCT%% below the baseline median (default: 25)",
-    )
-    fleet_parser.add_argument(
-        "--max-hit-drop", type=float, default=0.5, metavar="FRAC",
-        dest="max_hit_drop",
-        help="--check fails when the cache-hit rate falls more than "
-             "FRAC below the baseline median (default: 0.5)",
-    )
-    fleet_parser.add_argument(
-        "--plot", default=None, metavar="PATH",
-        help="write the trend curves (cells/s, cache-hit rate, phase "
-             "mix over commits) as a standalone SVG",
+        help=f"perf-regression sentinel: compare the latest executed "
+             f"sweep against the median of the last {SENTINEL_WINDOW} "
+             f"comparable predecessors (host-normalized); exit 1 naming "
+             f"the regressed phase on a throughput drop of more than "
+             f"{SENTINEL_MAX_DROP_PCT:g}%% or a cache-hit collapse",
     )
     fleet_parser.set_defaults(func=cmd_fleet)
 

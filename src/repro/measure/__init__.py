@@ -7,8 +7,8 @@ the workload toggles when it starts.  Energy is the rectangle sum
 ``E = sum(p_i * 0.0002)``.
 
 - :mod:`repro.measure.daq` -- the sampling/quantization/trigger model;
-- :mod:`repro.measure.energy` -- the paper's energy and average-power
-  estimators;
+  its ``DaqCapture`` holds the triggered window's samples and applies
+  the paper's energy and average-power estimators to them;
 - :mod:`repro.measure.stats` -- 95 % confidence intervals over repeated
   runs;
 - :mod:`repro.measure.runner` -- one measured run (the harness every

@@ -21,7 +21,8 @@ runs with and without observability to bitwise equality):
   detection, prediction-error ledger, deadline-miss attribution, and the
   excess-energy decomposition against the ideal-constant oracle;
 - :mod:`repro.obs.report` — run-log + diagnosis aggregation, built once
-  as a list of blocks and rendered as markdown or self-contained HTML.
+  as a list of blocks and rendered as markdown or self-contained HTML;
+  also the one renderer of the fleet ledger (``repro fleet``).
 
 :mod:`repro.obs.telemetry` holds the live ``--progress`` line: one
 sweep observer, :class:`ProgressDisplay`, that draws it from the
@@ -30,6 +31,6 @@ ride the same seams: :mod:`repro.obs.calibrate`
 scores the host so throughput normalizes across machines,
 :mod:`repro.obs.fleet` keeps the ledger of past sweeps and runs the
 perf-regression sentinel (:func:`check_fleet`), and
-:mod:`repro.obs.plot` renders the ledger as dependency-free inline-SVG
-trend curves.
+:mod:`repro.obs.plot` draws the ledger's dependency-free inline-SVG
+trend curves for the HTML report.
 """

@@ -173,6 +173,13 @@ def load_calibration(
     return cal
 
 
+def calibration_path() -> Path:
+    """Where this process keeps the host calibration:
+    ``REPRO_HOST_CALIBRATION`` when set (tests and CI point it at a
+    scratch file), else :data:`DEFAULT_HOST_PATH`."""
+    return Path(os.environ.get("REPRO_HOST_CALIBRATION") or DEFAULT_HOST_PATH)
+
+
 #: Per-path score memo: sweeps stamp every fleet record, and the score
 #: cannot change under a running process (``repro calibrate`` is a
 #: separate invocation).
@@ -182,11 +189,10 @@ _SCORE_CACHE: Dict[str, float] = {}
 def host_score(path: Union[str, Path, None] = None) -> float:
     """This host's calibration score, or ``0.0`` when uncalibrated.
 
-    Honors ``REPRO_HOST_CALIBRATION`` as a path override (tests and CI
-    point it at a scratch file) ahead of the default repo-local cache.
+    ``path`` defaults to :func:`calibration_path`.
     """
     if path is None:
-        path = os.environ.get("REPRO_HOST_CALIBRATION") or DEFAULT_HOST_PATH
+        path = calibration_path()
     key = str(Path(path).resolve())
     if key not in _SCORE_CACHE:
         cal = load_calibration(path)

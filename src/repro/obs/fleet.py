@@ -6,10 +6,9 @@ runner".  The run-log (:mod:`repro.obs.runlog`) audits individual
 schema-versioned :class:`FleetRecord` — grid axes, cells
 simulated/cached, throughput, wall time, backend, package version, git
 sha — to a repo-local ledger (``.repro/fleet.jsonl`` by default).  The
-``repro fleet`` CLI command lists and filters the ledger, summarizes
-the throughput trend, and renders the combined perf trajectory —
-ledger sweeps alongside the committed ``BENCH_*.json`` history —
-through the existing markdown/HTML report path.
+``repro fleet`` CLI command filters the ledger and renders it through
+the markdown/HTML sweep report (:mod:`repro.obs.report`): per-sweep
+table, throughput trend and phase totals.
 
 Records from different machines compare through the host calibration
 score (:mod:`repro.obs.calibrate`) stamped into each record, and the
@@ -303,26 +302,27 @@ _COMPARABLE_FIELDS = (
     "command", "policies", "workloads", "machines", "backend", "jobs",
 )
 
+#: The sentinel's baseline window and bars (see :func:`check_fleet`).
+SENTINEL_WINDOW = 5
+SENTINEL_MAX_DROP_PCT = 25.0
+SENTINEL_MAX_HIT_RATE_DROP = 0.5
 
-def check_fleet(
-    records: Sequence[FleetRecord],
-    window: int = 5,
-    max_drop_pct: float = 25.0,
-    max_hit_rate_drop: float = 0.5,
-) -> SentinelReport:
+
+def check_fleet(records: Sequence[FleetRecord]) -> SentinelReport:
     """Check the newest executed sweep against its robust baseline.
 
-    The baseline is the median of the last ``window`` *comparable*
-    earlier records — same command, policy, workload and machine axes,
-    backend and job count, at least one executed cell — each normalized
-    by its own host score (so a slower CI runner is not misread as a
-    code regression).  The check fails when normalized throughput drops
-    more than ``max_drop_pct`` percent below baseline, or the cache-hit
-    rate falls more than ``max_hit_rate_drop`` (absolute fraction) below
-    the baseline median — a sweep that silently stopped reusing its
-    cache.  On a throughput
-    regression the per-phase attribution names the culprit: the phase
-    whose nominal per-cell cost grew the most over baseline.
+    The baseline is the median of the last :data:`SENTINEL_WINDOW`
+    *comparable* earlier records — same command, policy, workload and
+    machine axes, backend and job count, at least one executed cell —
+    each normalized by its own host score (so a slower CI runner is not
+    misread as a code regression).  The check fails when normalized
+    throughput drops more than :data:`SENTINEL_MAX_DROP_PCT` percent
+    below baseline, or the cache-hit rate falls more than
+    :data:`SENTINEL_MAX_HIT_RATE_DROP` (absolute fraction) below the
+    baseline median — a sweep that silently stopped reusing its cache.
+    On a throughput regression the per-phase attribution names the
+    culprit: the phase whose nominal per-cell cost grew the most over
+    baseline.
 
     With no executed sweep, or no comparable history, the report is
     ``ok`` but ``checked=False`` — a fresh ledger must not fail CI.
@@ -344,7 +344,7 @@ def check_fleet(
             for name in _COMPARABLE_FIELDS
         )
     ]
-    baseline = comparable[-window:] if window > 0 else comparable
+    baseline = comparable[-SENTINEL_WINDOW:]
     if not baseline:
         return SentinelReport(
             checked=False, ok=True,
@@ -368,7 +368,7 @@ def check_fleet(
 
     failures = []
     culprit: Optional[str] = None
-    if drop_pct > max_drop_pct:
+    if drop_pct > SENTINEL_MAX_DROP_PCT:
         latest_phases = _nominal_phase_per_cell(latest)
         base_by_phase: Dict[str, List[float]] = {}
         for r in baseline:
@@ -391,12 +391,12 @@ def check_fleet(
         failures.append(
             f"throughput dropped {drop_pct:.0f}% below baseline "
             f"({latest_rate:.1f} vs {base_rate:.1f} normalized cells/s, "
-            f"bar {max_drop_pct:g}%){blame}"
+            f"bar {SENTINEL_MAX_DROP_PCT:g}%){blame}"
         )
-    if hit_drop > max_hit_rate_drop:
+    if hit_drop > SENTINEL_MAX_HIT_RATE_DROP:
         failures.append(
             f"cache-hit rate collapsed ({latest_hit:.0%} vs baseline "
-            f"{base_hit:.0%}, bar -{max_hit_rate_drop:.0%})"
+            f"{base_hit:.0%}, bar -{SENTINEL_MAX_HIT_RATE_DROP:.0%})"
         )
 
     if failures:

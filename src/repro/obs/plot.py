@@ -3,9 +3,8 @@
 The ROADMAP asks for "an actual plotted curve (cells/s over commits,
 not just a sparkline)".  This module draws it without pulling a plotting
 dependency into the simulator: plain SVG text, deterministic for a given
-record sequence (golden-testable, diff-friendly artifacts), legible both
-inline in the HTML report and as a standalone ``repro fleet --plot``
-file.
+record sequence (golden-testable, diff-friendly artifacts), drawn inline
+in the HTML fleet report (``repro fleet --format html``).
 
 Three fleet charts:
 
@@ -28,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.fleet import FleetRecord
 from repro.obs.profile import PHASE_ORDER
 
-#: Default panel geometry (pixels).
+#: Panel geometry (pixels).
 PANEL_WIDTH = 640
 PANEL_HEIGHT = 220
 _MARGIN_LEFT = 58
@@ -68,7 +67,7 @@ def _ticks(lo: float, hi: float, n: int = 4) -> List[float]:
 
 
 class _Panel:
-    """One chart panel: axes, grid and data drawn into an SVG group."""
+    """One chart panel: axes, grid and data, drawn as one SVG document."""
 
     def __init__(
         self,
@@ -76,19 +75,15 @@ class _Panel:
         x_labels: Sequence[str],
         y_max: float,
         y_unit: str = "",
-        width: int = PANEL_WIDTH,
-        height: int = PANEL_HEIGHT,
     ):
         self.title = title
         self.x_labels = list(x_labels)
         self.y_max = y_max if y_max > 0 else 1.0
         self.y_unit = y_unit
-        self.width = width
-        self.height = height
-        self.plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-        self.plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+        self.plot_w = PANEL_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+        self.plot_h = PANEL_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
         self.parts: List[str] = []
-        self._legend_x = width - _MARGIN_RIGHT
+        self._legend_x = PANEL_WIDTH - _MARGIN_RIGHT
 
     def x_at(self, index: int) -> float:
         """Pixel x of data index ``index`` (single points centered)."""
@@ -189,18 +184,16 @@ class _Panel:
             f'<text class="lbl" x="{x + 14}" y="17">{label}</text>'
         )
 
-    def svg(self, y_offset: int = 0, standalone: bool = True) -> str:
-        """The panel as a full ``<svg>`` or an offset ``<g>`` fragment."""
+    def svg(self) -> str:
+        """The panel as one ``<svg>`` document."""
         body = "\n".join(self.parts)
-        if standalone:
-            return (
-                f'<svg xmlns="http://www.w3.org/2000/svg" '
-                f'width="{self.width}" height="{self.height}" '
-                f'viewBox="0 0 {self.width} {self.height}" '
-                f'role="img" aria-label="{escape(self.title)}">'
-                f"<style>{_SVG_STYLE}</style>\n{body}\n</svg>"
-            )
-        return f'<g transform="translate(0,{y_offset})">\n{body}\n</g>'
+        return (
+            f'<svg xmlns="http://www.w3.org/2000/svg" '
+            f'width="{PANEL_WIDTH}" height="{PANEL_HEIGHT}" '
+            f'viewBox="0 0 {PANEL_WIDTH} {PANEL_HEIGHT}" '
+            f'role="img" aria-label="{escape(self.title)}">'
+            f"<style>{_SVG_STYLE}</style>\n{body}\n</svg>"
+        )
 
 
 def _x_labels(records: Sequence[FleetRecord]) -> List[str]:
@@ -216,10 +209,7 @@ def _x_labels(records: Sequence[FleetRecord]) -> List[str]:
     return labels
 
 
-def throughput_chart(
-    records: Sequence[FleetRecord], standalone: bool = True,
-    y_offset: int = 0,
-) -> str:
+def throughput_chart(records: Sequence[FleetRecord]) -> str:
     """Cells/s per sweep, raw plus host-normalized when calibrated."""
     ordered = sorted(records, key=lambda r: r.unix_time)
     raw = [r.cells_per_s if r.cells_executed > 0 else None for r in ordered]
@@ -236,13 +226,10 @@ def throughput_chart(
     if have_norm:
         panel.polyline(normalized, _COLORS[1], "normalized cells/s")
     panel.polyline(raw, _COLORS[0], "cells/s")
-    return panel.svg(y_offset=y_offset, standalone=standalone)
+    return panel.svg()
 
 
-def cache_hit_chart(
-    records: Sequence[FleetRecord], standalone: bool = True,
-    y_offset: int = 0,
-) -> str:
+def cache_hit_chart(records: Sequence[FleetRecord]) -> str:
     """Cache-hit rate (percent of cells) per sweep."""
     ordered = sorted(records, key=lambda r: r.unix_time)
     rates = [r.cache_hit_rate * 100.0 for r in ordered]
@@ -251,13 +238,10 @@ def cache_hit_chart(
     )
     panel.frame()
     panel.polyline(rates, _COLORS[2], "cache-hit %")
-    return panel.svg(y_offset=y_offset, standalone=standalone)
+    return panel.svg()
 
 
-def phase_mix_chart(
-    records: Sequence[FleetRecord], standalone: bool = True,
-    y_offset: int = 0,
-) -> str:
+def phase_mix_chart(records: Sequence[FleetRecord]) -> str:
     """Stacked per-cell phase seconds (host-normalized) per sweep."""
     ordered = [
         r for r in sorted(records, key=lambda r: r.unix_time)
@@ -283,7 +267,7 @@ def phase_mix_chart(
             f' text-anchor="middle">no profiled sweeps in the ledger'
             f"</text>"
         )
-        return panel.svg(y_offset=y_offset, standalone=standalone)
+        return panel.svg()
     lower = [0.0] * len(per_cell)
     for i, phase in enumerate(phases):
         upper = [
@@ -291,33 +275,13 @@ def phase_mix_chart(
         ]
         panel.area(lower, upper, _COLORS[i % len(_COLORS)], phase)
         lower = upper
-    return panel.svg(y_offset=y_offset, standalone=standalone)
-
-
-#: The fleet dashboard's chart set, in display order.
-FLEET_CHARTS = (throughput_chart, cache_hit_chart, phase_mix_chart)
+    return panel.svg()
 
 
 def fleet_charts(records: Sequence[FleetRecord]) -> List[str]:
-    """All fleet charts as standalone ``<svg>`` strings (HTML-embeddable)."""
-    return [chart(records) for chart in FLEET_CHARTS]
-
-
-def fleet_plot_svg(records: Sequence[FleetRecord]) -> str:
-    """One standalone SVG document stacking every fleet chart.
-
-    This is what ``repro fleet --plot`` writes: a single file that opens
-    in any browser or image viewer, no server, no scripts.
-    """
-    height = PANEL_HEIGHT * len(FLEET_CHARTS)
-    panels = [
-        chart(records, standalone=False, y_offset=i * PANEL_HEIGHT)
-        for i, chart in enumerate(FLEET_CHARTS)
+    """The fleet dashboard's charts, in display order, each an ``<svg>``
+    document the HTML report inlines."""
+    return [
+        chart(records)
+        for chart in (throughput_chart, cache_hit_chart, phase_mix_chart)
     ]
-    body = "\n".join(panels)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
-        f'height="{height}" viewBox="0 0 {PANEL_WIDTH} {height}" '
-        f'role="img" aria-label="Fleet perf trajectory">'
-        f"<style>{_SVG_STYLE}</style>\n{body}\n</svg>"
-    )

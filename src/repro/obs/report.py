@@ -10,12 +10,10 @@ is built once as an ordered list of blocks (headings, paragraphs,
 warnings, tables, bullet lists, preformatted text and SVG figures), and
 both renderers read that one list: markdown, or standalone HTML (inline
 CSS, no external assets, opens from a CI artifact without a web
-server).  Committed ``BENCH_*.json`` perf records
-can ride along as a "Perf history" section, so one document carries both
-the science and the cost of producing it.  Fleet-ledger sweeps render as
-a "Fleet history" section — per-sweep table with host-normalized
-throughput, an aggregated phase-time table, and (in HTML) the inline-SVG
-trend curves from :mod:`repro.obs.plot`.
+server).  Fleet-ledger sweeps render as a "Fleet history" section —
+per-sweep table with host-normalized throughput, an aggregated
+phase-time table, and (in HTML) the inline-SVG trend curves from
+:mod:`repro.obs.plot`; this is what ``repro fleet`` prints.
 
 Rendering is pure: the same records produce the same document, so report
 snapshots can be golden-tested.
@@ -23,11 +21,9 @@ snapshots can be golden-tested.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from html import escape
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.diagnose import PolicyDiagnosis
@@ -98,9 +94,6 @@ class SweepReport:
     total_simulated_s: float
     #: host seconds spent executing cells (the run-log's ``wall_s``).
     total_wall_s: float
-    #: committed ``BENCH_*.json`` benchmark records, rendered as a
-    #: "Perf history" section when present.
-    bench: Tuple[dict, ...] = ()
     #: fleet-ledger sweep records, rendered as a "Fleet history" section
     #: (per-sweep table + throughput trend line) when present.
     fleet: Tuple[FleetRecord, ...] = ()
@@ -109,7 +102,6 @@ class SweepReport:
 def build_report(
     records: Sequence[dict],
     diagnoses: Sequence[PolicyDiagnosis] = (),
-    bench_records: Sequence[dict] = (),
     fleet_records: Sequence[FleetRecord] = (),
 ) -> SweepReport:
     """Aggregate run-log records (and optional diagnoses) into a report.
@@ -118,11 +110,9 @@ def build_report(
     runs of different lengths never share a mean; diagnoses join onto
     their matching group by the same key.  Diagnoses without a
     matching record still appear (as diagnosis-only rows), so a report
-    built from a diagnosis log alone is not empty.  ``bench_records``
-    (parsed ``BENCH_*.json`` perf records, as the benchmark suite
-    commits at the repo root) are carried through verbatim and rendered
-    as a "Perf history" section; ``fleet_records`` (parsed fleet-ledger
-    sweeps) render as a "Fleet history" section with a throughput trend.
+    built from a diagnosis log alone is not empty.  ``fleet_records``
+    (parsed fleet-ledger sweeps) render as a "Fleet history" section
+    with a throughput trend.
     Reader-level warnings attached to ``records`` or ``diagnoses`` (the
     tolerant :func:`~repro.obs.runlog.read_run_log` and
     :func:`~repro.obs.diagnose.read_diagnoses` report skipped lines
@@ -165,61 +155,8 @@ def build_report(
         total_cache_hits=sum(r.cache_hits for r in ordered),
         total_simulated_s=sum(r.duration_us * r.runs for r in ordered) / 1e6,
         total_wall_s=sum(r.wall_s for r in ordered),
-        bench=tuple(bench_records),
         fleet=tuple(fleet_records),
     )
-
-
-def load_bench_records(
-    specs: Sequence[Union[str, Path]]
-) -> List[dict]:
-    """Load committed ``BENCH_*.json`` perf records from path specs.
-
-    Each spec may be a JSON file, a directory (every ``BENCH_*.json``
-    directly inside it), or a glob pattern.  Records are ordered by
-    their recorded ``unix_time`` when present, else the file's mtime,
-    with the full file path breaking ties — mtimes quantize coarsely on
-    some filesystems (and records from one ``cp -r`` share one), and
-    two directories may each hold a ``BENCH_foo.json``, so the bare
-    name is not a total order.  The perf-history section therefore
-    reads oldest-to-newest regardless of argument order, every time.
-
-    Raises:
-        ValueError: when a spec matches nothing or a file is not JSON.
-    """
-    paths: List[Path] = []
-    for spec in specs:
-        path = Path(spec)
-        if path.is_dir():
-            matches = sorted(path.glob("BENCH_*.json"))
-        elif path.exists():
-            matches = [path]
-        else:
-            matches = sorted(path.parent.glob(path.name))
-        if not matches:
-            raise ValueError(f"no benchmark records match {spec!r}")
-        paths.extend(matches)
-    seen = set()
-    loaded: List[Tuple[float, str, dict]] = []
-    for path in paths:
-        if path in seen:
-            continue
-        seen.add(path)
-        try:
-            record = json.loads(path.read_text())
-        except ValueError as exc:
-            raise ValueError(f"{path}: not a JSON benchmark record: {exc}") from None
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}: benchmark record is not a JSON object")
-        stamp = record.get("unix_time")
-        if not isinstance(stamp, (int, float)):
-            try:
-                stamp = path.stat().st_mtime
-            except OSError:
-                stamp = time.time()
-        loaded.append((float(stamp), str(path), record))
-    loaded.sort(key=lambda item: (item[0], item[1]))
-    return [record for _, _, record in loaded]
 
 
 def render_report(report: SweepReport, fmt: str = FORMAT_MARKDOWN) -> str:
@@ -268,22 +205,17 @@ def _report_blocks(report: SweepReport) -> List[Block]:
     if diagnoses:
         blocks.append(("heading", 2, "Diagnoses"))
         blocks.append(("bullets", [_diagnosis_spans(d) for d in diagnoses]))
-    if report.bench:
-        blocks.append(("heading", 2, "Perf history"))
-        blocks.append(
-            ("table", _BENCH_HEADER, [_bench_cells(r) for r in report.bench])
-        )
     if report.fleet:
         from repro.obs.plot import fleet_charts
 
         fleet = sorted(report.fleet, key=lambda r: r.unix_time)
         blocks.append(("heading", 2, "Fleet history"))
-        blocks.append(("paragraph", throughput_trend(report.fleet)))
+        blocks.append(("paragraph", throughput_trend(fleet)))
         # Inline-SVG trend curves: throughput, cache-hit rate, phase mix
         # over commits — self-contained, no scripts or external assets.
         blocks.append(("svg", lambda: fleet_charts(fleet)))
         blocks.append(("table", _FLEET_HEADER, [_fleet_cells(r) for r in fleet]))
-        phase_totals = _fleet_phase_seconds(report.fleet)
+        phase_totals = _fleet_phase_seconds(fleet)
         if phase_totals:
             from repro.obs.profile import format_phase_table
 
@@ -346,8 +278,6 @@ _HEADER = [
     "mean J", "spread J", "misses", "settling", "excess J",
 ]
 
-_BENCH_HEADER = ["benchmark", "headline", "bar", "setup"]
-
 _FLEET_HEADER = [
     "sweep", "when", "command", "grid", "cells", "cached", "cells/s",
     "norm/s", "wall s", "backend", "jobs",
@@ -377,55 +307,6 @@ def _fleet_cells(record: FleetRecord) -> List[str]:
         record.backend or "-",
         str(record.jobs),
     ]
-
-
-def _bench_cells(record: dict) -> List[str]:
-    """One perf-history table row from a committed ``BENCH_*.json`` dict.
-
-    Knows the headline figure of each benchmark the suite commits;
-    records from future benchmarks fall back to a generic numeric dump
-    so the section never fails to render.
-    """
-    name = str(record.get("benchmark", "?"))
-    get = record.get
-    setup = "-"
-    if get("machine"):
-        setup = (
-            f"{record['machine']}, {get('duration_s', '?')} s "
-            f"{get('workload', '?')}"
-        )
-    if name == "kernel_hotloop" and "fastpath_speedup" in record:
-        headline = f"fastpath {record['fastpath_speedup']:g}x over full recorders"
-        bar = f">= {get('min_fastpath_speedup', '?')}x"
-    elif name == "obs_overhead" and "enabled_overhead_pct" in record:
-        headline = (
-            f"enabled +{record['enabled_overhead_pct']:g}%, "
-            f"disabled +{get('disabled_overhead_pct', 0):g}%"
-        )
-        bar = (
-            f"<= {get('max_enabled_overhead_pct', '?')}% / "
-            f"{get('max_disabled_overhead_pct', '?')}%"
-        )
-    elif name == "telemetry_overhead" and "telemetry_overhead_pct" in record:
-        headline = (
-            f"telemetry +{record['telemetry_overhead_pct']:g}% "
-            f"({get('worker_lanes', '?')} worker lanes)"
-        )
-        bar = f"<= {get('max_telemetry_overhead_pct', '?')}%"
-    elif name == "sweep_throughput" and "new_cells_per_s" in record:
-        headline = (
-            f"{record['new_cells_per_s']:g} cells/s "
-            f"({get('speedup', '?')}x over legacy)"
-        )
-        bar = f">= {get('min_speedup', '?')}x"
-    else:
-        headline = ", ".join(
-            f"{k}={v:g}"
-            for k, v in sorted(record.items())
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
-        ) or "-"
-        bar = "-"
-    return [name, headline, bar, setup]
 
 
 def _fleet_phase_seconds(

@@ -7,9 +7,11 @@ import pytest
 
 from repro.obs.calibrate import (
     CALIBRATION_VERSION,
+    DEFAULT_HOST_PATH,
     NOMINAL_PROBE_WALL_S,
     HostCalibration,
     calibrate,
+    calibration_path,
     host_score,
     load_calibration,
     save_calibration,
@@ -98,6 +100,14 @@ class TestHostScore:
         save_calibration(make_calibration(score=1.75), path)
         monkeypatch.setenv("REPRO_HOST_CALIBRATION", str(path))
         assert host_score() == 1.75
+
+    def test_calibration_path(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_HOST_CALIBRATION", raising=False)
+        assert calibration_path() == DEFAULT_HOST_PATH
+        monkeypatch.setenv("REPRO_HOST_CALIBRATION", "")
+        assert calibration_path() == DEFAULT_HOST_PATH
+        monkeypatch.setenv("REPRO_HOST_CALIBRATION", str(tmp_path / "h.json"))
+        assert calibration_path() == tmp_path / "h.json"
 
 
 class TestCalibrate:

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.kernel.backend import resolve_backend
 from repro.measure.parallel import PolicySpec, SweepCell, SweepEngine, WorkloadSpec
 from repro.obs.fleet import (
     FLEET_SCHEMA_VERSION,
+    SENTINEL_MAX_DROP_PCT,
+    SENTINEL_WINDOW,
     FleetLedger,
     FleetRecord,
     check_fleet,
@@ -43,6 +46,22 @@ def record(**overrides) -> FleetRecord:
     )
     defaults.update(overrides)
     return FleetRecord(**defaults)
+
+
+def make_repo(path: Path) -> str:
+    """Make ``path`` a git repository with one empty commit; its HEAD."""
+    git = [
+        "git", "-c", "user.name=repro", "-c",
+        "user.email=repro@example.invalid", "-c", "commit.gpgsign=false",
+        "-C", str(path),
+    ]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(
+        git + ["commit", "-q", "--allow-empty", "-m", "empty"], check=True
+    )
+    return subprocess.run(
+        git + ["rev-parse", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout.strip()
 
 
 class TestLedger:
@@ -188,9 +207,10 @@ class TestHelpers:
         assert "T" in stamp
         assert len(suffix) == 4
 
-    def test_git_sha_in_repo(self):
-        sha = git_sha()
-        assert len(sha) == 40
+    def test_git_sha_in_repo(self, tmp_path):
+        head = make_repo(tmp_path)
+        assert len(head) == 40
+        assert git_sha(cwd=tmp_path) == head
 
     def test_git_sha_outside_repo(self, tmp_path):
         assert git_sha(cwd=tmp_path) == ""
@@ -310,9 +330,14 @@ class TestSentinel:
         report = check_fleet(self.history(cells_per_s=9.0))
         assert report.ok
 
-    def test_configurable_drop_bar(self):
-        report = check_fleet(self.history(cells_per_s=9.0), max_drop_pct=5.0)
-        assert not report.ok
+    def test_drop_bar_is_25_percent(self):
+        # The baseline median is 10.2 cells/s (the history's 10.0-10.4).
+        assert SENTINEL_MAX_DROP_PCT == 25.0
+        under = check_fleet(self.history(cells_per_s=10.2 * 0.751))
+        past = check_fleet(self.history(cells_per_s=10.2 * 0.749))
+        assert under.ok and under.drop_pct == pytest.approx(24.9)
+        assert not past.ok and past.drop_pct == pytest.approx(25.1)
+        assert "bar 25%" in past.reason
 
     def test_cache_hit_collapse_fails(self):
         records = [
@@ -372,8 +397,12 @@ class TestSentinel:
         assert "no comparable baseline" in report.reason
 
     def test_window_limits_baseline(self):
-        report = check_fleet(self.history(n=10), window=3)
-        assert report.window == 3
+        # Ten comparable sweeps at 10.0-10.9 cells/s: the baseline is the
+        # median of the last five.
+        assert SENTINEL_WINDOW == 5
+        report = check_fleet(self.history(n=10))
+        assert report.window == 5
+        assert report.baseline_cells_per_s == pytest.approx(10.7)
 
 
 class TestEngineFleetRecord:
@@ -403,17 +432,22 @@ class TestEngineFleetRecord:
         assert rec.jobs == 1
         assert rec.wall_s > 0
         assert rec.cells_per_s > 0
-        assert len(rec.git_sha) == 40
+        assert rec.git_sha == git_sha()
         assert rec.start_method == ""
         assert rec.python == "{}.{}.{}".format(*sys.version_info)
 
     def test_record_stamps_the_package_checkout_from_any_cwd(
         self, tmp_path, monkeypatch
     ):
-        head = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
+        # The working directory is a repository of its own, so a stamp
+        # taken from it fails whether or not the package sits in a
+        # checkout; outside one the package's stamp is "".
+        make_repo(tmp_path)
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(repro.__file__).parent,
+            capture_output=True, text=True,
+        )
+        head = out.stdout.strip() if out.returncode == 0 else ""
         monkeypatch.chdir(tmp_path)
         assert SweepEngine().fleet_record().git_sha == head
 

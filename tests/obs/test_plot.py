@@ -1,5 +1,6 @@
 """Tests for the dependency-free fleet SVG charts."""
 
+import re
 import xml.etree.ElementTree as ET
 
 from repro.obs.fleet import FleetRecord
@@ -8,10 +9,10 @@ from repro.obs.plot import (
     PANEL_WIDTH,
     cache_hit_chart,
     fleet_charts,
-    fleet_plot_svg,
     phase_mix_chart,
     throughput_chart,
 )
+from repro.obs.report import build_report, render_report
 
 
 def record(**overrides) -> FleetRecord:
@@ -47,15 +48,14 @@ def ledger(n=4, **common):
 
 class TestDocument:
     def test_plot_is_valid_xml(self):
-        svg = fleet_plot_svg(ledger())
-        root = ET.fromstring(svg)
-        assert root.tag.endswith("svg")
-        assert root.get("width") == str(PANEL_WIDTH)
-        assert root.get("height") == str(PANEL_HEIGHT * 3)
+        for chart in fleet_charts(ledger()):
+            root = ET.fromstring(chart)
+            assert root.get("width") == str(PANEL_WIDTH)
+            assert root.get("height") == str(PANEL_HEIGHT)
 
     def test_plot_is_deterministic(self):
         records = ledger()
-        assert fleet_plot_svg(records) == fleet_plot_svg(list(records))
+        assert fleet_charts(records) == fleet_charts(list(records))
 
     def test_charts_are_standalone_svgs(self):
         charts = fleet_charts(ledger())
@@ -66,14 +66,28 @@ class TestDocument:
 
     def test_record_order_does_not_matter(self):
         records = ledger()
-        assert fleet_plot_svg(records) == fleet_plot_svg(records[::-1])
+        assert fleet_charts(records) == fleet_charts(records[::-1])
+
+    def test_html_fleet_report_inlines_each_chart(self):
+        # The HTML fleet report is the one place the charts are drawn:
+        # it carries all three, each parsing as XML, and a ledger given
+        # in either order renders the same document.
+        records = ledger(phases=(("kernel compute", 0.4), ("result IPC", 0.05)))
+        html = render_report(build_report([], fleet_records=records), "html")
+        charts = re.findall(r"<svg\b.*?</svg>", html, re.S)
+        assert charts == fleet_charts(records)
+        for chart in charts:
+            ET.fromstring(chart)
+        reverse = build_report([], fleet_records=records[::-1])
+        assert render_report(reverse, "html") == html
 
 
 class TestDegenerateInputs:
     def test_empty_ledger_still_renders(self):
-        svg = fleet_plot_svg([])
-        ET.fromstring(svg)
-        assert "no profiled sweeps in the ledger" in svg
+        charts = fleet_charts([])
+        for chart in charts:
+            ET.fromstring(chart)
+        assert "no profiled sweeps in the ledger" in charts[-1]
 
     def test_single_record_renders_a_point(self):
         svg = throughput_chart([record()])

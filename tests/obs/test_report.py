@@ -14,7 +14,6 @@ from repro.obs.report import (
     FORMAT_HTML,
     FORMAT_MARKDOWN,
     build_report,
-    load_bench_records,
     render_report,
 )
 from repro.obs.runlog import RUN_LOG_VERSION
@@ -204,186 +203,6 @@ class TestRenderers:
         report = build_report([record(), record(v=1)])
         assert "> **warning:**" in render_report(report, FORMAT_MARKDOWN)
         assert 'class="warning"' in render_report(report, FORMAT_HTML)
-
-
-def bench_record(**overrides) -> dict:
-    base = dict(
-        benchmark="kernel_hotloop",
-        machine="itsy",
-        workload="mpeg",
-        duration_s=60.0,
-        fastpath_speedup=2.9,
-        min_fastpath_speedup=2.0,
-        full_wall_s=0.14,
-    )
-    base.update(overrides)
-    return base
-
-
-class TestPerfHistory:
-    def test_absent_without_bench_records(self):
-        text = render_report(build_report([record()]), FORMAT_MARKDOWN)
-        assert "Perf history" not in text
-
-    def test_markdown_section_renders_known_benchmarks(self):
-        report = build_report(
-            [record()],
-            bench_records=[
-                bench_record(),
-                dict(
-                    benchmark="obs_overhead",
-                    machine="itsy",
-                    workload="mpeg",
-                    duration_s=60.0,
-                    enabled_overhead_pct=2.3,
-                    disabled_overhead_pct=0.0,
-                    max_enabled_overhead_pct=10.0,
-                    max_disabled_overhead_pct=5.0,
-                ),
-                dict(
-                    benchmark="sweep_throughput",
-                    machine="itsy",
-                    workload="mpeg",
-                    duration_s=60.0,
-                    new_cells_per_s=22.7,
-                    speedup=3.1,
-                    min_speedup=3.0,
-                ),
-            ],
-        )
-        text = render_report(report, FORMAT_MARKDOWN)
-        assert "## Perf history" in text
-        assert "fastpath 2.9x over full recorders" in text
-        assert "enabled +2.3%" in text
-        assert "22.7 cells/s" in text
-
-    def test_html_section_renders(self):
-        text = render_report(
-            build_report([record()], bench_records=[bench_record()]),
-            FORMAT_HTML,
-        )
-        assert "<h2>Perf history</h2>" in text
-        assert "fastpath 2.9x over full recorders" in text
-
-    def test_unknown_benchmark_falls_back_to_numeric_dump(self):
-        text = render_report(
-            build_report(
-                [record()],
-                bench_records=[dict(benchmark="future_bench", widgets=7.0)],
-            ),
-            FORMAT_MARKDOWN,
-        )
-        assert "future_bench" in text
-        assert "widgets=7" in text
-
-    def test_committed_records_render(self):
-        # The actual BENCH_*.json files at the repo root must flow
-        # through the renderer without falling back or raising.
-        import json
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[2]
-        records = [
-            json.loads(p.read_text())
-            for p in sorted(root.glob("BENCH_*.json"))
-        ]
-        assert records, "committed BENCH_*.json records missing"
-        text = render_report(
-            build_report([record()], bench_records=records), FORMAT_MARKDOWN
-        )
-        assert "## Perf history" in text
-        for line in text.splitlines():
-            if line.startswith("| kernel_hotloop"):
-                assert "fastpath" in line
-            if line.startswith("| obs_overhead"):
-                assert "enabled" in line
-            if line.startswith("| sweep_throughput"):
-                assert "cells/s" in line
-            if line.startswith("| telemetry_overhead"):
-                assert "worker lanes" in line
-
-
-class TestLoadBenchRecords:
-    def write(self, path, **fields):
-        import json
-
-        base = dict(benchmark="b", machine="itsy")
-        base.update(fields)
-        path.write_text(json.dumps(base))
-        return path
-
-    def test_directory_loads_all_bench_json(self, tmp_path):
-        self.write(tmp_path / "BENCH_a.json", unix_time=2.0)
-        self.write(tmp_path / "BENCH_b.json", unix_time=1.0)
-        (tmp_path / "notes.txt").write_text("ignored")
-        records = load_bench_records([tmp_path])
-        assert [r["unix_time"] for r in records] == [1.0, 2.0]
-
-    def test_glob_pattern(self, tmp_path):
-        self.write(tmp_path / "BENCH_a.json", unix_time=1.0)
-        self.write(tmp_path / "BENCH_b.json", unix_time=2.0)
-        records = load_bench_records([str(tmp_path / "BENCH_*.json")])
-        assert len(records) == 2
-
-    def test_explicit_files_dedup_and_order_by_mtime(self, tmp_path):
-        import os
-
-        older = self.write(tmp_path / "BENCH_old.json")
-        newer = self.write(tmp_path / "BENCH_new.json")
-        os.utime(older, (1_000_000, 1_000_000))
-        os.utime(newer, (2_000_000, 2_000_000))
-        records = load_bench_records([newer, older, newer])
-        assert len(records) == 2
-        # mtime orders records that carry no unix_time of their own.
-        assert [r["benchmark"] for r in records] == ["b", "b"]
-
-    def test_recorded_timestamp_beats_mtime(self, tmp_path):
-        import os
-
-        a = self.write(tmp_path / "BENCH_a.json", unix_time=5.0)
-        b = self.write(tmp_path / "BENCH_b.json", unix_time=1.0)
-        os.utime(a, (1_000_000, 1_000_000))
-        os.utime(b, (2_000_000, 2_000_000))
-        records = load_bench_records([tmp_path])
-        assert [r["unix_time"] for r in records] == [1.0, 5.0]
-
-    def test_equal_stamps_tie_break_on_path(self, tmp_path):
-        # Files written within the same mtime quantum (or sharing a
-        # recorded unix_time) must still come back in one deterministic
-        # order, whatever order the caller listed them in.
-        import os
-
-        a = self.write(tmp_path / "BENCH_a.json", benchmark="a")
-        b = self.write(tmp_path / "BENCH_b.json", benchmark="b")
-        os.utime(a, (1_000_000, 1_000_000))
-        os.utime(b, (1_000_000, 1_000_000))
-        forward = load_bench_records([a, b])
-        reverse = load_bench_records([b, a])
-        assert forward == reverse
-        assert [r["benchmark"] for r in forward] == ["a", "b"]
-
-    def test_equal_stamps_in_different_directories(self, tmp_path):
-        import os
-
-        (tmp_path / "one").mkdir()
-        (tmp_path / "two").mkdir()
-        a = self.write(tmp_path / "two" / "BENCH_x.json", benchmark="two")
-        b = self.write(tmp_path / "one" / "BENCH_x.json", benchmark="one")
-        for path in (a, b):
-            os.utime(path, (1_000_000, 1_000_000))
-        records = load_bench_records([a, b])
-        # Same basename, same stamp: the full path breaks the tie.
-        assert [r["benchmark"] for r in records] == ["one", "two"]
-
-    def test_no_match_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="no benchmark records match"):
-            load_bench_records([tmp_path / "BENCH_missing.json"])
-
-    def test_non_json_raises(self, tmp_path):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text("not json")
-        with pytest.raises(ValueError, match="not a JSON benchmark record"):
-            load_bench_records([bad])
 
 
 def fleet_record(**overrides):
