@@ -9,7 +9,8 @@ seeds of the 60 s MPEG workload, measured through the DAQ):
 
 - **legacy**: the pre-optimization execution shape — a spawn-per-batch
   pool (a fresh engine per round, its pool shut down inside the timed
-  interval), one cell per task, reference kernel with full recorders;
+  interval) and the reference kernel with full recorders; its chunks are
+  auto-sized like the new side's, so the gap is pool reuse and the kernel;
 - **new**: the engine defaults — warm reused pool, auto-sized chunks —
   with every cell on the fast-path backend (the default).
 
@@ -79,7 +80,7 @@ def test_sweep_throughput(benchmark):
 
         def measure_round():
             walls = {}
-            legacy_engine = SweepEngine(jobs=JOBS, chunk_size=1)
+            legacy_engine = SweepEngine(jobs=JOBS)
             try:
                 start = time.perf_counter()
                 results["legacy"] = legacy_engine.run(

@@ -44,19 +44,6 @@ def moving_average(values: Sequence[float], window: int) -> np.ndarray:
     return out
 
 
-def window_slice(
-    times_us: np.ndarray,
-    values: np.ndarray,
-    start_us: float,
-    end_us: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Select the samples of a 30-40 s display window (Figures 3/4)."""
-    if end_us <= start_us:
-        raise ValueError("window is empty")
-    mask = (times_us >= start_us) & (times_us < end_us)
-    return times_us[mask], values[mask]
-
-
 def busy_idle_runs(utilizations: Sequence[float], busy_above: float = 0.5) -> List[Tuple[bool, int]]:
     """Run-length encode a utilization series into busy/idle stretches.
 

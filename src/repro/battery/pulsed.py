@@ -16,7 +16,7 @@ rest periods let the wells equalize (recovery).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 
 @dataclass
@@ -91,14 +91,6 @@ class PulsedDischargeModel:
             t += h
         self.delivered += delivered
         return delivered
-
-    def run_profile(self, profile: Iterable[Tuple[float, float]]) -> float:
-        """Drain through ``(power_w, duration_s)`` phases; return delivered charge."""
-        for power_w, duration_s in profile:
-            self.step(power_w, duration_s)
-            if self.dead:
-                break
-        return self.delivered
 
     def time_to_death_s(
         self, power_w: float, rest_power_w: float = 0.0,

@@ -73,10 +73,10 @@ per-sweep table, throughput trend and phase totals in markdown, plus
 inline-SVG trend curves in HTML (``--format html``, see
 :mod:`repro.obs.plot`).  ``fleet --check`` is the perf-regression
 sentinel instead: it compares the latest sweep against the median of
-comparable predecessors — same command, grid and job count — normalized
-by the host score ``repro calibrate`` caches, and exits non-zero naming
-the regressed phase (see :mod:`repro.obs.fleet` and
-:mod:`repro.obs.calibrate`).
+comparable predecessors — same command, grid, job count, start method,
+Python version and diagnosis — normalized by the host score ``repro
+calibrate`` caches, and exits non-zero naming the regressed phase (see
+:mod:`repro.obs.fleet` and :mod:`repro.obs.calibrate`).
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ from repro.obs.fleet import (
     read_fleet,
 )
 from repro.obs.profile import SweepTimeline
-from repro.obs.runlog import RunLogWriter
+from repro.obs.runlog import DiagnosisWriter, RunLogWriter
 from repro.measure.stats import confidence_interval
 
 # The simulator (repro.core.catalog, repro.measure.runner, the kernels,
@@ -139,15 +139,6 @@ def workload_spec(name: str, duration_s: Optional[float] = None) -> WorkloadSpec
     )
 
 
-def machine_spec(args) -> MachineSpec:
-    """The machine the ``--machine`` flag names (default: modified Itsy).
-
-    Raises:
-        ValueError: for unknown presets or a malformed boot voltage.
-    """
-    return MachineSpec.parse(getattr(args, "machine", "itsy"))
-
-
 def sweep_engine(args) -> SweepEngine:
     """Build the sweep engine a simulation command runs its cells on.
 
@@ -162,13 +153,10 @@ def sweep_engine(args) -> SweepEngine:
     Raises:
         ValueError: when ``--jobs`` is below 1.
     """
-    cache_dir = None if args.no_cache else args.cache
     observers = []
     if args.run_log:
         observers.append(RunLogWriter(args.run_log))
     if args.diagnoses:
-        from repro.obs.diagnose import DiagnosisWriter
-
         observers.append(DiagnosisWriter(args.diagnoses))
     if args.progress:
         from repro.obs.telemetry import ProgressDisplay
@@ -176,19 +164,11 @@ def sweep_engine(args) -> SweepEngine:
         observers.append(ProgressDisplay())
     return SweepEngine(
         jobs=args.jobs,
-        cache=ResultCache(cache_dir) if cache_dir else None,
+        cache=ResultCache(args.cache) if args.cache else None,
         diagnose=bool(args.diagnoses),
         timeline=SweepTimeline(),
         observers=observers,
     )
-
-
-def cell_backend(args) -> Optional[str]:
-    """The execution backend ``--backend`` named.
-
-    None means the default (``fastpath``, or ``REPRO_FORCE_BACKEND``).
-    """
-    return getattr(args, "backend", None)
 
 
 def report_sweep_stats(engine: SweepEngine, args) -> None:
@@ -254,7 +234,7 @@ def cmd_list_machines(_args) -> int:
 
 
 def cmd_run(args, engine: SweepEngine) -> int:
-    mspec = machine_spec(args)
+    mspec = MachineSpec.parse(args.machine)
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
     print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
@@ -266,7 +246,7 @@ def cmd_run(args, engine: SweepEngine) -> int:
         seed=args.seed,
         use_daq=not args.no_daq,
         machine=mspec,
-        backend=cell_backend(args),
+        backend=args.backend,
     )
     summary = engine.run([cell])[0]
     print(f"energy          : {summary.energy_j:.2f} J "
@@ -296,7 +276,7 @@ TABLE2_ROWS = [
 def cmd_table2(args, engine: SweepEngine) -> int:
     if args.runs < 2:
         raise ValueError("need at least two runs for a confidence interval")
-    mspec = machine_spec(args)
+    mspec = MachineSpec.parse(args.machine)
     spec = workload_spec("mpeg")
     print(f"{'Algorithm':30s} {'Energy 95% CI (J)':>20s} {'Misses':>7s}")
     # Submit the whole table as one batch so rows share the pool.
@@ -304,7 +284,7 @@ def cmd_table2(args, engine: SweepEngine) -> int:
         SweepCell(
             workload=spec, policy=PolicySpec(name=policy),
             seed=1000 * i, machine=mspec,
-            backend=cell_backend(args),
+            backend=args.backend,
         )
         for _, policy in TABLE2_ROWS
         for i in range(args.runs)
@@ -319,13 +299,13 @@ def cmd_table2(args, engine: SweepEngine) -> int:
 
 
 def cmd_fig9(args, engine: SweepEngine) -> int:
-    mspec = machine_spec(args)
+    mspec = MachineSpec.parse(args.machine)
     duration_s = 30.0 if args.duration is None else args.duration
     spec = workload_spec("mpeg", duration_s)
     print(f"{'MHz':>6s} {'Utilization':>12s} {'Misses':>7s}")
     results = engine.run(
         constant_step_cells(
-            spec, machine=mspec, seed=args.seed, backend=cell_backend(args),
+            spec, machine=mspec, seed=args.seed, backend=args.backend,
         )
     )
     for step, res in zip(mspec.clock_table(), results):
@@ -339,7 +319,7 @@ def cmd_fig9(args, engine: SweepEngine) -> int:
 def cmd_compare(args) -> int:
     from repro.measure.compare import energies, welch_compare
 
-    mspec = machine_spec(args)
+    mspec = MachineSpec.parse(args.machine)
     spec = workload_spec(args.workload, args.duration)
     agg_a = repeat_workload(
         spec, PolicySpec(name=args.policy_a), machine=mspec, runs=args.runs
@@ -363,13 +343,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_ideal(args, engine: SweepEngine) -> int:
-    mspec = machine_spec(args)
+    mspec = MachineSpec.parse(args.machine)
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
     try:
         summary = find_ideal_constant(
             spec, machine=mspec, seed=args.seed, engine=engine,
-            backend=cell_backend(args),
+            backend=args.backend,
         )
     except ValueError as exc:
         print(f"no feasible constant step: {exc}", file=sys.stderr)
@@ -388,7 +368,7 @@ def cmd_trace(args) -> int:
     from repro.measure.runner import run_workload
     from repro.obs.trace import chrome_trace, write_chrome_trace
 
-    mspec = machine_spec(args)
+    mspec = MachineSpec.parse(args.machine)
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
     result = run_workload(
@@ -398,7 +378,7 @@ def cmd_trace(args) -> int:
         seed=args.seed,
         kernel_config=KernelConfig(record_sched_log=True),
         use_daq=False,
-        backend=cell_backend(args),
+        backend=args.backend,
     )
     payload = chrome_trace(result.run, tolerance_us=workload.tolerance_us)
     out = write_chrome_trace(payload, args.output)
@@ -421,7 +401,7 @@ def cmd_diagnose(args) -> int:
     """Diagnose one DAQ-free cell on the engine and explain the outcome."""
     from repro.obs.diagnose import SETTLE_CHURN_PER_QUANTUM
 
-    mspec = machine_spec(args)
+    mspec = MachineSpec.parse(args.machine)
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
     policy = PolicySpec(name=args.policy)
@@ -429,7 +409,7 @@ def cmd_diagnose(args) -> int:
     policy.build_factory(mspec.clock_table())
     cell = SweepCell(
         workload=spec, policy=policy, seed=args.seed, use_daq=False,
-        machine=mspec, backend=cell_backend(args),
+        machine=mspec, backend=args.backend,
     )
     with SweepEngine(diagnose=True) as engine:
         engine.run([cell])
@@ -701,10 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_opts.add_argument(
         "--cache", default=None, metavar="DIR",
         help="memoize results on disk; unchanged runs are free on re-run",
-    )
-    sweep_opts.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore --cache and re-simulate everything",
     )
     sweep_opts.add_argument(
         "--run-log", default=None, metavar="PATH", dest="run_log",

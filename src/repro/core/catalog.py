@@ -13,7 +13,7 @@ processes and cache their results content-addressed.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.core.cycleavg import CycleAverageGovernor
 from repro.core.hysteresis import (
@@ -204,19 +204,3 @@ def predictor_decay_n(name: str) -> Optional[int]:
         n_text = match.group(1)
         return 0 if n_text is None else int(n_text)
     return None
-
-
-def sweep_avg_policies(
-    n_values: Tuple[int, ...] = tuple(range(11)),
-    setter_names: Tuple[str, ...] = ("one", "double", "peg"),
-    thresholds: ThresholdPair = PERING_THRESHOLDS,
-) -> Iterator[Tuple[str, Governor]]:
-    """The comprehensive sweep of §5.3: AVG_N for N in 0..10 x setters.
-
-    Yields ``(label, governor)`` pairs; the same setter is used both
-    directions, as in the paper's summary sweep.
-    """
-    for n in n_values:
-        for name in setter_names:
-            label = f"AVG_{n}/{name}-{name}"
-            yield label, pering_avg(n, up=name, down=name, thresholds=thresholds)

@@ -24,7 +24,6 @@ from typing import Tuple
 
 from repro.hw.clocksteps import SA1100_CLOCK_TABLE, ClockStep, ClockTable
 from repro.hw.memory import SA1100_MEMORY_TIMINGS, MemoryTimings
-from repro.hw.power import CoreState
 from repro.hw.rails import CoreRail, VoltageError
 from repro.hw.work import Work
 
@@ -136,7 +135,3 @@ class CpuModel:
         206.4 MHz; this is simply ``stall * f`` at the (new) frequency.
         """
         return self.clock_change_stall_us * self.step.mhz
-
-    def idle_state(self) -> CoreState:
-        """The core state entered by the idle process (nap mode)."""
-        return CoreState.NAP

@@ -30,7 +30,7 @@ per-transition reconfiguration costs (``clock_stall_us`` /
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.hw.clocksteps import SA1100_CLOCK_TABLE, SA2_CLOCK_TABLE, ClockTable
@@ -186,11 +186,11 @@ class MachineSpec:
 
 @dataclass(frozen=True)
 class MachinePreset:
-    """A named machine preset in the registry."""
+    """A machine preset: how to build it, its clock table, and the line
+    ``list-machines`` prints for it."""
 
-    name: str
-    builder: Callable[[MachineSpec], Machine] = field(compare=False)
-    clock_table: ClockTable = field(compare=False)
+    builder: Callable[[MachineSpec], Machine]
+    clock_table: ClockTable
     description: str = ""
 
 
@@ -286,67 +286,47 @@ def _build_sa2_reconf(spec: MachineSpec) -> Machine:
 
 
 #: Machine presets by stable name.  Names are part of the sweep cache-key
-#: schema: renaming one invalidates cached results built through it.
-MACHINE_PRESETS: Dict[str, MachinePreset] = {}
-
-
-def register_machine(preset: MachinePreset) -> None:
-    """Add (or replace) a named machine preset."""
-    MACHINE_PRESETS[preset.name] = preset
-
-
-register_machine(
-    MachinePreset(
-        name="itsy",
+#: schema: renaming one invalidates cached results built through it, so
+#: the set is fixed here and never changes at run time.
+MACHINE_PRESETS: Dict[str, MachinePreset] = {
+    "itsy": MachinePreset(
         builder=_build_itsy,
         clock_table=SA1100_CLOCK_TABLE,
         description=(
             "WRL-modified Itsy (SA-1100): 59.0-206.4 MHz, "
             "1.5 V core switchable to 1.23 V"
         ),
-    )
-)
-register_machine(
-    MachinePreset(
-        name="itsy-stock",
+    ),
+    "itsy-stock": MachinePreset(
         builder=_build_itsy_stock,
         clock_table=SA1100_CLOCK_TABLE,
         description="unmodified Itsy (SA-1100): 59.0-206.4 MHz, 1.5 V core only",
-    )
-)
-register_machine(
-    MachinePreset(
-        name="sa2",
+    ),
+    "sa2": MachinePreset(
         builder=_build_sa2,
         clock_table=SA2_CLOCK_TABLE,
         description=(
             "hypothetical StrongARM SA-2: 150-600 MHz, "
             "per-step voltage schedule 1.018-1.8 V"
         ),
-    )
-)
-register_machine(
-    MachinePreset(
-        name="itsy-reconf",
+    ),
+    "itsy-reconf": MachinePreset(
         builder=_build_itsy_reconf,
         clock_table=SA1100_CLOCK_TABLE,
         description=(
             "modified Itsy with costly reconfiguration: 1 ms clock-change "
             "stall at +0.12 W, 500 us voltage sag"
         ),
-    )
-)
-register_machine(
-    MachinePreset(
-        name="sa2-reconf",
+    ),
+    "sa2-reconf": MachinePreset(
         builder=_build_sa2_reconf,
         clock_table=SA2_CLOCK_TABLE,
         description=(
             "SA-2 with costly reconfiguration: 1 ms clock-change "
             "stall at +0.12 W, 500 us voltage sag"
         ),
-    )
-)
+    ),
+}
 
 
 def _preset(name: str) -> MachinePreset:

@@ -80,10 +80,6 @@ class MemoryTimings:
         """Wall-clock latency of one individual-word reference, microseconds."""
         return self.mem_cycles(step) / step.mhz
 
-    def cache_latency_us(self, step: ClockStep) -> float:
-        """Wall-clock latency of one cache-line reference, microseconds."""
-        return self.cache_cycles(step) / step.mhz
-
     def as_table(self, frequencies_mhz: Sequence[float] = SA1100_FREQUENCIES_MHZ) -> Dict[float, Tuple[int, int]]:
         """Render the timings as ``{freq_mhz: (mem_cycles, cache_cycles)}``.
 

@@ -807,16 +807,16 @@ class SweepEngine:
     order.
 
     The pool path is engineered for throughput: cells are submitted in
-    contiguous chunks (``chunk_size`` per pool task; auto-sized to a few
-    chunks per worker by default) so per-task pickling and future
-    overhead amortize, and the pool itself is spawned once — warm
-    workers preimport the simulator and are reused across batches until
-    :meth:`close` (the engine is a context manager).  Under ``fork`` the
-    engine imports the simulator itself just before the pool starts, so
-    the workers inherit it instead of each importing it; otherwise the
-    simulator loads only where a cell runs, so a batch served from the
-    cache loads neither it nor numpy.  Chunks preserve input order, so
-    results are the same, bitwise, at any chunk size.
+    contiguous chunks, auto-sized to a few chunks per worker, so per-task
+    pickling and future overhead amortize, and the pool itself is spawned
+    once — warm workers preimport the simulator and are reused across
+    batches until :meth:`close` (the engine is a context manager).  Under
+    ``fork`` the engine imports the simulator itself just before the pool
+    starts, so the workers inherit it instead of each importing it;
+    otherwise the simulator loads only where a cell runs, so a batch
+    served from the cache loads neither it nor numpy.  Chunks preserve
+    input order, so results are the same, bitwise, however a batch is
+    chunked.
 
     With ``diagnose=True`` every executed cell additionally runs the
     :mod:`~repro.obs.diagnose` engine worker-side — the oracle baselines
@@ -843,17 +843,13 @@ class SweepEngine:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         diagnose: bool = False,
-        chunk_size: Optional[int] = None,
         timeline: Optional[SweepTimeline] = None,
         observers: Sequence[SweepObserver] = (),
     ):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         self.jobs = jobs
         self.cache = cache
-        self.chunk_size = chunk_size
         self.timeline = timeline
         self.observers = tuple(observers)
         self._diagnose = diagnose
@@ -972,9 +968,7 @@ class SweepEngine:
         amortize per-task pickling, small enough that a slow cell does
         not leave the other workers idle at the tail of the batch.
         """
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-len(todo) // (workers * 4)))
+        size = max(1, -(-len(todo) // (workers * 4)))
         return [todo[i : i + size] for i in range(0, len(todo), size)]
 
     def _run_cells(

@@ -33,7 +33,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -44,8 +46,7 @@ from repro.hw.machine import Machine
 from repro.hw.machines import MachineSpec
 from repro.hw.power import CoreState
 from repro.kernel.scheduler import KernelRun
-from repro.obs.profile import SweepObserver
-from repro.obs.runlog import JsonlLog, JsonlRecords, read_jsonl
+from repro.obs.runlog import JsonlRecords, read_jsonl
 
 if TYPE_CHECKING:  # import cycle: repro.measure.parallel imports this module
     from repro.measure.runner import ExperimentResult
@@ -436,13 +437,18 @@ class EnergyDecomposition:
 
 def _window_energy_j(
     segments: Sequence[Tuple[float, float, float]],
-    windows: Sequence[Tuple[float, float]],
+    windows: Sequence[Tuple[float, float, Callable[[float], float]]],
 ) -> float:
-    """Integral of a piecewise-constant power signal over sorted windows."""
+    """Integral over sorted windows of a piecewise-constant power signal's
+    excess: each window maps a segment's watts to the watts it counts.
+
+    Adds left to right with ``+=``: the components are compared bitwise,
+    and CPython 3.12's compensated ``sum()`` would round differently.
+    """
     total = 0.0
     i = 0
     n = len(segments)
-    for window_start, window_end in windows:
+    for window_start, window_end, excess_w in windows:
         while i < n and segments[i][1] <= window_start:
             i += 1
         j = i
@@ -450,13 +456,20 @@ def _window_energy_j(
             seg_start, seg_end, watts = segments[j]
             overlap = min(seg_end, window_end) - max(seg_start, window_start)
             if overlap > 0:
-                total += watts * overlap * 1e-6
+                total += excess_w(watts) * overlap * 1e-6
             j += 1
     return total
 
 
-def _sag_excess_j(run: KernelRun, machine: Machine) -> float:
-    """Extra energy of rail-sag windows vs the settled voltage.
+def _all_drawn(watts: float) -> float:
+    """A stall window's excess: everything it draws."""
+    return watts
+
+
+def _sag_windows(
+    run: KernelRun, machine: Machine
+) -> List[Tuple[float, float, Callable[[float], float]]]:
+    """The rail-sag windows, each with its excess over the settled voltage.
 
     During a sag the kernel records power at the *old* voltage; the
     counterfactual replays the same execution states at the new voltage.
@@ -468,40 +481,29 @@ def _sag_excess_j(run: KernelRun, machine: Machine) -> float:
     """
     sags = run.sag_windows()
     if not sags:
-        return 0.0
-    segments = list(run.timeline)
+        return []
     ends = [q.end_us for q in run.quanta]
     table = machine.clock_table
-    total = 0.0
-    i = 0
-    n = len(segments)
+    power = machine.power
+    windows = []
     for window_start, window_end, from_volts, to_volts in sags:
         # The sag starts inside the quantum whose tick applied the drop;
         # that quantum already carries the post-change step.
         qi = min(bisect_right(ends, window_start), len(run.quanta) - 1)
         step = table[run.quanta[qi].step_index]
-        active_w = machine.power.total_w(step, from_volts, CoreState.ACTIVE)
-        nap_w = machine.power.total_w(step, from_volts, CoreState.NAP)
-        while i < n and segments[i][1] <= window_start:
-            i += 1
-        j = i
-        while j < n and segments[j][0] < window_end:
-            seg_start, seg_end, watts = segments[j]
-            overlap = min(seg_end, window_end) - max(seg_start, window_start)
-            if overlap > 0:
-                if watts == active_w:
-                    settled = machine.power.total_w(
-                        step, to_volts, CoreState.ACTIVE
-                    )
-                elif watts == nap_w:
-                    settled = machine.power.total_w(
-                        step, to_volts, CoreState.NAP
-                    )
-                else:
-                    settled = watts
-                total += (watts - settled) * overlap * 1e-6
-            j += 1
-    return total
+        # NAP first, so ACTIVE wins should the two states draw alike.
+        settled = {
+            power.total_w(step, from_volts, state): power.total_w(
+                step, to_volts, state
+            )
+            for state in (CoreState.NAP, CoreState.ACTIVE)
+        }
+        windows.append((
+            window_start,
+            window_end,
+            lambda watts, settled=settled: watts - settled.get(watts, watts),
+        ))
+    return windows
 
 
 def energy_decomposition(
@@ -525,8 +527,10 @@ def energy_decomposition(
         raise ValueError("energy decomposition needs a full-recording run")
     measured = run.energy_joules()
     segments = list(run.timeline)
-    stall = _window_energy_j(segments, run.stall_windows())
-    sag = _sag_excess_j(run, machine)
+    stall = _window_energy_j(
+        segments, [(s, e, _all_drawn) for s, e in run.stall_windows()]
+    )
+    sag = _window_energy_j(segments, _sag_windows(run, machine))
     feasible = baseline_j is not None
     base = baseline_j if feasible else 0.0
     # The residual closes the identity exactly: whatever the windows did
@@ -687,18 +691,9 @@ def diagnose(
 # ---------------------------------------------------------------------------
 
 
-class DiagnosisWriter(JsonlLog, SweepObserver):
-    """The diagnosis log: as a sweep observer, it appends the diagnosis
-    of every cell a diagnosing engine executes."""
-
-    def on_cell_done(self, cell, key, outcome, ordinal) -> None:
-        if outcome.diagnosis is not None:
-            self.append(outcome.diagnosis)
-
-
 def read_diagnoses(path: Union[str, Path]) -> JsonlRecords:
-    """Every diagnosis a :class:`DiagnosisWriter` wrote (see
-    :func:`~repro.obs.runlog.read_jsonl`): a line that does not rebuild a
-    :class:`PolicyDiagnosis`, an unknown schema version included, is
-    skipped with a ``file:line`` warning."""
+    """Every diagnosis a :class:`~repro.obs.runlog.DiagnosisWriter`
+    wrote (see :func:`~repro.obs.runlog.read_jsonl`): a line that does not
+    rebuild a :class:`PolicyDiagnosis`, an unknown schema version
+    included, is skipped with a ``file:line`` warning."""
     return read_jsonl(path, PolicyDiagnosis.from_json, "diagnosis")

@@ -8,7 +8,9 @@ simulated/cached, throughput, wall time, backend, package version, git
 sha — to a repo-local ledger (``.repro/fleet.jsonl`` by default).  The
 ``repro fleet`` CLI command filters the ledger and renders it through
 the markdown/HTML sweep report (:mod:`repro.obs.report`): per-sweep
-table, throughput trend and phase totals.
+table, phase totals, and the throughput trend of the newest sweep's
+comparable series (:func:`comparable_series`), the one series the
+sentinel reads too.
 
 Records from different machines compare through the host calibration
 score (:mod:`repro.obs.calibrate`) stamped into each record, and the
@@ -35,6 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import repro
+from repro.obs.profile import PHASE_DIAGNOSE
 from repro.obs.runlog import JsonlLog, JsonlRecords, read_jsonl
 
 #: Bump when the fleet record layout changes incompatibly.
@@ -137,6 +140,30 @@ class FleetRecord:
         """The stored phase attribution as a ``{phase: seconds}`` dict."""
         return {phase: seconds for phase, seconds in self.phases}
 
+    @property
+    def nominal_phase_per_cell(self) -> Dict[str, float]:
+        """Per-cell phase seconds, scaled to reference-host seconds.
+
+        ``host_wall * score`` is what the nominal host would have spent,
+        so phase costs from differently-fast hosts compare directly; an
+        uncalibrated record contributes its raw seconds.  Empty when the
+        sweep executed no cell.
+        """
+        if self.cells_executed <= 0:
+            return {}
+        scale = self.host_score if self.host_score > 0 else 1.0
+        return {
+            phase: seconds * scale / self.cells_executed
+            for phase, seconds in self.phases
+        }
+
+    @property
+    def diagnosed(self) -> bool:
+        """Whether the sweep diagnosed its cells, read from its recorded
+        ``diagnosis`` phase: a diagnosed sweep also runs baseline-search
+        cells, so its cells/s is not a plain sweep's."""
+        return any(phase == PHASE_DIAGNOSE for phase, _ in self.phases)
+
 
 class FleetLedger(JsonlLog):
     """Appends :class:`FleetRecord` lines to the ledger file, through the
@@ -214,56 +241,77 @@ def sparkline(values: Sequence[float]) -> str:
     return "".join(out)
 
 
-def throughput_trend(records: Sequence[FleetRecord]) -> str:
-    """A one-line throughput trend over the ledger, oldest first.
+#: The record fields that must match for two sweeps' throughput to be
+#: comparable: the same command over the same grid on the same backend,
+#: worker count, start method and Python version, and both diagnosed or
+#: both not.
+_COMPARABLE_FIELDS = (
+    "command", "policies", "workloads", "machines", "backend", "jobs",
+    "start_method", "python", "diagnosed",
+)
 
-    ``throughput trend (cells/s): 5.7 → 19.3 (3.39x) ▁▃█`` — only
-    sweeps that executed at least one cell count (an all-cached sweep's
-    "throughput" measures the cache, not the engine).
+
+def comparable_series(records: Sequence[FleetRecord]) -> List[FleetRecord]:
+    """The newest executed sweep and the earlier executed sweeps
+    comparable with it, oldest first (empty when none executed a cell).
+
+    Only sweeps that executed at least one cell count: an all-cached
+    sweep's "throughput" measures the cache, not the engine.  The
+    sentinel's baseline and the throughput trend both read this series.
     """
-    measured = [r for r in sorted(records, key=lambda r: r.unix_time)
-                if r.cells_executed > 0 and r.cells_per_s > 0]
-    if not measured:
+    executed = [
+        r for r in sorted(records, key=lambda r: r.unix_time)
+        if r.cells_executed > 0 and r.cells_per_s > 0
+    ]
+    if not executed:
+        return []
+    latest = executed[-1]
+    return [
+        r for r in executed
+        if all(
+            getattr(r, name) == getattr(latest, name)
+            for name in _COMPARABLE_FIELDS
+        )
+    ]
+
+
+def series_name(series: Sequence[FleetRecord]) -> str:
+    """What a non-empty comparable series holds, e.g. ``3 comparable
+    table2 sweeps``."""
+    latest = series[-1]
+    words = [str(len(series)), "comparable"]
+    if latest.diagnosed:
+        words.append("diagnosed")
+    if latest.command:
+        words.append(latest.command)
+    words.append("sweep" if len(series) == 1 else "sweeps")
+    return " ".join(words)
+
+
+def throughput_trend(records: Sequence[FleetRecord]) -> str:
+    """A one-line throughput trend over the newest sweep's comparable
+    series (:func:`comparable_series`), oldest first.
+
+    ``throughput trend (cells/s): 5.7 → 19.3 (3.39x) ▁▃█ over 3
+    comparable table2 sweeps``.
+    """
+    series = comparable_series(records)
+    if not series:
         return "throughput trend: no executed sweeps recorded yet"
-    rates = [r.cells_per_s for r in measured]
+    rates = [r.cells_per_s for r in series]
     first, last = rates[0], rates[-1]
     trend = f"throughput trend (cells/s): {first:.1f} → {last:.1f}"
     if first > 0:
         trend += f" ({last / first:.2f}x)"
-    spark = sparkline(rates)
     if len(rates) > 1:
-        trend += f" {spark}"
-    return trend
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+        trend += f" {sparkline(rates)}"
+    return f"{trend} over {series_name(series)}"
 
 
 def _normalized_rate(record: FleetRecord) -> float:
     """Host-normalized throughput, raw when the host is uncalibrated."""
     normalized = record.normalized_cells_per_s
     return normalized if normalized is not None else record.cells_per_s
-
-
-def _nominal_phase_per_cell(record: FleetRecord) -> Dict[str, float]:
-    """Per-cell phase seconds, scaled to reference-host seconds.
-
-    ``host_wall * score`` is what the nominal host would have spent, so
-    phase costs from differently-fast hosts compare directly; an
-    uncalibrated record contributes its raw seconds.
-    """
-    if record.cells_executed <= 0:
-        return {}
-    scale = record.host_score if record.host_score > 0 else 1.0
-    return {
-        phase: seconds * scale / record.cells_executed
-        for phase, seconds in record.phases
-    }
 
 
 @dataclass(frozen=True)
@@ -295,13 +343,6 @@ class SentinelReport:
         return f"fleet sentinel: {verdict} — {self.reason}"
 
 
-#: The record fields that must match for two sweeps' throughput to be
-#: comparable: the same command over the same grid on the same backend
-#: with the same worker count.
-_COMPARABLE_FIELDS = (
-    "command", "policies", "workloads", "machines", "backend", "jobs",
-)
-
 #: The sentinel's baseline window and bars (see :func:`check_fleet`).
 SENTINEL_WINDOW = 5
 SENTINEL_MAX_DROP_PCT = 25.0
@@ -312,12 +353,13 @@ def check_fleet(records: Sequence[FleetRecord]) -> SentinelReport:
     """Check the newest executed sweep against its robust baseline.
 
     The baseline is the median of the last :data:`SENTINEL_WINDOW`
-    *comparable* earlier records — same command, policy, workload and
-    machine axes, backend and job count, at least one executed cell —
-    each normalized by its own host score (so a slower CI runner is not
-    misread as a code regression).  The check fails when normalized
-    throughput drops more than :data:`SENTINEL_MAX_DROP_PCT` percent
-    below baseline, or the cache-hit rate falls more than
+    earlier sweeps of its comparable series (:func:`comparable_series`:
+    same command, policy, workload and machine axes, backend, job count,
+    start method, Python version and diagnosis, at least one executed
+    cell), each normalized by its own host score (so a slower CI runner
+    is not misread as a code regression).  The check fails when
+    normalized throughput drops more than :data:`SENTINEL_MAX_DROP_PCT`
+    percent below baseline, or the cache-hit rate falls more than
     :data:`SENTINEL_MAX_HIT_RATE_DROP` (absolute fraction) below the
     baseline median — a sweep that silently stopped reusing its cache.
     On a throughput regression the per-phase attribution names the
@@ -327,24 +369,18 @@ def check_fleet(records: Sequence[FleetRecord]) -> SentinelReport:
     With no executed sweep, or no comparable history, the report is
     ``ok`` but ``checked=False`` — a fresh ledger must not fail CI.
     """
-    ordered = sorted(records, key=lambda r: r.unix_time)
-    executed = [
-        r for r in ordered if r.cells_executed > 0 and r.cells_per_s > 0
-    ]
-    if not executed:
+    # Imported here: only the sentinel needs it, and it costs a
+    # cache-served sweep's start-up a few milliseconds.
+    from statistics import median
+
+    series = comparable_series(records)
+    if not series:
         return SentinelReport(
             checked=False, ok=True,
             reason="no executed sweeps in the ledger",
         )
-    latest = executed[-1]
-    comparable = [
-        r for r in executed[:-1]
-        if all(
-            getattr(r, name) == getattr(latest, name)
-            for name in _COMPARABLE_FIELDS
-        )
-    ]
-    baseline = comparable[-SENTINEL_WINDOW:]
+    latest = series[-1]
+    baseline = series[:-1][-SENTINEL_WINDOW:]
     if not baseline:
         return SentinelReport(
             checked=False, ok=True,
@@ -352,31 +388,33 @@ def check_fleet(records: Sequence[FleetRecord]) -> SentinelReport:
                 f"no comparable baseline for {latest.sweep_id} "
                 f"(command={latest.command or '-'}, "
                 f"machines={'/'.join(latest.machines) or '-'}, "
-                f"backend={latest.backend or '-'}, jobs={latest.jobs})"
+                f"backend={latest.backend or '-'}, jobs={latest.jobs}, "
+                f"start method={latest.start_method or '-'}, "
+                f"python={latest.python or '-'}, "
+                f"diagnosed={'yes' if latest.diagnosed else 'no'})"
             ),
             latest=latest,
         )
 
-    base_rate = _median([_normalized_rate(r) for r in baseline])
+    base_rate = median([_normalized_rate(r) for r in baseline])
     latest_rate = _normalized_rate(latest)
     drop_pct = (
         (base_rate - latest_rate) / base_rate * 100.0 if base_rate > 0 else 0.0
     )
-    base_hit = _median([r.cache_hit_rate for r in baseline])
+    base_hit = median([r.cache_hit_rate for r in baseline])
     latest_hit = latest.cache_hit_rate
     hit_drop = base_hit - latest_hit
 
     failures = []
     culprit: Optional[str] = None
     if drop_pct > SENTINEL_MAX_DROP_PCT:
-        latest_phases = _nominal_phase_per_cell(latest)
         base_by_phase: Dict[str, List[float]] = {}
         for r in baseline:
-            for phase, per_cell in _nominal_phase_per_cell(r).items():
+            for phase, per_cell in r.nominal_phase_per_cell.items():
                 base_by_phase.setdefault(phase, []).append(per_cell)
         growth = {
-            phase: per_cell - _median(base_by_phase.get(phase, [0.0]))
-            for phase, per_cell in latest_phases.items()
+            phase: per_cell - median(base_by_phase.get(phase, [0.0]))
+            for phase, per_cell in latest.nominal_phase_per_cell.items()
         }
         if growth:
             worst, worst_growth = max(growth.items(), key=lambda kv: kv[1])

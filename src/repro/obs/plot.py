@@ -8,8 +8,10 @@ in the HTML fleet report (``repro fleet --format html``).
 
 Three fleet charts:
 
-- **throughput** — cells/s per ledger sweep, oldest first, with a second
-  host-normalized series when any record carries a calibration score;
+- **throughput** — cells/s of the newest sweep's comparable series
+  (:func:`~repro.obs.fleet.comparable_series`), oldest first, with a
+  second host-normalized series when any record carries a calibration
+  score;
 - **cache-hit rate** — the percentage of cells answered from the result
   cache, to spot sweeps that silently stopped reusing it;
 - **phase mix** — a stacked area of nominal per-cell seconds by pipeline
@@ -22,9 +24,9 @@ Every chart is a pure function of the records; no clocks, no I/O.
 from __future__ import annotations
 
 from html import escape
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.obs.fleet import FleetRecord
+from repro.obs.fleet import FleetRecord, comparable_series, series_name
 from repro.obs.profile import PHASE_ORDER
 
 #: Panel geometry (pixels).
@@ -210,18 +212,18 @@ def _x_labels(records: Sequence[FleetRecord]) -> List[str]:
 
 
 def throughput_chart(records: Sequence[FleetRecord]) -> str:
-    """Cells/s per sweep, raw plus host-normalized when calibrated."""
-    ordered = sorted(records, key=lambda r: r.unix_time)
-    raw = [r.cells_per_s if r.cells_executed > 0 else None for r in ordered]
-    normalized = [
-        r.normalized_cells_per_s if r.cells_executed > 0 else None
-        for r in ordered
-    ]
+    """Cells/s over the newest sweep's comparable series, raw plus
+    host-normalized when calibrated, titled with the series' name."""
+    series = comparable_series(records)
+    raw = [r.cells_per_s for r in series]
+    normalized = [r.normalized_cells_per_s for r in series]
     have_norm = any(v is not None for v in normalized)
     peak = max([v for v in raw + normalized if v is not None] or [1.0])
-    panel = _Panel(
-        "Sweep throughput over commits", _x_labels(ordered), peak * 1.1
+    title = (
+        f"Sweep throughput over {series_name(series)}"
+        if series else "Sweep throughput: no executed sweeps"
     )
+    panel = _Panel(title, _x_labels(series), peak * 1.1)
     panel.frame()
     if have_norm:
         panel.polyline(normalized, _COLORS[1], "normalized cells/s")
@@ -247,10 +249,7 @@ def phase_mix_chart(records: Sequence[FleetRecord]) -> str:
         r for r in sorted(records, key=lambda r: r.unix_time)
         if r.phases and r.cells_executed > 0
     ]
-    per_cell: List[Dict[str, float]] = []
-    for r in ordered:
-        scale = (r.host_score if r.host_score > 0 else 1.0) / r.cells_executed
-        per_cell.append({p: s * scale for p, s in r.phases})
+    per_cell = [r.nominal_phase_per_cell for r in ordered]
     phases = [p for p in PHASE_ORDER if any(p in d for d in per_cell)]
     phases += sorted(
         {p for d in per_cell for p in d} - set(phases)

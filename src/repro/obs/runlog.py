@@ -14,7 +14,8 @@ format is append-only JSONL: one self-describing object per line, no
 header, safe to concatenate across sweeps sharing a log file.
 :class:`JsonlLog` and :func:`read_jsonl` are the one writer and the one
 tolerant reader of every sweep log: this run-log, the diagnosis log
-(:mod:`repro.obs.diagnose`) and the fleet ledger (:mod:`repro.obs.fleet`).
+(:class:`DiagnosisWriter`, read by :mod:`repro.obs.diagnose`) and the
+fleet ledger (:mod:`repro.obs.fleet`).
 """
 
 from __future__ import annotations
@@ -165,6 +166,20 @@ class RunLogWriter(JsonlLog, SweepObserver):
                 worker_ordinal=ordinal,
             )
         )
+
+
+class DiagnosisWriter(JsonlLog, SweepObserver):
+    """The diagnosis log: as a sweep observer, it appends the diagnosis
+    of every cell a diagnosing engine executes (read back with
+    :func:`repro.obs.diagnose.read_diagnoses`).
+
+    It only appends what the engine hands it, so building one loads no
+    diagnosis code: a diagnosing engine imports that where its cells
+    run, inside the sweep's clock."""
+
+    def on_cell_done(self, cell, key, outcome, ordinal) -> None:
+        if outcome.diagnosis is not None:
+            self.append(outcome.diagnosis)
 
 
 def now_unix() -> float:

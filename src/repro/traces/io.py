@@ -1,24 +1,22 @@
-"""Trace persistence: CSV for series, JSON for run summaries.
+"""Trace export: per-quantum records as CSV.
 
 The paper's host computer stored DAQ streams and kernel logs for offline
-analysis; these helpers provide the same round-trip so benchmarks can save
-the series behind each figure next to their printed output.
+analysis; :func:`save_quanta_csv` saves the per-quantum series behind
+Figure 3 next to the benchmark's printed output.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Sequence, Union
 
-from repro.kernel.scheduler import KernelRun
-from repro.traces.schema import AppEvent, QuantumRecord
-
-PathLike = Union[str, Path]
+from repro.traces.schema import QuantumRecord
 
 
-def save_quanta_csv(path: PathLike, quanta: Sequence[QuantumRecord]) -> None:
+def save_quanta_csv(
+    path: Union[str, Path], quanta: Sequence[QuantumRecord]
+) -> None:
     """Write per-quantum records (the Figure 3 raw data) as CSV."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -29,93 +27,3 @@ def save_quanta_csv(path: PathLike, quanta: Sequence[QuantumRecord]) -> None:
             writer.writerow(
                 [q.end_us, q.busy_us, q.quantum_us, q.step_index, q.mhz, q.volts]
             )
-
-
-def load_quanta_csv(path: PathLike) -> List[QuantumRecord]:
-    """Read per-quantum records written by :func:`save_quanta_csv`.
-
-    Raises:
-        ValueError: if quantum end timestamps are not strictly
-            increasing — a scrambled or hand-edited file would otherwise
-            replay as a nonsense schedule.
-    """
-    out: List[QuantumRecord] = []
-    with open(path, newline="") as f:
-        for i, row in enumerate(csv.DictReader(f)):
-            record = QuantumRecord(
-                end_us=float(row["end_us"]),
-                busy_us=float(row["busy_us"]),
-                quantum_us=float(row["quantum_us"]),
-                step_index=int(row["step_index"]),
-                mhz=float(row["mhz"]),
-                volts=float(row["volts"]),
-            )
-            if out and record.end_us <= out[-1].end_us:
-                raise ValueError(
-                    f"{path}: quantum timestamps must increase "
-                    f"monotonically (row {i}: end_us {record.end_us!r} "
-                    f"after {out[-1].end_us!r})"
-                )
-            out.append(record)
-    return out
-
-
-def save_events_csv(path: PathLike, events: Sequence[AppEvent]) -> None:
-    """Write application events (deadline bookkeeping) as CSV."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["time_us", "pid", "kind", "deadline_us", "payload"])
-        for e in events:
-            writer.writerow(
-                [
-                    e.time_us,
-                    e.pid,
-                    e.kind,
-                    "" if e.deadline_us is None else e.deadline_us,
-                    "" if e.payload is None else e.payload,
-                ]
-            )
-
-
-def load_events_csv(path: PathLike) -> List[AppEvent]:
-    """Read application events written by :func:`save_events_csv`."""
-    out: List[AppEvent] = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            out.append(
-                AppEvent(
-                    time_us=float(row["time_us"]),
-                    pid=int(row["pid"]),
-                    kind=row["kind"],
-                    deadline_us=float(row["deadline_us"]) if row["deadline_us"] else None,
-                    payload=float(row["payload"]) if row["payload"] else None,
-                )
-            )
-    return out
-
-
-def run_summary(run: KernelRun) -> Dict[str, float]:
-    """A JSON-serializable summary of a kernel run."""
-    return {
-        "duration_us": run.duration_us,
-        "energy_j": run.energy_joules(),
-        "mean_power_w": run.mean_power_w(),
-        "mean_utilization": run.mean_utilization(),
-        "quanta": float(len(run.quanta)),
-        "clock_changes": float(run.clock_changes),
-        "clock_stall_us": run.clock_stall_us,
-        "voltage_changes": float(run.voltage_changes),
-        "events": float(len(run.events)),
-    }
-
-
-def save_run_summary(path: PathLike, run: KernelRun) -> None:
-    """Write a run summary as JSON."""
-    with open(path, "w") as f:
-        json.dump(run_summary(run), f, indent=2, sort_keys=True)
-
-
-def load_run_summary(path: PathLike) -> Dict[str, float]:
-    """Read a run summary written by :func:`save_run_summary`."""
-    with open(path) as f:
-        return json.load(f)

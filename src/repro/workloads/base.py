@@ -153,33 +153,3 @@ class Workload:
 #: Convenience: the fastest SA-1100 step, used to express burst durations
 #: as "time at full speed".
 FULL_SPEED = SA1100_CLOCK_TABLE.max_step
-
-
-def combine_workloads(name: str, *workloads: "Workload") -> "Workload":
-    """Run several workloads concurrently on one machine.
-
-    The paper stresses that the Itsy runs "a complete, functional
-    multitasking operating system"; this helper builds the multitasking
-    scenario: every component workload's processes share the kernel, the
-    combined duration is the longest component's, and the lateness
-    tolerance is the strictest (smallest) one, so a miss anywhere counts.
-
-    Component seeds are decorrelated (seed, seed+7919, ...) so two copies
-    of the same workload do not move in lockstep.
-
-    Raises:
-        ValueError: with no component workloads.
-    """
-    if not workloads:
-        raise ValueError("need at least one component workload")
-
-    def setup(kernel, seed: int) -> None:
-        for i, workload in enumerate(workloads):
-            workload.setup(kernel, seed + 7919 * i)
-
-    return Workload(
-        name=name,
-        duration_s=max(w.duration_s for w in workloads),
-        tolerance_us=min(w.tolerance_us for w in workloads),
-        setup=setup,
-    )

@@ -31,7 +31,6 @@ from typing import Generator, List, Sequence
 from repro.hw.work import Work
 from repro.kernel.process import Action, Compute, ProcessContext, SleepUntil, SpinUntil
 from repro.kernel.scheduler import Kernel, KernelRun
-from repro.traces.schema import QuantumRecord
 from repro.workloads.base import Workload
 
 
@@ -67,14 +66,6 @@ def record_from_run(run: KernelRun) -> List[RecordedQuantum]:
     return [
         RecordedQuantum(busy_us=q.busy_us, mhz=q.mhz, quantum_us=q.quantum_us)
         for q in run.quanta
-    ]
-
-
-def record_from_quanta(quanta: Sequence[QuantumRecord]) -> List[RecordedQuantum]:
-    """Extract a replayable trace from raw quantum records (e.g. CSV)."""
-    return [
-        RecordedQuantum(busy_us=q.busy_us, mhz=q.mhz, quantum_us=q.quantum_us)
-        for q in quanta
     ]
 
 

@@ -7,7 +7,6 @@ from repro.analysis.utilization import (
     busy_idle_runs,
     moving_average,
     utilization_series,
-    window_slice,
 )
 from repro.core.catalog import constant_speed
 from repro.measure.runner import run_workload
@@ -39,18 +38,6 @@ class TestMovingAverage:
     def test_validation(self):
         with pytest.raises(ValueError):
             moving_average([1.0], 0)
-
-
-class TestWindowSlice:
-    def test_slice(self):
-        t = np.array([0.0, 10.0, 20.0, 30.0])
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        ts, vs = window_slice(t, v, 10.0, 30.0)
-        assert list(vs) == [2.0, 3.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            window_slice(np.array([0.0]), np.array([1.0]), 5.0, 5.0)
 
 
 class TestBusyIdleRuns:

@@ -74,9 +74,3 @@ class TestRecoveryEffect:
         b.step(6.0, 1000.0)
         assert b.dead
         assert b.step(1.0, 10.0) == 0.0
-
-    def test_run_profile_stops_at_death(self):
-        b = make_battery(k_rate=1e-9)
-        delivered = b.run_profile([(6.0, 1000.0), (6.0, 1000.0)])
-        assert b.dead
-        assert delivered == b.delivered

@@ -8,7 +8,7 @@ from repro.core.catalog import (
     cycle_average,
     make_setter,
     pering_avg,
-    sweep_avg_policies,
+    resolve_policy,
 )
 from repro.core.predictors import AvgN, Past
 from repro.core.speed import Double, OneStep, Peg
@@ -63,18 +63,19 @@ class TestFactories:
         assert a.predictor is not b.predictor
 
 
-class TestSweep:
-    def test_sweep_covers_paper_grid(self):
-        entries = list(sweep_avg_policies())
-        # N in 0..10 x {one, double, peg} = 33 configurations.
-        assert len(entries) == 33
-        labels = [label for label, _ in entries]
-        assert "AVG_0/one-one" in labels
-        assert "AVG_10/peg-peg" in labels
-        assert len(set(labels)) == len(labels)
 
-    def test_sweep_policies_are_configured(self):
-        for label, gov in sweep_avg_policies(n_values=(2,), setter_names=("peg",)):
-            assert label == "AVG_2/peg-peg"
-            assert gov.predictor.n == 2
-            assert isinstance(gov.up, Peg)
+class TestSection53Grid:
+    def test_grid_resolves_by_name(self):
+        # The §5.3 sweep, as the policy-sweep benchmark names it: AVG_N
+        # for N in 0..10 x one/double/peg, the same setter both
+        # directions, at Pering's 50/70 thresholds.
+        setters = {"one": OneStep, "double": Double, "peg": Peg}
+        for n in range(11):
+            for name, setter in setters.items():
+                gov = resolve_policy(f"avg{n}-{name}")()
+                assert isinstance(gov.predictor, AvgN)
+                assert gov.predictor.n == n
+                assert isinstance(gov.up, setter)
+                assert isinstance(gov.down, setter)
+                assert gov.thresholds.low == 0.50
+                assert gov.thresholds.high == 0.70

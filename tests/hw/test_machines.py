@@ -5,12 +5,7 @@ import pickle
 import pytest
 
 from repro.hw.itsy import ItsyMachine
-from repro.hw.machines import (
-    MACHINE_PRESETS,
-    MachinePreset,
-    MachineSpec,
-    register_machine,
-)
+from repro.hw.machines import MACHINE_PRESETS, MachineSpec
 from repro.hw.sa2 import Sa2Machine
 
 
@@ -113,19 +108,6 @@ class TestSpecProperties:
             assert [s.mhz for s in spec.clock_table()] == [
                 s.mhz for s in spec.build().clock_table
             ]
-
-    def test_register_machine_round_trip(self):
-        preset = MachinePreset(
-            name="test-only",
-            builder=lambda spec: MachineSpec().build(),
-            clock_table=MACHINE_PRESETS["itsy"].clock_table,
-            description="scratch",
-        )
-        register_machine(preset)
-        try:
-            assert MachineSpec(name="test-only").build().step.mhz == 206.4
-        finally:
-            del MACHINE_PRESETS["test-only"]
 
 
 class TestReconfPresets:

@@ -269,8 +269,10 @@ class TestSweepCellError:
         # The same SweepCellError at every jobs, and leaving the engine's
         # with block closes its logs with every line served before the
         # failure intact.  const-132.7 is not an sa2 clock step.
-        from repro.obs.diagnose import DiagnosisWriter, read_diagnoses
-        from repro.obs.runlog import RunLogWriter, read_run_log
+        from repro.obs.diagnose import read_diagnoses
+        from repro.obs.runlog import (
+            DiagnosisWriter, RunLogWriter, read_run_log,
+        )
 
         run_log = RunLogWriter(tmp_path / "runs.jsonl")
         diagnoses = DiagnosisWriter(tmp_path / "diag.jsonl")

@@ -26,7 +26,6 @@ from repro.obs.diagnose import (
     DIAGNOSIS_VERSION,
     ENERGY_SUM_TOLERANCE_J,
     SETTLE_CHURN_PER_QUANTUM,
-    DiagnosisWriter,
     PolicyDiagnosis,
     attribute_misses,
     diagnose,
@@ -36,6 +35,7 @@ from repro.obs.diagnose import (
     read_diagnoses,
     settling_report,
 )
+from repro.obs.runlog import DiagnosisWriter
 from repro.workloads.mpeg import MpegConfig
 
 

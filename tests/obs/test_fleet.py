@@ -18,6 +18,7 @@ from repro.obs.fleet import (
     FleetLedger,
     FleetRecord,
     check_fleet,
+    comparable_series,
     git_sha,
     new_sweep_id,
     read_fleet,
@@ -381,12 +382,17 @@ class TestSentinel:
             ("policies", ("const-59.0", "const-206.4")),
             ("workloads", ("mpeg", "web")),
             ("jobs", 1),
+            ("start_method", "spawn"),
+            ("python", "3.12.1"),
+            ("phases", (("kernel compute", 0.55), ("diagnosis", 0.2))),
         ],
-        ids=["backend", "command", "policies", "workloads", "jobs"],
+        ids=["backend", "command", "policies", "workloads", "jobs",
+             "start_method", "python", "diagnosis"],
     )
     def test_different_sweep_not_compared(self, field, value):
         # Throughput compares only between sweeps of the same command over
-        # the same grid on the same backend and worker count.
+        # the same grid on the same backend, worker count, start method
+        # and Python version, diagnosed or not alike.
         records = self.history()
         records.append(record(
             sweep_id="other", unix_time=60.0, cells_per_s=0.5,
@@ -395,6 +401,45 @@ class TestSentinel:
         report = check_fleet(records)
         assert report.ok and not report.checked
         assert "no comparable baseline" in report.reason
+
+    def test_diagnosed_sweeps_are_no_baseline_for_a_plain_one(self):
+        # Three diagnosed `run mpeg --policy avg3-one --duration 2
+        # --no-daq` sweeps, each also running its 11 baseline-search
+        # cells, then the same run plain: a plain sweep's cells/s is not
+        # a diagnosed one's, so nothing is compared and nothing trips.
+        def run_sweep(sweep_id, unix_time, **fields):
+            return record(
+                sweep_id=sweep_id, unix_time=unix_time, command="run",
+                policies=("avg3-one",), workloads=("mpeg",), seeds=1,
+                jobs=1, **fields,
+            )
+
+        records = [
+            run_sweep(
+                f"diagnosed-{i}", float(i), cells_total=12,
+                cells_executed=12, wall_s=0.044, cells_per_s=274.8,
+                phases=(("worker start", 0.016), ("kernel compute", 0.02),
+                        ("diagnosis", 0.006)),
+            )
+            for i in range(3)
+        ]
+        records.append(run_sweep(
+            "plain", 3.0, cells_total=1, cells_executed=1, wall_s=0.21,
+            cells_per_s=4.7,
+            phases=(("worker start", 0.194), ("kernel compute", 0.01)),
+        ))
+        report = check_fleet(records)
+        assert report.ok and not report.checked
+        assert "no comparable baseline for plain" in report.reason
+        assert comparable_series(records) == records[-1:]
+        assert throughput_trend(records) == (
+            "throughput trend (cells/s): 4.7 → 4.7 (1.00x) "
+            "over 1 comparable run sweep"
+        )
+        # The diagnosed series, read without the plain sweep.
+        assert throughput_trend(records[:3]).endswith(
+            "▁▁▁ over 3 comparable diagnosed run sweeps"
+        )
 
     def test_window_limits_baseline(self):
         # Ten comparable sweeps at 10.0-10.9 cells/s: the baseline is the

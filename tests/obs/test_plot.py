@@ -135,6 +135,19 @@ class TestSeries:
         assert "result IPC" in svg
         assert "<polygon" in svg
 
+    def test_throughput_draws_the_newest_comparable_series(self):
+        # A plain sweep after diagnosed ones: the chart draws and names
+        # the plain sweep's series alone, while the cache-hit chart still
+        # shows every sweep.
+        records = ledger(phases=(("kernel compute", 0.4), ("diagnosis", 0.1)))
+        records.append(record(sweep_id="plain", unix_time=9.0,
+                              git_sha="plain00abc"))
+        svg = throughput_chart(records)
+        assert "Sweep throughput over 1 comparable table2 sweep<" in svg
+        assert svg.count("<circle") == 1
+        assert "plain00" in svg and "0000000" not in svg
+        assert "0000000" in cache_hit_chart(records)
+
     def test_commit_shas_label_the_x_axis(self):
         svg = throughput_chart(ledger())
         assert "0000000" in svg and "0000003" in svg

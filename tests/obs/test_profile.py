@@ -192,7 +192,7 @@ class TestEngineIntegration:
 
     def test_pooled_sweep_records_pipeline_phases(self):
         timeline = SweepTimeline()
-        with SweepEngine(jobs=2, timeline=timeline, chunk_size=1) as engine:
+        with SweepEngine(jobs=2, timeline=timeline) as engine:
             engine.run(self.cells(duration_s=5.0))
         seconds = timeline.phase_seconds()
         assert seconds[PHASE_COMPUTE] > 0
@@ -239,7 +239,7 @@ class TestEngineIntegration:
         # forkserver one worker may run the whole first batch.  So the
         # lanes are read over both batches.
         timeline = SweepTimeline()
-        with SweepEngine(jobs=2, timeline=timeline, chunk_size=1) as engine:
+        with SweepEngine(jobs=2, timeline=timeline) as engine:
             engine.run(self.cells(duration_s=1.0))
             after_first = self.worker_start_spans(timeline)
             engine.run(self.cells(duration_s=1.0, seeds=(2, 3)))

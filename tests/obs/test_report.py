@@ -284,7 +284,8 @@ class TestFleetHistory:
             build_report([], fleet_records=[fleet_record()]), FORMAT_HTML
         )
         assert "<svg" in text
-        assert "Sweep throughput over commits" in text
+        # The throughput chart names the series it draws.
+        assert "Sweep throughput over 1 comparable table2 sweep" in text
 
     def test_unprofiled_ledger_skips_phase_table(self):
         text = render_report(

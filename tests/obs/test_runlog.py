@@ -193,18 +193,17 @@ class TestEngineIntegration:
         assert ordinals <= {0, 1}
 
     def test_ordinals_do_not_depend_on_the_timeline(self, tmp_path):
-        # One pid -> ordinal map serves the run-log and the trace lanes:
-        # a pooled batch (one chunk, so one worker runs both cells) and
-        # then a one-cell in-process batch log the same ordinals with or
-        # without a timeline, and the engine's own process gets its own.
+        # One pid -> ordinal map serves the run-log and the trace lanes.
+        # With or without a timeline, a pooled batch and then a one-cell
+        # in-process batch number the pids in order of their first
+        # result, and the engine's own process gets an ordinal too.
         from repro.obs.profile import SweepTimeline
 
-        logged = []
         for timeline in (None, SweepTimeline()):
-            path = tmp_path / f"log{len(logged)}.jsonl"
+            path = tmp_path / f"log-{timeline is not None}.jsonl"
             log = RunLogWriter(path)
             with SweepEngine(
-                jobs=2, chunk_size=2, timeline=timeline, observers=[log]
+                jobs=2, timeline=timeline, observers=[log]
             ) as engine:
                 engine.run(self.cells())
                 engine.run([
@@ -213,14 +212,15 @@ class TestEngineIntegration:
                 ])
             log.close()
             records = read_run_log(path)
-            pids = [r["worker_pid"] for r in records]
-            ordinals = [r["worker_ordinal"] for r in records]
-            assert pids[-1] == os.getpid() != pids[0] == pids[1]
-            assert len(set(zip(pids, ordinals))) == len(set(pids)) == len(
-                set(ordinals)
-            )
-            logged.append(ordinals)
-        assert logged[0] == logged[1] == [0, 0, 1]
+            first_seen = {}
+            for r in records:
+                first_seen.setdefault(r["worker_pid"], len(first_seen))
+            assert [r["worker_ordinal"] for r in records] == [
+                first_seen[r["worker_pid"]] for r in records
+            ]
+            assert os.getpid() not in [r["worker_pid"] for r in records[:2]]
+            assert records[-1]["worker_pid"] == os.getpid()
+            assert records[-1]["worker_ordinal"] == len(first_seen) - 1
 
     def test_cache_hits_have_no_worker(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

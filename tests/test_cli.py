@@ -360,7 +360,7 @@ class TestMachineOptions:
 
 
 class TestSweepOptions:
-    """The --jobs/--cache/--no-cache surface of the simulation commands."""
+    """The --jobs/--cache surface of the simulation commands."""
 
     def test_engine_default_is_serial_uncached(self):
         args = build_parser().parse_args(["run", "mpeg"])
@@ -428,14 +428,6 @@ class TestSweepOptions:
         assert list(tmp_path.glob("*.json")), "cache must be populated"
         assert main(argv) == 0
         assert capsys.readouterr().out == cold_out
-
-    def test_no_cache_disables_cache_dir(self, capsys, tmp_path):
-        argv = [
-            "run", "mpeg", "--policy", "best", "--duration", "1",
-            "--cache", str(tmp_path), "--no-cache",
-        ]
-        assert main(argv) == 0
-        assert not list(tmp_path.glob("*.json"))
 
     def test_fig9_parallel_matches_serial(self, capsys):
         assert main(["fig9", "--duration", "2"]) == 0

@@ -112,6 +112,28 @@ def test_import_loads_no_numpy_and_no_simulator(module):
     assert loaded_under(module, OFF_THE_CACHE_HIT_PATH) == []
 
 
+def test_diagnosing_engine_is_built_without_the_simulator(tmp_path):
+    # The diagnosis log only appends what the engine hands it: the
+    # diagnosis code loads where cells run, stamped as worker start
+    # inside the sweep's clock, not while the CLI builds the engine.
+    proc = run_python(
+        "import json, sys\n"
+        "from repro.cli import build_parser, sweep_engine\n"
+        "args = build_parser().parse_args(sys.argv[1:])\n"
+        "with sweep_engine(args) as engine:\n"
+        "    assert engine.diagnosing\n"
+        "print(json.dumps(sorted(sys.modules)))",
+        "run", "mpeg", "--diagnoses", str(tmp_path / "diag.jsonl"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [
+        m for m in json.loads(proc.stdout)
+        if any(m == root or m.startswith(root + ".")
+               for root in OFF_THE_CACHE_HIT_PATH)
+    ]
+    assert loaded == []
+
+
 def test_compare_runs_with_scipy_blocked(tmp_path):
     # A None entry in sys.modules makes every import of scipy raise.
     proc = run_python(

@@ -100,64 +100,3 @@ class TestJitter:
         rng = random.Random(0)
         assert jitter_factor(rng, 0.0) == 1.0
 
-
-class TestCombineWorkloads:
-    def test_components_share_the_kernel(self):
-        from repro.core.catalog import constant_speed
-        from repro.measure.runner import run_workload
-        from repro.workloads.base import combine_workloads
-        from repro.workloads.mpeg import MpegConfig, mpeg_workload
-        from repro.workloads.web import WebConfig, web_workload
-
-        combo = combine_workloads(
-            "mpeg+web",
-            mpeg_workload(MpegConfig(duration_s=10.0)),
-            web_workload(WebConfig(duration_s=20.0)),
-        )
-        assert combo.duration_s == 20.0
-        res = run_workload(combo, lambda: constant_speed(206.4), seed=0, use_daq=False)
-        kinds = {e.kind for e in res.run.events}
-        assert "frame" in kinds and "ui_response" in kinds
-
-    def test_tolerance_is_strictest(self):
-        from repro.workloads.base import combine_workloads
-        from repro.workloads.mpeg import mpeg_workload
-        from repro.workloads.web import web_workload
-
-        combo = combine_workloads("x", mpeg_workload(), web_workload())
-        assert combo.tolerance_us == 0.0  # web's strict budget-in-deadline
-
-    def test_multitasking_raises_contention(self):
-        """Two MPEG players at once saturate a machine one would not."""
-        from repro.core.catalog import constant_speed
-        from repro.measure.runner import run_workload
-        from repro.workloads.base import combine_workloads
-        from repro.workloads.mpeg import MpegConfig, mpeg_workload
-
-        single = run_workload(
-            mpeg_workload(MpegConfig(duration_s=10.0)),
-            lambda: constant_speed(206.4),
-            seed=0,
-            use_daq=False,
-        )
-        double = run_workload(
-            combine_workloads(
-                "mpeg x2",
-                mpeg_workload(MpegConfig(duration_s=10.0)),
-                mpeg_workload(MpegConfig(duration_s=10.0)),
-            ),
-            lambda: constant_speed(206.4),
-            seed=0,
-            use_daq=False,
-        )
-        assert double.run.mean_utilization() > single.run.mean_utilization() + 0.2
-        # two full decodes exceed the machine: the second stream misses
-        assert double.missed
-
-    def test_empty_rejected(self):
-        import pytest as _pytest
-
-        from repro.workloads.base import combine_workloads
-
-        with _pytest.raises(ValueError):
-            combine_workloads("empty")

@@ -64,6 +64,31 @@ class TestPlaybackBehaviour:
         assert all(c.on_time for c in chunks)
 
 
+class TestElasticPlayer:
+    """Pering-style elasticity: a stale frame is dropped, not decoded late."""
+
+    ELASTIC = MpegConfig(duration_s=6.0, elastic=True)
+
+    def test_elastic_drops_instead_of_drifting(self):
+        res = run_at(103.2, cfg=self.ELASTIC, seed=0)
+        drops = res.run.events_of_kind("frame_drop")
+        rendered = res.run.events_of_kind("frame")
+        assert drops  # too slow: frames get dropped
+        # every frame is accounted for (the final one may be cut off by
+        # the end of the simulated run)
+        assert len(drops) + len(rendered) >= self.ELASTIC.n_frames - 1
+        # and the rendered frames never drift: none is a frame interval
+        # later than an inelastic player's first miss would allow
+        interval = self.ELASTIC.frame_interval_us
+        assert res.run.deadline_misses(2 * interval) == []
+        inelastic = run_at(103.2, cfg=MpegConfig(duration_s=6.0), seed=0)
+        assert inelastic.run.deadline_misses(2 * interval)
+
+    def test_elastic_drops_nothing_when_feasible(self):
+        res = run_at(206.4, cfg=self.ELASTIC, seed=0)
+        assert not res.run.events_of_kind("frame_drop")
+
+
 class TestSpinHeuristic:
     def test_spin_raises_utilization_near_optimum(self):
         cfg_spin = MpegConfig(duration_s=6.0, spin_enabled=True)

@@ -8,7 +8,6 @@ from repro.workloads.mpeg import MpegConfig, mpeg_workload
 from repro.workloads.replay import (
     RecordedQuantum,
     ReplayMode,
-    record_from_quanta,
     record_from_run,
     replay_body,
     replay_workload,
@@ -35,15 +34,6 @@ class TestRecording:
     def test_work_cycles(self):
         rec = RecordedQuantum(busy_us=5_000.0, mhz=206.4, quantum_us=10_000.0)
         assert rec.work_cycles == pytest.approx(5_000.0 * 206.4)
-
-    def test_record_from_quanta_matches(self, mpeg_trace):
-        from repro.traces.schema import QuantumRecord
-
-        quanta = [
-            QuantumRecord(10_000.0 * (i + 1), q.busy_us, q.quantum_us, 10, q.mhz, 1.5)
-            for i, q in enumerate(mpeg_trace)
-        ]
-        assert record_from_quanta(quanta) == mpeg_trace
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
