@@ -520,7 +520,8 @@ def cmd_fuzz(args) -> int:
     any exception-behaviour difference, or an energy decomposition that
     does not close fails the batch.  Failures are shrunk to minimal specs
     and (with ``--save-failures``) persisted as replayable corpus
-    entries.
+    entries.  A run that raises alike on both backends passes but is
+    counted apart; a batch in which no run completed exits 2.
     """
     from repro.core.catalog import resolve_policy
     from repro.measure.differential import (
@@ -539,6 +540,7 @@ def cmd_fuzz(args) -> int:
     specs = fuzz_family(args.count, master_seed=args.seed, duration_s=args.duration)
     checked = 0
     failures = []
+    raised = []
     for spec in specs:
         for mspec in machines:
             for policy in policies:
@@ -546,6 +548,8 @@ def cmd_fuzz(args) -> int:
                     spec, policy, mspec, seed=args.seed, backend=args.backend
                 )
                 checked += 1
+                if outcome.raised:
+                    raised.append(outcome)
                 if outcome.ok:
                     continue
                 shrunk, outcome = shrink_fuzz_spec(
@@ -570,17 +574,26 @@ def cmd_fuzz(args) -> int:
                         entry, policy, mspec, seed=args.seed, backend=args.backend
                     )
                     replayed += 1
+                    if outcome.raised:
+                        raised.append(outcome)
                     if not outcome.ok:
                         failures.append(outcome)
                         print(f"FAIL {outcome.describe()}", file=sys.stderr)
     label = ", ".join(m.label for m in machines)
     print(f"fuzz: {checked} generated runs ({len(specs)} specs x "
           f"{len(policies)} policies x {len(machines)} machines: {label})"
-          + (f", {replayed} corpus replays" if args.corpus else ""))
+          + (f", {replayed} corpus replays" if args.corpus else "")
+          + (f", {len(raised)} raised alike on both backends" if raised else ""))
     if failures:
         print(f"fuzz: {len(failures)} FAILURES", file=sys.stderr)
         return 1
-    print(f"fuzz: all runs bitwise-identical across backends "
+    completed = checked + replayed - len(raised)
+    if not completed:
+        print(f"error: no fuzz run completed: {raised[0].describe()}",
+              file=sys.stderr)
+        return 2
+    runs = f"the {completed} completed runs" if raised else "all runs"
+    print(f"fuzz: {runs} bitwise-identical across backends "
           f"(reference vs {args.backend}), energy decomposition closed")
     return 0
 
@@ -657,6 +670,31 @@ def cmd_battery(_args) -> int:
     for step in SA1100_CLOCK_TABLE:
         print(f"{step.mhz:6.1f} {idle_lifetime_hours(step):18.1f}")
     return 0
+
+
+def _checked(convert, ok, requirement: str):
+    """An argparse ``type`` that converts a value and rejects it, as a
+    usage error, unless ``ok(value)``: the simulator cannot run it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+
+    return parse
+
+
+_DURATION = _checked(
+    float, lambda v: 0 < v < float("inf"), "duration must be positive and finite"
+)
+# random.Random folds a negative seed onto its absolute value, and
+# numpy's generators reject one.
+_SEED = _checked(int, lambda v: v >= 0, "seed must be a non-negative integer")
+_COUNT = _checked(int, lambda v: v > 0, "must be a positive integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -740,8 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("workload", choices=WORKLOAD_BUILDERS)
     run_parser.add_argument("--policy", default="best")
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--duration", type=float, default=None,
+    run_parser.add_argument("--seed", type=_SEED, default=0)
+    run_parser.add_argument("--duration", type=_DURATION, default=None,
                             help="override trace length (seconds)")
     run_parser.add_argument("--no-daq", action="store_true",
                             help="use the exact integral instead of the DAQ")
@@ -754,8 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     f9 = sub.add_parser("fig9", help="regenerate Figure 9's sweep",
                         parents=[sweep_opts, backend_opts, machine_opts])
-    f9.add_argument("--seed", type=int, default=1)
-    f9.add_argument("--duration", type=float, default=None)
+    f9.add_argument("--seed", type=_SEED, default=1)
+    f9.add_argument("--duration", type=_DURATION, default=None)
     f9.set_defaults(func=cmd_fig9)
 
     cmp_parser = sub.add_parser(
@@ -766,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("policy_a")
     cmp_parser.add_argument("policy_b")
     cmp_parser.add_argument("--runs", type=int, default=3)
-    cmp_parser.add_argument("--duration", type=float, default=None)
+    cmp_parser.add_argument("--duration", type=_DURATION, default=None)
     cmp_parser.set_defaults(func=cmd_compare)
 
     ideal_parser = sub.add_parser(
@@ -774,8 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[sweep_opts, backend_opts, machine_opts],
     )
     ideal_parser.add_argument("workload", choices=WORKLOAD_BUILDERS)
-    ideal_parser.add_argument("--seed", type=int, default=0)
-    ideal_parser.add_argument("--duration", type=float, default=None)
+    ideal_parser.add_argument("--seed", type=_SEED, default=0)
+    ideal_parser.add_argument("--duration", type=_DURATION, default=None)
     ideal_parser.set_defaults(func=cmd_ideal)
 
     trace_parser = sub.add_parser(
@@ -785,8 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("workload", choices=WORKLOAD_BUILDERS)
     trace_parser.add_argument("--policy", default="best")
-    trace_parser.add_argument("--seed", type=int, default=0)
-    trace_parser.add_argument("--duration", type=float, default=None,
+    trace_parser.add_argument("--seed", type=_SEED, default=0)
+    trace_parser.add_argument("--duration", type=_DURATION, default=None,
                               help="override trace length (seconds)")
     trace_parser.add_argument("-o", "--output", default="trace.json",
                               metavar="PATH", help="output file (JSON)")
@@ -800,8 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diag_parser.add_argument("policy")
     diag_parser.add_argument("workload", choices=WORKLOAD_BUILDERS)
-    diag_parser.add_argument("--seed", type=int, default=0)
-    diag_parser.add_argument("--duration", type=float, default=None,
+    diag_parser.add_argument("--seed", type=_SEED, default=0)
+    diag_parser.add_argument("--duration", type=_DURATION, default=None,
                              help="override trace length (seconds)")
     diag_parser.add_argument("-o", "--output", default=None, metavar="PATH",
                              help="also write the diagnosis as JSON")
@@ -831,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"fleet ledger to read (default: {DEFAULT_FLEET_PATH})",
     )
     fleet_parser.add_argument(
-        "--last", type=int, default=None, metavar="N",
+        "--last", type=_COUNT, default=None, metavar="N",
         help="only the N most recent sweeps",
     )
     fleet_parser.add_argument(
@@ -898,11 +936,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="generated scenarios per policy x machine combination",
     )
     fuzz_parser.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=_SEED, default=0,
         help="master seed: the whole batch is a pure function of it",
     )
     fuzz_parser.add_argument(
-        "--duration", type=float, default=1.0,
+        "--duration", type=_DURATION, default=1.0,
         help="seconds of simulated time per scenario",
     )
     fuzz_parser.add_argument(

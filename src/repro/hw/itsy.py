@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from repro.hw.clocksteps import SA1100_CLOCK_TABLE, ClockTable
 from repro.hw.cpu import CpuModel
 from repro.hw.machine import Machine
-from repro.hw.memory import SA1100_MEMORY_TIMINGS, MemoryTimings
-from repro.hw.power import PowerModel, PowerParameters
-from repro.hw.rails import CoreRail, VOLTAGE_HIGH, VOLTAGE_LOW
+from repro.hw.power import PowerModel
+from repro.hw.rails import VOLTAGE_HIGH, VOLTAGE_LOW
 
 
 @dataclass(frozen=True)
@@ -26,13 +25,11 @@ class ItsyConfig:
         initial_volts: core voltage at boot.
         low_voltage_available: whether the modified 1.23 V rail setting
             exists on this unit (stock units: no).
-        low_voltage_max_mhz: fastest clock considered safe at 1.23 V.
     """
 
     initial_mhz: float = 206.4
     initial_volts: float = VOLTAGE_HIGH
     low_voltage_available: bool = True
-    low_voltage_max_mhz: float = 162.2
 
     def validate(self, table: ClockTable) -> None:
         """Check the preset against a clock table; raise ValueError if bad."""
@@ -49,26 +46,15 @@ class ItsyMachine(Machine):
     return their time cost for the kernel to account.
     """
 
-    def __init__(
-        self,
-        config: ItsyConfig = ItsyConfig(),
-        power_params: PowerParameters = PowerParameters(),
-        clock_table: ClockTable = SA1100_CLOCK_TABLE,
-        timings: MemoryTimings = SA1100_MEMORY_TIMINGS,
-    ):
-        config.validate(clock_table)
+    def __init__(self, config: ItsyConfig = ItsyConfig()):
+        config.validate(SA1100_CLOCK_TABLE)
         self.config = config
-        rail = CoreRail(low_voltage_max_mhz=config.low_voltage_max_mhz)
-        initial_step = clock_table.step_for_mhz(config.initial_mhz)
-        cpu = CpuModel(
-            clock_table=clock_table,
-            timings=timings,
-            rail=rail,
-            step=initial_step,
-        )
-        if config.initial_volts != rail.volts:
-            rail.set_voltage(config.initial_volts, initial_step)
-        super().__init__(cpu, PowerModel(power_params))
+        # The CPU model's defaults are the Itsy's: the SA-1100 clock table,
+        # the Table 3 memory timings and the 1.5 V / 1.23 V core rail.
+        cpu = CpuModel(step=SA1100_CLOCK_TABLE.step_for_mhz(config.initial_mhz))
+        if config.initial_volts != cpu.volts:
+            cpu.rail.set_voltage(config.initial_volts, cpu.step)
+        super().__init__(cpu, PowerModel())
 
     def set_voltage(self, volts: float) -> float:
         """Change the core voltage; returns the settle duration in us.

@@ -100,37 +100,3 @@ SA1100_MEMORY_TIMINGS = MemoryTimings(
     cycles_per_cache_ref=SA1100_CYCLES_PER_CACHE_REF,
 )
 
-
-def fixed_latency_timings(
-    frequencies_mhz: Sequence[float],
-    mem_latency_ns: float,
-    cache_latency_ns: float,
-    mem_overhead_cycles: int = 0,
-    cache_overhead_cycles: int = 0,
-) -> MemoryTimings:
-    """Build a timing table for a fixed-wall-clock-latency memory system.
-
-    A DRAM access that takes ``latency_ns`` of wall-clock time costs
-    ``ceil(latency_ns * f)`` core cycles at frequency ``f`` plus a fixed
-    per-access core overhead -- the first-principles model behind tables
-    like Table 3.  (The real Table 3 is *measured* and includes page-mode
-    effects the simple model misses; see the tests for how close the fit
-    gets.)  Useful for building machines other than the Itsy.
-    """
-    if mem_latency_ns <= 0 or cache_latency_ns <= 0:
-        raise ValueError("latencies must be positive")
-
-    def cycles(latency_ns: float, overhead: int, f_mhz: float) -> int:
-        import math
-
-        return max(1, math.ceil(latency_ns * f_mhz / 1000.0) + overhead)
-
-    return MemoryTimings(
-        cycles_per_mem_ref=tuple(
-            cycles(mem_latency_ns, mem_overhead_cycles, f) for f in frequencies_mhz
-        ),
-        cycles_per_cache_ref=tuple(
-            cycles(cache_latency_ns, cache_overhead_cycles, f)
-            for f in frequencies_mhz
-        ),
-    )

@@ -23,14 +23,9 @@ nap power is negligible.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.hw.clocksteps import (
-    SA2_CLOCK_TABLE,
-    SA2_FREQUENCIES_MHZ,
-    ClockStep,
-    ClockTable,
-)
+from repro.hw.clocksteps import SA2_CLOCK_TABLE, SA2_FREQUENCIES_MHZ, ClockStep
 from repro.hw.cpu import CpuModel
 from repro.hw.machine import Machine
 from repro.hw.memory import MemoryTimings
@@ -83,26 +78,11 @@ def sa2_energy_for_instructions(
     return seconds, watts * seconds
 
 
-def sa2_voltage_schedule(clock_table: ClockTable) -> Tuple[float, ...]:
-    """The per-step voltage schedule: linear in frequency between the
-    endpoints, 1.018 V at the slowest step up to 1.8 V at the fastest."""
-    lo = clock_table.min_step.mhz
-    span = clock_table.max_step.mhz - lo
-    if span <= 0:
-        return (SA2_VOLTS_MAX,) * len(clock_table)
-    return tuple(
-        SA2_VOLTS_MIN + (s.mhz - lo) / span * (SA2_VOLTS_MAX - SA2_VOLTS_MIN)
-        for s in clock_table
-    )
-
-
-def sa2_memory_timings(num_steps: int) -> MemoryTimings:
-    """An idealized flat memory table (the intro example is
-    compute-bound), sized for ``num_steps`` steps."""
-    return MemoryTimings(
-        cycles_per_mem_ref=tuple([10] * num_steps),
-        cycles_per_cache_ref=tuple([40] * num_steps),
-    )
+#: An idealized flat memory table (the intro example is compute-bound).
+SA2_MEMORY_TIMINGS = MemoryTimings(
+    cycles_per_mem_ref=(10,) * len(SA2_CLOCK_TABLE),
+    cycles_per_cache_ref=(40,) * len(SA2_CLOCK_TABLE),
+)
 
 
 class Sa2Machine(Machine):
@@ -115,23 +95,13 @@ class Sa2Machine(Machine):
     frequency increase, dropping after a decrease).
     """
 
-    def __init__(
-        self,
-        clock_table: ClockTable = SA2_CLOCK_TABLE,
-        timings: Optional[MemoryTimings] = None,
-        initial_mhz: Optional[float] = None,
-    ):
-        if timings is None:
-            timings = sa2_memory_timings(len(clock_table))
-        schedule = sa2_voltage_schedule(clock_table)
-        step = (
-            clock_table.max_step
-            if initial_mhz is None
-            else clock_table.step_for_mhz(initial_mhz)
-        )
-        rail = ScheduledRail(volts_by_index=schedule, volts=schedule[step.index])
+    def __init__(self) -> None:
+        schedule = tuple(sa2_volts_for_step(s) for s in SA2_CLOCK_TABLE)
         cpu = CpuModel(
-            clock_table=clock_table, timings=timings, rail=rail, step=step
+            clock_table=SA2_CLOCK_TABLE,
+            timings=SA2_MEMORY_TIMINGS,
+            rail=ScheduledRail(volts_by_index=schedule),
+            step=SA2_CLOCK_TABLE.max_step,
         )
         super().__init__(cpu, sa2_power_model())
         self._schedule = schedule

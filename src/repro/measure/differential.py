@@ -39,6 +39,9 @@ from repro.workloads.fuzz import FuzzSpec, fuzz_workload
 #: means the accounting lost energy.
 RESIDUAL_TOLERANCE_J = 1e-9
 
+#: Most simplification rounds :func:`shrink_fuzz_spec` tries.
+SHRINK_MAX_STEPS = 40
+
 #: What a differential check runs: a generated scenario, or a stored
 #: corpus trace replayed.
 Scenario = Union[FuzzSpec, CorpusEntry]
@@ -90,9 +93,10 @@ class DifferentialOutcome:
             when bitwise-identical).
         exception_mismatch: human-readable description when exactly one
             backend raised, or both raised differently; None otherwise.
+        raised: ``"Type: message"`` of the exception both backends raised
+            alike; None when the run completed.
         residual_j: |measured − components| of the reference run's energy
-            decomposition, or None when decomposition was skipped or the
-            run raised.
+            decomposition, or None when the run raised.
         reference: the reference run, kept for corpus capture; None when
             it raised.
 
@@ -105,6 +109,7 @@ class DifferentialOutcome:
     seed: int
     mismatches: Tuple[str, ...] = ()
     exception_mismatch: Optional[str] = None
+    raised: Optional[str] = None
     residual_j: Optional[float] = None
     reference: Optional[ExperimentResult] = None
 
@@ -135,6 +140,8 @@ class DifferentialOutcome:
             )
         if self.residual_j is not None and self.residual_j > RESIDUAL_TOLERANCE_J:
             return f"{where}: energy decomposition residual {self.residual_j:.3e} J"
+        if self.raised:
+            return f"{where}: both backends raised {self.raised}"
         return f"{where}: ok"
 
 
@@ -161,7 +168,6 @@ def check_scenario(
     policy: str = "best",
     machine: Optional[MachineSpec] = None,
     seed: int = 0,
-    check_decomposition: bool = True,
     backend: str = "fastpath",
 ) -> DifferentialOutcome:
     """Run one scenario on reference and ``backend``; judge it.
@@ -186,7 +192,10 @@ def check_scenario(
     label = machine.label
     if ref_exc is not None or fast_exc is not None:
         if type(ref_exc) is type(fast_exc) and str(ref_exc) == str(fast_exc):
-            return DifferentialOutcome(scenario, policy, label, seed, reference=None)
+            return DifferentialOutcome(
+                scenario, policy, label, seed,
+                raised=f"{type(ref_exc).__name__}: {ref_exc}",
+            )
         return DifferentialOutcome(
             scenario,
             policy,
@@ -199,21 +208,17 @@ def check_scenario(
             ),
         )
 
-    mismatches = tuple(compare_results(ref, fast))
-    residual = None
-    if check_decomposition:
-        # baseline_j=None keeps the baseline term out of the identity, so
-        # the check is measured == baseline(0) + overshoot + stall + sag
-        # without paying for an ideal-constant search per scenario.
-        decomp = energy_decomposition(ref.run, machine.build(), baseline_j=None)
-        residual = abs(decomp.measured_j - decomp.components_sum_j())
+    # baseline_j=None keeps the baseline term out of the identity, so
+    # the check is measured == baseline(0) + overshoot + stall + sag
+    # without paying for an ideal-constant search per scenario.
+    decomp = energy_decomposition(ref.run, machine.build(), baseline_j=None)
     return DifferentialOutcome(
         scenario,
         policy,
         label,
         seed,
-        mismatches=mismatches,
-        residual_j=residual,
+        mismatches=tuple(compare_results(ref, fast)),
+        residual_j=abs(decomp.measured_j - decomp.components_sum_j()),
         reference=ref,
     )
 
@@ -240,8 +245,6 @@ def shrink_fuzz_spec(
     policy: str = "best",
     machine: Optional[MachineSpec] = None,
     seed: int = 0,
-    check_decomposition: bool = True,
-    max_steps: int = 40,
     backend: str = "fastpath",
 ) -> Tuple[FuzzSpec, DifferentialOutcome]:
     """Greedily simplify a failing spec while the failure reproduces.
@@ -250,17 +253,13 @@ def shrink_fuzz_spec(
     must already fail; a passing spec is returned unchanged with its
     (ok) outcome.
     """
-    outcome = check_scenario(
-        spec, policy, machine, seed,
-        check_decomposition=check_decomposition, backend=backend,
-    )
+    outcome = check_scenario(spec, policy, machine, seed, backend=backend)
     if outcome.ok:
         return spec, outcome
-    for _ in range(max_steps):
+    for _ in range(SHRINK_MAX_STEPS):
         for candidate in _shrink_candidates(spec):
             cand_outcome = check_scenario(
-                candidate, policy, machine, seed,
-                check_decomposition=check_decomposition, backend=backend,
+                candidate, policy, machine, seed, backend=backend
             )
             if not cand_outcome.ok:
                 spec, outcome = candidate, cand_outcome

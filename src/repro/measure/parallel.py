@@ -419,6 +419,14 @@ def _canonical(obj: object) -> object:
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for a cache key")
 
 
+#: The override fields :class:`MachineSpec` no longer has, digested as the
+#: nulls every spec held, so that no cache key or run-log run id moves.
+_RETIRED_MACHINE_FIELDS = dict.fromkeys([
+    "initial_mhz", "frequencies_mhz", "low_voltage_max_mhz", "power",
+    "clock_stall_us", "volt_settle_us", "reconf_power_w",
+])
+
+
 def cache_key(cell: SweepCell) -> str:
     """The content address of a cell's result.
 
@@ -441,7 +449,7 @@ def cache_key(cell: SweepCell) -> str:
             "name": cell.workload.name,
             "config": _canonical(cell.workload.effective_config()),
         },
-        "machine": _canonical(cell.machine),
+        "machine": {**_canonical(cell.machine), **_RETIRED_MACHINE_FIELDS},
         "seed": cell.seed,
         "use_daq": cell.use_daq,
         "daq_seed": cell.daq_seed,

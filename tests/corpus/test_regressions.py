@@ -35,9 +35,7 @@ def test_load_corpus_collects_every_file():
 
 @pytest.mark.parametrize("path", ENTRY_PATHS, ids=entry_ids())
 def test_entry_replays_bitwise_identically(path):
-    outcome = check_scenario(
-        load_entry(path), "best", MachineSpec(), check_decomposition=False
-    )
+    outcome = check_scenario(load_entry(path), "best", MachineSpec())
     assert outcome.ok, outcome.describe()
 
 

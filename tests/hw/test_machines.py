@@ -1,5 +1,6 @@
-"""Tests for the machine-spec layer (named presets plus overrides)."""
+"""Tests for the machine-spec layer (named presets and boot voltages)."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -63,44 +64,24 @@ class TestPresets:
         assert spec() is not spec()
 
 
-class TestOverrides:
-    def test_initial_mhz(self):
-        machine = MachineSpec(initial_mhz=132.7).build()
-        assert machine.step.mhz == pytest.approx(132.7)
-
-    def test_initial_mhz_off_table_rejected(self):
-        with pytest.raises(ValueError):
-            MachineSpec(initial_mhz=100.0).build()
-
-    def test_custom_clock_table(self):
-        spec = MachineSpec(frequencies_mhz=(100.0, 200.0))
-        machine = spec.build()
-        assert [s.mhz for s in machine.clock_table] == [100.0, 200.0]
-        assert machine.step.mhz == 200.0
-
-    def test_power_override_changes_model(self):
-        base = MachineSpec().build()
-        hot = MachineSpec(power=(("fixed_w", 0.5),)).build()
-        assert hot.power.params.fixed_w == 0.5
-        assert hot.power.params.fixed_w != base.power.params.fixed_w
-
-    def test_unknown_power_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown power parameter"):
-            MachineSpec(power=(("warp_w", 1.0),)).build()
-
-    def test_power_dict_normalized_for_hashing(self):
-        by_dict = MachineSpec(power={"fixed_w": 0.5})
-        by_tuple = MachineSpec(power=(("fixed_w", 0.5),))
-        assert by_dict == by_tuple
-        assert hash(by_dict) == hash(by_tuple)
-
-
 class TestSpecProperties:
     def test_pickles(self):
         spec = MachineSpec.parse("sa2")
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert isinstance(clone.build(), Sa2Machine)
+
+    def test_fields_are_preset_and_boot_voltage(self):
+        assert [f.name for f in dataclasses.fields(MachineSpec)] == [
+            "name", "initial_volts",
+        ]
+        with pytest.raises(TypeError):
+            MachineSpec(**{"power": ()})
+
+    def test_label_is_the_machine_spelling(self):
+        for text in ("itsy", "itsy@1.23", "itsy-stock", "sa2",
+                     "itsy-reconf", "sa2-reconf"):
+            assert MachineSpec.parse(text).label == text
 
     def test_clock_table_matches_built_machine(self):
         for name in ("itsy", "itsy-stock", "sa2"):
@@ -135,31 +116,6 @@ class TestReconfPresets:
     def test_measured_machines_have_zero_extra_power(self):
         for name in ("itsy", "itsy-stock", "sa2"):
             assert MachineSpec(name=name).build().reconf_extra_w == 0.0
-
-    def test_explicit_fields_override_preset_defaults(self):
-        spec = MachineSpec(
-            name="itsy-reconf", clock_stall_us=2500.0, reconf_power_w=0.5
-        )
-        machine = spec.build()
-        assert machine.cpu.clock_change_stall_us == 2500.0
-        assert machine.reconf_extra_w == 0.5
-        # untouched field keeps the family default
-        assert machine.cpu.rail.down_settle_us == 500.0
-
-    def test_costs_apply_to_any_preset(self):
-        machine = MachineSpec(name="itsy", reconf_power_w=0.2).build()
-        assert machine.reconf_extra_w == 0.2
-
-    @pytest.mark.parametrize(
-        "field", ["clock_stall_us", "volt_settle_us", "reconf_power_w"]
-    )
-    def test_negative_costs_rejected(self, field):
-        with pytest.raises(ValueError, match="non-negative"):
-            MachineSpec(**{field: -1.0})
-
-    def test_override_marks_label(self):
-        assert MachineSpec(name="itsy-reconf").label == "itsy-reconf"
-        assert MachineSpec(name="itsy", reconf_power_w=0.2).label == "itsy*"
 
     def test_reconf_cells_get_distinct_cache_keys(self):
         from repro.measure.parallel import PolicySpec, SweepCell, cache_key

@@ -101,14 +101,6 @@ class TestSa2Machine:
         machine.set_voltage(machine.auto_volts_for(machine.step))
         assert machine.power_w(CoreState.ACTIVE) == pytest.approx(0.040, rel=0.01)
 
-    def test_custom_initial_mhz(self):
-        machine = Sa2Machine(initial_mhz=150.0)
-        assert machine.step.mhz == 150.0
-        # The rail boots at the scheduled voltage for the boot step.
-        assert machine.volts == pytest.approx(
-            sa2_volts_for_step(machine.clock_table.min_step)
-        )
-
 
 class TestCpuModel:
     def test_cpu_uses_sa2_table(self):

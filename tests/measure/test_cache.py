@@ -89,11 +89,6 @@ class TestKeySensitivity:
             cell(machine=MachineSpec.parse("itsy@1.23"))
         ) != cache_key(cell())
 
-    def test_machine_power_override(self):
-        assert cache_key(
-            cell(machine=MachineSpec(power=(("fixed_w", 0.5),)))
-        ) != cache_key(cell())
-
     def test_every_kernel_config_field(self):
         base = cache_key(cell())
         assert cache_key(cell(kernel_config=KernelConfig(quantum_us=5_000.0))) != base

@@ -89,6 +89,8 @@ class TestCheckFuzzSpec:
         )
         assert outcome.ok
         assert outcome.reference is None  # the run never completed
+        assert outcome.raised.startswith("ValueError: ")
+        assert "both backends raised ValueError" in outcome.describe()
 
     def test_family_batch_is_clean(self):
         for spec in fuzz_family(4, master_seed=17, duration_s=0.5):
@@ -138,9 +140,8 @@ class TestShrinking:
         real_check = differential.check_scenario
 
         def fake_check(spec, policy="best", machine=None, seed=0,
-                       check_decomposition=True, backend="fastpath"):
-            outcome = real_check(spec, policy, machine, seed,
-                                 check_decomposition=False)
+                       backend="fastpath"):
+            outcome = real_check(spec, policy, machine, seed)
             if spec.processes > 1:
                 return replace(outcome, mismatches=("energy_j",))
             return outcome

@@ -252,10 +252,36 @@ class TestCommands:
         ids=lambda argv: argv[0],
     )
     def test_zero_duration_rejected(self, capsys, argv):
-        # Zero must reach the same check as a negative duration, not fall
-        # back to the full-length default trace.
-        assert main([*argv, "--duration", "0"]) == 2
+        # Zero must be rejected like a negative duration, not fall back to
+        # the full-length default trace.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--duration", "0"])
+        assert exc.value.code == 2
         assert "duration must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "mpeg", "--duration", "nan"],
+            ["run", "mpeg", "--duration", "inf"],
+            ["compare", "mpeg", "best", "const-132.7", "--duration", "1e999"],
+            ["fuzz", "--count", "1", "--duration", "nan"],
+            ["run", "mpeg", "--no-daq", "--seed", "-1"],
+            ["fuzz", "--count", "1", "--seed", "-1"],
+            ["fleet", "--last", "0"],
+            ["fleet", "--last", "-1"],
+        ],
+        ids=lambda argv: " ".join([argv[0], *argv[-2:]]),
+    )
+    def test_unrunnable_number_is_a_usage_error(self, capsys, argv):
+        # NaN and infinite durations, negative seeds and empty sweep
+        # windows end as argparse usage errors, before any output.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {argv[-2]}:" in captured.err
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -1249,6 +1275,29 @@ class TestFuzzCommand:
         names = [entry.name for _, entry in load_corpus(corpus)]
         assert any(f"corpus {name} " in captured.err for name in names)
         assert "energy decomposition residual" in captured.err
+
+    def test_campaign_where_every_run_raised_exits_two(self, capsys):
+        # The stock Itsy has no 1.23 V rail: both backends raise alike on
+        # every run, so nothing was compared and nothing may pass.
+        code = main(["fuzz", "--count", "2", "--duration", "0.4",
+                     "--policy", "best-voltage", "--machine", "itsy-stock"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "2 raised alike on both backends" in captured.out
+        assert "bitwise-identical" not in captured.out
+        assert ("error: no fuzz run completed: fuzz seed=0 "
+                "policy=best-voltage machine=itsy-stock") in captured.err
+        assert "1.23 V" in captured.err
+
+    def test_raised_runs_are_counted_apart(self, capsys):
+        code = main(["fuzz", "--count", "2", "--duration", "0.4",
+                     "--machine", "itsy", "--machine", "itsy-stock",
+                     "--policy", "best-voltage"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "4 generated runs" in out
+        assert "2 raised alike on both backends" in out
+        assert "the 2 completed runs bitwise-identical" in out
 
     def test_deterministic_output(self, capsys):
         argv = ["fuzz", "--count", "2", "--duration", "0.4", "--seed", "5",
