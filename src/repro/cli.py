@@ -73,10 +73,10 @@ per-sweep table, throughput trend and phase totals in markdown, plus
 inline-SVG trend curves in HTML (``--format html``, see
 :mod:`repro.obs.plot`).  ``fleet --check`` is the perf-regression
 sentinel instead: it compares the latest sweep against the median of
-comparable predecessors — same command, grid, job count, start method,
-Python version and diagnosis — normalized by the host score ``repro
-calibrate`` caches, and exits non-zero naming the regressed phase (see
-:mod:`repro.obs.fleet` and :mod:`repro.obs.calibrate`).
+comparable predecessors — same command, grid, host, job count, start
+method, Python version and diagnosis — and exits non-zero naming the
+regressed phase (see :mod:`repro.obs.fleet`).  A file any command
+cannot write ends it with one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -173,27 +173,19 @@ def sweep_engine(args) -> SweepEngine:
 
 def report_sweep_stats(engine: SweepEngine, args) -> None:
     """Settle a sweep command that returned: print the engine's
-    throughput summary to stderr, the ``--phases`` table, export the
-    ``--sweep-trace`` Chrome trace when requested, and append one fleet
-    record to the ledger (``--fleet`` path or the repo-local default)
-    unless ``--no-fleet`` opted out.  A ledger that cannot be written
-    costs a warning, never the command's exit code.
+    throughput summary to stderr, the ``--phases`` table, append one
+    fleet record to the ledger (``--fleet`` path or the repo-local
+    default) unless ``--no-fleet`` opted out, and export the
+    ``--sweep-trace`` Chrome trace when requested.  A ledger that cannot
+    be written costs a warning, never the command's exit code; the sweep
+    is recorded before its trace is written, so a trace that cannot be
+    written (an ``OSError`` :func:`main` reports) leaves no gap in the
+    ledger.
     """
     print(engine.stats.summary(), file=sys.stderr)
     if args.phases:
         print("phase profile:", file=sys.stderr)
         print(engine.timeline.table(engine.stats.wall_s), file=sys.stderr)
-    if args.sweep_trace:
-        from repro.obs.trace import write_chrome_trace
-
-        payload = engine.timeline.chrome_trace()
-        out = write_chrome_trace(payload, args.sweep_trace)
-        print(
-            f"sweep trace: {out} ({len(payload['traceEvents'])} events, "
-            f"{payload['otherData']['workers']} worker lanes; open in "
-            f"Perfetto)",
-            file=sys.stderr,
-        )
     if not args.no_fleet:
         fleet_path = args.fleet or DEFAULT_FLEET_PATH
         record = engine.fleet_record(command=args.command)
@@ -206,6 +198,17 @@ def report_sweep_stats(engine: SweepEngine, args) -> None:
                 f"{exc}",
                 file=sys.stderr,
             )
+    if args.sweep_trace:
+        from repro.obs.trace import write_chrome_trace
+
+        payload = engine.timeline.chrome_trace()
+        out = write_chrome_trace(payload, args.sweep_trace)
+        print(
+            f"sweep trace: {out} ({len(payload['traceEvents'])} events, "
+            f"{payload['otherData']['workers']} worker lanes; open in "
+            f"Perfetto)",
+            file=sys.stderr,
+        )
 
 
 def cmd_list_policies(_args) -> int:
@@ -635,34 +638,6 @@ def cmd_fleet(args) -> int:
     )
 
 
-def cmd_calibrate(args) -> int:
-    """Benchmark this host and cache its fleet-normalization score."""
-    from repro.obs.calibrate import (
-        calibrate,
-        calibration_path,
-        load_calibration,
-        save_calibration,
-    )
-
-    path = Path(args.output) if args.output else calibration_path()
-    existing = load_calibration(path)
-    if existing is not None and not args.force:
-        print(f"host already calibrated (score {existing.score:.2f}, "
-              f"{existing.passes} passes at {existing.probe_wall_s * 1000:.1f} "
-              f"ms/pass); --force to re-measure")
-        print(f"calibration     : {path}")
-        return 0
-    cal = calibrate(budget_s=args.budget)
-    save_calibration(cal, path)
-    print(f"host score      : {cal.score:.2f} (1.0 = nominal reference host)")
-    print(f"probe           : best of {cal.passes} passes, "
-          f"{cal.probe_wall_s * 1000:.1f} ms/pass")
-    print(f"host            : {cal.hostname} ({cal.machine}, "
-          f"python {cal.python})")
-    print(f"calibration     : {path}")
-    return 0
-
-
 def cmd_battery(_args) -> int:
     from repro.battery.lifetime import idle_lifetime_hours
 
@@ -897,31 +872,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help=f"perf-regression sentinel: compare the latest executed "
              f"sweep against the median of the last {SENTINEL_WINDOW} "
-             f"comparable predecessors (host-normalized); exit 1 naming "
+             f"comparable predecessors from this host; exit 1 naming "
              f"the regressed phase on a throughput drop of more than "
              f"{SENTINEL_MAX_DROP_PCT:g}%% or a cache-hit collapse",
     )
     fleet_parser.set_defaults(func=cmd_fleet)
-
-    cal_parser = sub.add_parser(
-        "calibrate",
-        help="benchmark this host once and cache the score that "
-             "normalizes fleet throughput across machines",
-    )
-    cal_parser.add_argument(
-        "--budget", type=float, default=2.0, metavar="SECONDS",
-        help="wall-time budget for the probe loop (default: 2.0)",
-    )
-    cal_parser.add_argument(
-        "--force", action="store_true",
-        help="re-measure even when a valid calibration is cached",
-    )
-    cal_parser.add_argument(
-        "-o", "--output", default=None, metavar="PATH",
-        help="calibration cache to write (default: "
-             "$REPRO_HOST_CALIBRATION or .repro/host.json)",
-    )
-    cal_parser.set_defaults(func=cmd_calibrate)
 
     fuzz_parser = sub.add_parser(
         "fuzz",
@@ -997,6 +952,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except OSError as exc:
+        # An output file that cannot be written (``-o``, ``--sweep-trace``
+        # into a missing directory); the message names the path.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

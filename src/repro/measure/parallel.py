@@ -73,7 +73,6 @@ from repro.hw.clocksteps import ClockTable
 from repro.hw.machines import MachineSpec
 from repro.kernel.config import KernelConfig
 from repro.kernel.recorders import RECORDING_FULL, RECORDING_MINIMAL
-from repro.obs.calibrate import host_score
 from repro.obs.fleet import FleetRecord, git_sha, new_sweep_id
 from repro.obs.profile import (
     PHASE_CACHE,
@@ -1128,8 +1127,8 @@ class SweepEngine:
             jobs=self.jobs,
             start_method=self.start_method,
             python="{}.{}.{}".format(*sys.version_info),
+            host=os.uname().nodename,
             git_sha=git_sha(),
-            host_score=host_score(),
             phases=(
                 tuple(sorted(self.timeline.phase_seconds().items()))
                 if self.timeline is not None

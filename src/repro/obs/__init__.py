@@ -27,10 +27,9 @@ runs with and without observability to bitwise equality):
 :mod:`repro.obs.telemetry` holds the live ``--progress`` line: one
 sweep observer, :class:`ProgressDisplay`, that draws it from the
 engine's heartbeats when its stream is a terminal.  Fleet analytics
-ride the same seams: :mod:`repro.obs.calibrate`
-scores the host so throughput normalizes across machines,
-:mod:`repro.obs.fleet` keeps the ledger of past sweeps and runs the
-perf-regression sentinel (:func:`check_fleet`), and
+ride the same seams: :mod:`repro.obs.fleet` keeps the ledger of past
+sweeps and runs the perf-regression sentinel (:func:`check_fleet`),
+which compares a sweep only with earlier sweeps from its own host, and
 :mod:`repro.obs.plot` draws the ledger's dependency-free inline-SVG
 trend curves for the HTML report.
 """

@@ -42,6 +42,7 @@ import numpy as np
 from repro.analysis.fourier import alpha_for_avg_n, fourier_magnitude
 from repro.analysis.oscillation import oscillation_stats
 from repro.core.catalog import predictor_decay_n
+from repro.core.predictors import AvgN
 from repro.hw.machine import Machine
 from repro.hw.machines import MachineSpec
 from repro.hw.power import CoreState
@@ -236,23 +237,16 @@ def prediction_errors(
     """Replay AVG_N over a utilization series.
 
     Returns one ``(predicted, realized)`` pair per predicted interval:
-    entry ``t`` predicts interval ``t+1`` from intervals ``0..t`` using
-    the same recurrence the live predictor runs
-    (``W' = (N * W + u) / (N + 1)``, ``W`` starting at zero; ``N = 0``
-    is PAST).
+    entry ``t`` predicts interval ``t+1`` from intervals ``0..t``, through
+    the live predictor itself (:class:`~repro.core.predictors.AvgN`,
+    ``W`` starting at zero; ``N = 0`` is PAST).
 
     Raises:
-        ValueError: for a negative ``decay_n``.
+        ValueError: for a negative ``decay_n``, or a utilization outside
+            [0, 1].
     """
-    if decay_n < 0:
-        raise ValueError("decay_n must be non-negative")
-    pairs: List[Tuple[float, float]] = []
-    weighted = 0.0
-    for i, u in enumerate(utilizations):
-        weighted = (decay_n * weighted + u) / (decay_n + 1)
-        if i + 1 < len(utilizations):
-            pairs.append((weighted, utilizations[i + 1]))
-    return pairs
+    predicted = AvgN(decay_n).feed(utilizations)
+    return list(zip(predicted, utilizations[1:]))
 
 
 def prediction_ledger(

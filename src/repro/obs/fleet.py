@@ -12,13 +12,13 @@ table, phase totals, and the throughput trend of the newest sweep's
 comparable series (:func:`comparable_series`), the one series the
 sentinel reads too.
 
-Records from different machines compare through the host calibration
-score (:mod:`repro.obs.calibrate`) stamped into each record, and the
-:func:`check_fleet` sentinel turns the ledger into a self-checking perf
-observatory: ``repro fleet --check`` fails when the newest sweep's
-normalized throughput (or cache-hit rate) falls off its robust
-baseline, naming the per-phase culprit from the stored
-:mod:`~repro.obs.profile` attribution.
+A sweep is only ever compared with sweeps from its own host (each record
+stamps the host's name), as the paper compares energies only across
+repeated runs on its one instrumented Itsy.  The :func:`check_fleet`
+sentinel turns the ledger into a self-checking perf observatory:
+``repro fleet --check`` fails when the newest sweep's throughput (or
+cache-hit rate) falls off its robust baseline, naming the per-phase
+culprit from the stored :mod:`~repro.obs.profile` attribution.
 
 Like the run-log, the ledger is append-only JSONL, flushed per line,
 and safe to concatenate: it goes through the run-log's one writer and
@@ -41,12 +41,14 @@ from repro.obs.profile import PHASE_DIAGNOSE
 from repro.obs.runlog import JsonlLog, JsonlRecords, read_jsonl
 
 #: Bump when the fleet record layout changes incompatibly.
-#: Version 2 added host calibration (``host_score``) and the per-phase
-#: wall-time attribution (``phases``); v1 records read fine (both fields
-#: default to "unknown") and v1 readers ignore the new fields.
+#: Version 2 added the per-phase wall-time attribution (``phases``; v1
+#: records read it as empty) and a host calibration score, which v4
+#: dropped and its reader ignores.
 #: Version 3 added how the sweep ran: the pool's process ``start_method``
 #: and the ``python`` version; v1 and v2 records read them as ``""``.
-FLEET_SCHEMA_VERSION = 3
+#: Version 4 added the ``host`` the sweep ran on; v1-v3 records read it
+#: as ``""``.
+FLEET_SCHEMA_VERSION = 4
 
 #: Default repo-local ledger location (gitignored; the ledger is local
 #: operational history, not committed state).
@@ -78,11 +80,11 @@ class FleetRecord:
         start_method: the worker pool's process start method (``fork``,
             ``forkserver``, ``spawn``); ``""`` when no cell ran on a pool.
         python: the interpreter version, e.g. ``"3.11.7"``.
+        host: the network name of the host the sweep ran on
+            (``os.uname().nodename``).
         repro_version: simulator package version.
         git_sha: HEAD of the checkout the running ``repro`` package
             sits in, at sweep time ("" outside a checkout).
-        host_score: the host calibration score at sweep time
-            (:mod:`repro.obs.calibrate`; 0.0 = uncalibrated host).
         phases: per-phase wall-time attribution, ``(phase, seconds)``
             pairs from the sweep's :class:`~repro.obs.profile.SweepTimeline`
             (empty when the sweep had no timeline).
@@ -104,9 +106,9 @@ class FleetRecord:
     jobs: int
     start_method: str = ""
     python: str = ""
+    host: str = ""
     repro_version: str = repro.__version__
     git_sha: str = ""
-    host_score: float = 0.0
     phases: Tuple[Tuple[str, float], ...] = ()
 
     def to_json(self) -> dict:
@@ -124,36 +126,18 @@ class FleetRecord:
         return self.cells_cached / self.cells_total if self.cells_total else 0.0
 
     @property
-    def normalized_cells_per_s(self) -> Optional[float]:
-        """Host-normalized throughput, or None on an uncalibrated host.
-
-        Dividing by the host score expresses throughput in
-        reference-host cells/s, so records from a laptop and a CI
-        runner land on one comparable axis.
-        """
-        if self.host_score > 0:
-            return self.cells_per_s / self.host_score
-        return None
-
-    @property
     def phase_seconds(self) -> Dict[str, float]:
         """The stored phase attribution as a ``{phase: seconds}`` dict."""
         return {phase: seconds for phase, seconds in self.phases}
 
     @property
-    def nominal_phase_per_cell(self) -> Dict[str, float]:
-        """Per-cell phase seconds, scaled to reference-host seconds.
-
-        ``host_wall * score`` is what the nominal host would have spent,
-        so phase costs from differently-fast hosts compare directly; an
-        uncalibrated record contributes its raw seconds.  Empty when the
-        sweep executed no cell.
-        """
+    def phase_per_cell(self) -> Dict[str, float]:
+        """Phase seconds per executed cell; empty when the sweep
+        executed no cell."""
         if self.cells_executed <= 0:
             return {}
-        scale = self.host_score if self.host_score > 0 else 1.0
         return {
-            phase: seconds * scale / self.cells_executed
+            phase: seconds / self.cells_executed
             for phase, seconds in self.phases
         }
 
@@ -197,7 +181,6 @@ def _from_json(raw: dict) -> FleetRecord:
     else:
         pairs = [(p, s) for p, s in phases]
     kwargs["phases"] = tuple((str(p), float(s)) for p, s in pairs)
-    kwargs["host_score"] = float(kwargs.get("host_score", 0.0) or 0.0)
     return FleetRecord(**kwargs)
 
 
@@ -242,12 +225,12 @@ def sparkline(values: Sequence[float]) -> str:
 
 
 #: The record fields that must match for two sweeps' throughput to be
-#: comparable: the same command over the same grid on the same backend,
-#: worker count, start method and Python version, and both diagnosed or
-#: both not.
+#: comparable: the same command over the same grid on the same host,
+#: backend, worker count, start method and Python version, and both
+#: diagnosed or both not.
 _COMPARABLE_FIELDS = (
-    "command", "policies", "workloads", "machines", "backend", "jobs",
-    "start_method", "python", "diagnosed",
+    "command", "policies", "workloads", "machines", "host", "backend",
+    "jobs", "start_method", "python", "diagnosed",
 )
 
 
@@ -308,12 +291,6 @@ def throughput_trend(records: Sequence[FleetRecord]) -> str:
     return f"{trend} over {series_name(series)}"
 
 
-def _normalized_rate(record: FleetRecord) -> float:
-    """Host-normalized throughput, raw when the host is uncalibrated."""
-    normalized = record.normalized_cells_per_s
-    return normalized if normalized is not None else record.cells_per_s
-
-
 @dataclass(frozen=True)
 class SentinelReport:
     """The outcome of one :func:`check_fleet` regression check.
@@ -354,17 +331,15 @@ def check_fleet(records: Sequence[FleetRecord]) -> SentinelReport:
 
     The baseline is the median of the last :data:`SENTINEL_WINDOW`
     earlier sweeps of its comparable series (:func:`comparable_series`:
-    same command, policy, workload and machine axes, backend, job count,
-    start method, Python version and diagnosis, at least one executed
-    cell), each normalized by its own host score (so a slower CI runner
-    is not misread as a code regression).  The check fails when
-    normalized throughput drops more than :data:`SENTINEL_MAX_DROP_PCT`
-    percent below baseline, or the cache-hit rate falls more than
-    :data:`SENTINEL_MAX_HIT_RATE_DROP` (absolute fraction) below the
-    baseline median — a sweep that silently stopped reusing its cache.
-    On a throughput regression the per-phase attribution names the
-    culprit: the phase whose nominal per-cell cost grew the most over
-    baseline.
+    same command, policy, workload and machine axes, host, backend, job
+    count, start method, Python version and diagnosis, at least one
+    executed cell).  The check fails when throughput drops more than
+    :data:`SENTINEL_MAX_DROP_PCT` percent below baseline, or the
+    cache-hit rate falls more than :data:`SENTINEL_MAX_HIT_RATE_DROP`
+    (absolute fraction) below the baseline median — a sweep that
+    silently stopped reusing its cache.  On a throughput regression the
+    per-phase attribution names the culprit: the phase whose per-cell
+    cost grew the most over baseline.
 
     With no executed sweep, or no comparable history, the report is
     ``ok`` but ``checked=False`` — a fresh ledger must not fail CI.
@@ -388,6 +363,7 @@ def check_fleet(records: Sequence[FleetRecord]) -> SentinelReport:
                 f"no comparable baseline for {latest.sweep_id} "
                 f"(command={latest.command or '-'}, "
                 f"machines={'/'.join(latest.machines) or '-'}, "
+                f"host={latest.host or '-'}, "
                 f"backend={latest.backend or '-'}, jobs={latest.jobs}, "
                 f"start method={latest.start_method or '-'}, "
                 f"python={latest.python or '-'}, "
@@ -396,8 +372,8 @@ def check_fleet(records: Sequence[FleetRecord]) -> SentinelReport:
             latest=latest,
         )
 
-    base_rate = median([_normalized_rate(r) for r in baseline])
-    latest_rate = _normalized_rate(latest)
+    base_rate = median([r.cells_per_s for r in baseline])
+    latest_rate = latest.cells_per_s
     drop_pct = (
         (base_rate - latest_rate) / base_rate * 100.0 if base_rate > 0 else 0.0
     )
@@ -410,11 +386,11 @@ def check_fleet(records: Sequence[FleetRecord]) -> SentinelReport:
     if drop_pct > SENTINEL_MAX_DROP_PCT:
         base_by_phase: Dict[str, List[float]] = {}
         for r in baseline:
-            for phase, per_cell in r.nominal_phase_per_cell.items():
+            for phase, per_cell in r.phase_per_cell.items():
                 base_by_phase.setdefault(phase, []).append(per_cell)
         growth = {
             phase: per_cell - median(base_by_phase.get(phase, [0.0]))
-            for phase, per_cell in latest.nominal_phase_per_cell.items()
+            for phase, per_cell in latest.phase_per_cell.items()
         }
         if growth:
             worst, worst_growth = max(growth.items(), key=lambda kv: kv[1])
@@ -428,7 +404,7 @@ def check_fleet(records: Sequence[FleetRecord]) -> SentinelReport:
         )
         failures.append(
             f"throughput dropped {drop_pct:.0f}% below baseline "
-            f"({latest_rate:.1f} vs {base_rate:.1f} normalized cells/s, "
+            f"({latest_rate:.1f} vs {base_rate:.1f} cells/s, "
             f"bar {SENTINEL_MAX_DROP_PCT:g}%){blame}"
         )
     if hit_drop > SENTINEL_MAX_HIT_RATE_DROP:
@@ -442,7 +418,7 @@ def check_fleet(records: Sequence[FleetRecord]) -> SentinelReport:
         ok = False
     else:
         reason = (
-            f"{latest.sweep_id}: {latest_rate:.1f} normalized cells/s vs "
+            f"{latest.sweep_id}: {latest_rate:.1f} cells/s vs "
             f"baseline {base_rate:.1f} (median of {len(baseline)}), "
             f"cache-hit {latest_hit:.0%} vs {base_hit:.0%}"
         )

@@ -9,12 +9,10 @@ in the HTML fleet report (``repro fleet --format html``).
 Three fleet charts:
 
 - **throughput** — cells/s of the newest sweep's comparable series
-  (:func:`~repro.obs.fleet.comparable_series`), oldest first, with a
-  second host-normalized series when any record carries a calibration
-  score;
+  (:func:`~repro.obs.fleet.comparable_series`), oldest first;
 - **cache-hit rate** — the percentage of cells answered from the result
   cache, to spot sweeps that silently stopped reusing it;
-- **phase mix** — a stacked area of nominal per-cell seconds by pipeline
+- **phase mix** — a stacked area of per-cell seconds by pipeline
   phase (:mod:`repro.obs.profile`), showing *where* the wall time of a
   cell went as the code evolved.
 
@@ -24,7 +22,7 @@ Every chart is a pure function of the records; no clocks, no I/O.
 from __future__ import annotations
 
 from html import escape
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.obs.fleet import FleetRecord, comparable_series, series_name
 from repro.obs.profile import PHASE_ORDER
@@ -131,28 +129,21 @@ class _Panel:
                     f'text-anchor="middle">{escape(self.x_labels[i])}</text>'
                 )
 
-    def polyline(self, values: Sequence[Optional[float]], color: str,
+    def polyline(self, values: Sequence[float], color: str,
                  name: str = "") -> None:
-        """One data series as a line (plus point markers); None = gap."""
-        runs: List[List[Tuple[float, float]]] = [[]]
-        for i, value in enumerate(values):
-            if value is None:
-                if runs[-1]:
-                    runs.append([])
-                continue
-            runs[-1].append((self.x_at(i), self.y_at(value)))
-        for run in runs:
-            if len(run) > 1:
-                points = " ".join(f"{x:.1f},{y:.1f}" for x, y in run)
-                self.parts.append(
-                    f'<polyline fill="none" stroke="{color}" '
-                    f'stroke-width="2" points="{points}"/>'
-                )
-            for x, y in run:
-                self.parts.append(
-                    f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" '
-                    f'fill="{color}"/>'
-                )
+        """One data series as a line (plus point markers)."""
+        points = [(self.x_at(i), self.y_at(v)) for i, v in enumerate(values)]
+        if len(points) > 1:
+            line = " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
+            self.parts.append(
+                f'<polyline fill="none" stroke="{color}" '
+                f'stroke-width="2" points="{line}"/>'
+            )
+        for x, y in points:
+            self.parts.append(
+                f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" '
+                f'fill="{color}"/>'
+            )
         if name:
             self.legend(name, color)
 
@@ -212,22 +203,17 @@ def _x_labels(records: Sequence[FleetRecord]) -> List[str]:
 
 
 def throughput_chart(records: Sequence[FleetRecord]) -> str:
-    """Cells/s over the newest sweep's comparable series, raw plus
-    host-normalized when calibrated, titled with the series' name."""
+    """Cells/s over the newest sweep's comparable series, titled with
+    the series' name."""
     series = comparable_series(records)
-    raw = [r.cells_per_s for r in series]
-    normalized = [r.normalized_cells_per_s for r in series]
-    have_norm = any(v is not None for v in normalized)
-    peak = max([v for v in raw + normalized if v is not None] or [1.0])
+    rates = [r.cells_per_s for r in series]
     title = (
         f"Sweep throughput over {series_name(series)}"
         if series else "Sweep throughput: no executed sweeps"
     )
-    panel = _Panel(title, _x_labels(series), peak * 1.1)
+    panel = _Panel(title, _x_labels(series), max(rates or [1.0]) * 1.1)
     panel.frame()
-    if have_norm:
-        panel.polyline(normalized, _COLORS[1], "normalized cells/s")
-    panel.polyline(raw, _COLORS[0], "cells/s")
+    panel.polyline(rates, _COLORS[0], "cells/s")
     return panel.svg()
 
 
@@ -244,19 +230,19 @@ def cache_hit_chart(records: Sequence[FleetRecord]) -> str:
 
 
 def phase_mix_chart(records: Sequence[FleetRecord]) -> str:
-    """Stacked per-cell phase seconds (host-normalized) per sweep."""
+    """Stacked per-cell phase seconds per sweep."""
     ordered = [
         r for r in sorted(records, key=lambda r: r.unix_time)
         if r.phases and r.cells_executed > 0
     ]
-    per_cell = [r.nominal_phase_per_cell for r in ordered]
+    per_cell = [r.phase_per_cell for r in ordered]
     phases = [p for p in PHASE_ORDER if any(p in d for d in per_cell)]
     phases += sorted(
         {p for d in per_cell for p in d} - set(phases)
     )
     totals = [sum(d.values()) for d in per_cell] or [1.0]
     panel = _Panel(
-        "Per-cell wall time by phase (s/cell, host-normalized)",
+        "Per-cell wall time by phase (s/cell)",
         _x_labels(ordered), max(totals) * 1.1,
     )
     panel.frame()

@@ -11,7 +11,7 @@ warnings, tables, bullet lists, preformatted text and SVG figures), and
 both renderers read that one list: markdown, or standalone HTML (inline
 CSS, no external assets, opens from a CI artifact without a web
 server).  Fleet-ledger sweeps render as a "Fleet history" section —
-per-sweep table with host-normalized throughput, an aggregated
+per-sweep table with throughput, an aggregated
 phase-time table, and (in HTML) the inline-SVG trend curves from
 :mod:`repro.obs.plot`; this is what ``repro fleet`` prints.
 
@@ -280,7 +280,7 @@ _HEADER = [
 
 _FLEET_HEADER = [
     "sweep", "when", "command", "grid", "cells", "cached", "cells/s",
-    "norm/s", "wall s", "backend", "jobs",
+    "wall s", "backend", "jobs",
 ]
 
 
@@ -293,7 +293,6 @@ def _fleet_cells(record: FleetRecord) -> List[str]:
         f"{len(record.policies)}p x {len(record.workloads)}w x "
         f"{len(record.machines)}m x {record.seeds}s"
     )
-    norm = record.normalized_cells_per_s
     return [
         record.sweep_id,
         when,
@@ -302,7 +301,6 @@ def _fleet_cells(record: FleetRecord) -> List[str]:
         str(record.cells_total),
         str(record.cells_cached),
         f"{record.cells_per_s:.1f}",
-        f"{norm:.1f}" if norm is not None else "-",
         f"{record.wall_s:.1f}",
         record.backend or "-",
         str(record.jobs),

@@ -163,6 +163,24 @@ class TestKeyStability:
                 "35a30637b0821e088ecde58d8e753dafb43c1464d8c1fdd3673ef0eb5b3cfa7d",
             ),
             (
+                SweepCell(
+                    workload=WorkloadSpec("chess"),
+                    policy=PolicySpec("avg9-peg"),
+                    seed=4,
+                    machine=MachineSpec.parse("itsy-stock"),
+                ),
+                "07f04fe2834272daf5d33b7bb777b017734a07504a40b93da19c69a306286744",
+            ),
+            (
+                SweepCell(
+                    workload=WorkloadSpec("editor"),
+                    policy=PolicySpec("past-double"),
+                    seed=5,
+                    machine=MachineSpec.parse("itsy"),
+                ),
+                "43a492156cde2283fd4cffed12b15ffc70e3a541c66cca1771dc1d8fd64ba947",
+            ),
+            (
                 constant_step_cells(
                     WorkloadSpec("mpeg", MpegConfig(duration_s=5.0))
                 )[5],
@@ -170,7 +188,8 @@ class TestKeyStability:
             ),
         ],
         ids=["table2-best", "table2-const-1.23v", "sa2-avg3-web",
-             "itsy-reconf-fuzz", "constant-step-baseline"],
+             "itsy-reconf-fuzz", "itsy-stock-avg9-chess",
+             "itsy-past-double-editor", "constant-step-baseline"],
     )
     def test_pinned_digest(self, the_cell, key):
         """Keys are pinned across commits: a digest that moves orphans

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -124,10 +125,9 @@ class TestLedger:
         assert record(cells_cached=3).cache_hit_rate == 0.5
         assert record(cells_total=0, cells_executed=0).cache_hit_rate == 0.0
 
-    def test_v2_round_trip_with_phases_and_host_score(self, tmp_path):
+    def test_round_trip_with_phases(self, tmp_path):
         path = tmp_path / "fleet.jsonl"
         rec = record(
-            host_score=1.5,
             phases=(("kernel compute", 0.4), ("result IPC", 0.05)),
         )
         with FleetLedger(path) as ledger:
@@ -140,23 +140,21 @@ class TestLedger:
         # On disk the phases are a JSON object, not nested arrays.
         raw = json.loads(path.read_text())
         assert raw["phases"] == {"kernel compute": 0.4, "result IPC": 0.05}
-        assert raw["host_score"] == 1.5
 
     def test_v1_records_read_tolerantly(self, tmp_path):
-        # A pre-calibration ledger line has neither host_score nor
-        # phases; both must default rather than fail the read.
+        # A v1 ledger line has neither phases nor a host; both must
+        # default rather than fail the read.
         path = tmp_path / "fleet.jsonl"
         raw = record().to_json()
-        del raw["host_score"]
         del raw["phases"]
+        del raw["host"]
         raw["v"] = 1
         path.write_text(json.dumps(raw) + "\n")
         history = read_fleet(path)
         assert history.warnings == ()
         loaded = history[0]
-        assert loaded.host_score == 0.0
         assert loaded.phases == ()
-        assert loaded.normalized_cells_per_s is None
+        assert loaded.host == ""
 
     def test_v3_round_trip_with_start_method_and_python(self, tmp_path):
         path = tmp_path / "fleet.jsonl"
@@ -165,9 +163,35 @@ class TestLedger:
             ledger.append(rec)
         assert read_fleet(path)[0] == rec
         raw = json.loads(path.read_text())
-        assert raw["v"] == 3
+        assert raw["v"] == FLEET_SCHEMA_VERSION
         assert raw["start_method"] == "forkserver"
         assert raw["python"] == "3.12.4"
+
+    def test_v4_round_trip_with_host(self, tmp_path):
+        path = tmp_path / "fleet.jsonl"
+        rec = record(host="runner-7")
+        with FleetLedger(path) as ledger:
+            ledger.append(rec)
+        assert read_fleet(path)[0] == rec
+        raw = json.loads(path.read_text())
+        assert raw["v"] == 4
+        assert raw["host"] == "runner-7"
+        assert "host_score" not in raw
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_records_read_host_empty_and_drop_host_score(
+        self, tmp_path, version
+    ):
+        # v2 and v3 lines carry a host calibration score; it is ignored.
+        path = tmp_path / "fleet.jsonl"
+        raw = record(host="laptop").to_json()
+        del raw["host"]
+        raw.update(v=version, host_score=1.19)
+        path.write_text(json.dumps(raw) + "\n")
+        history = read_fleet(path)
+        assert history.warnings == ()
+        assert history[0].host == ""
+        assert history[0] == record()
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_old_records_read_start_method_and_python_empty(
@@ -194,10 +218,6 @@ class TestLedger:
         path.write_text(json.dumps(raw) + "\n")
         loaded = read_fleet(path)[0]
         assert loaded.phases == (("kernel compute", 0.25),)
-
-    def test_normalized_throughput(self):
-        assert record(host_score=2.0).normalized_cells_per_s == 6.0
-        assert record(host_score=0.0).normalized_cells_per_s is None
 
 
 class TestHelpers:
@@ -356,23 +376,40 @@ class TestSentinel:
         assert not report.ok
         assert "cache-hit rate collapsed" in report.reason
 
-    def test_normalization_cancels_host_speed(self):
-        # The same sweep on a half-speed host: raw throughput halves,
-        # but so does the host score, so the sentinel stays green.
-        records = self.history()
-        records.append(record(
-            sweep_id="slow-host", unix_time=50.0,
-            cells_per_s=5.0, host_score=0.5,
-        ))
-        baseline_scored = [
-            record(
-                sweep_id=f"scored-{i}", unix_time=float(i),
-                cells_per_s=10.0, host_score=1.0,
-            )
-            for i in range(5)
-        ]
-        report = check_fleet(baseline_scored + [records[-1]])
-        assert report.ok, report.reason
+    def scored_ledger(self, tmp_path, sweeps):
+        """A v3 ledger of ``(cells/s, host score)`` sweeps, read back."""
+        path = tmp_path / "fleet.jsonl"
+        lines = []
+        for i, (cells_per_s, score) in enumerate(sweeps):
+            raw = record(
+                sweep_id=f"sweep-{i}", unix_time=float(i),
+                cells_per_s=cells_per_s,
+                phases=(("kernel compute", 0.55), ("result IPC", 0.05)),
+            ).to_json()
+            raw.pop("host", None)
+            raw.update(v=3, host_score=score)
+            lines.append(json.dumps(raw) + "\n")
+        path.write_text("".join(lines))
+        return read_fleet(path)
+
+    def test_stamped_host_scores_do_not_move_the_verdict(self, tmp_path):
+        # Re-scoring the host between identical sweeps (scores of one
+        # host read 0.84 to 1.19 back to back) must not read as a drop.
+        records = self.scored_ledger(
+            tmp_path, [(10.0, 0.84)] * 3 + [(10.0, 1.19)]
+        )
+        report = check_fleet(records)
+        assert report.checked and report.ok, report.reason
+        assert report.drop_pct == 0.0
+
+    def test_real_drop_is_flagged_whatever_the_stamped_score(self, tmp_path):
+        records = self.scored_ledger(
+            tmp_path, [(10.0, 1.19)] * 3 + [(7.0, 0.84)]
+        )
+        report = check_fleet(records)
+        assert report.checked and not report.ok
+        assert report.drop_pct == pytest.approx(30.0)
+        assert "7.0 vs 10.0 cells/s" in report.reason
 
     @pytest.mark.parametrize(
         "field,value",
@@ -381,18 +418,19 @@ class TestSentinel:
             ("command", "ideal"),
             ("policies", ("const-59.0", "const-206.4")),
             ("workloads", ("mpeg", "web")),
+            ("host", "other-host"),
             ("jobs", 1),
             ("start_method", "spawn"),
             ("python", "3.12.1"),
             ("phases", (("kernel compute", 0.55), ("diagnosis", 0.2))),
         ],
-        ids=["backend", "command", "policies", "workloads", "jobs",
+        ids=["backend", "command", "policies", "workloads", "host", "jobs",
              "start_method", "python", "diagnosis"],
     )
     def test_different_sweep_not_compared(self, field, value):
         # Throughput compares only between sweeps of the same command over
-        # the same grid on the same backend, worker count, start method
-        # and Python version, diagnosed or not alike.
+        # the same grid on the same host, backend, worker count, start
+        # method and Python version, diagnosed or not alike.
         records = self.history()
         records.append(record(
             sweep_id="other", unix_time=60.0, cells_per_s=0.5,
@@ -480,6 +518,7 @@ class TestEngineFleetRecord:
         assert rec.git_sha == git_sha()
         assert rec.start_method == ""
         assert rec.python == "{}.{}.{}".format(*sys.version_info)
+        assert rec.host == os.uname().nodename
 
     def test_record_stamps_the_package_checkout_from_any_cwd(
         self, tmp_path, monkeypatch

@@ -110,12 +110,6 @@ class TestDegenerateInputs:
 
 
 class TestSeries:
-    def test_normalized_series_appears_when_calibrated(self):
-        plain = throughput_chart(ledger())
-        scored = throughput_chart(ledger(host_score=1.5))
-        assert "normalized cells/s" not in plain
-        assert "normalized cells/s" in scored
-
     def test_cache_hit_axis_is_percent(self):
         svg = cache_hit_chart(ledger(cells_executed=3, cells_cached=3))
         assert "cache-hit %" in svg

@@ -256,16 +256,6 @@ class TestFleetHistory:
         assert "throughput trend" in text
         assert "<td>20260809T120000-abcd</td>" in text
 
-    def test_normalized_column_renders_when_calibrated(self):
-        report = build_report(
-            [], fleet_records=[fleet_record(host_score=2.0)]
-        )
-        text = render_report(report, FORMAT_MARKDOWN)
-        assert "| norm/s |" in "\n".join(
-            line for line in text.splitlines() if line.startswith("| sweep")
-        )
-        assert f"| {21.4 / 2.0:.1f} |" in text
-
     def test_phase_table_renders_from_ledger_phases(self):
         report = build_report(
             [],

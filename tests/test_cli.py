@@ -31,12 +31,10 @@ SRC = Path(repro.__file__).resolve().parents[1]
 
 @pytest.fixture(autouse=True)
 def isolated_cwd(tmp_path_factory, monkeypatch):
-    """Run every test in its own empty directory with its own host
-    calibration file: sweep commands record themselves in
-    ``./.repro/fleet.jsonl``, which must not land in the checkout."""
-    cwd = tmp_path_factory.mktemp("cwd")
-    monkeypatch.chdir(cwd)
-    monkeypatch.setenv("REPRO_HOST_CALIBRATION", str(cwd / "host.json"))
+    """Run every test in its own empty directory: sweep commands record
+    themselves in ``./.repro/fleet.jsonl``, which must not land in the
+    checkout."""
+    monkeypatch.chdir(tmp_path_factory.mktemp("cwd"))
 
 
 class TestPolicyResolution:
@@ -637,6 +635,7 @@ class TestTelemetryOptions:
         assert rec.workloads == ("mpeg",)
         assert rec.cells_total == 1
         assert rec.jobs == 2
+        assert rec.host == os.uname().nodename
 
     def test_no_fleet_opts_out(self, tmp_path, capsys):
         ledger = tmp_path / "fleet.jsonl"
@@ -857,70 +856,66 @@ class TestFleetSentinel:
         assert "## Fleet history" in captured.out
 
 
-class TestCalibrateCommand:
-    """`repro calibrate` host-score measurement and caching."""
+class TestUnwritableOutput:
+    """A file a command cannot write ends it with one ``error:`` line
+    naming the path and exit 2, never a traceback."""
 
-    def test_calibrate_writes_score(self, tmp_path, capsys, monkeypatch):
-        from repro.obs.calibrate import load_calibration
-
-        path = tmp_path / "host.json"
-        monkeypatch.setenv("REPRO_HOST_CALIBRATION", str(path))
-        assert main(["calibrate", "--budget", "0.05"]) == 0
-        out = capsys.readouterr().out
-        assert "host score" in out
-        cal = load_calibration(path)
-        assert cal is not None and cal.score > 0
-
-    def test_cached_calibration_respected(self, tmp_path, capsys,
-                                          monkeypatch):
-        path = tmp_path / "host.json"
-        monkeypatch.setenv("REPRO_HOST_CALIBRATION", str(path))
-        assert main(["calibrate", "--budget", "0.05"]) == 0
-        capsys.readouterr()
-        assert main(["calibrate", "--budget", "0.05"]) == 0
-        assert "already calibrated" in capsys.readouterr().out
-
-    def test_writes_where_host_score_reads(self, tmp_path, capsys,
-                                           monkeypatch):
-        # One resolver names the file for the command that writes the
-        # score and for the stamp every fleet record reads.
-        import repro.obs.calibrate as calibrate
-
-        path = tmp_path / "calibration" / "host.json"
-        monkeypatch.setenv("REPRO_HOST_CALIBRATION", str(path))
-        monkeypatch.setattr(
-            calibrate, "_probe_pass", lambda: calibrate.NOMINAL_PROBE_WALL_S / 2
-        )
-        assert main(["calibrate", "--budget", "0"]) == 0
-        assert f"calibration     : {path}\n" in capsys.readouterr().out
-        assert path.exists()
-        assert not calibrate.DEFAULT_HOST_PATH.exists()
-        assert calibrate.host_score() == 2.0
-
-    def test_force_remeasures(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "host.json"
-        monkeypatch.setenv("REPRO_HOST_CALIBRATION", str(path))
-        assert main(["calibrate", "--budget", "0.05"]) == 0
-        capsys.readouterr()
-        assert main(["calibrate", "--budget", "0.05", "--force"]) == 0
-        assert "host score" in capsys.readouterr().out
-
-    def test_sweep_stamps_host_score(self, tmp_path, capsys, monkeypatch):
-        from repro.obs.fleet import read_fleet
-
-        monkeypatch.setenv(
-            "REPRO_HOST_CALIBRATION", str(tmp_path / "host.json")
-        )
-        assert main(["calibrate", "--budget", "0.05"]) == 0
-        ledger = tmp_path / "fleet.jsonl"
+    @pytest.fixture
+    def logs(self, tmp_path, capsys):
+        """A real sweep's run-log and fleet ledger."""
+        run_log, ledger = tmp_path / "runs.jsonl", tmp_path / "fleet.jsonl"
         assert main(
-            ["run", "mpeg", "--policy", "best", "--duration", "1",
-             "--jobs", "2", "--fleet", str(ledger)]
+            ["run", "mpeg", "--duration", "1", "--run-log", str(run_log),
+             "--fleet", str(ledger)]
         ) == 0
         capsys.readouterr()
+        return run_log, ledger
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "--ledger", "{ledger}", "-o"],
+            ["report", "{run_log}", "-o"],
+            ["trace", "mpeg", "--duration", "1", "-o"],
+            ["diagnose", "best", "mpeg", "--duration", "1", "-o"],
+        ],
+        ids=["fleet", "report", "trace", "diagnose"],
+    )
+    def test_output_into_missing_directory(self, argv, logs, tmp_path,
+                                           capsys):
+        run_log, ledger = logs
+        target = tmp_path / "missing" / "out"
+        argv = [a.format(run_log=run_log, ledger=ledger) for a in argv]
+        assert main(argv + [str(target)]) == 2
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and str(target) in errors[0]
+        assert err.endswith(errors[0] + "\n")
+        assert not target.parent.exists()
+
+    def test_sweep_whose_trace_cannot_be_written_is_recorded(
+        self, tmp_path, capsys
+    ):
+        from repro.obs.fleet import read_fleet
+
+        ledger = tmp_path / "fleet.jsonl"
+        target = tmp_path / "missing" / "sweep.json"
+        assert main(
+            ["run", "mpeg", "--duration", "1", "--fleet", str(ledger),
+             "--sweep-trace", str(target)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: 1 simulated, 0 cached")
+        assert err.splitlines()[-1].startswith("error:")
+        assert str(target) in err.splitlines()[-1]
         [rec] = read_fleet(ledger)
-        assert rec.host_score > 0
-        assert rec.normalized_cells_per_s is not None
+        assert rec.command == "run"
+
+    def test_calibrate_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
 
 class TestReportBenchSpecs:
