@@ -75,8 +75,9 @@ inline-SVG trend curves in HTML (``--format html``, see
 sentinel instead: it compares the latest sweep against the median of
 comparable predecessors — same command, grid, host, job count, start
 method, Python version and diagnosis — and exits non-zero naming the
-regressed phase (see :mod:`repro.obs.fleet`).  A file any command
-cannot write ends it with one ``error:`` line and exit 2.
+regressed phase (see :mod:`repro.obs.fleet`).  Every output file gets
+its missing parent directories made; a file any command still cannot
+write ends it with one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ from repro.obs.fleet import (
     read_fleet,
 )
 from repro.obs.profile import SweepTimeline
-from repro.obs.runlog import DiagnosisWriter, RunLogWriter
+from repro.obs.runlog import DiagnosisWriter, RunLogWriter, output_file
 from repro.measure.stats import confidence_interval
 
 # The simulator (repro.core.catalog, repro.measure.runner, the kernels,
@@ -469,7 +470,7 @@ def cmd_diagnose(args) -> int:
     if len(diagnosis.miss_attributions) > len(shown):
         print(f"  ... and {len(diagnosis.miss_attributions) - len(shown)} more")
     if args.output:
-        path = Path(args.output)
+        path = output_file(args.output)
         path.write_text(json.dumps(diagnosis.to_json(), sort_keys=True) + "\n")
         print(f"diagnosis JSON  : {path}")
     return 1 if diagnosis.misses else 0
@@ -482,7 +483,7 @@ def write_report(report, args, contents: str) -> int:
 
     text = render_report(report, args.format)
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        output_file(args.output).write_text(text + "\n")
         print(
             f"wrote {args.output} ({contents}, format {args.format})",
             file=sys.stderr,
@@ -953,8 +954,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.close(devnull)
         return 141
     except OSError as exc:
-        # An output file that cannot be written (``-o``, ``--sweep-trace``
-        # into a missing directory); the message names the path.
+        # An output file that cannot be written (``-o`` or
+        # ``--sweep-trace`` under a regular file); the message names it.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -55,11 +55,15 @@ class Work:
         """Return this work multiplied by ``factor`` (component-wise)."""
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
-        return Work(
+        # The product of non-negatives needs no re-check: fill the frozen
+        # value's dict directly, as WorkProfile.work does (hot path).
+        w = Work.__new__(Work)
+        w.__dict__.update(
             cpu_cycles=self.cpu_cycles * factor,
             mem_refs=self.mem_refs * factor,
             cache_refs=self.cache_refs * factor,
         )
+        return w
 
     @property
     def is_empty(self) -> bool:

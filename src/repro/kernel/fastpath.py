@@ -193,25 +193,28 @@ class FastKernel(Kernel):
         # adjacent-equal-power merge tolerances.
         segs: List[tuple] = []
         segs_append = segs.append
-        pend = [False, 0.0, 0.0, 0.0]  # pending, start, end, watts
+        # The pending segment, held in closure cells emit shares.
+        p_on = False
+        p_start = p_end = p_w = 0.0
 
         def emit(start: float, end: float, watts: float) -> None:
+            nonlocal p_on, p_start, p_end, p_w
             if end <= start + 1e-9:
                 return
-            if pend[0]:
+            if p_on:
                 # abs(a - b) < tol, spelled as a chained comparison so the
                 # hot path makes no builtin calls; same truth value.
-                gap = pend[2] - start
-                dw = pend[3] - watts
+                gap = p_end - start
+                dw = p_w - watts
                 if -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
-                    pend[2] = end
+                    p_end = end
                     return
-                segs_append((pend[1], pend[2], pend[3]))
+                segs_append((p_start, p_end, p_w))
             else:
-                pend[0] = True
-            pend[1] = start
-            pend[2] = end
-            pend[3] = watts
+                p_on = True
+            p_start = start
+            p_end = end
+            p_w = watts
 
         self._fp_emit = emit
         self._fp_pw = {}  # (step index, volts, state) -> watts
@@ -247,9 +250,8 @@ class FastKernel(Kernel):
         active_w = machine.power_w(ACTIVE)
         nap_w = machine.power_w(NAP)
         sag_until = dvfs.sag_until_us
-        # step/voltage in effect for the current quantum (constant within one)
+        # step index and voltage in effect for the current quantum
         q_step_index = step.index
-        q_mhz = step.mhz
         q_volts = cpu.volts
 
         # Memory timings and power draws are pure functions of the
@@ -271,7 +273,7 @@ class FastKernel(Kernel):
         # governor-driven dvfs.apply.
         usum = 0.0
         by_step: dict = {}
-        mhz_by_step: dict = {q_step_index: q_mhz}
+        mhz_by_step: dict = {q_step_index: mhz}
         cur_si = q_step_index
         cur_cnt = 0
 
@@ -281,7 +283,8 @@ class FastKernel(Kernel):
         stuck = 0
         last_now = -1.0
 
-        while now < end_us - _EPS:
+        stop = end_us - _EPS
+        while now < stop:
             if now <= last_now + _EPS:
                 stuck += 1
                 if stuck > _MAX_ZERO_PROGRESS_ACTIONS:
@@ -307,10 +310,10 @@ class FastKernel(Kernel):
                     if now < sag_until - _EPS:
                         record_power(NAP, now, next_tick)
                     else:
-                        gap = pend[2] - now
-                        dw = pend[3] - nap_w
-                        if pend[0] and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
-                            pend[2] = next_tick  # inlined emit merge
+                        gap = p_end - now
+                        dw = p_w - nap_w
+                        if p_on and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
+                            p_end = next_tick  # inlined emit merge
                         else:
                             emit(now, next_tick, nap_w)
                 now = next_tick
@@ -346,10 +349,10 @@ class FastKernel(Kernel):
                             if now < sag_until - _EPS:
                                 record_power(ACTIVE, now, slice_end)
                             else:
-                                gap = pend[2] - now
-                                dw = pend[3] - active_w
-                                if pend[0] and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
-                                    pend[2] = slice_end  # inlined emit merge
+                                gap = p_end - now
+                                dw = p_w - active_w
+                                if p_on and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
+                                    p_end = slice_end  # inlined emit merge
                                 else:
                                     emit(now, slice_end, active_w)
                         busy += elapsed
@@ -380,10 +383,10 @@ class FastKernel(Kernel):
                                 if now < sag_until - _EPS:
                                     record_power(ACTIVE, now, target)
                                 else:
-                                    gap = pend[2] - now
-                                    dw = pend[3] - active_w
-                                    if pend[0] and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
-                                        pend[2] = target  # inlined emit merge
+                                    gap = p_end - now
+                                    dw = p_w - active_w
+                                    if p_on and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
+                                        p_end = target  # inlined emit merge
                                     else:
                                         emit(now, target, active_w)
                             busy += target - now
@@ -517,7 +520,7 @@ class FastKernel(Kernel):
                     util = 1.0
                 elif util < 0.0:
                     util = 0.0
-                row = (tick, busy_c, util, q_step_index, q_mhz, q_volts)
+                row = (tick, busy_c, util, q_step_index, mhz, q_volts)
                 if ri < n_rows:
                     rows[ri] = row
                 else:  # pragma: no cover - quantum drift past the estimate
@@ -530,9 +533,9 @@ class FastKernel(Kernel):
                 else:
                     by_step[cur_si] = by_step.get(cur_si, 0) + cur_cnt
                     cur_si = q_step_index
-                    mhz_by_step[cur_si] = q_mhz
+                    mhz_by_step[cur_si] = mhz
                     cur_cnt = 1
-                if next_tick >= end_us - _EPS:  # final tick: just close it
+                if next_tick >= stop:  # final tick: just close it
                     next_tick += q
                     continue
 
@@ -561,10 +564,10 @@ class FastKernel(Kernel):
                         if now < sag_until - _EPS:
                             record_power(ACTIVE, now, oend)
                         else:
-                            gap = pend[2] - now
-                            dw = pend[3] - active_w
-                            if pend[0] and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
-                                pend[2] = oend  # inlined emit merge
+                            gap = p_end - now
+                            dw = p_w - active_w
+                            if p_on and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
+                                p_end = oend  # inlined emit merge
                             else:
                                 emit(now, oend, active_w)
                     busy += overhead
@@ -581,7 +584,7 @@ class FastKernel(Kernel):
                         busy_us=busy_c,
                         quantum_us=q,
                         step_index=q_step_index,
-                        mhz=q_mhz,
+                        mhz=mhz,
                         volts=q_volts,
                         max_step_index=max_step_index,
                     )
@@ -616,17 +619,15 @@ class FastKernel(Kernel):
                             state_cache[key] = cached
                         mem_c, cache_c, active_w, nap_w = cached
                         sag_until = dvfs.sag_until_us
+                        q_step_index, q_volts = key
 
-                q_step_index = step.index
-                q_mhz = step.mhz
-                q_volts = cpu.volts
                 next_tick += q
 
         self._now = now
         self._busy_us = busy
-        if pend[0]:
-            segs_append((pend[1], pend[2], pend[3]))
-            pend[0] = False
+        if p_on:
+            segs_append((p_start, p_end, p_w))
+            p_on = False
         del rows[ri:]
 
         if cur_cnt:

@@ -94,6 +94,18 @@ class RunLogRecord:
         return {"v": RUN_LOG_VERSION, **asdict(self)}
 
 
+def output_file(path: Union[str, Path]) -> Path:
+    """``path`` with its missing parent directories made: the one rule
+    for every file the program writes.  Where a regular file sits in the
+    way, the write is left to fail, so its error names ``path`` itself."""
+    out = Path(path)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        pass
+    return out
+
+
 class JsonlLog:
     """An append-only JSONL file: one key-sorted ``record.to_json()``
     object per line.
@@ -113,8 +125,7 @@ class JsonlLog:
     def append(self, record) -> None:
         """Append one record and flush it to disk."""
         if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
+            self._handle = output_file(self.path).open("a")
         self._handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
         self._handle.flush()
         self.written += 1

@@ -28,6 +28,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
+from repro.obs.runlog import output_file
 from repro.traces.schema import AppEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -201,7 +202,7 @@ def write_chrome_trace(payload: dict, path: Union[str, Path]) -> Path:
         ValueError: if the payload fails :func:`validate_chrome_trace`.
     """
     validate_chrome_trace(payload)
-    out = Path(path)
+    out = output_file(path)
     out.write_text(json.dumps(payload) + "\n")
     return out
 

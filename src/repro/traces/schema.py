@@ -58,7 +58,11 @@ class QuantumRecord:
         """Busy fraction of the quantum, clamped to [0, 1]."""
         if self.quantum_us <= 0:
             return 0.0
-        return max(0.0, min(1.0, self.busy_us / self.quantum_us))
+        # max(0.0, min(1.0, u)) as comparisons, ties and NaN alike: the
+        # diagnosis reads every quantum's utilization.
+        u = self.busy_us / self.quantum_us
+        u = u if u < 1.0 else 1.0
+        return u if u > 0.0 else 0.0
 
     @property
     def start_us(self) -> float:

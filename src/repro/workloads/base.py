@@ -116,7 +116,11 @@ def jitter_factor(rng: random.Random, sigma: float = 0.02) -> float:
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     f = rng.gauss(1.0, sigma)
-    return max(1.0 - 4.0 * sigma, min(1.0 + 4.0 * sigma, f))
+    # max(lo, min(hi, f)) as comparisons, ties and NaN alike (hot path).
+    hi = 1.0 + 4.0 * sigma
+    lo = 1.0 - 4.0 * sigma
+    f = f if f < hi else hi
+    return f if f > lo else lo
 
 
 class WorkloadSetup(Protocol):

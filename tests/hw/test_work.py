@@ -1,5 +1,8 @@
 """Tests for the Work demand model."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.hw.clocksteps import SA1100_CLOCK_TABLE
@@ -36,6 +39,32 @@ class TestBasics:
     def test_scaled_negative_rejected(self):
         with pytest.raises(ValueError):
             Work(1.0).scaled(-0.1)
+
+
+class TestScaledConstruction:
+    """``scaled`` fills the frozen value's dict without re-validating it;
+    the result must be indistinguishable from a constructed ``Work``."""
+
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 1.0, 3.0])
+    def test_equals_constructed_work(self, factor):
+        c, m, ca = 5.05e6, 7.8e4, 4.5e4
+        got = Work(c, m, ca).scaled(factor)
+        want = Work(c * factor, m * factor, ca * factor)
+        assert type(got) is Work
+        assert got == want
+        assert vars(got) == vars(want)
+        assert list(vars(got)) == list(vars(want))  # field order
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert pickle.loads(pickle.dumps(got)) == want
+        with pytest.raises(FrozenInstanceError):
+            got.cpu_cycles = 1.0
+
+    @pytest.mark.parametrize("factor", [-0.5, -1e-300, float("-inf")])
+    def test_negative_factor_still_raises(self, factor):
+        with pytest.raises(ValueError, match="non-negative"):
+            Work(1.0, 2.0, 3.0).scaled(factor)
 
 
 class TestTiming:

@@ -17,9 +17,11 @@ from repro.kernel.recorders import (
     RECORDING_MINIMAL,
     EnergyTotals,
     check_recording,
+    quantum_records,
     stats_from_rows,
 )
 from repro.kernel.scheduler import Kernel
+from repro.traces.schema import QuantumRecord
 
 Q = 10_000.0
 
@@ -135,3 +137,30 @@ class TestStreamingMeters:
         stats = stats_from_rows([])
         assert stats.count == 0
         assert stats.mean_utilization() == 0.0
+
+
+class TestQuantumRecords:
+    """``quantum_records`` fills each frozen record's dict directly; the
+    records must equal those the dataclass constructor builds."""
+
+    def test_records_equal_constructed_ones(self):
+        rows = [
+            (q.end_us, q.busy_us, q.utilization, q.step_index, q.mhz, q.volts)
+            for q in run_with().quanta
+        ]
+        rows += [(9 * Q, 0.0, 0.0, 0, 59.0, 1.23), (10 * Q, Q, 1.0, 10, 206.4, 1.5)]
+        got = quantum_records(rows, Q)
+        want = [
+            QuantumRecord(
+                end_us=t, busy_us=b, quantum_us=Q, step_index=si, mhz=m, volts=v
+            )
+            for (t, b, _u, si, m, v) in rows
+        ]
+        assert len(got) == len(want) == len(rows) > 2
+        for g, w, row in zip(got, want, rows):
+            assert type(g) is QuantumRecord
+            assert g == w
+            assert list(vars(g).items()) == list(vars(w).items())
+            assert hash(g) == hash(w)
+            assert g.utilization == w.utilization == row[2]
+            assert g.start_us == w.start_us

@@ -564,7 +564,7 @@ class TestTelemetryOptions:
 
         from repro.obs.trace import validate_chrome_trace
 
-        trace = tmp_path / "sweep.json"
+        trace = tmp_path / "traces" / "sweep.json"  # the directory is made
         code = main(
             ["table2", "--runs", "2", "--jobs", "2",
              "--sweep-trace", str(trace),
@@ -857,8 +857,9 @@ class TestFleetSentinel:
 
 
 class TestUnwritableOutput:
-    """A file a command cannot write ends it with one ``error:`` line
-    naming the path and exit 2, never a traceback."""
+    """Every output file gets its missing parent directories made; a file
+    a command still cannot write ends it with one ``error:`` line naming
+    the path and exit 2, never a traceback."""
 
     @pytest.fixture
     def logs(self, tmp_path, capsys):
@@ -884,14 +885,21 @@ class TestUnwritableOutput:
     def test_output_into_missing_directory(self, argv, logs, tmp_path,
                                            capsys):
         run_log, ledger = logs
-        target = tmp_path / "missing" / "out"
         argv = [a.format(run_log=run_log, ledger=ledger) for a in argv]
+        made = tmp_path / "missing" / "deeper" / "out"
+        assert main(argv + [str(made)]) == 0
+        assert made.is_file() and made.read_text().endswith("\n")
+        assert "error:" not in capsys.readouterr().err
+
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        target = blocker / "out"
         assert main(argv + [str(target)]) == 2
         err = capsys.readouterr().err
         errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1 and str(target) in errors[0]
         assert err.endswith(errors[0] + "\n")
-        assert not target.parent.exists()
+        assert blocker.read_text() == "a regular file\n"
 
     def test_sweep_whose_trace_cannot_be_written_is_recorded(
         self, tmp_path, capsys
@@ -899,7 +907,8 @@ class TestUnwritableOutput:
         from repro.obs.fleet import read_fleet
 
         ledger = tmp_path / "fleet.jsonl"
-        target = tmp_path / "missing" / "sweep.json"
+        (tmp_path / "blocker").write_text("")
+        target = tmp_path / "blocker" / "sweep.json"
         assert main(
             ["run", "mpeg", "--duration", "1", "--fleet", str(ledger),
              "--sweep-trace", str(target)]

@@ -1,5 +1,6 @@
 """Tests for workload building blocks."""
 
+import math
 import random
 
 import pytest
@@ -99,4 +100,25 @@ class TestJitter:
     def test_zero_sigma_is_deterministic(self):
         rng = random.Random(0)
         assert jitter_factor(rng, 0.0) == 1.0
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.02, 0.1])
+    def test_clip_is_exactly_max_of_min(self, sigma):
+        # Random draws never land on a bound; a stub draw can.
+        class Draw:
+            def __init__(self, g):
+                self.g = g
+
+            def gauss(self, mu, sd):
+                assert (mu, sd) == (1.0, sigma)
+                return self.g
+
+        lo, hi = 1.0 - 4.0 * sigma, 1.0 + 4.0 * sigma
+        draws = [
+            lo - 0.5, math.nextafter(lo, 0.0), lo, math.nextafter(lo, 2.0),
+            (lo + hi) / 2, 1.0 + sigma, math.nextafter(hi, 0.0), hi,
+            math.nextafter(hi, 2.0), hi + 0.5,
+        ]
+        for g in draws:
+            got = jitter_factor(Draw(g), sigma)
+            assert repr(got) == repr(max(lo, min(hi, g))), g
 
