@@ -546,7 +546,8 @@ class FastKernel(Kernel):
                         if p.wake_us is not None and p.wake_us <= tick + _EPS
                     ]
                     if due:
-                        due.sort(key=_wake_key)
+                        if len(due) > 1:
+                            due.sort(key=_wake_key)
                         for p in due:
                             p.state = RUNNABLE
                             p.wake_us = None

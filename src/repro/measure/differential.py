@@ -208,10 +208,9 @@ def check_scenario(
             ),
         )
 
-    # baseline_j=None keeps the baseline term out of the identity, so
-    # the check is measured == baseline(0) + overshoot + stall + sag
-    # without paying for an ideal-constant search per scenario.
-    decomp = energy_decomposition(ref.run, machine.build(), baseline_j=None)
+    # Left against no oracle, the check is measured == 0 + overshoot +
+    # stall + sag without paying for an ideal-constant search per scenario.
+    decomp = energy_decomposition(ref.run, machine.build())
     return DifferentialOutcome(
         scenario,
         policy,

@@ -548,9 +548,7 @@ class CellOutcome:
         return next(t1 - t0 for name, t0, t1 in self.phases if name == PHASE_COMPUTE)
 
 
-def _execute_cell(
-    cell: SweepCell, diagnose: bool, baseline_j: Optional[float]
-) -> CellOutcome:
+def _execute_cell(cell: SweepCell, diagnose: bool) -> CellOutcome:
     """Worker entry point (module-level so it pickles): run one cell.
 
     ``cell.run`` split into its two halves (:meth:`SweepCell.execute` +
@@ -559,7 +557,8 @@ def _execute_cell(
     however the cell is observed.  ``diagnose`` forces full recording
     (diagnosis needs the quantum log and power timeline; recording modes
     are bitwise-equivalent in everything a :class:`CellResult` carries)
-    and computes the cell's diagnosis against ``baseline_j`` worker-side.
+    and diagnoses the cell worker-side, against no oracle: the engine
+    closes the diagnosis against the cell's oracle once its batch is in.
     """
     if diagnose:
         cell = dataclasses.replace(cell, recording=RECORDING_FULL)
@@ -578,7 +577,6 @@ def _execute_cell(
             machine=cell.machine,
             machine_label=cell.machine.label,
             seed=cell.seed,
-            baseline_j=baseline_j,
         )
         t_reduce = perf_counter()
         phases.append((PHASE_DIAGNOSE, t_computed, t_reduce))
@@ -686,10 +684,9 @@ def _heartbeat(event: Heartbeat) -> None:
 
 
 def _execute_chunk(
-    cells: List[SweepCell],
-    diagnose: bool,
-    baseline_js: List[Optional[float]],
-    cell_ids: List[int],
+    cells: Sequence[SweepCell],
+    diagnose: Sequence[bool],
+    cell_ids: Sequence[int],
     beat: Callable[[Heartbeat], None] = _heartbeat,
 ) -> List[Union[CellOutcome, Exception]]:
     """Run a contiguous chunk of cells: the one per-cell loop.
@@ -697,21 +694,21 @@ def _execute_chunk(
     A pool task runs one chunk — one submission per chunk (instead of
     per cell) amortizes argument pickling, future bookkeeping and result
     IPC across the chunk — and an in-process batch runs as one chunk.
-    The loop stops at the chunk's first failing cell, which contributes
-    its exception in place of its outcome, so the failure is attributed
-    to the *cell* that raised it, not to an opaque chunk; the engine
-    re-raises it as a :class:`SweepCellError` with the original
-    exception as ``__cause__``.  Each cell is bracketed by start/done
-    heartbeats keyed by ``cell_ids``, sent through ``beat``: the
-    worker's heartbeat channel by default, the engine's live observers
-    in-process.
+    ``diagnose`` says, per cell, whether to diagnose it.  The loop stops
+    at the chunk's first failing cell, which contributes its exception
+    in place of its outcome, so the failure is attributed to the *cell*
+    that raised it, not to an opaque chunk; the engine re-raises it as a
+    :class:`SweepCellError` with the original exception as
+    ``__cause__``.  Each cell is bracketed by start/done heartbeats
+    keyed by ``cell_ids``, sent through ``beat``: the worker's heartbeat
+    channel by default, the engine's live observers in-process.
     """
     pid = os.getpid()
     out: List[Union[CellOutcome, Exception]] = []
-    for cell, baseline_j, cell_id in zip(cells, baseline_js, cell_ids):
+    for cell, diagnosed, cell_id in zip(cells, diagnose, cell_ids):
         beat((False, pid, cell_id, perf_counter(), cell.label))
         try:
-            out.append(_execute_cell(cell, diagnose, baseline_j))
+            out.append(_execute_cell(cell, diagnosed))
         except Exception as exc:
             out.append(exc)
             break
@@ -720,24 +717,20 @@ def _execute_chunk(
     return out
 
 
-def _baseline_key(cell: SweepCell) -> str:
-    """The coordinates a cell's oracle baseline depends on, as a string.
+#: One cell of a batch's run: ``(cell_id, cache key, cell, diagnose)``.
+_Task = Tuple[int, str, SweepCell, bool]
 
-    Policy, DAQ settings and recording mode are deliberately absent: the
-    ideal-constant search is a property of workload x machine x seed x
-    kernel config alone, so diagnosed cells that differ only in policy
-    share one baseline computation.
-    """
-    payload = {
-        "workload": {
-            "name": cell.workload.name,
-            "config": _canonical(cell.workload.effective_config()),
-        },
-        "machine": _canonical(cell.machine),
-        "seed": cell.seed,
-        "kernel": _canonical(cell.effective_kernel_config()),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: The cell that failed a batch, and its exception (None: none failed).
+_Failure = Optional[Tuple[SweepCell, Exception]]
+
+
+def _completed(
+    chunk: List[_Task], outcomes: List[Union[CellOutcome, Exception]]
+) -> Tuple[List[CellOutcome], _Failure]:
+    """A chunk's outcomes up to its failing cell, and that failure."""
+    if outcomes and isinstance(outcomes[-1], Exception):
+        return outcomes[:-1], (chunk[len(outcomes) - 1][2], outcomes[-1])
+    return outcomes, None
 
 
 class SweepCellError(RuntimeError):
@@ -757,17 +750,6 @@ class SweepCellError(RuntimeError):
             f"sweep cell failed ({cell.describe()}): "
             f"{type(cause).__name__}: {cause}"
         )
-
-
-def _checked(
-    chunk: List[Tuple[int, str, SweepCell]],
-    outcomes: List[Union[CellOutcome, Exception]],
-) -> List[CellOutcome]:
-    """A chunk's outcomes, or :class:`SweepCellError` for its failed cell."""
-    for (_, _, cell), outcome in zip(chunk, outcomes):
-        if isinstance(outcome, Exception):
-            raise SweepCellError(cell, outcome) from outcome
-    return outcomes
 
 
 @dataclass
@@ -810,8 +792,11 @@ class SweepEngine:
     simulated once.  ``jobs=1`` executes in-process (and is what the
     determinism tests compare the pool against), through the same
     per-cell loop a pool worker runs, so a failing cell raises the same
-    :class:`SweepCellError` at every ``jobs``: the first failure in cell
-    order.
+    :class:`SweepCellError` at every ``jobs``: the first failure in batch
+    order.  Before it raises, the engine serves — caches, diagnoses and
+    tells its observers of — every cell that completed ahead of the
+    failing one in batch order, and drops the cells after it even where
+    a pool worker finished them, so every ``jobs`` leaves the same logs.
 
     The pool path is engineered for throughput: cells are submitted in
     contiguous chunks, auto-sized to a few chunks per worker, so per-task
@@ -825,12 +810,18 @@ class SweepEngine:
     input order, so results are the same, bitwise, however a batch is
     chunked.
 
-    With ``diagnose=True`` every executed cell additionally runs the
-    :mod:`~repro.obs.diagnose` engine worker-side — the oracle baselines
-    are batched through this same engine first, then each worker ships a
-    :class:`~repro.obs.diagnose.PolicyDiagnosis` home next to its result,
-    collected in :attr:`diagnoses` by run id (cache hits carry no kernel
-    run and are not re-diagnosed).
+    With ``diagnose=True`` every executed cell of a batch additionally
+    runs the :mod:`~repro.obs.diagnose` engine worker-side, and ships a
+    :class:`~repro.obs.diagnose.PolicyDiagnosis` home next to its result
+    (cache hits carry no kernel run and are not re-diagnosed).  Its
+    oracle, the cheapest feasible constant step of the cell's workload,
+    machine, seed and kernel config, is searched in the same batch: the
+    :func:`constant_step_cells` of every such coordinate join it
+    undiagnosed, ahead of the cells they serve, deduplicated by cache
+    key and served from the cache like any cell.  Once the batch is in,
+    the engine closes each diagnosis against its oracle and collects it
+    in :attr:`diagnoses` by run id.  A diagnosed cell whose search the
+    batch's failure cut short is served undiagnosed.
 
     Observation is opt-in and free when off: the engine stamps each
     pipeline stage once into a
@@ -866,7 +857,6 @@ class SweepEngine:
         #: diagnoses of executed cells, keyed by run id (the cache key).
         self.diagnoses: Dict[str, PolicyDiagnosis] = {}
         self.stats = SweepStats()
-        self._run_depth = 0  # baseline batches re-enter run()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._cell_path_loaded = False  # see _load_cell_path
         #: pid -> zero-based ordinal, in order of first result: the
@@ -883,7 +873,7 @@ class SweepEngine:
             import multiprocessing
 
             self._heartbeats = multiprocessing.SimpleQueue()
-        # Grid axes of top-level batches, accumulated for fleet_record().
+        # Grid axes of the batches' cells, accumulated for fleet_record().
         self._axis_policies: Set[str] = set()
         self._axis_workloads: Set[str] = set()
         self._axis_machines: Set[str] = set()
@@ -966,9 +956,7 @@ class SweepEngine:
             initargs=(self._heartbeats, self._diagnose, perf_counter()),
         )
 
-    def _chunked(
-        self, todo: List[Tuple[int, str, SweepCell]], workers: int
-    ) -> List[List[Tuple[int, str, SweepCell]]]:
+    def _chunked(self, todo: List[_Task], workers: int) -> List[List[_Task]]:
         """Split ``todo`` into contiguous chunks, preserving order.
 
         Auto-sizing targets four chunks per worker: large enough to
@@ -978,14 +966,10 @@ class SweepEngine:
         size = max(1, -(-len(todo) // (workers * 4)))
         return [todo[i : i + size] for i in range(0, len(todo), size)]
 
-    def _run_cells(
-        self,
-        todo: List[Tuple[int, str, SweepCell]],
-        diagnose: bool,
-        baselines: Dict[str, Optional[float]],
-    ) -> List[CellOutcome]:
-        """Run ``todo`` through :func:`_execute_chunk` and return the
-        outcomes in todo order.
+    def _run_cells(self, todo: List[_Task]) -> Tuple[List[CellOutcome], _Failure]:
+        """Run ``todo`` through :func:`_execute_chunk`: the outcomes of
+        the cells ahead of the first failing one in todo order (all of
+        them when none fails), and that failure.
 
         A ``jobs=1`` engine, or a one-cell batch, runs ``todo`` in this
         process as one chunk, after the cell path import
@@ -995,25 +979,17 @@ class SweepEngine:
         live observers.  It starts after submission, so a ``fork`` pool
         forks a single-threaded parent, and stops at the ``None`` the
         engine writes once every chunk has ended: every heartbeat of the
-        batch is in the pipe before that.
-
-        Raises:
-            SweepCellError: for the first failing cell in todo order
-                (original exception as ``__cause__``), or for a
-                pool-level failure (attributed to the chunk's first cell).
+        batch is in the pipe before that.  A pool-level failure (worker
+        crash, result transport) is attributed to its chunk's first cell.
         """
 
-        def args(chunk: List[Tuple[int, str, SweepCell]]) -> tuple:
-            return (
-                [cell for _, _, cell in chunk],
-                diagnose,
-                [baselines.get(key) for _, key, _ in chunk],
-                [cell_id for cell_id, _, _ in chunk],
-            )
+        def args(chunk: List[_Task]) -> tuple:
+            cell_ids, _, cells, diagnose = zip(*chunk)
+            return cells, diagnose, cell_ids
 
         if self.jobs == 1 or len(todo) == 1:
             self._load_cell_path()
-            return _checked(todo, _execute_chunk(*args(todo), self._beat))
+            return _completed(todo, _execute_chunk(*args(todo), self._beat))
         batch_start = perf_counter()
         if self._pool is None:
             self._pool = self._new_pool(self.jobs)
@@ -1036,34 +1012,32 @@ class SweepEngine:
                 try:
                     outcomes = future.result()
                 except Exception as exc:
-                    # The pool itself failed (worker crash, result
-                    # transport); a dead warm pool must not poison the
-                    # next batch.
+                    # A dead warm pool must not poison the next batch.
                     self._shutdown_pool()
-                    raise SweepCellError(chunk[0][2], exc) from exc
-                fresh += [
-                    _started_in_batch(outcome, batch_start)
-                    for outcome in _checked(chunk, outcomes)
-                ]
+                    return fresh, (chunk[0][2], exc)
+                done, failure = _completed(chunk, outcomes)
+                fresh += [_started_in_batch(o, batch_start) for o in done]
                 if self.timeline is not None:
                     # Result IPC: the slice of the wait after the chunk's
                     # last cell finished is unpickling/transfer — the
                     # rest of the wait is covered by the workers' own
                     # stamps on the shared timebase.
-                    ipc_start = max([wait_start] + [o.phases[-1][2] for o in outcomes])
+                    ipc_start = max([wait_start] + [o.phases[-1][2] for o in done])
                     self.timeline.add_stage(PHASE_IPC, ipc_start, perf_counter())
+                if failure is not None:
+                    return fresh, failure
+            return fresh, None
         finally:
+            for future in futures:
+                future.cancel()
             if pump is not None:
                 # A failed batch still ends every chunk before the
                 # sentinel, so no heartbeat of it trails into the next.
                 from concurrent.futures import wait
 
-                for future in futures:
-                    future.cancel()
                 wait(futures)
                 self._heartbeats.put(None)
                 pump.join()
-        return fresh
 
     def _pump(self) -> None:
         """Feed a pooled batch's heartbeats to the live observers until
@@ -1076,22 +1050,21 @@ class SweepEngine:
             on_heartbeat(*event)
 
     def run(self, cells: Iterable[SweepCell]) -> List[CellResult]:
-        """Execute ``cells`` and return their results, input-ordered.
+        """Execute ``cells`` as one batch and return their results,
+        input-ordered.
 
         Raises:
-            SweepCellError: when a worker fails (or the pool breaks),
-                naming the affected cell.
+            SweepCellError: for the first failing cell in batch order
+                (or a broken pool), naming it, once every cell that
+                completed ahead of it is served.
         """
         start = perf_counter()
-        self._run_depth += 1
         try:
-            return self._run_batch(cells)
+            return self._run_batch(list(cells))
         finally:
-            self._run_depth -= 1
-            if self._run_depth == 0:
-                self.stats.wall_s += perf_counter() - start
-                for observer in self.observers:
-                    observer.on_batch_end()
+            self.stats.wall_s += perf_counter() - start
+            for observer in self.observers:
+                observer.on_batch_end()
 
     def _ordinal_for(self, pid: int) -> int:
         """The stable zero-based ordinal of process ``pid``, assigned in
@@ -1099,7 +1072,7 @@ class SweepEngine:
         return self._ordinals.setdefault(pid, len(self._ordinals))
 
     def _record_axes(self, cells: List[SweepCell]) -> None:
-        """Accumulate top-level grid axes for :meth:`fleet_record`."""
+        """Accumulate the batch's grid axes for :meth:`fleet_record`."""
         for cell in cells:
             self._axis_policies.add(cell.policy.label)
             self._axis_workloads.add(cell.workload.name)
@@ -1136,28 +1109,60 @@ class SweepEngine:
             ),
         )
 
-    def _run_batch(self, cells: Iterable[SweepCell]) -> List[CellResult]:
-        ordered = list(cells)
-        keys = [cache_key(cell) for cell in ordered]
+    def _run_batch(self, cells: List[SweepCell]) -> List[CellResult]:
+        keys = [cache_key(cell) for cell in cells]
+        self._record_axes(cells)
         results: Dict[str, CellResult] = {}
-        if self._run_depth == 1:
-            self._record_axes(ordered)
-        for observer in self.observers:
-            observer.on_batch_start(len(set(keys)))
+        hits: List[Tuple[str, SweepCell]] = []
 
-        pending: Dict[str, SweepCell] = {}
-        for key, cell in zip(keys, ordered):
-            if key in results or key in pending:
-                continue
-            hit = None
-            if self.cache is not None:
-                with self._stage(PHASE_CACHE):
-                    hit = self.cache.get(key)
-            if hit is None:
-                pending[key] = cell
-                continue
-            results[key] = hit
-            self.stats.cache_hits += 1
+        def misses(entries: Iterable[Tuple[str, SweepCell]]) -> Dict[str, SweepCell]:
+            """The cells the cache cannot serve, each key once; the
+            batch's results and hits take the rest."""
+            missed: Dict[str, SweepCell] = {}
+            for key, cell in entries:
+                if key in results or key in missed:
+                    continue
+                hit = None
+                if self.cache is not None:
+                    with self._stage(PHASE_CACHE):
+                        hit = self.cache.get(key)
+                if hit is None:
+                    missed[key] = cell
+                else:
+                    results[key] = hit
+                    hits.append((key, cell))
+            return missed
+
+        pending = misses(zip(keys, cells))
+        # A diagnosed cell's oracle searches the constant steps of its
+        # workload, machine, seed and kernel config; cells that share
+        # those share the search, which joins this batch undiagnosed.
+        searches: Dict[tuple, List[Tuple[str, SweepCell]]] = {}
+        oracle_keys: Dict[str, List[str]] = {}
+        for key, cell in pending.items() if self._diagnose else ():
+            coordinate = (
+                cell.workload, cell.machine, cell.seed, cell.kernel_config,
+                cell.backend,
+            )
+            if coordinate not in searches:
+                searches[coordinate] = [
+                    (cache_key(step), step)
+                    for step in constant_step_cells(
+                        cell.workload, machine=cell.machine, seed=cell.seed,
+                        kernel_config=cell.kernel_config, backend=cell.backend,
+                    )
+                ]
+            oracle_keys[key] = [step_key for step_key, _ in searches[coordinate]]
+        search = misses(
+            (step_key, step)
+            for steps in searches.values()
+            for step_key, step in steps
+            if step_key not in pending
+        )
+        for observer in self.observers:
+            observer.on_batch_start(len(results) + len(search) + len(pending))
+        self.stats.cache_hits += len(hits)
+        for key, cell in hits:
             if self.timeline is not None:
                 self.timeline.add_instant(
                     "cache hit",
@@ -1166,31 +1171,20 @@ class SweepEngine:
                     seed=cell.seed,
                 )
             for observer in self.observers:
-                observer.on_cache_hit(cell, key, hit)
-        if not pending:
+                observer.on_cache_hit(cell, key, results[key])
+
+        # The search runs ahead of the cells it serves.  Heartbeat ids:
+        # a cell's position in the batch.
+        queue = [(key, cell, False) for key, cell in search.items()]
+        queue += [(key, cell, self._diagnose) for key, cell in pending.items()]
+        if not queue:
             return [results[key] for key in keys]
-
-        # Diagnosis wants the oracle baseline per workload/machine/seed
-        # combination.  Those constant-step searches run through this very
-        # engine (parallelized and cached); _run_depth > 1 marks the
-        # nested batches so they are not themselves diagnosed.
-        diagnosing = self._diagnose and self._run_depth == 1
-        baselines: Dict[str, Optional[float]] = {}
-        if diagnosing:
-            with self._stage("baseline dedup", cells=len(pending)):
-                baselines = self._compute_baselines(pending)
-
-        # Heartbeat ids: a cell's position in the batch, unique among the
-        # cells in flight (nested batches finish before their parent's
-        # cells start).
-        todo = [
-            (cell_id, key, cell)
-            for cell_id, (key, cell) in enumerate(pending.items())
-        ]
-        outcomes = self._run_cells(todo, diagnosing, baselines)
-        with self._stage("merge results", cells=len(todo)):
-            for (_, key, cell), outcome in zip(todo, outcomes):
+        todo = [(cell_id, *entry) for cell_id, entry in enumerate(queue)]
+        outcomes, failure = self._run_cells(todo)
+        with self._stage("merge results", cells=len(outcomes)):
+            for (_, key, _, _), outcome in zip(todo, outcomes):
                 results[key] = outcome.result
+            for (_, key, cell, _), outcome in zip(todo, outcomes):
                 if self.cache is not None:
                     with self._stage(PHASE_CACHE):
                         self.cache.put(key, outcome.result)
@@ -1201,41 +1195,31 @@ class SweepEngine:
                         seed=cell.seed, machine=cell.machine.label,
                     )
                 if outcome.diagnosis is not None:
-                    self.diagnoses[key] = outcome.diagnosis
+                    outcome = self._close_diagnosis(
+                        key, outcome, [results.get(k) for k in oracle_keys[key]]
+                    )
                 for observer in self.observers:
                     observer.on_cell_done(cell, key, outcome, ordinal)
-        self.stats.executed += len(todo)
+        self.stats.executed += len(outcomes)
+        if failure is not None:
+            cell, exc = failure
+            raise SweepCellError(cell, exc) from exc
         return [results[key] for key in keys]
 
-    def _compute_baselines(
-        self, pending: Dict[str, SweepCell]
-    ) -> Dict[str, Optional[float]]:
-        """Exact oracle energies of ``pending`` cells, by cache key.
-
-        One search runs per unique baseline coordinate.  Infeasible
-        workloads (no constant step meets their deadlines) map to None;
-        the decomposition then reports against a zero baseline.  A
-        constant-step cell that fails raises :class:`SweepCellError`,
-        which fails the batch.
-        """
-        by_coordinate: Dict[str, Optional[float]] = {}
-        out: Dict[str, Optional[float]] = {}
-        for key, cell in pending.items():
-            coordinate = _baseline_key(cell)
-            if coordinate not in by_coordinate:
-                try:
-                    by_coordinate[coordinate] = find_ideal_constant(
-                        cell.workload,
-                        machine=cell.machine,
-                        seed=cell.seed,
-                        kernel_config=cell.kernel_config,
-                        engine=self,
-                        backend=cell.backend,
-                    ).exact_energy_j
-                except ValueError:
-                    by_coordinate[coordinate] = None
-            out[key] = by_coordinate[coordinate]
-        return out
+    def _close_diagnosis(
+        self, key: str, outcome: CellOutcome, search: List[Optional[CellResult]]
+    ) -> CellOutcome:
+        """``outcome`` with its diagnosis closed against the oracle its
+        constant-step ``search`` found, and collected; or with none, when
+        the batch failed before the search completed."""
+        diagnosis = None
+        if all(result is not None for result in search):
+            oracle = _cheapest_feasible(search)
+            diagnosis = outcome.diagnosis.against(
+                None if oracle is None else oracle.exact_energy_j
+            )
+            self.diagnoses[key] = diagnosis
+        return dataclasses.replace(outcome, diagnosis=diagnosis)
 
 
 @dataclass(frozen=True)
@@ -1267,18 +1251,16 @@ def repeat_workload(
     policy: PolicySpec,
     machine: MachineSpec = MachineSpec(),
     runs: int = 5,
-    base_seed: int = 0,
-    kernel_config: Optional[KernelConfig] = None,
     use_daq: bool = True,
     engine: Optional[SweepEngine] = None,
     backend: Optional[str] = None,
 ) -> RepeatedSummary:
     """Run the experiment ``runs`` times and report the 95 % energy CI.
 
-    Run ``i`` uses workload seed ``base_seed + 1000 * i`` (run-to-run
-    variation is the workloads' seeded jitter), and all runs are
-    submitted to ``engine`` as one batch (a fresh in-process engine when
-    None), so they parallelize and cache.
+    Run ``i`` uses workload seed ``1000 * i`` (run-to-run variation is
+    the workloads' seeded jitter), and all runs are submitted to
+    ``engine`` as one batch (a fresh in-process engine when None), so
+    they parallelize and cache.
 
     Raises:
         ValueError: for fewer than two runs.
@@ -1289,8 +1271,7 @@ def repeat_workload(
         SweepCell(
             workload=workload,
             policy=policy,
-            seed=base_seed + 1000 * i,
-            kernel_config=kernel_config,
+            seed=1000 * i,
             use_daq=use_daq,
             machine=machine,
             backend=backend,
@@ -1307,12 +1288,11 @@ def constant_step_cells(
     machine: MachineSpec = MachineSpec(),
     seed: int = 0,
     kernel_config: Optional[KernelConfig] = None,
-    recording: str = RECORDING_MINIMAL,
     backend: Optional[str] = None,
 ) -> List[SweepCell]:
     """One exact-energy cell per constant clock step of ``machine``.
 
-    These cells never touch the DAQ, so they default to minimal recording:
+    These cells never touch the DAQ, so they run with minimal recording:
     the streaming energy meter and quantum statistics carry everything a
     :class:`CellResult` needs, bitwise-equal to full recording but without
     building the power timeline and quantum log in the hot loop.
@@ -1325,18 +1305,30 @@ def constant_step_cells(
             kernel_config=kernel_config,
             use_daq=False,
             machine=machine,
-            recording=recording,
+            recording=RECORDING_MINIMAL,
             backend=backend,
         )
         for step in machine.clock_table()
     ]
 
 
+def _cheapest_feasible(results: Iterable[CellResult]) -> Optional[CellResult]:
+    """The oracle among constant-step results: the cheapest run that
+    meets every deadline (the first strictly-cheaper one in table
+    order), or None when every run misses."""
+    best: Optional[CellResult] = None
+    for result in results:
+        if result.missed:
+            continue
+        if best is None or result.exact_energy_j < best.exact_energy_j:
+            best = result
+    return best
+
+
 def find_ideal_constant(
     workload: WorkloadSpec,
     machine: MachineSpec = MachineSpec(),
     seed: int = 0,
-    kernel_config: Optional[KernelConfig] = None,
     engine: Optional[SweepEngine] = None,
     backend: Optional[str] = None,
 ) -> CellResult:
@@ -1348,25 +1340,14 @@ def find_ideal_constant(
     with deadline misses, return the cheapest survivor's summary (the
     first strictly-cheaper one in table order).  All constant-step runs
     are submitted to ``engine`` as one batch, so they parallelize and
-    cache.
+    cache.  A diagnosing engine closes its diagnoses against the same
+    oracle.
 
     Raises:
         ValueError: if no constant step meets the workload's deadlines.
     """
-    cells = constant_step_cells(
-        workload,
-        machine=machine,
-        seed=seed,
-        kernel_config=kernel_config,
-        backend=backend,
-    )
-    results = (engine or SweepEngine()).run(cells)
-    best: Optional[CellResult] = None
-    for result in results:
-        if result.missed:
-            continue
-        if best is None or result.exact_energy_j < best.exact_energy_j:
-            best = result
+    cells = constant_step_cells(workload, machine=machine, seed=seed, backend=backend)
+    best = _cheapest_feasible((engine or SweepEngine()).run(cells))
     if best is None:
         raise ValueError(f"no constant step meets {workload.name}'s deadlines")
     return best

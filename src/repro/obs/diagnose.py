@@ -31,7 +31,7 @@ pool transport) and round-trips through JSON (for diagnosis logs).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import (
     TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union,
@@ -428,6 +428,23 @@ class EnergyDecomposition:
         """The reconstruction ``baseline + overshoot + stall + sag``."""
         return self.baseline_j + self.overshoot_j + self.stall_j + self.sag_j
 
+    def against(self, baseline_j: Optional[float]) -> "EnergyDecomposition":
+        """The same split against the oracle energy ``baseline_j``: the
+        exact energy of the ideal feasible constant step (see
+        :func:`repro.measure.parallel.find_ideal_constant`), or None when
+        no constant step meets the deadlines (the oracle term is then 0).
+        """
+        feasible = baseline_j is not None
+        base = baseline_j if feasible else 0.0
+        # The residual closes the identity exactly: whatever the windows
+        # did not claim is schedule overshoot relative to the oracle.
+        return replace(
+            self,
+            baseline_j=base,
+            baseline_feasible=feasible,
+            overshoot_j=self.measured_j - base - self.stall_j - self.sag_j,
+        )
+
 
 def _window_energy_j(
     segments: Sequence[Tuple[float, float, float]],
@@ -500,44 +517,33 @@ def _sag_windows(
     return windows
 
 
-def energy_decomposition(
-    run: KernelRun,
-    machine: Machine,
-    baseline_j: Optional[float],
-) -> EnergyDecomposition:
-    """Decompose a run's measured energy against the oracle baseline.
+def energy_decomposition(run: KernelRun, machine: Machine) -> EnergyDecomposition:
+    """Decompose a run's measured energy, against no oracle until the
+    caller closes it with :meth:`EnergyDecomposition.against`.
 
     Args:
         run: a full-recording kernel run (needs the power timeline).
         machine: the machine the run executed on (for the power model the
             sag counterfactual replays).
-        baseline_j: exact energy of the ideal feasible constant step, or
-            None when no constant step meets the deadlines.
 
     Raises:
         ValueError: if the run has no power timeline.
     """
     if len(run.timeline) == 0:
         raise ValueError("energy decomposition needs a full-recording run")
-    measured = run.energy_joules()
     segments = list(run.timeline)
     stall = _window_energy_j(
         segments, [(s, e, _all_drawn) for s, e in run.stall_windows()]
     )
     sag = _window_energy_j(segments, _sag_windows(run, machine))
-    feasible = baseline_j is not None
-    base = baseline_j if feasible else 0.0
-    # The residual closes the identity exactly: whatever the windows did
-    # not claim is schedule overshoot relative to the oracle.
-    overshoot = measured - base - stall - sag
     return EnergyDecomposition(
-        measured_j=measured,
-        baseline_j=base,
-        baseline_feasible=feasible,
-        overshoot_j=overshoot,
+        measured_j=run.energy_joules(),
+        baseline_j=0.0,
+        baseline_feasible=False,
+        overshoot_j=0.0,
         stall_j=stall,
         sag_j=sag,
-    )
+    ).against(None)
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +627,11 @@ class PolicyDiagnosis:
         data["energy"] = EnergyDecomposition(**data["energy"])
         return cls(**data)
 
+    def against(self, baseline_j: Optional[float]) -> "PolicyDiagnosis":
+        """This diagnosis with its energy split closed against the oracle
+        energy ``baseline_j`` (see :meth:`EnergyDecomposition.against`)."""
+        return replace(self, energy=self.energy.against(baseline_j))
+
 
 def diagnose(
     result: ExperimentResult,
@@ -629,9 +640,9 @@ def diagnose(
     machine: Union[Machine, "object", None] = None,
     machine_label: str = "",
     seed: int = 0,
-    baseline_j: Optional[float] = None,
 ) -> PolicyDiagnosis:
-    """Diagnose one finished experiment.
+    """Diagnose one finished experiment, its energy split against no
+    oracle until the caller closes it with :meth:`PolicyDiagnosis.against`.
 
     Args:
         result: a full-recording experiment result.
@@ -642,9 +653,6 @@ def diagnose(
         machine_label: label for the diagnosis record (defaults to the
             spec's label when ``machine`` has one).
         seed: the run's workload seed (for labelling).
-        baseline_j: exact energy of the ideal feasible constant step (see
-            :func:`repro.measure.parallel.find_ideal_constant`), or None
-            when no constant step is feasible.
 
     Raises:
         ValueError: if the result was recorded without the full recorder
@@ -676,7 +684,7 @@ def diagnose(
                 max_step_index=machine.clock_table.max_index,
             )
         ),
-        energy=energy_decomposition(run, machine, baseline_j),
+        energy=energy_decomposition(run, machine),
     )
 
 

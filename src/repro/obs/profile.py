@@ -10,7 +10,7 @@ on the system-wide ``perf_counter`` timebase, from two sources:
 
 - **engine-side stages** the engine stamps around its own work
   (spin-up, submission, cache get/put, result IPC, and the trace-only
-  ``baseline dedup`` and ``merge results``), and
+  ``merge results``), and
 - **worker-side stamps** every executed cell returns with its result:
   the kernel-compute interval, the diagnosis interval, the
   observer-reduction interval (the cell's result reduction,
@@ -329,9 +329,10 @@ class SweepObserver:
     Every hook is a no-op here, so an observer overrides only what it
     watches.  Observers watch, never steer: the engine computes the same
     results with or without them.  A *batch* is one ``SweepEngine.run``
-    call; a diagnosing engine's oracle-baseline batches nest inside its
-    top-level batch.  The engine calls its observers from one thread at
-    a time.
+    call, a diagnosing engine's oracle-search cells included: it starts
+    once, serves each of its unique cells once (from the cache or
+    executed) and ends once, a failed batch included.  The engine calls
+    its observers from one thread at a time.
     """
 
     #: Set by an observer that shows cells in flight: the engine then
@@ -343,7 +344,7 @@ class SweepObserver:
     on_heartbeat: Optional[Callable[[bool, int, int, float, str], None]] = None
 
     def on_batch_start(self, cells: int) -> None:
-        """A batch of ``cells`` unique cells begins (nested ones too)."""
+        """A batch of ``cells`` unique cells begins."""
 
     def on_cache_hit(self, cell: SweepCell, key: str, result: CellResult) -> None:
         """``cell`` (cache key ``key``) was answered from the cache."""
@@ -355,7 +356,7 @@ class SweepObserver:
         of the process that ran it, the engine's own process included."""
 
     def on_batch_end(self) -> None:
-        """The top-level batch is served (or failed)."""
+        """The batch is served (or failed)."""
 
     def close(self) -> None:
         """Release what the observer holds; the engine's ``close`` calls

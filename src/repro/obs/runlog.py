@@ -9,9 +9,11 @@ finished sweep can be reconstructed, diffed, or re-keyed after the fact
 without rerunning anything.
 
 Records are flushed line-by-line, so a log is readable (and every
-completed cell is preserved) even if the sweep crashes mid-grid.  The
-format is append-only JSONL: one self-describing object per line, no
-header, safe to concatenate across sweeps sharing a log file.
+completed cell is preserved) even if the sweep crashes mid-grid; a sweep
+that fails on a cell logs every cell that completed ahead of it in batch
+order, the same at every ``--jobs``.  The format is append-only JSONL:
+one self-describing object per line, no header, safe to concatenate
+across sweeps sharing a log file.
 :class:`JsonlLog` and :func:`read_jsonl` are the one writer and the one
 tolerant reader of every sweep log: this run-log, the diagnosis log
 (:class:`DiagnosisWriter`, read by :mod:`repro.obs.diagnose`) and the

@@ -50,9 +50,10 @@ def jvm_poller_body(cfg: JavaConfig, seed: int):
         rng = random.Random(seed ^ 0x3A7A)
         end = ctx.now_us + cfg.duration_s * 1e6
         poll_work = JAVA_PROFILE.work_for_duration(cfg.poll_cost_us_at_206, FULL_SPEED)
+        poll_sleep = Sleep(cfg.poll_period_us)
         while ctx.now_us < end:
             yield Compute(poll_work.scaled(jitter_factor(rng, 0.05)))
-            yield Sleep(cfg.poll_period_us)
+            yield poll_sleep
 
     return body
 

@@ -158,7 +158,6 @@ def observed_run(workload, policy, spec, backend, duration_s):
         workload=workload,
         machine=spec,
         machine_label=spec.label,
-        baseline_j=None,
     )
     return result, chrome_trace(result.run), diagnosis
 

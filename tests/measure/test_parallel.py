@@ -268,7 +268,10 @@ class TestSweepCellError:
     ):
         # The same SweepCellError at every jobs, and leaving the engine's
         # with block closes its logs with every line served before the
-        # failure intact.  const-132.7 is not an sa2 clock step.
+        # failure intact.  const-132.7 is not an sa2 clock step.  The
+        # cells ahead of it in batch order (both seeds' oracle searches,
+        # then good[0]) are served before the error: good[0] is
+        # diagnosed again.
         from repro.obs.diagnose import read_diagnoses
         from repro.obs.runlog import (
             DiagnosisWriter, RunLogWriter, read_run_log,
@@ -296,8 +299,9 @@ class TestSweepCellError:
         assert logged.warnings == ()
         assert logged[: len(served)] == served
         assert "const-132.7" not in {r["policy"] for r in logged}
-        assert read_diagnoses(diagnoses.path) == first
+        assert read_diagnoses(diagnoses.path) == [*first, first[0]]
         assert [d.policy for d in first] == ["best", "best"]
+        assert (logged[-1]["policy"], logged[-1]["seed"]) == ("best", 0)
 
 
 class TestSweepObservability:

@@ -57,8 +57,8 @@ def diagnosis_for(policy: str, workload: str, duration_s: float, seed: int = 0):
     except ValueError:
         baseline = None
     return diagnose(
-        result, policy=policy, workload=workload, seed=seed, baseline_j=baseline
-    )
+        result, policy=policy, workload=workload, seed=seed
+    ).against(baseline)
 
 
 class TestImportOrder:
@@ -204,8 +204,8 @@ class TestEnergyDecomposition:
                 workload_spec("mpeg", 10.0), seed=0
             ).exact_energy_j
             decomposition = energy_decomposition(
-                result.run, MachineSpec().build(), baseline
-            )
+                result.run, MachineSpec().build()
+            ).against(baseline)
             assert (
                 abs(decomposition.components_sum_j() - decomposition.measured_j)
                 <= ENERGY_SUM_TOLERANCE_J
@@ -218,20 +218,18 @@ class TestEnergyDecomposition:
             workload_spec("mpeg", 10.0), seed=0
         ).exact_energy_j
         flat = energy_decomposition(
-            run("best", "mpeg", 10.0).run, MachineSpec().build(), baseline
-        )
+            run("best", "mpeg", 10.0).run, MachineSpec().build()
+        ).against(baseline)
         scaled = energy_decomposition(
-            run("best-voltage", "mpeg", 10.0).run, MachineSpec().build(), baseline
-        )
+            run("best-voltage", "mpeg", 10.0).run, MachineSpec().build()
+        ).against(baseline)
         assert flat.sag_j == 0.0
         assert scaled.sag_j > 0.0
 
     def test_stall_component_positive_when_clock_changes(self):
         result = run("avg3-one", "mpeg", 10.0)
         assert result.run.clock_changes > 0
-        decomposition = energy_decomposition(
-            result.run, MachineSpec().build(), None
-        )
+        decomposition = energy_decomposition(result.run, MachineSpec().build())
         assert decomposition.stall_j > 0.0
         assert not decomposition.baseline_feasible
         assert decomposition.baseline_j == 0.0
@@ -244,7 +242,7 @@ class TestEnergyDecomposition:
             recording="minimal",
         )
         with pytest.raises(ValueError, match="full-recording"):
-            energy_decomposition(result.run, MachineSpec().build(), None)
+            energy_decomposition(result.run, MachineSpec().build())
 
 
 class TestDiagnose:

@@ -48,9 +48,7 @@ def real_diagnosis(
         resolve_policy(policy),
         use_daq=False,
     )
-    return diagnose(
-        result, policy=policy, workload=workload, baseline_j=baseline_j
-    )
+    return diagnose(result, policy=policy, workload=workload).against(baseline_j)
 
 
 class TestBuildReport:

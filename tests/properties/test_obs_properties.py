@@ -84,8 +84,8 @@ class TestEnergyDecompositionProperties:
             use_daq=False,
         )
         decomposition = energy_decomposition(
-            result.run, MachineSpec().build(), baseline_j
-        )
+            result.run, MachineSpec().build()
+        ).against(baseline_j)
         assert (
             abs(decomposition.components_sum_j() - decomposition.measured_j)
             <= ENERGY_SUM_TOLERANCE_J

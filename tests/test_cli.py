@@ -485,6 +485,30 @@ class TestSweepOptions:
         )
         assert not Path(".repro").exists()
 
+    def test_failed_sweep_keeps_the_cells_ahead_of_the_failure(
+        self, capsys, tmp_path
+    ):
+        # 1.23 V is not a stock Itsy voltage, so Table 2's fifth cell
+        # (const-132.7@1.23, seed 0) fails; the four ahead of it are
+        # cached and run-logged, and at every --jobs the same four.
+        from repro.obs.runlog import read_run_log
+
+        run_ids = []
+        for jobs in ("1", "2"):
+            cache, log = tmp_path / f"cache-{jobs}", tmp_path / f"runs-{jobs}.jsonl"
+            assert main(["table2", "--runs", "2", "--machine", "itsy-stock",
+                         "--cache", str(cache), "--run-log", str(log),
+                         "--jobs", jobs]) == 2
+            assert "policy=const-132.7@1.23" in capsys.readouterr().err
+            assert len(list(cache.glob("*.json"))) == 4
+            records = read_run_log(log)
+            assert [(r["policy"], r["seed"]) for r in records] == [
+                ("const-206.4", 0), ("const-206.4", 1000),
+                ("const-132.7", 0), ("const-132.7", 1000),
+            ]
+            run_ids.append([r["run_id"] for r in records])
+        assert run_ids[0] == run_ids[1]
+
     def test_battery_rejects_sweep_flags(self, capsys):
         # battery is analytic: it runs no sweep, so it takes no sweep flags.
         with pytest.raises(SystemExit) as exc:
@@ -1107,8 +1131,7 @@ class TestDiagnoseCommand:
             policy="avg3-one",
             workload="mpeg",
             machine=machine,
-            baseline_j=find_ideal_constant(spec, machine=machine).exact_energy_j,
-        )
+        ).against(find_ideal_constant(spec, machine=machine).exact_energy_j)
         assert out.read_text() == json.dumps(expected.to_json(), sort_keys=True) + "\n"
 
     def test_unknown_policy_simulates_nothing(self, capsys, monkeypatch):
@@ -1222,6 +1245,57 @@ class TestDiagnosesSweepFlag:
         [diagnosis] = read_diagnoses(diag)
         assert diagnosis.policy == "best"
         assert diagnosis.energy.baseline_feasible
+
+    def test_diagnosed_fig9_simulates_each_step_once(self, capsys, tmp_path):
+        # fig9's cells are the constant steps its oracle search runs: one
+        # simulation, one run-log line and one diagnosis per step.
+        from repro.obs.diagnose import read_diagnoses
+        from repro.obs.runlog import read_run_log
+
+        diag, log = tmp_path / "diag.jsonl", tmp_path / "runs.jsonl"
+        assert main(["fig9", "--duration", "1", "--diagnoses", str(diag),
+                     "--run-log", str(log)]) == 0
+        assert capsys.readouterr().err.startswith("sweep: 11 simulated, 0 cached")
+        records = read_run_log(log)
+        assert len(records) == len({r["run_id"] for r in records}) == 11
+        assert len(read_diagnoses(diag)) == 11
+
+    def test_diagnosed_constant_run_is_one_of_its_search_steps(
+        self, capsys, tmp_path
+    ):
+        diag = tmp_path / "diag.jsonl"
+        assert main(["run", "mpeg", "--policy", "const-132.7", "--duration",
+                     "1", "--no-daq", "--diagnoses", str(diag)]) == 0
+        assert capsys.readouterr().err.startswith("sweep: 11 simulated, 0 cached")
+
+    def test_diagnosed_sweep_is_one_batch(self, capsys, tmp_path, monkeypatch):
+        # The oracle searches join the sweep's one batch: the engine is
+        # entered once, and each observer sees one batch start and end.
+        from repro.measure.parallel import SweepEngine
+        from repro.obs.profile import SweepObserver
+        from repro.obs.runlog import DiagnosisWriter, RunLogWriter
+
+        runs, hooks = [], []
+        run = SweepEngine.run
+
+        def counted_run(self, cells):
+            runs.append(self)
+            return run(self, cells)
+
+        monkeypatch.setattr(SweepEngine, "run", counted_run)
+        for hook in ("on_batch_start", "on_batch_end"):
+            def counted(self, *args, hook=hook):
+                hooks.append((type(self), hook))
+
+            monkeypatch.setattr(SweepObserver, hook, counted)
+        assert main(["table2", "--runs", "2", "--diagnoses",
+                     str(tmp_path / "diag.jsonl"), "--run-log",
+                     str(tmp_path / "runs.jsonl")]) == 0
+        assert len(runs) == 1
+        assert sorted(hooks, key=str) == sorted(
+            [(observer, hook) for observer in (DiagnosisWriter, RunLogWriter)
+             for hook in ("on_batch_start", "on_batch_end")], key=str,
+        )
 
 
 class TestFuzzCommand:

@@ -241,13 +241,13 @@ def test_cell_path_import_leaves_nothing_for_the_cells():
         "for policy in ('const-206.4', 'best'):\n"
         "    cell = SweepCell(workload=WorkloadSpec('mpeg'),\n"
         "                     policy=PolicySpec(policy), seed=0)\n"
-        "    _execute_cell(cell, False, None)\n"
+        "    _execute_cell(cell, False)\n"
         "grid = SweepCell(\n"
         "    workload=WorkloadSpec('web', WebConfig(duration_s=20.0)),\n"
         "    policy=PolicySpec('avg3-one'), seed=0,\n"
         "    machine=MachineSpec.parse('sa2'),\n"
         ")\n"
-        "assert _execute_cell(grid, True, 1.0).diagnosis is not None\n"
+        "assert _execute_cell(grid, True).diagnosis is not None\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     assert proc.returncode == 0, proc.stderr
