@@ -1,6 +1,6 @@
 """End-to-end sweep throughput: the Table 2 grid, legacy vs fast path.
 
-The sweep engine's throughput work — chunked cell submission, a warm
+The sweep engine's throughput work — one pool task per cell, a warm
 reused worker pool, compact result transport — and the fast-path
 simulation core together target one number: cells per second on the
 paper's own experiment grid, with the result cache off.  This benchmark
@@ -9,9 +9,10 @@ seeds of the 60 s MPEG workload, measured through the DAQ):
 
 - **legacy**: the pre-optimization execution shape — a spawn-per-batch
   pool (a fresh engine per round, its pool shut down inside the timed
-  interval) and the reference kernel with full recorders; its chunks are
-  auto-sized like the new side's, so the gap is pool reuse and the kernel;
-- **new**: the engine defaults — warm reused pool, auto-sized chunks —
+  interval) and the reference kernel with full recorders; its cells are
+  dispatched one task each like the new side's, so the gap is pool reuse
+  and the kernel;
+- **new**: the engine defaults — warm reused pool, one task per cell —
   with every cell on the fast-path backend (the default).
 
 Both sides run the identical grid and must return bitwise-identical
@@ -118,7 +119,7 @@ def test_sweep_throughput(benchmark):
         [
             ["legacy (spawn-per-batch, reference kernel)",
              f"{legacy_best:.3f}", f"{n_cells / legacy_best:.2f}"],
-            ["new (warm pool, chunked, fastpath)",
+            ["new (warm pool, per-cell tasks, fastpath)",
              f"{new_best:.3f}", f"{n_cells / new_best:.2f}"],
         ],
     )

@@ -241,12 +241,18 @@ def cmd_run(args, engine: SweepEngine) -> int:
     mspec = MachineSpec.parse(args.machine)
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
+    policy = PolicySpec(name=args.policy)
+    if engine.diagnosing:
+        # Reject a bad name before the oracle search simulates; a plain
+        # run's one cell fails on it first, and a cache hit loads no
+        # policy code.
+        policy.build_factory(mspec.clock_table())
     print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
     print(f"policy          : {args.policy}")
     print(f"machine         : {args.machine}")
     cell = SweepCell(
         workload=spec,
-        policy=PolicySpec(name=args.policy),
+        policy=policy,
         seed=args.seed,
         use_daq=not args.no_daq,
         machine=mspec,

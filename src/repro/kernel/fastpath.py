@@ -9,9 +9,8 @@ results while eliminating the reference loop's per-quantum overheads:
   costs a function call and a few float compares instead of a
   :class:`~repro.traces.schema.PowerTimeline` method call;
 - per-quantum state is buffered as plain tuples in a preallocated list,
-  and the quantum aggregates are accumulated inline;
-  :class:`~repro.traces.schema.QuantumRecord` objects are materialized
-  only when ``run.quanta`` is first read;
+  which the run keeps as its quantum log, and the quantum aggregates are
+  accumulated inline;
 - process slices run against cached generator/step state (``next(gen)``,
   local memory-timing cycle counts, precomputed active/nap watts) instead
   of attribute lookups through ``Process`` / ``CpuModel`` /
@@ -39,7 +38,7 @@ duplicated.
 from __future__ import annotations
 
 import gc
-from typing import List, Optional
+from typing import List
 
 from repro.hw.power import CoreState
 from repro.kernel.governor import TickInfo
@@ -52,49 +51,14 @@ from repro.kernel.process import (
     SpinUntil,
     Yield,
 )
-from repro.kernel.recorders import (
-    RECORDING_FULL,
-    EnergyTotals,
-    QuantumStats,
-    quantum_records,
-)
+from repro.kernel.recorders import RECORDING_FULL, EnergyTotals, QuantumStats
 from repro.kernel.scheduler import (
     _EPS,
     _MAX_ZERO_PROGRESS_ACTIONS,
     Kernel,
     KernelRun,
 )
-from repro.traces.schema import PowerTimeline, QuantumRecord
-
-
-class FastRun(KernelRun):
-    """A :class:`KernelRun` whose quantum log materializes on demand.
-
-    The fast core buffers quanta as plain tuples; energy-only consumers
-    (sweep cells, benchmarks) never read ``run.quanta``, so the
-    :class:`~repro.traces.schema.QuantumRecord` objects are built lazily
-    on first access instead of unconditionally at run end.  Aggregate
-    consumers (``CellResult.from_experiment``, ``mean_utilization``) read
-    the :class:`~repro.kernel.recorders.QuantumStats` every run carries,
-    so summarizing a run never forces the record objects into existence
-    at all.
-    """
-
-    _rows: Optional[List[tuple]] = None
-    _quantum_us: float = 0.0
-
-    @property
-    def quanta(self) -> List[QuantumRecord]:
-        rows = self._rows
-        if rows is not None:
-            self._quanta = quantum_records(rows, self._quantum_us)
-            self._rows = None
-        return self._quanta
-
-    @quanta.setter
-    def quanta(self, value: List[QuantumRecord]) -> None:
-        self._quanta = value
-        self._rows = None
+from repro.traces.schema import PowerTimeline
 
 
 class FastKernel(Kernel):
@@ -644,14 +608,12 @@ class FastKernel(Kernel):
             final_volts=last[5] if last else 0.0,
         )
 
-        run = self._materialize_run(FastRun, end_us)
+        run = self._materialize_run(end_us, rows)
         run.quantum_stats = stats
         if self.recording == RECORDING_FULL:
             timeline = PowerTimeline()
             timeline._segments = segs
             run.timeline = timeline
-            run._rows = rows
-            run._quantum_us = q
         else:
             # PowerTimeline.energy_joules: same per-segment w*dt summation
             energy = 0.0

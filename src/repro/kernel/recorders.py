@@ -8,7 +8,8 @@ records — and build the :class:`~repro.kernel.scheduler.KernelRun` for
 their recording mode at run end:
 
 - ``"full"`` keeps the complete record: the power timeline, the quantum
-  log, the transition history, and (when configured) the scheduler log;
+  log (the quantum rows themselves; ``run.quanta`` is a view of them),
+  the transition history, and (when configured) the scheduler log;
 - ``"minimal"`` keeps just enough for an energy-only sweep cell: the
   run's :class:`EnergyTotals`.
 
@@ -83,7 +84,7 @@ def quantum_records(rows: List[tuple], quantum_us: float) -> List[QuantumRecord]
     from repro.traces.schema import QuantumRecord
 
     # QuantumRecord is frozen and checks nothing: fill each record's dict
-    # directly (a diagnosed 20 s cell reads 2000 of them).
+    # directly (a 20 s run's log is 2000 of them).
     new = QuantumRecord.__new__
     records = []
     for (t, b, _u, si, m, v) in rows:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.hw.machine import Machine
@@ -56,7 +57,6 @@ from repro.kernel.recorders import (
     EnergyTotals,
     QuantumStats,
     check_recording,
-    quantum_records,
     stats_from_rows,
 )
 from repro.traces.schema import (
@@ -79,7 +79,7 @@ class KernelRun:
     """Everything recorded during one simulated run.
 
     Which fields are populated depends on the recording mode the kernel
-    ran with: under full recording ``quanta``, ``timeline`` and
+    ran with: under full recording ``quantum_rows``, ``timeline`` and
     ``freq_changes``/``volt_changes`` hold the complete record; under
     minimal recording those stay empty and ``energy`` is set instead.
     Both kernels set ``quantum_stats`` in either mode, and keep
@@ -88,7 +88,11 @@ class KernelRun:
     """
 
     duration_us: float
-    quanta: List[QuantumRecord] = field(default_factory=list)
+    #: the length of every quantum in the log (``KernelConfig.quantum_us``).
+    quantum_us: float
+    #: the quantum log as ``(end_us, busy_us, utilization, step_index,
+    #: mhz, volts)`` rows, one per quantum; see :attr:`quanta`.
+    quantum_rows: List[tuple] = field(default_factory=list)
     timeline: PowerTimeline = field(default_factory=PowerTimeline)
     freq_changes: List[FreqChange] = field(default_factory=list)
     volt_changes: List[VoltChange] = field(default_factory=list)
@@ -108,6 +112,14 @@ class KernelRun:
     energy: Optional[EnergyTotals] = None
 
     # -- derived views -------------------------------------------------------------
+
+    @cached_property
+    def quanta(self) -> List[QuantumRecord]:
+        """The quantum log as records, built from :attr:`quantum_rows` on
+        first read."""
+        from repro.kernel.recorders import quantum_records
+
+        return quantum_records(self.quantum_rows, self.quantum_us)
 
     @property
     def sched_log(self) -> List[SchedDecision]:
@@ -134,11 +146,11 @@ class KernelRun:
 
     def utilizations(self) -> List[float]:
         """Per-quantum utilization series (Figure 3's raw data)."""
-        return [q.utilization for q in self.quanta]
+        return [row[2] for row in self.quantum_rows]
 
     def mhz_series(self) -> List[float]:
         """Per-quantum clock frequency series (Figure 8's raw data)."""
-        return [q.mhz for q in self.quanta]
+        return [row[4] for row in self.quantum_rows]
 
     def mean_utilization(self) -> float:
         """Average utilization over the run."""
@@ -320,17 +332,18 @@ class Kernel:
             n_quanta += 1
         return n_quanta, n_quanta * q
 
-    def _materialize_run(self, run_cls: type, end_us: float) -> KernelRun:
+    def _materialize_run(self, end_us: float, quantum_rows: List[tuple]) -> KernelRun:
         """Build the run record's backend-independent part: the event
         stream, per-pid busy accounting, process names, the DVFS engine's
         transition counters, the configured scheduler log and, under full
-        recording, the transition history.  Backends add their recording
-        products: the quantum statistics, and the timeline and quantum
-        log or the energy totals.
+        recording, the transition history and the quantum log
+        (``quantum_rows``).  Backends add their recording products: the
+        quantum statistics, and the timeline or the energy totals.
         """
         counters = self.machine.cpu.counters
-        run = run_cls(
+        run = KernelRun(
             duration_us=end_us,
+            quantum_us=self.config.quantum_us,
             events=[e for p in self._procs.values() for e in p.context.events],
             busy_us_by_pid=dict(self._busy_by_pid),
             process_names={p.pid: p.name for p in self._procs.values()},
@@ -341,6 +354,7 @@ class Kernel:
             sched_rows=self._sched_rows or [],
         )
         if self.recording == RECORDING_FULL:
+            run.quantum_rows = quantum_rows
             run.freq_changes = self._freq_changes
             run.volt_changes = self._volt_changes
         return run
@@ -392,13 +406,12 @@ class Kernel:
                 self._service_tick(next_tick, final=next_tick >= end_us - _EPS)
                 next_tick += q
 
-        run = self._materialize_run(KernelRun, end_us)
         rows = self._quantum_rows
+        run = self._materialize_run(end_us, rows)
         timeline = self._timeline
         run.quantum_stats = stats_from_rows(rows)
         if self.recording == RECORDING_FULL:
             run.timeline = timeline
-            run.quanta = quantum_records(rows, q)
         else:
             run.energy = EnergyTotals(
                 energy_j=timeline.energy_joules(),

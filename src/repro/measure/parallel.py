@@ -19,20 +19,21 @@ way to run cells, and it makes large grids cheap:
   paper's repeated runs and its ideal-constant oracle through an engine.
 
 Throughput plumbing keeps grid wall-time dominated by simulation rather
-than dispatch: cells ship to workers in contiguous *chunks* (one pool task
-per chunk amortizes pickling and future bookkeeping), the pool is *warm*
-(spawned once per engine, workers preimport the simulator via an
-initializer — under ``fork`` the parent imports it once just before the
-pool starts, and the workers inherit it — and the pool is reused across
-batches until :meth:`close`), and :class:`CellResult` pickles as a
-compact field tuple.  A batch served wholly from the cache, or run
+than dispatch: each cell is one pool task, so a worker that finishes
+takes the next cell of the batch however unevenly the cells cost (a
+diagnosed cell costs about four of its oracle search's cells), the pool
+is *warm* (spawned once per engine, workers preimport the simulator via
+an initializer — under ``fork`` the parent imports it once just before
+the pool starts, and the workers inherit it — and the pool is reused
+across batches until :meth:`close`), and :class:`CellResult` pickles as
+a compact field tuple.  A batch served wholly from the cache, or run
 in-process, starts no pool; one served wholly from the cache also loads
 no simulator (no kernel, power timeline or machine model), which loads
-only where a cell runs.  None of it is observable in the numbers: chunks
-preserve submission order, and every cell, in-process or pooled, runs
-through the one per-cell loop, which returns a :class:`CellOutcome` per
-cell and ends at the first cell that fails; the engine raises that
-failure as a :class:`SweepCellError`.
+only where a cell runs.  None of it is observable in the numbers: tasks
+are submitted and read back in batch order, and every cell, in-process
+or pooled, runs through the one per-cell entry point, which returns the
+cell's :class:`CellOutcome` or the exception it raised; the engine
+raises the first failure in batch order as a :class:`SweepCellError`.
 
 The engine is *provably* deterministic: a pool worker runs the very same
 :func:`repro.measure.runner.run_workload` the in-process path runs, with
@@ -587,8 +588,9 @@ def _execute_cell(cell: SweepCell, diagnose: bool) -> CellOutcome:
     )
 
 
-#: Worker-global heartbeat channel, installed by :func:`_warm_worker`.
-#: None in workers whose engine has no observer watching cells in flight.
+#: Worker-global write end of the engine's heartbeat pipe, installed by
+#: :func:`_warm_worker`.  None in workers whose engine has no observer
+#: watching cells in flight.
 _HEARTBEATS: Optional[object] = None
 
 #: This worker's start-up interval, stamped by :func:`_warm_worker` and
@@ -626,7 +628,7 @@ def _warm_worker(
     """Pool initializer: import the simulator once per worker process.
 
     Every worker imports the cell path (:func:`_import_cell_path`)
-    before its first chunk.  Under ``fork`` the parent has imported it
+    before its first cell.  Under ``fork`` the parent has imported it
     just before the pool started, so the worker finds it inherited;
     under ``forkserver`` and ``spawn`` each worker imports it itself, in
     parallel with its siblings.  The worker's start-up is stamped as
@@ -635,9 +637,10 @@ def _warm_worker(
     system-wide clock on Linux), so interpreter start and unpickling
     count too.
 
-    ``heartbeats`` is the engine's heartbeat channel (or None): pool
-    initargs travel through ``Process`` arguments, which is exactly the
-    channel a ``multiprocessing.SimpleQueue`` is allowed to cross.
+    ``heartbeats`` is the write end of the engine's heartbeat pipe (or
+    None): pool initargs travel through ``Process`` arguments, which is
+    exactly the channel a ``multiprocessing`` connection is allowed to
+    cross under every start method.
     """
     global _HEARTBEATS, _WORKER_START
     _HEARTBEATS = heartbeats
@@ -673,48 +676,44 @@ Heartbeat = Tuple[bool, int, int, float, str]
 
 
 def _heartbeat(event: Heartbeat) -> None:
-    """Put a pool worker's heartbeat on the engine's channel, if any.
+    """Send a pool worker's heartbeat down the engine's pipe, if any.
 
-    ``SimpleQueue.put`` writes to the pipe before it returns, so a
-    chunk's heartbeats are all in the pipe before its result leaves the
-    worker.
+    ``Connection.send`` writes the heartbeat before it returns, so a
+    cell's heartbeats are all in the pipe before its outcome leaves the
+    worker.  A heartbeat is one write shorter than ``PIPE_BUF``, which
+    POSIX makes atomic, so the workers share the pipe without a lock: a
+    worker killed mid-write leaves neither half a heartbeat nor a held
+    lock that would stall every later one.
     """
     if _HEARTBEATS is not None:
-        _HEARTBEATS.put(event)
+        _HEARTBEATS.send(event)
 
 
-def _execute_chunk(
-    cells: Sequence[SweepCell],
-    diagnose: Sequence[bool],
-    cell_ids: Sequence[int],
+def _execute_task(
+    cell: SweepCell,
+    diagnose: bool,
+    cell_id: int,
     beat: Callable[[Heartbeat], None] = _heartbeat,
-) -> List[Union[CellOutcome, Exception]]:
-    """Run a contiguous chunk of cells: the one per-cell loop.
+) -> Union[CellOutcome, Exception]:
+    """Run one cell of a batch: the one per-cell entry point.
 
-    A pool task runs one chunk — one submission per chunk (instead of
-    per cell) amortizes argument pickling, future bookkeeping and result
-    IPC across the chunk — and an in-process batch runs as one chunk.
-    ``diagnose`` says, per cell, whether to diagnose it.  The loop stops
-    at the chunk's first failing cell, which contributes its exception
+    A pool task runs one cell, and an in-process batch runs its cells
+    through it one after another.  A failing cell returns its exception
     in place of its outcome, so the failure is attributed to the *cell*
-    that raised it, not to an opaque chunk; the engine re-raises it as a
-    :class:`SweepCellError` with the original exception as
-    ``__cause__``.  Each cell is bracketed by start/done heartbeats
-    keyed by ``cell_ids``, sent through ``beat``: the worker's heartbeat
-    channel by default, the engine's live observers in-process.
+    that raised it; the engine re-raises it as a :class:`SweepCellError`
+    with the original exception as ``__cause__``.  The cell is bracketed
+    by start/done heartbeats keyed by ``cell_id``, sent through
+    ``beat``: the worker's heartbeat channel by default, the engine's
+    live observers in-process.
     """
     pid = os.getpid()
-    out: List[Union[CellOutcome, Exception]] = []
-    for cell, diagnosed, cell_id in zip(cells, diagnose, cell_ids):
-        beat((False, pid, cell_id, perf_counter(), cell.label))
-        try:
-            out.append(_execute_cell(cell, diagnosed))
-        except Exception as exc:
-            out.append(exc)
-            break
-        finally:
-            beat((True, pid, cell_id, perf_counter(), cell.label))
-    return out
+    beat((False, pid, cell_id, perf_counter(), cell.label))
+    try:
+        return _execute_cell(cell, diagnose)
+    except Exception as exc:
+        return exc
+    finally:
+        beat((True, pid, cell_id, perf_counter(), cell.label))
 
 
 #: One cell of a batch's run: ``(cell_id, cache key, cell, diagnose)``.
@@ -722,15 +721,6 @@ _Task = Tuple[int, str, SweepCell, bool]
 
 #: The cell that failed a batch, and its exception (None: none failed).
 _Failure = Optional[Tuple[SweepCell, Exception]]
-
-
-def _completed(
-    chunk: List[_Task], outcomes: List[Union[CellOutcome, Exception]]
-) -> Tuple[List[CellOutcome], _Failure]:
-    """A chunk's outcomes up to its failing cell, and that failure."""
-    if outcomes and isinstance(outcomes[-1], Exception):
-        return outcomes[:-1], (chunk[len(outcomes) - 1][2], outcomes[-1])
-    return outcomes, None
 
 
 class SweepCellError(RuntimeError):
@@ -791,24 +781,26 @@ class SweepEngine:
     which worker finished first, and duplicate cells within a batch are
     simulated once.  ``jobs=1`` executes in-process (and is what the
     determinism tests compare the pool against), through the same
-    per-cell loop a pool worker runs, so a failing cell raises the same
-    :class:`SweepCellError` at every ``jobs``: the first failure in batch
-    order.  Before it raises, the engine serves — caches, diagnoses and
-    tells its observers of — every cell that completed ahead of the
-    failing one in batch order, and drops the cells after it even where
-    a pool worker finished them, so every ``jobs`` leaves the same logs.
+    per-cell entry point a pool worker runs, so a failing cell raises
+    the same :class:`SweepCellError` at every ``jobs``: the first
+    failure in batch order.  Before it raises, the engine serves —
+    caches, diagnoses and tells its observers of — every cell that
+    completed ahead of the failing one in batch order, and drops the
+    cells after it even where a pool worker finished them, so every
+    ``jobs`` leaves the same logs.
 
-    The pool path is engineered for throughput: cells are submitted in
-    contiguous chunks, auto-sized to a few chunks per worker, so per-task
-    pickling and future overhead amortize, and the pool itself is spawned
-    once — warm workers preimport the simulator and are reused across
-    batches until :meth:`close` (the engine is a context manager).  Under
-    ``fork`` the engine imports the simulator itself just before the pool
-    starts, so the workers inherit it instead of each importing it;
-    otherwise the simulator loads only where a cell runs, so a batch
-    served from the cache loads neither it nor numpy.  Chunks preserve
-    input order, so results are the same, bitwise, however a batch is
-    chunked.
+    The pool path is engineered for throughput: each cell is one pool
+    task, submitted and read back in batch order, so a worker that
+    finishes a cell takes the next one and the workers end a batch
+    within about one cell of each other, however unevenly its cells
+    cost; and the pool itself is spawned once — warm workers preimport
+    the simulator and are reused across batches until :meth:`close` (the
+    engine is a context manager).  Under ``fork`` the engine imports the
+    simulator itself just before the pool starts, so the workers inherit
+    it instead of each importing it; otherwise the simulator loads only
+    where a cell runs, so a batch served from the cache loads neither it
+    nor numpy.  Results are the same, bitwise, whichever worker ran
+    which cell.
 
     With ``diagnose=True`` every executed cell of a batch additionally
     runs the :mod:`~repro.obs.diagnose` engine worker-side, and ships a
@@ -865,14 +857,16 @@ class SweepEngine:
         self._live = [
             o.on_heartbeat for o in self.observers if o.on_heartbeat is not None
         ]
-        # The heartbeat channel is created up front (not per batch): pool
+        # The heartbeat pipe is created up front (not per batch): pool
         # initargs are fixed at pool spin-up, and the warm pool outlives
-        # individual batches.
-        self._heartbeats = None
+        # individual batches.  The workers write, the pump reads.
+        self._heartbeat_reader = self._heartbeat_writer = None
         if self._live and jobs > 1:
             import multiprocessing
 
-            self._heartbeats = multiprocessing.SimpleQueue()
+            self._heartbeat_reader, self._heartbeat_writer = multiprocessing.Pipe(
+                duplex=False
+            )
         # Grid axes of the batches' cells, accumulated for fleet_record().
         self._axis_policies: Set[str] = set()
         self._axis_workloads: Set[str] = set()
@@ -953,96 +947,86 @@ class SweepEngine:
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_warm_worker,
-            initargs=(self._heartbeats, self._diagnose, perf_counter()),
+            initargs=(self._heartbeat_writer, self._diagnose, perf_counter()),
         )
 
-    def _chunked(self, todo: List[_Task], workers: int) -> List[List[_Task]]:
-        """Split ``todo`` into contiguous chunks, preserving order.
-
-        Auto-sizing targets four chunks per worker: large enough to
-        amortize per-task pickling, small enough that a slow cell does
-        not leave the other workers idle at the tail of the batch.
-        """
-        size = max(1, -(-len(todo) // (workers * 4)))
-        return [todo[i : i + size] for i in range(0, len(todo), size)]
-
     def _run_cells(self, todo: List[_Task]) -> Tuple[List[CellOutcome], _Failure]:
-        """Run ``todo`` through :func:`_execute_chunk`: the outcomes of
+        """Run ``todo`` through :func:`_execute_task`: the outcomes of
         the cells ahead of the first failing one in todo order (all of
         them when none fails), and that failure.
 
         A ``jobs=1`` engine, or a one-cell batch, runs ``todo`` in this
-        process as one chunk, after the cell path import
-        (:meth:`_load_cell_path`), beating straight to the live observers.
-        Otherwise the chunks go to the warm pool (spawned on first use)
+        process, after the cell path import (:meth:`_load_cell_path`),
+        beating straight to the live observers, and stops at the first
+        failing cell.  Otherwise each cell is one task of the warm pool
+        (spawned on first use), submitted and read back in todo order,
         and, while they run, a pump thread feeds their heartbeats to the
         live observers.  It starts after submission, so a ``fork`` pool
         forks a single-threaded parent, and stops at the ``None`` the
-        engine writes once every chunk has ended: every heartbeat of the
+        engine writes once every task has ended: every heartbeat of the
         batch is in the pipe before that.  A pool-level failure (worker
-        crash, result transport) is attributed to its chunk's first cell.
+        crash, result transport) is attributed to the first cell in todo
+        order whose outcome it lost.
         """
-
-        def args(chunk: List[_Task]) -> tuple:
-            cell_ids, _, cells, diagnose = zip(*chunk)
-            return cells, diagnose, cell_ids
-
+        fresh: List[CellOutcome] = []
         if self.jobs == 1 or len(todo) == 1:
             self._load_cell_path()
-            return _completed(todo, _execute_chunk(*args(todo), self._beat))
+            for cell_id, _, cell, diagnose in todo:
+                outcome = _execute_task(cell, diagnose, cell_id, self._beat)
+                if isinstance(outcome, Exception):
+                    return fresh, (cell, outcome)
+                fresh.append(outcome)
+            return fresh, None
         batch_start = perf_counter()
         if self._pool is None:
             self._pool = self._new_pool(self.jobs)
-        chunks = self._chunked(todo, min(self.jobs, len(todo)))
-        with self._stage(PHASE_SUBMIT, chunks=len(chunks), cells=len(todo)):
+        with self._stage(PHASE_SUBMIT, cells=len(todo)):
             futures = [
-                self._pool.submit(_execute_chunk, *args(chunk))
-                for chunk in chunks
+                self._pool.submit(_execute_task, cell, diagnose, cell_id)
+                for cell_id, _, cell, diagnose in todo
             ]
         pump = None
-        if self._heartbeats is not None:
+        if self._heartbeat_reader is not None:
             pump = threading.Thread(
                 target=self._pump, name="sweep-heartbeats", daemon=True
             )
             pump.start()
-        fresh: List[CellOutcome] = []
         try:
-            for chunk, future in zip(chunks, futures):
+            for (_, _, cell, _), future in zip(todo, futures):
                 wait_start = perf_counter()
                 try:
-                    outcomes = future.result()
+                    outcome = future.result()
                 except Exception as exc:
                     # A dead warm pool must not poison the next batch.
                     self._shutdown_pool()
-                    return fresh, (chunk[0][2], exc)
-                done, failure = _completed(chunk, outcomes)
-                fresh += [_started_in_batch(o, batch_start) for o in done]
+                    return fresh, (cell, exc)
+                if isinstance(outcome, Exception):
+                    return fresh, (cell, outcome)
+                fresh.append(_started_in_batch(outcome, batch_start))
                 if self.timeline is not None:
-                    # Result IPC: the slice of the wait after the chunk's
-                    # last cell finished is unpickling/transfer — the
-                    # rest of the wait is covered by the workers' own
-                    # stamps on the shared timebase.
-                    ipc_start = max([wait_start] + [o.phases[-1][2] for o in done])
+                    # Result IPC: the slice of the wait after the cell
+                    # finished is unpickling/transfer — the rest of the
+                    # wait is covered by the workers' own stamps on the
+                    # shared timebase.
+                    ipc_start = max(wait_start, outcome.phases[-1][2])
                     self.timeline.add_stage(PHASE_IPC, ipc_start, perf_counter())
-                if failure is not None:
-                    return fresh, failure
             return fresh, None
         finally:
             for future in futures:
                 future.cancel()
             if pump is not None:
-                # A failed batch still ends every chunk before the
+                # A failed batch still ends every task before the
                 # sentinel, so no heartbeat of it trails into the next.
                 from concurrent.futures import wait
 
                 wait(futures)
-                self._heartbeats.put(None)
+                self._heartbeat_writer.send(None)
                 pump.join()
 
     def _pump(self) -> None:
         """Feed a pooled batch's heartbeats to the live observers until
         the batch's ``None``."""
-        for event in iter(self._heartbeats.get, None):
+        for event in iter(self._heartbeat_reader.recv, None):
             self._beat(event)
 
     def _beat(self, event: Heartbeat) -> None:

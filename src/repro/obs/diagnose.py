@@ -142,10 +142,11 @@ def settling_report(
     Raises:
         ValueError: if the run has no per-quantum log.
     """
-    if not run.quanta:
+    rows = run.quantum_rows
+    if not rows:
         raise ValueError("settling analysis needs a full-recording run")
-    steps = np.asarray([q.step_index for q in run.quanta], dtype=float)
-    mhz = np.asarray([q.mhz for q in run.quanta], dtype=float)
+    steps = np.asarray([row[3] for row in rows], dtype=float)
+    mhz = np.asarray([row[4] for row in rows], dtype=float)
     tail_start = steps.size // 2
     tail = steps[tail_start:]
     tail_mhz = mhz[tail_start:]
@@ -156,7 +157,7 @@ def settling_report(
     last_change_us: Optional[float] = None
     if all_change_idx.size:
         # The change took effect in quantum i+1; stamp its start.
-        last_change_us = run.quanta[int(all_change_idx[-1]) + 1].start_us
+        last_change_us = rows[int(all_change_idx[-1]) + 1][0] - run.quantum_us
 
     osc = oscillation_stats(mhz, settle_fraction=0.5)
 
@@ -175,7 +176,7 @@ def settling_report(
     alpha: Optional[float] = None
     attenuation: Optional[float] = None
     if decay_n is not None and decay_n >= 1:
-        interval_s = run.quanta[0].quantum_us * 1e-6
+        interval_s = run.quantum_us * 1e-6
         alpha = alpha_for_avg_n(decay_n, interval_s=interval_s)
         if dominant_period is not None:
             omega = 2.0 * np.pi / (dominant_period * interval_s)
@@ -257,14 +258,15 @@ def prediction_ledger(
     None when the policy has no AVG_N predictor (``decay_n`` None) or the
     run is too short to predict anything.
     """
-    if decay_n is None or len(run.quanta) < 2:
+    rows = run.quantum_rows
+    if decay_n is None or len(rows) < 2:
         return None
     pairs = prediction_errors(run.utilizations(), decay_n)
     errors = [realized - predicted for predicted, realized in pairs]
     arr = np.asarray(errors, dtype=float)
     order = np.argsort(-np.abs(arr))[:5]
     worst = tuple(
-        (run.quanta[int(i) + 1].end_us, pairs[int(i)][0], pairs[int(i)][1])
+        (rows[int(i) + 1][0], pairs[int(i)][0], pairs[int(i)][1])
         for i in order
     )
     return PredictionLedger(
@@ -337,22 +339,23 @@ def attribute_misses(
     misses = run.deadline_misses(tolerance_us=tolerance_us)
     if not misses:
         return []
-    if not run.quanta:
+    rows = run.quantum_rows
+    if not rows:
         raise ValueError("miss attribution needs a full-recording run")
     if max_step_index is None:
-        max_step_index = max(q.step_index for q in run.quanta)
-    ends = [q.end_us for q in run.quanta]
+        max_step_index = max(row[3] for row in rows)
+    ends = [row[0] for row in rows]
     out: List[MissAttribution] = []
     for miss in misses:
         deadline = miss.deadline_us if miss.deadline_us is not None else miss.time_us
         start = max(0.0, deadline - ATTRIBUTION_WINDOW_US)
         lo = bisect_right(ends, start)
         hi = bisect_right(ends, deadline)
-        window = run.quanta[lo : max(hi + 1, lo + 1)]
+        window = rows[lo : max(hi + 1, lo + 1)]
         if not window:
-            window = run.quanta[-1:]
-        mhz = [q.mhz for q in window]
-        below_max = any(q.step_index < max_step_index for q in window)
+            window = rows[-1:]
+        mhz = [row[4] for row in window]
+        below_max = any(row[3] < max_step_index for row in window)
         ups = sum(
             1
             for c in run.freq_changes
@@ -493,15 +496,16 @@ def _sag_windows(
     sags = run.sag_windows()
     if not sags:
         return []
-    ends = [q.end_us for q in run.quanta]
+    rows = run.quantum_rows
+    ends = [row[0] for row in rows]
     table = machine.clock_table
     power = machine.power
     windows = []
     for window_start, window_end, from_volts, to_volts in sags:
         # The sag starts inside the quantum whose tick applied the drop;
         # that quantum already carries the post-change step.
-        qi = min(bisect_right(ends, window_start), len(run.quanta) - 1)
-        step = table[run.quanta[qi].step_index]
+        qi = min(bisect_right(ends, window_start), len(rows) - 1)
+        step = table[rows[qi][3]]
         # NAP first, so ACTIVE wins should the two states draw alike.
         settled = {
             power.total_w(step, from_volts, state): power.total_w(
@@ -672,7 +676,7 @@ def diagnose(
         machine=machine_label,
         seed=seed,
         duration_us=run.duration_us,
-        quanta=len(run.quanta),
+        quanta=len(run.quantum_rows),
         mean_utilization=run.mean_utilization(),
         misses=len(result.misses),
         settling=settling_report(run, decay_n),

@@ -59,7 +59,8 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.measure.parallel import CellOutcome, CellResult, SweepCell
 
-#: Engine-side phases.
+#: Engine-side phases.  A pooled batch submits one task per cell; its
+#: phase keeps the name fleet ledgers already compare it by.
 PHASE_SPINUP = "pool spin-up"
 PHASE_SUBMIT = "chunk submission"
 PHASE_IPC = "result IPC"

@@ -4,10 +4,10 @@
 of the sweep engine.  Batch starts grow the total, cache hits count as
 done, and the engine's heartbeat channel reports each executed cell
 starting and finishing.  A pool worker writes its heartbeats
-synchronously to a ``multiprocessing.SimpleQueue`` before it returns its
-chunk, and the engine ends each pooled batch with a ``None`` after the
-last result, so the pump thread that feeds the display reads every
-heartbeat of the batch before it stops.  Heartbeats only drive the
+synchronously to a ``multiprocessing`` pipe before it returns its
+cell's outcome, and the engine ends each pooled batch with a ``None``
+after the last result, so the pump thread that feeds the display reads
+every heartbeat of the batch before it stops.  Heartbeats only drive the
 display; results, run-logs and the sweep timeline travel on the pool's
 result channel.
 

@@ -7,7 +7,10 @@ warm on-disk cache.  These tests pin that contract with the acceptance
 grid (3 policies x 2 workloads x 3 seeds, jobs=4).
 """
 
+import dataclasses
 import os
+import signal
+import threading
 
 import pytest
 
@@ -24,11 +27,14 @@ from repro.measure.parallel import (
     SweepCellError,
     SweepEngine,
     WorkloadSpec,
+    _execute_cell,
+    cache_key,
     constant_step_cells,
     find_ideal_constant,
     repeat_workload,
 )
 from repro.measure.stats import confidence_interval
+from repro.obs.profile import SweepObserver
 from repro.workloads.mpeg import MpegConfig, mpeg_workload
 from repro.workloads.web import WebConfig
 
@@ -230,6 +236,142 @@ class TestRecordingModes:
 
     def test_constant_step_cells_default_minimal(self):
         assert all(c.recording == "minimal" for c in constant_step_cells(MPEG))
+
+
+class TestDiagnosedCellReadsRows:
+    """A diagnosis reads the kernel's quantum rows, never the record view."""
+
+    @pytest.mark.parametrize(
+        "policy", ["best-voltage", "const-59.0"],
+        ids=["sag-windows", "miss-attributions"],
+    )
+    def test_diagnosed_cell_builds_no_quantum_record(self, monkeypatch, policy):
+        import repro.kernel.recorders as recorders
+        from repro.obs.diagnose import PolicyDiagnosis, diagnose
+
+        diagnosed = cell(
+            workload=WorkloadSpec("mpeg", MpegConfig(duration_s=2.0)),
+            policy=PolicySpec(policy), use_daq=False,
+        )
+        # The reference diagnosis reads run.quanta first.
+        experiment = dataclasses.replace(diagnosed, recording="full").execute()
+        assert len(experiment.run.quanta) == 200
+        reference = diagnose(
+            experiment, policy=policy, workload="mpeg",
+            machine=diagnosed.machine, machine_label=diagnosed.machine.label,
+            seed=diagnosed.seed,
+        )
+
+        class QuantumLogBuilt(Exception):
+            pass
+
+        def fail(*args):
+            raise QuantumLogBuilt
+
+        monkeypatch.setattr(recorders, "quantum_records", fail)
+        # The patch reaches the view: reading run.quanta now fails.
+        with pytest.raises(QuantumLogBuilt):
+            dataclasses.replace(diagnosed, recording="full").execute().run.quanta
+        got = _execute_cell(diagnosed, True).diagnosis
+        for f in dataclasses.fields(PolicyDiagnosis):
+            assert getattr(got, f.name) == getattr(reference, f.name), f.name
+        assert got.energy.sag_j > 0 or got.miss_attributions
+
+
+class TestPoolDispatch:
+    def test_one_submission_per_cell_in_batch_order(self, monkeypatch):
+        cells = [cell(seed=s, use_daq=False) for s in range(5)]
+        with SweepEngine(jobs=2) as engine:
+            engine.run(cells[:2])  # starts the warm pool
+            submitted = []
+            submit = engine._pool.submit
+
+            def recording_submit(fn, *args):
+                submitted.append(args)
+                return submit(fn, *args)
+
+            monkeypatch.setattr(engine._pool, "submit", recording_submit)
+            results = engine.run(cells)
+        assert [args[0] for args in submitted] == cells
+        assert [args[2] for args in submitted] == list(range(len(cells)))
+        assert results == SweepEngine().run(cells)
+
+
+class KillFirstStart(SweepObserver):
+    """Once armed, sends SIGKILL to the pool worker that runs the first
+    cell to start; remembers every worker pid that starts a cell."""
+
+    def __init__(self):
+        self.armed = False
+        self.killed = None
+        self.starts = []
+
+    def on_heartbeat(self, done, pid, cell_id, t, label):
+        if done:
+            return
+        self.starts.append(pid)
+        if self.armed and pid != os.getpid():
+            self.armed = False
+            self.killed = pid
+            os.kill(pid, signal.SIGKILL)
+
+
+def run_within(engine, cells, timeout_s=120.0):
+    """``engine.run(cells)`` on a thread, joined with a timeout: the
+    results, or the exception the batch ended with."""
+    ended = {}
+
+    def target():
+        try:
+            ended["results"] = engine.run(cells)
+        except Exception as exc:
+            ended["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"batch still running after {timeout_s} s"
+    if "error" in ended:
+        raise ended["error"]
+    return ended["results"]
+
+
+class TestWorkerKilledMidBatch:
+    def test_batch_fails_whole_and_the_next_runs_on_a_fresh_pool(self, tmp_path):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.obs.runlog import RunLogWriter, read_run_log
+
+        long_mpeg = WorkloadSpec("mpeg", MpegConfig(duration_s=10.0))
+        warm = [cell(seed=s, use_daq=False) for s in (0, 1)]
+        batch = [cell(workload=long_mpeg, seed=s, use_daq=False) for s in range(8)]
+        after = [cell(seed=s, use_daq=False) for s in (2, 3, 4)]
+        killer = KillFirstStart()
+        run_log = RunLogWriter(tmp_path / "runs.jsonl")
+        with SweepEngine(jobs=2, observers=[killer, run_log]) as engine:
+            run_within(engine, warm)
+            first_pool = engine._pool
+            killer.armed = True
+            with pytest.raises(SweepCellError) as excinfo:
+                run_within(engine, batch)
+            assert killer.killed is not None
+            assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+            assert engine._pool is None
+
+            logged = read_run_log(run_log.path)
+            assert logged.warnings == ()
+            served = [r["run_id"] for r in logged[len(warm):]]
+            assert served == [cache_key(c) for c in batch[: len(served)]]
+            assert excinfo.value.cell == batch[len(served)]
+
+            starts_before = len(killer.starts)
+            results = run_within(engine, after)
+            assert engine._pool is not None and engine._pool is not first_pool
+            assert killer.killed not in killer.starts[starts_before:]
+        assert results == SweepEngine().run(after)
+        assert [r["run_id"] for r in read_run_log(run_log.path)[-3:]] == [
+            cache_key(c) for c in after
+        ]
 
 
 class TestEngineValidation:

@@ -1144,6 +1144,22 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "nope", "mpeg"]) == 2
         assert "unknown policy 'nope'" in capsys.readouterr().err
 
+    def test_unknown_policy_in_a_diagnosing_run_simulates_nothing(
+        self, capsys, tmp_path
+    ):
+        # Unchecked, the bad cell would fail only after its oracle
+        # search had simulated and been run-logged.
+        run_log = tmp_path / "runs.jsonl"
+        code = main([
+            "run", "mpeg", "--policy", "nope", "--duration", "5",
+            "--diagnoses", str(tmp_path / "diag.jsonl"),
+            "--run-log", str(run_log), "--no-fleet",
+        ])
+        assert code == 2
+        assert "unknown policy 'nope'" in capsys.readouterr().err
+        lines = run_log.read_text().splitlines() if run_log.exists() else []
+        assert lines == []
+
     def test_oscillation_verdict_on_avg3_mpeg(self, capsys):
         code = main(["diagnose", "avg3-one", "mpeg", "--duration", "10"])
         out = capsys.readouterr().out
