@@ -21,18 +21,23 @@ results while eliminating the reference loop's per-quantum overheads:
   coalesces runs of idle (or single-process) quanta into a single
   timeline segment, exactly as the reference timeline would.
 
-Equivalence is maintained operation for operation: every float add,
-multiply, comparison and tolerance below is transcribed from the
-reference kernel (`scheduler.py`), the quantum aggregates
-(`recorders.py`), the timeline (`traces/schema.py`) and the work model
-(`hw/work.py`), in the same order and associativity.  The reference
-kernel remains the oracle; ``tests/kernel/test_fastpath.py`` drives
-every catalog policy × workload × machine through both cores and
-asserts bitwise equality.
+Only the hot loop is copied: the idle, work and spin slices, the tick
+close, the wake scan, the governor call and the cache refresh after a
+DVFS apply.  Every float add, multiply, comparison and tolerance in it is
+transcribed from the reference kernel (`scheduler.py`), the quantum
+aggregates (`recorders.py`), the timeline (`traces/schema.py`) and the
+work model (`hw/work.py`), in the same order and associativity.
 
-Rare paths (rail-sag power splits, DVFS stalls) fall back to the
+Everything else comes from :class:`~repro.kernel.scheduler.Kernel`: the
+run lifecycle, the action-dispatch rule (exact classes, the same
+``TypeError`` for anything else), the run record (``_materialize_run``)
+and the one power-recording path (``_record_power``), which writes into
+``emit`` and reads watts through this class's ``_watts`` memo.  Rare
+paths (rail-sag power splits, DVFS stalls) thus fall back to the
 reference implementations so the tricky sequencing logic is never
-duplicated.
+duplicated.  The reference kernel remains the oracle;
+``tests/kernel/test_fastpath.py`` drives every catalog policy × workload
+× machine through both cores and asserts bitwise equality.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from repro.kernel.process import (
     SpinUntil,
     Yield,
 )
-from repro.kernel.recorders import RECORDING_FULL, EnergyTotals, QuantumStats
+from repro.kernel.recorders import QuantumStats
 from repro.kernel.scheduler import (
     _EPS,
     _MAX_ZERO_PROGRESS_ACTIONS,
@@ -64,56 +69,17 @@ from repro.traces.schema import PowerTimeline
 class FastKernel(Kernel):
     """The fast-path core.  Same contract as :class:`Kernel`, one run only."""
 
-    #: The run's flat power sink; set (with its watt cache) when a run starts.
-    _fp_emit = None
-
-    # -- cold-path power recording (rail sag, DVFS stalls) ----------------------------
-
-    def _record_power(
-        self,
-        state: CoreState,
-        start_us: float,
-        end_us: float,
-        extra_w: float = 0.0,
-    ) -> None:
-        # Same gate, sag split and watt lookups as the reference kernel's
-        # _record_power; segments land in the flat emit closure.  Watts
-        # are a pure function of (step, volts, core state), so the model
-        # evaluations are cached -- DVFS stalls and sag windows hit this
-        # path ~1000 times per run under a busy interval policy.  The
-        # extra_w term (reconfiguration power during stalls) is added
-        # after the cache lookup with the same base + extra arithmetic as
-        # the reference kernel, keeping the cores bitwise equal.
-        if end_us <= start_us + _EPS:
-            return
-        emit = self._fp_emit
-        if emit is None:  # pragma: no cover - defensive (not running)
-            return
-        machine = self.machine
-        cpu = machine.cpu
-        dvfs = self.dvfs
-        pw = self._fp_pw
-        if start_us < dvfs.sag_until_us - _EPS:
-            split = min(end_us, dvfs.sag_until_us)
-            key = (cpu.step.index, dvfs.sag_volts, state)
-            watts = pw.get(key)
-            if watts is None:
-                watts = machine.power.total_w(machine.step, dvfs.sag_volts, state)
-                pw[key] = watts
-            if extra_w:
-                watts = watts + extra_w
-            emit(start_us, split, watts)
-            if end_us <= split + _EPS:
-                return
-            start_us = split
-        key = (cpu.step.index, cpu.volts, state)
-        watts = pw.get(key)
+    def _watts(self, state: CoreState, volts: float) -> float:
+        # Watts are a pure function of (step, volts, core state), so the
+        # cold path memoizes them: DVFS stalls and sag windows reach it
+        # ~1000 times per run under a busy interval policy.
+        step = self.machine.cpu.step
+        key = (step.index, volts, state)
+        watts = self._fp_pw.get(key)
         if watts is None:
-            watts = machine.power_w(state)
-            pw[key] = watts
-        if extra_w:
-            watts = watts + extra_w
-        emit(start_us, end_us, watts)
+            watts = self.machine.power.total_w(step, volts, state)
+            self._fp_pw[key] = watts
+        return watts
 
     # -- main loop --------------------------------------------------------------------
 
@@ -180,7 +146,7 @@ class FastKernel(Kernel):
             p_end = end
             p_w = watts
 
-        self._fp_emit = emit
+        self._power_sink = emit
         self._fp_pw = {}  # (step index, volts, state) -> watts
         record_power = self._record_power  # cold path (sag window active)
 
@@ -423,47 +389,7 @@ class FastKernel(Kernel):
                         proc.state = EXITED
                         break
                     else:
-                        # Subclassed actions: replay the oracle's
-                        # isinstance chain (order matters for subclasses
-                        # of several action types).
-                        self._now = now
-                        self._busy_us = busy
-                        if isinstance(action, Exit):
-                            proc.state = EXITED
-                            break
-                        if isinstance(action, Compute):
-                            aw = action.work
-                            if not aw.is_empty:
-                                proc._fp_work = (
-                                    aw.cpu_cycles,
-                                    aw.mem_refs,
-                                    aw.cache_refs,
-                                )
-                            else:
-                                zero_progress += 1
-                        elif isinstance(action, SpinUntil):
-                            until = action.until_us
-                            proc.spin_until_us = until
-                            if until <= now + _EPS:
-                                zero_progress += 1
-                        elif isinstance(action, Sleep):
-                            if action.duration_us <= _EPS:
-                                runq_append(proc)
-                                break
-                            self._block(proc, now + action.duration_us)
-                            if proc.wake_us < next_wake:
-                                next_wake = proc.wake_us
-                            break
-                        elif isinstance(action, SleepUntil):
-                            self._block(proc, max(action.wake_us, now))
-                            if proc.wake_us < next_wake:
-                                next_wake = proc.wake_us
-                            break
-                        elif isinstance(action, Yield):
-                            runq_append(proc)
-                            break
-                        else:  # pragma: no cover - defensive
-                            raise TypeError(f"unknown process action {action!r}")
+                        raise TypeError(f"unknown process action {action!r}")
 
                     if zero_progress > _MAX_ZERO_PROGRESS_ACTIONS:
                         raise RuntimeError(
@@ -605,26 +531,10 @@ class FastKernel(Kernel):
             mhz_by_step=mhz_by_step if rows else {},
             final_step_index=last[3] if last else 0,
             final_mhz=last[4] if last else 0.0,
-            final_volts=last[5] if last else 0.0,
         )
-
-        run = self._materialize_run(end_us, rows)
-        run.quantum_stats = stats
-        if self.recording == RECORDING_FULL:
-            timeline = PowerTimeline()
-            timeline._segments = segs
-            run.timeline = timeline
-        else:
-            # PowerTimeline.energy_joules: same per-segment w*dt summation
-            energy = 0.0
-            for (a, b, w) in segs:
-                energy += w * (b - a) * 1e-6
-            run.energy = EnergyTotals(
-                energy_j=energy,
-                start_us=segs[0][0] if segs else 0.0,
-                end_us=segs[-1][1] if segs else 0.0,
-            )
-        return run
+        timeline = PowerTimeline()
+        timeline._segments = segs
+        return self._materialize_run(end_us, rows, stats, timeline)
 
 
 def _wake_key(p) -> tuple:

@@ -17,6 +17,10 @@ Actions:
   (polling ``gettimeofday``, which has microsecond resolution).
 - :class:`Yield` -- go to the back of the run queue.
 - :class:`Exit` -- terminate (returning from the generator does the same).
+
+A process yields exactly one of these six classes: both kernels dispatch
+on the action's class itself, so a subclass of an action, like any other
+object, ends the run with ``TypeError: unknown process action``.
 """
 
 from __future__ import annotations
@@ -153,7 +157,6 @@ class Process:
         self.pending_work: Optional[Work] = None
         self.spin_until_us: Optional[float] = None
         self.wake_us: Optional[float] = None
-        self._started = False
 
     def advance(self, now_us: float) -> Optional[Action]:
         """Resume the generator and return its next action.

@@ -70,7 +70,6 @@ class QuantumStats:
     mhz_by_step: Dict[int, float] = field(default_factory=dict)
     final_step_index: int = 0
     final_mhz: float = 0.0
-    final_volts: float = 0.0
 
     def mean_utilization(self) -> float:
         """Average per-quantum utilization."""
@@ -118,5 +117,4 @@ def stats_from_rows(rows: List[tuple]) -> QuantumStats:
         mhz_by_step=mhz_by_step,
         final_step_index=last[3] if last else 0,
         final_mhz=last[4] if last else 0.0,
-        final_volts=last[5] if last else 0.0,
     )

@@ -257,6 +257,7 @@ class Kernel:
         # Observation buffers (see repro.kernel.recorders for the row
         # layouts).  The scheduler log is kept only when configured.
         self._timeline = PowerTimeline()
+        self._power_sink = self._timeline.record  # FastKernel: its emit closure
         self._quantum_rows: List[tuple] = []
         self._sched_rows: Optional[List[tuple]] = (
             [] if self.config.record_sched_log else None
@@ -332,13 +333,15 @@ class Kernel:
             n_quanta += 1
         return n_quanta, n_quanta * q
 
-    def _materialize_run(self, end_us: float, quantum_rows: List[tuple]) -> KernelRun:
-        """Build the run record's backend-independent part: the event
+    def _materialize_run(
+        self, end_us: float, rows: List[tuple], stats: QuantumStats, timeline: PowerTimeline
+    ) -> KernelRun:
+        """Build the run record both backends hand their caller: the event
         stream, per-pid busy accounting, process names, the DVFS engine's
-        transition counters, the configured scheduler log and, under full
-        recording, the transition history and the quantum log
-        (``quantum_rows``).  Backends add their recording products: the
-        quantum statistics, and the timeline or the energy totals.
+        transition counters, the configured scheduler log and the quantum
+        ``stats``; under full recording also the quantum log (``rows``),
+        the power ``timeline`` and the transition history, under minimal
+        recording the timeline's energy totals instead.
         """
         counters = self.machine.cpu.counters
         run = KernelRun(
@@ -352,11 +355,19 @@ class Kernel:
             voltage_changes=counters.voltage_changes,
             voltage_settle_us=counters.voltage_settle_us,
             sched_rows=self._sched_rows or [],
+            quantum_stats=stats,
         )
         if self.recording == RECORDING_FULL:
-            run.quantum_rows = quantum_rows
+            run.quantum_rows = rows
+            run.timeline = timeline
             run.freq_changes = self._freq_changes
             run.volt_changes = self._volt_changes
+        else:
+            run.energy = EnergyTotals(
+                energy_j=timeline.energy_joules(),
+                start_us=timeline.start_us,
+                end_us=timeline.end_us,
+            )
         return run
 
     # -- main loop --------------------------------------------------------------------
@@ -407,18 +418,7 @@ class Kernel:
                 next_tick += q
 
         rows = self._quantum_rows
-        run = self._materialize_run(end_us, rows)
-        timeline = self._timeline
-        run.quantum_stats = stats_from_rows(rows)
-        if self.recording == RECORDING_FULL:
-            run.timeline = timeline
-        else:
-            run.energy = EnergyTotals(
-                energy_j=timeline.energy_joules(),
-                start_us=timeline.start_us,
-                end_us=timeline.end_us,
-            )
-        return run
+        return self._materialize_run(end_us, rows, stats_from_rows(rows), self._timeline)
 
     # -- scheduling ---------------------------------------------------------------------
 
@@ -446,32 +446,34 @@ class Kernel:
                 zero_progress = 0
                 continue
 
+            # Exact classes: an action subclass, like any object, is none.
             action = proc.advance(self._now)
-            if action is None or isinstance(action, Exit):
+            kind = action.__class__
+            if action is None or kind is Exit:
                 proc.state = ProcessState.EXITED
                 return
-            if isinstance(action, Compute):
+            if kind is Compute:
                 if not action.work.is_empty:
                     proc.pending_work = action.work
                 else:
                     zero_progress += 1
-            elif isinstance(action, SpinUntil):
+            elif kind is SpinUntil:
                 proc.spin_until_us = action.until_us
                 if action.until_us <= self._now + _EPS:
                     zero_progress += 1
-            elif isinstance(action, Sleep):
+            elif kind is Sleep:
                 if action.duration_us <= _EPS:
                     self._do_yield(proc)
                     return
                 self._block(proc, self._now + action.duration_us)
                 return
-            elif isinstance(action, SleepUntil):
+            elif kind is SleepUntil:
                 self._block(proc, max(action.wake_us, self._now))
                 return
-            elif isinstance(action, Yield):
+            elif kind is Yield:
                 self._do_yield(proc)
                 return
-            else:  # pragma: no cover - defensive
+            else:
                 raise TypeError(f"unknown process action {action!r}")
 
             if zero_progress > _MAX_ZERO_PROGRESS_ACTIONS:
@@ -612,26 +614,31 @@ class Kernel:
         end_us: float,
         extra_w: float = 0.0,
     ) -> None:
-        """Record machine power over [start, end] on the run's timeline,
-        honouring the DVFS engine's rail-sag window.  ``extra_w`` adds a
-        flat power term on top of the model (reconfiguration cost during
-        stalls)."""
+        """Record machine power over [start, end] into the run's power
+        sink, honouring the DVFS engine's rail-sag window.  ``extra_w``
+        adds a flat power term on top of the model (reconfiguration cost
+        during stalls).  Both backends record every transition cost
+        here."""
         if end_us <= start_us + _EPS:
             return
-        machine = self.machine
-        record = self._timeline.record
-        if start_us < self.dvfs.sag_until_us - _EPS:
-            split = min(end_us, self.dvfs.sag_until_us)
-            watts = machine.power.total_w(
-                machine.step, self.dvfs.sag_volts, state
-            )
+        record = self._power_sink
+        dvfs = self.dvfs
+        if start_us < dvfs.sag_until_us - _EPS:
+            split = min(end_us, dvfs.sag_until_us)
+            watts = self._watts(state, dvfs.sag_volts)
             if extra_w:
                 watts = watts + extra_w
             record(start_us, split, watts)
             if end_us <= split + _EPS:
                 return
             start_us = split
-        watts = machine.power_w(state)
+        watts = self._watts(state, self.machine.cpu.volts)
         if extra_w:
             watts = watts + extra_w
         record(start_us, end_us, watts)
+
+    def _watts(self, state: CoreState, volts: float) -> float:
+        """Whole-system watts at the present step, ``volts`` and ``state``.
+        Not memoized here: every fast-vs-reference bar times this path."""
+        machine = self.machine
+        return machine.power.total_w(machine.cpu.step, volts, state)

@@ -87,7 +87,7 @@ from repro.obs.profile import (
     SweepObserver,
     SweepTimeline,
 )
-from repro.obs.runlog import now_unix
+from repro.obs.runlog import now_unix, write_atomic
 from repro.kernel.backend import resolve_backend
 from repro.measure.stats import ConfidenceInterval, confidence_interval
 from repro.workloads.chess import ChessConfig, chess_workload
@@ -498,21 +498,8 @@ class ResultCache:
 
     def put(self, key: str, result: CellResult) -> None:
         """Store ``result`` under ``key`` atomically."""
-        import tempfile
-
-        self.root.mkdir(parents=True, exist_ok=True)
         payload = {"schema": CACHE_SCHEMA_VERSION, "key": key, "result": result.to_json()}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path_for(key), json.dumps(payload))
 
     def __len__(self) -> int:
         try:

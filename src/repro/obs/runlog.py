@@ -23,6 +23,7 @@ fleet ledger (:mod:`repro.obs.fleet`).
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -105,6 +106,28 @@ def output_file(path: Union[str, Path]) -> Path:
         out.parent.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         pass
+    return out
+
+
+def write_atomic(path: Union[str, Path], text: str) -> Path:
+    """Write ``text`` to ``path`` through a temp file beside it and a
+    rename, so concurrent readers and writers never see a torn file, and
+    return the path.  Parent directories are made as by
+    :func:`output_file`; a failed write removes its temp file."""
+    import tempfile
+
+    out = output_file(path)
+    fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=f"{out.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     return out
 
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Tuple, Union
 
 from repro.kernel.scheduler import KernelRun
+from repro.obs.runlog import write_atomic
 from repro.workloads.base import Workload
 from repro.workloads.replay import (
     RecordedQuantum,
@@ -144,10 +143,7 @@ def save_entry(root: PathLike, entry: CorpusEntry) -> Path:
     write is temp-file + rename, like the sweep result cache, so
     concurrent writers never leave a torn entry.
     """
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
     digest = entry_digest(entry)
-    path = root / f"{digest}.json"
     payload = {
         "schema": CORPUS_SCHEMA_VERSION,
         "digest": digest,
@@ -157,19 +153,9 @@ def save_entry(root: PathLike, entry: CorpusEntry) -> Path:
         "provenance": [list(p) for p in entry.provenance],
         "quanta": [list(q) for q in entry.quanta],
     }
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return write_atomic(
+        Path(root) / f"{digest}.json", json.dumps(payload, indent=1) + "\n"
+    )
 
 
 def load_entry(path: PathLike) -> CorpusEntry:

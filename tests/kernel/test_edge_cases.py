@@ -201,6 +201,36 @@ class TestZeroProgressGuards:
         assert len(run.events_of_kind("done")) == 1
 
 
+class LongSleep(Sleep):
+    """A subclass of an action class, which makes it no action."""
+
+
+NOT_AN_ACTION = object()
+
+
+class TestActionDispatch:
+    """Both kernel cores dispatch on the six action classes exactly, so
+    anything else a process yields ends the run with the same error."""
+
+    @pytest.mark.parametrize(
+        "action", [LongSleep(Q), NOT_AN_ACTION], ids=["sleep-subclass", "object"]
+    )
+    def test_both_cores_reject_alike(self, action):
+        errors = []
+        for fastpath in (False, True):
+            kernel = make_kernel(fastpath)
+
+            def body(ctx):
+                yield Compute(Work(cpu_cycles=206.4 * 100.0))
+                yield action
+
+            kernel.spawn("odd", body)
+            with pytest.raises(TypeError) as info:
+                kernel.run(4 * Q)
+            errors.append((type(info.value), str(info.value)))
+        assert errors == [(TypeError, f"unknown process action {action!r}")] * 2
+
+
 class TestSpawnSemantics:
     def test_spawn_order_sets_pid_order(self):
         kernel = make_kernel()

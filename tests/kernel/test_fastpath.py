@@ -37,7 +37,7 @@ from repro.workloads.web import WebConfig, web_workload
 
 DURATION_S = 2.0
 
-MACHINES = ["itsy", "itsy-stock", "sa2", "itsy@1.23", "itsy-reconf"]
+MACHINES = ["itsy", "itsy-stock", "sa2", "itsy@1.23", "itsy-reconf", "sa2-reconf"]
 
 #: Every policy family in the catalog grammar.  ``const-min``/``const-max``
 #: are placeholders resolved against each machine's own clock table.

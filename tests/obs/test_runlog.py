@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.measure.parallel import (
     PolicySpec,
     ResultCache,
@@ -15,6 +17,7 @@ from repro.obs.runlog import (
     RunLogRecord,
     RunLogWriter,
     read_run_log,
+    write_atomic,
 )
 from repro.workloads.mpeg import MpegConfig
 
@@ -71,6 +74,24 @@ class TestWriter:
         log.append(record())
         assert log.written == 1
         log.close()
+
+
+class TestWriteAtomic:
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_atomic(tmp_path / "entry.json", "{}")
+        assert os.listdir(tmp_path) == []
+
+    def test_regular_file_in_the_way_fails(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        with pytest.raises(NotADirectoryError, match="blocker/entry.json"):
+            write_atomic(blocker / "entry.json", "{}")
+        assert os.listdir(tmp_path) == ["blocker"]
 
 
 class TestReader:

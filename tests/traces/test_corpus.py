@@ -1,6 +1,7 @@
 """Tests for the content-addressed trace corpus."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +104,18 @@ class TestRoundTrip:
 
     def test_missing_directory_is_empty_corpus(self, tmp_path):
         assert load_corpus(tmp_path / "absent") == []
+
+    @pytest.mark.parametrize(
+        "committed",
+        sorted((Path(__file__).parents[1] / "corpus").glob("*.json")),
+        ids=lambda p: p.name[:12],
+    )
+    def test_resaving_a_committed_entry_reproduces_its_bytes(
+        self, tmp_path, committed
+    ):
+        path = save_entry(tmp_path, load_entry(committed))
+        assert path.name == committed.name
+        assert path.read_bytes() == committed.read_bytes()
 
 
 class TestLoadValidation:
