@@ -5,9 +5,10 @@ quantum and transition as a row.  Full recording keeps the complete
 power timeline and quantum log (what the plots need); minimal recording
 reduces them to energy totals and quantum statistics (what an
 energy-only sweep cell needs); the fast-path core
-(:mod:`repro.kernel.fastpath`) flattens the whole loop — inlined power
-sink, preallocated row buffers, cached step/rail state — and
-materializes either recording mode at run end.  This
+(:mod:`repro.kernel.fastpath`) flattens the hot loop — one power-sink
+closure, appended quantum rows with inline aggregates, cached step/rail
+state — and materializes either recording mode at run end through the
+reference kernel's own code.  This
 benchmark runs the paper's 60 s MPEG workload under the best policy in
 all modes and checks the promises the kernel split makes:
 

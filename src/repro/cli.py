@@ -243,10 +243,10 @@ def cmd_run(args, engine: SweepEngine) -> int:
     workload = spec.build()
     policy = PolicySpec(name=args.policy)
     if engine.diagnosing:
-        # Reject a bad name before the oracle search simulates; a plain
-        # run's one cell fails on it first, and a cache hit loads no
-        # policy code.
-        policy.build_factory(mspec.clock_table())
+        # Reject a bad name, or a constant step the machine lacks, before
+        # the oracle search simulates: build one governor.  A plain run's
+        # one cell fails on it first, and a cache hit loads no policy code.
+        policy.build_factory(mspec.clock_table())()
     print(f"workload        : {workload.name} ({workload.duration_s:.0f} s)")
     print(f"policy          : {args.policy}")
     print(f"machine         : {args.machine}")
@@ -415,8 +415,9 @@ def cmd_diagnose(args) -> int:
     spec = workload_spec(args.workload, args.duration)
     workload = spec.build()
     policy = PolicySpec(name=args.policy)
-    # Reject a bad name before the oracle baseline search simulates.
-    policy.build_factory(mspec.clock_table())
+    # Reject a bad name, or a constant step the machine lacks, before the
+    # oracle baseline search simulates: build one governor.
+    policy.build_factory(mspec.clock_table())()
     cell = SweepCell(
         workload=spec, policy=policy, seed=args.seed, use_daq=False,
         machine=mspec, backend=args.backend,

@@ -28,7 +28,6 @@ from repro.kernel.governor import GovernorRequest
 from repro.traces.schema import FreqChange, VoltChange
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.hw.cpu import TransitionCounters
     from repro.kernel.scheduler import Kernel
 
 
@@ -51,11 +50,6 @@ class DvfsEngine:
         # its per-step schedule); a busy interval policy asks the same
         # handful of questions ~1000 times per run.
         self._auto_volts: dict = {}
-
-    @property
-    def counters(self) -> "TransitionCounters":
-        """Counts and cumulative costs of the transitions applied so far."""
-        return self.machine.cpu.counters
 
     def apply(self, request: GovernorRequest, host: "Kernel") -> None:
         """Apply a governor request with safe voltage/frequency sequencing.

@@ -4,13 +4,13 @@
 :class:`~repro.kernel.scheduler.Kernel` that produces **bitwise-identical**
 results while eliminating the reference loop's per-quantum overheads:
 
-- power segments land in one flat local closure (``emit``) that applies
-  the timeline's segment-merge arithmetic directly, so a power segment
-  costs a function call and a few float compares instead of a
+- power segments land in one flat local closure (``emit``), the one
+  place that applies the timeline's segment-merge arithmetic, so a power
+  segment costs a function call and a few float compares instead of a
   :class:`~repro.traces.schema.PowerTimeline` method call;
-- per-quantum state is buffered as plain tuples in a preallocated list,
-  which the run keeps as its quantum log, and the quantum aggregates are
-  accumulated inline;
+- per-quantum state is appended as plain tuples to the list the run
+  keeps as its quantum log, and the quantum aggregates are accumulated
+  inline;
 - process slices run against cached generator/step state (``next(gen)``,
   local memory-timing cycle counts, precomputed active/nap watts) instead
   of attribute lookups through ``Process`` / ``CpuModel`` /
@@ -32,9 +32,9 @@ Everything else comes from :class:`~repro.kernel.scheduler.Kernel`: the
 run lifecycle, the action-dispatch rule (exact classes, the same
 ``TypeError`` for anything else), the run record (``_materialize_run``)
 and the one power-recording path (``_record_power``), which writes into
-``emit`` and reads watts through this class's ``_watts`` memo.  Rare
-paths (rail-sag power splits, DVFS stalls) thus fall back to the
-reference implementations so the tricky sequencing logic is never
+``emit`` and reads watts through ``Kernel._watts`` as the reference
+does.  Rare paths (rail-sag power splits, DVFS stalls) thus fall back to
+the reference implementations so the tricky sequencing logic is never
 duplicated.  The reference kernel remains the oracle;
 ``tests/kernel/test_fastpath.py`` drives every catalog policy × workload
 × machine through both cores and asserts bitwise equality.
@@ -69,20 +69,6 @@ from repro.traces.schema import PowerTimeline
 class FastKernel(Kernel):
     """The fast-path core.  Same contract as :class:`Kernel`, one run only."""
 
-    def _watts(self, state: CoreState, volts: float) -> float:
-        # Watts are a pure function of (step, volts, core state), so the
-        # cold path memoizes them: DVFS stalls and sag windows reach it
-        # ~1000 times per run under a busy interval policy.
-        step = self.machine.cpu.step
-        key = (step.index, volts, state)
-        watts = self._fp_pw.get(key)
-        if watts is None:
-            watts = self.machine.power.total_w(step, volts, state)
-            self._fp_pw[key] = watts
-        return watts
-
-    # -- main loop --------------------------------------------------------------------
-
     def run(self, duration_us: float) -> KernelRun:
         # The hot loop allocates ~10^5 short-lived tuples per simulated
         # minute, none of which form reference cycles, so the cyclic
@@ -99,7 +85,7 @@ class FastKernel(Kernel):
                 gc.enable()
 
     def _run_impl(self, duration_us: float) -> KernelRun:  # noqa: C901
-        n_quanta, end_us = self._begin_run(duration_us)
+        end_us = self._begin_run(duration_us)
         governor = self.governor
         config = self.config
         q = config.quantum_us
@@ -147,13 +133,11 @@ class FastKernel(Kernel):
             p_w = watts
 
         self._power_sink = emit
-        self._fp_pw = {}  # (step index, volts, state) -> watts
         record_power = self._record_power  # cold path (sag window active)
 
-        # Preallocated quantum buffer: (end, busy, util, step_index, mhz, volts)
-        rows: List[tuple] = [None] * n_quanta  # type: ignore[list-item]
-        n_rows = n_quanta
-        ri = 0
+        # Quantum log: (end, busy, util, step_index, mhz, volts) rows
+        rows: List[tuple] = []
+        rows_append = rows.append
         # Scheduler decisions: buffered only when configured.
         sched_rows = self._sched_rows
         sched_append = sched_rows.append if sched_rows is not None else None
@@ -240,12 +224,7 @@ class FastKernel(Kernel):
                     if now < sag_until - _EPS:
                         record_power(NAP, now, next_tick)
                     else:
-                        gap = p_end - now
-                        dw = p_w - nap_w
-                        if p_on and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
-                            p_end = next_tick  # inlined emit merge
-                        else:
-                            emit(now, next_tick, nap_w)
+                        emit(now, next_tick, nap_w)
                 now = next_tick
             else:
                 if sched_append is not None:
@@ -270,21 +249,11 @@ class FastKernel(Kernel):
                         if slice_end > limit:
                             slice_end = limit
                         elapsed = slice_end - now
-                        if elapsed <= 0:  # pragma: no cover - defensive
-                            if (wc + wm + wca) < 1e-9:
-                                proc._fp_work = None
-                            zero_progress = 0
-                            continue
                         if slice_end > now + _EPS:
                             if now < sag_until - _EPS:
                                 record_power(ACTIVE, now, slice_end)
                             else:
-                                gap = p_end - now
-                                dw = p_w - active_w
-                                if p_on and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
-                                    p_end = slice_end  # inlined emit merge
-                                else:
-                                    emit(now, slice_end, active_w)
+                                emit(now, slice_end, active_w)
                         busy += elapsed
                         busy_by_pid[pid] = bbp_get(pid, 0.0) + elapsed
                         if elapsed >= duration - 1e-3:
@@ -313,12 +282,7 @@ class FastKernel(Kernel):
                                 if now < sag_until - _EPS:
                                     record_power(ACTIVE, now, target)
                                 else:
-                                    gap = p_end - now
-                                    dw = p_w - active_w
-                                    if p_on and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
-                                        p_end = target  # inlined emit merge
-                                    else:
-                                        emit(now, target, active_w)
+                                    emit(now, target, active_w)
                             busy += target - now
                             busy_by_pid[pid] = bbp_get(pid, 0.0) + target - now
                             now = target
@@ -350,26 +314,17 @@ class FastKernel(Kernel):
                         proc.spin_until_us = until
                         if until <= now + _EPS:
                             zero_progress += 1
-                    elif acls is Sleep:
-                        if action.duration_us <= _EPS:
+                    elif acls is Sleep or acls is SleepUntil:
+                        # Kernel._block: round the wake time up to a tick.
+                        if acls is SleepUntil:
+                            wake = action.wake_us
+                            if now > wake:  # max(wake_us, now)
+                                wake = now
+                        elif action.duration_us <= _EPS:
                             runq_append(proc)
                             break
-                        wake = now + action.duration_us
-                        ticks = int(wake // q)
-                        tick_wake = ticks * q
-                        if tick_wake < wake - _EPS:
-                            tick_wake += q
-                        if tick_wake <= now + _EPS:
-                            tick_wake += q
-                        proc.state = SLEEPING
-                        proc.wake_us = tick_wake
-                        sleepers_append(proc)
-                        if tick_wake < next_wake:
-                            next_wake = tick_wake
-                        break
-                    elif acls is SleepUntil:
-                        w = action.wake_us
-                        wake = w if w > now else now
+                        else:
+                            wake = now + action.duration_us
                         ticks = int(wake // q)
                         tick_wake = ticks * q
                         if tick_wake < wake - _EPS:
@@ -410,12 +365,7 @@ class FastKernel(Kernel):
                     util = 1.0
                 elif util < 0.0:
                     util = 0.0
-                row = (tick, busy_c, util, q_step_index, mhz, q_volts)
-                if ri < n_rows:
-                    rows[ri] = row
-                else:  # pragma: no cover - quantum drift past the estimate
-                    rows.append(row)
-                ri += 1
+                rows_append((tick, busy_c, util, q_step_index, mhz, q_volts))
                 busy = 0.0
                 usum += util
                 if q_step_index == cur_si:
@@ -455,12 +405,7 @@ class FastKernel(Kernel):
                         if now < sag_until - _EPS:
                             record_power(ACTIVE, now, oend)
                         else:
-                            gap = p_end - now
-                            dw = p_w - active_w
-                            if p_on and -1e-6 < gap < 1e-6 and -1e-12 < dw < 1e-12:
-                                p_end = oend  # inlined emit merge
-                            else:
-                                emit(now, oend, active_w)
+                            emit(now, oend, active_w)
                     busy += overhead
                     now = oend
 
@@ -519,7 +464,6 @@ class FastKernel(Kernel):
         if p_on:
             segs_append((p_start, p_end, p_w))
             p_on = False
-        del rows[ri:]
 
         if cur_cnt:
             by_step[cur_si] = by_step.get(cur_si, 0) + cur_cnt

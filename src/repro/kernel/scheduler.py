@@ -311,9 +311,9 @@ class Kernel:
 
     # -- shared run lifecycle (both execution backends) -------------------------------
 
-    def _begin_run(self, duration_us: float) -> tuple:
+    def _begin_run(self, duration_us: float) -> float:
         """Open the run: single-use guard, validation, governor reset, and
-        quantum rounding.  Returns ``(n_quanta, end_us)``.
+        quantum rounding.  Returns the run's end, a whole number of quanta.
 
         Both execution backends enter their loops through here, so the
         run-lifecycle semantics (one run per kernel, positive durations,
@@ -331,13 +331,13 @@ class Kernel:
         n_quanta = int(duration_us // q)
         if n_quanta * q < duration_us - _EPS:
             n_quanta += 1
-        return n_quanta, n_quanta * q
+        return n_quanta * q
 
     def _materialize_run(
         self, end_us: float, rows: List[tuple], stats: QuantumStats, timeline: PowerTimeline
     ) -> KernelRun:
         """Build the run record both backends hand their caller: the event
-        stream, per-pid busy accounting, process names, the DVFS engine's
+        stream, per-pid busy accounting, process names, the CPU's
         transition counters, the configured scheduler log and the quantum
         ``stats``; under full recording also the quantum log (``rows``),
         the power ``timeline`` and the transition history, under minimal
@@ -381,7 +381,7 @@ class Kernel:
         Raises:
             RuntimeError: if the kernel has already run.
         """
-        _n_quanta, end_us = self._begin_run(duration_us)
+        end_us = self._begin_run(duration_us)
         q = self.config.quantum_us
 
         sched = self._sched_rows
@@ -639,6 +639,7 @@ class Kernel:
 
     def _watts(self, state: CoreState, volts: float) -> float:
         """Whole-system watts at the present step, ``volts`` and ``state``.
-        Not memoized here: every fast-vs-reference bar times this path."""
+        Not memoized: the fast path reads it ~200 times per adaptive 20 s
+        cell, and every fast-vs-reference bar times the reference's reads."""
         machine = self.machine
         return machine.power.total_w(machine.cpu.step, volts, state)

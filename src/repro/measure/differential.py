@@ -62,6 +62,8 @@ def compare_results(ref: ExperimentResult, fast: ExperimentResult) -> List[str]:
         mismatches.append("duration_us")
     if fr.quanta != rr.quanta:
         mismatches.append("quanta")
+    if fr.quantum_stats != rr.quantum_stats:
+        mismatches.append("quantum_stats")
     if fr.timeline._segments != rr.timeline._segments:
         mismatches.append("timeline")
     for field in (

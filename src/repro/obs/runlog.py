@@ -113,11 +113,12 @@ def write_atomic(path: Union[str, Path], text: str) -> Path:
     """Write ``text`` to ``path`` through a temp file beside it and a
     rename, so concurrent readers and writers never see a torn file, and
     return the path.  Parent directories are made as by
-    :func:`output_file`; a failed write removes its temp file."""
-    import tempfile
-
+    :func:`output_file`; a failed write removes its temp file.  The mode
+    is 0666 less the process umask, as for every other file the program
+    writes, so a cache that several users share stays readable to all."""
     out = output_file(path)
-    fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=f"{out.name}.", suffix=".tmp")
+    tmp = out.parent / f"{out.name}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

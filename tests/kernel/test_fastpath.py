@@ -4,8 +4,9 @@ The fast-path backend (:mod:`repro.kernel.fastpath`) is only allowed to
 be faster — never different.  These tests drive every catalog policy ×
 workload × machine through both backends and assert bitwise equality of
 everything a run records: energies (exact and DAQ-sampled), deadline
-misses, the quantum log, the power timeline, clock/voltage transition
-logs and counters, per-pid busy accounting, and application events.
+misses, the quantum log and its statistics, the power timeline,
+clock/voltage transition logs and counters, per-pid busy accounting,
+and application events.
 Exception behaviour must match too (e.g. the stock Itsy rejecting the
 1.23 V request of ``best-voltage``) — same type, same message.  The
 observed grid re-runs the whole grid keeping the scheduler log, and
@@ -19,7 +20,9 @@ from repro.core.catalog import resolve_policy
 from repro.hw.machines import MachineSpec
 from repro.kernel.config import KernelConfig
 from repro.kernel.fastpath import FastKernel
+from repro.kernel.process import SleepUntil
 from repro.kernel.recorders import RECORDING_MINIMAL
+from repro.kernel.scheduler import Kernel
 from repro.measure.parallel import (
     PolicySpec,
     ResultCache,
@@ -107,6 +110,7 @@ def assert_bitwise_equal(ref, fast):
     rr, fr = ref.run, fast.run
     assert fr.duration_us == rr.duration_us
     assert fr.quanta == rr.quanta
+    assert fr.quantum_stats == rr.quantum_stats
     assert fr.timeline._segments == rr.timeline._segments
     assert fr.freq_changes == rr.freq_changes
     assert fr.volt_changes == rr.volt_changes
@@ -233,6 +237,32 @@ class TestRecordingModes:
         spec = MachineSpec.parse("itsy")
         with pytest.raises(ValueError, match="unknown recording mode"):
             FastKernel(spec(), recording="verbose")
+
+
+def test_a_nan_wake_time_fails_alike():
+    """SleepUntil sleeps until ``max(wake_us, now)`` on both kernels, so
+    a NaN wake time reaches the tick rounding and raises the same error
+    on both, rather than sleeping one tick on one of them."""
+
+    def body(ctx):
+        yield SleepUntil(float("nan"))
+
+    errors = []
+    for kernel_class in (Kernel, FastKernel):
+        kernel = kernel_class(MachineSpec.parse("itsy")())
+        kernel.spawn("sleeper", body)
+        with pytest.raises(ValueError) as info:
+            kernel.run(30_000.0)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_fast_kernel_keeps_only_its_hot_loop():
+    """Everything but the loop is the reference kernel's own code: power
+    recording and its watts, action dispatch, the run lifecycle and the
+    run record."""
+    own = {name for name in vars(FastKernel) if not name.startswith("__")}
+    assert own == {"run", "_run_impl"}
 
 
 class TestDaqPath:

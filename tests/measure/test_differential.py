@@ -55,6 +55,7 @@ class TestCompareResults:
         other, _ = self.run_pair(seed=1)
         mismatches = compare_results(ref, other)
         assert "quanta" in mismatches
+        assert "quantum_stats" in mismatches
         assert "energy_j" in mismatches
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.obs.runlog import (
     RUN_LOG_VERSION,
     RunLogRecord,
     RunLogWriter,
+    output_file,
     read_run_log,
     write_atomic,
 )
@@ -92,6 +94,26 @@ class TestWriteAtomic:
         with pytest.raises(NotADirectoryError, match="blocker/entry.json"):
             write_atomic(blocker / "entry.json", "{}")
         assert os.listdir(tmp_path) == ["blocker"]
+
+    def test_files_take_the_umask_like_every_output(self, tmp_path):
+        # A cache shared by several users needs its entries readable by
+        # all of them: 0666 less the umask, as for any other output.
+        result = SweepCell(workload=MPEG, policy=PolicySpec("best")).run()
+        cache = ResultCache(tmp_path / "cache")
+        old = os.umask(0o022)
+        try:
+            atomic = write_atomic(tmp_path / "entry.json", "{}")
+            cache.put("k", result)
+            plain = output_file(tmp_path / "out.txt")
+            plain.write_text("{}")
+        finally:
+            os.umask(old)
+        modes = [
+            stat.S_IMODE(os.stat(path).st_mode)
+            for path in (atomic, cache.path_for("k"), plain)
+        ]
+        assert modes == [0o644, 0o644, 0o644]
+        assert cache.get("k") == result
 
 
 class TestReader:

@@ -1141,24 +1141,33 @@ class TestDiagnoseCommand:
             pytest.fail("diagnose simulated before validating its policy")
 
         monkeypatch.setattr(runner, "run_workload", run_workload)
-        assert main(["diagnose", "nope", "mpeg"]) == 2
-        assert "unknown policy 'nope'" in capsys.readouterr().err
+        for args, message in [
+            (["nope", "mpeg"], "unknown policy 'nope'"),
+            # A constant step the machine lacks: the name parses, and the
+            # step is looked up only when a governor is built.
+            (["const-132.7", "mpeg", "--machine", "sa2"], "no 132.7 MHz step"),
+        ]:
+            assert main(["diagnose", *args]) == 2
+            assert message in capsys.readouterr().err
 
     def test_unknown_policy_in_a_diagnosing_run_simulates_nothing(
         self, capsys, tmp_path
     ):
         # Unchecked, the bad cell would fail only after its oracle
         # search had simulated and been run-logged.
-        run_log = tmp_path / "runs.jsonl"
-        code = main([
-            "run", "mpeg", "--policy", "nope", "--duration", "5",
-            "--diagnoses", str(tmp_path / "diag.jsonl"),
-            "--run-log", str(run_log), "--no-fleet",
-        ])
-        assert code == 2
-        assert "unknown policy 'nope'" in capsys.readouterr().err
-        lines = run_log.read_text().splitlines() if run_log.exists() else []
-        assert lines == []
+        for policy, message in [
+            ("nope", "unknown policy 'nope'"),
+            ("const-999", "no 999 MHz step"),
+        ]:
+            run_log = tmp_path / f"{policy}.jsonl"
+            code = main([
+                "run", "mpeg", "--policy", policy, "--duration", "5",
+                "--diagnoses", str(tmp_path / "diag.jsonl"),
+                "--run-log", str(run_log), "--no-fleet",
+            ])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not run_log.exists()
 
     def test_oscillation_verdict_on_avg3_mpeg(self, capsys):
         code = main(["diagnose", "avg3-one", "mpeg", "--duration", "10"])
